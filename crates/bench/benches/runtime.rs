@@ -24,8 +24,8 @@ fn bench_task_spawn(c: &mut Criterion) {
     // Steady-state AMR shape: a persistent runtime re-submitting the
     // same chained stream every iteration inside a trace scope. After
     // the stream stabilizes (3 recordings) the edges replay from the
-    // frozen trace, skipping the claim table's O(n²) conflict scans —
-    // the fastest-sample estimator reports the replayed iterations.
+    // frozen trace, skipping the claim table — the fastest-sample
+    // estimator reports the replayed iterations.
     g.bench_function("spawn_1000_chained", |bench| {
         let rt = Runtime::new(2);
         let obj = ObjId::fresh();
@@ -39,8 +39,7 @@ fn bench_task_spawn(c: &mut Criterion) {
         });
     });
     // The pre-replay shape (fresh runtime each iteration, no scope):
-    // every spawn takes full claim-table analysis. Baseline for the
-    // replay-off regression check.
+    // every spawn takes full claim-table analysis.
     g.bench_function("spawn_1000_chained_noreplay", |bench| {
         bench.iter_batched(
             || (Runtime::new(2), ObjId::fresh()),

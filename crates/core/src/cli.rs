@@ -238,6 +238,10 @@ impl ScenarioArgs {
         cfg.params
             .validate()
             .map_err(|e| format!("invalid mesh parameters: {e}"))?;
+        // Every variant regrids when `(ts + 1) % refine_freq == 0`.
+        if cfg.refine_freq == 0 {
+            return Err("--refine_freq: must be at least 1".to_string());
+        }
         Ok(cfg)
     }
 }
@@ -288,6 +292,9 @@ mod tests {
         assert!(sc.consume(&strs(&["--nx"]), &mut i).is_err());
         let mut i = 0;
         assert!(sc.consume(&strs(&["--nx", "abc"]), &mut i).is_err());
+        let mut i = 0;
+        assert!(sc.consume(&strs(&["--refine_freq", "0"]), &mut i).is_ok());
+        assert!(sc.config().is_err(), "a zero period is divided by");
     }
 
     #[test]

@@ -2,25 +2,19 @@
 //! new options, and the two input problems used in the evaluation.
 
 use amr_mesh::{MeshParams, Object};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identity and isolation handles of one *job* in a multi-job ("service
 /// mode") process.
 ///
 /// Everything that used to be process-global state — the checkpoint
-/// store, the peer-lost recovery hook, the replay-trace invalidation
-/// epoch, the observability rank lanes — is keyed by the job so that
-/// concurrent in-process jobs (the elastic soak harness) cannot
-/// cross-restore each other's ranks or invalidate each other's traces.
+/// store, the peer-lost recovery hook, the observability rank lanes —
+/// is keyed by the job so that concurrent in-process jobs (the elastic
+/// soak harness) cannot cross-restore each other's ranks.
 #[derive(Debug)]
 pub struct JobCtx {
     /// Job id; 0 is the implicit single-job default.
     pub id: u64,
-    /// Replay-trace invalidation epoch for this job's task runtimes
-    /// (bumped on resize/restore instead of the process-global epoch;
-    /// shared into each runtime's `RuntimeConfig::trace_epoch`).
-    pub trace_epoch: Arc<AtomicU64>,
     /// Offset added to this job's rank numbers in obs events, giving
     /// concurrent jobs disjoint rank lanes in traces and reports.
     pub rank_base: u32,
@@ -29,17 +23,7 @@ pub struct JobCtx {
 impl JobCtx {
     /// A fresh job context.
     pub fn new(id: u64, rank_base: u32) -> Arc<JobCtx> {
-        Arc::new(JobCtx {
-            id,
-            trace_epoch: Arc::new(AtomicU64::new(0)),
-            rank_base,
-        })
-    }
-
-    /// Invalidates every replay trace of this job's runtimes (observed at
-    /// trace-scope boundaries).
-    pub fn invalidate_traces(&self) {
-        self.trace_epoch.fetch_add(1, Ordering::SeqCst);
+        Arc::new(JobCtx { id, rank_base })
     }
 }
 
@@ -133,8 +117,8 @@ pub struct Config {
     /// byte for byte.
     pub chaos: Option<vmpi::ChaosConfig>,
     /// The job this run belongs to in a multi-job process (`None`: the
-    /// implicit job 0). Keys the checkpoint store, the recovery hook and
-    /// the replay-trace epoch; see [`JobCtx`].
+    /// implicit job 0). Keys the checkpoint store and the recovery hook;
+    /// see [`JobCtx`].
     pub job: Option<Arc<JobCtx>>,
     /// Collective algorithm family (`--coll flat|hier`): `Hier` combines
     /// inside each node through shared-memory slots before the inter-node

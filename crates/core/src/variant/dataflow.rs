@@ -66,7 +66,6 @@ pub(crate) fn run_span(
         workers: cfg.workers.max(1),
         immediate_successor: cfg.immediate_successor,
         replay: cfg.replay,
-        trace_epoch: cfg.job.as_ref().map(|j| Arc::clone(&j.trace_epoch)),
     }));
     let comm = Arc::new(comm);
     rt.set_obs_rank(cfg.obs_rank(comm.rank()));

@@ -53,7 +53,6 @@ pub(crate) fn run_span(
         immediate_successor: cfg.immediate_successor,
         // Fork-join opens no trace scopes; keep the machinery inert.
         replay: false,
-        trace_epoch: None,
     });
     rt.set_obs_rank(cfg.obs_rank(comm.rank()));
     let (

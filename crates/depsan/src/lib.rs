@@ -372,85 +372,29 @@ pub fn runtime_created() -> u64 {
 /// depsan task id. Must be called in spawn order: spawn order is a
 /// topological order of the declared dependency graph, which is what
 /// makes the ancestor closure computable here.
-pub fn task_spawned(rt: u64, label: &str, rank: u32, decls: &[DeclAccess]) -> u64 {
-    let mut st = state();
-    st.next_san += 1;
-    let san = st.next_san;
-
-    let mut closure = match st.runtimes.get_mut(&rt) {
-        Some(r) => {
-            r.all_spawned.set(san);
-            r.base.clone()
-        }
-        None => BitSet::default(),
-    };
-    // Declared-conflict predecessors: any earlier declaration on the same
-    // object that overlaps with at least one write involved. Predecessors
-    // already purged at a taskwait are in `base`, hence already in the
-    // closure.
-    let mut preds: Vec<u64> = Vec::new();
-    for d in decls {
-        if let Some(os) = st.objects.get(&d.obj) {
-            for e in &os.declared {
-                if (d.write || e.write) && overlap(d.start, d.end, e.start, e.end) {
-                    preds.push(e.san);
-                }
-            }
-        }
-    }
-    for p in preds {
-        if let Some(t) = st.tasks.get(&p) {
-            closure.union_with(&t.closure);
-        }
-    }
-    closure.set(san);
-    for d in decls {
-        st.objects
-            .entry(d.obj)
-            .or_default()
-            .declared
-            .push(DeclEntry {
-                san,
-                start: d.start,
-                end: d.end,
-                write: d.write,
-            });
-    }
-    st.tasks.insert(
-        san,
-        TaskInfo {
-            label: label.to_string(),
-            rank,
-            closure,
-            decls: decls.to_vec(),
-        },
-    );
-    san
-}
-
-/// Registers a task whose dependency edges were installed from a cached
-/// task trace instead of fresh claim-table analysis, and re-verifies the
-/// replayed graph against the declared accesses.
 ///
-/// Unlike [`task_spawned`], the happens-before closure is built from the
-/// *replayed* predecessor set (`pred_sans`) only — exactly the ordering
-/// the runtime will actually enforce. The declared-conflict predecessors
-/// are then re-derived from the declarations, and any conflict the
-/// replayed closure does not cover is reported as a
+/// `enforced_preds` is `None` for a task the claim table analysed: its
+/// happens-before closure is that of its declared-conflict predecessors
+/// (any earlier declaration on the same object that overlaps with at
+/// least one write involved), which is what the claim table enforces.
+/// For a task whose edges were installed from a cached trace it is the
+/// replayed predecessor set, and the closure is built from that set only
+/// — exactly the ordering the runtime will enforce. Any declared conflict
+/// the replayed closure does not cover is then reported as a
 /// [`ViolationKind::ReplayMissingEdge`]: the cached trace promises less
-/// ordering than the declared accesses require. Predecessors already
-/// joined by a `taskwait` are in the runtime base and therefore covered.
+/// ordering than the declared accesses require.
 ///
-/// `pred_sans` may include predecessors that had already released when
-/// the edge was installed (and was therefore skipped by the runtime):
-/// their release happened before this spawn, so their effects are
-/// ordered regardless.
-pub fn replayed_task(
+/// Predecessors already joined by a `taskwait` are in the runtime base
+/// and therefore covered either way. `enforced_preds` may include
+/// predecessors that had already released when the edge was installed
+/// (and was therefore skipped by the runtime): their release happened
+/// before this spawn, so their effects are ordered regardless.
+pub fn task_spawned(
     rt: u64,
     label: &str,
     rank: u32,
     decls: &[DeclAccess],
-    pred_sans: &[u64],
+    enforced_preds: Option<&[u64]>,
 ) -> u64 {
     let mut st = state();
     st.next_san += 1;
@@ -463,34 +407,33 @@ pub fn replayed_task(
         }
         None => BitSet::default(),
     };
-    for p in pred_sans {
-        if let Some(t) = st.tasks.get(p) {
-            closure.union_with(&t.closure);
-        }
-    }
-    // Re-derive the declared-conflict predecessors and check each one is
-    // inside the replayed closure (directly or transitively).
-    let mut missing: Vec<(u64, u64, String)> = Vec::new();
+    let mut conflicts: Vec<(DeclEntry, DeclAccess)> = Vec::new();
     for d in decls {
         if let Some(os) = st.objects.get(&d.obj) {
             for e in &os.declared {
-                if (d.write || e.write)
-                    && overlap(d.start, d.end, e.start, e.end)
-                    && !closure.get(e.san)
-                    && !missing.iter().any(|&(p, _, _)| p == e.san)
-                {
-                    let what = format!(
-                        "{} {}..{} vs its {} {}..{}",
-                        if d.write { "write" } else { "read" },
-                        d.start,
-                        d.end,
-                        if e.write { "write" } else { "read" },
-                        e.start,
-                        e.end,
-                    );
-                    missing.push((e.san, d.obj, what));
+                if (d.write || e.write) && overlap(d.start, d.end, e.start, e.end) {
+                    conflicts.push((*e, *d));
                 }
             }
+        }
+    }
+    let enforced = match enforced_preds {
+        Some(preds) => preds.to_vec(),
+        None => conflicts.iter().map(|(e, _)| e.san).collect(),
+    };
+    for p in enforced {
+        if let Some(t) = st.tasks.get(&p) {
+            closure.union_with(&t.closure);
+        }
+    }
+    // What the enforced closure leaves uncovered, one entry per
+    // predecessor. Nothing under `None`: every conflict was just united
+    // in (a predecessor purged at a taskwait takes its declarations with
+    // it, so none of those is seen here).
+    let mut missing: Vec<(DeclEntry, DeclAccess)> = Vec::new();
+    for (e, d) in conflicts {
+        if !closure.get(e.san) && !missing.iter().any(|(m, _)| m.san == e.san) {
+            missing.push((e, d));
         }
     }
     closure.set(san);
@@ -515,12 +458,14 @@ pub fn replayed_task(
             decls: decls.to_vec(),
         },
     );
-    for (pred, obj, what) in missing {
+    for (e, d) in missing {
+        let (pred, obj) = (e.san, d.obj);
         let pred_label = st
             .tasks
             .get(&pred)
             .map(|t| t.label.clone())
             .unwrap_or_default();
+        let rw = |write: bool| if write { "write" } else { "read" };
         let v = Violation {
             kind: ViolationKind::ReplayMissingEdge,
             rank,
@@ -529,8 +474,14 @@ pub fn replayed_task(
             obj,
             detail: format!(
                 "replayed predecessor set misses declared-conflict predecessor \
-                 task {pred} '{pred_label}' on obj {obj} ({what}) — the cached \
+                 task {pred} '{pred_label}' on obj {obj} ({} {}..{} vs its {} {}..{}) — the cached \
                  trace enforces less ordering than the declared accesses require",
+                rw(d.write),
+                d.start,
+                d.end,
+                rw(e.write),
+                e.start,
+                e.end,
             ),
         };
         report_locked(&mut st, v);
@@ -861,8 +812,8 @@ mod tests {
     fn declared_edge_orders_tasks() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)]);
-        let t2 = task_spawned(rt, "w2", 0, &[decl(7, 0, 10, true)]);
+        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)], None);
+        let t2 = task_spawned(rt, "w2", 0, &[decl(7, 0, 10, true)], None);
         with_scope(t1, || record_access(7, 0, 10, true));
         with_scope(t2, || record_access(7, 0, 10, true));
         assert!(take_violations().is_empty(), "WAW edge orders the writes");
@@ -872,10 +823,10 @@ mod tests {
     fn replayed_task_with_complete_preds_is_clean() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)]);
+        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)], None);
         // Transitive coverage: t3 names only t2, but t2's closure holds t1.
-        let t2 = replayed_task(rt, "w2", 0, &[decl(7, 0, 10, true)], &[t1]);
-        let t3 = replayed_task(rt, "w3", 0, &[decl(7, 0, 10, true)], &[t2]);
+        let t2 = task_spawned(rt, "w2", 0, &[decl(7, 0, 10, true)], Some(&[t1]));
+        let t3 = task_spawned(rt, "w3", 0, &[decl(7, 0, 10, true)], Some(&[t2]));
         with_scope(t1, || record_access(7, 0, 10, true));
         with_scope(t2, || record_access(7, 0, 10, true));
         with_scope(t3, || record_access(7, 0, 10, true));
@@ -889,9 +840,9 @@ mod tests {
     fn replayed_task_missing_edge_is_reported() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "writer", 0, &[decl(7, 0, 10, true)]);
+        let t1 = task_spawned(rt, "writer", 0, &[decl(7, 0, 10, true)], None);
         let _ = t1;
-        let t2 = replayed_task(rt, "replayed", 0, &[decl(7, 0, 10, true)], &[]);
+        let t2 = task_spawned(rt, "replayed", 0, &[decl(7, 0, 10, true)], Some(&[]));
         let v = take_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::ReplayMissingEdge);
@@ -903,12 +854,12 @@ mod tests {
     fn replayed_task_pred_joined_by_taskwait_is_covered() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)]);
+        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)], None);
         let _ = t1;
         taskwait_joined(rt);
         // The predecessor was purged into the runtime base; an empty
         // replayed pred set is still complete.
-        let _t2 = replayed_task(rt, "w2", 0, &[decl(7, 0, 10, true)], &[]);
+        let _t2 = task_spawned(rt, "w2", 0, &[decl(7, 0, 10, true)], Some(&[]));
         assert!(take_violations().is_empty());
     }
 
@@ -916,8 +867,8 @@ mod tests {
     fn unordered_conflict_is_a_race() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "a", 0, &[]);
-        let t2 = task_spawned(rt, "b", 0, &[]);
+        let t1 = task_spawned(rt, "a", 0, &[], None);
+        let t2 = task_spawned(rt, "b", 0, &[], None);
         with_scope(t1, || record_access(7, 0, 10, true));
         with_scope(t2, || record_access(7, 5, 15, true));
         let v = take_violations();
@@ -929,10 +880,10 @@ mod tests {
     fn taskwait_joins_everything() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "a", 0, &[]);
+        let t1 = task_spawned(rt, "a", 0, &[], None);
         with_scope(t1, || record_access(7, 0, 10, true));
         taskwait_joined(rt);
-        let t2 = task_spawned(rt, "b", 0, &[]);
+        let t2 = task_spawned(rt, "b", 0, &[], None);
         with_scope(t2, || record_access(7, 0, 10, true));
         assert!(take_violations().is_empty(), "taskwait is a barrier");
     }
@@ -941,13 +892,13 @@ mod tests {
     fn taskwait_on_joins_waiter_closure_only() {
         let _g = setup();
         let rt = runtime_created();
-        let t1 = task_spawned(rt, "writer", 0, &[decl(9, 0, 4, true)]);
-        let t2 = task_spawned(rt, "other", 0, &[]);
+        let t1 = task_spawned(rt, "writer", 0, &[decl(9, 0, 4, true)], None);
+        let t2 = task_spawned(rt, "other", 0, &[], None);
         with_scope(t1, || record_access(9, 0, 4, true));
         with_scope(t2, || record_access(11, 0, 4, true));
-        let w = task_spawned(rt, "taskwait_on", 0, &[decl(9, 0, usize::MAX, true)]);
+        let w = task_spawned(rt, "taskwait_on", 0, &[decl(9, 0, usize::MAX, true)], None);
         taskwait_on_joined(rt, w);
-        let t3 = task_spawned(rt, "after", 0, &[]);
+        let t3 = task_spawned(rt, "after", 0, &[], None);
         // Ordered with t1 (through the waiter), but not with t2.
         with_scope(t3, || record_access(9, 0, 4, true));
         assert!(take_violations().is_empty());
@@ -961,7 +912,7 @@ mod tests {
     fn undeclared_write_reported_once() {
         let _g = setup();
         let rt = runtime_created();
-        let t = task_spawned(rt, "bad", 0, &[decl(5, 0, 10, true)]);
+        let t = task_spawned(rt, "bad", 0, &[decl(5, 0, 10, true)], None);
         with_scope(t, || {
             record_access(5, 10, 20, true);
             record_access(5, 10, 20, true);
@@ -982,6 +933,7 @@ mod tests {
             "send",
             0,
             &[decl(5, 0, 10, false), decl(5, 10, 20, false)],
+            None,
         );
         with_scope(t, || record_access(5, 0, 20, false));
         assert!(take_violations().is_empty());
@@ -996,7 +948,7 @@ mod tests {
     fn creator_scope_is_exempt() {
         let _g = setup();
         let rt = runtime_created();
-        let t = task_spawned(rt, "refine_copy", 0, &[decl(3, 0, 1, false)]);
+        let t = task_spawned(rt, "refine_copy", 0, &[decl(3, 0, 1, false)], None);
         with_scope(t, || {
             object_bound(42);
             record_access(42, 0, 100, true);
@@ -1008,7 +960,7 @@ mod tests {
     fn zero_decl_task_skips_declared_check() {
         let _g = setup();
         let rt = runtime_created();
-        let t = task_spawned(rt, "chunk", 0, &[]);
+        let t = task_spawned(rt, "chunk", 0, &[], None);
         with_scope(t, || record_access(8, 0, 100, true));
         assert!(take_violations().is_empty());
     }
@@ -1018,7 +970,7 @@ mod tests {
         let _g = setup();
         let rt = runtime_created();
         for _ in 0..10 {
-            let t = task_spawned(rt, "w", 0, &[decl(6, 0, 4, true)]);
+            let t = task_spawned(rt, "w", 0, &[decl(6, 0, 4, true)], None);
             with_scope(t, || record_access(6, 0, 4, true));
             taskwait_joined(rt);
         }

@@ -1,10 +1,12 @@
 //! Intra-rank wait-for graph construction and reachability.
 //!
-//! Edges are derived exactly as the runtime's claim table would derive
-//! them from the declared accesses, in spawn order:
+//! Edges are derived from the declared accesses, in spawn order, by the
+//! dependency kernel the runtime's claim table runs
+//! ([`taskrt::deps::History`]):
 //!
-//! * **Dep** — the node conflicts (overlap, ≥1 write) with an earlier
-//!   node's access since the last full barrier.
+//! * **Dep** — the kernel reports an earlier node of the window since
+//!   the last full barrier as a predecessor (conflicting accesses;
+//!   orderings a covering write already implies are left transitive).
 //! * **Barrier** — ordering through the main thread: a `taskwait` waits
 //!   for everything before it, and *any* node submitted after a barrier
 //!   is spawned only once the barrier returned, so it is ordered after
@@ -16,6 +18,7 @@
 
 use crate::model::{Model, NodeKind};
 use std::collections::HashMap;
+use taskrt::deps::History;
 use taskrt::ObjId;
 
 /// Why an edge exists (diagnostic rendering).
@@ -37,14 +40,14 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds the graph by replaying each rank's stream through a
-    /// claim-table-equivalent conflict analysis.
+    /// Builds the graph by replaying each rank's stream through the
+    /// dependency kernel, one barrier window at a time.
     pub fn build(model: &Model) -> Graph {
         let n = model.nodes.len();
         let mut preds: Vec<Vec<(usize, EdgeKind)>> = vec![Vec::new(); n];
         for rank_nodes in &model.by_rank {
             // Accesses of nodes since the last full barrier, per object.
-            let mut per_obj: HashMap<ObjId, Vec<(usize, usize)>> = HashMap::new();
+            let mut histories: HashMap<ObjId, History<usize>> = HashMap::new();
             let mut window: Vec<usize> = Vec::new();
             let mut last_sync: Option<usize> = None;
             for &id in rank_nodes {
@@ -60,32 +63,26 @@ impl Graph {
                             p.push((b, EdgeKind::Barrier));
                         }
                         window.clear();
-                        per_obj.clear();
+                        histories.clear();
                         last_sync = Some(id);
                     }
                     NodeKind::Task | NodeKind::TaskwaitOn => {
-                        // Claim-table conflicts with the live window.
+                        // Predecessors within the live window; the node's
+                        // own accesses join it (a taskwait_on is the
+                        // runtime's waiter task: it holds `inout` claims
+                        // like any other task).
                         for a in &node.accesses {
-                            if let Some(entries) = per_obj.get(&a.region.obj) {
-                                for &(other, ai) in entries {
-                                    if model.nodes[other].accesses[ai].conflicts_with(a)
-                                        && !p.iter().any(|&(x, _)| x == other)
-                                    {
-                                        p.push((other, EdgeKind::Dep));
-                                    }
+                            let history = histories.entry(a.region.obj).or_default();
+                            history.record(id, a, |&other| {
+                                if !p.iter().any(|&(x, _)| x == other) {
+                                    p.push((other, EdgeKind::Dep));
                                 }
-                            }
+                            });
                         }
                         if let Some(b) = last_sync {
                             if !p.iter().any(|&(x, _)| x == b) {
                                 p.push((b, EdgeKind::Barrier));
                             }
-                        }
-                        // The node's own accesses join the window (a
-                        // taskwait_on is the runtime's waiter task: it
-                        // holds `inout` claims like any other task).
-                        for (ai, a) in node.accesses.iter().enumerate() {
-                            per_obj.entry(a.region.obj).or_default().push((id, ai));
                         }
                         window.push(id);
                         if node.kind == NodeKind::TaskwaitOn {

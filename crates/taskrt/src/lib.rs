@@ -30,8 +30,8 @@
 //!   periodic submission phase (one AMR timestep); once two consecutive
 //!   iterations submit the identical task stream, the dependency edges
 //!   are frozen into a trace and later iterations replay them without
-//!   touching the claim table. Regrid/repartition/restore invalidate via
-//!   [`Runtime::invalidate_traces`] / [`invalidate_all_traces`].
+//!   touching the claim table. Regrid/repartition invalidate via
+//!   [`Runtime::invalidate_traces`].
 //!
 //! ## Example
 //!
@@ -62,6 +62,7 @@
 
 #![warn(missing_docs)]
 
+pub mod deps;
 mod events;
 mod region;
 mod registry;
@@ -76,7 +77,7 @@ pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};
 pub use task::current_task_id;
-pub use trace::{invalidate_all_traces, TraceScope};
+pub use trace::TraceScope;
 
 /// Acquires an [`EventHold`] on the task currently executing on this
 /// thread, deferring its dependency release until the hold is dropped.

@@ -1,9 +1,9 @@
-//! The dependency registry: per-object live access histories.
+//! The dependency registry: the live claim table.
 //!
-//! For every object with live (unreleased) accesses, the registry keeps
-//! the list of `(task, access)` pairs in spawn order. Registering a new
-//! task links it behind every live conflicting access; releasing a task
-//! removes its entries.
+//! For every object with live (unreleased) accesses, the registry keeps a
+//! [`History`] keyed by task. Registering a new task links it behind
+//! every live predecessor the history reports; releasing a task retires
+//! its entries.
 //!
 //! ## Lock ordering
 //!
@@ -15,24 +15,17 @@
 //! but whose registry entries are not yet removed simply skips the edge —
 //! the data is already available.
 
+use crate::deps::History;
 use crate::region::ObjId;
 use crate::task::TaskShared;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const SHARDS: usize = 16;
 
-struct LiveAccess {
-    task: Arc<TaskShared>,
-    /// Index into the task's `accesses` vector.
-    access_idx: usize,
-}
-
-#[derive(Default)]
-struct Shard {
-    objects: HashMap<ObjId, Vec<LiveAccess>>,
-}
+type Shard = HashMap<ObjId, History<Arc<TaskShared>>>;
 
 pub(crate) struct Registry {
     shards: Vec<Mutex<Shard>>,
@@ -41,7 +34,7 @@ pub(crate) struct Registry {
 impl Registry {
     pub(crate) fn new() -> Registry {
         Registry {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
         }
     }
 
@@ -53,46 +46,33 @@ impl Registry {
     }
 
     /// Registers all accesses of `task`, adding one pending count per
-    /// conflicting live predecessor. Returns the number of predecessor
-    /// edges created (for stats).
+    /// live predecessor. Returns the number of predecessor edges created
+    /// (for stats).
     pub(crate) fn register(&self, task: &Arc<TaskShared>) -> usize {
         let mut edges = 0;
-        for (idx, access) in task.accesses.iter().enumerate() {
+        for access in task.accesses.iter() {
             let mut shard = self.shard_of(access.region.obj).lock();
-            let live = shard.objects.entry(access.region.obj).or_default();
-            for entry in live.iter() {
-                // A task may declare several accesses on one object; never
-                // link a task behind itself.
-                if entry.task.id == task.id {
-                    continue;
+            let live = shard.entry(access.region.obj).or_default();
+            live.record(Arc::clone(task), access, |pred| {
+                let mut links = pred.state.lock();
+                // A released predecessor's data is already available; a
+                // second edge between the same pair would double-count
+                // in `pending`.
+                if links.released || links.successors.iter().any(|s| s.id == task.id) {
+                    return;
                 }
-                let prior = &entry.task.accesses[entry.access_idx];
-                if prior.conflicts_with(access) {
-                    let mut links = entry.task.state.lock();
-                    if !links.released {
-                        // Avoid duplicate edges between the same pair: a
-                        // duplicate would double-count in `pending`.
-                        if !links.successors.iter().any(|s| s.id == task.id) {
-                            links.successors.push(Arc::clone(task));
-                            task.pending
-                                .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                            edges += 1;
-                            if let Some(bus) = obs::bus() {
-                                bus.emit_for_rank(
-                                    task.rt.rank(),
-                                    obs::EventData::DepEdge {
-                                        pred: entry.task.id,
-                                        succ: task.id,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                links.successors.push(Arc::clone(task));
+                task.pending.fetch_add(1, Ordering::AcqRel);
+                edges += 1;
+                if let Some(bus) = obs::bus() {
+                    bus.emit_for_rank(
+                        task.rt.rank(),
+                        obs::EventData::DepEdge {
+                            pred: pred.id,
+                            succ: task.id,
+                        },
+                    );
                 }
-            }
-            live.push(LiveAccess {
-                task: Arc::clone(task),
-                access_idx: idx,
             });
         }
         edges
@@ -104,16 +84,12 @@ impl Registry {
     /// behind it. The caller handles the race against release (see
     /// `trace::flush_bypassed`).
     pub(crate) fn insert_entries(&self, task: &Arc<TaskShared>) {
-        for (idx, access) in task.accesses.iter().enumerate() {
+        for access in task.accesses.iter() {
             let mut shard = self.shard_of(access.region.obj).lock();
             shard
-                .objects
                 .entry(access.region.obj)
                 .or_default()
-                .push(LiveAccess {
-                    task: Arc::clone(task),
-                    access_idx: idx,
-                });
+                .insert(Arc::clone(task), access);
         }
     }
 
@@ -121,10 +97,10 @@ impl Registry {
     pub(crate) fn remove_task(&self, task: &Arc<TaskShared>) {
         for access in task.accesses.iter() {
             let mut shard = self.shard_of(access.region.obj).lock();
-            if let Some(live) = shard.objects.get_mut(&access.region.obj) {
-                live.retain(|e| e.task.id != task.id);
+            if let Some(live) = shard.get_mut(&access.region.obj) {
+                live.retire(task);
                 if live.is_empty() {
-                    shard.objects.remove(&access.region.obj);
+                    shard.remove(&access.region.obj);
                 }
             }
         }
@@ -132,6 +108,6 @@ impl Registry {
 
     /// Number of objects with live accesses (diagnostics).
     pub(crate) fn live_objects(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().objects.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 }

@@ -24,13 +24,6 @@ pub struct RuntimeConfig {
     /// [`Runtime::trace_scope`]). When false, trace scopes are inert and
     /// every spawn takes fresh claim-table analysis.
     pub replay: bool,
-    /// External trace-invalidation epoch observed at trace-scope
-    /// boundaries *instead of* the process-global one (see
-    /// [`crate::invalidate_all_traces`]). A multi-job process hands each
-    /// job's runtimes the job's own epoch so one job's checkpoint
-    /// restore or resize cannot invalidate another job's traces. `None`
-    /// falls back to the process-global epoch.
-    pub trace_epoch: Option<std::sync::Arc<AtomicU64>>,
 }
 
 impl RuntimeConfig {
@@ -40,7 +33,6 @@ impl RuntimeConfig {
             workers,
             immediate_successor: true,
             replay: true,
-            trace_epoch: None,
         }
     }
 }
@@ -363,7 +355,7 @@ impl Runtime {
         let inner = Arc::new(RtInner {
             registry: Registry::new(),
             scheduler,
-            trace: TraceCache::new(config.replay, config.trace_epoch.clone()),
+            trace: TraceCache::new(config.replay),
             next_id: AtomicU64::new(1),
             live: AtomicUsize::new(0),
             live_set: track_live.then(LiveSet::new),
@@ -471,9 +463,9 @@ impl Runtime {
         };
         // Register with the sanitizer next: spawn order is a topological
         // order of the declared graph, which is what lets depsan compute
-        // happens-before closures at spawn time. A replayed spawn goes
-        // through the verifying entry point, which re-checks the trace's
-        // predecessor set against the declared accesses.
+        // happens-before closures at spawn time. A replayed spawn also
+        // hands over the trace's predecessor set, which depsan re-checks
+        // against the declared accesses.
         let san_id = if inner.san_rt != 0 {
             let decls: Vec<depsan::DeclAccess> = accesses
                 .iter()
@@ -484,13 +476,19 @@ impl Runtime {
                     write: a.mode.is_write(),
                 })
                 .collect();
-            if let Route::Replay(preds) = &route {
-                let pred_sans: Vec<u64> =
-                    preds.iter().map(|p| p.san_id).filter(|&s| s != 0).collect();
-                depsan::replayed_task(inner.san_rt, label, inner.rank(), &decls, &pred_sans)
-            } else {
-                depsan::task_spawned(inner.san_rt, label, inner.rank(), &decls)
-            }
+            let replayed: Option<Vec<u64>> = match &route {
+                Route::Replay(preds) => {
+                    Some(preds.iter().map(|p| p.san_id).filter(|&s| s != 0).collect())
+                }
+                _ => None,
+            };
+            depsan::task_spawned(
+                inner.san_rt,
+                label,
+                inner.rank(),
+                &decls,
+                replayed.as_deref(),
+            )
         } else {
             0
         };
@@ -715,6 +713,9 @@ impl Drop for Runtime {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+        // Tasks hold the runtime and the trace cache holds tasks: break
+        // the cycle, or none of it is ever freed.
+        self.inner.trace.clear();
         // Sanitizer finalize lint (all builds, when enabled): leaked
         // tasks/holds become a reported violation instead of silence.
         if self.inner.san_rt != 0 && !std::thread::panicking() {

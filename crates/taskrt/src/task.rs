@@ -42,6 +42,15 @@ pub(crate) struct TaskShared {
     pub rt: Arc<RtInner>,
 }
 
+/// Task identity (the claim table's `deps::History` key): ids are unique
+/// within a runtime, and a registry only ever holds its own runtime's
+/// tasks.
+impl PartialEq for TaskShared {
+    fn eq(&self, other: &TaskShared) -> bool {
+        self.id == other.id
+    }
+}
+
 pub(crate) struct TaskLinks {
     pub released: bool,
     pub successors: SuccessorList,

@@ -8,10 +8,11 @@
 //!   submissions) **records** the submitted stream as a sequence of
 //!   fingerprinted nodes — `hash(label, priority, accesses)` — each with
 //!   the *structural* predecessor set derived from the declarations
-//!   alone (see [`ShadowTable`]). Structural edges, unlike the claim
-//!   table's, are timing-independent: the claim table only links behind
-//!   predecessors that happen to still be live, so its observed edge set
-//!   varies run to run and cannot be replayed soundly.
+//!   alone: a second set of [`History`] tables keyed by stream position
+//!   that nothing is ever retired from. Structural edges, unlike the
+//!   claim table's, are timing-independent: the claim table only links
+//!   behind predecessors that happen to still be live, so its observed
+//!   edge set varies run to run and cannot be replayed soundly.
 //! * Once two consecutive iterations record identical node sequences
 //!   (and every cross-iteration reference lands in an equally-shaped
 //!   iteration), the trace **freezes**. Subsequent matching iterations
@@ -27,25 +28,12 @@
 //!
 //! ## Invalidation
 //!
-//! Anything that changes the structural identity of the stream — regrid,
-//! load-balance/repartition (fresh buffer `ObjId`s), checkpoint restore —
-//! must invalidate: [`crate::Runtime::invalidate_traces`] bumps a
-//! per-runtime generation, and the free function
-//! [`crate::invalidate_all_traces`] bumps a process-global epoch that
-//! every runtime observes at its next scope boundary (the restore path
-//! has no `Runtime` handle).
-//!
-//! ## Soundness of the structural predecessor set
-//!
-//! The shadow table keeps, per object, the set of *uncovered* prior
-//! accesses of the stream. A new access links behind every conflicting
-//! entry; a write then removes the entries its range fully covers. An
-//! entry is only removed when a later write that conflicts with every
-//! possible future conflictor of that entry has taken an edge to it, so
-//! orderings dropped from the table are always enforced transitively —
-//! the replayed graph is a transitive reduction of "conflicting accesses
-//! execute in submission order", which is the ordering contract of the
-//! claim table.
+//! Anything that changes the structural identity of the stream while
+//! the runtime lives — regrid, load-balance/repartition (fresh buffer
+//! `ObjId`s) — must invalidate through
+//! [`crate::Runtime::invalidate_traces`]. A resize or a checkpoint
+//! restore needs nothing: the rank world is torn down and every span
+//! builds a fresh runtime, whose cache starts empty.
 //!
 //! ## Bypassed-task flush
 //!
@@ -55,36 +43,21 @@
 //! that released mid-flush is removed again (removal is idempotent), so
 //! fresh analysis never misses a conflict with a live replayed task.
 
+use crate::deps::History;
 use crate::region::{Access, ObjId};
 use crate::runtime::RtInner;
 use crate::task::TaskShared;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-
-/// Cross-iteration references reach at most this many iterations back.
-/// Nodes needing more never freeze (the key keeps recording, which is
-/// correct, only unamortized).
-const RING_DEPTH: usize = 8;
 
 /// After this many consecutive recordings that failed to stabilize, the
 /// key goes dormant (no more recording) until the next invalidation —
 /// a non-periodic stream (e.g. fresh `ObjId`s every iteration) would
 /// otherwise grow the shadow table without bound and never replay.
 const MAX_UNSTABLE: u32 = 16;
-
-/// Process-global invalidation epoch ([`crate::invalidate_all_traces`]).
-static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Bumps the process-global trace epoch: every runtime discards its
-/// cached traces at the next trace-scope boundary. For invalidation
-/// sites that have no `Runtime` handle (the checkpoint-restore hook);
-/// prefer [`crate::Runtime::invalidate_traces`] when one is available.
-pub fn invalidate_all_traces() {
-    GLOBAL_EPOCH.fetch_add(1, Ordering::AcqRel);
-}
 
 // ---------------------------------------------------------------------------
 // Fingerprints.
@@ -135,59 +108,24 @@ struct TaskTrace {
     nodes: Vec<TraceNode>,
 }
 
-/// Structural claim table over stream positions (see the module docs for
-/// the covering argument).
-#[derive(Default)]
-struct ShadowTable {
-    objects: HashMap<ObjId, Vec<ShadowEntry>>,
-}
+/// Structural claim table of one key: per object, the uncovered accesses
+/// of the stream so far, keyed by (absolute iteration, position within
+/// it).
+type ShadowTable = HashMap<ObjId, History<(u64, u32)>>;
 
-struct ShadowEntry {
-    /// Absolute iteration counter of the key.
-    iter: u64,
-    /// Position within that iteration.
-    pos: u32,
-    start: usize,
-    end: usize,
-    write: bool,
-}
-
-impl ShadowTable {
-    /// Records the accesses of the submission at (`iter`, `pos`) and
-    /// returns its structural predecessors, deduplicated.
-    fn analyze(&mut self, iter: u64, pos: u32, accesses: &[Access]) -> Vec<(u32, u32)> {
-        let mut preds: Vec<(u32, u32)> = Vec::new();
-        for a in accesses {
-            let write = a.mode.is_write();
-            let (start, end) = (a.region.start, a.region.end);
-            let entries = self.objects.entry(a.region.obj).or_default();
-            for e in entries.iter() {
-                if e.iter == iter && e.pos == pos {
-                    continue; // several accesses of one task on one object
-                }
-                if (write || e.write) && start.max(e.start) < end.min(e.end) {
-                    preds.push(((iter - e.iter) as u32, e.pos));
-                }
-            }
-            if write {
-                // A write shadows every entry its range fully covers: any
-                // future conflictor of a covered entry also conflicts
-                // with this write, so ordering flows transitively.
-                entries
-                    .retain(|e| (e.iter == iter && e.pos == pos) || e.start < start || end < e.end);
-            }
-            entries.push(ShadowEntry {
-                iter,
-                pos,
-                start,
-                end,
-                write,
-            });
-        }
-        preds.sort_unstable();
-        preds.dedup();
-        preds
+/// Records the accesses of the submission at (`iter`, `pos`) and returns
+/// its structural predecessors as `(delta, pos)`, deduplicated.
+fn analyze(shadow: &mut ShadowTable, iter: u64, pos: u32, accesses: &[Access]) -> Vec<(u32, u32)> {
+    let mut preds: Vec<(u32, u32)> = Vec::new();
+    for a in accesses {
+        shadow
+            .entry(a.region.obj)
+            .or_default()
+            .record((iter, pos), a, |&(i, p)| preds.push(((iter - i) as u32, p)));
     }
+    preds.sort_unstable();
+    preds.dedup();
+    preds
 }
 
 /// Per-key cache state (checked out into the active scope's thread
@@ -201,17 +139,17 @@ struct KeyState {
     /// Previous recording, compared against for stability.
     last_nodes: Option<Vec<TraceNode>>,
     shadow: ShadowTable,
-    /// Task instances of the most recent iterations, newest first
-    /// (`ring[0]` is the previous iteration): the resolution targets of
-    /// cross-iteration predecessor references.
-    ring: VecDeque<Vec<Arc<TaskShared>>>,
+    /// Task instances of the previous iteration: the resolution targets
+    /// of cross-iteration predecessor references (see [`replay_ready`]
+    /// for why one iteration is all a frozen trace can reach).
+    prev: Vec<Arc<TaskShared>>,
     /// Consecutive recordings that failed to stabilize.
     unstable: u32,
     /// Recording disabled until the next invalidation.
     dormant: bool,
     /// Untraced-spawn counter at the end of the key's last scope. A
     /// change by the next scope means out-of-band tasks were spawned in
-    /// between; they may still be live yet are invisible to the ring, so
+    /// between; they may still be live yet are not in `prev`, so
     /// the key's history cannot be trusted any more.
     untraced_seen: u64,
 }
@@ -231,34 +169,32 @@ pub(crate) struct TraceCache {
     pub(crate) enabled: bool,
     keys: Mutex<HashMap<u64, KeyState>>,
     generation: AtomicU64,
-    seen_global: AtomicU64,
     /// Live replayed tasks not present in the claim table.
     bypassed: Mutex<Vec<Weak<TaskShared>>>,
     pub(crate) bypassed_live: AtomicUsize,
     /// Spawns that went through fresh analysis outside the active scope
     /// (divergence guard for concurrent submitters).
     untraced_spawns: AtomicU64,
-    /// Override invalidation epoch ([`crate::RuntimeConfig::trace_epoch`]);
-    /// `None` observes the process-global [`GLOBAL_EPOCH`].
-    epoch: Option<std::sync::Arc<AtomicU64>>,
 }
 
 impl TraceCache {
-    pub(crate) fn new(enabled: bool, epoch: Option<std::sync::Arc<AtomicU64>>) -> TraceCache {
-        let seen = epoch
-            .as_deref()
-            .unwrap_or(&GLOBAL_EPOCH)
-            .load(Ordering::Acquire);
+    pub(crate) fn new(enabled: bool) -> TraceCache {
         TraceCache {
             enabled,
             keys: Mutex::new(HashMap::new()),
             generation: AtomicU64::new(0),
-            seen_global: AtomicU64::new(seen),
             bypassed: Mutex::new(Vec::new()),
             bypassed_live: AtomicUsize::new(0),
             untraced_spawns: AtomicU64::new(0),
-            epoch,
         }
+    }
+
+    /// Drops every task reference the cache holds. A key's `prev` holds
+    /// `Arc<TaskShared>`s, and every task holds its runtime: left alone,
+    /// the cycle keeps the runtime and everything it ever traced alive.
+    pub(crate) fn clear(&self) {
+        self.keys.lock().clear();
+        self.bypassed.lock().clear();
     }
 }
 
@@ -330,16 +266,6 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
     if !cache.enabled {
         return;
     }
-    // Lazily observe the invalidation epoch (checkpoint restore, elastic
-    // resize) — the runtime's own when configured, else process-global.
-    let global = cache
-        .epoch
-        .as_deref()
-        .unwrap_or(&GLOBAL_EPOCH)
-        .load(Ordering::Acquire);
-    if cache.seen_global.swap(global, Ordering::AcqRel) != global {
-        invalidate(inner);
-    }
     let mut state = {
         let mut keys = cache.keys.lock();
         keys.remove(&key).unwrap_or_default()
@@ -349,7 +275,7 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
     // (counts toward dormancy, like a divergence).
     let untraced_now = cache.untraced_spawns.load(Ordering::Acquire);
     if untraced_now != state.untraced_seen {
-        if state.trace.is_some() || state.last_nodes.is_some() || !state.ring.is_empty() {
+        if state.trace.is_some() || state.last_nodes.is_some() || !state.prev.is_empty() {
             let unstable = state.unstable + 1;
             state.reset();
             state.unstable = unstable;
@@ -422,7 +348,7 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
         ScopeMode::Replay { trace, cursor } => {
             // The per-spawn untraced check cannot see out-of-band spawns
             // that landed after the last replayed submission; they taint
-            // the ring for *future* replays (this scope's edges are fine).
+            // `prev` for *future* replays (this scope's edges are fine).
             let tainted = cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start;
             if cursor == trace.nodes.len() && !tainted {
                 inner.stat_trace_hits.fetch_add(1, Ordering::Relaxed);
@@ -431,7 +357,11 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
                 }
                 emit_mark(inner, "hit", scope.key, cursor);
                 scope.state.unstable = 0;
-                push_ring(&mut scope.state, std::mem::take(&mut scope.instance));
+                scope.state.prev = std::mem::take(&mut scope.instance);
+                // Released tasks of earlier iterations need no flush any
+                // more; without this the list (and each entry's task
+                // allocation) would grow for as long as the key replays.
+                cache.bypassed.lock().retain(|t| t.strong_count() > 0);
             } else {
                 // Fewer submissions than the trace promised.
                 diverge_scope(inner, &mut scope);
@@ -449,7 +379,7 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
             }
             let nodes = std::mem::take(&mut scope.nodes);
             let stable = scope.state.last_nodes.as_ref() == Some(&nodes);
-            if stable && replay_ready(&nodes, &scope.state.ring) {
+            if stable && replay_ready(&nodes) {
                 scope.state.trace = Some(Arc::new(TaskTrace { nodes }));
                 scope.state.last_nodes = None;
                 scope.state.shadow = ShadowTable::default();
@@ -460,7 +390,7 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
                 }
                 scope.state.last_nodes = Some(nodes);
             }
-            push_ring(&mut scope.state, std::mem::take(&mut scope.instance));
+            scope.state.prev = std::mem::take(&mut scope.instance);
             if scope.state.unstable >= MAX_UNSTABLE {
                 scope.state.reset();
                 scope.state.dormant = true;
@@ -474,24 +404,19 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
     keys.insert(scope.key, std::mem::take(&mut scope.state));
 }
 
-/// A frozen trace is only usable if every cross-iteration reference
-/// resolves inside the ring as it will exist during replay. `ring[d-1]`
-/// at replay time is this iteration for `d == 1` and `ring[d-2]` now for
-/// deeper deltas (everything shifts by one when this instance is
-/// pushed).
-fn replay_ready(nodes: &[TraceNode], ring: &VecDeque<Vec<Arc<TaskShared>>>) -> bool {
-    nodes.iter().all(|n| {
-        n.preds.iter().all(|&(delta, pos)| match delta as usize {
-            0 | 1 => (pos as usize) < nodes.len(),
-            d if d - 2 < ring.len() => (pos as usize) < ring[d - 2].len(),
-            _ => false,
-        })
-    })
-}
-
-fn push_ring(state: &mut KeyState, instance: Vec<Arc<TaskShared>>) {
-    state.ring.push_front(instance);
-    state.ring.truncate(RING_DEPTH);
+/// A frozen trace is only usable if every reference resolves during
+/// replay: within the iteration itself (`delta` 0) or in the one before
+/// it (`delta` 1), which `prev` keeps.
+///
+/// A stable recording never reaches further back. Whether a write covers
+/// an entry depends on the two ranges alone, so an entry that outlived
+/// one whole pass of the stream has met every access of the stream
+/// uncovered and will never be dropped; if anything conflicts with it,
+/// that reference's `delta` grows by one per iteration and consecutive
+/// recordings differ. The check stays because replay indexes by it.
+fn replay_ready(nodes: &[TraceNode]) -> bool {
+    let mut preds = nodes.iter().flat_map(|n| &n.preds);
+    preds.all(|&(delta, pos)| delta <= 1 && (pos as usize) < nodes.len())
 }
 
 // ---------------------------------------------------------------------------
@@ -537,15 +462,12 @@ pub(crate) fn route_spawn(
                 };
                 let mut preds = Vec::with_capacity(node.preds.len());
                 for &(delta, pos) in &node.preds {
-                    let task = if delta == 0 {
-                        scope.instance.get(pos as usize)
+                    let from = if delta == 0 {
+                        &scope.instance
                     } else {
-                        scope
-                            .state
-                            .ring
-                            .get(delta as usize - 1)
-                            .and_then(|it| it.get(pos as usize))
+                        &scope.state.prev
                     };
+                    let task = from.get(pos as usize);
                     match task {
                         Some(t) => preds.push(Arc::clone(t)),
                         None => {
@@ -616,10 +538,12 @@ pub(crate) fn record_spawn(inner: &Arc<RtInner>, task: &Arc<TaskShared>) {
             return;
         }
         let pos = scope.instance.len() as u32;
-        let preds = scope
-            .state
-            .shadow
-            .analyze(scope.state.iter, pos, &task.accesses);
+        let preds = analyze(
+            &mut scope.state.shadow,
+            scope.state.iter,
+            pos,
+            &task.accesses,
+        );
         scope.nodes.push(TraceNode {
             fp: fingerprint(task.label, task.priority, &task.accesses),
             preds,
@@ -657,10 +581,13 @@ fn diverge_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope) {
 /// releases concurrently is removed again afterwards — removal is
 /// idempotent — so no orphan entries survive.
 pub(crate) fn flush_bypassed(inner: &RtInner) {
-    if inner.trace.bypassed_live.load(Ordering::Acquire) == 0 {
-        // Drop dead weak refs lazily only when a flush actually runs.
-        return;
+    if inner.trace.bypassed_live.load(Ordering::Acquire) != 0 {
+        drain_bypassed(inner);
     }
+}
+
+/// The flush proper; also empties the list of its dead references.
+fn drain_bypassed(inner: &RtInner) {
     let list = std::mem::take(&mut *inner.trace.bypassed.lock());
     for weak in list {
         let Some(task) = weak.upgrade() else { continue };
@@ -696,7 +623,7 @@ pub(crate) fn invalidate(inner: &Arc<RtInner>) {
     }
     cache.generation.fetch_add(1, Ordering::AcqRel);
     cache.keys.lock().clear();
-    flush_bypassed(inner);
+    drain_bypassed(inner);
     inner
         .stat_trace_invalidations
         .fetch_add(1, Ordering::Relaxed);
@@ -735,8 +662,61 @@ impl crate::Runtime {
 
     /// Invalidates every cached trace of this runtime. Call whenever the
     /// structural identity of the submission stream changes: regrid,
-    /// load-balance/repartition, checkpoint restore.
+    /// load-balance/repartition.
     pub fn invalidate_traces(&self) {
         invalidate(self.inner());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::region::Region;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// What keeping a single previous iteration rests on (argued at
+        /// [`replay_ready`]): once two consecutive recordings of a stream
+        /// agree, no predecessor is more than one iteration back.
+        #[test]
+        fn stable_recordings_reach_one_iteration_back(
+            specs in prop::collection::vec(
+                prop::collection::vec((0u64..2, 0usize..5, 1usize..5, any::<bool>()), 1..4),
+                1..7,
+            ),
+        ) {
+            let stream: Vec<Vec<Access>> = specs
+                .iter()
+                .map(|task| {
+                    task.iter()
+                        .map(|&(obj, start, len, write)| {
+                            let region = Region::new(ObjId(obj), start..start + len);
+                            if write {
+                                Access::write(region)
+                            } else {
+                                Access::read(region)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut shadow = ShadowTable::default();
+            let mut last = None;
+            for iter in 1..=10 {
+                let nodes: Vec<Vec<(u32, u32)>> = stream
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, accesses)| analyze(&mut shadow, iter, pos as u32, accesses))
+                    .collect();
+                if last.as_ref() == Some(&nodes) {
+                    let deepest = nodes.iter().flatten().map(|&(delta, _)| delta).max();
+                    prop_assert!(deepest.unwrap_or(0) <= 1, "stable at delta {deepest:?}");
+                    break;
+                }
+                last = Some(nodes);
+            }
+        }
     }
 }

@@ -343,7 +343,6 @@ fn immediate_successor_can_be_disabled() {
         workers: 2,
         immediate_successor: false,
         replay: true,
-        trace_epoch: None,
     });
     let obj = ObjId::fresh();
     let sum = Arc::new(AtomicUsize::new(0));
@@ -398,13 +397,18 @@ fn priority_tasks_run_before_backlog() {
     let order = Arc::new(Mutex::new(Vec::new()));
     let gate = Arc::new(AtomicUsize::new(0));
     let g = Arc::clone(&gate);
+    let (started, blocker_runs) = std::sync::mpsc::channel();
     rt.spawn(Vec::new(), move || {
         // Hold the single worker until everything is enqueued.
+        started.send(()).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while g.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
     });
+    // A worker that wakes late would take the blocker and part of the pile
+    // in one batch and run that part before the priority task.
+    blocker_runs.recv().unwrap();
     for i in 0..8 {
         let o = Arc::clone(&order);
         rt.spawn(Vec::new(), move || o.lock().unwrap().push(i));

@@ -1,10 +1,14 @@
 //! Property-based tests: the runtime's execution order is always a
 //! linearization of the dependency partial order, under arbitrary DAGs,
-//! worker counts, scheduling policies, and external-event timing.
+//! worker counts, scheduling policies, and external-event timing; and the
+//! dependency kernel's edges order exactly what the all-pairs conflict
+//! relation orders.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use taskrt::deps::History;
 use taskrt::{Access, ObjId, Region, Runtime, RuntimeConfig};
 
 #[derive(Debug, Clone)]
@@ -31,6 +35,89 @@ fn to_accesses(spec: &TaskSpec, objs: &[ObjId]) -> Vec<Access> {
         .collect()
 }
 
+/// Transitive closure of a relation whose edges all point from a lower
+/// to a higher index: `reach[j][i]` is true when `i` is ordered before `j`.
+fn closure(n: usize, edges: impl Fn(usize, usize) -> bool) -> Vec<Vec<bool>> {
+    let mut reach = vec![vec![false; n]; n];
+    for j in 0..n {
+        for i in 0..j {
+            if edges(i, j) {
+                let before_i = reach[i].clone();
+                for (r, b) in reach[j].iter_mut().zip(before_i) {
+                    *r |= b;
+                }
+                reach[j][i] = true;
+            }
+        }
+    }
+    reach
+}
+
+proptest! {
+    /// The kernel against the brute-force reference: the edges
+    /// `deps::History` reports order exactly the pairs that the all-pairs
+    /// `Access::conflicts_with` relation orders (same transitive closure),
+    /// and every reported edge is a conflict of that relation.
+    #[test]
+    fn kernel_edges_close_to_the_all_pairs_relation(
+        specs in prop::collection::vec(arb_spec(), 2..30),
+    ) {
+        let objs: Vec<ObjId> = (0..4).map(|_| ObjId::fresh()).collect();
+        let accesses: Vec<Vec<Access>> =
+            specs.iter().map(|s| to_accesses(s, &objs)).collect();
+        let n = accesses.len();
+        let conflict = |i: usize, j: usize| {
+            accesses[i]
+                .iter()
+                .any(|a| accesses[j].iter().any(|b| a.conflicts_with(b)))
+        };
+        let mut histories: HashMap<ObjId, History<usize>> = HashMap::new();
+        let mut reported: Vec<(usize, usize)> = Vec::new();
+        for (j, task) in accesses.iter().enumerate() {
+            for a in task {
+                let history = histories.entry(a.region.obj).or_default();
+                history.record(j, a, |&i| reported.push((i, j)));
+            }
+        }
+        for &(i, j) in &reported {
+            prop_assert!(i < j && conflict(i, j), "edge {i}->{j} is not a conflict");
+        }
+        prop_assert_eq!(
+            closure(n, |i, j| reported.contains(&(i, j))),
+            closure(n, conflict)
+        );
+    }
+
+    /// A write drops exactly the entries its range fully covers: a later
+    /// access is ordered behind the write and behind every entry the write
+    /// left partly or wholly uncovered, and behind nothing else.
+    #[test]
+    fn a_write_drops_covered_entries_only(
+        reads in prop::collection::vec((0usize..24, 1usize..8), 1..12),
+        start in 0usize..24,
+        len in 1usize..16,
+    ) {
+        let obj = ObjId::fresh();
+        let mut history = History::default();
+        for (key, &(s, l)) in reads.iter().enumerate() {
+            history.record(key, &Access::read(Region::new(obj, s..s + l)), |_| {});
+        }
+        let (writer, probe) = (reads.len(), reads.len() + 1);
+        let end = start + len;
+        history.record(writer, &Access::write(Region::new(obj, start..end)), |_| {});
+        let mut seen = Vec::new();
+        history.record(probe, &Access::write(Region::new(obj, 0..64)), |&k| seen.push(k));
+        let mut want: Vec<usize> = (0..reads.len())
+            .filter(|&k| {
+                let (s, l) = reads[k];
+                !(start <= s && s + l <= end)
+            })
+            .collect();
+        want.push(writer);
+        prop_assert_eq!(seen, want);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -46,7 +133,6 @@ proptest! {
             workers,
             immediate_successor: immediate,
             replay: true,
-            trace_epoch: None,
         });
         let objs: Vec<ObjId> = (0..4).map(|_| ObjId::fresh()).collect();
         let n = specs.len();

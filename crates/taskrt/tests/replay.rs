@@ -1,5 +1,6 @@
 //! Trace & replay cache: correctness under replay, divergence fallback,
-//! explicit and global invalidation, and interleaved untraced spawns.
+//! explicit invalidation, cross-iteration edges, and interleaved untraced
+//! spawns.
 //!
 //! Every test submits tasks whose bodies log their execution into a
 //! shared vector; correctness is judged *after* `taskwait` by checking
@@ -68,7 +69,6 @@ fn replay_disabled_is_inert() {
         workers: 2,
         immediate_successor: true,
         replay: false,
-        trace_epoch: None,
     });
     let obj = ObjId::fresh();
     for iter in 0..6 {
@@ -183,38 +183,50 @@ fn explicit_invalidation_forces_rerecord() {
     );
 }
 
-/// `taskrt::invalidate_all_traces` (checkpoint restore: no runtime handle
-/// at the hook site) bumps a process-global epoch that scopes observe
-/// lazily — same record-again-then-resume behavior as the explicit path.
+/// Replayed edges that reach into the previous iteration are the only
+/// thing ordering consecutive iterations when no barrier separates them:
+/// the last write of iteration *k* must release before the first access of
+/// iteration *k + 1* starts, through the one iteration of task instances
+/// a frozen key keeps. Each iteration's head dawdles, so a lost edge lets
+/// the next iteration's head overtake it on the second worker.
 #[test]
-fn global_epoch_invalidation_forces_rerecord() {
+fn cross_iteration_edges_replay_without_a_barrier() {
     let rt = Runtime::new(2);
     let obj = ObjId::fresh();
-    const N: usize = 60;
-    for _ in 0..5 {
-        chained_iteration(&rt, 4, obj, N);
+    const N: usize = 20;
+    const ITERS: usize = 12;
+    let log = Arc::new(Mutex::new(Vec::with_capacity(N * ITERS)));
+    for iter in 0..ITERS {
+        let scope = rt.trace_scope(5);
+        for i in 0..N {
+            let log = Arc::clone(&log);
+            // Reads in the middle of the chain make the next writer wait
+            // for several predecessors at once.
+            let region = Region::new(obj, 0..1);
+            let access = if i % 4 == 2 {
+                Access::read(region)
+            } else {
+                Access::read_write(region)
+            };
+            rt.task()
+                .access(access)
+                .body(move || {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                    log.lock().push(iter * N + i);
+                })
+                .spawn();
+        }
+        drop(scope);
     }
-    let before = rt.stats();
-    assert!(before.trace_hits > 0);
-
-    taskrt::invalidate_all_traces();
-
-    chained_iteration(&rt, 4, obj, N);
-    let mid = rt.stats();
-    assert_eq!(
-        mid.trace_hits, before.trace_hits,
-        "hit served across a global epoch bump"
-    );
-    assert!(mid.trace_invalidations > before.trace_invalidations);
-
-    for _ in 0..5 {
-        chained_iteration(&rt, 4, obj, N);
-    }
+    rt.taskwait();
     let s = rt.stats();
-    assert!(
-        s.trace_hits > before.trace_hits,
-        "replay never resumed after epoch bump: {s:?}"
-    );
+    assert!(s.trace_hits > 0, "stream never replayed: {s:?}");
+    assert_eq!(s.trace_divergences, 0, "stable stream diverged: {s:?}");
+    let got = log.lock().clone();
+    let want: Vec<usize> = (0..N * ITERS).collect();
+    assert_eq!(got, want, "iterations overlapped or ran out of order");
 }
 
 /// An untraced spawn between scopes that conflicts with the frozen stream

@@ -22,6 +22,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The benchmark ladder is a workspace of its own, so nothing above builds
+# it: compile and test it against the crates, and check that a short run
+# still reproduces its pinned digests.
+echo "==> bench/run.sh test"
+bench/run.sh test
+echo "==> bench/run.sh --smoke"
+bench/run.sh --smoke >/dev/null
+
 # --- Observability smoke tests (PR 2) -------------------------------------
 # The root `cargo build --release` only builds the root package; the
 # miniamr CLI binary needs an explicit -p.
@@ -286,6 +294,8 @@ if [ "$bw_rc" -ne 2 ] || ! grep -q "invalid network parameters" <<<"$bw_out"; th
   echo "$bw_out" >&2
   exit 1
 fi
+rf_rc=0; timeout 60 "$MINIAMR" --variant mpi --refine_freq 0 >/dev/null 2>&1 || rf_rc=$?
+[ "$rf_rc" -eq 2 ] || { echo "--refine_freq 0: expected exit 2, got $rf_rc" >&2; exit 1; }
 
 # --- Topology-aware collectives & face coalescing (PR 10) ------------------
 # `--coll hier --coalesce on` reshapes the transport only: two-level
@@ -399,9 +409,9 @@ runs = {(r["group"], r["name"]): r["ns_per_iter"]
         for r in map(json.loads, open(sys.argv[1]))}
 chained = runs[("taskrt", "spawn_1000_chained")]
 assert chained <= 1_500_000, f"spawn_1000_chained too slow: {chained:.0f} ns/iter"
-norep = runs[("taskrt", "spawn_1000_chained_noreplay")]
-assert chained < norep / 2, (
-    f"replay not ahead of fresh analysis: {chained:.0f} vs {norep:.0f} ns/iter")
+# No replay-vs-fresh ratio any more: each write of the chain covers the
+# entry before it, so fresh analysis scans one entry per spawn instead of
+# the whole chain and costs about what replay does on this shape.
 # Collective gate (PR 10): the hierarchical allreduce must not lose to
 # its in-run flat companion. It typically wins by 3-10% (BENCH_PR10.json
 # pins a measured run); the 15% headroom only absorbs scheduler noise on

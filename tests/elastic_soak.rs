@@ -126,17 +126,14 @@ fn every_single_resize_point_is_digest_neutral() {
 }
 
 #[test]
-fn resize_across_regrid_boundary_invalidates_job_traces() {
-    // A job-scoped run resizing across a regrid boundary must bump the
-    // job's replay-trace epoch (each resize renames every block uid, so
-    // cached dependency traces are structurally stale) — and still land
-    // on the fixed-run digest.
+fn job_scoped_resize_across_regrid_boundary_matches_fixed_digest() {
+    // Each resize renames every block uid, so dependency traces cached
+    // before it would be structurally stale; the resumed span builds a
+    // fresh runtime and must land on the fixed-run digest.
     let base = base_cfg();
     let reference = fixed_digest(&base, Variant::DataFlow);
     let mut cfg = base.clone();
-    let job = JobCtx::new(7, 0);
-    cfg.job = Some(std::sync::Arc::clone(&job));
-    let epoch_before = job.trace_epoch.load(std::sync::atomic::Ordering::SeqCst);
+    cfg.job = Some(JobCtx::new(7, 0));
     let opts = ElasticOpts {
         // ts 3 is right after the ts-2 regrid: the restored mesh's epoch
         // differs from the recorded traces' world.
@@ -145,19 +142,13 @@ fn resize_across_regrid_boundary_invalidates_job_traces() {
     };
     let got = elastic_digest(&cfg, Variant::DataFlow, &opts);
     assert_eq!(got, reference);
-    let epoch_after = job.trace_epoch.load(std::sync::atomic::Ordering::SeqCst);
-    assert!(
-        epoch_after > epoch_before,
-        "resize did not invalidate the job's replay traces"
-    );
 }
 
 #[test]
 fn four_concurrent_resizing_jobs_agree() {
     // The soak harness core: >= 4 complete scenario instances resizing
     // concurrently in one process. Per-job keying of the checkpoint
-    // store, boundary registry and trace epochs is exactly what this
-    // breaks without.
+    // store and boundary registry is exactly what this breaks without.
     let base = base_cfg();
     let reference = fixed_digest(&base, Variant::DataFlow);
     let n_ranks = base.params.num_ranks();
