@@ -279,20 +279,17 @@ pub fn store() -> Arc<CheckpointStore> {
     store_for(0)
 }
 
-/// Takes and publishes a checkpoint when the stage counter says one is
-/// due; emits the `checkpoint_taken` obs event and counter. The caller
-/// guarantees quiescence (the data-flow variant taskwaits first).
-pub(crate) fn maybe_checkpoint(
+/// Takes and publishes a checkpoint (the caller tested
+/// [`Config::checkpoint_due`]); emits the `checkpoint_taken` obs event
+/// and counter. The caller guarantees quiescence (the loop drains the
+/// executor first).
+pub(crate) fn take_and_publish(
     state: &RankState,
     stats: &mut crate::stats::RunStats,
     stage_counter: usize,
     tstep: usize,
     mesh_epoch: u64,
 ) {
-    let freq = state.cfg.ckpt_freq;
-    if freq == 0 || !stage_counter.is_multiple_of(freq) {
-        return;
-    }
     let ck = RankCheckpoint::take(state, tstep, stage_counter, mesh_epoch);
     if obs::is_enabled() {
         checkpoints_counter().inc();

@@ -7,8 +7,9 @@
 //! that logic in sync, this module elaborates the stream once, feeding
 //! any [`taskrt::Submitter`]:
 //!
-//! * `variant::dataflow` passes live submitters that materialize each
-//!   [`TaskSpec`] into a real task body and spawn it, and
+//! * `variant::dataflow::DataFlow` passes a live submitter that
+//!   materializes each [`TaskSpec`] into a real task body and spawns
+//!   it, and
 //! * `staticcheck` passes `dfcheck`'s recorder, which captures the
 //!   stream into a model with no workers, field data, or transport.
 //!

@@ -38,10 +38,10 @@ use crate::stats::RunStats;
 use crate::variant::Checkpoint;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use vmpi::{Comm, NetworkModel, PeerLostReport, World};
 
-/// How many boundary snapshots per rank the shrink registry retains;
+/// How many boundary snapshots per rank an [`ElasticCtx`] retains;
 /// recovery only ever needs the newest snapshot *common to all ranks*,
 /// and ranks run at most a few timesteps apart.
 const BOUNDARY_HISTORY: usize = 4;
@@ -115,53 +115,27 @@ pub struct SpanStart {
     pub(crate) stats: RunStats,
     pub(crate) stage_counter: usize,
     pub(crate) mesh_epoch: u64,
-    /// `(means, epoch)` of the last validation baseline (the
-    /// `variant::Checkpoint`, flattened to keep that type crate-private).
-    pub(crate) prev_checksum: Option<(Vec<f64>, u64)>,
+    /// The last validation baseline.
+    pub(crate) prev_checksum: Option<Checkpoint>,
     pub(crate) ts_start: usize,
 }
 
 impl SpanStart {
-    /// Unpacks an optional resume point into the variant loop's working
-    /// set: `(state, stats, stage_counter, mesh_epoch, prev_checksum,
-    /// ts_start, resumed)`. A `None` start means initial conditions.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn unpack(
-        start: Option<SpanStart>,
-        cfg: &Config,
-        comm: &Comm,
-    ) -> (
-        RankState,
-        RunStats,
-        usize,
-        u64,
-        Option<Checkpoint>,
-        usize,
-        bool,
-    ) {
-        match start {
-            Some(s) => {
-                let prev = s
-                    .prev_checksum
-                    .map(|(means, epoch)| Checkpoint { means, epoch });
-                (
-                    s.state,
-                    s.stats,
-                    s.stage_counter,
-                    s.mesh_epoch,
-                    prev,
-                    s.ts_start,
-                    true,
-                )
-            }
-            None => {
-                let state = RankState::init(cfg, comm.rank(), comm.size());
-                let stats = RunStats {
-                    rank: state.rank,
-                    ..Default::default()
-                };
-                (state, stats, 0, 0, None, 0, false)
-            }
+    /// Initial conditions: the freshly built state at timestep 0, before
+    /// the initial refinement.
+    pub(crate) fn initial(cfg: &Config, comm: &Comm) -> SpanStart {
+        let state = RankState::init(cfg, comm.rank(), comm.size());
+        let stats = RunStats {
+            rank: state.rank,
+            ..Default::default()
+        };
+        SpanStart {
+            state,
+            stats,
+            stage_counter: 0,
+            mesh_epoch: 0,
+            prev_checksum: None,
+            ts_start: 0,
         }
     }
 }
@@ -172,24 +146,33 @@ pub struct SpanCarry {
     pub(crate) state: RankState,
     pub(crate) stage_counter: usize,
     pub(crate) mesh_epoch: u64,
-    pub(crate) prev_checksum: Option<(Vec<f64>, u64)>,
+    pub(crate) prev_checksum: Option<Checkpoint>,
     pub(crate) next_ts: usize,
 }
 
-/// Per-run elastic context threaded into the variant loops.
+/// Per-run elastic context threaded into the timestep loop. Owned by the
+/// one [`run`] call that both publishes and reads it, so concurrent runs
+/// in one process cannot see each other's recovery points.
 pub(crate) struct ElasticCtx {
-    /// The owning job (keys the boundary-snapshot registry).
-    pub job: u64,
     /// Publish a coordinated boundary snapshot at the top of every
     /// timestep (only needed when a shrink-on-failure recovery may have
-    /// to rewind; requires the variant to be quiescent there).
+    /// to rewind; the loop drains the rank first).
     pub publish_boundaries: bool,
+    /// Rank → its newest boundary snapshots, oldest first.
+    boundaries: Mutex<HashMap<usize, Vec<BoundarySnap>>>,
 }
 
 impl ElasticCtx {
+    pub(crate) fn new(publish_boundaries: bool) -> ElasticCtx {
+        ElasticCtx {
+            publish_boundaries,
+            boundaries: Mutex::default(),
+        }
+    }
+
     /// Publishes this rank's boundary snapshot for the timestep about to
-    /// run. The caller guarantees quiescence (the data-flow variant
-    /// drains its graph and flushes the delayed checksum first).
+    /// run. The caller guarantees quiescence (graph drained, delayed
+    /// checksum flushed).
     pub(crate) fn boundary(
         &self,
         state: &RankState,
@@ -199,9 +182,6 @@ impl ElasticCtx {
         prev_checksum: &Option<Checkpoint>,
         next_ts: usize,
     ) {
-        if !self.publish_boundaries {
-            return;
-        }
         let ck = Arc::new(RankCheckpoint::take(
             state,
             next_ts,
@@ -212,16 +192,43 @@ impl ElasticCtx {
             ck,
             stats: stats.clone(),
             stage_counter,
-            prev_checksum: prev_checksum.as_ref().map(|c| (c.means.clone(), c.epoch)),
+            prev_checksum: prev_checksum.clone(),
             next_ts,
         };
-        let reg = boundaries();
-        let mut reg = reg.lock();
-        let snaps = reg.entry((self.job, state.rank)).or_default();
+        let mut reg = self.boundaries.lock();
+        let snaps = reg.entry(state.rank).or_default();
         snaps.push(snap);
         if snaps.len() > BOUNDARY_HISTORY {
             snaps.remove(0);
         }
+    }
+
+    /// The newest boundary snapshot *common to all `n` ranks*: one
+    /// snapshot per rank, all taken at the top of the same timestep.
+    /// Ranks progress at different speeds around a fault, so the newest
+    /// common timestep is the coordinated recovery point.
+    fn common_boundary(&self, n: usize) -> Option<Vec<BoundarySnap>> {
+        let reg = self.boundaries.lock();
+        let per_rank: Vec<&Vec<BoundarySnap>> =
+            (0..n).map(|r| reg.get(&r)).collect::<Option<Vec<_>>>()?;
+        let common_ts = per_rank
+            .iter()
+            .map(|snaps| snaps.iter().map(|s| s.next_ts).collect::<BTreeSet<_>>())
+            .reduce(|a, b| a.intersection(&b).copied().collect())?
+            .into_iter()
+            .next_back()?;
+        Some(
+            per_rank
+                .iter()
+                .map(|snaps| {
+                    snaps
+                        .iter()
+                        .find(|s| s.next_ts == common_ts)
+                        .expect("timestep is common to all ranks")
+                        .clone()
+                })
+                .collect(),
+        )
     }
 }
 
@@ -232,50 +239,8 @@ struct BoundarySnap {
     ck: Arc<RankCheckpoint>,
     stats: RunStats,
     stage_counter: usize,
-    prev_checksum: Option<(Vec<f64>, u64)>,
+    prev_checksum: Option<Checkpoint>,
     next_ts: usize,
-}
-
-/// The job-keyed boundary-snapshot registry (`(job, rank)` → history).
-type BoundaryReg = Mutex<HashMap<(u64, usize), Vec<BoundarySnap>>>;
-
-fn boundaries() -> &'static BoundaryReg {
-    static REG: OnceLock<BoundaryReg> = OnceLock::new();
-    REG.get_or_init(Default::default)
-}
-
-/// Drops every boundary snapshot of a job (run start and end).
-fn clear_boundaries(job: u64) {
-    boundaries().lock().retain(|(j, _), _| *j != job);
-}
-
-/// The newest boundary snapshot *common to all `n` ranks* of a job: one
-/// snapshot per rank, all taken at the top of the same timestep. Ranks
-/// progress at different speeds around a fault, so the newest common
-/// timestep is the coordinated recovery point.
-fn common_boundary(job: u64, n: usize) -> Option<Vec<BoundarySnap>> {
-    let reg = boundaries().lock();
-    let per_rank: Vec<&Vec<BoundarySnap>> = (0..n)
-        .map(|r| reg.get(&(job, r)))
-        .collect::<Option<Vec<_>>>()?;
-    let common_ts = per_rank
-        .iter()
-        .map(|snaps| snaps.iter().map(|s| s.next_ts).collect::<BTreeSet<_>>())
-        .reduce(|a, b| a.intersection(&b).copied().collect())?
-        .into_iter()
-        .next_back()?;
-    Some(
-        per_rank
-            .iter()
-            .map(|snaps| {
-                snaps
-                    .iter()
-                    .find(|s| s.next_ts == common_ts)
-                    .expect("timestep is common to all ranks")
-                    .clone()
-            })
-            .collect(),
-    )
 }
 
 /// Runs one world segment of `[..ts_end)` and returns per-rank
@@ -341,12 +306,8 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
         );
     }
     let job = cfg.job_id();
-    clear_boundaries(job);
     let shrink = opts.on_peer_lost == PeerLostPolicy::Shrink;
-    let mut ctx = ElasticCtx {
-        job,
-        publish_boundaries: shrink && cfg.chaos.is_some(),
-    };
+    let mut ctx = ElasticCtx::new(shrink && cfg.chaos.is_some());
     let mut seg_cfg = cfg.clone();
     if let Some(chaos) = seg_cfg.chaos.as_mut() {
         // Recovery hooks and checkpoint stores dispatch per job.
@@ -373,7 +334,6 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
         match run_segment(&seg_cfg, n, &net, starts, seg_end, &ctx) {
             Ok(results) => {
                 if seg_end >= cfg.num_tsteps {
-                    clear_boundaries(job);
                     return results.into_iter().map(|(stats, _)| stats).collect();
                 }
                 // Planned resize: quiescence → checkpoint → repartition
@@ -442,7 +402,7 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
                 // boundary (e.g. during initial refinement) leaves no
                 // coordinated recovery point: fall back to the abort
                 // policy's exit code rather than resuming from nowhere.
-                let Some(snaps) = common_boundary(job, n) else {
+                let Some(snaps) = ctx.common_boundary(n) else {
                     eprintln!(
                         "elastic: job {job}: no coordinated boundary snapshot \
                          predates the failure; cannot shrink"
@@ -499,12 +459,7 @@ mod tests {
         let cfg = crate::Config::smoke_test();
         let s0 = crate::rank::RankState::init(&cfg, 0, 2);
         let s1 = crate::rank::RankState::init(&cfg, 1, 2);
-        let job = 0xe1a5_71c0;
-        clear_boundaries(job);
-        let ctx = ElasticCtx {
-            job,
-            publish_boundaries: true,
-        };
+        let ctx = ElasticCtx::new(true);
         let stats = RunStats::default();
         // Rank 0 reaches ts 1..=3, rank 1 only ts 1..=2.
         for t in 1..=3usize {
@@ -513,36 +468,54 @@ mod tests {
         for t in 1..=2usize {
             ctx.boundary(&s1, &stats, t * 4, 0, &None, t);
         }
-        let snaps = common_boundary(job, 2).expect("common timestep exists");
+        let snaps = ctx.common_boundary(2).expect("common timestep exists");
         assert_eq!(snaps.len(), 2);
         assert!(snaps.iter().all(|s| s.next_ts == 2));
         assert_eq!(snaps[0].ck.rank, 0);
         assert_eq!(snaps[1].ck.rank, 1);
         // A third rank never published: no coordinated point.
-        assert!(common_boundary(job, 3).is_none());
-        clear_boundaries(job);
-        assert!(common_boundary(job, 2).is_none());
+        assert!(ctx.common_boundary(3).is_none());
     }
 
     #[test]
     fn boundary_history_is_bounded() {
         let cfg = crate::Config::smoke_test();
         let s0 = crate::rank::RankState::init(&cfg, 0, 2);
-        let job = 0xb0d3_d111u64;
-        clear_boundaries(job);
-        let ctx = ElasticCtx {
-            job,
-            publish_boundaries: true,
-        };
+        let ctx = ElasticCtx::new(true);
         let stats = RunStats::default();
         for t in 1..=10usize {
             ctx.boundary(&s0, &stats, t, 0, &None, t);
         }
-        let reg = boundaries().lock();
-        let snaps = &reg[&(job, 0)];
+        let reg = ctx.boundaries.lock();
+        let snaps = &reg[&0];
         assert_eq!(snaps.len(), BOUNDARY_HISTORY);
         assert_eq!(snaps.last().unwrap().next_ts, 10);
-        drop(reg);
-        clear_boundaries(job);
+    }
+
+    /// With delayed validation one checksum point is always in flight.
+    /// Publishing a boundary must flush it first — a recovery resumes
+    /// from the snapshot's stats, and a point missing there would be
+    /// missing from the digest — and the early flush must not change the
+    /// digest of an undisturbed run.
+    #[test]
+    fn boundary_publication_flushes_the_delayed_checksum() {
+        let mut cfg = crate::Config::smoke_test();
+        cfg.variant = crate::Variant::DataFlow;
+        cfg.delayed_checksum = true;
+        cfg.checksum_freq = 2;
+        let fixed = crate::run_world(&cfg, 2, NetworkModel::instant());
+
+        let ctx = ElasticCtx::new(true);
+        let stats = World::new(2, NetworkModel::instant())
+            .run(|comm| crate::run_rank_span(&cfg, comm, None, cfg.num_tsteps, Some(&ctx)).0);
+        assert_eq!(stats[0].checksums, fixed[0].checksums);
+        assert_eq!(stats[0].checksum_digest(), fixed[0].checksum_digest());
+
+        let last_ts = cfg.num_tsteps - 1;
+        let points_before = last_ts * cfg.stages_per_ts / cfg.checksum_freq;
+        for snap in ctx.common_boundary(2).expect("both ranks published") {
+            assert_eq!(snap.next_ts, last_ts);
+            assert_eq!(snap.stats.checksums.len(), points_before);
+        }
     }
 }

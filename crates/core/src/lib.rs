@@ -12,15 +12,16 @@
 //! redistributes blocks across ranks with an ACK-based exchange protocol
 //! (§IV-B).
 //!
-//! Three variants share the identical numerical kernels and communication
-//! plan, differing only in how work is orchestrated:
+//! Three variants share the identical numerical kernels, communication
+//! plan and timestep loop ([`variant`]'s `run_span`, Algorithm 1 written
+//! once), differing only in the executor that orchestrates each phase:
 //!
 //! * [`variant::mpi_only`] — the reference: one rank per core, serial
 //!   execution inside each rank, non-blocking sends/receives with the
 //!   `waitany` consume loop of Algorithm 2.
 //! * [`variant::fork_join`] — MPI + OpenMP-style: computation phases are
-//!   parallel loops over blocks/faces; all communication stays on the
-//!   main thread.
+//!   parallel loops over blocks/faces, each closed by a barrier; all
+//!   communication stays on the main thread.
 //! * [`variant::dataflow`] — the paper's contribution (Algorithms 3, 4):
 //!   every phase is decomposed into tasks connected by region
 //!   dependencies; communication tasks bind in-flight transfers through
@@ -94,11 +95,8 @@ pub(crate) fn run_rank_span(
     ectx: Option<&elastic::ElasticCtx>,
 ) -> (RunStats, elastic::SpanCarry) {
     obs::set_thread_rank(cfg.obs_rank(comm.rank()));
-    let (mut stats, carry) = match cfg.variant {
-        Variant::MpiOnly => variant::mpi_only::run_span(cfg, comm, start, ts_end, ectx),
-        Variant::ForkJoin => variant::fork_join::run_span(cfg, comm, start, ts_end, ectx),
-        Variant::DataFlow => variant::dataflow::run_span(cfg, comm, start, ts_end, ectx),
-    };
+    let exec = variant::executor(cfg, comm.rank());
+    let (mut stats, carry) = variant::run_span(&*exec, cfg, comm, start, ts_end, ectx);
     if obs::is_enabled() {
         stats.metrics = obs::metrics().snapshot();
     }

@@ -12,13 +12,15 @@
 //! delivery thread starts, and no message is sent.
 //!
 //! Model bounds (soundness caveats, see `DESIGN.md` §15): the schedule
-//! skeleton (which stages run, where barriers fall) is *mirrored* from
-//! `variant::dataflow::run`, not shared with it; at most
-//! [`MAX_EPOCHS`] mesh epochs and a few stages per epoch are modeled
-//! (tags and buffer regions repeat identically every stage, so ordering
-//! proofs extend inductively); the refinement block exchange is modeled
-//! as a full barrier, not as endpoints; and MPI collectives (checksum
-//! reductions) are not modeled at all.
+//! skeleton (which stages run, where barriers fall) is written here a
+//! second time, not driven by `variant::run_span` — the cadence comes
+//! from the same [`Config`] methods and a test in `variant` pins that
+//! the two place the same barriers; at most [`MAX_EPOCHS`] mesh epochs
+//! and the first few stages of each are modeled (tags and buffer regions
+//! repeat identically every stage, so ordering proofs extend
+//! inductively); the refinement block exchange is modeled as a full
+//! barrier, not as endpoints; and MPI collectives (checksum reductions)
+//! are not modeled at all.
 
 use crate::comm_plan::CommPlan;
 use crate::config::{Config, Variant};
@@ -42,7 +44,7 @@ struct StaticRank {
     /// [`crate::block_obj`], which needs live block uids).
     objs: BTreeMap<BlockId, ObjId>,
     /// The one persistent checksum-slots object (mirrors the live
-    /// variant's single `checksum_obj`).
+    /// executor's single `sums_obj`).
     ck_obj: ObjId,
     /// Whether a delayed checkpoint's slots are still in flight.
     pending: bool,
@@ -70,68 +72,11 @@ impl StaticRank {
 /// Statically verifies a scenario. Returns the full report; the check
 /// passed iff [`dfcheck::Report::clean`].
 pub fn check(cfg: &Config) -> Report {
-    let n_ranks = cfg.params.num_ranks();
-    let layout = BlockLayout::of(&cfg.params);
-    let mut model = Model::default();
-    let mut ranks: Vec<StaticRank> = (0..n_ranks).map(|_| StaticRank::new()).collect();
-    let mut max_move_seq = 0usize;
-    let mut slot_findings: Vec<Finding> = Vec::new();
-
-    // --- Static mesh evolution, mirroring RankState::init + the initial
-    // run_refinement (directory effects only; no block data).
-    let mut dir = MeshDirectory::initial(cfg.params.clone());
-    let mut objects = cfg.objects.clone();
-    for _ in 0..=cfg.params.num_refine {
-        let plan = dir.plan_refinement(&objects);
-        if plan.is_empty() {
-            break;
-        }
-        dir.apply_plan(&plan);
-    }
-    evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
-
-    // --- Model the timestep loop: per epoch, a bounded number of stages
-    // through the shared elaboration; barriers where the live schedule
-    // has them. `stage` is the modeled (not wall-clock) stage counter
-    // driving the checksum/checkpoint cadence.
-    let stages_per_epoch = stages_to_model(cfg);
-    let mut epoch = 0usize;
-    let mut stage = 0u32;
-    let mut epochs_done = false;
-    let mut ts = 0usize;
-    while !epochs_done && epoch < MAX_EPOCHS {
-        let plan = CommPlan::build(cfg, &dir, n_ranks);
-        record_epoch(
-            cfg,
-            &layout,
-            &dir,
-            &plan,
-            &mut ranks,
-            &mut model,
-            epoch as u32,
-            &mut stage,
-            stages_per_epoch,
-        );
-        lint_buffer_slots(cfg, &plan, epoch, &mut slot_findings);
-        // Advance the mesh to the next epoch (or finish).
-        loop {
-            if ts >= cfg.num_tsteps {
-                epochs_done = true;
-                break;
-            }
-            ts += 1;
-            if ts.is_multiple_of(cfg.refine_freq) {
-                for o in objects.iter_mut() {
-                    o.step();
-                }
-                evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
-                epoch += 1;
-                break;
-            }
-        }
-    }
-    model.epochs = epoch.min(MAX_EPOCHS - 1) + 1;
-
+    let Elaborated {
+        model,
+        slot_findings,
+        max_move_seq,
+    } = elaborate(cfg);
     let mut report = dfcheck::check(&model);
     for f in slot_findings {
         report.push_warning(f);
@@ -152,6 +97,78 @@ pub fn check(cfg: &Config) -> Report {
         });
     }
     report
+}
+
+/// What symbolic elaboration of a scenario yields.
+pub(crate) struct Elaborated {
+    /// Every rank's modeled task stream.
+    pub model: Model,
+    slot_findings: Vec<Finding>,
+    max_move_seq: usize,
+}
+
+/// Symbolically elaborates a scenario into its model.
+pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
+    let n_ranks = cfg.params.num_ranks();
+    let layout = BlockLayout::of(&cfg.params);
+    let mut model = Model::default();
+    let mut ranks: Vec<StaticRank> = (0..n_ranks).map(|_| StaticRank::new()).collect();
+    let mut max_move_seq = 0usize;
+    let mut slot_findings: Vec<Finding> = Vec::new();
+
+    // --- Static mesh evolution, mirroring RankState::init + the initial
+    // run_refinement (directory effects only; no block data).
+    let mut dir = MeshDirectory::initial(cfg.params.clone());
+    let mut objects = cfg.objects.clone();
+    for _ in 0..=cfg.params.num_refine {
+        let plan = dir.plan_refinement(&objects);
+        if plan.is_empty() {
+            break;
+        }
+        dir.apply_plan(&plan);
+    }
+    evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
+
+    // --- Model the timestep loop: per mesh epoch, the first stages of
+    // the timesteps it spans through the shared elaboration, numbered as
+    // the live stage counter numbers them so the checksum/checkpoint
+    // cadence falls on the same stages; barriers where the live schedule
+    // has them.
+    let mut ts = 0usize;
+    for epoch in 0..MAX_EPOCHS {
+        // The epoch ends with the regrid after timestep `last`, or with
+        // the run.
+        let last = (ts..cfg.num_tsteps).find(|&t| cfg.regrid_due(t));
+        let end = last.map_or(cfg.num_tsteps, |t| t + 1);
+        let stages = stages_to_model(cfg).min((end - ts) * cfg.stages_per_ts);
+        let plan = CommPlan::build(cfg, &dir, n_ranks);
+        record_epoch(
+            cfg,
+            &layout,
+            &dir,
+            &plan,
+            &mut ranks,
+            &mut model,
+            epoch as u32,
+            ts * cfg.stages_per_ts,
+            stages,
+        );
+        lint_buffer_slots(cfg, &plan, epoch, &mut slot_findings);
+        model.epochs = epoch + 1;
+        if last.is_none() {
+            break;
+        }
+        for o in objects.iter_mut() {
+            o.step();
+        }
+        evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
+        ts = end;
+    }
+    Elaborated {
+        model,
+        slot_findings,
+        max_move_seq,
+    }
 }
 
 /// Replicates one `run_refinement` call's directory effects.
@@ -181,15 +198,14 @@ fn evolve_epoch(
     }
 }
 
-/// How many stages of an epoch to model: enough to include one checksum
-/// boundary (the `taskwait`/`taskwait_on` cadence) plus one stage after
-/// it, and at least two stages so every cross-stage same-tag ordering
-/// chain appears. Tags and buffer regions repeat identically every
-/// stage, so two consecutive instances prove the induction step.
-fn stages_to_model(cfg: &Config) -> u32 {
-    let total = cfg.num_tsteps.saturating_mul(cfg.stages_per_ts).max(1);
-    let want = (cfg.checksum_freq + 1).clamp(2, 16);
-    want.min(total) as u32
+/// How many stages of an epoch to model (when it runs that many): enough
+/// to include one checksum boundary (the `taskwait`/`taskwait_on`
+/// cadence) plus one stage after it, and at least two stages so every
+/// cross-stage same-tag ordering chain appears. Tags and buffer regions
+/// repeat identically every stage, so two consecutive instances prove
+/// the induction step.
+fn stages_to_model(cfg: &Config) -> usize {
+    (cfg.checksum_freq + 1).clamp(2, 16)
 }
 
 /// Records one mesh epoch's modeled stages for every rank.
@@ -202,11 +218,10 @@ fn record_epoch(
     ranks: &mut [StaticRank],
     model: &mut Model,
     epoch: u32,
-    stage: &mut u32,
-    stages: u32,
+    start_stage: usize,
+    stages: usize,
 ) {
     let nv = cfg.params.num_vars;
-    let start_stage = *stage;
     for (rank, st) in ranks.iter_mut().enumerate() {
         let mut rec: Recorder<Work> = Recorder::new();
         rec.ctx.epoch = epoch;
@@ -228,10 +243,8 @@ fn record_epoch(
             dir,
             rank,
         };
-        let mut local_stage = start_stage;
-        for _ in 0..stages {
-            local_stage += 1;
-            rec.ctx.stage = local_stage;
+        for stage in start_stage + 1..=start_stage + stages {
+            rec.ctx.stage = stage as u32;
             for g in 0..cfg.num_groups() {
                 rec.ctx.group = g as u32;
                 let vars = cfg.var_group(g);
@@ -253,7 +266,7 @@ fn record_epoch(
                 }
             }
             if cfg.variant == Variant::DataFlow {
-                if (local_stage as usize).is_multiple_of(cfg.checksum_freq) {
+                if cfg.checksum_due(stage) {
                     if cfg.delayed_checksum {
                         if st.pending {
                             rec.barrier(BarrierKind::TaskwaitOn(vec![Region::whole(st.ck_obj)]));
@@ -265,21 +278,20 @@ fn record_epoch(
                         rec.barrier(BarrierKind::Taskwait);
                     }
                 }
-                if cfg.ckpt_freq != 0 && (local_stage as usize).is_multiple_of(cfg.ckpt_freq) {
+                if cfg.checkpoint_due(stage) {
                     rec.barrier(BarrierKind::Taskwait);
                 }
             }
         }
         if cfg.variant == Variant::DataFlow {
-            // The pre-refinement (and final) drain: `run` issues a full
-            // taskwait before every regrid and before exiting. The block
+            // The pre-refinement (and final) drain: the loop issues a full
+            // wait before every regrid and before exiting. The block
             // exchange itself is modeled as this barrier, not as
             // endpoints (soundness caveat).
             rec.barrier(BarrierKind::Taskwait);
         }
         model.ingest(rank, rec.stream, &|w| describe(w, plan, nv));
     }
-    *stage = start_stage + stages;
     // Derive comm-path footprints exactly as the live submitter derives
     // its buffer slices from the declared regions: recv/pack/unpack use
     // a declared section verbatim; send reads the span of its sections.

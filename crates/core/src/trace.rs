@@ -100,6 +100,15 @@ impl Default for Trace {
     }
 }
 
+/// Runs `f`, recorded as one interval of `kind` when a trace is being
+/// taken: the one place that branches on whether tracing is on.
+pub fn record<R>(trace: Option<&Trace>, kind: Kind, f: impl FnOnce() -> R) -> R {
+    match trace {
+        Some(t) => t.record(kind, f),
+        None => f(),
+    }
+}
+
 impl Trace {
     /// Creates an empty trace whose epoch is now.
     pub fn new() -> Trace {

@@ -1,15 +1,303 @@
-//! The three parallelization variants and their shared helpers.
+//! The timestep loop (Algorithm 1, with the barriers Algorithm 4 keeps)
+//! and the three executors that run its phases.
+//!
+//! The paper's three variants share one main loop — per timestep a few
+//! stages of ghost exchange + stencil, a periodic checksum, a periodic
+//! refinement — and differ only in how a phase is orchestrated.
+//! [`run_span`] is that loop, written once; everything that differs sits
+//! behind [`Exec`]:
+//!
+//! * [`mpi_only::Serial`] — Algorithm 2's `waitany` exchange and serial
+//!   sweeps on the rank's own thread.
+//! * [`fork_join::ForkJoin`] — parallel phases, each closed by a
+//!   barrier; all MPI on the master thread.
+//! * [`dataflow::DataFlow`] — Algorithm 3 through [`crate::elaborate`]:
+//!   phases only submit tasks, and the loop's [`Exec::wait`] calls are
+//!   the only barriers (before a regrid or rank checkpoint, at an eager
+//!   checksum, and — restricted to the checksum slots — at a delayed
+//!   one, §IV-C).
 
 pub mod dataflow;
 pub mod fork_join;
 pub mod mpi_only;
 
 use crate::comm_plan::CommPlan;
+use crate::config::{Config, Variant};
+use crate::elastic::{ElasticCtx, SpanCarry, SpanStart};
+use crate::rank::RankState;
+use crate::stats::{RunStats, Stopwatch};
+use crate::trace::{record, Kind, Trace};
 use amr_mesh::BlockId;
+use parking_lot::Mutex;
 use shmem::SharedBuffer;
+use std::ops::Range;
 use std::sync::Arc;
-use taskrt::ObjId;
+use taskrt::{ObjId, Runtime, TraceScope};
 use vmpi::Comm;
+
+/// What a phase works on: the rank's mesh state plus the communication
+/// plan and buffers of the current mesh epoch.
+pub(crate) struct PhaseCtx {
+    pub state: RankState,
+    pub comm: Arc<Comm>,
+    pub plan: CommPlan,
+    pub bufs: Buffers,
+    pub trace: Option<Trace>,
+}
+
+/// The communication plan and buffers of the current mesh.
+fn plan_and_buffers(state: &RankState) -> (CommPlan, Buffers) {
+    let cfg = &state.cfg;
+    let plan = CommPlan::build(cfg, &state.dir, state.n_ranks);
+    let gmax = cfg.var_group(0).len();
+    let bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
+    (plan, bufs)
+}
+
+/// Per-block local sums of one checksum point, in block-id order.
+pub(crate) type SumSlots = Arc<Mutex<Vec<Vec<f64>>>>;
+
+/// How the phases of the shared loop are orchestrated: the part of a
+/// variant that is not Algorithm 1. Methods take `&self` because the
+/// data-flow replay scope borrows the executor for a whole timestep.
+pub(crate) trait Exec {
+    /// One ghost exchange of the variable group `vars`.
+    fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>);
+
+    /// One stencil sweep of `vars` over the local blocks.
+    fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>);
+
+    /// The per-block local checksum reductions of one checksum point.
+    /// The slots are complete once a [`wait`](Exec::wait) issued after
+    /// this call returns.
+    fn local_sums(&self, cx: &PhaseCtx) -> SumSlots;
+
+    /// The dependency object of the slots when `local_sums` fills them
+    /// asynchronously — what makes delayed validation possible. `None`:
+    /// slots come back complete and validation is always eager.
+    fn sums_obj(&self) -> Option<ObjId> {
+        None
+    }
+
+    /// Blocks until all submitted work (`None`), or the work writing one
+    /// object, has completed. Executors whose phases complete before
+    /// they return have nothing to wait for.
+    fn wait(&self, _on: Option<ObjId>) {}
+
+    /// Guard held over one timestep's submissions (the replay scope).
+    fn timestep_scope(&self) -> Option<TraceScope<'_>> {
+        None
+    }
+
+    /// One refinement phase (split/merge, block exchange, load balance)
+    /// on a quiescent rank; returns the blocks this rank moved.
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, trace: Option<&Trace>) -> u64;
+
+    /// A regrid replaced blocks, plan and buffers.
+    fn mesh_changed(&self) {}
+
+    /// Folds the executor's counters into the span's statistics.
+    fn finish(&self, _stats: &mut RunStats) {}
+}
+
+/// The task runtime of a hybrid executor's rank.
+fn rank_runtime(cfg: &Config, rank: usize, replay: bool) -> Runtime {
+    let rt = Runtime::with_config(taskrt::RuntimeConfig {
+        workers: cfg.workers.max(1),
+        immediate_successor: cfg.immediate_successor,
+        replay,
+    });
+    rt.set_obs_rank(cfg.obs_rank(rank));
+    rt
+}
+
+/// The executor `cfg.variant` names.
+pub(crate) fn executor(cfg: &Config, rank: usize) -> Box<dyn Exec> {
+    match cfg.variant {
+        Variant::MpiOnly => Box::new(mpi_only::Serial),
+        Variant::ForkJoin => Box::new(fork_join::ForkJoin::new(cfg, rank)),
+        Variant::DataFlow => Box::new(dataflow::DataFlow::new(cfg, rank)),
+    }
+}
+
+/// Local sums of one checksum point awaiting validation.
+struct LocalSums {
+    /// Owning block ids, in slot order.
+    ids: Vec<BlockId>,
+    slots: SumSlots,
+    /// Global cell count when the sums were taken (the normalization
+    /// denominator; refinement may change it before a delayed validation
+    /// runs).
+    total_cells: f64,
+    /// Mesh epoch when the sums were taken.
+    epoch: u64,
+}
+
+/// Runs one *span* on one rank: from `start` (or initial conditions) up
+/// to — not including — timestep `ts_end`, returning the stats so far
+/// and the carry an elastic resume continues from. The span ends fully
+/// drained (final wait + delayed-checksum flush), so its carry is a
+/// quiescent resize point.
+pub(crate) fn run_span(
+    exec: &dyn Exec,
+    cfg: &Config,
+    comm: Comm,
+    start: Option<SpanStart>,
+    ts_end: usize,
+    elastic: Option<&ElasticCtx>,
+) -> (RunStats, SpanCarry) {
+    let comm = Arc::new(comm);
+    let resumed = start.is_some();
+    let SpanStart {
+        mut state,
+        mut stats,
+        mut stage_counter,
+        mut mesh_epoch,
+        mut prev_checksum,
+        ts_start,
+    } = start.unwrap_or_else(|| SpanStart::initial(cfg, &comm));
+    let trace = stats.trace.take().or_else(|| cfg.trace.then(Trace::new));
+
+    let total_sw = Stopwatch::start();
+    // Initial refinement phase: the mesh was refined locally during init;
+    // load-balance it before the main loop starts (the block exchanges
+    // visible at the left of the paper's Fig. 1). A resumed span restores
+    // an already-balanced mesh.
+    if !resumed {
+        let sw = Stopwatch::start();
+        stats.blocks_moved += exec.refine(&mut state, &comm, trace.as_ref());
+        sw.stop(&mut stats.times.refine);
+    }
+    let (plan, bufs) = plan_and_buffers(&state);
+    let mut cx = PhaseCtx {
+        state,
+        comm,
+        plan,
+        bufs,
+        trace,
+    };
+    // The delayed-validation pipeline (§IV-C): local sums of the previous
+    // checksum point, possibly still being produced.
+    let mut pending: Option<LocalSums> = None;
+
+    for ts in ts_start..ts_end {
+        // A boundary snapshot needs quiescent blocks and a flushed
+        // delayed checksum. Only taken when a shrink recovery may need to
+        // rewind; the flush merely records the delayed validation a
+        // little earlier — same values, same order — so the digest is
+        // unaffected.
+        if let Some(e) = elastic.filter(|e| e.publish_boundaries) {
+            exec.wait(None);
+            if let Some(prev) = pending.take() {
+                validate(prev, &cx, &mut stats, &mut prev_checksum);
+            }
+            e.boundary(
+                &cx.state,
+                &stats,
+                stage_counter,
+                mesh_epoch,
+                &prev_checksum,
+                ts,
+            );
+        }
+        // Rank-0 marks delimit the perf analyzer's per-timestep windows.
+        if let Some(bus) = obs::bus() {
+            bus.emit_for_rank(
+                cx.state.rank as u32,
+                obs::EventData::TimestepMark { tstep: ts as u32 },
+            );
+        }
+        let ts_scope = exec.timestep_scope();
+        for _stage in 0..cfg.stages_per_ts {
+            stage_counter += 1;
+            for g in 0..cfg.num_groups() {
+                let vars = cfg.var_group(g);
+                let sw = Stopwatch::start();
+                exec.communicate(&cx, vars.clone());
+                for m in cx.plan.outbound(cx.state.rank) {
+                    stats.msgs_sent += 1;
+                    stats.elems_sent += (m.elems_per_var * vars.len()) as u64;
+                }
+                sw.stop(&mut stats.times.communicate);
+
+                let sw = Stopwatch::start();
+                exec.stencil(&cx, vars.clone());
+                stats.flops += (cx.state.blocks.len() * cx.state.layout.cells() * vars.len())
+                    as u64
+                    * cfg.stencil.flops_per_cell();
+                sw.stop(&mut stats.times.stencil);
+            }
+            if cfg.checksum_due(stage_counter) {
+                let sw = Stopwatch::start();
+                let delayed_on = exec.sums_obj().filter(|_| cfg.delayed_checksum);
+                // Delayed: validate the *previous* point, for which only
+                // its slots must be quiescent (taskwait with
+                // dependencies). This runs before the new point's local
+                // sums are submitted: the slots object is shared, so the
+                // waiter must only see the previous writers.
+                if let (Some(obj), Some(prev)) = (delayed_on, pending.take()) {
+                    exec.wait(Some(obj));
+                    validate(prev, &cx, &mut stats, &mut prev_checksum);
+                }
+                let fresh = LocalSums {
+                    ids: cx.state.blocks.keys().copied().collect(),
+                    slots: exec.local_sums(&cx),
+                    total_cells: (cx.state.dir.len() * cfg.params.cells_per_block()) as f64,
+                    epoch: mesh_epoch,
+                };
+                if delayed_on.is_some() {
+                    pending = Some(fresh);
+                } else {
+                    exec.wait(None);
+                    validate(fresh, &cx, &mut stats, &mut prev_checksum);
+                }
+                sw.stop(&mut stats.times.checksum);
+            }
+            // Checkpoints need quiescent block data; the graph is only
+            // drained when one is actually due (off by default).
+            if cfg.checkpoint_due(stage_counter) {
+                exec.wait(None);
+                crate::checkpoint::take_and_publish(
+                    &cx.state,
+                    &mut stats,
+                    stage_counter,
+                    ts,
+                    mesh_epoch,
+                );
+            }
+        }
+        drop(ts_scope);
+        if cfg.regrid_due(ts) {
+            let sw = Stopwatch::start();
+            // Explicit barrier before refinement (Algorithm 4).
+            exec.wait(None);
+            cx.state.move_objects();
+            stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm, cx.trace.as_ref());
+            mesh_epoch += 1;
+            (cx.plan, cx.bufs) = plan_and_buffers(&cx.state);
+            exec.mesh_changed();
+            sw.stop(&mut stats.times.refine);
+        }
+    }
+    // Drain the graph and the delayed checksum pipeline.
+    exec.wait(None);
+    if let Some(prev) = pending.take() {
+        validate(prev, &cx, &mut stats, &mut prev_checksum);
+    }
+    total_sw.stop(&mut stats.times.total);
+    exec.finish(&mut stats);
+    stats.final_blocks = cx.state.blocks.len();
+    stats.pool = cx.state.pool.stats();
+    stats.trace = cx.trace;
+    let carry = SpanCarry {
+        stage_counter,
+        mesh_epoch,
+        prev_checksum,
+        next_ts: ts_end,
+        state: cx.state,
+    };
+    (stats, carry)
+}
 
 /// Per-direction send/receive communication buffers plus their dependency
 /// object ids.
@@ -114,7 +402,27 @@ pub(crate) fn checksum_remote_blocks(
     comm.bcast(totals.as_deref(), 0).expect("checksum bcast")
 }
 
+/// Combines a checksum point's (now quiescent) per-block slots through
+/// the ownership-independent global combination and records the
+/// validation.
+fn validate(sums: LocalSums, cx: &PhaseCtx, stats: &mut RunStats, prev: &mut Option<Checkpoint>) {
+    let cfg = &cx.state.cfg;
+    let per_block = sums.slots.lock();
+    let total = record(cx.trace.as_ref(), Kind::ChecksumRemote, || {
+        checksum_remote_blocks(&cx.comm, &sums.ids, &per_block, cfg.params.num_vars)
+    });
+    record_validation(
+        stats,
+        prev,
+        total,
+        sums.total_cells,
+        sums.epoch,
+        cfg.validate_tol,
+    );
+}
+
 /// The previous checkpoint a fresh checksum is validated against.
+#[derive(Clone)]
 pub(crate) struct Checkpoint {
     /// Per-cell means at the previous checkpoint.
     pub means: Vec<f64>,
@@ -158,4 +466,149 @@ pub(crate) fn record_validation(
     }
     stats.checksums.push(current);
     *prev = Some(Checkpoint { means, epoch });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use vmpi::{NetworkModel, World};
+
+    /// Logs what the loop asks of it. Phases do nothing, local sums are
+    /// constant, refinement is [`mpi_only::Serial`]'s.
+    struct Logging {
+        log: RefCell<Vec<&'static str>>,
+        sums_obj: ObjId,
+    }
+
+    impl Logging {
+        fn push(&self, call: &'static str) {
+            self.log.borrow_mut().push(call);
+        }
+    }
+
+    impl Exec for Logging {
+        fn communicate(&self, _cx: &PhaseCtx, _vars: Range<usize>) {
+            self.push("comm");
+        }
+        fn stencil(&self, _cx: &PhaseCtx, _vars: Range<usize>) {
+            self.push("stencil");
+        }
+        fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
+            self.push("sums");
+            let nv = cx.state.cfg.params.num_vars;
+            Arc::new(Mutex::new(vec![vec![1.0; nv]; cx.state.blocks.len()]))
+        }
+        fn sums_obj(&self) -> Option<ObjId> {
+            Some(self.sums_obj)
+        }
+        fn wait(&self, on: Option<ObjId>) {
+            self.push(if on.is_some() { "wait_sums" } else { "wait" });
+        }
+        fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, trace: Option<&Trace>) -> u64 {
+            self.push("refine");
+            mpi_only::Serial.refine(state, comm, trace)
+        }
+        fn mesh_changed(&self) {
+            self.push("mesh_changed");
+        }
+    }
+
+    /// Two timesteps of two stages on one rank: a checksum every second
+    /// stage, a rank checkpoint at stage 4, a regrid after every timestep.
+    fn skeleton_cfg(delayed: bool) -> Config {
+        let mut cfg = Config::smoke_test();
+        cfg.params.npx = 1;
+        cfg.variant = Variant::DataFlow;
+        cfg.num_tsteps = 2;
+        cfg.stages_per_ts = 2;
+        cfg.checksum_freq = 2;
+        cfg.ckpt_freq = 4;
+        cfg.refine_freq = 1;
+        cfg.delayed_checksum = delayed;
+        cfg
+    }
+
+    /// The calls the shared loop makes on a logging executor.
+    fn skeleton(cfg: &Config) -> (Vec<&'static str>, RunStats) {
+        let mut per_rank = World::new(1, NetworkModel::instant()).run(|comm| {
+            let exec = Logging {
+                log: RefCell::default(),
+                sums_obj: ObjId::fresh(),
+            };
+            let (stats, _) = run_span(&exec, cfg, comm, None, cfg.num_tsteps, None);
+            (exec.log.into_inner(), stats)
+        });
+        per_rank.pop().expect("one rank")
+    }
+
+    fn calls(s: &str) -> Vec<&str> {
+        s.split_whitespace().collect()
+    }
+
+    #[test]
+    fn eager_validation_drains_at_every_checksum() {
+        let (log, stats) = skeleton(&skeleton_cfg(false));
+        assert_eq!(
+            log,
+            calls(
+                "refine \
+                 comm stencil comm stencil sums wait \
+                 wait refine mesh_changed \
+                 comm stencil comm stencil sums wait wait \
+                 wait refine mesh_changed \
+                 wait"
+            )
+        );
+        assert_eq!(stats.checksums.len(), 2);
+        assert_eq!(stats.checkpoints_taken, 1);
+    }
+
+    #[test]
+    fn delayed_validation_waits_only_on_the_previous_sums() {
+        let (log, stats) = skeleton(&skeleton_cfg(true));
+        assert_eq!(
+            log,
+            calls(
+                "refine \
+                 comm stencil comm stencil sums \
+                 wait refine mesh_changed \
+                 comm stencil comm stencil wait_sums sums wait \
+                 wait refine mesh_changed \
+                 wait"
+            )
+        );
+        // The second point is validated by the final flush.
+        assert_eq!(stats.checksums.len(), 2);
+        assert_eq!(stats.checkpoints_taken, 1);
+    }
+
+    /// `staticcheck` writes the schedule skeleton a second time; for a
+    /// scenario whose epochs it models in full, a data-flow rank's
+    /// barriers and local-sum submissions must fall exactly where the
+    /// loop puts them.
+    #[test]
+    fn static_model_places_barriers_where_the_loop_does() {
+        for delayed in [false, true] {
+            let cfg = skeleton_cfg(delayed);
+            let live: Vec<&str> = skeleton(&cfg)
+                .0
+                .into_iter()
+                .filter(|c| ["sums", "wait", "wait_sums"].contains(c))
+                .collect();
+            let model = crate::staticcheck::elaborate(&cfg).model;
+            let mut modeled: Vec<&str> = model.by_rank[0]
+                .iter()
+                .filter_map(|&n| match model.nodes[n].label {
+                    "checksum_local" => Some("sums"),
+                    "taskwait" => Some("wait"),
+                    "taskwait_on" => Some("wait_sums"),
+                    _ => None,
+                })
+                .collect();
+            // One `checksum_local` task per block is one `local_sums` call.
+            modeled.dedup_by(|a, b| *a == "sums" && *b == "sums");
+            assert_eq!(modeled, live, "delayed_checksum = {delayed}");
+        }
+    }
 }

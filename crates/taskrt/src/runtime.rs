@@ -86,9 +86,8 @@ pub(crate) struct ObsMetrics {
 const LIVE_SHARDS: usize = 8;
 
 /// Sharded id → task map of unreleased tasks, kept only for diagnostics
-/// (watchdog dumps, [`Runtime::debug_live_tasks`]). Absent entirely in
-/// release builds without observability, so the spawn/release hot path
-/// pays no lock for it.
+/// (watchdog dumps). Absent entirely in release builds without
+/// observability, so the spawn/release hot path pays no lock for it.
 struct LiveSet {
     shards: Vec<Mutex<HashMap<u64, Weak<TaskShared>>>>,
 }
@@ -345,13 +344,10 @@ impl Runtime {
     pub fn with_config(config: RuntimeConfig) -> Runtime {
         assert!(config.workers >= 1, "runtime needs at least one worker");
         let (scheduler, locals) = Scheduler::new(config.workers, config.immediate_successor);
-        // The live-task map exists for diagnostics only (watchdog dumps,
-        // `debug_live_tasks`); in release builds without observability or
-        // an explicit debug request it is skipped entirely so spawning
-        // pays no global lock for it.
-        let track_live = cfg!(debug_assertions)
-            || obs::is_enabled()
-            || std::env::var_os("MINIAMR_DEBUG").is_some();
+        // The live-task map exists for diagnostics only (watchdog dumps);
+        // in release builds without observability it is skipped entirely
+        // so spawning pays no global lock for it.
+        let track_live = cfg!(debug_assertions) || obs::is_enabled();
         let inner = Arc::new(RtInner {
             registry: Registry::new(),
             scheduler,
@@ -679,30 +675,6 @@ impl Runtime {
     /// `taskwait`).
     pub fn live_objects(&self) -> usize {
         self.inner.registry.live_objects()
-    }
-
-    /// Diagnostic snapshot of unreleased tasks: `(id, label, pending
-    /// predecessor count, outstanding event count)`. Intended for
-    /// deadlock post-mortems.
-    /// Live-task tracking is skipped in release builds without
-    /// observability (set `MINIAMR_DEBUG=1` to force it on); this returns
-    /// an empty vector then.
-    pub fn debug_live_tasks(&self) -> Vec<(u64, &'static str, usize, usize)> {
-        let Some(live_set) = &self.inner.live_set else {
-            return Vec::new();
-        };
-        live_set
-            .snapshot()
-            .into_iter()
-            .map(|t| {
-                (
-                    t.id,
-                    t.label,
-                    t.pending.load(Ordering::Relaxed),
-                    t.events.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
     }
 }
 
