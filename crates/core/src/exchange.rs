@@ -10,8 +10,10 @@
 //! data. Moves NACKed for lack of space retry in a later round; rounds
 //! continue until a global reduction reports no pending moves.
 //!
-//! Control messages always travel blocking on the main thread (to keep
-//! their latency low, as the paper does); the heavy data transfer goes
+//! Control messages always travel on the main thread (to keep their
+//! latency low, as the paper does): receives block, sends are posted and
+//! waited at the end of the round, so two ranks swapping blocks cannot
+//! sit in head-to-head rendezvous sends. The heavy data transfer goes
 //! through a [`BlockMover`], which each variant implements — blocking in
 //! MPI-only, taskified with data dependencies in the data-flow variant.
 
@@ -167,7 +169,7 @@ pub fn exchange_blocks(
         // guarantees progress.
         let outgoing = remaining.iter().filter(|m| m.from == state.rank).count();
         let mut decisions: Vec<Option<bool>> = vec![None; remaining.len()];
-        let mut ack_sends = Vec::new();
+        let mut ctrl_sends = Vec::new();
         let mut accepted = 0usize;
         for (i, m) in remaining.iter().enumerate() {
             if m.to == state.rank {
@@ -177,7 +179,7 @@ pub fn exchange_blocks(
                     accepted += 1;
                 }
                 decisions[i] = Some(ok);
-                ack_sends.push(
+                ctrl_sends.push(
                     comm.isend(&[ok as u8], m.from, ack_tag(m.seq))
                         .expect("send ack"),
                 );
@@ -194,8 +196,15 @@ pub fn exchange_blocks(
                 if ack[0] == 1 {
                     // Control message: the block identifier, used by both
                     // sides to tag the data exchange.
+                    // Posted, not blocking: when two ranks swap blocks in
+                    // one round both are here while the matching receive
+                    // is in the peer's phase C, so a blocking rendezvous
+                    // send (any eager limit under 16 bytes) deadlocks.
                     let idmsg = [m.block.level as u32, m.block.x, m.block.y, m.block.z];
-                    comm.send(&idmsg, m.to, ctrl_tag(m.seq)).expect("send ctrl");
+                    ctrl_sends.push(
+                        comm.isend(&idmsg, m.to, ctrl_tag(m.seq))
+                            .expect("send ctrl"),
+                    );
                     let block = state.blocks.remove(&m.block).unwrap_or_else(|| {
                         panic!("rank {} sending unowned {:?}", state.rank, m.block)
                     });
@@ -225,7 +234,7 @@ pub fn exchange_blocks(
             }
         }
 
-        for s in ack_sends {
+        for s in ctrl_sends {
             s.wait();
         }
         mover.finish(comm);

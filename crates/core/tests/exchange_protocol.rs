@@ -145,10 +145,22 @@ fn tight_capacity_swap_converges_over_rounds() {
 /// the rank the same round, so both sides NACKed each other forever and
 /// the 1000-round assert killed the run. Crediting this round's outgoing
 /// moves lets the swap complete in one round.
+///
+/// The second network makes every message a rendezvous (`--eager_kb 0`):
+/// both ranks are senders and receivers in the same round, so a blocking
+/// send of the block-id control message sat head-to-head with the peer's
+/// and the run hung (each matching receive is in the peer's phase C).
 #[test]
 fn exactly_full_ranks_swap_converges() {
+    let all_rendezvous = NetworkModel::instant().with_eager_threshold(0);
+    for net in [NetworkModel::instant(), all_rendezvous] {
+        exactly_full_swap_on(net);
+    }
+}
+
+fn exactly_full_swap_on(net: NetworkModel) {
     let cfg = two_rank_cfg();
-    let world = World::new(2, NetworkModel::instant());
+    let world = World::new(2, net);
     world.run(|comm| {
         let comm = Arc::new(comm);
         let mut state = RankState::init(&cfg, comm.rank(), 2);

@@ -1,8 +1,16 @@
 //! Communicators and point-to-point operations.
+//!
+//! A send is one pipeline: `post_send` (header, eager test, `SendPosted`)
+//! → the route `match` in `isend_impl` (self / reliability frame / fabric
+//! / scalar delay) → [`crate::mailbox::arrive`]. A receive is
+//! [`crate::mailbox::post`]. Matching, queueing, transit and completion
+//! live in [`crate::mailbox`]; only the probes look into a mailbox here.
 
 use crate::datatype::{self, Pod};
 use crate::error::{Result, VmpiError};
-use crate::mailbox::{complete_transfer, Envelope, Inbound, PendingRecv, RecvSan, RecvTarget};
+use crate::fault::Inflight;
+use crate::mailbox::{self, Envelope, Lane, MsgHeader, PendingRecv, RecvSan, RecvTarget, Transit};
+use crate::reliable;
 use crate::request::{Request, RequestState};
 use crate::world::WorldShared;
 use shmem::BufSlice;
@@ -67,7 +75,7 @@ impl Status {
 /// RMW-free.
 static MATCH_IDS: AtomicU64 = AtomicU64::new(1);
 
-pub(crate) fn next_match_id() -> u64 {
+fn next_match_id() -> u64 {
     MATCH_IDS.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -188,83 +196,46 @@ impl Comm {
         Some(Request::from_state(state))
     }
 
-    fn isend_impl(&self, payload: Vec<u8>, dst: usize, tag: i32) -> Request {
-        if let Some(failed) = self.poisoned_request() {
-            return failed;
-        }
-        let dst_world = self.group[dst];
-        let src_world = self.group[self.rank];
-        // Chaos mode: cross-rank traffic goes through the reliability
-        // layer (CRC frames, ack/retransmit, in-order release) and the
-        // fault plan. Self-sends complete locally and cannot be faulted.
-        // When no chaos config is installed this branch is a single
-        // `Option` check and the path below is untouched.
-        if src_world != dst_world {
-            if let Some(fault) = &self.shared.fault {
-                let fault = std::sync::Arc::clone(fault);
-                return crate::reliable::chaos_isend(
-                    &self.shared,
-                    &fault,
-                    payload,
-                    self.rank,
-                    src_world,
-                    dst_world,
-                    tag,
-                    self.comm_id,
-                );
-            }
-        }
-        let nbytes = payload.len();
-        // Sends are posted from the sending task's body (the payload copy
-        // already happened in its scope), so the current scope identifies
-        // the sending task in lint reports.
-        let san_scope = if depsan::is_enabled() {
-            depsan::current_scope()
-        } else {
-            0
-        };
-        // Inter-node transfers go through the contention-aware fabric
-        // when one is installed (NIC serialization, shared links,
-        // rendezvous handshake); intra-node and self transfers always
-        // take the scalar shared-memory path.
-        let (fabric_flow, available_at) = match &self.shared.fabric {
-            Some(fab)
-                if src_world != dst_world && !fab.params().same_node(src_world, dst_world) =>
-            {
-                let (id, eta) = fab.inject(src_world, dst_world, nbytes);
-                (Some(id), eta)
-            }
-            _ => (
-                None,
-                Instant::now() + self.shared.net.delay(nbytes, src_world, dst_world),
-            ),
-        };
-        let eager = self.shared.net.is_eager(nbytes) || src_world == dst_world;
-        let send_state = RequestState::new();
-        let send_status = Status {
-            source: self.rank,
+    /// The send prologue every route shares: builds the header that rides
+    /// with the payload, decides eager vs rendezvous, and announces the
+    /// send. `local` marks a self-send, which is always eager.
+    fn post_send(
+        &self,
+        nbytes: usize,
+        local: bool,
+        dst_world: usize,
+        tag: i32,
+    ) -> (MsgHeader, bool) {
+        let eager = local || self.shared.net.is_eager(nbytes);
+        let mut hdr = MsgHeader {
+            src: self.rank,
             tag,
-            bytes: nbytes,
+            comm: self.comm_id,
+            // Sends are posted from the sending task's body (the payload
+            // copy already happened in its scope), so the current scope
+            // identifies the sending task in lint reports.
+            san_scope: if depsan::is_enabled() {
+                depsan::current_scope()
+            } else {
+                0
+            },
+            match_id: 0,
+            posted_us: 0,
         };
-
-        // Causal-edge provenance, allocated only while tracing: a
-        // process-unique match id ties this send to its delivery, the
-        // thread-task context names the posting task, and the post time
-        // feeds the fabric queue-time stamp at delivery.
-        let (match_id, send_task, posted_us) = match obs::bus() {
-            Some(bus) => (next_match_id(), obs::thread_task(), bus.now_us().max(1)),
-            None => (0, 0, 0),
-        };
-
         if let Some(bus) = obs::bus() {
+            // Causal-edge provenance, allocated only while tracing: a
+            // process-unique match id ties this send to its delivery and
+            // the post time feeds the queue-time stamp at delivery.
+            hdr.match_id = next_match_id();
+            hdr.posted_us = bus.now_us().max(1);
             bus.emit(obs::EventData::SendPosted {
                 dst: dst_world as u32,
                 tag,
                 comm: self.comm_id,
                 bytes: nbytes as u64,
                 eager,
-                match_id,
-                task: send_task,
+                match_id: hdr.match_id,
+                task: obs::thread_task(),
             });
             if let Some(m) = &self.shared.obs_metrics {
                 m.sends.inc();
@@ -276,113 +247,68 @@ impl Comm {
                 }
             }
         }
+        (hdr, eager)
+    }
 
-        let mailbox = &self.shared.mailboxes[dst_world];
-        enum Outcome {
-            Matched(PendingRecv, Vec<u8>),
-            Queued,
+    fn isend_impl(&self, payload: Vec<u8>, dst: usize, tag: i32) -> Request {
+        if let Some(failed) = self.poisoned_request() {
+            return failed;
         }
-        let outcome = {
-            let mut inner = mailbox.inner.lock();
-            match inner.match_arriving(self.rank, tag, self.comm_id) {
-                Some(pr) => Outcome::Matched(pr, payload),
-                None => {
-                    let env = Envelope {
-                        src: self.rank,
-                        tag,
-                        comm: self.comm_id,
-                        payload,
-                        available_at,
-                        fabric_flow,
-                        send_state: if eager {
-                            None
-                        } else {
-                            Some(Arc::clone(&send_state))
-                        },
-                        san_scope,
-                        match_id,
-                        posted_us,
-                    };
-                    if depsan::is_enabled() {
-                        inner.san_check_envelope(&env, dst_world);
-                    }
-                    inner.push_envelope(env);
-                    if let Some(bus) = obs::bus() {
-                        let (msgs, recvs, bytes) = inner.depth();
-                        bus.emit(obs::EventData::QueueDepth {
-                            mailbox: dst_world as u32,
-                            msgs: msgs as u32,
-                            recvs: recvs as u32,
-                            bytes,
-                        });
-                    }
-                    Outcome::Queued
+        let (src_world, dst_world) = (self.group[self.rank], self.group[dst]);
+        let local = src_world == dst_world;
+        let nbytes = payload.len();
+        let (hdr, eager) = self.post_send(nbytes, local, dst_world, tag);
+        let send_state = RequestState::new();
+        // Eager sends complete at the end of this call; a rendezvous send
+        // travels with its message and completes when the payload drains
+        // (or, as a reliability frame, on its first ack).
+        let rendezvous = (!eager).then(|| Arc::clone(&send_state));
+        let fabric = self
+            .shared
+            .fabric
+            .as_deref()
+            .filter(|fab| !fab.params().same_node(src_world, dst_world));
+        // The route: which stage models this message's time on the wire.
+        let (due, flow) = match (local, &self.shared.fault, fabric) {
+            // A self-send is local: never faulted, never modelled.
+            (true, _, _) => (Instant::now(), None),
+            // Under a fault plan every other send is a reliability frame
+            // (CRC, ack/retransmit, in-order release) that serves its own
+            // network time, so chaos bypasses the fabric.
+            (false, Some(fault), _) => {
+                let frame = Inflight::new(hdr, payload, rendezvous);
+                match reliable::send(&self.shared, fault, src_world, dst_world, frame) {
+                    Ok(()) if eager => send_state.complete(hdr.status(nbytes), None),
+                    Ok(()) => {}
+                    Err(e) => send_state.fail(e),
                 }
+                return Request::from_state(send_state);
             }
+            // Inter-node transfers go through the contention-aware fabric
+            // when one is installed (NIC serialization, shared links,
+            // rendezvous handshake).
+            (false, None, Some(fab)) => {
+                let (id, eta) = fab.inject(src_world, dst_world, nbytes);
+                (eta, Some(id))
+            }
+            // Everything else takes the scalar delay.
+            (false, None, None) => (
+                Instant::now() + self.shared.net.delay(nbytes, src_world, dst_world),
+                None,
+            ),
         };
-        match outcome {
-            Outcome::Matched(pr, payload) => {
-                if depsan::is_enabled() {
-                    san_check_match(
-                        dst_world,
-                        self.rank,
-                        tag,
-                        self.comm_id,
-                        payload.len(),
-                        san_scope,
-                        &pr.san,
-                    );
-                }
-                if let Some(bus) = obs::bus() {
-                    bus.emit_for_rank(
-                        dst_world as u32,
-                        obs::EventData::MsgMatched {
-                            src: src_world as u32,
-                            tag,
-                            comm: self.comm_id,
-                            bytes: payload.len() as u64,
-                            at_send: true,
-                            match_id,
-                            recv_task: pr.obs_task,
-                        },
-                    );
-                    if let Some(m) = &self.shared.obs_metrics {
-                        m.matched_at_send.inc();
-                    }
-                }
-                let send_for_job = if eager {
-                    None
-                } else {
-                    Some(Arc::clone(&send_state))
-                };
-                let src = self.rank;
-                let comm_id = self.comm_id;
-                let recv_task = pr.obs_task;
-                schedule_transfer(
-                    Arc::clone(&self.shared),
-                    available_at,
-                    fabric_flow,
-                    Inbound {
-                        payload,
-                        src,
-                        tag,
-                        comm: comm_id,
-                        dst_world,
-                        match_id,
-                        posted_us,
-                        recv_task,
-                    },
-                    send_for_job,
-                    pr.state,
-                    pr.target,
-                );
-            }
-            Outcome::Queued => {
-                mailbox.arrived.notify_all();
-            }
-        }
+        let env = Envelope {
+            hdr,
+            payload,
+            transit: Transit {
+                due,
+                flow,
+                send_state: rendezvous,
+            },
+        };
+        mailbox::arrive(&self.shared, dst_world, env, Lane::Caller);
         if eager {
-            send_state.complete(send_status, None);
+            send_state.complete(hdr.status(nbytes), None);
         }
         Request::from_state(send_state)
     }
@@ -396,9 +322,7 @@ impl Comm {
             return failed;
         }
         let state = RequestState::new();
-        let my_world = self.group[self.rank];
-        let mailbox = &self.shared.mailboxes[my_world];
-        let recv_task = if obs::is_enabled() {
+        let obs_task = if obs::is_enabled() {
             obs::thread_task()
         } else {
             0
@@ -408,97 +332,22 @@ impl Comm {
                 src,
                 tag,
                 comm: self.comm_id,
-                task: recv_task,
+                task: obs_task,
             });
             if let Some(m) = &self.shared.obs_metrics {
                 m.recvs.inc();
             }
         }
-        enum Outcome {
-            Matched(Envelope, RecvTarget),
-            Queued,
-        }
-        let outcome = {
-            let mut inner = mailbox.inner.lock();
-            match inner.match_posted(src, tag, self.comm_id) {
-                Some(env) => Outcome::Matched(env, target),
-                None => {
-                    let recv = PendingRecv {
-                        src,
-                        tag,
-                        comm: self.comm_id,
-                        state: Arc::clone(&state),
-                        target,
-                        san,
-                        obs_task: recv_task,
-                    };
-                    if depsan::is_enabled() {
-                        inner.san_check_recv(&recv, my_world);
-                    }
-                    inner.push_recv(recv);
-                    if let Some(bus) = obs::bus() {
-                        let (msgs, recvs, bytes) = inner.depth();
-                        bus.emit(obs::EventData::QueueDepth {
-                            mailbox: my_world as u32,
-                            msgs: msgs as u32,
-                            recvs: recvs as u32,
-                            bytes,
-                        });
-                    }
-                    Outcome::Queued
-                }
-            }
+        let recv = PendingRecv {
+            src,
+            tag,
+            comm: self.comm_id,
+            state: Arc::clone(&state),
+            target,
+            san,
+            obs_task,
         };
-        if let Outcome::Matched(env, target) = outcome {
-            let recv_state = Arc::clone(&state);
-            let Envelope {
-                src: esrc,
-                tag: etag,
-                comm: ecomm,
-                payload,
-                available_at,
-                fabric_flow,
-                send_state,
-                san_scope: env_scope,
-                match_id,
-                posted_us,
-            } = env;
-            if depsan::is_enabled() {
-                san_check_match(my_world, esrc, etag, ecomm, payload.len(), env_scope, &san);
-            }
-            if let Some(bus) = obs::bus() {
-                bus.emit(obs::EventData::MsgMatched {
-                    src: esrc as u32,
-                    tag: etag,
-                    comm: ecomm,
-                    bytes: payload.len() as u64,
-                    at_send: false,
-                    match_id,
-                    recv_task,
-                });
-                if let Some(m) = &self.shared.obs_metrics {
-                    m.matched_at_recv.inc();
-                }
-            }
-            schedule_transfer(
-                Arc::clone(&self.shared),
-                available_at,
-                fabric_flow,
-                Inbound {
-                    payload,
-                    src: esrc,
-                    tag: etag,
-                    comm: ecomm,
-                    dst_world: my_world,
-                    match_id,
-                    posted_us,
-                    recv_task,
-                },
-                send_state,
-                recv_state,
-                target,
-            );
-        }
+        mailbox::post(&self.shared, self.group[self.rank], recv);
         Request::from_state(state)
     }
 
@@ -714,72 +563,6 @@ impl Comm {
         );
         Comm::new(Arc::clone(&self.shared), id, new_rank, Arc::new(group))
     }
-}
-
-/// Schedules the completion of a matched transfer at `due`. Scalar-model
-/// transfers (`flow == None`) complete unconditionally when the job
-/// fires. Fabric transfers *poll* their flow instead: if concurrent
-/// arrivals shrank the flow's bandwidth share since `due` was predicted,
-/// the poll returns the new estimate and the job reschedules — the
-/// completion time tracks the fair-share drain, not the first guess.
-pub(crate) fn schedule_transfer(
-    shared: Arc<WorldShared>,
-    due: Instant,
-    flow: Option<u64>,
-    inbound: Inbound,
-    send_state: Option<Arc<crate::request::RequestState>>,
-    recv_state: Arc<crate::request::RequestState>,
-    target: RecvTarget,
-) {
-    let delivery = Arc::clone(&shared.delivery);
-    delivery.schedule(
-        due,
-        Box::new(move || {
-            if let Some(id) = flow {
-                let next = shared.fabric.as_ref().and_then(|f| f.poll(id));
-                if let Some(next) = next {
-                    schedule_transfer(shared, next, flow, inbound, send_state, recv_state, target);
-                    return;
-                }
-            }
-            complete_transfer(inbound, send_state, recv_state, target);
-        }),
-    );
-}
-
-/// depsan: a matched payload's size differs from the receive's exact
-/// expectation. Reported at match time — *before* the transfer can fail
-/// `Truncated` (or silently short-fill) — naming both endpoints, because
-/// a wrong-size pairing means same-tag traffic was reordered relative to
-/// the receives: the communication tasks lack a serialising edge.
-pub(crate) fn san_check_match(
-    dst_rank: usize,
-    src: usize,
-    tag: i32,
-    comm: u64,
-    got: usize,
-    sender_scope: u64,
-    recv: &RecvSan,
-) {
-    let Some(exp) = recv.expected_bytes else {
-        return;
-    };
-    if got == exp {
-        return;
-    }
-    let (obj, start, end) = recv.region;
-    depsan::report(depsan::Violation {
-        kind: depsan::ViolationKind::SizeMismatch,
-        rank: dst_rank as u32,
-        task: recv.scope,
-        label: depsan::task_label(recv.scope),
-        obj,
-        detail: format!(
-            "message src {src} tag {tag} comm {comm:#x}: {got}-byte payload (sent by {}) matched a receive expecting exactly {exp} bytes into obj {obj} [{start}..{end}) (posted by {})\nsame-tag traffic was paired out of order — the posting tasks' regions do not overlap, so no WAW/WAR edge fixes the match order",
-            depsan::describe_task(sender_scope),
-            depsan::describe_task(recv.scope),
-        ),
-    });
 }
 
 #[cfg(test)]

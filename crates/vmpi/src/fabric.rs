@@ -399,6 +399,12 @@ impl Fabric {
         &self.p
     }
 
+    /// Flows injected since the world was built.
+    #[cfg(test)]
+    pub(crate) fn flows_injected(&self) -> u64 {
+        self.state.lock().next_id
+    }
+
     /// Stops contention modelling: every subsequent poll reports its flow
     /// complete. Called before the delivery queue drains at shutdown.
     pub(crate) fn release_all(&self) {

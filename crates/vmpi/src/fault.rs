@@ -15,6 +15,7 @@
 //! never even constructs a frame, so the fault-free fast path is
 //! bitwise-identical to a build without this module.
 
+use crate::mailbox::MsgHeader;
 use crate::request::RequestState;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -264,38 +265,41 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// One sender-side in-flight (unacknowledged) frame record.
-pub(crate) struct Inflight {
-    /// Communicator-local source rank (what the receiver matches on).
-    pub comm_src: usize,
-    pub tag: i32,
-    pub comm: u64,
-    /// Frame payload; shared with any queued delivery jobs.
+/// A reliability frame: the message header, the payload shared between
+/// the sender's record, the delivery jobs of every (re)transmission and
+/// the receiver's reorder buffer, and the CRC-32 the receiver verifies.
+#[derive(Clone)]
+pub(crate) struct Frame {
+    pub hdr: MsgHeader,
     pub payload: Arc<Vec<u8>>,
     pub crc: u32,
-    pub san_scope: u64,
-    /// Present for rendezvous sends: completed on first ack.
-    pub send_state: Option<Arc<RequestState>>,
-    pub status: crate::Status,
-    /// Retransmissions performed so far.
-    pub attempts: u32,
-    /// Trace match id carried from send-post to delivery (0 = untraced).
-    pub match_id: u64,
-    /// Bus time the send was posted (0 = untraced).
-    pub posted_us: u64,
 }
 
-/// A frame accepted by the receiver but not yet releasable in order.
-pub(crate) struct HeldFrame {
-    pub comm_src: usize,
-    pub tag: i32,
-    pub comm: u64,
-    pub payload: Arc<Vec<u8>>,
-    pub san_scope: u64,
-    /// Trace match id carried from send-post to delivery (0 = untraced).
-    pub match_id: u64,
-    /// Bus time the send was posted (0 = untraced).
-    pub posted_us: u64,
+/// One sender-side in-flight (unacknowledged) frame record.
+pub(crate) struct Inflight {
+    pub frame: Frame,
+    /// Present for rendezvous sends: completed on first ack.
+    pub send_state: Option<Arc<RequestState>>,
+    /// Retransmissions performed so far.
+    pub attempts: u32,
+}
+
+impl Inflight {
+    pub(crate) fn new(
+        hdr: MsgHeader,
+        payload: Vec<u8>,
+        send_state: Option<Arc<RequestState>>,
+    ) -> Self {
+        Inflight {
+            frame: Frame {
+                hdr,
+                crc: crc32(&payload),
+                payload: Arc::new(payload),
+            },
+            send_state,
+            attempts: 0,
+        }
+    }
 }
 
 /// Per-(src, dst) directed channel: sender-side retransmit state and
@@ -309,10 +313,10 @@ pub(crate) struct Channel {
     /// Next sequence number the receiver will release to the mailbox.
     pub recv_next: u64,
     /// Accepted out-of-order frames waiting for their turn.
-    pub reorder: HashMap<u64, HeldFrame>,
+    pub reorder: HashMap<u64, Frame>,
     /// In-order frames popped from `reorder`, waiting for a thread to
     /// flush them into the mailbox.
-    pub ready: std::collections::VecDeque<HeldFrame>,
+    pub ready: std::collections::VecDeque<Frame>,
     /// A thread is currently flushing `ready` (release stays ordered
     /// even when deliveries race on the delivery + sender threads).
     pub releasing: bool,
@@ -456,8 +460,8 @@ impl FaultState {
                     "chaos {} -> {}: unacked frame seq {seq} tag {} ({} bytes, {} retransmit(s))",
                     key.0,
                     key.1,
-                    rec.tag,
-                    rec.payload.len(),
+                    rec.frame.hdr.tag,
+                    rec.frame.payload.len(),
                     rec.attempts,
                 );
             }

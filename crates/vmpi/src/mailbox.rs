@@ -1,14 +1,19 @@
-//! Per-rank message matching engine.
+//! Per-rank message matching engine: the one place a message meets a
+//! receive.
 //!
-//! Matching happens under the destination rank's mailbox lock at send /
-//! receive-post time, which makes matching order identical to operation
-//! order and therefore preserves MPI's non-overtaking guarantee. The
-//! payload only becomes *available* at the envelope's due time (see
-//! [`crate::delivery`]).
+//! Everything a sender hands to a mailbox goes through [`arrive`] (plain
+//! sends and the frames [`crate::reliable`] releases in order); every
+//! receive goes through [`post`]. Both match-or-queue under the
+//! destination rank's mailbox lock, which makes matching order identical
+//! to operation order and therefore preserves MPI's non-overtaking
+//! guarantee, and both end in the same `matched` → `deliver` →
+//! `complete` tail, run outside the lock. The payload only becomes
+//! *available* at the envelope's due time (see [`crate::delivery`]).
 
 use crate::comm::{Status, ANY_SOURCE, ANY_TAG};
 use crate::error::Result;
 use crate::request::RequestState;
+use crate::world::WorldShared;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -26,19 +31,13 @@ pub(crate) enum RecvTarget {
     Writer(PayloadWriter),
 }
 
-/// A sent-but-unmatched message waiting in the destination mailbox.
-pub(crate) struct Envelope {
+/// What rides with every payload, by value, from send-post to delivery.
+#[derive(Clone, Copy)]
+pub(crate) struct MsgHeader {
+    /// Communicator-local rank of the sender (what receives match on).
     pub src: usize,
     pub tag: i32,
     pub comm: u64,
-    pub payload: Vec<u8>,
-    pub available_at: Instant,
-    /// Flow id in the contention-aware fabric, when the transfer went
-    /// through it (`available_at` is then only the initial estimate; the
-    /// delivery job polls the fabric for the real drain time).
-    pub fabric_flow: Option<u64>,
-    /// Present for rendezvous sends: completed when the payload drains.
-    pub send_state: Option<Arc<RequestState>>,
     /// depsan scope of the posting task (0 = none / sanitizer disabled).
     pub san_scope: u64,
     /// Trace match id carried from send-post to delivery (0 = untraced).
@@ -46,6 +45,41 @@ pub(crate) struct Envelope {
     /// Bus time the send was posted, for queue-time attribution
     /// (0 = untraced).
     pub posted_us: u64,
+}
+
+impl MsgHeader {
+    /// Completion status of either end of a `bytes`-sized transfer.
+    pub(crate) fn status(&self, bytes: usize) -> Status {
+        Status {
+            source: self.src,
+            tag: self.tag,
+            bytes,
+        }
+    }
+
+    fn accepted_by(&self, src: i32, tag: i32, comm: u64) -> bool {
+        comm == self.comm
+            && (src == ANY_SOURCE || src as usize == self.src)
+            && (tag == ANY_TAG || tag == self.tag)
+    }
+}
+
+/// When a payload becomes available and what completes with it.
+pub(crate) struct Transit {
+    pub due: Instant,
+    /// Flow id in the contention-aware fabric, when the transfer went
+    /// through it (`due` is then only the initial estimate; the delivery
+    /// job polls the fabric for the real drain time).
+    pub flow: Option<u64>,
+    /// Present for rendezvous sends: completed when the payload drains.
+    pub send_state: Option<Arc<RequestState>>,
+}
+
+/// A message handed to a mailbox; queued there while unmatched.
+pub(crate) struct Envelope {
+    pub hdr: MsgHeader,
+    pub payload: Vec<u8>,
+    pub transit: Transit,
 }
 
 /// Sanitizer metadata of a receive: what it expects and who posted it.
@@ -74,10 +108,16 @@ pub(crate) struct PendingRecv {
     pub obs_task: u64,
 }
 
-fn matches(env_src: usize, env_tag: i32, env_comm: u64, src: i32, tag: i32, comm: u64) -> bool {
-    comm == env_comm
-        && (src == ANY_SOURCE || src as usize == env_src)
-        && (tag == ANY_TAG || tag == env_tag)
+/// Which thread runs [`arrive`], and so where its events land.
+#[derive(Clone, Copy)]
+pub(crate) enum Lane {
+    /// The sending thread, inside its `isend`: queue-depth events carry
+    /// its own thread context, a match is booked to the receiving rank
+    /// on the caller's lane.
+    Caller,
+    /// The reliability layer releasing a frame: everything is booked to
+    /// the receiving rank's network lane.
+    Net,
 }
 
 #[derive(Default)]
@@ -88,25 +128,20 @@ pub(crate) struct MailboxInner {
 
 impl MailboxInner {
     /// Finds the first posted receive matching an incoming message.
-    pub(crate) fn match_arriving(
-        &mut self,
-        src: usize,
-        tag: i32,
-        comm: u64,
-    ) -> Option<PendingRecv> {
+    fn match_arriving(&mut self, hdr: &MsgHeader) -> Option<PendingRecv> {
         let idx = self
             .recvs
             .iter()
-            .position(|r| matches(src, tag, comm, r.src, r.tag, r.comm))?;
+            .position(|r| hdr.accepted_by(r.src, r.tag, r.comm))?;
         self.recvs.remove(idx)
     }
 
     /// Finds the earliest-sent unmatched message matching a posted receive.
-    pub(crate) fn match_posted(&mut self, src: i32, tag: i32, comm: u64) -> Option<Envelope> {
+    fn match_posted(&mut self, src: i32, tag: i32, comm: u64) -> Option<Envelope> {
         let idx = self
             .msgs
             .iter()
-            .position(|m| matches(m.src, m.tag, m.comm, src, tag, comm))?;
+            .position(|m| m.hdr.accepted_by(src, tag, comm))?;
         self.msgs.remove(idx)
     }
 
@@ -121,12 +156,8 @@ impl MailboxInner {
     ) -> Option<Status> {
         self.msgs
             .iter()
-            .find(|m| matches(m.src, m.tag, m.comm, src, tag, comm) && m.available_at <= now)
-            .map(|m| Status {
-                source: m.src,
-                tag: m.tag,
-                bytes: m.payload.len(),
-            })
+            .find(|m| m.hdr.accepted_by(src, tag, comm) && m.transit.due <= now)
+            .map(|m| m.hdr.status(m.payload.len()))
     }
 
     /// Earliest availability time of any matching message (for blocking
@@ -134,17 +165,25 @@ impl MailboxInner {
     pub(crate) fn earliest_match(&self, src: i32, tag: i32, comm: u64) -> Option<Instant> {
         self.msgs
             .iter()
-            .filter(|m| matches(m.src, m.tag, m.comm, src, tag, comm))
-            .map(|m| m.available_at)
+            .filter(|m| m.hdr.accepted_by(src, tag, comm))
+            .map(|m| m.transit.due)
             .min()
     }
 
-    pub(crate) fn push_envelope(&mut self, env: Envelope) {
-        self.msgs.push_back(env);
-    }
-
-    pub(crate) fn push_recv(&mut self, recv: PendingRecv) {
-        self.recvs.push_back(recv);
+    /// Emits the queue-depth counter sample after a queue mutation
+    /// (unmatched messages, posted receives, queued payload bytes).
+    fn emit_depth(&self, rank: usize, lane: Lane) {
+        let Some(bus) = obs::bus() else { return };
+        let depth = obs::EventData::QueueDepth {
+            mailbox: rank as u32,
+            msgs: self.msgs.len() as u32,
+            recvs: self.recvs.len() as u32,
+            bytes: self.msgs.iter().map(|m| m.payload.len() as u64).sum(),
+        };
+        match lane {
+            Lane::Caller => bus.emit(depth),
+            Lane::Net => bus.emit_full(rank as u32, obs::LANE_NET, depth),
+        }
     }
 
     /// depsan lint: the message about to be queued collides with an
@@ -154,11 +193,12 @@ impl MailboxInner {
     /// posting order is load-bearing — exactly the situation a WAW/WAR
     /// serialisation edge between the sending tasks is supposed to
     /// prevent.
-    pub(crate) fn san_check_envelope(&self, env: &Envelope, dst_rank: usize) {
+    fn san_check_envelope(&self, env: &Envelope, dst_rank: usize) {
+        let hdr = &env.hdr;
         for m in &self.msgs {
-            if m.src == env.src
-                && m.tag == env.tag
-                && m.comm == env.comm
+            if m.hdr.src == hdr.src
+                && m.hdr.tag == hdr.tag
+                && m.hdr.comm == hdr.comm
                 && m.payload.len() != env.payload.len()
             {
                 depsan::report(depsan::Violation {
@@ -169,9 +209,9 @@ impl MailboxInner {
                     obj: 0,
                     detail: format!(
                         "two unmatched messages queued for rank {dst_rank} share src {} tag {} comm {:#x} but differ in size: {} bytes (sent by {}) vs {} bytes (sent by {})\nsame-tag messages match in send order, so mismatched sizes make the receive pairing schedule-dependent — the sending tasks need a serialising WAW/WAR edge or distinct tags",
-                        env.src, env.tag, env.comm,
-                        m.payload.len(), depsan::describe_task(m.san_scope),
-                        env.payload.len(), depsan::describe_task(env.san_scope),
+                        hdr.src, hdr.tag, hdr.comm,
+                        m.payload.len(), depsan::describe_task(m.hdr.san_scope),
+                        env.payload.len(), depsan::describe_task(hdr.san_scope),
                     ),
                 });
                 return;
@@ -186,7 +226,7 @@ impl MailboxInner {
     /// tasks would have a WAW edge and never be in flight together), so
     /// whichever arrival order the schedule produces, one receive gets a
     /// wrong-size payload.
-    pub(crate) fn san_check_recv(&self, recv: &PendingRecv, dst_rank: usize) {
+    fn san_check_recv(&self, recv: &PendingRecv, dst_rank: usize) {
         let (Some(exp), false, false) = (
             recv.san.expected_bytes,
             recv.src == ANY_SOURCE,
@@ -271,9 +311,9 @@ impl MailboxInner {
             let _ = writeln!(
                 detail,
                 "rank {rank}: unmatched message from src {} tag {} comm {:#x} ({} bytes)",
-                m.src,
-                m.tag,
-                m.comm,
+                m.hdr.src,
+                m.hdr.tag,
+                m.hdr.comm,
                 m.payload.len(),
             );
         }
@@ -301,15 +341,12 @@ impl MailboxInner {
     /// unrun.
     pub(crate) fn drain_for_poison(&mut self) -> (Vec<Arc<RequestState>>, Vec<Arc<RequestState>>) {
         let recvs = self.recvs.drain(..).map(|r| r.state).collect();
-        let sends = self.msgs.drain(..).filter_map(|m| m.send_state).collect();
+        let sends = self
+            .msgs
+            .drain(..)
+            .filter_map(|m| m.transit.send_state)
+            .collect();
         (recvs, sends)
-    }
-
-    /// Queue depth snapshot: `(unmatched messages, posted receives,
-    /// queued payload bytes)`. Used for counter-track events.
-    pub(crate) fn depth(&self) -> (usize, usize, u64) {
-        let bytes = self.msgs.iter().map(|m| m.payload.len() as u64).sum();
-        (self.msgs.len(), self.recvs.len(), bytes)
     }
 
     /// Human-readable snapshot of unmatched state for the stall
@@ -321,11 +358,11 @@ impl MailboxInner {
             let _ = writeln!(
                 out,
                 "rank {rank}: unmatched message from src {} tag {} comm {:#x} ({} bytes, {})",
-                m.src,
-                m.tag,
-                m.comm,
+                m.hdr.src,
+                m.hdr.tag,
+                m.hdr.comm,
                 m.payload.len(),
-                if m.send_state.is_some() {
+                if m.transit.send_state.is_some() {
                     "rendezvous"
                 } else {
                     "eager"
@@ -368,93 +405,194 @@ impl Mailbox {
     }
 }
 
-/// A matched envelope on its way to a receive target: the payload plus
-/// the addressing needed to complete the transfer and attribute the
-/// delivery event to the receiving rank.
-pub(crate) struct Inbound {
-    pub payload: Vec<u8>,
-    pub src: usize,
-    pub tag: i32,
-    pub comm: u64,
-    pub dst_world: usize,
-    /// Trace match id carried from send-post time (0 = untraced).
-    pub match_id: u64,
-    /// Bus time the send was posted (0 = untraced).
-    pub posted_us: u64,
-    /// Task that posted the matched receive (0 = none).
-    pub recv_task: u64,
+/// A message reaches mailbox `dst` (a world rank): pair it with the first
+/// matching posted receive or queue it. Plain sends call this from
+/// `isend`; the reliability layer calls it per frame released in order.
+pub(crate) fn arrive(shared: &Arc<WorldShared>, dst: usize, env: Envelope, lane: Lane) {
+    let mailbox = &shared.mailboxes[dst];
+    let recv = {
+        let mut inner = mailbox.inner.lock();
+        match inner.match_arriving(&env.hdr) {
+            Some(recv) => recv,
+            None => {
+                if depsan::is_enabled() {
+                    inner.san_check_envelope(&env, dst);
+                }
+                inner.msgs.push_back(env);
+                inner.emit_depth(dst, lane);
+                drop(inner);
+                mailbox.arrived.notify_all();
+                return;
+            }
+        }
+    };
+    matched(shared, dst, env, recv, Some(lane));
 }
 
-/// Runs the completion of a matched (envelope, receive) pair: copies the
-/// payload to its target and completes both the receive request and, for
-/// rendezvous sends, the send request.
-pub(crate) fn complete_transfer(
-    inbound: Inbound,
-    send_state: Option<Arc<RequestState>>,
-    recv_state: Arc<RequestState>,
-    target: RecvTarget,
-) {
-    let Inbound {
-        payload,
-        src,
-        tag,
-        comm,
-        dst_world,
-        match_id,
-        posted_us,
-        recv_task,
-    } = inbound;
-    let status = Status {
-        source: src,
-        tag,
-        bytes: payload.len(),
+/// Rank `me` (a world rank) posts a receive: pair it with the
+/// earliest-sent matching message or queue it.
+pub(crate) fn post(shared: &Arc<WorldShared>, me: usize, recv: PendingRecv) {
+    let env = {
+        let mut inner = shared.mailboxes[me].inner.lock();
+        match inner.match_posted(recv.src, recv.tag, recv.comm) {
+            Some(env) => env,
+            None => {
+                if depsan::is_enabled() {
+                    inner.san_check_recv(&recv, me);
+                }
+                inner.recvs.push_back(recv);
+                inner.emit_depth(me, Lane::Caller);
+                return;
+            }
+        }
     };
+    matched(shared, me, env, recv, None);
+}
+
+/// The one pairing site, outside the mailbox lock. `arrived_on` is the
+/// lane of the arriving message, or `None` when the receive found a
+/// queued one.
+fn matched(
+    shared: &Arc<WorldShared>,
+    dst: usize,
+    env: Envelope,
+    recv: PendingRecv,
+    arrived_on: Option<Lane>,
+) {
+    if depsan::is_enabled() {
+        san_check_match(dst, &env.hdr, env.payload.len(), &recv.san);
+    }
+    if let Some(bus) = obs::bus() {
+        let (ctx_rank, ctx_lane) = obs::thread_ctx();
+        let (rank, lane) = match arrived_on {
+            None => (ctx_rank, ctx_lane),
+            Some(Lane::Caller) => (dst as u32, ctx_lane),
+            Some(Lane::Net) => (dst as u32, obs::LANE_NET),
+        };
+        bus.emit_full(
+            rank,
+            lane,
+            obs::EventData::MsgMatched {
+                src: env.hdr.src as u32,
+                tag: env.hdr.tag,
+                comm: env.hdr.comm,
+                bytes: env.payload.len() as u64,
+                at_send: arrived_on.is_some(),
+                match_id: env.hdr.match_id,
+                recv_task: recv.obs_task,
+            },
+        );
+        if let Some(m) = &shared.obs_metrics {
+            match arrived_on {
+                Some(_) => m.matched_at_send.inc(),
+                None => m.matched_at_recv.inc(),
+            }
+        }
+    }
+    deliver(Arc::clone(shared), dst, env, recv);
+}
+
+/// Schedules the completion of a matched pair at the envelope's due
+/// time. Scalar-model transfers (`flow == None`) complete unconditionally
+/// when the job fires, inline when the time has already passed. Fabric
+/// transfers *poll* their flow instead: if concurrent arrivals shrank
+/// the flow's bandwidth share since `due` was predicted, the poll returns
+/// the new estimate and the job reschedules — the completion time tracks
+/// the fair-share drain, not the first guess.
+fn deliver(shared: Arc<WorldShared>, dst: usize, mut env: Envelope, recv: PendingRecv) {
+    let delivery = Arc::clone(&shared.delivery);
+    delivery.schedule(
+        env.transit.due,
+        Box::new(move || {
+            if let Some(id) = env.transit.flow {
+                if let Some(next) = shared.fabric.as_ref().and_then(|f| f.poll(id)) {
+                    env.transit.due = next;
+                    return deliver(shared, dst, env, recv);
+                }
+            }
+            complete(dst, env, recv);
+        }),
+    );
+}
+
+/// Copies the payload to the receive's target and completes the receive
+/// request and, for rendezvous sends, the send request.
+fn complete(dst: usize, env: Envelope, recv: PendingRecv) {
+    let Envelope {
+        hdr,
+        payload,
+        transit,
+    } = env;
+    let status = hdr.status(payload.len());
     if let Some(bus) = obs::bus() {
         // Deliveries happen on the network (delivery) thread or inline on
         // the sender; either way the event belongs to the receiving rank's
         // network lane.
-        let queue_us = if posted_us > 0 {
-            bus.now_us().saturating_sub(posted_us)
+        let queue_us = if hdr.posted_us > 0 {
+            bus.now_us().saturating_sub(hdr.posted_us)
         } else {
             0
         };
         bus.emit_full(
-            dst_world as u32,
+            dst as u32,
             obs::LANE_NET,
             obs::EventData::MsgDelivered {
-                src: src as u32,
-                tag,
-                comm,
-                bytes: payload.len() as u64,
-                match_id,
-                recv_task,
+                src: hdr.src as u32,
+                tag: hdr.tag,
+                comm: hdr.comm,
+                bytes: status.bytes as u64,
+                match_id: hdr.match_id,
+                recv_task: recv.obs_task,
                 queue_us,
             },
         );
-        if match_id > 0 {
+        if hdr.match_id > 0 {
             static TRANSIT_US: std::sync::OnceLock<obs::Histogram> = std::sync::OnceLock::new();
             TRANSIT_US
                 .get_or_init(|| obs::metrics().histogram("vmpi.transit_us"))
                 .observe(queue_us);
         }
     }
-    match target {
-        RecvTarget::Owned => recv_state.complete(status, Some(payload)),
+    match recv.target {
+        RecvTarget::Owned => recv.state.complete(status, Some(payload)),
         RecvTarget::Writer(writer) => match writer(&payload) {
-            Ok(()) => recv_state.complete(status, None),
-            Err(e) => recv_state.fail(e),
+            Ok(()) => recv.state.complete(status, None),
+            Err(e) => recv.state.fail(e),
         },
     }
-    if let Some(send) = send_state {
-        send.complete(
-            Status {
-                source: src,
-                tag,
-                bytes: status.bytes,
-            },
-            None,
-        );
+    if let Some(send) = transit.send_state {
+        send.complete(status, None);
     }
+}
+
+/// depsan: a matched payload's size differs from the receive's exact
+/// expectation. Reported at match time — *before* the transfer can fail
+/// `Truncated` (or silently short-fill) — naming both endpoints, because
+/// a wrong-size pairing means same-tag traffic was reordered relative to
+/// the receives: the communication tasks lack a serialising edge.
+fn san_check_match(dst_rank: usize, hdr: &MsgHeader, got: usize, recv: &RecvSan) {
+    let Some(exp) = recv.expected_bytes else {
+        return;
+    };
+    if got == exp {
+        return;
+    }
+    let (obj, start, end) = recv.region;
+    depsan::report(depsan::Violation {
+        kind: depsan::ViolationKind::SizeMismatch,
+        rank: dst_rank as u32,
+        task: recv.scope,
+        label: depsan::task_label(recv.scope),
+        obj,
+        detail: format!(
+            "message src {} tag {} comm {:#x}: {got}-byte payload (sent by {}) matched a receive expecting exactly {exp} bytes into obj {obj} [{start}..{end}) (posted by {})\nsame-tag traffic was paired out of order — the posting tasks' regions do not overlap, so no WAW/WAR edge fixes the match order",
+            hdr.src,
+            hdr.tag,
+            hdr.comm,
+            depsan::describe_task(hdr.san_scope),
+            depsan::describe_task(recv.scope),
+        ),
+    });
 }
 
 #[cfg(test)]
@@ -463,16 +601,20 @@ mod tests {
 
     fn env(src: usize, tag: i32, comm: u64) -> Envelope {
         Envelope {
-            src,
-            tag,
-            comm,
+            hdr: MsgHeader {
+                src,
+                tag,
+                comm,
+                san_scope: 0,
+                match_id: 0,
+                posted_us: 0,
+            },
             payload: vec![0u8; 8],
-            available_at: Instant::now(),
-            fabric_flow: None,
-            send_state: None,
-            san_scope: 0,
-            match_id: 0,
-            posted_us: 0,
+            transit: Transit {
+                due: Instant::now(),
+                flow: None,
+                send_state: None,
+            },
         }
     }
 
@@ -483,8 +625,8 @@ mod tests {
         e1.payload = vec![1];
         let mut e2 = env(0, 5, 0);
         e2.payload = vec![2];
-        mb.push_envelope(e1);
-        mb.push_envelope(e2);
+        mb.msgs.push_back(e1);
+        mb.msgs.push_back(e2);
         let first = mb.match_posted(0, 5, 0).unwrap();
         assert_eq!(first.payload, vec![1]);
         let second = mb.match_posted(0, 5, 0).unwrap();
@@ -494,7 +636,7 @@ mod tests {
     #[test]
     fn wildcard_source_and_tag() {
         let mut mb = MailboxInner::default();
-        mb.push_envelope(env(3, 9, 0));
+        mb.msgs.push_back(env(3, 9, 0));
         assert!(mb.match_posted(ANY_SOURCE, ANY_TAG, 0).is_some());
         assert!(mb.match_posted(ANY_SOURCE, ANY_TAG, 0).is_none());
     }
@@ -502,7 +644,7 @@ mod tests {
     #[test]
     fn communicator_isolation() {
         let mut mb = MailboxInner::default();
-        mb.push_envelope(env(0, 1, 7));
+        mb.msgs.push_back(env(0, 1, 7));
         assert!(mb.match_posted(0, 1, 8).is_none());
         assert!(mb.match_posted(0, 1, 7).is_some());
     }
@@ -510,10 +652,10 @@ mod tests {
     #[test]
     fn tag_selectivity_skips_non_matching() {
         let mut mb = MailboxInner::default();
-        mb.push_envelope(env(0, 1, 0));
-        mb.push_envelope(env(0, 2, 0));
+        mb.msgs.push_back(env(0, 1, 0));
+        mb.msgs.push_back(env(0, 2, 0));
         let got = mb.match_posted(0, 2, 0).unwrap();
-        assert_eq!(got.tag, 2);
+        assert_eq!(got.hdr.tag, 2);
         // The tag-1 message is still there.
         assert_eq!(mb.queued_msgs(), 1);
     }
@@ -539,9 +681,9 @@ mod tests {
             san: RecvSan::default(),
             obs_task: 0,
         };
-        mb.push_recv(r1);
-        mb.push_recv(r2);
-        let m = mb.match_arriving(0, 5, 0).unwrap();
+        mb.recvs.push_back(r1);
+        mb.recvs.push_back(r2);
+        let m = mb.match_arriving(&env(0, 5, 0).hdr).unwrap();
         assert_eq!(m.src, ANY_SOURCE, "first posted receive wins");
     }
 }

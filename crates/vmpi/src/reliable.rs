@@ -28,12 +28,16 @@
 //! [`crate::PEER_LOST_EXIT_CODE`]; under
 //! [`crate::PeerLostAction::FailRequests`] the send request fails with
 //! [`VmpiError::PeerLost`] and the report is recorded for inspection.
+//!
+//! Frames enter through [`send`] (the reliability route of
+//! `Comm::isend_impl`) and leave, verified and in order, through
+//! [`crate::mailbox::arrive`] — the same match-or-queue step a plain send
+//! takes. Nothing here matches, queues or completes a receive.
 
-use crate::comm::Status;
-use crate::error::VmpiError;
-use crate::fault::{crc32, salt, FaultState, HeldFrame, Inflight, PeerLostReport};
-use crate::mailbox::{complete_transfer, Envelope, Inbound, PendingRecv};
-use crate::request::{Request, RequestState};
+use crate::error::{Result, VmpiError};
+use crate::fault::{crc32, salt, FaultState, Frame, Inflight, PeerLostReport};
+use crate::mailbox::{self, Envelope, Lane, Transit};
+use crate::request::RequestState;
 use crate::world::WorldShared;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -43,121 +47,55 @@ use std::time::{Duration, Instant};
 /// still produce real reordering.
 const MIN_SPIKE: Duration = Duration::from_micros(200);
 
-/// Chaos-mode replacement for the plain `isend_impl` path. Registers an
-/// in-flight frame on the `(src_world, dst_world)` channel and transmits
-/// it through the fault plan. Only called for cross-rank traffic
-/// (self-sends complete locally and cannot be faulted).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chaos_isend(
+/// The reliability route of `Comm::isend_impl`: registers `rec` as the
+/// next in-flight frame of the `(src, dst)` channel (world ranks) and
+/// transmits it through the fault plan. Only called for cross-rank
+/// traffic (self-sends complete locally and cannot be faulted). An `Err`
+/// means nothing was sent: the channel already exhausted its budget
+/// (`FailRequests` mode) or the world was poisoned, so the caller fails
+/// the request instead of queueing onto a dead peer.
+pub(crate) fn send(
     shared: &Arc<WorldShared>,
     fault: &Arc<FaultState>,
-    payload: Vec<u8>,
-    comm_src: usize,
-    src_world: usize,
-    dst_world: usize,
-    tag: i32,
-    comm_id: u64,
-) -> Request {
-    let nbytes = payload.len();
-    let san_scope = if depsan::is_enabled() {
-        depsan::current_scope()
-    } else {
-        0
-    };
-    let eager = shared.net.is_eager(nbytes);
-    let send_state = RequestState::new();
-    let status = Status {
-        source: comm_src,
-        tag,
-        bytes: nbytes,
-    };
-
-    // Causal-edge provenance (see `isend_impl`): allocated only while
-    // tracing so the chaos disabled path stays RMW-free too.
-    let (match_id, send_task, posted_us) = match obs::bus() {
-        Some(bus) => (
-            crate::comm::next_match_id(),
-            obs::thread_task(),
-            bus.now_us().max(1),
-        ),
-        None => (0, 0, 0),
-    };
-
-    if let Some(bus) = obs::bus() {
-        bus.emit(obs::EventData::SendPosted {
-            dst: dst_world as u32,
-            tag,
-            comm: comm_id,
-            bytes: nbytes as u64,
-            eager,
-            match_id,
-            task: send_task,
-        });
-        if let Some(m) = &shared.obs_metrics {
-            m.sends.inc();
-            m.bytes_sent.add(nbytes as u64);
-            if eager {
-                m.eager_sends.inc();
-            } else {
-                m.rendezvous_sends.inc();
-            }
-        }
-    }
-
-    let crc = crc32(&payload);
-    let payload = Arc::new(payload);
+    src: usize,
+    dst: usize,
+    rec: Inflight,
+) -> Result<()> {
     let seq = {
         let mut channels = fault.channels.lock();
         // Poison check under the channel lock: `poison_world` sets the
         // flag *before* taking this lock to drain in-flight frames, so a
         // frame registered here either observes the poison or is drained.
         let poisoned = fault.poisoned.load(Ordering::SeqCst);
-        let ch = channels.entry((src_world, dst_world)).or_default();
+        let ch = channels.entry((src, dst)).or_default();
         if ch.dead || poisoned {
             drop(channels);
-            // The channel already exhausted its budget (FailRequests
-            // mode) or the world was poisoned: fail fast instead of
-            // queueing onto a dead peer.
-            if depsan::is_enabled() {
-                depsan::note_chaos_loss(dst_world as u32, comm_src, tag, comm_id);
-            }
-            send_state.fail(if poisoned {
+            note_loss(dst, &rec.frame);
+            return Err(if poisoned {
                 VmpiError::WorldDown
             } else {
                 VmpiError::PeerLost {
-                    peer: dst_world,
+                    peer: dst,
                     attempts: fault.cfg.retry_budget,
                 }
             });
-            return Request::from_state(send_state);
         }
         let seq = ch.next_seq;
         ch.next_seq += 1;
-        ch.inflight.insert(
-            seq,
-            Inflight {
-                comm_src,
-                tag,
-                comm: comm_id,
-                payload: Arc::clone(&payload),
-                crc,
-                san_scope,
-                send_state: (!eager).then(|| Arc::clone(&send_state)),
-                status,
-                attempts: 0,
-                match_id,
-                posted_us,
-            },
-        );
+        ch.inflight.insert(seq, rec);
         seq
     };
-    // Eager sends complete at post time like the plain path; rendezvous
-    // sends complete on the first ack.
-    if eager {
-        send_state.complete(status, None);
+    transmit(shared, fault, src, dst, seq);
+    Ok(())
+}
+
+/// depsan: the fault plan destroyed this frame for good, which excuses
+/// one matching pending receive on `dst` at finalize.
+fn note_loss(dst: usize, frame: &Frame) {
+    if depsan::is_enabled() {
+        let hdr = &frame.hdr;
+        depsan::note_chaos_loss(dst as u32, hdr.src, hdr.tag, hdr.comm);
     }
-    transmit(shared, fault, src_world, dst_world, seq);
-    Request::from_state(send_state)
 }
 
 /// One transmission attempt of an in-flight frame: runs the fault plan's
@@ -165,35 +103,24 @@ pub(crate) fn chaos_isend(
 /// job(s), and arms the retransmit timer.
 fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: usize, seq: u64) {
     // Snapshot the frame; it may have been acked by a racing delivery.
-    let (payload, crc, comm_src, tag, comm, san_scope, attempt, match_id, posted_us) = {
+    let (frame, attempt) = {
         let channels = fault.channels.lock();
         match channels
             .get(&(src, dst))
             .and_then(|ch| ch.inflight.get(&seq))
         {
-            Some(rec) => (
-                Arc::clone(&rec.payload),
-                rec.crc,
-                rec.comm_src,
-                rec.tag,
-                rec.comm,
-                rec.san_scope,
-                rec.attempts,
-                rec.match_id,
-                rec.posted_us,
-            ),
+            Some(rec) => (rec.frame.clone(), rec.attempts),
             None => return,
         }
     };
+    let tag = frame.hdr.tag;
     let cfg = &fault.cfg;
     // Hard-crash schedule: once the rank has transmitted `crash_after`
     // frames its NIC dies in both directions (the receive side is gated
     // in `deliver_frame` through the same `is_crashed` check).
     if fault.is_crashed(src) {
         fault.counters.crash_drops.fetch_add(1, Ordering::Relaxed);
-        if depsan::is_enabled() {
-            depsan::note_chaos_loss(dst as u32, comm_src, tag, comm);
-        }
+        note_loss(dst, &frame);
         emit_fault(fault, "crash-drop", src, dst, tag, seq);
         // No delivery and no retransmit timer: dead ranks do not retry.
         // But the *receiver* is now waiting for data that will never
@@ -229,7 +156,7 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
     fault.counters.frames.fetch_add(1, Ordering::Relaxed);
     let rank_frames = fault.frames_sent[src].fetch_add(1, Ordering::Relaxed) + 1;
 
-    let base = shared.net.delay(payload.len(), src, dst);
+    let base = shared.net.delay(frame.payload.len(), src, dst);
     let mut delay = base;
     let mut deliver = true;
     let mut dup = false;
@@ -257,12 +184,12 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
                 fault.counters.dups.fetch_add(1, Ordering::Relaxed);
                 emit_fault(fault, "dup", src, dst, tag, seq);
             }
-            if !payload.is_empty()
+            if !frame.payload.is_empty()
                 && cfg.corrupt_p > 0.0
                 && cfg.roll(salt::CORRUPT, src, dst, tag, seq, attempt) < cfg.corrupt_p
             {
                 let h = cfg.hash(salt::BITPOS, src, dst, tag, seq, attempt);
-                let bit = (h as usize) % (payload.len() * 8);
+                let bit = (h as usize) % (frame.payload.len() * 8);
                 corrupt = Some((bit / 8, 1u8 << (bit % 8)));
                 fault.counters.corrupts.fetch_add(1, Ordering::Relaxed);
                 emit_fault(fault, "corrupt", src, dst, tag, seq);
@@ -279,26 +206,11 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
             let at = now + delay + base.max(Duration::from_micros(50)) * i;
             let shared_job = Arc::clone(shared);
             let fault_job = Arc::clone(fault);
-            let payload_job = Arc::clone(&payload);
+            let frame_job = frame.clone();
             shared.delivery.schedule(
                 at,
                 Box::new(move || {
-                    deliver_frame(
-                        &shared_job,
-                        &fault_job,
-                        src,
-                        dst,
-                        seq,
-                        &payload_job,
-                        corrupt,
-                        crc,
-                        comm_src,
-                        tag,
-                        comm,
-                        san_scope,
-                        match_id,
-                        posted_us,
-                    );
+                    deliver_frame(&shared_job, &fault_job, src, dst, seq, frame_job, corrupt);
                 }),
             );
         }
@@ -317,22 +229,14 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
 /// Frame arrival at the receiver: crash gate, CRC verification,
 /// duplicate suppression, in-order acceptance, and the ack back to the
 /// sender.
-#[allow(clippy::too_many_arguments)]
 fn deliver_frame(
     shared: &Arc<WorldShared>,
     fault: &Arc<FaultState>,
     src: usize,
     dst: usize,
     seq: u64,
-    payload: &Arc<Vec<u8>>,
+    frame: Frame,
     corrupt: Option<(usize, u8)>,
-    crc: u32,
-    comm_src: usize,
-    tag: i32,
-    comm: u64,
-    san_scope: u64,
-    match_id: u64,
-    posted_us: u64,
 ) {
     // A poisoned world accepts nothing: the mailboxes were drained and
     // every new receive fails fast, so releasing this frame could only
@@ -350,10 +254,14 @@ fn deliver_frame(
     // they arrived. A rejected frame is not acked — the sender's
     // retransmit timer recovers it with a clean copy.
     if let Some((byte, mask)) = corrupt {
-        let mut damaged: Vec<u8> = (**payload).clone();
+        let mut damaged: Vec<u8> = (*frame.payload).clone();
         damaged[byte] ^= mask;
-        debug_assert_ne!(crc32(&damaged), crc, "CRC-32 must catch a single-bit flip");
-        if crc32(&damaged) != crc {
+        debug_assert_ne!(
+            crc32(&damaged),
+            frame.crc,
+            "CRC-32 must catch a single-bit flip"
+        );
+        if crc32(&damaged) != frame.crc {
             fault.counters.crc_rejected.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = &fault.obs_metrics {
                 m.crc_rejected.inc();
@@ -361,7 +269,7 @@ fn deliver_frame(
             return;
         }
     } else {
-        debug_assert_eq!(crc32(payload), crc, "clean frame CRC mismatch");
+        debug_assert_eq!(crc32(&frame.payload), frame.crc, "clean frame CRC mismatch");
     }
 
     let (acked, flush) = {
@@ -377,18 +285,7 @@ fn deliver_frame(
                 m.dup_suppressed.inc();
             }
         } else {
-            ch.reorder.insert(
-                seq,
-                HeldFrame {
-                    comm_src,
-                    tag,
-                    comm,
-                    payload: Arc::clone(payload),
-                    san_scope,
-                    match_id,
-                    posted_us,
-                },
-            );
+            ch.reorder.insert(seq, frame);
             // Release pointer sweeps forward over every contiguously
             // accepted frame; later frames wait their turn, which is
             // what keeps chaos invisible to MPI's non-overtaking rule.
@@ -435,7 +332,8 @@ fn deliver_frame(
         // a retransmitted completion can never double-release a TAMPI
         // event hold.
         if let Some(ss) = rec.send_state {
-            ss.complete(rec.status, None);
+            let Frame { hdr, payload, .. } = rec.frame;
+            ss.complete(hdr.status(payload.len()), None);
         }
     }
     if flush {
@@ -444,12 +342,12 @@ fn deliver_frame(
 }
 
 /// Drains a channel's in-order `ready` queue into the destination
-/// mailbox. Only one thread flushes a given channel at a time (the
-/// `releasing` flag), so concurrent deliveries cannot interleave the
-/// release order.
+/// mailbox through the shared [`mailbox::arrive`]. Only one thread
+/// flushes a given channel at a time (the `releasing` flag), so
+/// concurrent deliveries cannot interleave the release order.
 fn flush_ready(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: usize) {
     loop {
-        let batch: Vec<HeldFrame> = {
+        let batch: Vec<Frame> = {
             let mut channels = fault.channels.lock();
             let ch = channels.entry((src, dst)).or_default();
             if ch.ready.is_empty() {
@@ -458,122 +356,21 @@ fn flush_ready(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, d
             }
             ch.ready.drain(..).collect()
         };
-        for frame in batch {
-            release_to_mailbox(shared, dst, frame);
-        }
-    }
-}
-
-/// Hands a verified, deduplicated, in-order frame to the destination
-/// mailbox — the chaos-path equivalent of the plain send's match-or-queue
-/// step, except the payload has already "arrived" (its network delay was
-/// served in the delivery schedule), so a match completes inline.
-fn release_to_mailbox(shared: &Arc<WorldShared>, dst_world: usize, frame: HeldFrame) {
-    let HeldFrame {
-        comm_src,
-        tag,
-        comm,
-        payload,
-        san_scope,
-        match_id,
-        posted_us,
-    } = frame;
-    let payload: Vec<u8> = Arc::try_unwrap(payload).unwrap_or_else(|arc| (*arc).clone());
-    let mailbox = &shared.mailboxes[dst_world];
-    enum Outcome {
-        Matched(PendingRecv, Vec<u8>),
-        Queued,
-    }
-    let outcome = {
-        let mut inner = mailbox.inner.lock();
-        match inner.match_arriving(comm_src, tag, comm) {
-            Some(pr) => Outcome::Matched(pr, payload),
-            None => {
-                let env = Envelope {
-                    src: comm_src,
-                    tag,
-                    comm,
-                    payload,
-                    available_at: Instant::now(),
-                    // Chaos frames model their network time through the
-                    // reliability layer's retransmit clock, not the fabric.
-                    fabric_flow: None,
+        for Frame { hdr, payload, .. } in batch {
+            let env = Envelope {
+                hdr,
+                payload: Arc::try_unwrap(payload).unwrap_or_else(|arc| (*arc).clone()),
+                // The frame has already "arrived": its network time was
+                // served in the delivery schedule (never in the fabric),
+                // so a match completes inline, and its send request
+                // completed at post time or on the ack.
+                transit: Transit {
+                    due: Instant::now(),
+                    flow: None,
                     send_state: None,
-                    san_scope,
-                    match_id,
-                    posted_us,
-                };
-                if depsan::is_enabled() {
-                    inner.san_check_envelope(&env, dst_world);
-                }
-                inner.push_envelope(env);
-                if let Some(bus) = obs::bus() {
-                    let (msgs, recvs, bytes) = inner.depth();
-                    bus.emit_full(
-                        dst_world as u32,
-                        obs::LANE_NET,
-                        obs::EventData::QueueDepth {
-                            mailbox: dst_world as u32,
-                            msgs: msgs as u32,
-                            recvs: recvs as u32,
-                            bytes,
-                        },
-                    );
-                }
-                Outcome::Queued
-            }
-        }
-    };
-    match outcome {
-        Outcome::Matched(pr, payload) => {
-            if depsan::is_enabled() {
-                crate::comm::san_check_match(
-                    dst_world,
-                    comm_src,
-                    tag,
-                    comm,
-                    payload.len(),
-                    san_scope,
-                    &pr.san,
-                );
-            }
-            if let Some(bus) = obs::bus() {
-                bus.emit_full(
-                    dst_world as u32,
-                    obs::LANE_NET,
-                    obs::EventData::MsgMatched {
-                        src: comm_src as u32,
-                        tag,
-                        comm,
-                        bytes: payload.len() as u64,
-                        at_send: true,
-                        match_id,
-                        recv_task: pr.obs_task,
-                    },
-                );
-                if let Some(m) = &shared.obs_metrics {
-                    m.matched_at_send.inc();
-                }
-            }
-            let recv_task = pr.obs_task;
-            complete_transfer(
-                Inbound {
-                    payload,
-                    src: comm_src,
-                    tag,
-                    comm,
-                    dst_world,
-                    match_id,
-                    posted_us,
-                    recv_task,
                 },
-                None,
-                pr.state,
-                pr.target,
-            );
-        }
-        Outcome::Queued => {
-            mailbox.arrived.notify_all();
+            };
+            mailbox::arrive(shared, dst, env, Lane::Net);
         }
     }
 }
@@ -609,7 +406,7 @@ fn on_rto(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: u
             Next::Lost(Box::new(rec))
         } else {
             Next::Resend {
-                tag: rec.tag,
+                tag: rec.frame.hdr.tag,
                 attempt: rec.attempts,
             }
         }
@@ -648,21 +445,20 @@ fn handle_peer_lost(
     seq: u64,
     rec: Inflight,
 ) {
-    if depsan::is_enabled() {
-        depsan::note_chaos_loss(dst as u32, rec.comm_src, rec.tag, rec.comm);
-    }
+    note_loss(dst, &rec.frame);
+    let tag = rec.frame.hdr.tag;
     let report = PeerLostReport {
         reporter: src,
         peer: dst,
-        tag: rec.tag,
+        tag,
         seq,
         attempts: rec.attempts,
         peer_crashed: fault.crashed[dst].load(Ordering::SeqCst),
         job: fault.cfg.job,
     };
     let headline = format!(
-        "peer lost: rank {src} gave up on rank {dst} after {} retransmission attempts (frame seq {seq} tag {})",
-        rec.attempts, rec.tag
+        "peer lost: rank {src} gave up on rank {dst} after {} retransmission attempts (frame seq {seq} tag {tag})",
+        rec.attempts
     );
     finish_peer_lost(shared, fault, report, headline, rec.send_state);
 }
@@ -691,18 +487,18 @@ fn heartbeat_detect(
         .or_default()
         .dead = true;
     let attempts = fault.cfg.retry_budget + 1;
+    let tag = rec.frame.hdr.tag;
     let report = PeerLostReport {
         reporter: survivor,
         peer: dead,
-        tag: rec.tag,
+        tag,
         seq,
         attempts,
         peer_crashed: true,
         job: fault.cfg.job,
     };
     let headline = format!(
-        "peer lost: rank {survivor} detected rank {dead} dead (heartbeat timeout after {attempts} retransmission intervals; frame seq {seq} tag {} never arrived)",
-        rec.tag
+        "peer lost: rank {survivor} detected rank {dead} dead (heartbeat timeout after {attempts} retransmission intervals; frame seq {seq} tag {tag} never arrived)"
     );
     // `rec.send_state` is the dead rank's own send request; failing it
     // unblocks that rank's thread if it is parked in a wait.

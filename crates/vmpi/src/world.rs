@@ -247,6 +247,60 @@ mod tests {
         assert_eq!(sums, vec![4, 0, 1, 2, 3]);
     }
 
+    /// The route rules of `Comm::isend_impl` as a table: which stage
+    /// takes a message, by where it goes and what the world has installed.
+    /// A self-send is local; under a fault plan every other send is a
+    /// reliability frame and the fabric sees nothing; otherwise only
+    /// inter-node sends enter an installed fabric.
+    #[test]
+    fn send_route_composition_table() {
+        use crate::{ChaosConfig, FabricParams};
+        use std::sync::atomic::Ordering::Relaxed;
+        // Rank 0 shares node 0 with rank 1; rank 2 is alone on node 1.
+        let topo = FabricParams {
+            ranks_per_node: 2,
+            ..FabricParams::cluster()
+        };
+        let scalar = NetworkModel::from_fabric(&topo);
+        let fabric = scalar.clone().with_fabric(topo);
+        let instant = NetworkModel::instant().with_ranks_per_node(2);
+        let worlds = [
+            ("instant", World::new(3, instant)),
+            ("scalar", World::new(3, scalar)),
+            ("fabric", World::new(3, fabric.clone())),
+            (
+                "chaos+fabric",
+                World::with_chaos(3, fabric, Some(ChaosConfig::default())),
+            ),
+        ];
+        for (name, world) in &worlds {
+            let shared = &world.shared;
+            let flows = || shared.fabric.as_ref().map_or(0, |f| f.flows_injected());
+            let frames = || {
+                let fault = shared.fault.as_ref();
+                fault.map_or(0, |f| f.counters.frames.load(Relaxed))
+            };
+            for (dst, place) in [(0, "self"), (1, "intra-node"), (2, "inter-node")] {
+                let (flows0, frames0) = (flows(), frames());
+                let send = world.comm_for(0).isend(&[7u8], dst, 3).unwrap();
+                let (data, _) = world.comm_for(dst).recv::<u8>(0, 3).unwrap();
+                send.wait();
+                assert_eq!(data, [7]);
+                let chaos = shared.fault.is_some();
+                let on_fabric = shared.fabric.is_some() && !chaos && dst == 2;
+                assert_eq!(flows() - flows0, on_fabric as u64, "{name}/{place}: flows");
+                let framed = chaos && dst != 0;
+                assert_eq!(frames() - frames0, framed as u64, "{name}/{place}: frames");
+            }
+            if let Some(fault) = &shared.fault {
+                assert!(
+                    !fault.channels.lock().contains_key(&(0, 0)),
+                    "a self-send touches no reliability channel"
+                );
+            }
+        }
+    }
+
     #[test]
     fn self_send_does_not_deadlock() {
         let world = World::new(1, NetworkModel::cluster());

@@ -313,6 +313,24 @@ for variant in mpi forkjoin dataflow; do
   fi
 done
 
+# All-rendezvous regression: on this mesh two ranks swap blocks in one
+# exchange round, and with no eager limit a blocking control-message send
+# on both sides used to hang every variant. The run must terminate with
+# the digest of the default-eager run.
+swap_mesh=(--npx 2 --num_tsteps 2)
+for variant in mpi forkjoin dataflow; do
+  echo "==> --eager_kb 0 digest parity: $variant"
+  rdv_out="$(timeout 60 "$MINIAMR" --variant "$variant" "${swap_mesh[@]}" --eager_kb 0 2>&1)"
+  def_out="$(timeout 60 "$MINIAMR" --variant "$variant" "${swap_mesh[@]}" 2>&1)"
+  d_rdv="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$rdv_out")"
+  d_def="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$def_out")"
+  if [ -z "$d_rdv" ] || [ "$d_rdv" != "$d_def" ]; then
+    echo "--eager_kb 0 parity: $variant digest rendezvous='$d_rdv' default='$d_def'" >&2
+    echo "$rdv_out" >&2
+    exit 1
+  fi
+done
+
 # CLI validation regression: a meaningless bandwidth must be a usage
 # error at parse time (exit 2), not a Duration::from_secs_f64 panic on
 # the delivery thread mid-run.

@@ -11,8 +11,10 @@ use miniamr::rank::{
     apply_local_transfer, pack_transfer_into, transfer_payload_elems, unpack_transfer, RankState,
 };
 use miniamr::Config;
+use shmem::SharedBuffer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use vmpi::{NetworkModel, RequestSet, World};
 
 /// Wraps the system allocator, counting allocation events (alloc,
 /// alloc_zeroed, realloc — not dealloc, which is alloc-free by nature)
@@ -117,4 +119,52 @@ fn packed_face_path_is_allocation_free_in_steady_state() {
     // The pooled path must be recycling, not allocating fresh.
     let pool = state.pool.stats();
     assert!(pool.hits > pool.misses, "pool not recycling: {pool:?}");
+}
+
+/// Ratchet for the message path (ROADMAP item 2): allocator calls per
+/// face message, send through receive, on a warm 2-rank instant network
+/// where every delivery runs inline on one of the two rank threads. The
+/// bound is what this loop measured when the test was written (the
+/// ladder's `vmpi.allocs_per_msg`); lower it as the path sheds
+/// allocations, never raise it.
+#[test]
+fn face_message_allocations_do_not_grow() {
+    const ALLOCS_PER_MSG: u64 = 7;
+    const ROUNDS: u64 = 200;
+    let per_rank = World::new(2, NetworkModel::instant()).run(|comm| {
+        let peer = 1 - comm.rank();
+        let send = SharedBuffer::<f64>::new(64).full();
+        let recv = SharedBuffer::<f64>::new(64).full();
+        // One face exchange, as `communicate` does per neighbour and
+        // direction: each rank receives one message and sends one.
+        let exchange = || {
+            let r = comm.irecv_into(recv.clone(), peer as i32, 7).unwrap();
+            let s = comm.isend_from(&send, peer, 7).unwrap();
+            RequestSet::new(vec![r, s]).waitall();
+        };
+        // Warm both queues of both mailboxes (each allocates on its first
+        // push): a message that waits for its receive, then a receive
+        // that waits for its message. Which of the two a plain exchange
+        // hits depends on which rank runs ahead.
+        let early = comm.isend_from(&send, peer, 7).unwrap();
+        comm.barrier().unwrap();
+        let late = comm.irecv_into(recv.clone(), peer as i32, 7).unwrap();
+        RequestSet::new(vec![early, late]).waitall();
+        let early = comm.irecv_into(recv.clone(), peer as i32, 7).unwrap();
+        comm.barrier().unwrap();
+        let late = comm.isend_from(&send, peer, 7).unwrap();
+        RequestSet::new(vec![early, late]).waitall();
+        exchange();
+        let before = events();
+        for _ in 0..ROUNDS {
+            exchange();
+        }
+        events() - before
+    });
+    let (allocs, msgs) = (per_rank.iter().sum::<u64>(), 2 * ROUNDS);
+    assert!(
+        allocs <= ALLOCS_PER_MSG * msgs,
+        "{allocs} allocator calls over {msgs} messages = {:.2} per message (bound {ALLOCS_PER_MSG})",
+        allocs as f64 / msgs as f64
+    );
 }
