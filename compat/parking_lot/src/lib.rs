@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -115,8 +116,23 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable with parking_lot's `&mut guard` wait API.
+///
+/// Like parking_lot's — and unlike `std`'s, whose `notify_*` is a futex
+/// system call whether or not anyone waits — a notification with no
+/// waiter returns in user space: the condvar counts its waiters, a waiter
+/// announcing itself while it still holds the caller's mutex.
+///
+/// The early return loses no wake-up a plain condvar would deliver as
+/// long as the notifier **holds the condvar's mutex at some point between
+/// changing what the waiter tests and notifying** (every call site in
+/// this workspace does: most change the predicate under the mutex, the
+/// rest take it just to notify). The waiter tests and announces under
+/// that mutex, so the notifier's critical section either precedes the
+/// test, which then sees the change, or follows the release inside
+/// `wait`, and then sees the count.
 pub struct Condvar {
     inner: sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -124,16 +140,19 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Blocks until notified, releasing the guard's lock while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.guard.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let inner = self
             .inner
             .wait(inner)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.guard = Some(inner);
         let _ = guard.mutex; // keep the field used in all build configs
     }
@@ -145,10 +164,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.guard.take().expect("guard present");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => p.into_inner(),
         };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.guard = Some(inner);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
@@ -167,12 +188,16 @@ impl Condvar {
 
     /// Wakes one waiting thread.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -211,6 +236,38 @@ mod tests {
         }
         t.join().unwrap();
         assert!(*started);
+    }
+
+    /// A notification with nobody waiting is dropped in user space; one
+    /// sent after the waiter announced itself is delivered.
+    #[test]
+    fn notify_reaches_a_waiter_and_skips_an_empty_queue() {
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        pair.1.notify_one();
+        pair.1.notify_all();
+        assert_eq!(pair.1.waiters.load(Ordering::SeqCst), 0);
+        let p2 = Arc::clone(&pair);
+        let waiter = std::thread::spawn(move || {
+            let (lock, cvar) = &*p2;
+            let mut turn = lock.lock();
+            while *turn == 0 {
+                cvar.wait(&mut turn);
+            }
+        });
+        // A waiter counted while this thread holds the mutex has released
+        // it, so it is inside `wait`.
+        loop {
+            let mut turn = pair.0.lock();
+            if pair.1.waiters.load(Ordering::SeqCst) != 0 {
+                *turn = 1;
+                break;
+            }
+            drop(turn);
+            std::thread::yield_now();
+        }
+        pair.1.notify_one();
+        waiter.join().unwrap();
+        assert_eq!(pair.1.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

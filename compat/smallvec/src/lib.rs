@@ -54,6 +54,17 @@ impl<A: Array> SmallVec<A> {
         }
     }
 
+    /// Creates an empty vector with room for `capacity` elements: inline
+    /// when they fit, otherwise one heap allocation of that size.
+    #[inline]
+    pub fn with_capacity(capacity: usize) -> SmallVec<A> {
+        if capacity <= A::CAP {
+            SmallVec::new()
+        } else {
+            Vec::with_capacity(capacity).into()
+        }
+    }
+
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {

@@ -7,7 +7,14 @@
 //! start until one huge aggregate arrives); one message per face pays
 //! per-message latency and task overhead.
 //!
-//! Usage: `table2 [--quick] [--nodes N]`
+//! The paper sweeps only the communication grain. `--real` adds the
+//! compute-side companion on the threaded runtime: a *block-edge* sweep
+//! at fixed total cells, which is how the task grain is varied without a
+//! knob — the shared elaboration batches sub-floor work by one constant
+//! (`miniamr::elaborate::GRAIN_ELEMS`), so the edge decides how many
+//! items a task holds.
+//!
+//! Usage: `table2 [--quick] [--nodes N] [--real]`
 
 use amr_bench::{build_workload, four_spheres, shape_check, HYBRID_RANKS_PER_NODE};
 use simnet::{CostModel, ExecModel};
@@ -94,7 +101,75 @@ fn main() {
             (4..=16).contains(&best.0),
         );
     }
+    if args.iter().any(|a| a == "--real") {
+        real_block_edge_sweep();
+    }
     if !ok {
         std::process::exit(1);
+    }
+}
+
+/// Wall-clock on the in-process runtime (2 ranks x 1 worker, instant
+/// network): the same 96 x 48 x 48 cells x 4 variables cut into blocks of
+/// edge `n`, unrefined, `--send_faces --separate_buffers`. Median of
+/// three alternating runs per variant.
+fn real_block_edge_sweep() {
+    use miniamr::{Config, Variant};
+    use vmpi::NetworkModel;
+
+    const TSTEPS: usize = 2;
+    println!("# Block-edge sweep (--real): 96x48x48 cells x 4 vars, 2 ranks x 1 worker, {TSTEPS} ts x 10 stages");
+    println!("edge\tblocks\ttasks_per_step\titems_per_task\tmpi_s\tdataflow_s\tdf_over_mpi");
+    for n in [4usize, 6, 8, 12, 16] {
+        let params = amr_mesh::MeshParams {
+            npx: 2,
+            npy: 1,
+            npz: 1,
+            init_x: 96 / n / 2,
+            init_y: 48 / n,
+            init_z: 48 / n,
+            nx: n,
+            ny: n,
+            nz: n,
+            num_vars: 4,
+            num_refine: 0,
+            block_change: 1,
+        };
+        let run = |variant: Variant| {
+            let mut cfg = Config::new(params.clone());
+            cfg.variant = variant;
+            cfg.num_tsteps = TSTEPS;
+            cfg.stages_per_ts = 10;
+            cfg.checksum_freq = 5;
+            cfg.refine_freq = 1000;
+            cfg.send_faces = true;
+            cfg.separate_buffers = true;
+            cfg.workers = 1;
+            let start = std::time::Instant::now();
+            let stats = miniamr::run_world(&cfg, 2, NetworkModel::instant());
+            (start.elapsed().as_secs_f64(), stats)
+        };
+        let (mut mpi_s, mut df_s) = (Vec::new(), Vec::new());
+        let mut df_stats = Vec::new();
+        for _ in 0..3 {
+            mpi_s.push(run(Variant::MpiOnly).0);
+            let (s, stats) = run(Variant::DataFlow);
+            df_s.push(s);
+            df_stats = stats;
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            v[v.len() / 2]
+        };
+        let (mpi, df) = (median(&mut mpi_s), median(&mut df_s));
+        let spawned: u64 = df_stats.iter().map(|s| s.tasks_spawned).sum();
+        let items: u64 = df_stats.iter().map(|s| s.task_items).sum();
+        let blocks: usize = df_stats.iter().map(|s| s.final_blocks).sum();
+        println!(
+            "{n}\t{blocks}\t{}\t{:.2}\t{mpi:.3}\t{df:.3}\t{:.2}",
+            spawned / TSTEPS as u64,
+            items as f64 / spawned as f64,
+            mpi / df
+        );
     }
 }

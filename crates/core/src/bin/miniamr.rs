@@ -508,6 +508,10 @@ fn main() {
     let replayed: u64 = stats.iter().map(|s| s.tasks_replayed).sum();
     if spawned > 0 {
         println!("tasks_spawned\t{spawned}");
+        println!(
+            "task_items\t{}",
+            stats.iter().map(|s| s.task_items).sum::<u64>()
+        );
         println!("tasks_replayed\t{replayed}");
         println!(
             "trace_hits\t{}",

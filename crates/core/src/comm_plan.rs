@@ -20,6 +20,8 @@ use amr_mesh::block_id::{Dir, Side};
 use amr_mesh::data::BlockLayout;
 use amr_mesh::face;
 use amr_mesh::{BlockId, MeshDirectory, NeighborInfo};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Tag sub-space size per direction. User tags must stay below
 /// `vmpi::TAG_UB` (2^30); three direction spaces plus a control space fit.
@@ -58,6 +60,12 @@ pub struct FaceTransfer {
     pub src_block: BlockId,
     /// Receiving block.
     pub dst_block: BlockId,
+    /// Position of the sending block in `src_rank`'s id-ordered block list
+    /// (the index of its handle in a rank's block table).
+    pub src_pos: usize,
+    /// Position of the receiving block in `dst_rank`'s id-ordered block
+    /// list.
+    pub dst_pos: usize,
     /// Exchange direction.
     pub dir: Dir,
     /// Side of the *receiver* where the ghost plane fills.
@@ -98,15 +106,37 @@ pub struct MsgPlan {
     pub recv_offset: usize,
 }
 
+/// One domain-boundary ghost fill.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundaryFill {
+    /// The block whose ghost plane is filled.
+    pub block: BlockId,
+    /// Position of the block in its owner's id-ordered block list.
+    pub pos: usize,
+    /// Direction of the boundary face.
+    pub dir: Dir,
+    /// Side of the boundary face.
+    pub side: Side,
+}
+
 /// The complete exchange plan for one mesh configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CommPlan {
     /// Cross-rank messages in deterministic global order.
     pub msgs: Vec<MsgPlan>,
-    /// Rank-local copies (source and destination on the same rank).
+    /// Rank-local copies (source and destination on the same rank),
+    /// ordered by (rank, direction) and, within one, in the
+    /// receiver-centric enumeration order: [`CommPlan::locals_of`] is a
+    /// contiguous range.
     pub locals: Vec<FaceTransfer>,
-    /// Domain-boundary ghost fills `(block, dir, side)`.
-    pub boundaries: Vec<(BlockId, Dir, Side)>,
+    /// Domain-boundary ghost fills, ordered like `locals` by (owner,
+    /// direction): see [`CommPlan::boundaries_of`].
+    pub boundaries: Vec<BoundaryFill>,
+    /// End index into `locals` of every (rank, direction) run, at
+    /// `3 * rank + dir`.
+    local_ends: Vec<usize>,
+    /// End index into `boundaries` of every (rank, direction) run.
+    boundary_ends: Vec<usize>,
     /// Per-rank, per-direction send buffer sizes (elements per variable).
     pub send_elems: Vec<[usize; 3]>,
     /// Per-rank, per-direction recv buffer sizes (elements per variable).
@@ -123,69 +153,77 @@ impl CommPlan {
             ..Default::default()
         };
 
-        // Group cross-rank transfers by (src, dst, dir) preserving the
-        // deterministic receiver-centric enumeration order.
-        use std::collections::BTreeMap;
+        // Owner of every block and its position in that owner's id-ordered
+        // block list. The position is what a rank's handle and
+        // dependency-object tables are indexed by, so that running a
+        // transfer looks nothing up.
+        let mut owned: Vec<Vec<BlockId>> = vec![Vec::new(); n_ranks];
+        let home: BTreeMap<BlockId, (usize, usize)> = dir_map
+            .iter()
+            .map(|(id, &owner)| {
+                owned[owner].push(*id);
+                (*id, (owner, owned[owner].len() - 1))
+            })
+            .collect();
+
+        // Cross-rank transfers grouped by (src, dst, dir). The enumeration
+        // is receiver-centric and, for one receiving rank and direction,
+        // in block-id order — the order of every group, and of every
+        // (rank, direction) run of `locals` and `boundaries`, which come
+        // out contiguous because the rank and the direction are the outer
+        // loops.
         let mut groups: BTreeMap<(usize, usize, usize), Vec<FaceTransfer>> = BTreeMap::new();
 
-        for (block, &owner) in dir_map.iter() {
+        for (owner, blocks) in owned.iter().enumerate() {
             for dir in Dir::ALL {
+                let d = dir.index();
                 let (n1, n2) = face::face_dims(&layout, dir);
-                for side in Side::BOTH {
-                    match dir_map.neighbor_info(block, dir, side) {
-                        NeighborInfo::Boundary => {
-                            plan.boundaries.push((*block, dir, side));
-                        }
-                        NeighborInfo::Same(nb) => {
-                            let src_rank = dir_map.owner(&nb).expect("active neighbor");
+                for (pos, block) in blocks.iter().enumerate() {
+                    for side in Side::BOTH {
+                        let mut push = |nb: BlockId, kind: TransferKind, elems_per_var: usize| {
+                            let (src_rank, src_pos) = home[&nb];
                             let t = FaceTransfer {
                                 src_rank,
                                 dst_rank: owner,
                                 src_block: nb,
                                 dst_block: *block,
+                                src_pos,
+                                dst_pos: pos,
                                 dir,
                                 dst_side: side,
-                                kind: TransferKind::Same,
-                                elems_per_var: n1 * n2,
+                                kind,
+                                elems_per_var,
                                 offset_in_msg: 0,
                             };
-                            push_transfer(&mut plan, &mut groups, t);
-                        }
-                        NeighborInfo::Coarser(nb) => {
-                            let src_rank = dir_map.owner(&nb).expect("active neighbor");
-                            let quarter = block.quarter_of_coarse_face(dir);
-                            let t = FaceTransfer {
-                                src_rank,
-                                dst_rank: owner,
-                                src_block: nb,
-                                dst_block: *block,
+                            if src_rank == owner {
+                                plan.locals.push(t);
+                            } else {
+                                groups.entry((src_rank, owner, d)).or_default().push(t);
+                            }
+                        };
+                        match dir_map.neighbor_info(block, dir, side) {
+                            NeighborInfo::Boundary => plan.boundaries.push(BoundaryFill {
+                                block: *block,
+                                pos,
                                 dir,
-                                dst_side: side,
-                                kind: TransferKind::Prolong { quarter },
-                                elems_per_var: (n1 / 2) * (n2 / 2),
-                                offset_in_msg: 0,
-                            };
-                            push_transfer(&mut plan, &mut groups, t);
-                        }
-                        NeighborInfo::Finer(fine) => {
-                            for (quarter, nb) in fine.iter().enumerate() {
-                                let src_rank = dir_map.owner(nb).expect("active neighbor");
-                                let t = FaceTransfer {
-                                    src_rank,
-                                    dst_rank: owner,
-                                    src_block: *nb,
-                                    dst_block: *block,
-                                    dir,
-                                    dst_side: side,
-                                    kind: TransferKind::Restrict { quarter },
-                                    elems_per_var: (n1 / 2) * (n2 / 2),
-                                    offset_in_msg: 0,
-                                };
-                                push_transfer(&mut plan, &mut groups, t);
+                                side,
+                            }),
+                            NeighborInfo::Same(nb) => push(nb, TransferKind::Same, n1 * n2),
+                            NeighborInfo::Coarser(nb) => {
+                                let quarter = block.quarter_of_coarse_face(dir);
+                                push(nb, TransferKind::Prolong { quarter }, (n1 / 2) * (n2 / 2));
+                            }
+                            NeighborInfo::Finer(fine) => {
+                                for (quarter, nb) in fine.iter().enumerate() {
+                                    let kind = TransferKind::Restrict { quarter };
+                                    push(*nb, kind, (n1 / 2) * (n2 / 2));
+                                }
                             }
                         }
                     }
                 }
+                plan.local_ends.push(plan.locals.len());
+                plan.boundary_ends.push(plan.boundaries.len());
             }
         }
 
@@ -257,6 +295,17 @@ impl CommPlan {
         self.msgs.iter().filter(move |m| m.src_rank == rank)
     }
 
+    /// The index range of `rank`'s copies of direction `dir` in `locals`.
+    pub fn locals_of(&self, rank: usize, dir: Dir) -> Range<usize> {
+        run_of(&self.local_ends, rank, dir)
+    }
+
+    /// The index range of `rank`'s fills of direction `dir` in
+    /// `boundaries`.
+    pub fn boundaries_of(&self, rank: usize, dir: Dir) -> Range<usize> {
+        run_of(&self.boundary_ends, rank, dir)
+    }
+
     /// Required send/recv buffer capacity (elements per variable) for a
     /// rank and direction, considering the shared-buffer option.
     pub fn buffer_elems(&self, rank: usize, separate: bool) -> ([usize; 3], [usize; 3]) {
@@ -270,19 +319,12 @@ impl CommPlan {
     }
 }
 
-fn push_transfer(
-    plan: &mut CommPlan,
-    groups: &mut std::collections::BTreeMap<(usize, usize, usize), Vec<FaceTransfer>>,
-    t: FaceTransfer,
-) {
-    if t.src_rank == t.dst_rank {
-        plan.locals.push(t);
-    } else {
-        groups
-            .entry((t.src_rank, t.dst_rank, t.dir.index()))
-            .or_default()
-            .push(t);
-    }
+/// The run of (`rank`, `dir`) in a vector grouped by rank, then direction,
+/// given every run's end index at `3 * rank + dir`.
+fn run_of(ends: &[usize], rank: usize, dir: Dir) -> Range<usize> {
+    let run = 3 * rank + dir.index();
+    let start = if run == 0 { 0 } else { ends[run - 1] };
+    start..ends[run]
 }
 
 #[cfg(test)]
@@ -490,6 +532,51 @@ mod tests {
         let msg_faces: usize = plan.msgs.iter().map(|m| m.transfers.len()).sum();
         assert_eq!(msg_faces + plan.locals.len(), expected_transfers);
         assert_eq!(plan.boundaries.len(), expected_boundaries);
+    }
+
+    /// `locals_of`/`boundaries_of` are the contiguous runs the executors
+    /// used to find by scanning the whole plan, in the same relative
+    /// order, and the positions name the block they say they name.
+    #[test]
+    fn rank_dir_ranges_equal_the_filter_scans() {
+        let cfg = two_rank_cfg();
+        let mut dir = MeshDirectory::initial(cfg.params.clone());
+        let sphere = Object::sphere([0.4, 0.5, 0.5], 0.2, [0.0; 3]);
+        dir.refine_to_fixpoint(&[sphere]);
+        let plan = CommPlan::build(&cfg, &dir, 2);
+        let (mut copies, mut fills) = (0, 0);
+        for rank in 0..2 {
+            let ids = dir.blocks_of(rank);
+            for d in Dir::ALL {
+                let run = &plan.locals[plan.locals_of(rank, d)];
+                let scan: Vec<&FaceTransfer> = (plan.locals.iter())
+                    .filter(|t| t.dir == d && t.src_rank == rank)
+                    .collect();
+                assert_eq!(run.len(), scan.len());
+                for (a, b) in run.iter().zip(scan) {
+                    assert!(
+                        std::ptr::eq(a, b),
+                        "run of rank {rank} {d:?} is not the scan"
+                    );
+                    assert_eq!((ids[a.src_pos], ids[a.dst_pos]), (a.src_block, a.dst_block));
+                }
+                copies += run.len();
+
+                let run = &plan.boundaries[plan.boundaries_of(rank, d)];
+                let scan: Vec<&BoundaryFill> = (plan.boundaries.iter())
+                    .filter(|b| b.dir == d && dir.owner(&b.block) == Some(rank))
+                    .collect();
+                assert_eq!(run.iter().collect::<Vec<_>>(), scan);
+                assert!(run.iter().all(|b| ids[b.pos] == b.block));
+                fills += run.len();
+            }
+        }
+        assert_eq!((copies, fills), (plan.locals.len(), plan.boundaries.len()));
+        // Cross-rank transfers carry each end's position on its own rank.
+        for t in plan.msgs.iter().flat_map(|m| &m.transfers) {
+            assert_eq!(dir.blocks_of(t.src_rank)[t.src_pos], t.src_block);
+            assert_eq!(dir.blocks_of(t.dst_rank)[t.dst_pos], t.dst_block);
+        }
     }
 
     #[test]

@@ -14,17 +14,112 @@
 //!   stream into a model with no workers, field data, or transport.
 //!
 //! [`Work`] is the variant-specific payload of a spec: indices into the
-//! [`CommPlan`] (or block ids) that the live side resolves to buffers
-//! and block data, and the static side uses for diagnostics.
+//! [`CommPlan`] (or positions in the rank's block list) that the live
+//! side resolves to buffers and block data, and the static side uses for
+//! diagnostics.
+//!
+//! ## Task grain
+//!
+//! The intra-rank kinds — local copies, boundary fills, stencils, local
+//! checksums — are emitted as *batches*: consecutive items of one label
+//! (and, in `communicate`, one direction) fused by [`grain_batches`]
+//! until they hold [`GRAIN_ELEMS`] elements of work. A batch declares the
+//! union of its members' accesses and runs them in emission order, so a
+//! block at or above the floor gets a batch of one and the stream of a
+//! coarse mesh is the one-task-per-item stream. The message-coupled kinds
+//! (`recv`, `pack`, `send`, `unpack`) are never fused: an unpack fused
+//! across messages would wait for the slowest of them (DESIGN.md, "Task
+//! grain").
 
 use crate::comm_plan::CommPlan;
 use crate::config::Config;
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockLayout;
-use amr_mesh::directory::MeshDirectory;
-use amr_mesh::BlockId;
 use std::ops::Range;
-use taskrt::{Access, ObjId, Region, Submitter, TaskSpec};
+use taskrt::{Access, AccessList, AccessMode, ObjId, Region, Submitter, TaskSpec};
+
+/// The task-grain floor, in elements of work: a batch of intra-rank items
+/// closes as soon as it holds this much. About 8 µs of copying, against
+/// the 1.2–3.6 µs the runtime spends to spawn and schedule a task
+/// (DESIGN.md, "Task grain", has the derivation and the sweep).
+pub const GRAIN_ELEMS: usize = 1024;
+
+/// Splits `items` into consecutive batches, closing each as soon as its
+/// members' `weight`s add up to [`GRAIN_ELEMS`]. Only the last batch can
+/// stay below the floor. The one grain rule of the repo: the shared
+/// elaboration and the fork-join executor both chunk with it, through
+/// [`copy_batches`], [`fill_batches`] and [`block_batches`], which hold
+/// the weights.
+pub fn grain_batches(
+    items: Range<usize>,
+    weight: impl Fn(usize) -> usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let mut next = items.start;
+    std::iter::from_fn(move || {
+        let start = next;
+        let mut held = 0;
+        while next < items.end && held < GRAIN_ELEMS {
+            held += weight(next);
+            next += 1;
+        }
+        (start < next).then_some(start..next)
+    })
+}
+
+/// Batches of `rank`'s local copies of direction `dir` (indices into
+/// `plan.locals`) for a group of `g` variables; a copy weighs the elements
+/// it moves.
+pub(crate) fn copy_batches(
+    plan: &CommPlan,
+    rank: usize,
+    dir: Dir,
+    g: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    grain_batches(plan.locals_of(rank, dir), move |i| {
+        plan.locals[i].elems_per_var * g
+    })
+}
+
+/// Batches of `rank`'s boundary fills of direction `dir` (indices into
+/// `plan.boundaries`); a fill weighs one face plane of `g` variables.
+pub(crate) fn fill_batches(
+    plan: &CommPlan,
+    layout: &BlockLayout,
+    rank: usize,
+    dir: Dir,
+    g: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let weight = layout.face_cells(dir) * g;
+    grain_batches(plan.boundaries_of(rank, dir), move |_| weight)
+}
+
+/// Batches of a rank's `n_blocks` blocks (positions in its id-ordered
+/// block list) for a sweep over `nvars` variables of every cell: the
+/// stencil of one group, the checksum of all variables.
+pub(crate) fn block_batches(
+    layout: &BlockLayout,
+    n_blocks: usize,
+    nvars: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let weight = layout.cells() * nvars;
+    grain_batches(0..n_blocks, move |_| weight)
+}
+
+/// The access list of a batch: the union of its members' accesses,
+/// sorted by region and de-duplicated, a region declared in two modes
+/// keeping the stronger (`inout`). A superset of what every member
+/// declares, so batching only ever adds ordering.
+pub(crate) fn union_accesses(mut accesses: Vec<Access>) -> Vec<Access> {
+    accesses.sort_unstable_by_key(|a| (a.region.obj, a.region.start, a.region.end));
+    accesses.dedup_by(|dup, kept| {
+        let same = dup.region == kept.region;
+        if same && dup.mode != kept.mode {
+            kept.mode = AccessMode::InOut;
+        }
+        same
+    });
+    accesses
+}
 
 /// What a task in the data-flow stream actually does. Plan-indexed
 /// variants reference `CommPlan::msgs` / `locals` / `boundaries`.
@@ -48,15 +143,15 @@ pub enum Work {
         /// Index into `plan.msgs`.
         msg: usize,
     },
-    /// Intra-rank face copy.
-    LocalCopy {
-        /// Index into `plan.locals`.
-        transfer: usize,
+    /// A batch of intra-rank face copies, run in index order.
+    LocalCopies {
+        /// Indices into `plan.locals`.
+        transfers: Range<usize>,
     },
-    /// Domain-boundary ghost fill.
-    Boundary {
-        /// Index into `plan.boundaries`.
-        boundary: usize,
+    /// A batch of domain-boundary ghost fills.
+    Boundaries {
+        /// Indices into `plan.boundaries`.
+        fills: Range<usize>,
     },
     /// Unpack one received face into a local block's ghost plane.
     Unpack {
@@ -65,31 +160,46 @@ pub enum Work {
         /// Index into that message's `transfers`.
         transfer: usize,
     },
-    /// Apply the stencil to one block.
-    Stencil {
-        /// The block id.
-        block: BlockId,
+    /// Apply the stencil to a batch of blocks.
+    Stencils {
+        /// Positions in the rank's id-ordered block list.
+        blocks: Range<usize>,
     },
-    /// Per-block local checksum reduction into slot `slot`.
-    ChecksumLocal {
-        /// Slot index in the checkpoint's slot vector.
-        slot: usize,
-        /// The block id.
-        block: BlockId,
+    /// Per-block local checksum reductions: the block at position `i`
+    /// reduces into slot `i` of the checkpoint's slot vector.
+    ChecksumLocals {
+        /// Slot indices, which are block positions.
+        slots: Range<usize>,
     },
 }
 
+impl Work {
+    /// Work items the task runs: the members of a batch, one otherwise —
+    /// what a one-task-per-item elaboration would have spawned.
+    pub fn items(&self) -> usize {
+        match self {
+            Work::LocalCopies { transfers: r }
+            | Work::Boundaries { fills: r }
+            | Work::Stencils { blocks: r }
+            | Work::ChecksumLocals { slots: r } => r.len(),
+            Work::Recv { .. } | Work::Pack { .. } | Work::Send { .. } | Work::Unpack { .. } => 1,
+        }
+    }
+}
+
 /// The per-rank context every elaboration pass needs: configuration,
-/// block layout, the mesh directory of the current epoch, and the rank.
+/// block layout, the rank, and its blocks' dependency objects.
 pub struct ElabCtx<'a> {
     /// Scenario configuration.
     pub cfg: &'a Config,
     /// Block data layout (element ranges per variable).
     pub layout: BlockLayout,
-    /// Mesh directory for the current epoch.
-    pub dir: &'a MeshDirectory,
     /// This rank.
     pub rank: usize,
+    /// Dependency object of every block the rank owns in the current mesh
+    /// epoch, in block-id order: the order the plan's `*_pos` fields and
+    /// the [`Work`] block ranges index.
+    pub objs: &'a [ObjId],
 }
 
 impl ElabCtx<'_> {
@@ -97,17 +207,64 @@ impl ElabCtx<'_> {
         Region::new(obj, self.layout.var_elem_range(vars))
     }
 
+    /// One batch of an intra-rank kind.
+    fn batch(label: &'static str, accesses: Vec<Access>, work: Work) -> TaskSpec<Work> {
+        TaskSpec {
+            label,
+            priority: 0,
+            accesses: accesses.into(),
+            comm: None,
+            work,
+        }
+    }
+
+    /// What a batch of `plan.locals` declares: `in` on every source
+    /// block, `inout` on every destination (the ghost plane is part of
+    /// the block; whole-block granularity, §IV-D).
+    pub(crate) fn local_copy_accesses(
+        &self,
+        plan: &CommPlan,
+        transfers: Range<usize>,
+        vars: &Range<usize>,
+    ) -> Vec<Access> {
+        let transfers = &plan.locals[transfers];
+        let mut accesses = Vec::with_capacity(2 * transfers.len());
+        for t in transfers {
+            accesses.push(Access::read(
+                self.block_region(self.objs[t.src_pos], vars.clone()),
+            ));
+            accesses.push(Access::read_write(
+                self.block_region(self.objs[t.dst_pos], vars.clone()),
+            ));
+        }
+        union_accesses(accesses)
+    }
+
+    /// What a batch of `plan.boundaries` declares: `inout` on every
+    /// filled block.
+    pub(crate) fn boundary_accesses(
+        &self,
+        plan: &CommPlan,
+        fills: Range<usize>,
+        vars: &Range<usize>,
+    ) -> Vec<Access> {
+        let fills = plan.boundaries[fills].iter();
+        union_accesses(
+            fills
+                .map(|b| Access::read_write(self.block_region(self.objs[b.pos], vars.clone())))
+                .collect(),
+        )
+    }
+
     /// Algorithm 3: the fully taskified communicate for one variable
     /// group. Spawn order is load-bearing (see the unpack comment) and
     /// mirrored exactly by both consumers.
-    #[allow(clippy::too_many_arguments)]
     pub fn communicate(
         &self,
         plan: &CommPlan,
         send_obj: [ObjId; 3],
         recv_obj: [ObjId; 3],
         vars: Range<usize>,
-        obj_of: &mut dyn FnMut(&BlockId) -> ObjId,
         sub: &mut dyn Submitter<Work>,
     ) {
         let g = vars.len();
@@ -139,7 +296,10 @@ impl ElabCtx<'_> {
                 sub.submit(TaskSpec {
                     label: "recv",
                     priority: 1,
-                    accesses: vec![Access::write(Region::new(recv_obj[d], lo..hi))],
+                    accesses: AccessList::from_iter([Access::write(Region::new(
+                        recv_obj[d],
+                        lo..hi,
+                    ))]),
                     comm: Some(tampi::irecv_intent(m.src_rank, m.tag, m.elems_per_var * g)),
                     work: Work::Recv { msg: mi },
                 });
@@ -148,7 +308,7 @@ impl ElabCtx<'_> {
             // Pack + send tasks. The send multi-depends on every section
             // the packers write (§IV-A).
             for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Outbound) {
-                let mut section_accesses = Vec::with_capacity(m.transfers.len());
+                let mut section_accesses = AccessList::with_capacity(m.transfers.len());
                 for (ti, t) in m.transfers.iter().enumerate() {
                     let slo = m.send_offset * gb + t.offset_in_msg * g;
                     let shi = slo + t.elems_per_var * g;
@@ -157,10 +317,10 @@ impl ElabCtx<'_> {
                     sub.submit(TaskSpec {
                         label: "pack",
                         priority: 0,
-                        accesses: vec![
-                            Access::read(self.block_region(obj_of(&t.src_block), vars.clone())),
+                        accesses: AccessList::from_iter([
+                            Access::read(self.block_region(self.objs[t.src_pos], vars.clone())),
                             Access::write(section),
-                        ],
+                        ]),
                         comm: None,
                         work: Work::Pack {
                             msg: mi,
@@ -177,41 +337,25 @@ impl ElabCtx<'_> {
                 });
             }
 
-            // Intra-process copies (already taskified by Rico et al.).
-            for (li, t) in plan
-                .locals
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.dir == dir && t.src_rank == self.rank)
-            {
-                sub.submit(TaskSpec {
-                    label: "local_copy",
-                    priority: 0,
-                    accesses: vec![
-                        Access::read(self.block_region(obj_of(&t.src_block), vars.clone())),
-                        Access::read_write(self.block_region(obj_of(&t.dst_block), vars.clone())),
-                    ],
-                    comm: None,
-                    work: Work::LocalCopy { transfer: li },
-                });
+            // Intra-process copies (already taskified by Rico et al.),
+            // batched to the grain floor. Order inside a direction carries
+            // no data dependence: every ghost plane has one writer per
+            // direction and packers read interior cells only.
+            for transfers in copy_batches(plan, self.rank, dir, g) {
+                sub.submit(Self::batch(
+                    "local_copy",
+                    self.local_copy_accesses(plan, transfers.clone(), &vars),
+                    Work::LocalCopies { transfers },
+                ));
             }
 
             // Domain-boundary ghost fills.
-            for (bi, (block, _, _)) in plan
-                .boundaries
-                .iter()
-                .enumerate()
-                .filter(|(_, (b, bd, _))| *bd == dir && self.dir.owner(b) == Some(self.rank))
-            {
-                sub.submit(TaskSpec {
-                    label: "boundary",
-                    priority: 0,
-                    accesses: vec![Access::read_write(
-                        self.block_region(obj_of(block), vars.clone()),
-                    )],
-                    comm: None,
-                    work: Work::Boundary { boundary: bi },
-                });
+            for fills in fill_batches(plan, &self.layout, self.rank, dir, g) {
+                sub.submit(Self::batch(
+                    "boundary",
+                    self.boundary_accesses(plan, fills.clone(), &vars),
+                    Work::Boundaries { fills },
+                ));
             }
 
             // Unpack tasks are instantiated *last* within the direction
@@ -220,6 +364,8 @@ impl ElabCtx<'_> {
             // (`inout` block) spawned before this rank's packs (`in`
             // block) would make the packs — and through them the sends —
             // wait on data from the peer, closing a cross-rank cycle.
+            // Batches keep that order: fusion stays inside one label of
+            // one direction.
             for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Inbound) {
                 for (ti, t) in m.transfers.iter().enumerate() {
                     let slo = m.recv_offset * gb + t.offset_in_msg * g;
@@ -227,12 +373,12 @@ impl ElabCtx<'_> {
                     sub.submit(TaskSpec {
                         label: "unpack",
                         priority: 0,
-                        accesses: vec![
+                        accesses: AccessList::from_iter([
                             Access::read(Region::new(recv_obj[d], slo..shi)),
                             Access::read_write(
-                                self.block_region(obj_of(&t.dst_block), vars.clone()),
+                                self.block_region(self.objs[t.dst_pos], vars.clone()),
                             ),
-                        ],
+                        ]),
                         comm: None,
                         work: Work::Unpack {
                             msg: mi,
@@ -247,45 +393,38 @@ impl ElabCtx<'_> {
     /// Stencil tasks for one variable group: `inout` on the block so
     /// they chain behind the unpackers and in front of the next stage's
     /// packers, with no barrier.
-    pub fn stencils(
-        &self,
-        vars: Range<usize>,
-        obj_of: &mut dyn FnMut(&BlockId) -> ObjId,
-        sub: &mut dyn Submitter<Work>,
-    ) {
-        for id in self.dir.blocks_of(self.rank) {
-            sub.submit(TaskSpec {
-                label: "stencil",
-                priority: 0,
-                accesses: vec![Access::read_write(
-                    self.block_region(obj_of(&id), vars.clone()),
-                )],
-                comm: None,
-                work: Work::Stencil { block: id },
-            });
+    pub fn stencils(&self, vars: Range<usize>, sub: &mut dyn Submitter<Work>) {
+        for blocks in block_batches(&self.layout, self.objs.len(), vars.len()) {
+            let members = self.objs[blocks.clone()].iter();
+            let accesses = members
+                .map(|&obj| Access::read_write(self.block_region(obj, vars.clone())))
+                .collect();
+            sub.submit(Self::batch(
+                "stencil",
+                union_accesses(accesses),
+                Work::Stencils { blocks },
+            ));
         }
     }
 
-    /// Per-block local checksum reductions of one checkpoint, writing
-    /// slot `i` of the checkpoint's slots object (Algorithm 4).
-    pub fn checksum_locals(
-        &self,
-        obj: ObjId,
-        obj_of: &mut dyn FnMut(&BlockId) -> ObjId,
-        sub: &mut dyn Submitter<Work>,
-    ) {
+    /// Per-block local checksum reductions of one checkpoint, the block
+    /// at position `i` writing slot `i` of the checkpoint's slots object
+    /// (Algorithm 4).
+    pub fn checksum_locals(&self, obj: ObjId, sub: &mut dyn Submitter<Work>) {
         let nv = self.cfg.params.num_vars;
-        for (i, id) in self.dir.blocks_of(self.rank).into_iter().enumerate() {
-            sub.submit(TaskSpec {
-                label: "checksum_local",
-                priority: 0,
-                accesses: vec![
-                    Access::read(self.block_region(obj_of(&id), 0..nv)),
-                    Access::write(Region::new(obj, i..i + 1)),
-                ],
-                comm: None,
-                work: Work::ChecksumLocal { slot: i, block: id },
-            });
+        for slots in block_batches(&self.layout, self.objs.len(), nv) {
+            let mut accesses = Vec::with_capacity(slots.len() + 1);
+            for &block in &self.objs[slots.clone()] {
+                accesses.push(Access::read(self.block_region(block, 0..nv)));
+            }
+            // The members' slots `i..i + 1` are contiguous: their union is
+            // one region.
+            accesses.push(Access::write(Region::new(obj, slots.clone())));
+            sub.submit(Self::batch(
+                "checksum_local",
+                union_accesses(accesses),
+                Work::ChecksumLocals { slots },
+            ));
         }
     }
 }
@@ -311,4 +450,198 @@ fn in_dir(
                 Endpoint::Outbound => m.src_rank == rank,
             }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amr_mesh::MeshDirectory;
+    use dfcheck::{Event, Recorder};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The grain rule: the batches tile the items in order, every
+        /// batch but the last reaches the floor, and none holds an item
+        /// more than it needed to reach it — so an item at or above the
+        /// floor that opens a batch is alone in it.
+        #[test]
+        fn batches_tile_the_items_and_close_at_the_floor(
+            weights in prop::collection::vec(0usize..3 * GRAIN_ELEMS / 2, 0..40),
+            start in 0usize..5,
+        ) {
+            let items = start..start + weights.len();
+            let weight = |i: usize| weights[i - start];
+            let batches: Vec<Range<usize>> = grain_batches(items.clone(), weight).collect();
+            let mut next = items.start;
+            for (n, batch) in batches.iter().enumerate() {
+                prop_assert_eq!(batch.start, next);
+                prop_assert!(batch.end > batch.start);
+                next = batch.end;
+                let held: usize = batch.clone().map(weight).sum();
+                if n + 1 < batches.len() {
+                    prop_assert!(held >= GRAIN_ELEMS, "batch {:?} closed at {}", batch, held);
+                }
+                // Without its last member the batch was still open.
+                prop_assert!(held - weight(batch.end - 1) < GRAIN_ELEMS);
+                if weight(batch.start) >= GRAIN_ELEMS {
+                    prop_assert_eq!(batch.len(), 1);
+                }
+            }
+            prop_assert_eq!(next, items.end);
+        }
+    }
+
+    fn key(a: &Access) -> (ObjId, usize, usize, bool, bool) {
+        let (w, o) = (a.mode.is_write(), a.mode == AccessMode::Out);
+        (a.region.obj, a.region.start, a.region.end, w, o)
+    }
+
+    #[test]
+    fn union_keeps_the_stronger_mode_of_a_region_declared_twice() {
+        let (a, b) = (ObjId::fresh(), ObjId::fresh());
+        let r = |obj, range| Region::new(obj, range);
+        let unioned = union_accesses(vec![
+            Access::read(r(b, 0..8)),
+            Access::read_write(r(a, 0..8)),
+            Access::read(r(a, 0..8)),
+            Access::read(r(b, 0..8)),
+            Access::write(r(b, 8..16)),
+        ]);
+        let expected = [
+            Access::read_write(r(a, 0..8)),
+            Access::read(r(b, 0..8)),
+            Access::write(r(b, 8..16)),
+        ];
+        assert_eq!(
+            unioned.iter().map(key).collect::<Vec<_>>(),
+            expected.iter().map(key).collect::<Vec<_>>()
+        );
+    }
+
+    /// Above the floor nothing is fused: at 16³ cells × 40 variables every
+    /// intra-rank item outweighs [`GRAIN_ELEMS`], every task has one
+    /// member, and the stream is the one-task-per-item stream — written
+    /// out here the way the elaboration emitted it before it batched,
+    /// filter scans over the whole plan included.
+    #[test]
+    fn stream_above_the_floor_is_one_task_per_item() {
+        let mut cfg = Config::smoke_test();
+        (cfg.params.nx, cfg.params.ny, cfg.params.nz) = (16, 16, 16);
+        cfg.params.num_vars = 40;
+        let nv = cfg.params.num_vars;
+        let layout = BlockLayout::of(&cfg.params);
+        let mut dir = MeshDirectory::initial(cfg.params.clone());
+        dir.refine_to_fixpoint(&cfg.objects);
+        let plan = CommPlan::build(&cfg, &dir, 2);
+        let block_vars = layout.var_elem_range(0..nv);
+
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for rank in 0..2 {
+            let ids = dir.blocks_of(rank);
+            let objs: Vec<ObjId> = ids.iter().map(|_| ObjId::fresh()).collect();
+            let obj_of = |id: &amr_mesh::BlockId| objs[ids.binary_search(id).expect("local block")];
+            let (send_obj, recv_obj, sums_obj) = (
+                [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
+                [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
+                ObjId::fresh(),
+            );
+            let ctx = ElabCtx {
+                cfg: &cfg,
+                layout,
+                rank,
+                objs: &objs,
+            };
+            let mut rec: Recorder<Work> = Recorder::new();
+            ctx.communicate(&plan, send_obj, recv_obj, 0..nv, &mut rec);
+            ctx.stencils(0..nv, &mut rec);
+            ctx.checksum_locals(sums_obj, &mut rec);
+
+            // The intra-rank tasks of the one-task-per-item stream.
+            let block = |obj| Region::new(obj, block_vars.clone());
+            let mut expected: Vec<(&str, Vec<Access>)> = Vec::new();
+            for d in Dir::ALL {
+                for t in plan
+                    .locals
+                    .iter()
+                    .filter(|t| t.dir == d && t.src_rank == rank)
+                {
+                    let accesses = vec![
+                        Access::read(block(obj_of(&t.src_block))),
+                        Access::read_write(block(obj_of(&t.dst_block))),
+                    ];
+                    expected.push(("local_copy", accesses));
+                }
+                for b in &plan.boundaries {
+                    if b.dir == d && dir.owner(&b.block) == Some(rank) {
+                        let accesses = vec![Access::read_write(block(obj_of(&b.block)))];
+                        expected.push(("boundary", accesses));
+                    }
+                }
+            }
+            for &obj in &objs {
+                expected.push(("stencil", vec![Access::read_write(block(obj))]));
+            }
+            for (i, &obj) in objs.iter().enumerate() {
+                let accesses = vec![
+                    Access::read(block(obj)),
+                    Access::write(Region::new(sums_obj, i..i + 1)),
+                ];
+                expected.push(("checksum_local", accesses));
+            }
+
+            let mut labels = Vec::new();
+            for ev in &rec.stream {
+                let Event::Task(spec, _) = ev else {
+                    panic!("elaboration emits no barrier");
+                };
+                assert_eq!(spec.work.items(), 1, "{} fused above the floor", spec.label);
+                *counts.entry(spec.label).or_default() += 1;
+                labels.push(spec.label);
+            }
+            // Only X crosses ranks on this rank grid, so the message tasks
+            // are one direction's: receives first, then packs and sends,
+            // then nothing but X's copies and fills until the unpacks (the
+            // order that rules out cross-rank cycles).
+            let first = |l: &str| labels.iter().position(|x| *x == l).expect("label present");
+            let last = |l: &str| labels.iter().rposition(|x| *x == l).expect("label present");
+            assert!(last("recv") < first("pack"));
+            assert!(last("pack") < last("send"));
+            assert!(last("unpack") < first("stencil"));
+            let between = &labels[last("send") + 1..first("unpack")];
+            assert!(between
+                .iter()
+                .all(|l| ["local_copy", "boundary"].contains(l)));
+            let intra = ["local_copy", "boundary", "stencil", "checksum_local"];
+            let got: Vec<_> = (rec.stream.iter())
+                .filter_map(|ev| match ev {
+                    Event::Task(spec, _) if intra.contains(&spec.label) => Some(spec),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(got.len(), expected.len(), "rank {rank}");
+            for (spec, (label, accesses)) in got.iter().zip(&expected) {
+                assert_eq!((spec.label, spec.priority), (*label, 0));
+                // A batch lists its accesses sorted by region.
+                let mut accesses: Vec<_> = accesses.iter().map(key).collect();
+                accesses.sort_unstable();
+                assert_eq!(spec.accesses.iter().map(key).collect::<Vec<_>>(), accesses);
+            }
+        }
+        // Both ranks of the refined smoke mesh, one stage and one
+        // checksum point.
+        let pinned = [
+            ("boundary", 60),
+            ("checksum_local", 36),
+            ("local_copy", 136),
+            ("pack", 32),
+            ("recv", 2),
+            ("send", 2),
+            ("stencil", 36),
+            ("unpack", 32),
+        ];
+        assert_eq!(counts.into_iter().collect::<Vec<_>>(), pinned);
+    }
 }

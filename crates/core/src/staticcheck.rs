@@ -237,11 +237,15 @@ fn record_epoch(
             let (s, r) = (ObjId::fresh(), ObjId::fresh());
             ([s, s, s], [r, r, r])
         };
+        // The rank's blocks in id order, as the plan's positions index
+        // them.
+        let ids = dir.blocks_of(rank);
+        let objs: Vec<ObjId> = ids.iter().map(|id| st.obj_of(id)).collect();
         let ctx = ElabCtx {
             cfg,
             layout: *layout,
-            dir,
             rank,
+            objs: &objs,
         };
         for stage in start_stage + 1..=start_stage + stages {
             rec.ctx.stage = stage as u32;
@@ -250,15 +254,8 @@ fn record_epoch(
                 let vars = cfg.var_group(g);
                 match cfg.variant {
                     Variant::DataFlow => {
-                        ctx.communicate(
-                            plan,
-                            send_obj,
-                            recv_obj,
-                            vars.clone(),
-                            &mut |id| st.obj_of(id),
-                            &mut rec,
-                        );
-                        ctx.stencils(vars, &mut |id| st.obj_of(id), &mut rec);
+                        ctx.communicate(plan, send_obj, recv_obj, vars.clone(), &mut rec);
+                        ctx.stencils(vars, &mut rec);
                     }
                     Variant::MpiOnly | Variant::ForkJoin => {
                         record_serialized_endpoints(plan, rank, st.prog_obj, vars.len(), &mut rec);
@@ -271,10 +268,10 @@ fn record_epoch(
                         if st.pending {
                             rec.barrier(BarrierKind::TaskwaitOn(vec![Region::whole(st.ck_obj)]));
                         }
-                        ctx.checksum_locals(st.ck_obj, &mut |id| st.obj_of(id), &mut rec);
+                        ctx.checksum_locals(st.ck_obj, &mut rec);
                         st.pending = true;
                     } else {
-                        ctx.checksum_locals(st.ck_obj, &mut |id| st.obj_of(id), &mut rec);
+                        ctx.checksum_locals(st.ck_obj, &mut rec);
                         rec.barrier(BarrierKind::Taskwait);
                     }
                 }
@@ -290,7 +287,7 @@ fn record_epoch(
             // endpoints (soundness caveat).
             rec.barrier(BarrierKind::Taskwait);
         }
-        model.ingest(rank, rec.stream, &|w| describe(w, plan, nv));
+        model.ingest(rank, rec.stream, &|w| describe(w, plan, &ids, nv));
     }
     // Derive comm-path footprints exactly as the live submitter derives
     // its buffer slices from the declared regions: recv/pack/unpack use
@@ -332,7 +329,7 @@ fn record_serialized_endpoints(
                 rec.submit(TaskSpec {
                     label: "recv",
                     priority: 0,
-                    accesses: vec![Access::read_write(Region::whole(prog_obj))],
+                    accesses: vec![Access::read_write(Region::whole(prog_obj))].into(),
                     comm: Some(CommIntent::recv(m.src_rank, m.tag, m.elems_per_var * g)),
                     work: Work::Recv { msg: mi },
                 });
@@ -341,7 +338,7 @@ fn record_serialized_endpoints(
                 rec.submit(TaskSpec {
                     label: "send",
                     priority: 0,
-                    accesses: vec![Access::read_write(Region::whole(prog_obj))],
+                    accesses: vec![Access::read_write(Region::whole(prog_obj))].into(),
                     comm: Some(CommIntent::send(m.dst_rank, m.tag, m.elems_per_var * g)),
                     work: Work::Send { msg: mi },
                 });
@@ -386,8 +383,9 @@ fn lint_buffer_slots(cfg: &Config, plan: &CommPlan, epoch: usize, out: &mut Vec<
     }
 }
 
-/// Human site description of a task's work payload.
-fn describe(w: &Work, plan: &CommPlan, nv: usize) -> String {
+/// Human site description of a task's work payload. `ids` are the
+/// rank's blocks in id order; a batch is named by its first member.
+fn describe(w: &Work, plan: &CommPlan, ids: &[BlockId], nv: usize) -> String {
     match w {
         Work::Recv { msg } => {
             let m = &plan.msgs[*msg];
@@ -411,16 +409,36 @@ fn describe(w: &Work, plan: &CommPlan, nv: usize) -> String {
                 m.dir, msg, transfer, m.transfers[*transfer].dst_block
             )
         }
-        Work::LocalCopy { transfer } => {
-            let t = &plan.locals[*transfer];
-            format!("{:?} {:?} -> {:?}", t.dir, t.src_block, t.dst_block)
+        Work::LocalCopies { transfers } => {
+            let t = &plan.locals[transfers.start];
+            format!(
+                "{:?} {} copies from {:?} -> {:?}",
+                t.dir,
+                transfers.len(),
+                t.src_block,
+                t.dst_block
+            )
         }
-        Work::Boundary { boundary } => {
-            let (b, d, s) = &plan.boundaries[*boundary];
-            format!("{:?} {:?} block {:?}", d, s, b)
+        Work::Boundaries { fills } => {
+            let b = &plan.boundaries[fills.start];
+            format!(
+                "{:?} {} fills from {:?} block {:?}",
+                b.dir,
+                fills.len(),
+                b.side,
+                b.block
+            )
         }
-        Work::Stencil { block } => format!("block {:?} ({} vars)", block, nv),
-        Work::ChecksumLocal { slot, block } => format!("slot {} block {:?}", slot, block),
+        Work::Stencils { blocks } => format!(
+            "{} blocks from {:?} ({} vars)",
+            blocks.len(),
+            ids[blocks.start],
+            nv
+        ),
+        Work::ChecksumLocals { slots } => format!(
+            "slots {}..{} from block {:?}",
+            slots.start, slots.end, ids[slots.start]
+        ),
     }
 }
 

@@ -53,8 +53,13 @@ pub struct RunStats {
     pub blocks_moved: u64,
     /// Checkpoints published to the recovery store (`--ckpt_freq`).
     pub checkpoints_taken: usize,
-    /// Tasks spawned (hybrid variants).
+    /// Tasks spawned (hybrid variants). Sub-floor work is spawned as
+    /// batches (see `elaborate::GRAIN_ELEMS`), so this counts batches.
     pub tasks_spawned: u64,
+    /// Work items those tasks ran — the members of every batch, what a
+    /// one-task-per-item run would have spawned. `task_items /
+    /// tasks_spawned` is the run's effective task grain.
+    pub task_items: u64,
     /// Tasks whose dependency edges came from a replayed trace (DataFlow
     /// with `--replay on`).
     pub tasks_replayed: u64,

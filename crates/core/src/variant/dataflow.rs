@@ -30,15 +30,15 @@
 use crate::config::Config;
 use crate::elaborate::{ElabCtx, Work};
 use crate::exchange::{run_refinement, BlockMover, RefineJob};
-use crate::rank::{
-    apply_boundary, apply_local_transfer, pack_transfer_into, unpack_transfer, RankState,
-};
+use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
 use crate::trace::{record, Kind, Trace};
-use crate::variant::{rank_runtime, Exec, PhaseCtx, SumSlots};
+use crate::variant::{
+    elab_ctx, fold_task_counts, rank_runtime, Exec, PhaseCtx, PhaseShared, SumSlots,
+};
 use amr_mesh::data::{BlockData, BlockLayout};
-use amr_mesh::BlockId;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{Access, BarrierKind, ObjId, Region, Runtime, Submitter, TaskSpec, TraceScope};
@@ -52,6 +52,9 @@ pub(crate) struct DataFlow {
     /// slots: a fresh ObjId per point would make each timestep's
     /// submission stream structurally unique and defeat trace replay.
     sums_obj: ObjId,
+    /// Members of batches beyond the first: what the tasks spawned fall
+    /// short of the work items elaborated.
+    batched_items: Cell<u64>,
 }
 
 impl DataFlow {
@@ -59,30 +62,29 @@ impl DataFlow {
         DataFlow {
             rt: rank_runtime(cfg, rank, cfg.replay),
             sums_obj: ObjId::fresh(),
+            batched_items: Cell::new(0),
         }
     }
 
-    /// The two halves of one phase of the shared elaboration
-    /// ([`crate::elaborate`]): the stream's source and its live consumer.
-    fn live<'a>(
-        &'a self,
-        cx: &'a PhaseCtx,
+    /// Runs one phase of the shared elaboration ([`crate::elaborate`])
+    /// into its live consumer.
+    fn submit_phase(
+        &self,
+        cx: &PhaseCtx,
         vars: Range<usize>,
-        slots: Option<&'a SumSlots>,
-    ) -> (ElabCtx<'a>, LiveSub<'a>) {
-        let ctx = ElabCtx {
-            cfg: &cx.state.cfg,
-            layout: cx.state.layout,
-            dir: &cx.state.dir,
-            rank: cx.state.rank,
-        };
-        let sub = LiveSub {
+        slots: Option<&SumSlots>,
+        phase: impl FnOnce(&ElabCtx, &mut LiveSub),
+    ) {
+        let shared = PhaseShared::new(cx, vars);
+        let objs = shared.objs();
+        let mut sub = LiveSub {
             rt: &self.rt,
             cx,
-            vars,
+            shared,
             slots,
+            batched_items: &self.batched_items,
         };
-        (ctx, sub)
+        phase(&elab_ctx(cx, &objs), &mut sub);
     }
 }
 
@@ -91,22 +93,15 @@ impl Exec for DataFlow {
     /// [`crate::elaborate::ElabCtx::communicate`] for the spawn-order and
     /// offset-stride invariants).
     fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        let (ctx, mut sub) = self.live(cx, vars.clone(), None);
-        ctx.communicate(
-            &cx.plan,
-            cx.bufs.send_obj,
-            cx.bufs.recv_obj,
-            vars,
-            &mut live_obj_of(&cx.state),
-            &mut sub,
-        );
+        self.submit_phase(cx, vars.clone(), None, |ctx, sub| {
+            ctx.communicate(&cx.plan, cx.bufs.send_obj, cx.bufs.recv_obj, vars, sub)
+        });
     }
 
     /// Stencil tasks chain behind the unpackers via block dependencies;
     /// no barrier.
     fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        let (ctx, mut sub) = self.live(cx, vars.clone(), None);
-        ctx.stencils(vars, &mut live_obj_of(&cx.state), &mut sub);
+        self.submit_phase(cx, vars.clone(), None, |ctx, sub| ctx.stencils(vars, sub));
     }
 
     /// Spawns the per-block local reduction tasks of one checksum point;
@@ -115,8 +110,9 @@ impl Exec for DataFlow {
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
         let slots: SumSlots = Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()]));
-        let (ctx, mut sub) = self.live(cx, 0..nv, Some(&slots));
-        ctx.checksum_locals(self.sums_obj, &mut live_obj_of(&cx.state), &mut sub);
+        self.submit_phase(cx, 0..nv, Some(&slots), |ctx, sub| {
+            ctx.checksum_locals(self.sums_obj, sub)
+        });
         slots
     }
 
@@ -160,7 +156,7 @@ impl Exec for DataFlow {
 
     fn finish(&self, stats: &mut RunStats) {
         let rts = self.rt.stats();
-        stats.tasks_spawned += rts.spawned;
+        fold_task_counts(stats, rts.spawned, self.batched_items.get());
         stats.tasks_replayed += rts.replayed_tasks;
         stats.trace_hits += rts.trace_hits;
         stats.trace_invalidations += rts.trace_invalidations;
@@ -169,10 +165,6 @@ impl Exec for DataFlow {
 
 fn block_region(layout: &BlockLayout, block: &BlockData, vars: Range<usize>) -> Region {
     Region::new(crate::block_obj(block.uid), layout.var_elem_range(vars))
-}
-
-fn live_obj_of<'a>(state: &'a RankState) -> impl FnMut(&BlockId) -> ObjId + 'a {
-    |id| crate::block_obj(state.block(id).uid)
 }
 
 /// The live consumer of the shared elaboration stream
@@ -186,24 +178,21 @@ fn live_obj_of<'a>(state: &'a RankState) -> impl FnMut(&BlockId) -> ObjId + 'a {
 struct LiveSub<'a> {
     rt: &'a Runtime,
     cx: &'a PhaseCtx,
-    vars: Range<usize>,
+    shared: Arc<PhaseShared>,
     /// Checksum phase only.
     slots: Option<&'a SumSlots>,
+    batched_items: &'a Cell<u64>,
 }
 
 impl Submitter<Work> for LiveSub<'_> {
     fn submit(&mut self, spec: TaskSpec<Work>) {
         let PhaseCtx {
-            state,
-            comm,
-            plan,
-            bufs,
-            trace,
+            comm, plan, bufs, ..
         } = self.cx;
+        self.batched_items
+            .set(self.batched_items.get() + spec.work.items() as u64 - 1);
         let builder = self.rt.task().label(spec.label).priority(spec.priority);
-        let tr = trace.clone();
-        let layout = state.layout;
-        let vars = self.vars.clone();
+        let sh = Arc::clone(&self.shared);
         let task = match spec.work {
             Work::Recv { msg } => {
                 let d = plan.msgs[msg].dir.index();
@@ -213,20 +202,21 @@ impl Submitter<Work> for LiveSub<'_> {
                 let (src, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
                 builder.body(move || {
-                    record(tr.as_ref(), Kind::Recv, || {
+                    record(sh.trace.as_ref(), Kind::Recv, || {
                         tampi::irecv_into(&comm, slice, src as i32, tag).expect("recv task")
                     })
                 })
             }
             Work::Pack { msg, transfer } => {
-                let m = &plan.msgs[msg];
-                let t = m.transfers[transfer].clone();
                 let r = &spec.accesses[1].region;
-                let slice = bufs.send[m.dir.index()].slice(r.start..r.end);
-                let src = state.block(&t.src_block).clone();
+                let slice = bufs.send[plan.msgs[msg].dir.index()].slice(r.start..r.end);
                 builder.body(move || {
-                    record(tr.as_ref(), Kind::Pack, || {
-                        slice.with_write(|dst| pack_transfer_into(&layout, &src, &t, vars, dst));
+                    let t = &sh.plan.msgs[msg].transfers[transfer];
+                    let src = &sh.blocks[t.src_pos];
+                    record(sh.trace.as_ref(), Kind::Pack, || {
+                        slice.with_write(|dst| {
+                            pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
+                        });
                     })
                 })
             }
@@ -241,61 +231,33 @@ impl Submitter<Work> for LiveSub<'_> {
                 let (dst, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
                 builder.body(move || {
-                    record(tr.as_ref(), Kind::Send, || {
+                    record(sh.trace.as_ref(), Kind::Send, || {
                         tampi::isend_from(&comm, &slice, dst, tag).expect("send task")
                     })
                 })
             }
-            Work::LocalCopy { transfer } => {
-                let t = plan.locals[transfer].clone();
-                let src = state.block(&t.src_block).clone();
-                let dst = state.block(&t.dst_block).clone();
-                let pool = Arc::clone(&state.pool);
-                builder.body(move || {
-                    record(tr.as_ref(), Kind::LocalCopy, || {
-                        apply_local_transfer(&layout, &src, &dst, &t, vars, &pool)
-                    })
-                })
-            }
-            Work::Boundary { boundary } => {
-                let (block, bdir, side) = plan.boundaries[boundary];
-                let b = state.block(&block).clone();
-                builder.body(move || apply_boundary(&layout, &b, bdir, side, vars))
-            }
+            Work::LocalCopies { transfers } => builder.body(move || sh.local_copies(transfers)),
+            Work::Boundaries { fills } => builder.body(move || sh.boundaries(fills)),
             Work::Unpack { msg, transfer } => {
-                let m = &plan.msgs[msg];
-                let t = m.transfers[transfer].clone();
                 let r = &spec.accesses[0].region;
-                let slice = bufs.recv[m.dir.index()].slice(r.start..r.end);
-                let dst = state.block(&t.dst_block).clone();
+                let slice = bufs.recv[plan.msgs[msg].dir.index()].slice(r.start..r.end);
                 builder.body(move || {
-                    record(tr.as_ref(), Kind::Unpack, || {
-                        slice
-                            .with_read(|payload| unpack_transfer(&layout, &dst, &t, vars, payload));
+                    let t = &sh.plan.msgs[msg].transfers[transfer];
+                    let dst = &sh.blocks[t.dst_pos];
+                    record(sh.trace.as_ref(), Kind::Unpack, || {
+                        slice.with_read(|payload| {
+                            unpack_transfer(&sh.layout, dst, t, sh.vars.clone(), payload)
+                        });
                     })
                 })
             }
-            Work::Stencil { block } => {
-                let block = state.block(&block).clone();
-                let kind = state.cfg.stencil;
-                builder.body(move || {
-                    record(tr.as_ref(), Kind::Stencil, || {
-                        amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars)
-                    })
-                })
-            }
-            Work::ChecksumLocal { slot, block } => {
-                let block = state.block(&block).clone();
-                let slots = Arc::clone(self.slots.expect("checksum phase has slots"));
-                builder.body(move || {
-                    let sums = record(tr.as_ref(), Kind::ChecksumLocal, || {
-                        amr_mesh::checksum::block_sums(&block, &layout, vars)
-                    });
-                    slots.lock()[slot] = sums;
-                })
+            Work::Stencils { blocks } => builder.body(move || sh.stencils(blocks)),
+            Work::ChecksumLocals { slots } => {
+                let out = Arc::clone(self.slots.expect("checksum phase has slots"));
+                builder.body(move || sh.checksum_locals(slots, &out))
             }
         };
-        task.accesses(spec.accesses).spawn();
+        task.access_list(spec.accesses).spawn();
     }
 
     fn barrier(&mut self, kind: BarrierKind) {

@@ -15,27 +15,36 @@
 //! copies, unpack) run as dependency-protected tasks instead of a raw
 //! static `for` — same barrier semantics, but safe under this runtime's
 //! dynamic race checking.
+//!
+//! Every parallel loop is chunked by the grain rule of the shared
+//! elaboration ([`grain_batches`]): one task per chunk of at least
+//! `GRAIN_ELEMS` elements of work, a protected chunk declaring the union
+//! of its members' accesses exactly as a data-flow batch does.
 
 use crate::comm_plan::MsgPlan;
 use crate::config::Config;
+use crate::elaborate::{block_batches, copy_batches, fill_batches, grain_batches, union_accesses};
 use crate::exchange::{run_refinement, BlockingMover, RefineJob};
-use crate::rank::{
-    apply_boundary, apply_local_transfer, pack_transfer_into, unpack_transfer, RankState,
-};
+use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
 use crate::trace::{record, Kind, Trace};
-use crate::variant::{rank_runtime, Exec, PhaseCtx, SumSlots};
+use crate::variant::{
+    elab_ctx, fold_task_counts, rank_runtime, Exec, PhaseCtx, PhaseShared, SumSlots,
+};
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockData;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
-use taskrt::{Region, Runtime};
+use taskrt::{Access, Region, Runtime};
 use vmpi::{Comm, RequestSet};
 
 /// Parallel phases on a worker pool, each closed by a barrier.
 pub(crate) struct ForkJoin {
     rt: Runtime,
+    /// Members of chunks beyond the first (see `DataFlow::batched_items`).
+    batched_items: Cell<u64>,
 }
 
 impl ForkJoin {
@@ -43,7 +52,20 @@ impl ForkJoin {
         // Fork-join opens no trace scopes; keep the replay machinery inert.
         ForkJoin {
             rt: rank_runtime(cfg, rank, false),
+            batched_items: Cell::new(0),
         }
+    }
+
+    /// Spawns one chunk of a parallel loop.
+    fn spawn_chunk(
+        &self,
+        chunk: &Range<usize>,
+        deps: Vec<Access>,
+        body: impl FnOnce() + Send + 'static,
+    ) {
+        self.batched_items
+            .set(self.batched_items.get() + chunk.len() as u64 - 1);
+        self.rt.spawn(deps, body);
     }
 }
 
@@ -60,12 +82,16 @@ impl Exec for ForkJoin {
         } = cx;
         let rt = &self.rt;
         let g = vars.len();
+        let sh = PhaseShared::new(cx, vars.clone());
+        let objs = sh.objs();
+        let elab = elab_ctx(cx, &objs);
         for dir in Dir::ALL {
             let d = dir.index();
-            let inbound: Vec<&MsgPlan> =
-                plan.inbound(state.rank).filter(|m| m.dir == dir).collect();
+            let inbound: Vec<(usize, &MsgPlan)> = (plan.msgs.iter().enumerate())
+                .filter(|(_, m)| m.dir == dir && m.dst_rank == state.rank)
+                .collect();
             let mut reqs = Vec::with_capacity(inbound.len());
-            for m in &inbound {
+            for (_, m) in &inbound {
                 let lo = m.recv_offset * g;
                 let slice = bufs.recv[d].slice(lo..lo + m.elems_per_var * g);
                 reqs.push(
@@ -75,23 +101,23 @@ impl Exec for ForkJoin {
             }
 
             // Parallel pack (read-only on blocks, disjoint buffer sections).
-            let outbound: Vec<&MsgPlan> =
-                plan.outbound(state.rank).filter(|m| m.dir == dir).collect();
-            for m in &outbound {
-                for t in m.transfers.clone() {
-                    let src = state.block(&t.src_block).clone();
-                    let layout = state.layout;
-                    let vars = vars.clone();
-                    let slice = {
-                        let lo = (m.send_offset + t.offset_in_msg) * g;
-                        bufs.send[d].slice(lo..lo + t.elems_per_var * g)
-                    };
-                    let tr = cx.trace.clone();
-                    rt.spawn(Vec::new(), move || {
-                        record(tr.as_ref(), Kind::Pack, || {
-                            slice.with_write(|dst| {
-                                pack_transfer_into(&layout, &src, &t, vars.clone(), dst)
-                            });
+            let outbound: Vec<(usize, &MsgPlan)> = (plan.msgs.iter().enumerate())
+                .filter(|(_, m)| m.dir == dir && m.src_rank == state.rank)
+                .collect();
+            for &(mi, m) in &outbound {
+                for chunk in face_chunks(m, g) {
+                    let (sh, send, faces) =
+                        (Arc::clone(&sh), Arc::clone(&bufs.send[d]), chunk.clone());
+                    self.spawn_chunk(&chunk, Vec::new(), move || {
+                        let m = &sh.plan.msgs[mi];
+                        record(sh.trace.as_ref(), Kind::Pack, || {
+                            for t in &m.transfers[faces] {
+                                let lo = (m.send_offset + t.offset_in_msg) * g;
+                                let src = &sh.blocks[t.src_pos];
+                                send.slice(lo..lo + t.elems_per_var * g).with_write(|dst| {
+                                    pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
+                                });
+                            }
                         })
                     });
                 }
@@ -99,7 +125,7 @@ impl Exec for ForkJoin {
             rt.taskwait();
 
             // Master sends.
-            for m in &outbound {
+            for (_, m) in &outbound {
                 let lo = m.send_offset * g;
                 let slice = bufs.send[d].slice(lo..lo + m.elems_per_var * g);
                 let req = comm
@@ -111,51 +137,16 @@ impl Exec for ForkJoin {
             let n_recvs = inbound.len();
 
             // Intra-process copies: dependency-protected parallel loop.
-            for t in plan
-                .locals
-                .iter()
-                .filter(|t| t.dir == dir && t.src_rank == state.rank)
-            {
-                let src = state.block(&t.src_block).clone();
-                let dst = state.block(&t.dst_block).clone();
-                let layout = state.layout;
-                let vars2 = vars.clone();
-                let t = t.clone();
-                let deps = vec![
-                    taskrt::Access::read(Region::new(
-                        crate::block_obj(src.uid),
-                        layout.var_elem_range(vars2.clone()),
-                    )),
-                    taskrt::Access::read_write(Region::new(
-                        crate::block_obj(dst.uid),
-                        layout.var_elem_range(vars2.clone()),
-                    )),
-                ];
-                let tr = cx.trace.clone();
-                let pool = Arc::clone(&state.pool);
-                rt.spawn(deps, move || {
-                    record(tr.as_ref(), Kind::LocalCopy, || {
-                        apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool)
-                    })
-                });
+            for chunk in copy_batches(plan, state.rank, dir, g) {
+                let deps = elab.local_copy_accesses(plan, chunk.clone(), &vars);
+                let (sh, transfers) = (Arc::clone(&sh), chunk.clone());
+                self.spawn_chunk(&chunk, deps, move || sh.local_copies(transfers));
             }
             // Boundary fills join the same protected loop.
-            for (block, bdir, side) in plan
-                .boundaries
-                .iter()
-                .filter(|(b, bd, _)| *bd == dir && state.dir.owner(b) == Some(state.rank))
-            {
-                let b = state.block(block).clone();
-                let layout = state.layout;
-                let vars2 = vars.clone();
-                let (bdir, side) = (*bdir, *side);
-                let deps = vec![taskrt::Access::read_write(Region::new(
-                    crate::block_obj(b.uid),
-                    layout.var_elem_range(vars2.clone()),
-                ))];
-                rt.spawn(deps, move || {
-                    apply_boundary(&layout, &b, bdir, side, vars2.clone())
-                });
+            for chunk in fill_batches(plan, &state.layout, state.rank, dir, g) {
+                let deps = elab.boundary_accesses(plan, chunk.clone(), &vars);
+                let (sh, fills) = (Arc::clone(&sh), chunk.clone());
+                self.spawn_chunk(&chunk, deps, move || sh.boundaries(fills));
             }
             rt.taskwait();
 
@@ -171,29 +162,38 @@ impl Exec for ForkJoin {
                     continue; // a send completed
                 }
                 arrived += 1;
-                let m = inbound[idx];
-                for t in m.transfers.clone() {
-                    let dst = state.block(&t.dst_block).clone();
-                    let layout = state.layout;
-                    let vars2 = vars.clone();
-                    let lo = (m.recv_offset + t.offset_in_msg) * g;
-                    let slice = bufs.recv[d].slice(lo..lo + t.elems_per_var * g);
-                    let deps = vec![
-                        taskrt::Access::read(Region::new(
-                            bufs.recv_obj[d],
-                            lo..lo + t.elems_per_var * g,
-                        )),
-                        taskrt::Access::read_write(Region::new(
-                            crate::block_obj(dst.uid),
-                            layout.var_elem_range(vars2.clone()),
-                        )),
-                    ];
-                    let tr = cx.trace.clone();
-                    rt.spawn(deps, move || {
-                        record(tr.as_ref(), Kind::Unpack, || {
-                            slice.with_read(|payload| {
-                                unpack_transfer(&layout, &dst, &t, vars2.clone(), payload)
-                            });
+                let (mi, m) = inbound[idx];
+                for chunk in face_chunks(m, g) {
+                    let mut deps = Vec::with_capacity(2 * chunk.len());
+                    for t in &m.transfers[chunk.clone()] {
+                        let lo = (m.recv_offset + t.offset_in_msg) * g;
+                        let section = lo..lo + t.elems_per_var * g;
+                        deps.push(Access::read(Region::new(bufs.recv_obj[d], section)));
+                        deps.push(Access::read_write(Region::new(
+                            objs[t.dst_pos],
+                            state.layout.var_elem_range(vars.clone()),
+                        )));
+                    }
+                    let deps = union_accesses(deps);
+                    let (sh, recv, faces) =
+                        (Arc::clone(&sh), Arc::clone(&bufs.recv[d]), chunk.clone());
+                    self.spawn_chunk(&chunk, deps, move || {
+                        let m = &sh.plan.msgs[mi];
+                        record(sh.trace.as_ref(), Kind::Unpack, || {
+                            for t in &m.transfers[faces] {
+                                let lo = (m.recv_offset + t.offset_in_msg) * g;
+                                let dst = &sh.blocks[t.dst_pos];
+                                recv.slice(lo..lo + t.elems_per_var * g)
+                                    .with_read(|payload| {
+                                        unpack_transfer(
+                                            &sh.layout,
+                                            dst,
+                                            t,
+                                            sh.vars.clone(),
+                                            payload,
+                                        )
+                                    });
+                            }
                         })
                     });
                 }
@@ -206,17 +206,10 @@ impl Exec for ForkJoin {
 
     /// Parallel stencil sweep with a closing barrier.
     fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        for block in cx.state.blocks.values() {
-            let block = block.clone();
-            let layout = cx.state.layout;
-            let kind = cx.state.cfg.stencil;
-            let vars = vars.clone();
-            let tr = cx.trace.clone();
-            self.rt.spawn(Vec::new(), move || {
-                record(tr.as_ref(), Kind::Stencil, || {
-                    amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars)
-                })
-            });
+        let sh = PhaseShared::new(cx, vars);
+        for chunk in block_batches(&sh.layout, sh.blocks.len(), sh.vars.len()) {
+            let (sh, blocks) = (Arc::clone(&sh), chunk.clone());
+            self.spawn_chunk(&chunk, Vec::new(), move || sh.stencils(blocks));
         }
         self.rt.taskwait();
     }
@@ -226,16 +219,10 @@ impl Exec for ForkJoin {
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
         let slots: SumSlots = Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()]));
-        for (i, block) in cx.state.blocks.values().cloned().enumerate() {
-            let layout = cx.state.layout;
-            let slots = Arc::clone(&slots);
-            let tr = cx.trace.clone();
-            self.rt.spawn(Vec::new(), move || {
-                let sums = record(tr.as_ref(), Kind::ChecksumLocal, || {
-                    amr_mesh::checksum::block_sums(&block, &layout, 0..nv)
-                });
-                slots.lock()[i] = sums;
-            });
+        let sh = PhaseShared::new(cx, 0..nv);
+        for chunk in block_batches(&sh.layout, sh.blocks.len(), nv) {
+            let (sh, out, blocks) = (Arc::clone(&sh), Arc::clone(&slots), chunk.clone());
+            self.spawn_chunk(&chunk, Vec::new(), move || sh.checksum_locals(blocks, &out));
         }
         self.rt.taskwait();
         slots
@@ -251,8 +238,15 @@ impl Exec for ForkJoin {
     }
 
     fn finish(&self, stats: &mut RunStats) {
-        stats.tasks_spawned += self.rt.stats().spawned;
+        fold_task_counts(stats, self.rt.stats().spawned, self.batched_items.get());
     }
+}
+
+/// Chunks of one message's faces (they tile its buffer section).
+fn face_chunks(m: &MsgPlan, g: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    grain_batches(0..m.transfers.len(), move |i| {
+        m.transfers[i].elems_per_var * g
+    })
 }
 
 /// Runs split/merge data jobs as a parallel loop with a closing barrier.

@@ -23,13 +23,18 @@ pub mod mpi_only;
 
 use crate::comm_plan::CommPlan;
 use crate::config::{Config, Variant};
+use crate::elaborate::ElabCtx;
 use crate::elastic::{ElasticCtx, SpanCarry, SpanStart};
-use crate::rank::RankState;
+use crate::rank::{
+    apply_boundary, pack_transfer_into, transfer_payload_elems, unpack_transfer, RankState,
+};
 use crate::stats::{RunStats, Stopwatch};
 use crate::trace::{record, Kind, Trace};
+use amr_mesh::data::{BlockData, BlockLayout};
+use amr_mesh::stencil::StencilKind;
 use amr_mesh::BlockId;
 use parking_lot::Mutex;
-use shmem::SharedBuffer;
+use shmem::{BufferPool, SharedBuffer};
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{ObjId, Runtime, TraceScope};
@@ -40,18 +45,120 @@ use vmpi::Comm;
 pub(crate) struct PhaseCtx {
     pub state: RankState,
     pub comm: Arc<Comm>,
-    pub plan: CommPlan,
+    /// Shared with the task bodies of the hybrid executors.
+    pub plan: Arc<CommPlan>,
     pub bufs: Buffers,
     pub trace: Option<Trace>,
 }
 
 /// The communication plan and buffers of the current mesh.
-fn plan_and_buffers(state: &RankState) -> (CommPlan, Buffers) {
+fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Buffers) {
     let cfg = &state.cfg;
     let plan = CommPlan::build(cfg, &state.dir, state.n_ranks);
     let gmax = cfg.var_group(0).len();
     let bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
-    (plan, bufs)
+    (Arc::new(plan), bufs)
+}
+
+/// What the task bodies of one phase call of a hybrid executor run on:
+/// one `Arc` of it and an index range is all a batch task captures. A
+/// member's block handles are indexed at run time through the plan's
+/// positions, so a member costs the spawning thread no lookup, no handle
+/// clone and no allocation.
+pub(crate) struct PhaseShared {
+    pub plan: Arc<CommPlan>,
+    /// The rank's block handles in id order (the order the plan's
+    /// positions index).
+    pub blocks: Vec<BlockData>,
+    pub layout: BlockLayout,
+    pub vars: Range<usize>,
+    stencil: StencilKind,
+    pool: Arc<BufferPool>,
+    pub trace: Option<Trace>,
+}
+
+impl PhaseShared {
+    pub(crate) fn new(cx: &PhaseCtx, vars: Range<usize>) -> Arc<PhaseShared> {
+        Arc::new(PhaseShared {
+            plan: Arc::clone(&cx.plan),
+            blocks: cx.state.local_blocks(),
+            layout: cx.state.layout,
+            vars,
+            stencil: cx.state.cfg.stencil,
+            pool: Arc::clone(&cx.state.pool),
+            trace: cx.trace.clone(),
+        })
+    }
+
+    /// The dependency object of every block, in `blocks` order.
+    pub(crate) fn objs(&self) -> Vec<ObjId> {
+        (self.blocks.iter())
+            .map(|b| crate::block_obj(b.uid))
+            .collect()
+    }
+
+    /// Runs a batch of `plan.locals` in index order through one staging
+    /// buffer sized for its largest member.
+    pub(crate) fn local_copies(&self, transfers: Range<usize>) {
+        let transfers = &self.plan.locals[transfers];
+        let g = self.vars.len();
+        let largest = transfers.iter().map(|t| transfer_payload_elems(t, g)).max();
+        let mut staging = self.pool.take(largest.unwrap_or(0));
+        record(self.trace.as_ref(), Kind::LocalCopy, || {
+            for t in transfers {
+                let payload = &mut staging[..transfer_payload_elems(t, g)];
+                let (src, dst) = (&self.blocks[t.src_pos], &self.blocks[t.dst_pos]);
+                pack_transfer_into(&self.layout, src, t, self.vars.clone(), payload);
+                unpack_transfer(&self.layout, dst, t, self.vars.clone(), payload);
+            }
+        })
+    }
+
+    /// Runs a batch of `plan.boundaries`.
+    pub(crate) fn boundaries(&self, fills: Range<usize>) {
+        for b in &self.plan.boundaries[fills] {
+            let block = &self.blocks[b.pos];
+            apply_boundary(&self.layout, block, b.dir, b.side, self.vars.clone());
+        }
+    }
+
+    /// Applies the stencil to a batch of blocks.
+    pub(crate) fn stencils(&self, blocks: Range<usize>) {
+        record(self.trace.as_ref(), Kind::Stencil, || {
+            for block in &self.blocks[blocks] {
+                amr_mesh::stencil::apply_stencil(
+                    block,
+                    &self.layout,
+                    self.stencil,
+                    self.vars.clone(),
+                );
+            }
+        })
+    }
+
+    /// Reduces a batch of blocks into their slots (block position = slot).
+    pub(crate) fn checksum_locals(&self, slots: Range<usize>, out: &SumSlots) {
+        let sums: Vec<Vec<f64>> = record(self.trace.as_ref(), Kind::ChecksumLocal, || {
+            self.blocks[slots.clone()]
+                .iter()
+                .map(|b| amr_mesh::checksum::block_sums(b, &self.layout, self.vars.clone()))
+                .collect()
+        });
+        for (slot, sums) in out.lock()[slots].iter_mut().zip(sums) {
+            *slot = sums;
+        }
+    }
+}
+
+/// The shared elaboration's view of a live rank (`objs` from
+/// [`PhaseShared::objs`]).
+pub(crate) fn elab_ctx<'a>(cx: &'a PhaseCtx, objs: &'a [ObjId]) -> ElabCtx<'a> {
+    ElabCtx {
+        cfg: &cx.state.cfg,
+        layout: cx.state.layout,
+        rank: cx.state.rank,
+        objs,
+    }
 }
 
 /// Per-block local sums of one checksum point, in block-id order.
@@ -98,6 +205,19 @@ pub(crate) trait Exec {
 
     /// Folds the executor's counters into the span's statistics.
     fn finish(&self, _stats: &mut RunStats) {}
+}
+
+/// Folds a hybrid executor's task counts into the span's statistics:
+/// `spawned` tasks, which ran `batched_items` work items more than that
+/// (the members of batches beyond each batch's first). `--metrics`
+/// carries the item count next to the runtime's `taskrt.tasks_spawned`.
+fn fold_task_counts(stats: &mut RunStats, spawned: u64, batched_items: u64) {
+    stats.tasks_spawned += spawned;
+    stats.task_items += spawned + batched_items;
+    if obs::is_enabled() {
+        let items = obs::metrics().counter("core.task_items");
+        items.add(spawned + batched_items);
+    }
 }
 
 /// The task runtime of a hybrid executor's rank.
@@ -606,7 +726,7 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            // One `checksum_local` task per block is one `local_sums` call.
+            // The `checksum_local` batches of one point are one `local_sums` call.
             modeled.dedup_by(|a, b| *a == "sums" && *b == "sums");
             assert_eq!(modeled, live, "delayed_checksum = {delayed}");
         }

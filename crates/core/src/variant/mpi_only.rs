@@ -83,27 +83,19 @@ impl Exec for Serial {
 
             // Intra-process copies and domain-boundary fills while messages
             // are in flight.
-            for t in plan
-                .locals
-                .iter()
-                .filter(|t| t.dir == dir && t.src_rank == state.rank)
-            {
+            for t in &plan.locals[plan.locals_of(state.rank, dir)] {
                 let src = state.block(&t.src_block);
                 let dst = state.block(&t.dst_block);
                 record(trace, Kind::LocalCopy, || {
                     apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool)
                 });
             }
-            for (block, bdir, side) in plan
-                .boundaries
-                .iter()
-                .filter(|(b, bd, _)| *bd == dir && state.dir.owner(b) == Some(state.rank))
-            {
+            for b in &plan.boundaries[plan.boundaries_of(state.rank, dir)] {
                 apply_boundary(
                     &state.layout,
-                    state.block(block),
-                    *bdir,
-                    *side,
+                    state.block(&b.block),
+                    b.dir,
+                    b.side,
                     vars.clone(),
                 );
             }

@@ -65,7 +65,7 @@ mod tests {
         TaskSpec {
             label,
             priority: 0,
-            accesses,
+            accesses: accesses.into(),
             comm,
             work: (),
         }

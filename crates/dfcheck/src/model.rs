@@ -151,7 +151,7 @@ impl Model {
                     kind: NodeKind::Task,
                     label: spec.label,
                     priority: spec.priority,
-                    accesses: spec.accesses,
+                    accesses: spec.accesses.into_vec(),
                     comm: spec.comm,
                     footprint: Vec::new(),
                     ctx,

@@ -76,7 +76,7 @@ pub use events::EventHold;
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};
-pub use task::current_task_id;
+pub use task::{current_task_id, AccessList};
 pub use trace::TraceScope;
 
 /// Acquires an [`EventHold`] on the task currently executing on this

@@ -767,6 +767,14 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
+    /// Declares a whole access list, taking it over as it is (a
+    /// [`TaskSpec`](crate::TaskSpec)'s list moves into the task without a
+    /// copy). Replaces anything declared before.
+    pub fn access_list(mut self, accesses: AccessList) -> Self {
+        self.accesses = accesses;
+        self
+    }
+
     /// Scheduling priority (higher runs earlier among ready tasks).
     pub fn priority(mut self, priority: i32) -> Self {
         self.priority = priority;

@@ -7,18 +7,34 @@
 //! popped next because the deque is LIFO. That is the *immediate
 //! successor* policy the paper credits for the cache-locality (IPC)
 //! improvement of the data-flow variant.
+//!
+//! ## Parking
+//!
+//! A push pays for a wake-up only when a worker is parked. A worker that
+//! runs dry *announces* itself in `sleepers`, looks through the queues
+//! once more, and only then parks on the condvar; a push enqueues first
+//! and reads `sleepers` second. Both sides are sequentially consistent,
+//! so either the push sees the announcement (and leaves a wake under the
+//! park lock), or the worker's second look sees the task. The park is
+//! bounded by [`PARK_TICK`] all the same, so any wake-up this argument
+//! missed costs one tick, not a hang.
 
 use crate::task::TaskShared;
 use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 type TaskRef = Arc<TaskShared>;
 
+/// Longest a worker parks before it looks at the queues again.
+const PARK_TICK: Duration = Duration::from_millis(1);
+
 struct ParkState {
+    /// Wakes left for announced workers that have not reached the condvar
+    /// yet (a notification only reaches a thread already waiting).
     pending_wakes: usize,
 }
 
@@ -26,6 +42,8 @@ pub(crate) struct Scheduler {
     injector: Injector<TaskRef>,
     hi_injector: Injector<TaskRef>,
     stealers: Vec<Stealer<TaskRef>>,
+    /// Workers that announced they are about to park (or are parked).
+    sleepers: AtomicUsize,
     park_lock: Mutex<ParkState>,
     park_cond: Condvar,
     pub shutdown: AtomicBool,
@@ -53,6 +71,7 @@ impl Scheduler {
                 injector: Injector::new(),
                 hi_injector: Injector::new(),
                 stealers,
+                sleepers: AtomicUsize::new(0),
                 park_lock: Mutex::new(ParkState { pending_wakes: 0 }),
                 park_cond: Condvar::new(),
                 shutdown: AtomicBool::new(false),
@@ -90,22 +109,37 @@ impl Scheduler {
         self.notify();
     }
 
+    /// Wakes one parked worker, if any: with every worker busy a push
+    /// takes no lock and makes no system call.
     fn notify(&self) {
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let mut state = self.park_lock.lock();
-        state.pending_wakes = state.pending_wakes.saturating_add(1);
+        state.pending_wakes += 1;
         drop(state);
         self.park_cond.notify_one();
     }
 
-    /// Wakes all workers (shutdown).
+    /// Wakes all workers; the caller has set `shutdown`.
     pub(crate) fn notify_all(&self) {
-        let mut state = self.park_lock.lock();
-        state.pending_wakes = usize::MAX / 2;
-        drop(state);
+        // Through the park lock: a worker that read `shutdown` as false
+        // under it is on the condvar by the time the lock is free again.
+        drop(self.park_lock.lock());
         self.park_cond.notify_all();
     }
 
-    fn find_task(&self, local: &Worker<TaskRef>, index: usize) -> Option<TaskRef> {
+    /// Worker `index`'s next task: its own deque, then the injectors,
+    /// then its siblings.
+    fn find_task(&self, index: usize) -> Option<TaskRef> {
+        LOCAL.with(|l| {
+            let borrow = l.borrow();
+            let local = borrow.as_ref().expect("worker deque installed");
+            self.find_in(local, index)
+        })
+    }
+
+    fn find_in(&self, local: &Worker<TaskRef>, index: usize) -> Option<TaskRef> {
         if let Some(t) = local.pop() {
             return Some(t);
         }
@@ -146,32 +180,36 @@ impl Scheduler {
         obs::set_thread_worker(index as u32);
         LOCAL.with(|l| *l.borrow_mut() = Some(local));
         loop {
-            let task = LOCAL.with(|l| {
-                let borrow = l.borrow();
-                let local = borrow.as_ref().expect("worker deque installed above");
-                self.find_task(local, index)
-            });
-            match task {
+            match self.find_task(index) {
                 Some(t) => t.execute(),
                 None => {
                     if self.shutdown.load(Ordering::Acquire) {
                         break;
                     }
-                    let mut state = self.park_lock.lock();
-                    if state.pending_wakes > 0 {
-                        state.pending_wakes -= 1;
-                        continue;
-                    }
-                    // Bounded park: a timeout bounds the damage of any
-                    // lost-wakeup scenario to one tick.
-                    self.park_cond
-                        .wait_for(&mut state, Duration::from_millis(1));
-                    if state.pending_wakes > 0 {
-                        state.pending_wakes -= 1;
-                    }
+                    self.park(index);
                 }
             }
         }
         LOCAL.with(|l| *l.borrow_mut() = None);
+    }
+
+    /// Announce, look again, park (see the module docs). Returns to the
+    /// worker loop, which looks through the queues whatever woke it.
+    fn park(&self, index: usize) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let found = self.find_task(index);
+        if found.is_none() {
+            let mut state = self.park_lock.lock();
+            if state.pending_wakes == 0 && !self.shutdown.load(Ordering::Acquire) {
+                self.park_cond.wait_for(&mut state, PARK_TICK);
+            }
+            // Cleared, not decremented: the wakes were left for workers
+            // that had run dry, and this one is about to look.
+            state.pending_wakes = 0;
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if let Some(task) = found {
+            task.execute();
+        }
     }
 }

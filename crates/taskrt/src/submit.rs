@@ -17,7 +17,8 @@
 //! change to task structure, declared accesses, tags or sizes flows into
 //! both by construction.
 
-use crate::region::{Access, Region};
+use crate::region::Region;
+use crate::task::AccessList;
 
 /// Direction of a task-bound message endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +77,7 @@ pub struct TaskSpec<W> {
     /// Scheduling priority (higher runs earlier when ready).
     pub priority: i32,
     /// Declared data accesses — the dependency contract.
-    pub accesses: Vec<Access>,
+    pub accesses: AccessList,
     /// Message endpoint bound to this task, if it communicates.
     pub comm: Option<CommIntent>,
     /// What the task actually does.

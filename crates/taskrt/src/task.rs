@@ -16,9 +16,12 @@ use std::sync::Arc;
 
 pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
 
-/// Inline capacity for per-task access lists: miniAMR tasks declare 1–4
-/// accesses almost always (multidep send tasks spill, and that is fine).
-pub(crate) type AccessList = SmallVec<[Access; 4]>;
+/// A task's declared accesses, with inline room for four: miniAMR's
+/// per-message tasks declare 1–2 and cost no allocation for the list
+/// (batches and multidep send tasks spill, and that is fine). Build a
+/// long list as a `Vec` and convert it: the conversion keeps the
+/// allocation.
+pub type AccessList = SmallVec<[Access; 4]>;
 /// Inline capacity for successor lists: spares the heap allocation that
 /// a plain `Vec` would make on the first successor push of every task.
 pub(crate) type SuccessorList = SmallVec<[Arc<TaskShared>; 4]>;

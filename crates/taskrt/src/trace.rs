@@ -46,7 +46,7 @@
 use crate::deps::History;
 use crate::region::{Access, ObjId};
 use crate::runtime::RtInner;
-use crate::task::TaskShared;
+use crate::task::{SuccessorList, TaskShared};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -254,8 +254,9 @@ pub(crate) enum Route {
     /// Recording: fresh analysis plus shadow recording.
     Recording,
     /// Replay matched: install exactly these predecessors, skip the
-    /// claim table.
-    Replay(Vec<Arc<TaskShared>>),
+    /// claim table. (A task list with inline room, like a successor
+    /// list: most tasks have a handful of predecessors.)
+    Replay(SuccessorList),
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +461,7 @@ pub(crate) fn route_spawn(
                         return Route::Inert;
                     }
                 };
-                let mut preds = Vec::with_capacity(node.preds.len());
+                let mut preds = SuccessorList::with_capacity(node.preds.len());
                 for &(delta, pos) in &node.preds {
                     let from = if delta == 0 {
                         &scope.instance

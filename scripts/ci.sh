@@ -445,6 +445,50 @@ if ! grep -q "depsan: no violations detected" <<<"$san_out"; then
   exit 1
 fi
 
+# --- Task grain ------------------------------------------------------------
+# 4^3 cells x 4 variables on a two-level mesh: every intra-rank item is far
+# below the grain floor (elaborate::GRAIN_ELEMS), so the data-flow stream
+# is mostly batches, with a regrid mid-run. Batching must be invisible in
+# the digest, to the static model and to the sanitizer, and visible in the
+# counts: tasks_spawned (batches) below a quarter of task_items (members).
+grain_mesh=(--npx 2 --init_x 2 --init_y 2 --init_z 2 --nx 4 --ny 4 --nz 4
+            --num_vars 4 --num_refine 2 --num_tsteps 4 --stages_per_ts 4
+            --checksum_freq 2 --refine_freq 2 --send_faces --separate_buffers)
+grain_digest=""
+df_grain_out=""
+for variant in mpi forkjoin dataflow; do
+  echo "==> task grain digest parity: $variant"
+  out="$(timeout 60 "$MINIAMR" --variant "$variant" "${grain_mesh[@]}" 2>&1)"
+  d="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$out")"
+  if [ -z "$d" ] || { [ -n "$grain_digest" ] && [ "$d" != "$grain_digest" ]; }; then
+    echo "task grain: $variant digest '$d' differs from '$grain_digest'" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  grain_digest="$d"
+  if [ "$variant" = dataflow ]; then df_grain_out="$out"; fi
+done
+spawned="$(awk '$1 == "tasks_spawned" { print $2 }' <<<"$df_grain_out")"
+items="$(awk '$1 == "task_items" { print $2 }' <<<"$df_grain_out")"
+if [ -z "$spawned" ] || [ -z "$items" ] || [ "$((spawned * 4))" -ge "$items" ]; then
+  echo "task grain: dataflow spawned '$spawned' tasks for '$items' items (want < 1/4)" >&2
+  echo "$df_grain_out" >&2
+  exit 1
+fi
+echo "==> task grain staticcheck + sanitize: dataflow"
+out="$(timeout 60 "$MINIAMR" --variant dataflow "${grain_mesh[@]}" --staticcheck 2>&1)"
+if ! grep -q "dfcheck: PASS" <<<"$out" || ! grep -q "checksum_digest.$grain_digest" <<<"$out"; then
+  echo "task grain: --staticcheck did not pass with digest '$grain_digest'" >&2
+  echo "$out" >&2
+  exit 1
+fi
+out="$(timeout 60 "$MINIAMR" --variant dataflow "${grain_mesh[@]}" --sanitize 2>&1)"
+if ! grep -q "depsan: no violations detected" <<<"$out" || ! grep -q "checksum_digest.$grain_digest" <<<"$out"; then
+  echo "task grain: sanitized run was not clean with digest '$grain_digest'" >&2
+  echo "$out" >&2
+  exit 1
+fi
+
 # --- Causal perf analyzer (PR 7) -------------------------------------------
 # The 4-rank data-flow smoke must emit a schema-valid perf report whose
 # per-timestep critical-path categories telescope to the window's

@@ -168,3 +168,45 @@ fn face_message_allocations_do_not_grow() {
         allocs as f64 / msgs as f64
     );
 }
+
+/// Ratchet for the task grain: allocator calls on the *spawning* thread
+/// per work item of a warm (replayed) data-flow timestep, on a mesh whose
+/// intra-rank items are all far below `elaborate::GRAIN_ELEMS`. One task
+/// per item cost four (access list, boxed body, task, replayed
+/// predecessor list); a batch pays them once for all its members. Taken
+/// as the difference between a 6- and a 3-timestep run, which leaves
+/// timesteps 4–6: set-up, the recording timesteps and teardown cancel.
+#[test]
+fn warm_dataflow_timestep_allocates_less_than_once_per_item() {
+    let run = |num_tsteps: usize| -> (u64, u64) {
+        let mut params = Config::smoke_test().params;
+        (params.init_x, params.num_vars, params.num_refine) = (2, 4, 2);
+        let mut cfg = Config::four_spheres(params, 4);
+        cfg.variant = miniamr::Variant::DataFlow;
+        cfg.num_tsteps = num_tsteps;
+        cfg.stages_per_ts = 4;
+        cfg.checksum_freq = 4;
+        cfg.refine_freq = 1000;
+        cfg.send_faces = true;
+        cfg.separate_buffers = true;
+        cfg.workers = 1;
+        let per_rank = World::new(2, NetworkModel::instant()).run(|comm| {
+            // The rank's own thread is the one that elaborates and spawns.
+            let before = events();
+            let stats = miniamr::run_rank(&cfg, comm);
+            assert_eq!(stats.checksums_failed, 0);
+            (events() - before, stats.task_items)
+        });
+        per_rank
+            .iter()
+            .fold((0, 0), |(a, i), (allocs, items)| (a + allocs, i + items))
+    };
+    let (cold, warm) = (run(3), run(6));
+    let (allocs, items) = (warm.0 - cold.0, warm.1 - cold.1);
+    assert!(items > 10_000, "only {items} items in three timesteps");
+    assert!(
+        allocs <= items,
+        "{allocs} allocator calls on the spawning threads for {items} work items = {:.2} per item",
+        allocs as f64 / items as f64
+    );
+}

@@ -1,0 +1,120 @@
+//! The task-grain rule on a mesh far below the floor.
+//!
+//! 4³ cells × 4 variables on a two-level mesh: every intra-rank item
+//! (a 64-element face copy, a 256-element stencil) is below
+//! `elaborate::GRAIN_ELEMS`, so almost every data-flow task and fork-join
+//! chunk is a batch, with `--send_faces --separate_buffers` keeping the
+//! per-message tasks as fine as they get. Batching must be invisible in
+//! the results — bitwise-equal checksums across the variants and across
+//! everything that reshapes the stream — and visible only in the counts.
+
+use amr_mesh::MeshParams;
+use miniamr::{Config, RunStats, Variant};
+use vmpi::NetworkModel;
+
+/// The scenario of `scripts/ci.sh`'s "task grain" stage.
+fn fine_cfg() -> Config {
+    let params = MeshParams {
+        npx: 2,
+        npy: 1,
+        npz: 1,
+        init_x: 2,
+        init_y: 2,
+        init_z: 2,
+        nx: 4,
+        ny: 4,
+        nz: 4,
+        num_vars: 4,
+        num_refine: 2,
+        block_change: 1,
+    };
+    let mut cfg = Config::four_spheres(params, 4);
+    cfg.stages_per_ts = 4;
+    cfg.checksum_freq = 2;
+    cfg.refine_freq = 2; // one regrid mid-run
+    cfg.send_faces = true;
+    cfg.separate_buffers = true;
+    cfg.workers = 1;
+    cfg
+}
+
+/// One way of reshaping the task stream.
+type Tweak<'a> = &'a dyn Fn(&mut Config);
+
+fn run(cfg: &Config) -> Vec<RunStats> {
+    let stats = miniamr::run_world(cfg, cfg.params.num_ranks(), NetworkModel::instant());
+    for s in &stats {
+        assert_eq!(s.checksums_failed, 0, "{:?} failed validation", cfg.variant);
+        assert_eq!(s.checksums, stats[0].checksums, "ranks disagree");
+    }
+    stats
+}
+
+/// One test, in this order: the sanitizer is process-global and cannot be
+/// switched off again, and a sanitized run is an order of magnitude
+/// slower, so the parity matrix runs before it is enabled.
+#[test]
+fn batched_streams_agree_bitwise_and_check_clean() {
+    let with = |variant: Variant, tweak: Tweak| {
+        let mut cfg = fine_cfg();
+        cfg.variant = variant;
+        tweak(&mut cfg);
+        run(&cfg)
+    };
+    let reference = with(Variant::MpiOnly, &|_| {});
+    assert!(!reference[0].checksums.is_empty());
+    let blocks = |stats: &[RunStats]| stats.iter().map(|s| s.final_blocks).sum::<usize>();
+    let unregridded = with(Variant::MpiOnly, &|c| c.refine_freq = 1000);
+    assert_ne!(
+        blocks(&reference),
+        blocks(&unregridded),
+        "the mid-run regrid left the mesh as it was"
+    );
+    let tweaks: [(&str, Tweak); 6] = [
+        ("defaults", &|_| {}),
+        ("replay off", &|c| c.replay = false),
+        ("delayed checksum", &|c| c.delayed_checksum = true),
+        ("comm_vars 3", &|c| c.comm_vars = 3),
+        ("3 workers", &|c| c.workers = 3),
+        ("3 workers, delayed, comm_vars 3", &|c| {
+            c.workers = 3;
+            c.delayed_checksum = true;
+            c.comm_vars = 3;
+        }),
+    ];
+    for (name, tweak) in tweaks {
+        for variant in [Variant::ForkJoin, Variant::DataFlow] {
+            let stats = with(variant, tweak);
+            assert_eq!(
+                stats[0].checksums, reference[0].checksums,
+                "{variant:?} with {name} diverged from MPI-only"
+            );
+            // Far below the floor both hybrids run mostly batches.
+            let spawned: u64 = stats.iter().map(|s| s.tasks_spawned).sum();
+            let items: u64 = stats.iter().map(|s| s.task_items).sum();
+            assert!(
+                spawned * 4 < items,
+                "{variant:?} with {name}: {spawned} tasks for {items} items"
+            );
+        }
+    }
+
+    // The static model of the batched stream, then the stream itself
+    // under the dynamic sanitizer.
+    let mut cfg = fine_cfg();
+    cfg.variant = Variant::DataFlow;
+    cfg.workers = 2;
+    let report = miniamr::staticcheck::check(&cfg);
+    assert!(report.clean(), "{}", report.render_human());
+
+    depsan::enable(depsan::Mode::Record);
+    let _ = depsan::take_violations();
+    run(&cfg);
+    let violations = depsan::take_violations();
+    assert!(
+        violations.is_empty(),
+        "{} violation(s), first: {:?}",
+        violations.len(),
+        violations.first()
+    );
+}
