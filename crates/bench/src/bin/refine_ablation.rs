@@ -5,7 +5,9 @@
 //! taskification removes ≈80% of it. This harness reproduces the
 //! decomposition on the performance model (64 nodes, four spheres) and —
 //! with `--real` — measures the refinement share of wall time on the
-//! threaded runtime.
+//! threaded runtime, followed by a regrid-interval sweep of the replay
+//! cache (how much of a run re-arms recorded tasks, and what that buys,
+//! as the mesh epochs get longer).
 //!
 //! Usage: `refine_ablation [--quick] [--real]`
 
@@ -93,6 +95,7 @@ fn main() {
 
     if real {
         real_mode();
+        replay_sweep();
     }
     if !ok {
         std::process::exit(1);
@@ -139,5 +142,61 @@ fn real_mode() {
             "{name}\t{total:.3}\t{refine:.3}\t{:.1}%",
             100.0 * refine / total
         );
+    }
+}
+
+/// Regrid interval × replay on/off on the `tasks_fine`-shaped mesh (4³
+/// cells × 4 variables, two levels, one message per face, 2 ranks × 1
+/// worker, instant network): the share of tasks the cache re-armed and
+/// the wall time of the slowest rank, median of five runs, on and off
+/// alternating.
+fn replay_sweep() {
+    use miniamr::{Config, Variant};
+    use vmpi::NetworkModel;
+
+    const TSTEPS: usize = 16;
+    const ROUNDS: usize = 5;
+    println!("# --real: regrid interval x replay ({TSTEPS} timesteps, 2 ranks x 1 worker)");
+    println!("refine_freq\treplay\ttasks\treplayed_share\ttrace_hits\ttotal_s");
+    for refine_freq in [1, 2, 4, 8, 1000] {
+        let run = |replay: bool| {
+            let mut cfg = Config::new(amr_bench::mesh_for((4, 4, 4), 4, 4, 2, 2));
+            cfg.objects = amr_bench::four_spheres(TSTEPS);
+            cfg.variant = Variant::DataFlow;
+            cfg.num_tsteps = TSTEPS;
+            cfg.stages_per_ts = 10;
+            cfg.checksum_freq = 5;
+            cfg.refine_freq = refine_freq;
+            cfg.workers = 1;
+            cfg.send_faces = true;
+            cfg.separate_buffers = true;
+            cfg.replay = replay;
+            let stats = miniamr::run_world(&cfg, 2, NetworkModel::instant());
+            let sum = |f: fn(&miniamr::RunStats) -> u64| stats.iter().map(f).sum::<u64>();
+            let total = stats.iter().map(|s| s.times.total.as_secs_f64());
+            (
+                total.fold(0.0, f64::max),
+                sum(|s| s.tasks_spawned),
+                sum(|s| s.tasks_replayed),
+                sum(|s| s.trace_hits),
+            )
+        };
+        let mut runs = [Vec::new(), Vec::new()];
+        for _ in 0..ROUNDS {
+            runs[0].push(run(true));
+            runs[1].push(run(false));
+        }
+        let every = match refine_freq {
+            1000 => "never".to_string(),
+            n => n.to_string(),
+        };
+        for (side, replay) in runs.iter_mut().zip(["on", "off"]) {
+            side.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (total, tasks, replayed, hits) = side[ROUNDS / 2];
+            println!(
+                "{every}\t{replay}\t{tasks}\t{:.1}%\t{hits}\t{total:.3}",
+                100.0 * replayed as f64 / tasks as f64,
+            );
+        }
     }
 }

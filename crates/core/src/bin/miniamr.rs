@@ -513,14 +513,13 @@ fn main() {
             stats.iter().map(|s| s.task_items).sum::<u64>()
         );
         println!("tasks_replayed\t{replayed}");
-        println!(
-            "trace_hits\t{}",
-            stats.iter().map(|s| s.trace_hits).sum::<u64>()
-        );
-        println!(
-            "trace_invalidations\t{}",
-            stats.iter().map(|s| s.trace_invalidations).sum::<u64>()
-        );
+        let sum = |f: fn(&miniamr::RunStats) -> u64| stats.iter().map(f).sum::<u64>();
+        println!("trace_hits\t{}", sum(|s| s.trace_hits));
+        println!("trace_records\t{}", sum(|s| s.trace_records));
+        println!("trace_closes\t{}", sum(|s| s.trace_closes));
+        println!("trace_freezes\t{}", sum(|s| s.trace_freezes));
+        println!("tasks_rearmed\t{}", sum(|s| s.tasks_rearmed));
+        println!("trace_invalidations\t{}", sum(|s| s.trace_invalidations));
     }
     let pool_hits: u64 = stats.iter().map(|s| s.pool.hits).sum();
     let pool_misses: u64 = stats.iter().map(|s| s.pool.misses).sum();

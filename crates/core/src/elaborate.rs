@@ -288,8 +288,12 @@ impl ElabCtx<'_> {
 
             // Receive tasks: out-dependency on the buffer section; the
             // task-aware receive binds arrival to dependency release.
-            // Communication tasks jump the ready queue (priority 1):
-            // getting receives posted early maximizes overlap.
+            // The four message-coupled kinds jump the ready queue
+            // (priority 1): receives posted early maximize overlap, and a
+            // pack on the way to a send or an unpack released by an
+            // arriving message must not queue behind every ready interior
+            // copy and stencil before the chain unpack → copies → stencil
+            // → pack → send of the next stage can start.
             for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Inbound) {
                 let lo = m.recv_offset * gb;
                 let hi = lo + m.elems_per_var * g;
@@ -316,7 +320,7 @@ impl ElabCtx<'_> {
                     section_accesses.push(Access::read(section.clone()));
                     sub.submit(TaskSpec {
                         label: "pack",
-                        priority: 0,
+                        priority: 1,
                         accesses: AccessList::from_iter([
                             Access::read(self.block_region(self.objs[t.src_pos], vars.clone())),
                             Access::write(section),
@@ -372,7 +376,7 @@ impl ElabCtx<'_> {
                     let shi = slo + t.elems_per_var * g;
                     sub.submit(TaskSpec {
                         label: "unpack",
-                        priority: 0,
+                        priority: 1,
                         accesses: AccessList::from_iter([
                             Access::read(Region::new(recv_obj[d], slo..shi)),
                             Access::read_write(

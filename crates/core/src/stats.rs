@@ -63,8 +63,17 @@ pub struct RunStats {
     /// Tasks whose dependency edges came from a replayed trace (DataFlow
     /// with `--replay on`).
     pub tasks_replayed: u64,
+    /// Replayed tasks that reused the previous timestep's task object in
+    /// place (all of them, unless tasks outlive their timestep).
+    pub tasks_rearmed: u64,
     /// Trace-scope iterations replayed entirely from a frozen trace.
     pub trace_hits: u64,
+    /// Trace-scope iterations that recorded.
+    pub trace_records: u64,
+    /// Recorded timesteps the cache closed (analyzed for replay) …
+    pub trace_closes: u64,
+    /// … and the closes that froze a trace instead of parking it.
+    pub trace_freezes: u64,
     /// Trace invalidations (regrid / repartition / restore).
     pub trace_invalidations: u64,
     /// Buffer-pool reuse counters at the end of the run (hit rate ≈ 1

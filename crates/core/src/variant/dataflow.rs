@@ -38,11 +38,37 @@ use crate::variant::{
 };
 use amr_mesh::data::{BlockData, BlockLayout};
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{Access, BarrierKind, ObjId, Region, Runtime, Submitter, TaskSpec, TraceScope};
 use vmpi::Comm;
+
+/// The three task-submitting calls of the timestep loop.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Phase {
+    Communicate,
+    Stencil,
+    LocalSums,
+}
+
+/// One phase call as the call log remembers it: which call it was, where
+/// its tasks sit in the runtime's trace, and what it must hand back
+/// without running again. Counts, positions and slot handles — the tasks,
+/// their accesses and their edges stay in `taskrt::trace`.
+struct PhaseCall {
+    phase: Phase,
+    vars: Range<usize>,
+    /// Trace position of the call's first task …
+    start: usize,
+    /// … and how many it spawned.
+    tasks: usize,
+    /// What the call added to `DataFlow::batched_items`.
+    batched_items: u64,
+    /// The slots a `LocalSums` call's tasks fill (every one of them, so
+    /// each timestep's run of the call can hand out the same vector).
+    slots: Option<SumSlots>,
+}
 
 /// Task streams elaborated into a runtime that orders them by their
 /// declared accesses; only [`Exec::wait`] ever blocks the main thread.
@@ -55,6 +81,16 @@ pub(crate) struct DataFlow {
     /// Members of batches beyond the first: what the tasks spawned fall
     /// short of the work items elaborated.
     batched_items: Cell<u64>,
+    /// The phase calls of one timestep of the current mesh epoch, in call
+    /// order, each as its latest elaboration left it. While the runtime
+    /// replays, a call found here is not elaborated again: its tasks are
+    /// re-armed where they sit ([`Runtime::replay_tasks`]). That rests on
+    /// what `staticcheck` rests on — within a mesh epoch the stream of a
+    /// phase call is a function of (phase, vars) alone — and on the
+    /// runtime refusing unless its trace stands exactly at `start`.
+    calls: RefCell<Vec<PhaseCall>>,
+    /// Index into `calls` of the timestep's next phase call.
+    next_call: Cell<usize>,
 }
 
 impl DataFlow {
@@ -63,28 +99,62 @@ impl DataFlow {
             rt: rank_runtime(cfg, rank, cfg.replay),
             sums_obj: ObjId::fresh(),
             batched_items: Cell::new(0),
+            calls: RefCell::default(),
+            next_call: Cell::new(0),
         }
     }
 
     /// Runs one phase of the shared elaboration ([`crate::elaborate`])
-    /// into its live consumer.
+    /// into its live consumer — or, on a replay hit, re-arms the tasks the
+    /// call spawned when it last ran. Returns the checksum slots of a
+    /// `LocalSums` call.
     fn submit_phase(
         &self,
         cx: &PhaseCtx,
+        phase: Phase,
         vars: Range<usize>,
-        slots: Option<&SumSlots>,
-        phase: impl FnOnce(&ElabCtx, &mut LiveSub),
-    ) {
-        let shared = PhaseShared::new(cx, vars);
+        elaborate: impl FnOnce(&ElabCtx, &mut LiveSub),
+    ) -> Option<SumSlots> {
+        let k = self.next_call.replace(self.next_call.get() + 1);
+        if let Some(call) = self.calls.borrow().get(k) {
+            if (call.phase, &call.vars) == (phase, &vars)
+                && self.rt.replay_tasks(call.start, call.tasks)
+            {
+                self.batched_items
+                    .set(self.batched_items.get() + call.batched_items);
+                return call.slots.clone();
+            }
+        }
+        // This call's entry and the ones behind it describe tasks that
+        // are about to be replaced.
+        self.calls.borrow_mut().truncate(k);
+        let start = self.rt.trace_position();
+        let items_before = self.batched_items.get();
+        let slots: Option<SumSlots> = (phase == Phase::LocalSums)
+            .then(|| Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()])));
+        let shared = PhaseShared::new(cx, vars.clone());
         let objs = shared.objs();
         let mut sub = LiveSub {
             rt: &self.rt,
             cx,
             shared,
-            slots,
+            slots: slots.as_ref(),
             batched_items: &self.batched_items,
         };
-        phase(&elab_ctx(cx, &objs), &mut sub);
+        elaborate(&elab_ctx(cx, &objs), &mut sub);
+        // Logged only if the scope recorded (or replayed by fingerprint)
+        // from the call's first task to its last.
+        if let (Some(start), Some(end)) = (start, self.rt.trace_position()) {
+            self.calls.borrow_mut().push(PhaseCall {
+                phase,
+                vars,
+                start,
+                tasks: end - start,
+                batched_items: self.batched_items.get() - items_before,
+                slots: slots.clone(),
+            });
+        }
+        slots
     }
 }
 
@@ -93,7 +163,7 @@ impl Exec for DataFlow {
     /// [`crate::elaborate::ElabCtx::communicate`] for the spawn-order and
     /// offset-stride invariants).
     fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        self.submit_phase(cx, vars.clone(), None, |ctx, sub| {
+        self.submit_phase(cx, Phase::Communicate, vars.clone(), |ctx, sub| {
             ctx.communicate(&cx.plan, cx.bufs.send_obj, cx.bufs.recv_obj, vars, sub)
         });
     }
@@ -101,7 +171,9 @@ impl Exec for DataFlow {
     /// Stencil tasks chain behind the unpackers via block dependencies;
     /// no barrier.
     fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        self.submit_phase(cx, vars.clone(), None, |ctx, sub| ctx.stencils(vars, sub));
+        self.submit_phase(cx, Phase::Stencil, vars.clone(), |ctx, sub| {
+            ctx.stencils(vars, sub)
+        });
     }
 
     /// Spawns the per-block local reduction tasks of one checksum point;
@@ -109,11 +181,10 @@ impl Exec for DataFlow {
     /// [`crate::elaborate::ElabCtx::checksum_locals`]).
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
-        let slots: SumSlots = Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()]));
-        self.submit_phase(cx, 0..nv, Some(&slots), |ctx, sub| {
+        self.submit_phase(cx, Phase::LocalSums, 0..nv, |ctx, sub| {
             ctx.checksum_locals(self.sums_obj, sub)
-        });
-        slots
+        })
+        .expect("a LocalSums call has slots")
     }
 
     fn sums_obj(&self) -> Option<ObjId> {
@@ -129,10 +200,12 @@ impl Exec for DataFlow {
         }
     }
 
-    /// One trace scope per timestep: after the stream stabilizes
-    /// (unchanged mesh and plan), dependency edges replay from the cached
-    /// trace instead of re-running claim-table analysis.
+    /// One trace scope per timestep: the first timestep of a mesh epoch
+    /// is recorded, the later ones re-arm its tasks phase call by phase
+    /// call. (Re-arming a whole timestep at once would let stages run past
+    /// an eager checksum's `taskwait` and turn it into a delayed one.)
     fn timestep_scope(&self) -> Option<TraceScope<'_>> {
+        self.next_call.set(0);
         Some(self.rt.trace_scope(0))
     }
 
@@ -152,13 +225,18 @@ impl Exec for DataFlow {
     /// cached trace is structurally stale.
     fn mesh_changed(&self) {
         self.rt.invalidate_traces();
+        self.calls.borrow_mut().clear();
     }
 
     fn finish(&self, stats: &mut RunStats) {
         let rts = self.rt.stats();
         fold_task_counts(stats, rts.spawned, self.batched_items.get());
         stats.tasks_replayed += rts.replayed_tasks;
+        stats.tasks_rearmed += rts.rearmed_tasks;
         stats.trace_hits += rts.trace_hits;
+        stats.trace_records += rts.trace_records;
+        stats.trace_closes += rts.trace_closes;
+        stats.trace_freezes += rts.trace_freezes;
         stats.trace_invalidations += rts.trace_invalidations;
     }
 }
@@ -174,7 +252,9 @@ fn block_region(layout: &BlockLayout, block: &BlockData, vars: Range<usize>) -> 
 /// and spawn order cannot drift between execution and analysis.
 ///
 /// Buffer slices are derived from the spec's declared regions — the
-/// "slice == declaration" invariant holds by construction.
+/// "slice == declaration" invariant holds by construction. Every body is
+/// re-runnable (`body_fn`): it leaves its captures in place and clones the
+/// ranges and slices it hands on, so a replay hit can run it again.
 struct LiveSub<'a> {
     rt: &'a Runtime,
     cx: &'a PhaseCtx,
@@ -201,16 +281,16 @@ impl Submitter<Work> for LiveSub<'_> {
                 let intent = spec.comm.as_ref().expect("recv spec has an endpoint");
                 let (src, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
-                builder.body(move || {
+                builder.body_fn(move || {
                     record(sh.trace.as_ref(), Kind::Recv, || {
-                        tampi::irecv_into(&comm, slice, src as i32, tag).expect("recv task")
+                        tampi::irecv_into(&comm, slice.clone(), src as i32, tag).expect("recv task")
                     })
                 })
             }
             Work::Pack { msg, transfer } => {
                 let r = &spec.accesses[1].region;
                 let slice = bufs.send[plan.msgs[msg].dir.index()].slice(r.start..r.end);
-                builder.body(move || {
+                builder.body_fn(move || {
                     let t = &sh.plan.msgs[msg].transfers[transfer];
                     let src = &sh.blocks[t.src_pos];
                     record(sh.trace.as_ref(), Kind::Pack, || {
@@ -230,18 +310,20 @@ impl Submitter<Work> for LiveSub<'_> {
                 let intent = spec.comm.as_ref().expect("send spec has an endpoint");
                 let (dst, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
-                builder.body(move || {
+                builder.body_fn(move || {
                     record(sh.trace.as_ref(), Kind::Send, || {
                         tampi::isend_from(&comm, &slice, dst, tag).expect("send task")
                     })
                 })
             }
-            Work::LocalCopies { transfers } => builder.body(move || sh.local_copies(transfers)),
-            Work::Boundaries { fills } => builder.body(move || sh.boundaries(fills)),
+            Work::LocalCopies { transfers } => {
+                builder.body_fn(move || sh.local_copies(transfers.clone()))
+            }
+            Work::Boundaries { fills } => builder.body_fn(move || sh.boundaries(fills.clone())),
             Work::Unpack { msg, transfer } => {
                 let r = &spec.accesses[0].region;
                 let slice = bufs.recv[plan.msgs[msg].dir.index()].slice(r.start..r.end);
-                builder.body(move || {
+                builder.body_fn(move || {
                     let t = &sh.plan.msgs[msg].transfers[transfer];
                     let dst = &sh.blocks[t.dst_pos];
                     record(sh.trace.as_ref(), Kind::Unpack, || {
@@ -251,10 +333,10 @@ impl Submitter<Work> for LiveSub<'_> {
                     })
                 })
             }
-            Work::Stencils { blocks } => builder.body(move || sh.stencils(blocks)),
+            Work::Stencils { blocks } => builder.body_fn(move || sh.stencils(blocks.clone())),
             Work::ChecksumLocals { slots } => {
                 let out = Arc::clone(self.slots.expect("checksum phase has slots"));
-                builder.body(move || sh.checksum_locals(slots, &out))
+                builder.body_fn(move || sh.checksum_locals(slots.clone(), &out))
             }
         };
         task.access_list(spec.accesses).spawn();

@@ -11,12 +11,12 @@
 use crate::comm_plan::MsgPlan;
 use crate::exchange::{run_refinement, BlockingMover};
 use crate::rank::{
-    apply_boundary, apply_local_transfer, pack_transfer_into, transfer_payload_elems,
-    unpack_transfer, RankState,
+    apply_boundary, pack_transfer_into, transfer_payload_elems, unpack_transfer, RankState,
 };
 use crate::trace::{record, Kind, Trace};
 use crate::variant::{Exec, PhaseCtx, SumSlots};
 use amr_mesh::block_id::Dir;
+use amr_mesh::data::BlockData;
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
@@ -37,6 +37,9 @@ impl Exec for Serial {
         } = cx;
         let trace = cx.trace.as_ref();
         let g = vars.len();
+        // The rank's blocks in id order: what the plan's `src_pos`,
+        // `dst_pos` and `pos` index (as the hybrids' `PhaseShared::blocks`).
+        let blocks: Vec<&BlockData> = state.blocks.values().collect();
         for dir in Dir::ALL {
             let d = dir.index();
             // Post all receives for this direction.
@@ -64,7 +67,7 @@ impl Exec for Serial {
                         slice.with_write(|dst| {
                             pack_transfer_into(
                                 &state.layout,
-                                state.block(&t.src_block),
+                                blocks[t.src_pos],
                                 t,
                                 vars.clone(),
                                 dst,
@@ -82,22 +85,21 @@ impl Exec for Serial {
             }
 
             // Intra-process copies and domain-boundary fills while messages
-            // are in flight.
-            for t in &plan.locals[plan.locals_of(state.rank, dir)] {
-                let src = state.block(&t.src_block);
-                let dst = state.block(&t.dst_block);
+            // are in flight; the copies of a direction are staged through
+            // one buffer sized for the largest of them.
+            let locals = &plan.locals[plan.locals_of(state.rank, dir)];
+            let largest = locals.iter().map(|t| transfer_payload_elems(t, g)).max();
+            let mut staging = state.pool.take(largest.unwrap_or(0));
+            for t in locals {
+                let payload = &mut staging[..transfer_payload_elems(t, g)];
+                let (src, dst) = (blocks[t.src_pos], blocks[t.dst_pos]);
                 record(trace, Kind::LocalCopy, || {
-                    apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool)
+                    pack_transfer_into(&state.layout, src, t, vars.clone(), payload);
+                    unpack_transfer(&state.layout, dst, t, vars.clone(), payload);
                 });
             }
             for b in &plan.boundaries[plan.boundaries_of(state.rank, dir)] {
-                apply_boundary(
-                    &state.layout,
-                    state.block(&b.block),
-                    b.dir,
-                    b.side,
-                    vars.clone(),
-                );
+                apply_boundary(&state.layout, blocks[b.pos], b.dir, b.side, vars.clone());
             }
 
             // Waitany loop: unpack each message as it arrives.
@@ -107,7 +109,7 @@ impl Exec for Serial {
                 for t in &m.transfers {
                     let lo = (m.recv_offset + t.offset_in_msg) * g;
                     let slice = bufs.recv[d].slice(lo..lo + transfer_payload_elems(t, g));
-                    let dst = state.block(&t.dst_block);
+                    let dst = blocks[t.dst_pos];
                     record(trace, Kind::Unpack, || {
                         slice.with_read(|payload| {
                             unpack_transfer(&state.layout, dst, t, vars.clone(), payload)

@@ -10,9 +10,10 @@ use vmpi::NetworkModel;
 fn base_config() -> Config {
     let mut cfg = Config::smoke_test();
     cfg.variant = Variant::DataFlow;
-    // Long enough for the trace to warm up (cold shadow + two identical
-    // recordings) and replay inside each regrid epoch, with regrids and
-    // checkpoints mid-run exercising invalidation.
+    // Two regrid epochs of five timesteps, each replaying from its
+    // second (later with delayed validation, whose first epoch opens
+    // without a waiter), with regrids and checkpoints mid-run exercising
+    // invalidation.
     cfg.num_tsteps = 10;
     cfg.refine_freq = 5;
     cfg.ckpt_freq = 8;
@@ -81,4 +82,77 @@ fn replayed_dataflow_matches_mpi_only() {
         d_df, d_mpi,
         "replayed data-flow diverged from the reference"
     );
+}
+
+/// The `tasks_fine` shape — 4³-cell blocks of 4 variables, two refinement
+/// levels, per-face messages over separate buffers, every intra-rank item
+/// below the grain floor — over two mesh epochs of four timesteps with a
+/// regrid between them, two checksum points per timestep.
+fn fine_config() -> Config {
+    let mut params = Config::smoke_test().params;
+    (params.init_x, params.num_vars, params.num_refine) = (2, 4, 2);
+    let mut cfg = Config::four_spheres(params, 8);
+    cfg.variant = Variant::DataFlow;
+    cfg.stages_per_ts = 4;
+    cfg.checksum_freq = 2;
+    cfg.refine_freq = 4;
+    cfg.send_faces = true;
+    cfg.separate_buffers = true;
+    cfg.workers = 1;
+    cfg
+}
+
+/// Re-arming is invisible to the numerics whichever way the cache goes:
+/// hits from the second timestep of an epoch (defaults, three workers), a
+/// waiter task between re-armed phases and tasks that outlive their
+/// timestep (delayed validation), a stream whose close fails (uneven
+/// variable groups) and one that never repeats (checksum points drifting
+/// through the timestep) all reproduce the MPI-only digest.
+#[test]
+fn rearmed_fine_mesh_matches_mpi_only_under_every_option() {
+    let sum = |stats: &[RunStats], f: fn(&RunStats) -> u64| stats.iter().map(f).sum::<u64>();
+    let mut mpi = fine_config();
+    mpi.variant = Variant::MpiOnly;
+    let reference = run(&mpi);
+    let blocks = |stats: &[RunStats]| stats.iter().map(|s| s.final_blocks).sum::<usize>();
+
+    let defaults = run(&fine_config());
+    assert_eq!(
+        defaults[0].checksum_digest(),
+        reference[0].checksum_digest()
+    );
+    assert_eq!(blocks(&defaults), blocks(&reference));
+    // Two ranks, two epochs of four timesteps: every timestep but an
+    // epoch's first is a hit, and with eager checksums draining the graph
+    // every replayed task reuses its predecessor's object.
+    assert_eq!(sum(&defaults, |s| s.trace_invalidations), 2 * 2);
+    assert_eq!(sum(&defaults, |s| s.trace_hits), 2 * 2 * (4 - 1));
+    assert_eq!(sum(&defaults, |s| s.trace_records), 2 * 2);
+    assert_eq!(sum(&defaults, |s| s.trace_freezes), 2 * 2);
+    let replayed = sum(&defaults, |s| s.tasks_replayed);
+    assert!(replayed > 0);
+    assert_eq!(sum(&defaults, |s| s.tasks_rearmed), replayed);
+
+    type Tweak = fn(&mut Config);
+    let options: [(&str, Tweak); 5] = [
+        ("delayed_checksum", |c| c.delayed_checksum = true),
+        ("comm_vars 3", |c| c.comm_vars = 3),
+        ("checksum_freq 3", |c| c.checksum_freq = 3),
+        ("3 workers", |c| c.workers = 3),
+        ("replay off", |c| c.replay = false),
+    ];
+    for (name, tweak) in options {
+        let (mut df, mut mpi) = (fine_config(), fine_config());
+        tweak(&mut df);
+        tweak(&mut mpi);
+        mpi.variant = Variant::MpiOnly;
+        mpi.delayed_checksum = false;
+        let (df, mpi) = (run(&df), run(&mpi));
+        assert_eq!(
+            df[0].checksum_digest(),
+            mpi[0].checksum_digest(),
+            "data-flow with {name} diverged from the reference"
+        );
+        assert_eq!(df[0].checksums.len(), mpi[0].checksums.len(), "{name}");
+    }
 }

@@ -255,9 +255,11 @@ pub enum EventData {
         /// Retransmissions it took.
         retries: u32,
     },
-    /// taskrt: a trace-cache transition (`"record"`, `"hit"`, `"miss"`,
+    /// taskrt: a trace-cache transition (`"record"`, `"close"`, `"hit"`,
     /// `"divergence"`, `"invalidate"`). `tasks` is the number of tasks
-    /// the transition covered (trace length, or 0 for invalidations).
+    /// the transition covered: the trace length — for a `"close"` the
+    /// tasks it froze, 0 when it parked the key instead — or 0 for
+    /// invalidations.
     TraceMark {
         /// Transition kind.
         kind: &'static str,

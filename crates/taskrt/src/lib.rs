@@ -27,10 +27,12 @@
 //!   credits for the IPC improvement of the data-flow variant (§V-B,
 //!   §VI). The policy can be disabled for ablation studies.
 //! * **Task-graph trace & replay.** A [`Runtime::trace_scope`] brackets a
-//!   periodic submission phase (one AMR timestep); once two consecutive
-//!   iterations submit the identical task stream, the dependency edges
-//!   are frozen into a trace and later iterations replay them without
-//!   touching the claim table. Regrid/repartition invalidate via
+//!   periodic submission phase (one AMR timestep); the first iteration
+//!   is recorded, and from the second on a matching iteration re-arms the
+//!   recorded task objects in place behind their recorded predecessors,
+//!   without touching the claim table — or, for tasks with a re-runnable
+//!   body ([`TaskBuilder::body_fn`]), without being spawned again at all
+//!   ([`Runtime::replay_tasks`]). Regrid/repartition invalidate via
 //!   [`Runtime::invalidate_traces`].
 //!
 //! ## Example

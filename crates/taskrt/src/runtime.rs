@@ -66,6 +66,15 @@ pub struct RuntimeStats {
     /// Tasks whose dependency edges were installed from a replayed trace
     /// (claim table bypassed).
     pub replayed_tasks: u64,
+    /// Recorded streams closed (the symbolic analysis was run on them) …
+    pub trace_closes: u64,
+    /// … and how many of those closes froze a trace; the others parked
+    /// their key.
+    pub trace_freezes: u64,
+    /// Replayed tasks that reused the task object of the previous
+    /// iteration in place (the rest were allocated: that object was still
+    /// referenced).
+    pub rearmed_tasks: u64,
 }
 
 /// Cached metric handles (a registry lookup takes a lock; the handles are
@@ -77,7 +86,9 @@ pub(crate) struct ObsMetrics {
     pub(crate) blocked: obs::Counter,
     pub(crate) live_hwm: obs::Gauge,
     pub(crate) replayed_tasks: obs::Counter,
+    pub(crate) rearmed_tasks: obs::Counter,
     pub(crate) trace_records: obs::Counter,
+    pub(crate) trace_closes: obs::Counter,
     pub(crate) trace_hits: obs::Counter,
     pub(crate) trace_divergences: obs::Counter,
     pub(crate) trace_invalidations: obs::Counter,
@@ -149,6 +160,9 @@ pub(crate) struct RtInner {
     pub(crate) stat_trace_divergences: AtomicU64,
     pub(crate) stat_trace_invalidations: AtomicU64,
     pub(crate) stat_replayed_tasks: AtomicU64,
+    pub(crate) stat_trace_closes: AtomicU64,
+    pub(crate) stat_trace_freezes: AtomicU64,
+    pub(crate) stat_rearmed_tasks: AtomicU64,
     /// Virtual rank this runtime serves, for event attribution
     /// ([`obs::UNKNOWN_RANK`] until [`Runtime::set_obs_rank`]).
     pub(crate) obs_rank: AtomicU32,
@@ -171,6 +185,110 @@ impl RtInner {
     #[inline]
     pub(crate) fn rank(&self) -> u32 {
         self.obs_rank.load(Ordering::Relaxed)
+    }
+
+    // The steps of a spawn, shared by `Runtime::spawn_boxed` and the
+    // replay path (`trace::replay_slot`), which takes the task object
+    // from the trace and its edges from there too.
+
+    pub(crate) fn next_task_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Registers a spawn with the sanitizer (which must be on) and
+    /// returns its depsan id. Spawn order is a topological order of the
+    /// declared graph, which is what lets depsan compute happens-before
+    /// closures at spawn time. A replayed spawn also hands over the
+    /// predecessor set the trace is about to enforce, which depsan
+    /// re-checks against the declared accesses.
+    pub(crate) fn san_spawned(
+        &self,
+        label: &'static str,
+        accesses: &[Access],
+        replayed: Option<&[u64]>,
+    ) -> u64 {
+        let decls: Vec<depsan::DeclAccess> = accesses
+            .iter()
+            .map(|a| depsan::DeclAccess {
+                obj: a.region.obj.0,
+                start: a.region.start,
+                end: a.region.end,
+                write: a.mode.is_write(),
+            })
+            .collect();
+        depsan::task_spawned(self.san_rt, label, self.rank(), &decls, replayed)
+    }
+
+    pub(crate) fn new_task(
+        self: &Arc<Self>,
+        id: u64,
+        san_id: u64,
+        priority: i32,
+        label: &'static str,
+        accesses: AccessList,
+        body: TaskBody,
+    ) -> Arc<TaskShared> {
+        Arc::new(TaskShared {
+            id,
+            san_id,
+            priority,
+            label,
+            accesses,
+            body,
+            // One guard count held through registration so the task cannot
+            // become ready while its edges are still being created.
+            pending: AtomicUsize::new(1),
+            events: AtomicUsize::new(1),
+            state: Mutex::new(TaskLinks {
+                released: false,
+                successors: SuccessorList::new(),
+            }),
+            bypassed: AtomicBool::new(false),
+            rt: Arc::clone(self),
+        })
+    }
+
+    /// Counts a new (or re-armed) task live; returns the live count.
+    pub(crate) fn task_born(&self, task: &Arc<TaskShared>) -> usize {
+        let live_now = self.live.fetch_add(1, Ordering::AcqRel) + 1;
+        if let Some(live_set) = &self.live_set {
+            live_set.insert(task.id, Arc::downgrade(task));
+        }
+        live_now
+    }
+
+    /// The end of every spawn: counters, the `TaskCreated` event, and the
+    /// drop of the registration guard, which enqueues the task if none of
+    /// its `edges` predecessors is still live.
+    pub(crate) fn launch(
+        &self,
+        task: &Arc<TaskShared>,
+        edges: usize,
+        replayed: bool,
+        live_now: usize,
+    ) {
+        self.stat_spawned.fetch_add(1, Ordering::Relaxed);
+        self.stat_edges.fetch_add(edges as u64, Ordering::Relaxed);
+        if edges == 0 {
+            self.stat_ready_at_spawn.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(bus) = obs::bus() {
+            bus.emit_for_rank(
+                self.rank(),
+                obs::EventData::TaskCreated {
+                    id: task.id,
+                    label: task.label,
+                    preds: edges as u32,
+                    replayed,
+                },
+            );
+            if let Some(m) = &self.obs_metrics {
+                m.spawned.inc();
+                m.edges.add(edges as u64);
+                m.live_hwm.fetch_max(live_now as i64);
+            }
+        }
+        task.dep_satisfied(false);
     }
 
     /// Human-readable snapshot of unreleased tasks with their declared
@@ -367,6 +485,9 @@ impl Runtime {
             stat_trace_divergences: AtomicU64::new(0),
             stat_trace_invalidations: AtomicU64::new(0),
             stat_replayed_tasks: AtomicU64::new(0),
+            stat_trace_closes: AtomicU64::new(0),
+            stat_trace_freezes: AtomicU64::new(0),
+            stat_rearmed_tasks: AtomicU64::new(0),
             obs_rank: AtomicU32::new(obs::UNKNOWN_RANK),
             obs_metrics: obs::is_enabled().then(|| ObsMetrics {
                 spawned: obs::metrics().counter("taskrt.tasks_spawned"),
@@ -374,7 +495,9 @@ impl Runtime {
                 blocked: obs::metrics().counter("taskrt.tasks_blocked_on_events"),
                 live_hwm: obs::metrics().gauge("taskrt.live_tasks_hwm"),
                 replayed_tasks: obs::metrics().counter("taskrt.replayed_tasks"),
+                rearmed_tasks: obs::metrics().counter("taskrt.rearmed_tasks"),
                 trace_records: obs::metrics().counter("taskrt.trace_records"),
+                trace_closes: obs::metrics().counter("taskrt.trace_closes"),
                 trace_hits: obs::metrics().counter("taskrt.trace_hits"),
                 trace_divergences: obs::metrics().counter("taskrt.trace_divergences"),
                 trace_invalidations: obs::metrics().counter("taskrt.trace_invalidations"),
@@ -432,7 +555,7 @@ impl Runtime {
 
     /// Spawns a task with explicit accesses (convenience for the builder).
     pub fn spawn(&self, accesses: Vec<Access>, body: impl FnOnce() + Send + 'static) {
-        self.spawn_boxed(accesses.into(), 0, "", Box::new(body));
+        self.spawn_boxed(accesses.into(), 0, "", TaskBody::once(body));
     }
 
     /// Shared reference to the runtime internals (trace layer plumbing).
@@ -450,104 +573,34 @@ impl Runtime {
     ) -> u64 {
         let inner = &self.inner;
         // Consult the trace cache first: inside a replaying scope the
-        // spawn's predecessors come straight from the frozen trace and the
-        // claim table is bypassed entirely.
+        // spawn re-arms the task recorded at its position and the claim
+        // table is bypassed entirely.
         let route = if inner.trace.enabled {
             trace::route_spawn(inner, label, priority, &accesses)
         } else {
             Route::Untraced
         };
-        // Register with the sanitizer next: spawn order is a topological
-        // order of the declared graph, which is what lets depsan compute
-        // happens-before closures at spawn time. A replayed spawn also
-        // hands over the trace's predecessor set, which depsan re-checks
-        // against the declared accesses.
+        if matches!(route, Route::Replay) {
+            return trace::replay_spawn(inner, label, priority, accesses, body);
+        }
         let san_id = if inner.san_rt != 0 {
-            let decls: Vec<depsan::DeclAccess> = accesses
-                .iter()
-                .map(|a| depsan::DeclAccess {
-                    obj: a.region.obj.0,
-                    start: a.region.start,
-                    end: a.region.end,
-                    write: a.mode.is_write(),
-                })
-                .collect();
-            let replayed: Option<Vec<u64>> = match &route {
-                Route::Replay(preds) => {
-                    Some(preds.iter().map(|p| p.san_id).filter(|&s| s != 0).collect())
-                }
-                _ => None,
-            };
-            depsan::task_spawned(
-                inner.san_rt,
-                label,
-                inner.rank(),
-                &decls,
-                replayed.as_deref(),
-            )
+            inner.san_spawned(label, &accesses, None)
         } else {
             0
         };
-        let task = Arc::new(TaskShared {
-            id: inner.next_id.fetch_add(1, Ordering::Relaxed),
-            san_id,
-            priority,
-            label,
-            accesses,
-            body: Mutex::new(Some(body)),
-            // One guard count held through registration so the task cannot
-            // become ready while its edges are still being created.
-            pending: AtomicUsize::new(1),
-            events: AtomicUsize::new(1),
-            state: Mutex::new(TaskLinks {
-                released: false,
-                successors: SuccessorList::new(),
-            }),
-            bypassed: AtomicBool::new(false),
-            rt: Arc::clone(inner),
-        });
-        let live_now = inner.live.fetch_add(1, Ordering::AcqRel) + 1;
-        if let Some(live_set) = &inner.live_set {
-            live_set.insert(task.id, Arc::downgrade(&task));
+        let id = inner.next_task_id();
+        let task = inner.new_task(id, san_id, priority, label, accesses, body);
+        let live_now = inner.task_born(&task);
+        // Fresh analysis must see any still-live replayed tasks in the
+        // claim table, so flush them back in first.
+        if inner.trace.enabled {
+            trace::flush_bypassed(inner);
         }
-        let (edges, replayed) = match route {
-            Route::Replay(preds) => (trace::install_replayed(inner, &task, &preds), true),
-            route => {
-                // Fresh analysis must see any still-live replayed tasks in
-                // the claim table, so flush them back in first.
-                if inner.trace.enabled {
-                    trace::flush_bypassed(inner);
-                }
-                let edges = inner.registry.register(&task);
-                if matches!(route, Route::Recording) {
-                    trace::record_spawn(inner, &task);
-                }
-                (edges, false)
-            }
-        };
-        inner.stat_spawned.fetch_add(1, Ordering::Relaxed);
-        inner.stat_edges.fetch_add(edges as u64, Ordering::Relaxed);
-        if edges == 0 {
-            inner.stat_ready_at_spawn.fetch_add(1, Ordering::Relaxed);
+        let edges = inner.registry.register(&task);
+        if matches!(route, Route::Recording) {
+            trace::record_spawn(inner, &task);
         }
-        if let Some(bus) = obs::bus() {
-            bus.emit_for_rank(
-                inner.rank(),
-                obs::EventData::TaskCreated {
-                    id: task.id,
-                    label: task.label,
-                    preds: edges as u32,
-                    replayed,
-                },
-            );
-            if let Some(m) = &inner.obs_metrics {
-                m.spawned.inc();
-                m.edges.add(edges as u64);
-                m.live_hwm.fetch_max(live_now as i64);
-            }
-        }
-        // Drop the registration guard; enqueues if no predecessor is live.
-        task.dep_satisfied(false);
+        inner.launch(&task, edges, false, live_now);
         san_id
     }
 
@@ -603,7 +656,7 @@ impl Runtime {
             // are quiescent.
             i32::MAX,
             "taskwait_on",
-            Box::new(move || {
+            TaskBody::once(move || {
                 let (lock, cond) = &*signal;
                 *lock.lock() = true;
                 cond.notify_all();
@@ -668,6 +721,9 @@ impl Runtime {
             trace_divergences: self.inner.stat_trace_divergences.load(Ordering::Relaxed),
             trace_invalidations: self.inner.stat_trace_invalidations.load(Ordering::Relaxed),
             replayed_tasks: self.inner.stat_replayed_tasks.load(Ordering::Relaxed),
+            trace_closes: self.inner.stat_trace_closes.load(Ordering::Relaxed),
+            trace_freezes: self.inner.stat_trace_freezes.load(Ordering::Relaxed),
+            rearmed_tasks: self.inner.stat_rearmed_tasks.load(Ordering::Relaxed),
         }
     }
 
@@ -789,7 +845,17 @@ impl<'rt> TaskBuilder<'rt> {
 
     /// Sets the task body.
     pub fn body(mut self, body: impl FnOnce() + Send + 'static) -> Self {
-        self.body = Some(Box::new(body));
+        self.body = Some(TaskBody::once(body));
+        self
+    }
+
+    /// Sets a re-runnable task body. Inside a trace scope the task can
+    /// then be re-armed by [`Runtime::replay_tasks`] in later iterations
+    /// without being spawned again: the body stays with the task object
+    /// and is called through a shared reference, so it must leave its
+    /// captures in place (clone what it hands on).
+    pub fn body_fn(mut self, body: impl Fn() + Send + Sync + 'static) -> Self {
+        self.body = Some(TaskBody::Many(Arc::new(body)));
         self
     }
 

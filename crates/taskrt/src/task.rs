@@ -14,7 +14,23 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
+/// What a task runs.
+pub(crate) enum TaskBody {
+    /// Runs once ([`crate::TaskBuilder::body`]): taken out by the
+    /// execution.
+    Once(Mutex<Option<Box<dyn FnOnce() + Send>>>),
+    /// Re-runnable ([`crate::TaskBuilder::body_fn`]): called in place
+    /// through `&self`, so it stays with the task object when a replay
+    /// re-arms it, and is shared with the fresh object a replay allocates
+    /// while the previous one is still live.
+    Many(Arc<dyn Fn() + Send + Sync>),
+}
+
+impl TaskBody {
+    pub(crate) fn once(body: impl FnOnce() + Send + 'static) -> TaskBody {
+        TaskBody::Once(Mutex::new(Some(Box::new(body))))
+    }
+}
 
 /// A task's declared accesses, with inline room for four: miniAMR's
 /// per-message tasks declare 1–2 and cost no allocation for the list
@@ -33,7 +49,7 @@ pub(crate) struct TaskShared {
     pub priority: i32,
     pub label: &'static str,
     pub accesses: AccessList,
-    pub body: Mutex<Option<TaskBody>>,
+    pub body: TaskBody,
     /// Predecessors not yet released, plus one registration guard.
     pub pending: AtomicUsize,
     /// Body (counted as 1) plus outstanding event holds.
@@ -60,6 +76,25 @@ pub(crate) struct TaskLinks {
 }
 
 impl TaskShared {
+    /// Resets a released task object for its next run: what
+    /// `RtInner::new_task` sets on a fresh one, without the allocation.
+    /// The exclusive borrow is the proof that nothing else — scheduler,
+    /// successor list, event hold, flush list — still refers to it.
+    pub(crate) fn rearm(&mut self, id: u64, san_id: u64) {
+        let links = self.state.get_mut();
+        debug_assert!(
+            links.released && links.successors.is_empty(),
+            "task '{}' (id {}) re-armed before its release",
+            self.label,
+            self.id
+        );
+        links.released = false;
+        self.id = id;
+        self.san_id = san_id;
+        *self.pending.get_mut() = 1;
+        *self.events.get_mut() = 1;
+    }
+
     /// Called when a predecessor releases; enqueues the task when its last
     /// dependency (or the registration guard) clears.
     pub(crate) fn dep_satisfied(self: &Arc<Self>, local_hint: bool) {
@@ -73,7 +108,7 @@ impl TaskShared {
 
     /// Drops one event hold; the final drop (after the body finished)
     /// releases the task's dependencies.
-    pub(crate) fn event_done(self: &Arc<Self>) {
+    pub(crate) fn event_done(self: Arc<Self>) {
         if self.events.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.release();
         }
@@ -81,47 +116,66 @@ impl TaskShared {
 
     /// Releases the task: removes its accesses from the registry, readies
     /// unblocked successors, and signals scope completion.
-    fn release(self: &Arc<Self>) {
+    fn release(self: Arc<Self>) {
+        let rt = &self.rt;
         let successors = {
             let mut links = self.state.lock();
             debug_assert!(!links.released, "task released twice");
             links.released = true;
             std::mem::take(&mut links.successors)
         };
-        // Registry removal happens after the `released` flag is visible,
-        // and never while holding the task's own state lock (see the lock
-        // ordering note in registry.rs).
-        self.rt.registry.remove_task(self);
-        // A replayed task has no registry entries; hand it back to the
-        // trace layer instead (after the removal above, so a concurrent
-        // flush that already inserted entries still gets them removed —
-        // the flush re-checks `released` and removes idempotently).
-        if self.rt.trace.enabled {
-            crate::trace::released_bypassed(&self.rt, self);
+        // A replayed task has claim-table entries only if a flush inserted
+        // them, and the flush clears `bypassed` before it inserts. With the
+        // `released` flag visible (above) and never while holding the
+        // task's own state lock (see the lock ordering note in
+        // registry.rs), release and flush meet in one of three ways:
+        //
+        // * release clears `bypassed` first: the flush finds it clear and
+        //   skips the task; there are no entries and none will come.
+        // * the flush cleared it and has inserted: release finds it clear
+        //   and removes the entries.
+        // * the flush cleared it and is still inserting: release removes
+        //   what is there; the flush's shard locks order it after that
+        //   removal, so its own look at `released` afterwards sees the
+        //   flag and removes the rest (removal is idempotent).
+        if !(rt.trace.enabled && crate::trace::released_bypassed(rt, &self)) {
+            rt.registry.remove_task(&self);
         }
         if let Some(bus) = obs::bus() {
-            bus.emit_for_rank(
-                self.rt.rank(),
-                obs::EventData::TaskCompleted { id: self.id },
-            );
+            bus.emit_for_rank(rt.rank(), obs::EventData::TaskCompleted { id: self.id });
         }
+        // The first unblocked successor is offered to the local worker
+        // (immediate-successor locality policy); the rest go wherever the
+        // scheduler decides.
         let n = successors.len();
-        for (i, succ) in successors.into_iter().enumerate() {
-            // The first unblocked successor is offered to the local worker
-            // (immediate-successor locality policy); the rest go wherever
-            // the scheduler decides.
-            succ.dep_satisfied(i + 1 == n);
+        let ready = |(i, succ): (usize, Arc<TaskShared>)| succ.dep_satisfied(i + 1 == n);
+        if successors.spilled() {
+            // A list that outgrew its inline room goes back empty with its
+            // heap room: the task object's next run (a re-arm) then links
+            // its successors without allocating.
+            let mut successors = successors.into_vec();
+            successors.drain(..).enumerate().for_each(ready);
+            self.state.lock().successors = successors.into();
+        } else {
+            successors.into_iter().enumerate().for_each(ready);
         }
-        self.rt.task_released(self.id);
+        // Let go of the task object before the release is signalled: a
+        // `taskwait` that this wakes may go straight on to re-arm the
+        // object, which takes the only reference to it. (Its own runtime
+        // is the one to tell, whichever thread got to run the task.)
+        let (rt, id) = (Arc::clone(rt), self.id);
+        drop(self);
+        rt.task_released(id);
     }
 
     /// Runs the task body on the current thread.
     pub(crate) fn execute(self: Arc<Self>) {
-        let body = self
-            .body
-            .lock()
-            .take()
-            .unwrap_or_else(|| panic!("task '{}' (id {}) executed twice", self.label, self.id));
+        let once = match &self.body {
+            TaskBody::Once(body) => Some(body.lock().take().unwrap_or_else(|| {
+                panic!("task '{}' (id {}) executed twice", self.label, self.id)
+            })),
+            TaskBody::Many(_) => None,
+        };
         let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(&self))));
         // Publish the task id to the obs thread-task context so layers
         // below taskrt (vmpi message posts) can attribute events to it.
@@ -149,7 +203,12 @@ impl TaskShared {
             // has to keep draining so taskwait wakes and can rethrow on
             // the rank's main thread (elastic shrink relies on this for a
             // clean unwind when the world is torn down mid-timestep).
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+            let run = std::panic::AssertUnwindSafe(|| match (once, &self.body) {
+                (Some(body), _) => body(),
+                (None, TaskBody::Many(body)) => body(),
+                (None, TaskBody::Once(_)) => unreachable!("a one-shot body is taken above"),
+            });
+            if let Err(payload) = std::panic::catch_unwind(run) {
                 let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
                     s
                 } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,30 +1,43 @@
 //! Task-graph trace & replay cache.
 //!
 //! Between regrids, an AMR timestep re-submits the *same* task DAG over
-//! the same regions, so the claim-table dependency analysis recomputes
-//! the same answer every iteration. This module amortizes that cost:
+//! the same regions. This module turns the second and every later
+//! submission of such a stream into a *re-arm* of the first: the task
+//! objects of the previous iteration are reset in place and linked
+//! straight to their recorded predecessors — no claim-table analysis, no
+//! allocation and, with [`crate::Runtime::replay_tasks`], no elaboration
+//! by the submitter. One structure carries it: a per-key vector of
+//! **slots**, one per stream position, each holding the position's
+//! fingerprint and the task object of the latest iteration that reached
+//! it.
 //!
-//! * A [`TraceScope`] (opened by the driver around one iteration's task
-//!   submissions) **records** the submitted stream as a sequence of
-//!   fingerprinted nodes — `hash(label, priority, accesses)` — each with
-//!   the *structural* predecessor set derived from the declarations
-//!   alone: a second set of [`History`] tables keyed by stream position
-//!   that nothing is ever retired from. Structural edges, unlike the
-//!   claim table's, are timing-independent: the claim table only links
-//!   behind predecessors that happen to still be live, so its observed
-//!   edge set varies run to run and cannot be replayed soundly.
-//! * Once two consecutive iterations record identical node sequences
-//!   (and every cross-iteration reference lands in an equally-shaped
-//!   iteration), the trace **freezes**. Subsequent matching iterations
-//!   **replay**: predecessor/successor links are installed straight from
-//!   the trace — the claim table is never touched — with edges to
-//!   already-released predecessors skipped, exactly as fresh
-//!   registration would.
-//! * Any divergence — a fingerprint mismatch, a longer or shorter
-//!   stream, an unresolvable cross-iteration reference, or a concurrent
-//!   untraced spawn — **falls back** transparently: live replayed tasks
-//!   are flushed into the claim table (so fresh analysis sees them) and
-//!   the key re-records from scratch.
+//! * **Log.** A [`TraceScope`] (opened by the driver around one
+//!   iteration's submissions) that finds no frozen trace *records*: every
+//!   spawn takes the claim-table analysis as outside a scope and is logged
+//!   into its slot — `hash(label, priority, accesses)` and the task.
+//! * **Close.** When the key's next scope begins and nothing invalidated
+//!   in between, the logged stream is closed symbolically: three passes of
+//!   the structural analysis ([`History`] tables keyed by stream position
+//!   that nothing is ever retired from, so unlike the claim table's its
+//!   edges do not depend on which predecessors happened to be live) over
+//!   the logged access lists — a cold pass and two warm ones, the
+//!   recordings of three iterations without running them. If the warm
+//!   passes agree and [`replay_ready`] holds, the trace **freezes**;
+//!   otherwise the key is parked until the next invalidation. Closing
+//!   after one recording bets that the stream repeats; a key that lost
+//!   the bet ([`KeyState::optimistic`]) needs two recordings with equal
+//!   fingerprints before its next close.
+//! * **Re-arm.** A frozen key **replays**: position *i* takes slot *i*'s
+//!   task object, resets it under `Arc::get_mut` (or allocates a fresh one
+//!   into the slot while the previous occupant is still live), and links
+//!   it behind the slots its predecessor list names — lower positions
+//!   already hold this iteration's tasks, positions at or above *i* still
+//!   the previous iteration's — with edges to already-released
+//!   predecessors skipped, exactly as fresh registration would.
+//! * Any divergence — a fingerprint mismatch, a longer or shorter stream,
+//!   a concurrent untraced spawn — **falls back** transparently: live
+//!   replayed tasks are flushed into the claim table (so fresh analysis
+//!   sees them) and the rest of the scope is logged as a recording.
 //!
 //! ## Invalidation
 //!
@@ -41,22 +54,26 @@
 //! are live, a spawn that goes through fresh analysis first *flushes*
 //! them: their accesses are inserted into the claim table, and a task
 //! that released mid-flush is removed again (removal is idempotent), so
-//! fresh analysis never misses a conflict with a live replayed task.
+//! fresh analysis never misses a conflict with a live replayed task. The
+//! flush finds them in a list of strong references (a replay may push a
+//! still-live task out of its slot, so the slots alone do not reach them
+//! all); the list is pruned of released tasks whenever a scope begins,
+//! because a reference kept there would make the slot's `get_mut` fail.
 
 use crate::deps::History;
 use crate::region::{Access, ObjId};
 use crate::runtime::RtInner;
-use crate::task::{SuccessorList, TaskShared};
+use crate::task::{AccessList, TaskBody, TaskShared};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-/// After this many consecutive recordings that failed to stabilize, the
-/// key goes dormant (no more recording) until the next invalidation —
-/// a non-periodic stream (e.g. fresh `ObjId`s every iteration) would
-/// otherwise grow the shadow table without bound and never replay.
+/// After this many consecutive scopes that diverged or failed to repeat
+/// the recording before them, the key is parked (no more recording) until
+/// the next invalidation: a non-periodic stream would otherwise be logged
+/// and compared forever without ever replaying.
 const MAX_UNSTABLE: u32 = 16;
 
 // ---------------------------------------------------------------------------
@@ -94,71 +111,171 @@ fn fingerprint(label: &str, priority: i32, accesses: &[Access]) -> u64 {
 // ---------------------------------------------------------------------------
 // Trace data.
 
-/// One position of a recorded iteration: the submission fingerprint plus
-/// structural predecessors as `(iteration delta, position)` — delta 0 is
-/// the current iteration, 1 the previous, and so on.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct TraceNode {
-    fp: u64,
-    preds: Vec<(u32, u32)>,
+/// Structural claim table of one close: per object, the uncovered accesses
+/// of the stream so far, keyed by (pass, position within it).
+type ShadowTable = HashMap<ObjId, History<(u32, u32)>>;
+
+/// The structural predecessors of every position of one pass over a
+/// stream, as `(iteration delta, position)` — delta 0 is the position's
+/// own iteration, 1 the one before. Flat: position `i`'s run ends at
+/// `ends[i]`.
+#[derive(Default, PartialEq, Eq, Debug)]
+struct Preds {
+    flat: Vec<(u32, u32)>,
+    ends: Vec<u32>,
 }
 
-/// A frozen, replayable iteration trace.
-struct TaskTrace {
-    nodes: Vec<TraceNode>,
-}
-
-/// Structural claim table of one key: per object, the uncovered accesses
-/// of the stream so far, keyed by (absolute iteration, position within
-/// it).
-type ShadowTable = HashMap<ObjId, History<(u64, u32)>>;
-
-/// Records the accesses of the submission at (`iter`, `pos`) and returns
-/// its structural predecessors as `(delta, pos)`, deduplicated.
-fn analyze(shadow: &mut ShadowTable, iter: u64, pos: u32, accesses: &[Access]) -> Vec<(u32, u32)> {
-    let mut preds: Vec<(u32, u32)> = Vec::new();
-    for a in accesses {
-        shadow
-            .entry(a.region.obj)
-            .or_default()
-            .record((iter, pos), a, |&(i, p)| preds.push(((iter - i) as u32, p)));
+impl Preds {
+    fn of(&self, pos: usize) -> &[(u32, u32)] {
+        let from = if pos == 0 { 0 } else { self.ends[pos - 1] };
+        &self.flat[from as usize..self.ends[pos] as usize]
     }
-    preds.sort_unstable();
-    preds.dedup();
-    preds
+
+    /// Records the accesses of the submission at (`pass`, next position)
+    /// and appends its structural predecessors, sorted and deduplicated.
+    fn analyze(&mut self, shadow: &mut ShadowTable, pass: u32, accesses: &[Access]) {
+        let pos = self.ends.len() as u32;
+        let from = self.flat.len();
+        for a in accesses {
+            shadow
+                .entry(a.region.obj)
+                .or_default()
+                .record((pass, pos), a, |&(i, p)| self.flat.push((pass - i, p)));
+        }
+        self.flat[from..].sort_unstable();
+        let mut kept = from;
+        for i in from..self.flat.len() {
+            if i == from || self.flat[i] != self.flat[kept - 1] {
+                self.flat[kept] = self.flat[i];
+                kept += 1;
+            }
+        }
+        self.flat.truncate(kept);
+        self.ends.push(kept as u32);
+    }
+}
+
+/// Closes a logged stream symbolically: a cold pass and two warm passes
+/// of the structural analysis over its access lists — what recording
+/// three iterations of it would have produced. `Some` iff the warm passes
+/// agree (the stream is stable) and the result can be replayed.
+fn close_stream<'a>(stream: impl Iterator<Item = &'a [Access]> + Clone) -> Option<Preds> {
+    let mut shadow = ShadowTable::default();
+    let mut pass = |n: u32| {
+        let mut preds = Preds::default();
+        for accesses in stream.clone() {
+            preds.analyze(&mut shadow, n, accesses);
+        }
+        preds
+    };
+    pass(1);
+    let warm = pass(2);
+    let again = pass(3);
+    (warm == again && replay_ready(&again)).then_some(again)
+}
+
+/// A frozen trace is only usable if every reference resolves in the slot
+/// vector *while it is being replayed*: at position `i`, the slots below
+/// `i` hold this iteration's tasks and the slots from `i` up still hold
+/// the previous iteration's. So a `delta` 0 predecessor must sit at a
+/// lower position (it always does: it was submitted earlier), a `delta` 1
+/// predecessor at the same or a higher one, and nothing may reach further
+/// back.
+///
+/// A stable stream satisfies all of it (the **slot-order lemma**).
+/// Whether a write covers an entry depends on the two ranges alone. An
+/// entry at position `q` that a later iteration's position `p ≥ q` … `p`
+/// sees from two iterations back, or that position `p > q` sees from the
+/// previous iteration, has met every access of the stream once — the
+/// positions after `q` in its own iteration, the ones up to `p` in the
+/// next — and none covered it; none ever will, so the same conflict shows
+/// up one `delta` deeper every iteration and the warm passes differ. Put
+/// the other way round: a surviving earlier-position entry would have been
+/// covered one iteration sooner. The check stays because replay indexes
+/// by it.
+fn replay_ready(preds: &Preds) -> bool {
+    let n = preds.ends.len();
+    (0..n).all(|pos| {
+        preds.of(pos).iter().all(|&(delta, p)| match delta {
+            0 => (p as usize) < pos,
+            1 => (pos..n).contains(&(p as usize)),
+            _ => false,
+        })
+    })
+}
+
+/// One stream position of a key.
+struct Slot {
+    fp: u64,
+    /// The task of the latest iteration that reached this position.
+    task: Arc<TaskShared>,
+}
+
+/// How far a key has come since its last invalidation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Stage {
+    /// Nothing usable: the next scope records.
+    Empty,
+    /// The slots hold one whole recording; `repeated` if it matched the
+    /// recording before it fingerprint by fingerprint.
+    Logged { repeated: bool },
+    /// Closed: `preds` is the trace, scopes replay.
+    Frozen,
+    /// No recording until the next invalidation: the close failed, or the
+    /// stream kept changing.
+    Parked,
 }
 
 /// Per-key cache state (checked out into the active scope's thread
 /// local while a scope is open, so spawns touch no locks).
-#[derive(Default)]
 struct KeyState {
-    /// Absolute iteration counter (shadow entry timestamps).
-    iter: u64,
-    /// Frozen trace (replay source), once stable.
-    trace: Option<Arc<TaskTrace>>,
-    /// Previous recording, compared against for stability.
-    last_nodes: Option<Vec<TraceNode>>,
-    shadow: ShadowTable,
-    /// Task instances of the previous iteration: the resolution targets
-    /// of cross-iteration predecessor references (see [`replay_ready`]
-    /// for why one iteration is all a frozen trace can reach).
-    prev: Vec<Arc<TaskShared>>,
-    /// Consecutive recordings that failed to stabilize.
+    slots: Vec<Slot>,
+    /// The frozen trace: every position's structural predecessors.
+    preds: Preds,
+    stage: Stage,
+    /// Whether one recording is enough to close. Cleared when a replay
+    /// diverges (the stream did not repeat after all), set again by the
+    /// next full hit; survives invalidation, because a stream that
+    /// alternates shapes does so in every mesh epoch.
+    optimistic: bool,
+    /// Consecutive scopes that diverged or did not repeat.
     unstable: u32,
-    /// Recording disabled until the next invalidation.
-    dormant: bool,
     /// Untraced-spawn counter at the end of the key's last scope. A
     /// change by the next scope means out-of-band tasks were spawned in
-    /// between; they may still be live yet are not in `prev`, so
-    /// the key's history cannot be trusted any more.
+    /// between; they may still be live yet are in no slot, so the key's
+    /// history cannot be trusted any more.
     untraced_seen: u64,
 }
 
+impl Default for KeyState {
+    fn default() -> KeyState {
+        KeyState {
+            slots: Vec::new(),
+            preds: Preds::default(),
+            stage: Stage::Empty,
+            optimistic: true,
+            unstable: 0,
+            untraced_seen: 0,
+        }
+    }
+}
+
 impl KeyState {
-    fn reset(&mut self) {
-        let iter = self.iter;
-        *self = KeyState::default();
-        self.iter = iter;
+    /// Lets go of the recorded stream (and of every task it holds).
+    fn forget(&mut self, stage: Stage) {
+        self.slots.clear();
+        self.preds = Preds::default();
+        self.stage = stage;
+    }
+
+    /// Counts one scope that did not repeat; parks the key at the limit.
+    /// Returns whether it is parked now.
+    fn strike(&mut self) -> bool {
+        self.unstable += 1;
+        if self.unstable >= MAX_UNSTABLE {
+            self.forget(Stage::Parked);
+        }
+        self.stage == Stage::Parked
     }
 }
 
@@ -169,8 +286,9 @@ pub(crate) struct TraceCache {
     pub(crate) enabled: bool,
     keys: Mutex<HashMap<u64, KeyState>>,
     generation: AtomicU64,
-    /// Live replayed tasks not present in the claim table.
-    bypassed: Mutex<Vec<Weak<TaskShared>>>,
+    /// Replayed tasks since the last scope began: every live task absent
+    /// from the claim table is in here (see the module docs).
+    bypassed: Mutex<Vec<Arc<TaskShared>>>,
     pub(crate) bypassed_live: AtomicUsize,
     /// Spawns that went through fresh analysis outside the active scope
     /// (divergence guard for concurrent submitters).
@@ -189,9 +307,10 @@ impl TraceCache {
         }
     }
 
-    /// Drops every task reference the cache holds. A key's `prev` holds
-    /// `Arc<TaskShared>`s, and every task holds its runtime: left alone,
-    /// the cycle keeps the runtime and everything it ever traced alive.
+    /// Drops every task reference the cache holds. The slots and the
+    /// flush list hold `Arc<TaskShared>`s, and every task holds its
+    /// runtime: left alone, the cycle keeps the runtime and everything it
+    /// ever traced alive.
     pub(crate) fn clear(&self) {
         self.keys.lock().clear();
         self.bypassed.lock().clear();
@@ -202,12 +321,12 @@ impl TraceCache {
 // The active scope (thread-local: all scope-path work is lock-free).
 
 enum ScopeMode {
-    Record,
-    Replay {
-        trace: Arc<TaskTrace>,
-        cursor: usize,
-    },
-    /// Diverged or dormant: remaining spawns take the fresh path.
+    /// Logging: `pos` tasks so far, which `same` says all matched the
+    /// fingerprints of the recording already in the slots.
+    Record { pos: usize, same: bool },
+    /// Re-arming the frozen trace from slot `cursor` on.
+    Replay { cursor: usize },
+    /// Parked key or tainted scope: spawns take the fresh path unlogged.
     Inert,
 }
 
@@ -219,14 +338,19 @@ struct ActiveScope {
     untraced_at_start: u64,
     mode: ScopeMode,
     state: KeyState,
-    /// Tasks submitted in this scope, in order.
-    instance: Vec<Arc<TaskShared>>,
-    /// Nodes recorded in this scope (record mode).
-    nodes: Vec<TraceNode>,
 }
 
 thread_local! {
     static ACTIVE: RefCell<Option<ActiveScope>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on the scope this thread has open on `inner`, if any.
+fn with_scope<R>(inner: &Arc<RtInner>, f: impl FnOnce(&mut ActiveScope) -> R) -> Option<R> {
+    ACTIVE.with(|a| {
+        let mut slot = a.borrow_mut();
+        let scope = slot.as_mut().filter(|s| s.rt == Arc::as_ptr(inner))?;
+        Some(f(scope))
+    })
 }
 
 /// RAII guard for one traced iteration: open around a periodic batch of
@@ -249,14 +373,13 @@ pub(crate) enum Route {
     /// No scope on this thread (or a different runtime's): fresh
     /// analysis, counted as untraced for the divergence guard.
     Untraced,
-    /// Scope is inert/diverged: fresh analysis, not counted.
+    /// Scope is inert: fresh analysis, not counted.
     Inert,
-    /// Recording: fresh analysis plus shadow recording.
+    /// Recording: fresh analysis, then [`record_spawn`] logs the task.
     Recording,
-    /// Replay matched: install exactly these predecessors, skip the
-    /// claim table. (A task list with inline room, like a successor
-    /// list: most tasks have a handful of predecessors.)
-    Replay(SuccessorList),
+    /// The spawn matches the frozen trace at the cursor:
+    /// [`replay_spawn`] re-arms that slot and the claim table is skipped.
+    Replay,
 }
 
 // ---------------------------------------------------------------------------
@@ -272,57 +395,77 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
         keys.remove(&key).unwrap_or_default()
     };
     // Out-of-band spawns since the key's last scope: neither a frozen
-    // trace nor the recorded history covers them, so start the key over
-    // (counts toward dormancy, like a divergence).
+    // trace nor the recording covers them, so start the key over (counts
+    // toward parking, like a divergence).
     let untraced_now = cache.untraced_spawns.load(Ordering::Acquire);
     if untraced_now != state.untraced_seen {
-        if state.trace.is_some() || state.last_nodes.is_some() || !state.prev.is_empty() {
-            let unstable = state.unstable + 1;
-            state.reset();
-            state.unstable = unstable;
-            state.dormant = unstable >= MAX_UNSTABLE;
+        if matches!(state.stage, Stage::Logged { .. } | Stage::Frozen) {
+            state.forget(Stage::Empty);
+            state.strike();
         }
         state.untraced_seen = untraced_now;
     }
-    let mode = if state.dormant {
-        ScopeMode::Inert
-    } else if let Some(trace) = state.trace.clone() {
-        ScopeMode::Replay { trace, cursor: 0 }
-    } else {
-        ScopeMode::Record
-    };
-    if matches!(mode, ScopeMode::Record) {
-        inner.stat_trace_records.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &inner.obs_metrics {
-            m.trace_records.inc();
+    // Released tasks need no flush any more, and a reference kept here
+    // would stop their slot from re-arming them.
+    cache
+        .bypassed
+        .lock()
+        .retain(|t| t.bypassed.load(Ordering::Acquire));
+    // Close here rather than where the recording ended: a stream that is
+    // invalidated before its next scope (a regrid every timestep) never
+    // pays for a close.
+    if let Stage::Logged { repeated } = state.stage {
+        if state.optimistic || repeated {
+            close(inner, key, &mut state);
         }
-        emit_mark(
-            inner,
-            "record",
-            key,
-            state.last_nodes.as_ref().map_or(0, |n| n.len()),
-        );
     }
-    let cap = match &mode {
-        ScopeMode::Replay { trace, .. } => trace.nodes.len(),
-        _ => state.last_nodes.as_ref().map_or(0, |n| n.len()),
+    let mode = match state.stage {
+        Stage::Frozen => ScopeMode::Replay { cursor: 0 },
+        Stage::Parked => ScopeMode::Inert,
+        Stage::Empty | Stage::Logged { .. } => {
+            inner.stat_trace_records.fetch_add(1, Ordering::Relaxed);
+            if let Some(m) = &inner.obs_metrics {
+                m.trace_records.inc();
+            }
+            emit_mark(inner, "record", key, state.slots.len());
+            ScopeMode::Record {
+                pos: 0,
+                same: matches!(state.stage, Stage::Logged { .. }),
+            }
+        }
     };
-    state.iter += 1;
     let scope = ActiveScope {
         rt: Arc::as_ptr(inner),
         key,
         generation: cache.generation.load(Ordering::Acquire),
-        untraced_at_start: cache.untraced_spawns.load(Ordering::Acquire),
+        untraced_at_start: untraced_now,
         mode,
         state,
-        instance: Vec::with_capacity(cap),
-        nodes: Vec::with_capacity(cap),
     };
     ACTIVE.with(|a| {
         let mut slot = a.borrow_mut();
         assert!(slot.is_none(), "trace scopes must not nest on one thread");
         *slot = Some(scope);
     });
+}
+
+/// Freezes the key's logged stream, or parks the key if the stream is
+/// not stable.
+fn close(inner: &RtInner, key: u64, state: &mut KeyState) {
+    inner.stat_trace_closes.fetch_add(1, Ordering::Relaxed);
+    if let Some(m) = &inner.obs_metrics {
+        m.trace_closes.inc();
+    }
+    match close_stream(state.slots.iter().map(|s| &s.task.accesses[..])) {
+        Some(preds) => {
+            state.preds = preds;
+            state.stage = Stage::Frozen;
+            inner.stat_trace_freezes.fetch_add(1, Ordering::Relaxed);
+        }
+        None => state.forget(Stage::Parked),
+    }
+    // A close that parked the key froze no task.
+    emit_mark(inner, "close", key, state.slots.len());
 }
 
 pub(crate) fn scope_end(inner: &Arc<RtInner>) {
@@ -345,79 +488,50 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
         flush_bypassed(inner);
         return;
     }
-    match std::mem::replace(&mut scope.mode, ScopeMode::Inert) {
-        ScopeMode::Replay { trace, cursor } => {
-            // The per-spawn untraced check cannot see out-of-band spawns
-            // that landed after the last replayed submission; they taint
-            // `prev` for *future* replays (this scope's edges are fine).
-            let tainted = cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start;
-            if cursor == trace.nodes.len() && !tainted {
-                inner.stat_trace_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &inner.obs_metrics {
-                    m.trace_hits.inc();
-                }
-                emit_mark(inner, "hit", scope.key, cursor);
-                scope.state.unstable = 0;
-                scope.state.prev = std::mem::take(&mut scope.instance);
-                // Released tasks of earlier iterations need no flush any
-                // more; without this the list (and each entry's task
-                // allocation) would grow for as long as the key replays.
-                cache.bypassed.lock().retain(|t| t.strong_count() > 0);
-            } else {
-                // Fewer submissions than the trace promised.
-                diverge_scope(inner, &mut scope);
+    // The per-spawn untraced check cannot see out-of-band spawns that
+    // landed after the scope's last submission. Their (possibly still
+    // live) tasks are in no slot: a recording is unusable, a replayed
+    // iteration (whose own edges are fine) no base for the next.
+    let tainted = cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start;
+    if tainted && !matches!(scope.mode, ScopeMode::Inert) {
+        taint_scope(inner, &mut scope);
+    }
+    match scope.mode {
+        ScopeMode::Replay { cursor } if cursor == scope.state.slots.len() => {
+            inner.stat_trace_hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(m) = &inner.obs_metrics {
+                m.trace_hits.inc();
+            }
+            emit_mark(inner, "hit", scope.key, cursor);
+            scope.state.unstable = 0;
+            scope.state.optimistic = true;
+        }
+        ScopeMode::Replay { cursor } => {
+            // Fewer submissions than the trace promised: the shorter
+            // stream is what was recorded.
+            if !diverge_scope(inner, &mut scope, cursor) {
+                end_recording(&mut scope.state, cursor, false);
             }
         }
-        ScopeMode::Record => {
-            // Untraced spawns that interleaved with the recording taint
-            // it: their (possibly still-live) tasks are not in the
-            // recorded structure.
-            if cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start {
-                diverge_scope(inner, &mut scope);
-                let mut keys = cache.keys.lock();
-                keys.insert(scope.key, std::mem::take(&mut scope.state));
-                return;
-            }
-            let nodes = std::mem::take(&mut scope.nodes);
-            let stable = scope.state.last_nodes.as_ref() == Some(&nodes);
-            if stable && replay_ready(&nodes) {
-                scope.state.trace = Some(Arc::new(TaskTrace { nodes }));
-                scope.state.last_nodes = None;
-                scope.state.shadow = ShadowTable::default();
-                scope.state.unstable = 0;
-            } else {
-                if scope.state.last_nodes.is_some() && !stable {
-                    scope.state.unstable += 1;
-                }
-                scope.state.last_nodes = Some(nodes);
-            }
-            scope.state.prev = std::mem::take(&mut scope.instance);
-            if scope.state.unstable >= MAX_UNSTABLE {
-                scope.state.reset();
-                scope.state.dormant = true;
-            }
-        }
-        // Dormant pass-through or post-divergence tail: nothing recorded.
+        ScopeMode::Record { pos, same } => end_recording(&mut scope.state, pos, same),
+        // Parked pass-through or tainted scope: nothing recorded.
         ScopeMode::Inert => {}
     }
     scope.state.untraced_seen = cache.untraced_spawns.load(Ordering::Acquire);
     let mut keys = cache.keys.lock();
-    keys.insert(scope.key, std::mem::take(&mut scope.state));
+    keys.insert(scope.key, scope.state);
 }
 
-/// A frozen trace is only usable if every reference resolves during
-/// replay: within the iteration itself (`delta` 0) or in the one before
-/// it (`delta` 1), which `prev` keeps.
-///
-/// A stable recording never reaches further back. Whether a write covers
-/// an entry depends on the two ranges alone, so an entry that outlived
-/// one whole pass of the stream has met every access of the stream
-/// uncovered and will never be dropped; if anything conflicts with it,
-/// that reference's `delta` grows by one per iteration and consecutive
-/// recordings differ. The check stays because replay indexes by it.
-fn replay_ready(nodes: &[TraceNode]) -> bool {
-    let mut preds = nodes.iter().flat_map(|n| &n.preds);
-    preds.all(|&(delta, pos)| delta <= 1 && (pos as usize) < nodes.len())
+/// The scope logged `pos` tasks, which `same` says matched the recording
+/// that was in the slots: they are the key's recording now.
+fn end_recording(state: &mut KeyState, pos: usize, same: bool) {
+    let repeated = same && pos == state.slots.len();
+    state.slots.truncate(pos);
+    let followed_one = matches!(state.stage, Stage::Logged { .. });
+    state.stage = Stage::Logged { repeated };
+    if followed_one && !repeated {
+        state.strike();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -432,69 +546,177 @@ pub(crate) fn route_spawn(
     priority: i32,
     accesses: &[Access],
 ) -> Route {
-    ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        let Some(scope) = slot.as_mut() else {
-            inner.trace.untraced_spawns.fetch_add(1, Ordering::AcqRel);
-            return Route::Untraced;
-        };
-        if scope.rt != Arc::as_ptr(inner) {
-            inner.trace.untraced_spawns.fetch_add(1, Ordering::AcqRel);
-            return Route::Untraced;
-        }
-        match &mut scope.mode {
-            ScopeMode::Inert => Route::Inert,
-            ScopeMode::Record => Route::Recording,
-            ScopeMode::Replay { trace, cursor } => {
-                // A concurrent untraced spawn may conflict with replayed
-                // tasks the claim table cannot see; fall back for the
-                // rest of the scope.
-                if inner.trace.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start {
-                    diverge_scope(inner, scope);
-                    return Route::Inert;
-                }
-                let node = match trace.nodes.get(*cursor) {
-                    Some(node) if node.fp == fingerprint(label, priority, accesses) => node,
-                    _ => {
-                        // Extra submission or fingerprint mismatch.
-                        diverge_scope(inner, scope);
-                        return Route::Inert;
-                    }
-                };
-                let mut preds = SuccessorList::with_capacity(node.preds.len());
-                for &(delta, pos) in &node.preds {
-                    let from = if delta == 0 {
-                        &scope.instance
-                    } else {
-                        &scope.state.prev
-                    };
-                    let task = from.get(pos as usize);
-                    match task {
-                        Some(t) => preds.push(Arc::clone(t)),
-                        None => {
-                            diverge_scope(inner, scope);
-                            return Route::Inert;
-                        }
-                    }
-                }
-                *cursor += 1;
-                Route::Replay(preds)
+    let route = with_scope(inner, |scope| match scope.mode {
+        ScopeMode::Inert => Route::Inert,
+        ScopeMode::Record { .. } => Route::Recording,
+        ScopeMode::Replay { cursor } => {
+            // A concurrent untraced spawn may conflict with replayed
+            // tasks the claim table cannot see; fall back for the rest
+            // of the scope.
+            if inner.trace.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start {
+                taint_scope(inner, scope);
+                return Route::Inert;
+            }
+            let expected = scope.state.slots.get(cursor).map(|slot| slot.fp);
+            if expected == Some(fingerprint(label, priority, accesses)) {
+                Route::Replay
+            } else if diverge_scope(inner, scope, cursor) {
+                Route::Inert
+            } else {
+                // Extra submission or fingerprint mismatch: this one and
+                // the rest of the scope are recorded.
+                Route::Recording
             }
         }
+    });
+    route.unwrap_or_else(|| {
+        inner.trace.untraced_spawns.fetch_add(1, Ordering::AcqRel);
+        Route::Untraced
     })
 }
 
-/// Installs the replayed predecessor links of `task` (claim table
-/// bypassed) and registers it for flushing. Returns the number of edges
-/// actually installed (released predecessors are skipped, exactly as
-/// fresh registration would skip them).
-pub(crate) fn install_replayed(
+/// Replays the slot at the cursor for a spawn [`route_spawn`] matched to
+/// it, with the spawn's own declaration and body. Returns the task's
+/// depsan id.
+pub(crate) fn replay_spawn(
     inner: &Arc<RtInner>,
-    task: &Arc<TaskShared>,
-    preds: &[Arc<TaskShared>],
-) -> usize {
+    label: &'static str,
+    priority: i32,
+    accesses: AccessList,
+    body: TaskBody,
+) -> u64 {
+    with_scope(inner, |scope| {
+        let ScopeMode::Replay { cursor } = &mut scope.mode else {
+            unreachable!("route_spawn matched a replaying scope");
+        };
+        let spawn = Some((label, priority, accesses, body));
+        let mut flush_list = inner.trace.bypassed.lock();
+        let san_id = replay_slot(inner, &mut scope.state, *cursor, spawn, &mut flush_list);
+        *cursor += 1;
+        san_id
+    })
+    .expect("route_spawn matched an open scope")
+}
+
+/// [`crate::Runtime::replay_tasks`].
+pub(crate) fn replay_tasks(inner: &Arc<RtInner>, start: usize, n: usize) -> bool {
+    let cache = &inner.trace;
+    let replayed = with_scope(inner, |scope| {
+        let ScopeMode::Replay { cursor } = &mut scope.mode else {
+            return false;
+        };
+        if *cursor != start
+            || cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start
+        {
+            return false;
+        }
+        let rerunnable = |s: &Slot| matches!(s.task.body, TaskBody::Many(_));
+        match scope.state.slots.get(start..start + n) {
+            Some(run) if run.iter().all(rerunnable) => {}
+            _ => return false,
+        }
+        // One lock for the batch: a flusher on another thread waits for
+        // it and then finds every task launched here in the list.
+        let mut flush_list = cache.bypassed.lock();
+        for pos in start..start + n {
+            replay_slot(inner, &mut scope.state, pos, None, &mut flush_list);
+        }
+        *cursor += n;
+        true
+    });
+    replayed.unwrap_or(false)
+}
+
+/// [`crate::Runtime::trace_position`].
+pub(crate) fn position(inner: &Arc<RtInner>) -> Option<usize> {
+    with_scope(inner, |scope| match scope.mode {
+        ScopeMode::Record { pos, .. } => Some(pos),
+        ScopeMode::Replay { cursor } => Some(cursor),
+        ScopeMode::Inert => None,
+    })?
+}
+
+/// Replays position `pos` of a frozen key: re-arms the slot's task object
+/// — or, while its previous occupant is still referenced from anywhere,
+/// allocates a fresh one into the slot — links it behind the position's
+/// recorded predecessors (claim table bypassed, released predecessors
+/// skipped exactly as fresh registration would skip them), registers it
+/// for flushing (in `flush_list`, the cache's, locked by the caller) and
+/// launches it. `spawn` is the declaration and body of a spawn that
+/// matched the slot's fingerprint; without one the slot's own re-runnable
+/// body runs again. Returns the task's depsan id.
+fn replay_slot(
+    inner: &Arc<RtInner>,
+    state: &mut KeyState,
+    pos: usize,
+    spawn: Option<(&'static str, i32, AccessList, TaskBody)>,
+    flush_list: &mut Vec<Arc<TaskShared>>,
+) -> u64 {
+    let KeyState { slots, preds, .. } = state;
+    let preds = preds.of(pos);
+    // The sanitizer re-checks the predecessor set about to be enforced
+    // against the declared accesses; the ids are read before the slot's
+    // own previous occupant (a possible predecessor) is reset.
+    let san_id = if inner.san_rt != 0 {
+        let pred_ids: Vec<u64> = (preds.iter())
+            .map(|&(_, p)| slots[p as usize].task.san_id)
+            .filter(|&s| s != 0)
+            .collect();
+        let old = &slots[pos].task;
+        let (label, accesses) = match &spawn {
+            Some((label, _, accesses, _)) => (*label, &accesses[..]),
+            None => (old.label, &old.accesses[..]),
+        };
+        inner.san_spawned(label, accesses, Some(&pred_ids))
+    } else {
+        0
+    };
+    let id = inner.next_task_id();
+    let slot = &mut slots[pos].task;
+    // `get_mut` succeeds iff no other strong or weak reference exists:
+    // the previous occupant has released and been forgotten by the
+    // scheduler, by every successor list, by its event holds and by the
+    // flush list.
+    let displaced = match Arc::get_mut(slot) {
+        Some(task) => {
+            task.rearm(id, san_id);
+            if let Some((label, priority, accesses, body)) = spawn {
+                (task.label, task.priority) = (label, priority);
+                task.accesses = accesses;
+                task.body = body;
+            }
+            inner.stat_rearmed_tasks.fetch_add(1, Ordering::Relaxed);
+            if let Some(m) = &inner.obs_metrics {
+                m.rearmed_tasks.inc();
+            }
+            None
+        }
+        None => {
+            let (label, priority, accesses, body) = spawn.unwrap_or_else(|| {
+                let TaskBody::Many(body) = &slot.body else {
+                    unreachable!("replay_tasks re-arms re-runnable slots only");
+                };
+                let body = TaskBody::Many(Arc::clone(body));
+                (slot.label, slot.priority, slot.accesses.clone(), body)
+            });
+            let fresh = inner.new_task(id, san_id, priority, label, accesses, body);
+            Some(std::mem::replace(slot, fresh))
+        }
+    };
+    let task = &slots[pos].task;
+    let live_now = inner.task_born(task);
     let mut edges = 0;
-    for pred in preds {
+    for &(_, p) in preds {
+        // The slot order (`replay_ready`): lower slots hold this
+        // iteration's tasks, higher ones the previous iteration's, and
+        // this position's previous occupant — a predecessor when one
+        // stream position conflicts with itself across iterations — is
+        // either displaced or, re-armed in place, long released.
+        let pred = match (p as usize == pos, &displaced) {
+            (false, _) => &slots[p as usize].task,
+            (true, Some(old)) => old,
+            (true, None) => continue,
+        };
         let mut links = pred.state.lock();
         if links.released {
             continue;
@@ -516,61 +738,80 @@ pub(crate) fn install_replayed(
     // cannot release while the guard is held).
     task.bypassed.store(true, Ordering::Release);
     inner.trace.bypassed_live.fetch_add(1, Ordering::AcqRel);
-    inner.trace.bypassed.lock().push(Arc::downgrade(task));
+    flush_list.push(Arc::clone(task));
     inner.stat_replayed_tasks.fetch_add(1, Ordering::Relaxed);
     if let Some(m) = &inner.obs_metrics {
         m.replayed_tasks.inc();
     }
-    ACTIVE.with(|a| {
-        if let Some(scope) = a.borrow_mut().as_mut() {
-            scope.instance.push(Arc::clone(task));
-        }
-    });
-    edges
+    inner.launch(task, edges, true, live_now);
+    san_id
 }
 
-/// Records a freshly-analyzed spawn into the open record-mode scope
-/// (shadow analysis + node + instance).
+/// Logs a freshly-analyzed spawn into the open record-mode scope.
 pub(crate) fn record_spawn(inner: &Arc<RtInner>, task: &Arc<TaskShared>) {
-    ACTIVE.with(|a| {
-        let mut slot = a.borrow_mut();
-        let Some(scope) = slot.as_mut() else { return };
-        if scope.rt != Arc::as_ptr(inner) || !matches!(scope.mode, ScopeMode::Record) {
+    with_scope(inner, |scope| {
+        let ScopeMode::Record { pos, same } = &mut scope.mode else {
             return;
-        }
-        let pos = scope.instance.len() as u32;
-        let preds = analyze(
-            &mut scope.state.shadow,
-            scope.state.iter,
-            pos,
-            &task.accesses,
-        );
-        scope.nodes.push(TraceNode {
+        };
+        let slot = Slot {
             fp: fingerprint(task.label, task.priority, &task.accesses),
-            preds,
-        });
-        scope.instance.push(Arc::clone(task));
+            task: Arc::clone(task),
+        };
+        match scope.state.slots.get_mut(*pos) {
+            Some(old) => {
+                *same &= old.fp == slot.fp;
+                *old = slot;
+            }
+            None => {
+                *same = false;
+                scope.state.slots.push(slot);
+            }
+        }
+        *pos += 1;
     });
 }
 
-/// Marks the open scope diverged: flushes bypassed tasks into the claim
-/// table and resets the key so it re-records from scratch.
-fn diverge_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope) {
+/// The replaying scope's stream left the frozen trace at slot `cursor`:
+/// the tasks replayed so far stay as the head of a recording that the
+/// rest of the scope continues (fresh analysis sees them: every fresh
+/// spawn flushes first). Returns true if that parked the key instead.
+fn diverge_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope, cursor: usize) -> bool {
+    let state = &mut scope.state;
+    state.preds = Preds::default();
+    state.stage = Stage::Empty;
+    state.optimistic = false;
+    // Divergences count toward parking: a stream that freezes and then
+    // keeps diverging must not thrash record/replay forever.
+    let parked = state.strike();
+    scope.mode = if parked {
+        ScopeMode::Inert
+    } else {
+        ScopeMode::Record {
+            pos: cursor,
+            same: false,
+        }
+    };
+    note_divergence(inner, scope.key);
+    parked
+}
+
+/// An untraced spawn landed while the scope was open: whatever the scope
+/// replayed or logged cannot be built on. The key starts over and the
+/// rest of the scope takes the fresh path unlogged.
+fn taint_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope) {
     scope.mode = ScopeMode::Inert;
-    // Divergences count toward dormancy too: a stream that freezes and
-    // then keeps diverging must not thrash record/replay forever.
-    let unstable = scope.state.unstable + 1;
-    scope.state.reset();
-    scope.state.unstable = unstable;
-    scope.state.dormant = unstable >= MAX_UNSTABLE;
-    scope.instance.clear();
-    scope.nodes.clear();
+    scope.state.forget(Stage::Empty);
+    scope.state.strike();
+    note_divergence(inner, scope.key);
+}
+
+fn note_divergence(inner: &Arc<RtInner>, key: u64) {
     flush_bypassed(inner);
     inner.stat_trace_divergences.fetch_add(1, Ordering::Relaxed);
     if let Some(m) = &inner.obs_metrics {
         m.trace_divergences.inc();
     }
-    emit_mark(inner, "divergence", scope.key, 0);
+    emit_mark(inner, "divergence", key, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -587,30 +828,32 @@ pub(crate) fn flush_bypassed(inner: &RtInner) {
     }
 }
 
-/// The flush proper; also empties the list of its dead references.
+/// The flush proper; also empties the list.
 fn drain_bypassed(inner: &RtInner) {
     let list = std::mem::take(&mut *inner.trace.bypassed.lock());
-    for weak in list {
-        let Some(task) = weak.upgrade() else { continue };
+    for task in list {
         if !task.bypassed.swap(false, Ordering::AcqRel) {
             continue; // released (or flushed by a racing flusher) already
         }
         inner.trace.bypassed_live.fetch_sub(1, Ordering::AcqRel);
         inner.registry.insert_entries(&task);
-        // Releases observed from here on remove the entries themselves;
-        // a release that won the race against the insert is cleaned up
-        // now.
+        // Releases that find `bypassed` clear remove the entries
+        // themselves; one that had already looked is cleaned up now (the
+        // interleavings are spelled out in `TaskShared::release`).
         if task.state.lock().released {
             inner.registry.remove_task(&task);
         }
     }
 }
 
-/// Release-path hook: forget a bypassed task that is going away.
-pub(crate) fn released_bypassed(inner: &RtInner, task: &TaskShared) {
-    if task.bypassed.swap(false, Ordering::AcqRel) {
+/// Release-path hook: forgets a bypassed task that is going away. True
+/// if it still was one, i.e. no flush has put it into the claim table.
+pub(crate) fn released_bypassed(inner: &RtInner, task: &TaskShared) -> bool {
+    let bypassed = task.bypassed.swap(false, Ordering::AcqRel);
+    if bypassed {
         inner.trace.bypassed_live.fetch_sub(1, Ordering::AcqRel);
     }
+    bypassed
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +866,12 @@ pub(crate) fn invalidate(inner: &Arc<RtInner>) {
         return;
     }
     cache.generation.fetch_add(1, Ordering::AcqRel);
-    cache.keys.lock().clear();
+    for state in cache.keys.lock().values_mut() {
+        *state = KeyState {
+            optimistic: state.optimistic,
+            ..KeyState::default()
+        };
+    }
     drain_bypassed(inner);
     inner
         .stat_trace_invalidations
@@ -649,10 +897,10 @@ fn emit_mark(inner: &RtInner, kind: &'static str, key: u64, tasks: usize) {
 
 impl crate::Runtime {
     /// Opens a trace scope for one iteration of a periodic submission
-    /// stream (one AMR timestep). The first iterations after an
-    /// invalidation record; once the stream stabilizes, matching
-    /// iterations replay cached dependency edges without touching the
-    /// claim table, falling back to fresh analysis on any divergence.
+    /// stream (one AMR timestep). The first iteration after an
+    /// invalidation records; from the second on, matching iterations
+    /// re-arm the recorded tasks without touching the claim table,
+    /// falling back to fresh analysis on any divergence.
     ///
     /// Drop the returned guard when the iteration's submissions are
     /// done. Scopes must not nest on one thread.
@@ -667,20 +915,60 @@ impl crate::Runtime {
     pub fn invalidate_traces(&self) {
         invalidate(self.inner());
     }
+
+    /// Where the trace scope this thread has open on the runtime stands:
+    /// the number of tasks it has recorded or replayed so far. `None`
+    /// without a scope, with `replay` off, and in a scope that is neither
+    /// recording nor replaying. A submitter that notes the positions of a
+    /// batch of spawns while they are recorded can have the same batch
+    /// re-armed by [`Runtime::replay_tasks`] in later iterations.
+    pub fn trace_position(&self) -> Option<usize> {
+        position(self.inner())
+    }
+
+    /// Re-arms the `n` tasks recorded from position `start` on, without
+    /// being handed them again: each runs the re-runnable body
+    /// ([`crate::TaskBuilder::body_fn`]) it was spawned with, behind the
+    /// predecessors of the frozen trace. Returns false, having done
+    /// nothing, unless the open scope is replaying and stands exactly at
+    /// `start`, no untraced spawn intervened and all `n` positions hold
+    /// re-runnable bodies; the caller then spawns the tasks as usual.
+    ///
+    /// The caller vouches that the `n` spawns it skips would have had the
+    /// declarations recorded at these positions.
+    pub fn replay_tasks(&self, start: usize, n: usize) -> bool {
+        replay_tasks(self.inner(), start, n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::region::Region;
+    use crate::Runtime;
     use proptest::prelude::*;
+
+    fn accesses(task: &[(u64, usize, usize, bool)]) -> Vec<Access> {
+        task.iter()
+            .map(|&(obj, start, len, write)| {
+                let region = Region::new(ObjId(obj), start..start + len);
+                if write {
+                    Access::write(region)
+                } else {
+                    Access::read(region)
+                }
+            })
+            .collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// What keeping a single previous iteration rests on (argued at
-        /// [`replay_ready`]): once two consecutive recordings of a stream
-        /// agree, no predecessor is more than one iteration back.
+        /// What re-arming in one slot vector rests on (argued at
+        /// [`replay_ready`]): once two consecutive passes over a stream
+        /// agree, no predecessor is more than one iteration back, and one
+        /// that is one iteration back sits at the same or a higher
+        /// position.
         #[test]
         fn stable_recordings_reach_one_iteration_back(
             specs in prop::collection::vec(
@@ -688,36 +976,90 @@ mod tests {
                 1..7,
             ),
         ) {
-            let stream: Vec<Vec<Access>> = specs
-                .iter()
-                .map(|task| {
-                    task.iter()
-                        .map(|&(obj, start, len, write)| {
-                            let region = Region::new(ObjId(obj), start..start + len);
-                            if write {
-                                Access::write(region)
-                            } else {
-                                Access::read(region)
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+            let stream: Vec<Vec<Access>> = specs.iter().map(|task| accesses(task)).collect();
             let mut shadow = ShadowTable::default();
             let mut last = None;
-            for iter in 1..=10 {
-                let nodes: Vec<Vec<(u32, u32)>> = stream
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, accesses)| analyze(&mut shadow, iter, pos as u32, accesses))
-                    .collect();
-                if last.as_ref() == Some(&nodes) {
-                    let deepest = nodes.iter().flatten().map(|&(delta, _)| delta).max();
-                    prop_assert!(deepest.unwrap_or(0) <= 1, "stable at delta {deepest:?}");
+            for pass in 1..=10 {
+                let mut preds = Preds::default();
+                for task in &stream {
+                    preds.analyze(&mut shadow, pass, task);
+                }
+                if last.as_ref() == Some(&preds) {
+                    for pos in 0..stream.len() {
+                        for &(delta, p) in preds.of(pos) {
+                            prop_assert!(delta <= 1, "stable at delta {delta}");
+                            prop_assert!(
+                                if delta == 0 { (p as usize) < pos } else { p as usize >= pos },
+                                "position {pos} waits for ({delta}, {p})"
+                            );
+                        }
+                    }
+                    prop_assert!(replay_ready(&preds));
                     break;
                 }
-                last = Some(nodes);
+                last = Some(preds);
             }
         }
+    }
+
+    /// One traced iteration of `stream` (empty bodies), drained.
+    fn iterate(rt: &Runtime, stream: &[Vec<Access>]) {
+        let scope = rt.trace_scope(1);
+        for task in stream {
+            rt.task().accesses(task.iter().cloned()).body(|| {}).spawn();
+        }
+        drop(scope);
+        rt.taskwait();
+    }
+
+    /// A read that no write of the stream covers is seen from one
+    /// iteration further back by every pass: the warm passes differ, the
+    /// one close parks the key and nothing is closed or recorded again
+    /// until an invalidation.
+    #[test]
+    fn unstable_stream_parks_the_key_after_one_close() {
+        let stream = [accesses(&[(7, 0, 2, false)]), accesses(&[(7, 0, 1, true)])];
+        let rt = Runtime::new(1);
+        for _ in 0..5 {
+            iterate(&rt, &stream);
+        }
+        let s = rt.stats();
+        assert_eq!((s.trace_closes, s.trace_freezes), (1, 0), "{s:?}");
+        assert_eq!((s.trace_records, s.trace_hits), (1, 0), "{s:?}");
+        rt.invalidate_traces();
+        iterate(&rt, &stream);
+        iterate(&rt, &stream);
+        let s = rt.stats();
+        assert_eq!((s.trace_closes, s.trace_records), (2, 2), "{s:?}");
+    }
+
+    /// A stream that alternates between two shapes loses the bet of its
+    /// first close and is not closed again while it alternates; once it
+    /// repeats it closes after two recordings, and the hit restores the
+    /// close after one.
+    #[test]
+    fn alternating_stream_stops_closing_until_a_hit() {
+        let a = [accesses(&[(8, 0, 4, true)]), accesses(&[(8, 0, 2, true)])];
+        let b = [accesses(&[(8, 0, 4, true)]), accesses(&[(8, 2, 2, true)])];
+        let rt = Runtime::new(1);
+        for _ in 0..3 {
+            iterate(&rt, &a);
+            iterate(&rt, &b);
+        }
+        let s = rt.stats();
+        assert_eq!((s.trace_closes, s.trace_divergences), (1, 1), "{s:?}");
+        assert_eq!(s.trace_hits, 0, "{s:?}");
+        // Repeats now: one recording that differs from `b`, one that
+        // repeats it, then the close and the hit.
+        for _ in 0..3 {
+            iterate(&rt, &a);
+        }
+        let s = rt.stats();
+        assert_eq!((s.trace_closes, s.trace_hits), (2, 1), "{s:?}");
+        rt.invalidate_traces();
+        iterate(&rt, &a);
+        iterate(&rt, &a);
+        let s = rt.stats();
+        assert_eq!((s.trace_closes, s.trace_hits), (3, 2), "{s:?}");
     }
 }

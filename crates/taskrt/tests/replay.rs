@@ -8,9 +8,37 @@
 //! broken replay shows up as an ordering violation (or a deadlock → test
 //! timeout), never as a panic inside a worker thread.
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use taskrt::{Access, ObjId, Region, Runtime, RuntimeConfig};
+
+/// Holds a task (and whatever waits behind it) until the test opens it.
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn new() -> Arc<Gate> {
+        Arc::new(Gate {
+            open: Mutex::new(true),
+            opened: Condvar::new(),
+        })
+    }
+
+    fn set(&self, open: bool) {
+        *self.open.lock() = open;
+        self.opened.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut open = self.open.lock();
+        while !*open {
+            self.opened.wait(&mut open);
+        }
+    }
+}
 
 /// Submits `n` tasks chained by `inout` on `obj`, each appending its
 /// submission index to `log`, inside trace scope `key`.
@@ -38,7 +66,30 @@ fn assert_in_submission_order(log: &Arc<Mutex<Vec<usize>>>, n: usize, ctx: &str)
     );
 }
 
-/// A stable chained stream replays after the warm-up recordings and the
+/// The cache bets that a stream repeats: the first scope after an
+/// invalidation records, the second closes that recording and is a hit
+/// already.
+#[test]
+fn hits_start_at_the_second_scope() {
+    let rt = Runtime::new(2);
+    let obj = ObjId::fresh();
+    const N: usize = 40;
+    chained_iteration(&rt, 2, obj, N);
+    let s = rt.stats();
+    assert_eq!((s.trace_records, s.trace_closes, s.trace_hits), (1, 0, 0));
+    let log = chained_iteration(&rt, 2, obj, N);
+    assert_in_submission_order(&log, N, "first hit");
+    let s = rt.stats();
+    assert_eq!((s.trace_records, s.trace_closes, s.trace_hits), (1, 1, 1));
+    assert_eq!((s.trace_freezes, s.replayed_tasks), (1, N as u64), "{s:?}");
+    rt.invalidate_traces();
+    chained_iteration(&rt, 2, obj, N);
+    chained_iteration(&rt, 2, obj, N);
+    let s = rt.stats();
+    assert_eq!((s.trace_records, s.trace_closes, s.trace_hits), (2, 2, 2));
+}
+
+/// A stable chained stream replays after its one recording and the
 /// replayed iterations execute in exactly the recorded order.
 #[test]
 fn replayed_chain_preserves_order() {
@@ -170,8 +221,7 @@ fn explicit_invalidation_forces_rerecord() {
     );
     assert!(mid.trace_invalidations > before.trace_invalidations);
 
-    // After the warm-up recordings (cold shadow + two identical warm
-    // passes) replay resumes.
+    // After the one recording replay resumes.
     for iter in 0..5 {
         let log = chained_iteration(&rt, 3, obj, N);
         assert_in_submission_order(&log, N, &format!("post-invalidation iteration {iter}"));
@@ -186,47 +236,167 @@ fn explicit_invalidation_forces_rerecord() {
 /// Replayed edges that reach into the previous iteration are the only
 /// thing ordering consecutive iterations when no barrier separates them:
 /// the last write of iteration *k* must release before the first access of
-/// iteration *k + 1* starts, through the one iteration of task instances
-/// a frozen key keeps. Each iteration's head dawdles, so a lost edge lets
-/// the next iteration's head overtake it on the second worker.
-#[test]
-fn cross_iteration_edges_replay_without_a_barrier() {
+/// iteration *k + 1* starts, through the task objects still sitting in the
+/// key's slots. Each iteration's head dawdles, so a lost edge lets the
+/// next iteration's head overtake it on the second worker.
+///
+/// Every third iteration starts on a drained runtime — its slots re-arm
+/// the released task objects in place — and its head waits at a gate
+/// until the iteration after it has been submitted, which therefore finds
+/// every slot's occupant still live and allocates fresh ones. `driven`
+/// submits the recorded iteration with re-runnable bodies and the later
+/// ones through `replay_tasks`, without spawning anything again.
+fn cross_iteration_edges(driven: bool) {
     let rt = Runtime::new(2);
     let obj = ObjId::fresh();
     const N: usize = 20;
     const ITERS: usize = 12;
     let log = Arc::new(Mutex::new(Vec::with_capacity(N * ITERS)));
+    let gate = Gate::new();
+    let mut recorded = None;
     for iter in 0..ITERS {
+        if iter % 3 == 1 {
+            rt.taskwait();
+            gate.set(false);
+        }
         let scope = rt.trace_scope(5);
-        for i in 0..N {
-            let log = Arc::clone(&log);
-            // Reads in the middle of the chain make the next writer wait
-            // for several predecessors at once.
-            let region = Region::new(obj, 0..1);
-            let access = if i % 4 == 2 {
-                Access::read(region)
-            } else {
-                Access::read_write(region)
-            };
-            rt.task()
-                .access(access)
-                .body(move || {
+        if let Some(start) = recorded.filter(|_| driven) {
+            assert!(rt.replay_tasks(start, N), "iteration {iter} not re-armed");
+        } else {
+            recorded = rt.trace_position();
+            for i in 0..N {
+                let (log, gate) = (Arc::clone(&log), Arc::clone(&gate));
+                let body = move || {
                     if i == 0 {
+                        gate.pass();
                         std::thread::sleep(std::time::Duration::from_micros(200));
                     }
-                    log.lock().push(iter * N + i);
-                })
-                .spawn();
+                    log.lock().push(i);
+                };
+                // Reads in the middle of the chain make the next writer wait
+                // for several predecessors at once.
+                let region = Region::new(obj, 0..1);
+                let access = if i % 4 == 2 {
+                    Access::read(region)
+                } else {
+                    Access::read_write(region)
+                };
+                let task = rt.task().access(access);
+                if driven {
+                    task.body_fn(body).spawn();
+                } else {
+                    task.body(body).spawn();
+                }
+            }
         }
         drop(scope);
+        if iter % 3 == 2 {
+            gate.set(true);
+        }
     }
     rt.taskwait();
     let s = rt.stats();
-    assert!(s.trace_hits > 0, "stream never replayed: {s:?}");
+    assert_eq!(s.trace_hits, ITERS as u64 - 1, "{s:?}");
     assert_eq!(s.trace_divergences, 0, "stable stream diverged: {s:?}");
+    assert!(s.rearmed_tasks > 0, "no slot reused its task object: {s:?}");
+    assert!(
+        s.rearmed_tasks < s.replayed_tasks,
+        "no slot replaced a live task object: {s:?}"
+    );
     let got = log.lock().clone();
-    let want: Vec<usize> = (0..N * ITERS).collect();
+    let want: Vec<usize> = (0..N * ITERS).map(|t| t % N).collect();
     assert_eq!(got, want, "iterations overlapped or ran out of order");
+}
+
+#[test]
+fn cross_iteration_edges_replay_without_a_barrier() {
+    cross_iteration_edges(false);
+}
+
+#[test]
+fn cross_iteration_edges_rearm_without_a_barrier() {
+    cross_iteration_edges(true);
+}
+
+/// `replay_tasks` re-arms exactly the run of re-runnable slots the trace
+/// stands at, and otherwise says no and spawns nothing.
+#[test]
+fn replay_tasks_refuses_what_it_cannot_rearm() {
+    const RERUNNABLE: usize = 3;
+    let obj = ObjId::fresh();
+    let ran = Arc::new(AtomicUsize::new(0));
+    // Three re-runnable tasks, then one with a one-shot body.
+    let submit = |rt: &Runtime, from: usize| {
+        for i in from..RERUNNABLE + 1 {
+            let ran = Arc::clone(&ran);
+            let body = move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            };
+            let task = rt.task().inout(Region::new(obj, 0..1));
+            if i < RERUNNABLE {
+                task.body_fn(body).spawn();
+            } else {
+                task.body(body).spawn();
+            }
+        }
+    };
+    let rt = Runtime::new(1);
+    let refused = |start: usize, n: usize| {
+        let before = rt.stats().spawned;
+        !rt.replay_tasks(start, n) && rt.stats().spawned == before
+    };
+    assert!(refused(0, RERUNNABLE), "outside a scope");
+    assert_eq!(rt.trace_position(), None);
+
+    let scope = rt.trace_scope(4);
+    assert_eq!(rt.trace_position(), Some(0));
+    assert!(refused(0, 0), "while recording");
+    submit(&rt, 0);
+    assert_eq!(rt.trace_position(), Some(RERUNNABLE + 1));
+    drop(scope);
+    rt.taskwait();
+
+    let scope = rt.trace_scope(4);
+    assert!(refused(1, 2), "at a wrong start");
+    assert!(refused(0, RERUNNABLE + 1), "over a one-shot body");
+    assert!(refused(0, RERUNNABLE + 2), "beyond the trace");
+    assert!(rt.replay_tasks(0, RERUNNABLE));
+    assert_eq!(rt.trace_position(), Some(RERUNNABLE));
+    assert!(refused(0, RERUNNABLE), "behind the cursor");
+    submit(&rt, RERUNNABLE);
+    drop(scope);
+    rt.taskwait();
+    let s = rt.stats();
+    assert_eq!((s.trace_hits, s.trace_divergences), (1, 0), "{s:?}");
+    assert_eq!(ran.load(Ordering::SeqCst), 2 * (RERUNNABLE + 1));
+
+    // A spawn from a thread without the scope is untraced: the replayed
+    // tasks are invisible to its analysis and it to theirs.
+    let scope = rt.trace_scope(4);
+    std::thread::scope(|s| {
+        s.spawn(|| rt.task().input(Region::new(obj, 0..1)).body(|| {}).spawn());
+    });
+    assert!(refused(0, RERUNNABLE), "after an untraced spawn");
+    submit(&rt, 0);
+    drop(scope);
+    rt.taskwait();
+    assert_eq!(rt.stats().trace_hits, 1);
+    assert_eq!(ran.load(Ordering::SeqCst), 3 * (RERUNNABLE + 1));
+
+    let off = Runtime::with_config(RuntimeConfig {
+        workers: 1,
+        immediate_successor: true,
+        replay: false,
+    });
+    for _ in 0..2 {
+        let scope = off.trace_scope(4);
+        assert_eq!(off.trace_position(), None);
+        assert!(!off.replay_tasks(0, 0), "with replay off");
+        submit(&off, 0);
+        drop(scope);
+        off.taskwait();
+    }
+    assert_eq!(off.stats().spawned, 2 * (RERUNNABLE as u64 + 1));
 }
 
 /// An untraced spawn between scopes that conflicts with the frozen stream
@@ -311,87 +481,122 @@ fn conflicts(a: &[Decl], b: &[Decl]) -> bool {
 /// completes before its successor starts, so for every conflicting pair
 /// the earlier submission must appear earlier in the log.
 ///
-/// Each iteration ends with a full-range `inout` sweep per object (the
-/// AMR shape: stencils rewrite every block every timestep). Without the
-/// sweeps, reads that no later write fully covers linger in the shadow
-/// tables with ever-growing iteration deltas and consecutive recordings
-/// never stabilize — a documented limitation: the cache targets periodic
-/// streams that overwrite their data each period.
-#[test]
-fn replayed_iterations_are_linear_extensions() {
+/// Each iteration opens and ends with a full-range `inout` sweep per
+/// object (the AMR shape: stencils rewrite every block every timestep).
+/// Without the closing sweeps, reads that no later write fully covers
+/// linger in the shadow tables with ever-growing iteration deltas and the
+/// stream never closes — a documented limitation: the cache targets
+/// periodic streams that overwrite their data each period.
+///
+/// Iterations run in pairs. The first of a pair starts on a drained
+/// runtime (its slots re-arm the released task objects in place) and its
+/// opening sweep waits at a gate until the second has been submitted too
+/// (which finds every slot's occupant live and allocates fresh ones); the
+/// pair is then checked as one stream of twice the length, so the edges
+/// between the two iterations are checked with it. The *n*-th occurrence
+/// of an index in the log is the *n*-th iteration's: two runs of one
+/// position are ordered through the closing sweep between them. `driven`
+/// submits the first iteration with re-runnable bodies and re-arms it
+/// through `replay_tasks` from then on.
+fn linear_extensions(driven: bool) {
     const OBJECTS: usize = 4;
     const RANDOM_TASKS: usize = 56;
-    const TASKS: usize = RANDOM_TASKS + OBJECTS;
-    const ITERS: usize = 8;
+    const TASKS: usize = RANDOM_TASKS + 2 * OBJECTS;
+    const PAIRS: usize = 4;
     const SEEDS: [u64; 3] = [0x9e3779b97f4a7c15, 0xdeadbeefcafef00d, 0x0123456789abcdef];
 
     for seed in SEEDS {
         let mut rng = Rng(seed);
         let objs: Vec<ObjId> = (0..OBJECTS).map(|_| ObjId::fresh()).collect();
-
-        // Generate the stream once; resubmit it identically each iteration.
-        let mut stream: Vec<Vec<Decl>> = (0..RANDOM_TASKS)
-            .map(|_| {
-                let n_acc = 1 + rng.below(2) as usize;
-                (0..n_acc)
-                    .map(|_| {
-                        let obj = rng.below(OBJECTS as u64) as usize;
-                        let start = rng.below(4) as usize;
-                        let end = start + 1 + rng.below(3) as usize;
-                        let write = rng.below(3) != 0;
-                        Decl {
-                            obj,
-                            start,
-                            end,
-                            write,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        // Closing sweeps: one full-range write per object.
-        for obj in 0..OBJECTS {
-            stream.push(vec![Decl {
+        let sweep = |obj| {
+            vec![Decl {
                 obj,
                 start: 0,
                 end: 8,
                 write: true,
-            }]);
-        }
+            }]
+        };
+
+        // Generate the stream once; resubmit it identically each iteration.
+        let mut stream: Vec<Vec<Decl>> = (0..OBJECTS).map(sweep).collect();
+        stream.extend((0..RANDOM_TASKS).map(|_| {
+            let n_acc = 1 + rng.below(2) as usize;
+            (0..n_acc)
+                .map(|_| {
+                    let obj = rng.below(OBJECTS as u64) as usize;
+                    let start = rng.below(4) as usize;
+                    let end = start + 1 + rng.below(3) as usize;
+                    let write = rng.below(3) != 0;
+                    Decl {
+                        obj,
+                        start,
+                        end,
+                        write,
+                    }
+                })
+                .collect::<Vec<Decl>>()
+        }));
+        stream.extend((0..OBJECTS).map(sweep));
 
         let rt = Runtime::new(3);
-        for iter in 0..ITERS {
-            let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::with_capacity(TASKS)));
-            let scope = rt.trace_scope(42);
-            for (i, decls) in stream.iter().enumerate() {
-                let log = Arc::clone(&log);
-                rt.task()
-                    .accesses(decls.iter().map(|d| {
-                        let r = Region::new(objs[d.obj], d.start..d.end);
-                        if d.write {
-                            Access::read_write(r)
+        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::with_capacity(2 * TASKS)));
+        let gate = Gate::new();
+        let mut recorded = None;
+        for pair in 0..PAIRS {
+            gate.set(false);
+            for _ in 0..2 {
+                let scope = rt.trace_scope(42);
+                if let Some(start) = recorded.filter(|_| driven) {
+                    assert!(rt.replay_tasks(start, TASKS), "seed {seed:#x} pair {pair}");
+                } else {
+                    recorded = rt.trace_position();
+                    for (i, decls) in stream.iter().enumerate() {
+                        let (log, gate) = (Arc::clone(&log), Arc::clone(&gate));
+                        let body = move || {
+                            if i < OBJECTS {
+                                gate.pass();
+                            }
+                            log.lock().push(i);
+                        };
+                        let task = rt.task().accesses(decls.iter().map(|d| {
+                            let r = Region::new(objs[d.obj], d.start..d.end);
+                            if d.write {
+                                Access::read_write(r)
+                            } else {
+                                Access::read(r)
+                            }
+                        }));
+                        if driven {
+                            task.body_fn(body).spawn();
                         } else {
-                            Access::read(r)
+                            task.body(body).spawn();
                         }
-                    }))
-                    .body(move || log.lock().push(i))
-                    .spawn();
+                    }
+                }
+                drop(scope);
             }
-            drop(scope);
+            gate.set(true);
             rt.taskwait();
 
-            let order = log.lock().clone();
-            assert_eq!(order.len(), TASKS, "seed {seed:#x} iter {iter}: tasks lost");
-            let mut pos = vec![0usize; TASKS];
+            let order = std::mem::take(&mut *log.lock());
+            assert_eq!(
+                order.len(),
+                2 * TASKS,
+                "seed {seed:#x} pair {pair}: tasks lost"
+            );
+            // Position in the log of every task of the doubled stream.
+            let mut pos = vec![usize::MAX; 2 * TASKS];
             for (p, &t) in order.iter().enumerate() {
-                pos[t] = p;
+                let run = if pos[t] == usize::MAX { t } else { TASKS + t };
+                assert_eq!(pos[run], usize::MAX, "task {t} ran three times");
+                pos[run] = p;
             }
-            for i in 0..TASKS {
-                for j in (i + 1)..TASKS {
-                    if conflicts(&stream[i], &stream[j]) {
+            for i in 0..2 * TASKS {
+                for j in (i + 1)..2 * TASKS {
+                    if conflicts(&stream[i % TASKS], &stream[j % TASKS]) {
                         assert!(
                             pos[i] < pos[j],
-                            "seed {seed:#x} iter {iter}: conflicting pair ({i}, {j}) \
+                            "seed {seed:#x} pair {pair}: conflicting pair ({i}, {j}) \
                              executed out of submission order"
                         );
                     }
@@ -399,13 +604,25 @@ fn replayed_iterations_are_linear_extensions() {
             }
         }
         let s = rt.stats();
-        assert!(
-            s.trace_hits > 0,
-            "seed {seed:#x}: stream never replayed: {s:?}"
-        );
+        assert_eq!(s.trace_hits, 2 * PAIRS as u64 - 1, "seed {seed:#x}: {s:?}");
         assert_eq!(
             s.trace_divergences, 0,
             "seed {seed:#x}: identical stream diverged: {s:?}"
         );
+        assert!(s.rearmed_tasks > 0, "seed {seed:#x}: nothing reused: {s:?}");
+        assert!(
+            s.rearmed_tasks < s.replayed_tasks,
+            "seed {seed:#x}: no live task object replaced: {s:?}"
+        );
     }
+}
+
+#[test]
+fn replayed_iterations_are_linear_extensions() {
+    linear_extensions(false);
+}
+
+#[test]
+fn rearmed_iterations_are_linear_extensions() {
+    linear_extensions(true);
 }

@@ -12,7 +12,9 @@
 //! replayed predecessor closure fails to cover. Zero violations across
 //! iterations that demonstrably took the replay path therefore means the
 //! replayed edge sets are (transitively) identical to what depsan
-//! observes in record mode.
+//! observes in record mode. A re-armed iteration — task objects reset in
+//! place, by matching spawns or by `replay_tasks` with nothing spawned
+//! again — hands depsan its enforced predecessors like any other.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -69,45 +71,61 @@ fn sanitized_replay_matches_record_mode_edges() {
             stream.push(vec![(obj, 0, 8, true)]);
         }
 
-        // The sanitizer must be on *before* the runtime is built (the
-        // runtime captures the depsan mode at creation).
-        let rt = Runtime::new(3);
-        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        for _ in 0..ITERS {
-            let scope = rt.trace_scope(11);
-            for (i, decls) in stream.iter().enumerate() {
-                let log = Arc::clone(&log);
-                rt.task()
-                    .accesses(decls.iter().map(|&(obj, start, end, write)| {
-                        let r = Region::new(objs[obj], start..end);
-                        if write {
-                            Access::read_write(r)
+        // Matching spawns first, then `replay_tasks` over re-runnable
+        // bodies.
+        for driven in [false, true] {
+            // The sanitizer must be on *before* the runtime is built (the
+            // runtime captures the depsan mode at creation).
+            let rt = Runtime::new(3);
+            let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+            let mut recorded = None;
+            for _ in 0..ITERS {
+                let scope = rt.trace_scope(11);
+                if let Some(start) = recorded.filter(|_| driven) {
+                    assert!(rt.replay_tasks(start, TASKS), "seed {seed:#x}");
+                } else {
+                    recorded = rt.trace_position();
+                    for (i, decls) in stream.iter().enumerate() {
+                        let log = Arc::clone(&log);
+                        let body = move || log.lock().push(i);
+                        let task =
+                            rt.task()
+                                .accesses(decls.iter().map(|&(obj, start, end, write)| {
+                                    let r = Region::new(objs[obj], start..end);
+                                    if write {
+                                        Access::read_write(r)
+                                    } else {
+                                        Access::read(r)
+                                    }
+                                }));
+                        if driven {
+                            task.body_fn(body).spawn();
                         } else {
-                            Access::read(r)
+                            task.body(body).spawn();
                         }
-                    }))
-                    .body(move || log.lock().push(i))
-                    .spawn();
+                    }
+                }
+                drop(scope);
+                rt.taskwait();
             }
-            drop(scope);
-            rt.taskwait();
+
+            let s = rt.stats();
+            assert_eq!(
+                s.trace_hits,
+                ITERS as u64 - 1,
+                "seed {seed:#x}: stream did not replay from its second iteration: {s:?}"
+            );
+            assert!(
+                s.rearmed_tasks > 0 && s.rearmed_tasks <= s.replayed_tasks,
+                "seed {seed:#x}: no task object was re-armed: {s:?}"
+            );
+            assert_eq!(log.lock().len(), TASKS * ITERS);
+
+            let violations = depsan::take_violations();
+            assert!(
+                violations.is_empty(),
+                "seed {seed:#x} (driven: {driven}): depsan flagged replayed edges: {violations:?}"
+            );
         }
-
-        let s = rt.stats();
-        assert!(
-            s.trace_hits > 0,
-            "seed {seed:#x}: stream never replayed: {s:?}"
-        );
-        assert!(
-            s.replayed_tasks > 0,
-            "seed {seed:#x}: no task took the replay path: {s:?}"
-        );
-        assert_eq!(log.lock().len(), TASKS * ITERS);
-
-        let violations = depsan::take_violations();
-        assert!(
-            violations.is_empty(),
-            "seed {seed:#x}: depsan flagged replayed edges: {violations:?}"
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! A runtime that traced and replayed must free its tasks when dropped.
 //!
-//! The replay cache keeps `Arc`s to the previous iteration's tasks, and
+//! The replay cache keeps `Arc`s to the latest iteration's tasks, and
 //! every task keeps an `Arc` to its runtime: unless the cache lets go
 //! when the runtime is dropped, that cycle keeps the runtime and every
 //! task it ever traced alive. A counting global allocator (hence a test
@@ -38,7 +38,7 @@ const TASKS: usize = 500;
 const ITERS: usize = 8;
 
 /// Builds a runtime, runs `ITERS` traced iterations of a chained stream
-/// on it (three record, the rest replay) and drops it.
+/// on it (one records, the rest replay) and drops it.
 fn traced_run(obj: ObjId) {
     let rt = Runtime::new(2);
     for _ in 0..ITERS {

@@ -400,11 +400,11 @@ echo "==> exchange livelock regression (two-full-ranks swap)"
 cargo test -q -p miniamr --test exchange_protocol \
     exactly_full_ranks_swap_converges >/dev/null
 
-# --- Task-graph trace & replay cache (PR 6) --------------------------------
-# Replay must be numerically invisible: with a run long enough for the
-# trace to warm up (3 recordings per regrid epoch) and replay, and with
-# regrids + checkpoints invalidating mid-run, every variant's checksum
-# digest must be bitwise identical with --replay on and off.
+# --- Task-graph trace & replay cache ----------------------------------------
+# Replay must be numerically invisible: over two regrid epochs of five
+# timesteps (one recorded, four re-armed each), with regrids + checkpoints
+# invalidating mid-run, every variant's checksum digest must be bitwise
+# identical with --replay on and off.
 replay_mesh=(--npx 2 --npy 2 --nx 6 --ny 6 --nz 6 --num_vars 4
              --num_tsteps 10 --refine_freq 5 --ckpt_freq 8
              --input single_sphere)
@@ -424,11 +424,15 @@ for variant in mpi forkjoin dataflow; do
 done
 
 # The parity check is vacuous unless the data-flow replay-on run actually
-# replayed — assert the counters the binary prints.
+# replayed — assert the counters the binary prints: every timestep of an
+# epoch but its first is a hit (4 ranks x 2 epochs x (5 - 1)), and hits
+# re-arm task objects in place.
 replayed="$(awk '$1 == "tasks_replayed" { print $2 }' <<<"$df_on_out")"
 hits="$(awk '$1 == "trace_hits" { print $2 }' <<<"$df_on_out")"
-if [ -z "$replayed" ] || [ "$replayed" -eq 0 ] || [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
-  echo "replay parity: dataflow --replay on never replayed (tasks_replayed='$replayed', trace_hits='$hits')" >&2
+rearmed="$(awk '$1 == "tasks_rearmed" { print $2 }' <<<"$df_on_out")"
+if [ -z "$replayed" ] || [ "$replayed" -eq 0 ] || [ "$hits" != 32 ] \
+    || [ -z "$rearmed" ] || [ "$rearmed" -eq 0 ]; then
+  echo "replay parity: dataflow --replay on: tasks_replayed='$replayed', trace_hits='$hits' (want 32), tasks_rearmed='$rearmed'" >&2
   echo "$df_on_out" >&2
   exit 1
 fi
@@ -444,6 +448,40 @@ if ! grep -q "depsan: no violations detected" <<<"$san_out"; then
   echo "$san_out" >&2
   exit 1
 fi
+
+# The tasks_fine shape (bench/src/workloads.rs) at 4 timesteps: a replay
+# hit re-arms ~10 k tasks per rank without elaborating any of them. One
+# digest for the three variants and for delayed validation (a waiter task
+# between re-armed phases, tasks that outlive their timestep), a clean
+# sanitizer, a clean static check.
+fine_mesh=(--npx 2 --workers 1 --init_x 2 --init_y 4 --init_z 4 --nx 4 --ny 4 --nz 4
+           --num_vars 4 --num_refine 2 --input four_spheres --num_tsteps 4
+           --stages_per_ts 10 --checksum_freq 5 --refine_freq 1000
+           --send_faces --separate_buffers)
+fine_digest=""
+for run in "mpi" "forkjoin" "dataflow" "dataflow --delayed_checksum" "dataflow --sanitize" \
+           "dataflow --staticcheck"; do
+  echo "==> re-armed tasks_fine shape: $run"
+  # shellcheck disable=SC2086  # $run is a variant plus at most one flag
+  out="$(timeout 60 "$MINIAMR" --variant $run "${fine_mesh[@]}" 2>&1)"
+  d="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$out")"
+  if [ -z "$d" ] || { [ -n "$fine_digest" ] && [ "$d" != "$fine_digest" ]; }; then
+    echo "re-armed tasks_fine shape: $run digest '$d' differs from '$fine_digest'" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  fine_digest="$d"
+  case "$run" in
+    *--sanitize) grep -q "depsan: no violations detected" <<<"$out" ;;
+    *--staticcheck) grep -q "staticcheck: clean" <<<"$out" ;;
+    dataflow) [ "$(awk '$1 == "trace_hits" { print $2 }' <<<"$out")" = 6 ] ;;
+    *) true ;;
+  esac || {
+    echo "re-armed tasks_fine shape: $run did not report what it should" >&2
+    echo "$out" >&2
+    exit 1
+  }
+done
 
 # --- Task grain ------------------------------------------------------------
 # 4^3 cells x 4 variables on a two-level mesh: every intra-rank item is far

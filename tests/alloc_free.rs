@@ -169,44 +169,71 @@ fn face_message_allocations_do_not_grow() {
     );
 }
 
-/// Ratchet for the task grain: allocator calls on the *spawning* thread
-/// per work item of a warm (replayed) data-flow timestep, on a mesh whose
-/// intra-rank items are all far below `elaborate::GRAIN_ELEMS`. One task
-/// per item cost four (access list, boxed body, task, replayed
-/// predecessor list); a batch pays them once for all its members. Taken
-/// as the difference between a 6- and a 3-timestep run, which leaves
-/// timesteps 4–6: set-up, the recording timesteps and teardown cancel.
+/// One data-flow run of a mesh whose intra-rank items are all far below
+/// `elaborate::GRAIN_ELEMS`: allocator calls on the two *spawning*
+/// threads (a rank's own thread is the one that elaborates and spawns),
+/// work items and tasks, summed over the ranks.
+fn fine_dataflow_run(num_tsteps: usize) -> [u64; 3] {
+    let mut params = Config::smoke_test().params;
+    (params.init_x, params.num_vars, params.num_refine) = (2, 4, 2);
+    let mut cfg = Config::four_spheres(params, 4);
+    cfg.variant = miniamr::Variant::DataFlow;
+    cfg.num_tsteps = num_tsteps;
+    cfg.stages_per_ts = 4;
+    cfg.checksum_freq = 4;
+    cfg.refine_freq = 1000;
+    cfg.send_faces = true;
+    cfg.separate_buffers = true;
+    cfg.workers = 1;
+    let per_rank = World::new(2, NetworkModel::instant()).run(|comm| {
+        let before = events();
+        let stats = miniamr::run_rank(&cfg, comm);
+        assert_eq!(stats.checksums_failed, 0);
+        [events() - before, stats.task_items, stats.tasks_spawned]
+    });
+    per_rank
+        .iter()
+        .fold([0; 3], |sum, rank| [0, 1, 2].map(|i| sum[i] + rank[i]))
+}
+
+/// What `hits` replay-hit timesteps of that run cost, taken as the
+/// difference between two runs that many timesteps apart: set-up, the
+/// recorded first timestep and teardown cancel — up to the thousand or so
+/// allocator calls by which two identical runs differ (how many edges the
+/// recorded timestep links, and so how many successor lists outgrow their
+/// inline room, depends on what the worker has finished by then).
+fn hit_timesteps(hits: usize) -> [u64; 3] {
+    let (cold, warm) = (fine_dataflow_run(3), fine_dataflow_run(3 + hits));
+    [0, 1, 2].map(|i| warm[i].saturating_sub(cold[i]))
+}
+
+/// Ratchet for the task grain: allocator calls on the spawning thread per
+/// work item of a warm (replayed) data-flow timestep. One task per item
+/// cost four when every hit spawned afresh (access list, boxed body,
+/// task, replayed predecessor list); a batch paid them once for all its
+/// members.
 #[test]
 fn warm_dataflow_timestep_allocates_less_than_once_per_item() {
-    let run = |num_tsteps: usize| -> (u64, u64) {
-        let mut params = Config::smoke_test().params;
-        (params.init_x, params.num_vars, params.num_refine) = (2, 4, 2);
-        let mut cfg = Config::four_spheres(params, 4);
-        cfg.variant = miniamr::Variant::DataFlow;
-        cfg.num_tsteps = num_tsteps;
-        cfg.stages_per_ts = 4;
-        cfg.checksum_freq = 4;
-        cfg.refine_freq = 1000;
-        cfg.send_faces = true;
-        cfg.separate_buffers = true;
-        cfg.workers = 1;
-        let per_rank = World::new(2, NetworkModel::instant()).run(|comm| {
-            // The rank's own thread is the one that elaborates and spawns.
-            let before = events();
-            let stats = miniamr::run_rank(&cfg, comm);
-            assert_eq!(stats.checksums_failed, 0);
-            (events() - before, stats.task_items)
-        });
-        per_rank
-            .iter()
-            .fold((0, 0), |(a, i), (allocs, items)| (a + allocs, i + items))
-    };
-    let (cold, warm) = (run(3), run(6));
-    let (allocs, items) = (warm.0 - cold.0, warm.1 - cold.1);
+    let [allocs, items, _] = hit_timesteps(3);
     assert!(items > 10_000, "only {items} items in three timesteps");
     assert!(
         allocs <= items,
         "{allocs} allocator calls on the spawning threads for {items} work items = {:.2} per item",
         allocs as f64 / items as f64
+    );
+}
+
+/// Ratchet for the replay hit: it re-arms the recorded tasks in place and
+/// elaborates nothing, so what the spawning thread still allocates is per
+/// phase call and per checksum point, not per task. Sixty hits, so that
+/// the bound stands well clear of the run-to-run difference.
+#[test]
+fn hit_dataflow_timestep_allocates_next_to_nothing_per_task() {
+    let [allocs, _, tasks] = hit_timesteps(60);
+    assert!(tasks > 100_000, "only {tasks} tasks in sixty timesteps");
+    assert!(
+        allocs * 20 <= tasks,
+        "{allocs} allocator calls on the spawning threads for {tasks} re-armed tasks = {:.3} per task (bound 0.05)",
+        allocs as f64 / tasks as f64
     );
 }
