@@ -17,10 +17,9 @@
 
 use crate::config::{BalanceKind, Config};
 use crate::rank::RankState;
-use amr_mesh::data::{BlockData, BlockLayout};
+use amr_mesh::data::BlockData;
 use amr_mesh::{partition, BlockId, MeshDirectory, Object};
 use parking_lot::Mutex;
-use shmem::BufferPool;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
@@ -128,16 +127,14 @@ impl RankCheckpoint {
             b.buf.full().with_write(|dst| dst.copy_from_slice(data));
             blocks.insert(*id, b);
         }
-        RankState {
-            cfg: self.cfg.clone(),
-            layout: BlockLayout::of(&self.cfg.params),
-            dir: self.dir.clone(),
-            objects: self.objects.clone(),
+        RankState::assemble(
+            &self.cfg,
+            self.dir.clone(),
+            self.objects.clone(),
             blocks,
-            rank: self.rank,
-            n_ranks: self.n_ranks,
-            pool: BufferPool::new(),
-        }
+            self.rank,
+            self.n_ranks,
+        )
     }
 }
 
@@ -191,7 +188,6 @@ pub fn redistribute(
     for (id, owner) in &assignment {
         dir.set_owner(*id, *owner);
     }
-    let layout = BlockLayout::of(&base.cfg.params);
     (0..new_n)
         .map(|rank| {
             let mut blocks = BTreeMap::new();
@@ -202,16 +198,14 @@ pub fn redistribute(
                     blocks.insert(*id, b);
                 }
             }
-            RankState {
-                cfg: base.cfg.clone(),
-                layout,
-                dir: dir.clone(),
-                objects: base.objects.clone(),
+            RankState::assemble(
+                &base.cfg,
+                dir.clone(),
+                base.objects.clone(),
                 blocks,
                 rank,
-                n_ranks: new_n,
-                pool: BufferPool::new(),
-            }
+                new_n,
+            )
         })
         .collect()
 }

@@ -34,19 +34,44 @@ pub struct RankState {
     pub rank: usize,
     /// World size.
     pub n_ranks: usize,
-    /// Recyclable scratch buffers for payload staging (local transfers,
-    /// block exchanges). Shared with worker tasks via `Arc`.
+    /// Recyclable scratch buffers for the payloads of block moves (local
+    /// face transfers take none). Shared with worker tasks via `Arc`.
     pub pool: Arc<BufferPool>,
 }
 
 impl RankState {
+    /// The one constructor: a rank's state over `blocks`, with the pool
+    /// seeded with the one buffer a run may need later — a block-move
+    /// payload — so the first regrid's move is already a hit.
+    pub(crate) fn assemble(
+        cfg: &Config,
+        dir: MeshDirectory,
+        objects: Vec<amr_mesh::Object>,
+        blocks: BTreeMap<BlockId, BlockData>,
+        rank: usize,
+        n_ranks: usize,
+    ) -> RankState {
+        let layout = BlockLayout::of(&cfg.params);
+        let pool = BufferPool::new();
+        drop(pool.take(layout.num_vars * layout.cells()));
+        RankState {
+            cfg: cfg.clone(),
+            layout,
+            dir,
+            objects,
+            blocks,
+            rank,
+            n_ranks,
+            pool,
+        }
+    }
+
     /// Builds the initial state: root blocks with analytic data, then the
     /// initial refinement around the objects' starting positions, with
     /// block data prolongated level by level. Purely local (the initial
     /// refinement plan is replicated), so all ranks stay consistent.
     pub fn init(cfg: &Config, rank: usize, n_ranks: usize) -> RankState {
         assert_eq!(n_ranks, cfg.params.num_ranks());
-        let layout = BlockLayout::of(&cfg.params);
         let mut dir = MeshDirectory::initial(cfg.params.clone());
         let mut blocks = BTreeMap::new();
         for (id, &owner) in dir.iter() {
@@ -74,16 +99,7 @@ impl RankState {
             }
             dir.apply_plan(&plan);
         }
-        RankState {
-            cfg: cfg.clone(),
-            layout,
-            dir,
-            objects,
-            blocks,
-            rank,
-            n_ranks,
-            pool: BufferPool::new(),
-        }
+        RankState::assemble(cfg, dir, objects, blocks, rank, n_ranks)
     }
 
     /// The blocks this rank owns, in id order (cheap clones of handles).
@@ -205,21 +221,45 @@ pub fn unpack_transfer(
     }
 }
 
-/// Performs a rank-local transfer: pack from the source block and unpack
-/// into the destination — miniAMR's intra-process communication. The
-/// staging payload comes from the rank's [`BufferPool`], so the hot path
-/// performs no heap allocation once the pool is warm.
+/// Performs a rank-local transfer — miniAMR's intra-process communication
+/// — block to block: the fused face operator of the transfer's kind reads
+/// the source's boundary plane and writes the destination's ghost plane
+/// directly, bit for bit what [`pack_transfer_into`] → [`unpack_transfer`]
+/// leave there, with no payload in between.
+pub fn local_transfer(
+    layout: &BlockLayout,
+    src: &BlockData,
+    dst: &BlockData,
+    t: &FaceTransfer,
+    vars: Range<usize>,
+) {
+    debug_assert_eq!((src.id, dst.id), (t.src_block, t.dst_block));
+    let (dir, src_side, dst_side) = (t.dir, t.src_side(), t.dst_side);
+    match t.kind {
+        TransferKind::Same => {
+            face::transfer_face_same(layout, dir, src, src_side, dst, dst_side, vars)
+        }
+        TransferKind::Restrict { quarter } => {
+            face::transfer_face_restrict(layout, dir, src, src_side, dst, dst_side, quarter, vars)
+        }
+        TransferKind::Prolong { quarter } => {
+            face::transfer_face_prolong(layout, dir, src, src_side, quarter, dst, dst_side, vars)
+        }
+    }
+}
+
+/// [`local_transfer`] under its earlier signature: the staging buffer the
+/// pool used to supply is gone, the argument stays for callers outside
+/// the crate.
 pub fn apply_local_transfer(
     layout: &BlockLayout,
     src: &BlockData,
     dst: &BlockData,
     t: &FaceTransfer,
     vars: Range<usize>,
-    pool: &Arc<BufferPool>,
+    _pool: &Arc<BufferPool>,
 ) {
-    let mut payload = pool.take(transfer_payload_elems(t, vars.len()));
-    pack_transfer_into(layout, src, t, vars.clone(), &mut payload);
-    unpack_transfer(layout, dst, t, vars, &payload);
+    local_transfer(layout, src, dst, t, vars);
 }
 
 /// Fills a domain-boundary ghost plane (zero-gradient).
@@ -251,40 +291,46 @@ mod tests {
         assert!(s0.dir.check_balance().is_ok());
     }
 
+    /// Every local transfer of a refined two-rank plan, run block to
+    /// block, leaves its destination bit for bit as packing into a
+    /// payload and unpacking from it — the path a remote transfer takes —
+    /// leaves a twin of that destination.
     #[test]
-    fn local_then_remote_transfer_equivalence() {
-        // Packing on one "rank" and unpacking on another must equal the
-        // rank-local shortcut.
-        let cfg = Config::smoke_test();
-        let state = RankState::init(&cfg, 0, 2);
-        let plan = CommPlan::build(&cfg, &state.dir, 2);
+    fn local_transfer_matches_pack_then_unpack_bitwise() {
+        // Two levels of refinement around four spheres: coarse and fine
+        // blocks meet on both ranks.
+        let mut params = Config::smoke_test().params;
+        (params.init_x, params.num_refine) = (2, 2);
+        let cfg = Config::four_spheres(params, 4);
         let vars = 0..cfg.params.num_vars;
-        let Some(t) = plan.locals.iter().find(|t| t.src_rank == 0) else {
-            panic!("no local transfer in plan");
-        };
-        let src = state.block(&t.src_block);
-        let dst_a = state.block(&t.dst_block);
-        // Remote path.
-        let payload = pack_transfer(&state.layout, src, t, vars.clone());
-        let dst_b = BlockData::empty(t.dst_block, &cfg.params);
-        unpack_transfer(&state.layout, &dst_b, t, vars.clone(), &payload);
-        // Local path.
-        apply_local_transfer(&state.layout, src, dst_a, t, vars.clone(), &state.pool);
-        // Compare the ghost planes by re-extracting them.
-        let ghost_of = |b: &BlockData| {
-            // Read the ghost plane via pack of the opposite interior face
-            // is not possible; read raw.
-            b.buf.full().to_vec()
-        };
-        let (a, b) = (ghost_of(dst_a), ghost_of(&dst_b));
-        // dst_b started zeroed; only compare cells the unpack touched.
-        let mut diffs = 0;
-        for (x, y) in a.iter().zip(b.iter()) {
-            if *y != 0.0 && x != y {
-                diffs += 1;
+        let mut kinds = [0; 3];
+        for rank in 0..2 {
+            let state = RankState::init(&cfg, rank, 2);
+            let plan = CommPlan::build(&cfg, &state.dir, 2);
+            for t in plan.locals.iter().filter(|t| t.src_rank == rank) {
+                let (src, dst) = (state.block(&t.src_block), state.block(&t.dst_block));
+                let twin = BlockData::empty(t.dst_block, &cfg.params);
+                twin.buf.full().write_from(&dst.buf.full().to_vec());
+                let payload = pack_transfer(&state.layout, src, t, vars.clone());
+                unpack_transfer(&state.layout, &twin, t, vars.clone(), &payload);
+                apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool);
+                let bits = |b: &BlockData| -> Vec<u64> {
+                    b.buf
+                        .full()
+                        .with_read(|d| d.iter().map(|v| v.to_bits()).collect())
+                };
+                assert_eq!(bits(dst), bits(&twin), "local and staged {t:?} disagree");
+                kinds[match t.kind {
+                    TransferKind::Same => 0,
+                    TransferKind::Restrict { .. } => 1,
+                    TransferKind::Prolong { .. } => 2,
+                }] += 1;
             }
         }
-        assert_eq!(diffs, 0, "local and remote unpack disagree");
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "plan lacks a transfer kind (same, restrict, prolong): {kinds:?}"
+        );
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub struct RunStats {
     pub trace_freezes: u64,
     /// Trace invalidations (regrid / repartition / restore).
     pub trace_invalidations: u64,
-    /// Buffer-pool reuse counters at the end of the run (hit rate ≈ 1
-    /// once the pool is warm — allocation-free steady state).
+    /// Buffer-pool reuse counters at the end of the run: one take per
+    /// block this rank sent away, plus the miss that seeded the pool.
     pub pool: shmem::PoolStats,
     /// Recorded trace, if tracing was enabled.
     pub trace: Option<crate::trace::Trace>,

@@ -25,16 +25,14 @@ use crate::comm_plan::CommPlan;
 use crate::config::{Config, Variant};
 use crate::elaborate::ElabCtx;
 use crate::elastic::{ElasticCtx, SpanCarry, SpanStart};
-use crate::rank::{
-    apply_boundary, pack_transfer_into, transfer_payload_elems, unpack_transfer, RankState,
-};
+use crate::rank::{apply_boundary, local_transfer, RankState};
 use crate::stats::{RunStats, Stopwatch};
 use crate::trace::{record, Kind, Trace};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::stencil::StencilKind;
 use amr_mesh::BlockId;
 use parking_lot::Mutex;
-use shmem::{BufferPool, SharedBuffer};
+use shmem::SharedBuffer;
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{ObjId, Runtime, TraceScope};
@@ -73,7 +71,6 @@ pub(crate) struct PhaseShared {
     pub layout: BlockLayout,
     pub vars: Range<usize>,
     stencil: StencilKind,
-    pool: Arc<BufferPool>,
     pub trace: Option<Trace>,
 }
 
@@ -85,7 +82,6 @@ impl PhaseShared {
             layout: cx.state.layout,
             vars,
             stencil: cx.state.cfg.stencil,
-            pool: Arc::clone(&cx.state.pool),
             trace: cx.trace.clone(),
         })
     }
@@ -97,19 +93,12 @@ impl PhaseShared {
             .collect()
     }
 
-    /// Runs a batch of `plan.locals` in index order through one staging
-    /// buffer sized for its largest member.
+    /// Runs a batch of `plan.locals` in index order.
     pub(crate) fn local_copies(&self, transfers: Range<usize>) {
-        let transfers = &self.plan.locals[transfers];
-        let g = self.vars.len();
-        let largest = transfers.iter().map(|t| transfer_payload_elems(t, g)).max();
-        let mut staging = self.pool.take(largest.unwrap_or(0));
         record(self.trace.as_ref(), Kind::LocalCopy, || {
-            for t in transfers {
-                let payload = &mut staging[..transfer_payload_elems(t, g)];
+            for t in &self.plan.locals[transfers] {
                 let (src, dst) = (&self.blocks[t.src_pos], &self.blocks[t.dst_pos]);
-                pack_transfer_into(&self.layout, src, t, self.vars.clone(), payload);
-                unpack_transfer(&self.layout, dst, t, self.vars.clone(), payload);
+                local_transfer(&self.layout, src, dst, t, self.vars.clone());
             }
         })
     }

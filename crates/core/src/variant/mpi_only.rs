@@ -11,7 +11,8 @@
 use crate::comm_plan::MsgPlan;
 use crate::exchange::{run_refinement, BlockingMover};
 use crate::rank::{
-    apply_boundary, pack_transfer_into, transfer_payload_elems, unpack_transfer, RankState,
+    apply_boundary, local_transfer, pack_transfer_into, transfer_payload_elems, unpack_transfer,
+    RankState,
 };
 use crate::trace::{record, Kind, Trace};
 use crate::variant::{Exec, PhaseCtx, SumSlots};
@@ -84,18 +85,12 @@ impl Exec for Serial {
                 );
             }
 
-            // Intra-process copies and domain-boundary fills while messages
-            // are in flight; the copies of a direction are staged through
-            // one buffer sized for the largest of them.
-            let locals = &plan.locals[plan.locals_of(state.rank, dir)];
-            let largest = locals.iter().map(|t| transfer_payload_elems(t, g)).max();
-            let mut staging = state.pool.take(largest.unwrap_or(0));
-            for t in locals {
-                let payload = &mut staging[..transfer_payload_elems(t, g)];
+            // Intra-process copies, block to block, and domain-boundary
+            // fills while messages are in flight.
+            for t in &plan.locals[plan.locals_of(state.rank, dir)] {
                 let (src, dst) = (blocks[t.src_pos], blocks[t.dst_pos]);
                 record(trace, Kind::LocalCopy, || {
-                    pack_transfer_into(&state.layout, src, t, vars.clone(), payload);
-                    unpack_transfer(&state.layout, dst, t, vars.clone(), payload);
+                    local_transfer(&state.layout, src, dst, t, vars.clone())
                 });
             }
             for b in &plan.boundaries[plan.boundaries_of(state.rank, dir)] {

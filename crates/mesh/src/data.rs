@@ -240,47 +240,9 @@ impl BlockData {
         side: Side,
         vars: std::ops::Range<usize>,
     ) {
-        let vstart = vars.start;
-        let slab = self.buf.slice(layout.var_elem_range(vars.clone()));
-        slab.with_write(|data| {
-            for v in vars.map(|v| v - vstart) {
-                match dir {
-                    Dir::X => {
-                        let (g, i) = match side {
-                            Side::Lo => (0, 1),
-                            Side::Hi => (layout.nx + 1, layout.nx),
-                        };
-                        for z in 1..=layout.nz {
-                            for y in 1..=layout.ny {
-                                data[layout.idx(v, z, y, g)] = data[layout.idx(v, z, y, i)];
-                            }
-                        }
-                    }
-                    Dir::Y => {
-                        let (g, i) = match side {
-                            Side::Lo => (0, 1),
-                            Side::Hi => (layout.ny + 1, layout.ny),
-                        };
-                        for z in 1..=layout.nz {
-                            for x in 1..=layout.nx {
-                                data[layout.idx(v, z, g, x)] = data[layout.idx(v, z, i, x)];
-                            }
-                        }
-                    }
-                    Dir::Z => {
-                        let (g, i) = match side {
-                            Side::Lo => (0, 1),
-                            Side::Hi => (layout.nz + 1, layout.nz),
-                        };
-                        for y in 1..=layout.ny {
-                            for x in 1..=layout.nx {
-                                data[layout.idx(v, g, y, x)] = data[layout.idx(v, i, y, x)];
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        let nvars = vars.len();
+        let slab = self.buf.slice(layout.var_elem_range(vars));
+        slab.with_write(|data| crate::face::copy_boundary_to_ghost(data, layout, dir, side, nvars));
     }
 }
 

@@ -12,9 +12,14 @@
 //!   facing the fine neighbor; the receiver *prolongates* it (2×
 //!   duplication) over its full ghost plane.
 //!
-//! All faces are packed variable-major, then by the major transverse
-//! axis, then the minor one — the same canonical order everywhere, so a
-//! packed face is exactly what `inject` expects.
+//! Between ranks a face travels *packed*: variable-major, then by the
+//! major transverse axis, then the minor one — the same canonical order
+//! everywhere, so a packed face is exactly what `inject` expects. Between
+//! two blocks of one rank it is never packed: one fused operator per
+//! flavor ([`transfer_face_same`], [`transfer_face_restrict`],
+//! [`transfer_face_prolong`]) moves it block to block, as miniAMR's
+//! `on_proc_comm` does. Both routes run the same three kernels over
+//! strided views (`Plane`), so they agree bit for bit.
 
 use crate::block_id::{transverse, Dir, Side};
 use crate::data::{BlockData, BlockLayout};
@@ -27,26 +32,277 @@ pub fn face_dims(layout: &BlockLayout, dir: Dir) -> (usize, usize) {
     (n[t1.index()], n[t2.index()])
 }
 
-// For Dir::Z the plane coordinates are (x, y): c1 = x, c2 = y, fixed = z.
-// The match above folds X and Z because idx argument order differs; keep a
-// dedicated helper to stay explicit:
-#[inline]
-fn cell_index(
+/// One rectangle of cells per variable inside a flat array: element
+/// `(v, c1, c2)` (0-based) sits at `origin + v·sv + c1·s1 + c2·s2`. A
+/// block's boundary plane, its ghost plane, a quarter of either and a
+/// packed face are all such views, so every transfer kind is one kernel
+/// over a source and a destination view, with the strides computed once
+/// per call instead of three multiplies per element.
+#[derive(Debug, Clone, Copy)]
+struct Plane {
+    origin: usize,
+    sv: usize,
+    s1: usize,
+    s2: usize,
+}
+
+impl Plane {
+    /// The plane `fixed` (ghost coordinates: 0 and `n+1` are the ghost
+    /// layers) normal to `dir` of a variable slab, starting at the first
+    /// interior cell of both transverse axes.
+    fn of_block(layout: &BlockLayout, dir: Dir, fixed: usize) -> Plane {
+        let sy = layout.nx + 2;
+        let sz = sy * (layout.ny + 2);
+        // (c1, c2, fixed) = (y, z, x) | (x, z, y) | (x, y, z)
+        let (s1, s2, sf) = match dir {
+            Dir::X => (sy, sz, 1),
+            Dir::Y => (1, sz, sy),
+            Dir::Z => (1, sy, sz),
+        };
+        Plane {
+            origin: fixed * sf + s1 + s2,
+            sv: layout.elems_per_var(),
+            s1,
+            s2,
+        }
+    }
+
+    /// The interior plane adjacent to `side`: what a block sends.
+    fn boundary(layout: &BlockLayout, dir: Dir, side: Side) -> Plane {
+        let n = [layout.nx, layout.ny, layout.nz][dir.index()];
+        Plane::of_block(
+            layout,
+            dir,
+            match side {
+                Side::Lo => 1,
+                Side::Hi => n,
+            },
+        )
+    }
+
+    /// The ghost plane on `side`: what a block receives into.
+    fn ghost(layout: &BlockLayout, dir: Dir, side: Side) -> Plane {
+        let n = [layout.nx, layout.ny, layout.nz][dir.index()];
+        Plane::of_block(
+            layout,
+            dir,
+            match side {
+                Side::Lo => 0,
+                Side::Hi => n + 1,
+            },
+        )
+    }
+
+    /// Quarter `0..4` (minor axis first) of a plane whose quarters are
+    /// `h1 × h2`.
+    fn quarter(self, quarter: usize, h1: usize, h2: usize) -> Plane {
+        Plane {
+            origin: self.origin + (quarter % 2) * h1 * self.s1 + (quarter / 2) * h2 * self.s2,
+            ..self
+        }
+    }
+
+    /// A packed `n1 × n2` face: variable-major, then `c2`, then `c1`.
+    fn packed(n1: usize, n2: usize) -> Plane {
+        Plane {
+            origin: 0,
+            sv: n1 * n2,
+            s1: 1,
+            s2: n1,
+        }
+    }
+
+    /// Start of row `c2` of variable `v`.
+    #[inline]
+    fn row(&self, v: usize, c2: usize) -> usize {
+        self.origin + v * self.sv + c2 * self.s2
+    }
+}
+
+/// Copies `n1 × n2` cells of `nvars` variables from one view to another:
+/// the same-level kernel, and either half of a packed quarter transfer.
+fn copy_plane(
+    src: &[f64],
+    sp: Plane,
+    dst: &mut [f64],
+    dp: Plane,
+    nvars: usize,
+    (n1, n2): (usize, usize),
+) {
+    for v in 0..nvars {
+        for c2 in 0..n2 {
+            let (s, d) = (sp.row(v, c2), dp.row(v, c2));
+            if sp.s1 == 1 && dp.s1 == 1 {
+                // Y and Z planes run along x, the contiguous axis: the
+                // whole row is one memcpy.
+                dst[d..d + n1].copy_from_slice(&src[s..s + n1]);
+            } else {
+                for c1 in 0..n1 {
+                    dst[d + c1 * dp.s1] = src[s + c1 * sp.s1];
+                }
+            }
+        }
+    }
+}
+
+/// Averages the 2×2 cell groups of a `2·h1 × 2·h2` source view into an
+/// `h1 × h2` destination view. Every group is summed in the fixed order
+/// `i00 + i01 + i10 + i11` (minor axis first) and scaled by `0.25`, so
+/// all restricting operators agree bit for bit.
+fn restrict_plane(
+    src: &[f64],
+    sp: Plane,
+    dst: &mut [f64],
+    dp: Plane,
+    nvars: usize,
+    (h1, h2): (usize, usize),
+) {
+    for v in 0..nvars {
+        for c2 in 0..h2 {
+            let (lo, hi, d) = (sp.row(v, 2 * c2), sp.row(v, 2 * c2 + 1), dp.row(v, c2));
+            for c1 in 0..h1 {
+                let (a, b) = (2 * c1 * sp.s1, (2 * c1 + 1) * sp.s1);
+                dst[d + c1 * dp.s1] =
+                    (src[lo + a] + src[lo + b] + src[hi + a] + src[hi + b]) * 0.25;
+            }
+        }
+    }
+}
+
+/// Duplicates an `n1/2 × n2/2` source view 2× along both axes into an
+/// `n1 × n2` destination view.
+fn prolong_plane(
+    src: &[f64],
+    sp: Plane,
+    dst: &mut [f64],
+    dp: Plane,
+    nvars: usize,
+    (n1, n2): (usize, usize),
+) {
+    for v in 0..nvars {
+        for c2 in 0..n2 {
+            let (s, d) = (sp.row(v, c2 / 2), dp.row(v, c2));
+            for c1 in 0..n1 {
+                dst[d + c1 * dp.s1] = src[s + (c1 / 2) * sp.s1];
+            }
+        }
+    }
+}
+
+/// Zero-gradient fill inside one variable slab: the ghost plane on `side`
+/// takes the adjacent interior plane ([`BlockData::fill_boundary_ghosts`]).
+pub(crate) fn copy_boundary_to_ghost(
+    data: &mut [f64],
     layout: &BlockLayout,
     dir: Dir,
-    v: usize,
-    fixed: usize,
-    c1: usize,
-    c2: usize,
-) -> usize {
-    match dir {
-        // (c1, c2) = (y, z)
-        Dir::X => layout.idx(v, c2, c1, fixed),
-        // (c1, c2) = (x, z)
-        Dir::Y => layout.idx(v, c2, fixed, c1),
-        // (c1, c2) = (x, y)
-        Dir::Z => layout.idx(v, fixed, c2, c1),
+    side: Side,
+    nvars: usize,
+) {
+    let (sp, dp) = (
+        Plane::boundary(layout, dir, side),
+        Plane::ghost(layout, dir, side),
+    );
+    let (n1, n2) = face_dims(layout, dir);
+    for v in 0..nvars {
+        for c2 in 0..n2 {
+            let (s, d) = (sp.row(v, c2), dp.row(v, c2));
+            if sp.s1 == 1 {
+                data.copy_within(s..s + n1, d);
+            } else {
+                for c1 in 0..n1 {
+                    data[d + c1 * dp.s1] = data[s + c1 * sp.s1];
+                }
+            }
+        }
     }
+}
+
+/// Runs `f` over the `vars` slabs of two blocks, holding the source's read
+/// claim and the destination's write claim together — exactly the `in`
+/// source / `inout` destination a local-copy task declares, claimed in
+/// the order the staged path claimed them.
+fn with_slabs<R>(
+    src: &BlockData,
+    dst: &BlockData,
+    layout: &BlockLayout,
+    vars: Range<usize>,
+    f: impl FnOnce(&[f64], &mut [f64]) -> R,
+) -> R {
+    let slab = layout.var_elem_range(vars);
+    let (src, dst) = (src.buf.slice(slab.clone()), dst.buf.slice(slab));
+    src.with_read(|s| dst.with_write(|d| f(s, d)))
+}
+
+/// Same-level local transfer: `src`'s boundary plane on `src_side`
+/// straight into `dst`'s ghost plane on `dst_side`. Bitwise-identical to
+/// [`extract_face_into`] → [`inject_ghost_face`], with no packed face in
+/// between.
+pub fn transfer_face_same(
+    layout: &BlockLayout,
+    dir: Dir,
+    src: &BlockData,
+    src_side: Side,
+    dst: &BlockData,
+    dst_side: Side,
+    vars: Range<usize>,
+) {
+    let (sp, dp) = (
+        Plane::boundary(layout, dir, src_side),
+        Plane::ghost(layout, dir, dst_side),
+    );
+    let nvars = vars.len();
+    with_slabs(src, dst, layout, vars, |s, d| {
+        copy_plane(s, sp, d, dp, nvars, face_dims(layout, dir))
+    });
+}
+
+/// Fine→coarse local transfer: the 2×2 averages of the fine `src`'s
+/// boundary plane written straight into `quarter` of the coarse `dst`'s
+/// ghost plane. Bitwise-identical to [`restrict_from_block_into`] →
+/// [`inject_ghost_quarter`].
+#[allow(clippy::too_many_arguments)]
+pub fn transfer_face_restrict(
+    layout: &BlockLayout,
+    dir: Dir,
+    src: &BlockData,
+    src_side: Side,
+    dst: &BlockData,
+    dst_side: Side,
+    quarter: usize,
+    vars: Range<usize>,
+) {
+    let (n1, n2) = face_dims(layout, dir);
+    let half = (n1 / 2, n2 / 2);
+    let sp = Plane::boundary(layout, dir, src_side);
+    let dp = Plane::ghost(layout, dir, dst_side).quarter(quarter, half.0, half.1);
+    let nvars = vars.len();
+    with_slabs(src, dst, layout, vars, |s, d| {
+        restrict_plane(s, sp, d, dp, nvars, half)
+    });
+}
+
+/// Coarse→fine local transfer: `quarter` of the coarse `src`'s boundary
+/// plane duplicated 2× straight into the fine `dst`'s ghost plane.
+/// Bitwise-identical to [`extract_face_quarter_into`] →
+/// [`inject_prolonged_face`].
+#[allow(clippy::too_many_arguments)]
+pub fn transfer_face_prolong(
+    layout: &BlockLayout,
+    dir: Dir,
+    src: &BlockData,
+    src_side: Side,
+    quarter: usize,
+    dst: &BlockData,
+    dst_side: Side,
+    vars: Range<usize>,
+) {
+    let (n1, n2) = face_dims(layout, dir);
+    let sp = Plane::boundary(layout, dir, src_side).quarter(quarter, n1 / 2, n2 / 2);
+    let dp = Plane::ghost(layout, dir, dst_side);
+    let nvars = vars.len();
+    with_slabs(src, dst, layout, vars, |s, d| {
+        prolong_plane(s, sp, d, dp, nvars, (n1, n2))
+    });
 }
 
 /// Extracts the interior boundary plane on `side` into a packed face.
@@ -77,32 +333,10 @@ pub fn extract_face_into(
 ) {
     let (n1, n2) = face_dims(layout, dir);
     assert_eq!(out.len(), vars.len() * n1 * n2, "face buffer size mismatch");
-    let n = [layout.nx, layout.ny, layout.nz][dir.index()];
-    let fixed = match side {
-        Side::Lo => 1,
-        Side::Hi => n,
-    };
-    let mut i = 0;
-    let vstart = vars.start;
-    let slab = block.buf.slice(layout.var_elem_range(vars.clone()));
-    slab.with_read(|data| {
-        for v in vars {
-            for c2 in 1..=n2 {
-                // For Y and Z faces c1 runs along x, the contiguous axis,
-                // so the whole row is one memcpy.
-                if dir != Dir::X {
-                    let base = cell_index(layout, dir, v - vstart, fixed, 1, c2);
-                    out[i..i + n1].copy_from_slice(&data[base..base + n1]);
-                    i += n1;
-                } else {
-                    for c1 in 1..=n1 {
-                        out[i] = data[cell_index(layout, dir, v - vstart, fixed, c1, c2)];
-                        i += 1;
-                    }
-                }
-            }
-        }
-    });
+    let sp = Plane::boundary(layout, dir, side);
+    let nvars = vars.len();
+    let slab = block.buf.slice(layout.var_elem_range(vars));
+    slab.with_read(|data| copy_plane(data, sp, out, Plane::packed(n1, n2), nvars, (n1, n2)));
 }
 
 /// Writes a packed face into the ghost plane on `side`.
@@ -116,31 +350,10 @@ pub fn inject_ghost_face(
 ) {
     let (n1, n2) = face_dims(layout, dir);
     assert_eq!(face.len(), vars.len() * n1 * n2, "face size mismatch");
-    let n = [layout.nx, layout.ny, layout.nz][dir.index()];
-    let fixed = match side {
-        Side::Lo => 0,
-        Side::Hi => n + 1,
-    };
-    let mut i = 0;
-    let vstart = vars.start;
-    let slab = block.buf.slice(layout.var_elem_range(vars.clone()));
-    slab.with_write(|data| {
-        for v in vars {
-            for c2 in 1..=n2 {
-                // Row memcpy on the contiguous axis (see extract_face_into).
-                if dir != Dir::X {
-                    let base = cell_index(layout, dir, v - vstart, fixed, 1, c2);
-                    data[base..base + n1].copy_from_slice(&face[i..i + n1]);
-                    i += n1;
-                } else {
-                    for c1 in 1..=n1 {
-                        data[cell_index(layout, dir, v - vstart, fixed, c1, c2)] = face[i];
-                        i += 1;
-                    }
-                }
-            }
-        }
-    });
+    let dp = Plane::ghost(layout, dir, side);
+    let nvars = vars.len();
+    let slab = block.buf.slice(layout.var_elem_range(vars));
+    slab.with_write(|data| copy_plane(face, Plane::packed(n1, n2), data, dp, nvars, (n1, n2)));
 }
 
 /// Restricts a packed fine face (`n1 × n2` per variable) to coarse
@@ -159,27 +372,14 @@ pub fn restrict_face(face: &[f64], n1: usize, n2: usize, nvars: usize) -> Vec<f6
 /// [`restrict_from_block_into`] reproduces cell-for-cell.
 pub fn restrict_face_into(face: &[f64], n1: usize, n2: usize, nvars: usize, out: &mut [f64]) {
     assert_eq!(face.len(), nvars * n1 * n2);
-    let h1 = n1 / 2;
-    let h2 = n2 / 2;
+    let half = (n1 / 2, n2 / 2);
     assert_eq!(
         out.len(),
-        nvars * h1 * h2,
+        nvars * half.0 * half.1,
         "restricted face buffer size mismatch"
     );
-    let mut o = 0;
-    for v in 0..nvars {
-        let base = v * n1 * n2;
-        for c2 in 0..h2 {
-            for c1 in 0..h1 {
-                let i00 = base + (2 * c2) * n1 + 2 * c1;
-                let i01 = i00 + 1;
-                let i10 = base + (2 * c2 + 1) * n1 + 2 * c1;
-                let i11 = i10 + 1;
-                out[o] = (face[i00] + face[i01] + face[i10] + face[i11]) * 0.25;
-                o += 1;
-            }
-        }
-    }
+    let (sp, dp) = (Plane::packed(n1, n2), Plane::packed(half.0, half.1));
+    restrict_plane(face, sp, out, dp, nvars, half);
 }
 
 /// Fused extract + restrict: reads the fine block's boundary plane and
@@ -197,36 +397,17 @@ pub fn restrict_from_block_into(
     out: &mut [f64],
 ) {
     let (n1, n2) = face_dims(layout, dir);
-    let h1 = n1 / 2;
-    let h2 = n2 / 2;
+    let half = (n1 / 2, n2 / 2);
     assert_eq!(
         out.len(),
-        vars.len() * h1 * h2,
+        vars.len() * half.0 * half.1,
         "restricted face buffer size mismatch"
     );
-    let n = [layout.nx, layout.ny, layout.nz][dir.index()];
-    let fixed = match side {
-        Side::Lo => 1,
-        Side::Hi => n,
-    };
-    let mut o = 0;
-    let vstart = vars.start;
-    let slab = block.buf.slice(layout.var_elem_range(vars.clone()));
+    let sp = Plane::boundary(layout, dir, side);
+    let nvars = vars.len();
+    let slab = block.buf.slice(layout.var_elem_range(vars));
     slab.with_read(|data| {
-        for v in vars {
-            let v = v - vstart;
-            for c2 in 0..h2 {
-                for c1 in 0..h1 {
-                    // Cells (2c1+1, 2c2+1) … (2c1+2, 2c2+2), 1-based.
-                    let i00 = data[cell_index(layout, dir, v, fixed, 2 * c1 + 1, 2 * c2 + 1)];
-                    let i01 = data[cell_index(layout, dir, v, fixed, 2 * c1 + 2, 2 * c2 + 1)];
-                    let i10 = data[cell_index(layout, dir, v, fixed, 2 * c1 + 1, 2 * c2 + 2)];
-                    let i11 = data[cell_index(layout, dir, v, fixed, 2 * c1 + 2, 2 * c2 + 2)];
-                    out[o] = (i00 + i01 + i10 + i11) * 0.25;
-                    o += 1;
-                }
-            }
-        }
+        restrict_plane(data, sp, out, Plane::packed(half.0, half.1), nvars, half)
     });
 }
 
@@ -242,23 +423,14 @@ pub fn prolong_face(quarter: &[f64], n1: usize, n2: usize, nvars: usize) -> Vec<
 /// [`prolong_face`] writing into a caller-supplied buffer of
 /// `nvars · n1 · n2` elements.
 pub fn prolong_face_into(quarter: &[f64], n1: usize, n2: usize, nvars: usize, out: &mut [f64]) {
-    let h1 = n1 / 2;
-    let h2 = n2 / 2;
-    assert_eq!(quarter.len(), nvars * h1 * h2);
+    assert_eq!(quarter.len(), nvars * (n1 / 2) * (n2 / 2));
     assert_eq!(
         out.len(),
         nvars * n1 * n2,
         "prolonged face buffer size mismatch"
     );
-    for v in 0..nvars {
-        let qbase = v * h1 * h2;
-        let obase = v * n1 * n2;
-        for c2 in 0..n2 {
-            for c1 in 0..n1 {
-                out[obase + c2 * n1 + c1] = quarter[qbase + (c2 / 2) * h1 + c1 / 2];
-            }
-        }
-    }
+    let (sp, dp) = (Plane::packed(n1 / 2, n2 / 2), Plane::packed(n1, n2));
+    prolong_plane(quarter, sp, out, dp, nvars, (n1, n2));
 }
 
 /// Fused prolong + inject: duplicates a packed quarter face (`n1/2 × n2/2`
@@ -276,32 +448,16 @@ pub fn inject_prolonged_face(
     quarter: &[f64],
 ) {
     let (n1, n2) = face_dims(layout, dir);
-    let h1 = n1 / 2;
-    let h2 = n2 / 2;
     assert_eq!(
         quarter.len(),
-        vars.len() * h1 * h2,
+        vars.len() * (n1 / 2) * (n2 / 2),
         "quarter face size mismatch"
     );
-    let n = [layout.nx, layout.ny, layout.nz][dir.index()];
-    let fixed = match side {
-        Side::Lo => 0,
-        Side::Hi => n + 1,
-    };
-    let vstart = vars.start;
-    let slab = block.buf.slice(layout.var_elem_range(vars.clone()));
-    slab.with_write(|data| {
-        for v in vars {
-            let qbase = (v - vstart) * h1 * h2;
-            for c2 in 1..=n2 {
-                let qrow = qbase + ((c2 - 1) / 2) * h1;
-                for c1 in 1..=n1 {
-                    data[cell_index(layout, dir, v - vstart, fixed, c1, c2)] =
-                        quarter[qrow + (c1 - 1) / 2];
-                }
-            }
-        }
-    });
+    let sp = Plane::packed(n1 / 2, n2 / 2);
+    let dp = Plane::ghost(layout, dir, side);
+    let nvars = vars.len();
+    let slab = block.buf.slice(layout.var_elem_range(vars));
+    slab.with_write(|data| prolong_plane(quarter, sp, data, dp, nvars, (n1, n2)));
 }
 
 /// Extracts one quarter (`0..4`, minor-axis-first order matching
@@ -333,39 +489,16 @@ pub fn extract_face_quarter_into(
     out: &mut [f64],
 ) {
     let (n1, n2) = face_dims(layout, dir);
-    let h1 = n1 / 2;
-    let h2 = n2 / 2;
+    let half = (n1 / 2, n2 / 2);
     assert_eq!(
         out.len(),
-        vars.len() * h1 * h2,
+        vars.len() * half.0 * half.1,
         "quarter face buffer size mismatch"
     );
-    let o1 = (quarter % 2) * h1;
-    let o2 = (quarter / 2) * h2;
-    let n = [layout.nx, layout.ny, layout.nz][dir.index()];
-    let fixed = match side {
-        Side::Lo => 1,
-        Side::Hi => n,
-    };
-    let mut i = 0;
-    let vstart = vars.start;
-    let slab = block.buf.slice(layout.var_elem_range(vars.clone()));
-    slab.with_read(|data| {
-        for v in vars {
-            for c2 in 1..=h2 {
-                if dir != Dir::X {
-                    let base = cell_index(layout, dir, v - vstart, fixed, o1 + 1, o2 + c2);
-                    out[i..i + h1].copy_from_slice(&data[base..base + h1]);
-                    i += h1;
-                } else {
-                    for c1 in 1..=h1 {
-                        out[i] = data[cell_index(layout, dir, v - vstart, fixed, o1 + c1, o2 + c2)];
-                        i += 1;
-                    }
-                }
-            }
-        }
-    });
+    let sp = Plane::boundary(layout, dir, side).quarter(quarter, half.0, half.1);
+    let nvars = vars.len();
+    let slab = block.buf.slice(layout.var_elem_range(vars));
+    slab.with_read(|data| copy_plane(data, sp, out, Plane::packed(half.0, half.1), nvars, half));
 }
 
 /// Writes a coarse-resolution face (`n1/2 × n2/2` per variable) into one
@@ -381,33 +514,16 @@ pub fn inject_ghost_quarter(
     face: &[f64],
 ) {
     let (n1, n2) = face_dims(layout, dir);
-    let h1 = n1 / 2;
-    let h2 = n2 / 2;
+    let half = (n1 / 2, n2 / 2);
     assert_eq!(
         face.len(),
-        vars.len() * h1 * h2,
+        vars.len() * half.0 * half.1,
         "quarter face size mismatch"
     );
-    let o1 = (quarter % 2) * h1;
-    let o2 = (quarter / 2) * h2;
-    let n = [layout.nx, layout.ny, layout.nz][dir.index()];
-    let fixed = match side {
-        Side::Lo => 0,
-        Side::Hi => n + 1,
-    };
-    let mut i = 0;
-    let vstart = vars.start;
-    let slab = block.buf.slice(layout.var_elem_range(vars.clone()));
-    slab.with_write(|data| {
-        for v in vars {
-            for c2 in 1..=h2 {
-                for c1 in 1..=h1 {
-                    data[cell_index(layout, dir, v - vstart, fixed, o1 + c1, o2 + c2)] = face[i];
-                    i += 1;
-                }
-            }
-        }
-    });
+    let dp = Plane::ghost(layout, dir, side).quarter(quarter, half.0, half.1);
+    let nvars = vars.len();
+    let slab = block.buf.slice(layout.var_elem_range(vars));
+    slab.with_write(|data| copy_plane(face, Plane::packed(half.0, half.1), data, dp, nvars, half));
 }
 
 #[cfg(test)]
@@ -415,6 +531,59 @@ mod tests {
     use super::*;
     use crate::block_id::BlockId;
     use crate::params::MeshParams;
+
+    /// `layout.idx` of plane coordinates (1-based, ghosts at 0 and `n+1`):
+    /// the reference the stride arithmetic of [`Plane`] is checked against.
+    fn cell_index(
+        layout: &BlockLayout,
+        dir: Dir,
+        v: usize,
+        fixed: usize,
+        c1: usize,
+        c2: usize,
+    ) -> usize {
+        match dir {
+            // (c1, c2) = (y, z)
+            Dir::X => layout.idx(v, c2, c1, fixed),
+            // (c1, c2) = (x, z)
+            Dir::Y => layout.idx(v, c2, fixed, c1),
+            // (c1, c2) = (x, y)
+            Dir::Z => layout.idx(v, fixed, c2, c1),
+        }
+    }
+
+    #[test]
+    fn plane_strides_agree_with_layout_idx() {
+        let l = BlockLayout {
+            nx: 4,
+            ny: 6,
+            nz: 8,
+            num_vars: 3,
+        };
+        for dir in Dir::ALL {
+            let (n1, n2) = face_dims(&l, dir);
+            let n = [l.nx, l.ny, l.nz][dir.index()];
+            for fixed in [0, 1, n, n + 1] {
+                let whole = Plane::of_block(&l, dir, fixed);
+                for q in 0..4 {
+                    let (h1, h2) = (n1 / 2, n2 / 2);
+                    let p = whole.quarter(q, h1, h2);
+                    let (o1, o2) = ((q % 2) * h1, (q / 2) * h2);
+                    for v in 0..l.num_vars {
+                        for c2 in 0..h2 {
+                            for c1 in 0..h1 {
+                                assert_eq!(
+                                    p.row(v, c2) + c1 * p.s1,
+                                    cell_index(&l, dir, v, fixed, o1 + c1 + 1, o2 + c2 + 1),
+                                    "{dir:?} plane {fixed} quarter {q} at ({v}, {c1}, {c2})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn setup() -> (MeshParams, BlockLayout) {
         let p = MeshParams::test_small();

@@ -233,6 +233,122 @@ proptest! {
         }
     }
 
+    /// Every fused local-transfer operator leaves the *whole* destination
+    /// array exactly — by `to_bits` — as the staged pair it replaces
+    /// (pack into a payload, unpack from it) and as a per-element
+    /// `layout.idx` reference do: on a non-cubic block, for every
+    /// direction, side pair, kind, quarter and variable sub-range, and
+    /// with nothing outside the target ghost plane or quarter touched.
+    #[test]
+    fn fused_face_transfers_match_staged_bitwise(seed in any::<u64>()) {
+        let p = MeshParams {
+            npx: 1, npy: 1, npz: 1,
+            init_x: 1, init_y: 1, init_z: 1,
+            nx: 4, ny: 6, nz: 8,
+            num_vars: 3,
+            num_refine: 1,
+            block_change: 1,
+        };
+        let l = BlockLayout::of(&p);
+        let random_block = |seed: u64| {
+            let b = BlockData::empty(BlockId::new(0, 0, 0, 0), &p);
+            // Full random mantissas over 16 binades and both signs: on such
+            // data a sum of four rounds differently in a different order
+            // (values on one fixed-point grid would add exactly).
+            b.buf.full().with_write(|d| {
+                let mut x = seed | 1;
+                for v in d.iter_mut() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let exponent = 1023 - 8 + ((x >> 52) & 15);
+                    *v = f64::from_bits((x & 1 << 63) | exponent << 52 | (x & ((1 << 52) - 1)));
+                }
+            });
+            b
+        };
+        let src = random_block(seed);
+        let sdata = src.buf.full().to_vec();
+        let before = random_block(seed.rotate_left(17) ^ 0xA5A5);
+        let twin_of = |b: &BlockData| {
+            let t = BlockData::empty(b.id, &p);
+            t.buf.full().write_from(&b.buf.full().to_vec());
+            t
+        };
+        let sides = [Side::Lo, Side::Hi];
+        // (kind, quarter): same level, restrict into and prolong from each quarter.
+        let kinds = [
+            ("same", 0),
+            ("restrict", 0), ("restrict", 1), ("restrict", 2), ("restrict", 3),
+            ("prolong", 0), ("prolong", 1), ("prolong", 2), ("prolong", 3),
+        ];
+        for (dir, (kind, q)) in Dir::ALL.into_iter().flat_map(|d| kinds.map(move |k| (d, k))) {
+            let (n1, n2) = face::face_dims(&l, dir);
+            let (h1, h2) = (n1 / 2, n2 / 2);
+            let (o1, o2) = ((q % 2) * h1, (q / 2) * h2);
+            let n = [l.nx, l.ny, l.nz][dir.index()];
+            // `layout.idx` of 1-based plane coordinates, as face.rs orders them.
+            let at = |v: usize, fixed: usize, c1: usize, c2: usize| match dir {
+                Dir::X => l.idx(v, c2, c1, fixed),
+                Dir::Y => l.idx(v, c2, fixed, c1),
+                Dir::Z => l.idx(v, fixed, c2, c1),
+            };
+            for (ss, ds) in sides.into_iter().flat_map(|a| sides.map(|b| (a, b))) {
+                let (sf, df) = (if ss == Side::Lo { 1 } else { n }, if ds == Side::Lo { 0 } else { n + 1 });
+                for vars in [0..3, 0..1, 1..3, 2..3] {
+                    let (fused, staged) = (twin_of(&before), twin_of(&before));
+                    let mut want = before.buf.full().to_vec();
+                    match kind {
+                        "same" => {
+                            face::transfer_face_same(&l, dir, &src, ss, &fused, ds, vars.clone());
+                            let mut payload = vec![0.0; vars.len() * n1 * n2];
+                            face::extract_face_into(&src, &l, dir, ss, vars.clone(), &mut payload);
+                            face::inject_ghost_face(&staged, &l, dir, ds, vars.clone(), &payload);
+                            for v in vars.clone() {
+                                for (c1, c2) in (1..=n2).flat_map(|c2| (1..=n1).map(move |c1| (c1, c2))) {
+                                    want[at(v, df, c1, c2)] = sdata[at(v, sf, c1, c2)];
+                                }
+                            }
+                        }
+                        "restrict" => {
+                            face::transfer_face_restrict(&l, dir, &src, ss, &fused, ds, q, vars.clone());
+                            let mut payload = vec![0.0; vars.len() * h1 * h2];
+                            face::restrict_from_block_into(&src, &l, dir, ss, vars.clone(), &mut payload);
+                            face::inject_ghost_quarter(&staged, &l, dir, ds, q, vars.clone(), &payload);
+                            for v in vars.clone() {
+                                for (c1, c2) in (0..h2).flat_map(|c2| (0..h1).map(move |c1| (c1, c2))) {
+                                    let s = |d1: usize, d2: usize| sdata[at(v, sf, 2 * c1 + d1, 2 * c2 + d2)];
+                                    want[at(v, df, o1 + c1 + 1, o2 + c2 + 1)] =
+                                        (s(1, 1) + s(2, 1) + s(1, 2) + s(2, 2)) * 0.25;
+                                }
+                            }
+                        }
+                        _ => {
+                            face::transfer_face_prolong(&l, dir, &src, ss, q, &fused, ds, vars.clone());
+                            let mut payload = vec![0.0; vars.len() * h1 * h2];
+                            face::extract_face_quarter_into(&src, &l, dir, ss, q, vars.clone(), &mut payload);
+                            face::inject_prolonged_face(&staged, &l, dir, ds, vars.clone(), &payload);
+                            for v in vars.clone() {
+                                for (c1, c2) in (0..n2).flat_map(|c2| (0..n1).map(move |c1| (c1, c2))) {
+                                    want[at(v, df, c1 + 1, c2 + 1)] =
+                                        sdata[at(v, sf, o1 + c1 / 2 + 1, o2 + c2 / 2 + 1)];
+                                }
+                            }
+                        }
+                    }
+                    let (got, twin) = (fused.buf.full().to_vec(), staged.buf.full().to_vec());
+                    for (i, ((g, t), w)) in got.iter().zip(&twin).zip(&want).enumerate() {
+                        prop_assert!(
+                            g.to_bits() == t.to_bits() && g.to_bits() == w.to_bits(),
+                            "{:?} {:?}->{:?} kind {} quarter {} vars {:?}: elem {} is {} fused, {} staged, {} by reference",
+                            dir, ss, ds, kind, q, vars, i, g, t, w
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Objects never report refinement for blocks far outside their
     /// bounding box, and always for blocks straddling their boundary.
     #[test]

@@ -16,9 +16,11 @@
 //!   immediately with a diagnostic, so a missing task dependency becomes
 //!   a deterministic failure rather than silent data corruption.
 //!
-//! The claim check is always on: it is cheap (an uncontended mutex and a
-//! scan of the handful of concurrently-active claims) relative to the
-//! block-sized copies and stencil sweeps it guards.
+//! The claim check is always on: it is cheap (one compare-exchange to
+//! publish the claim in an inline slot, a scan of the handful of other
+//! slots, one store to release — a lock only once more claims are active
+//! than there are slots) relative to the copies and stencil sweeps it
+//! guards.
 #![warn(missing_docs)]
 
 //!

@@ -1,9 +1,9 @@
 //! A per-rank pool of recyclable `f64` scratch buffers.
 //!
-//! miniAMR's communication phases stage face payloads and whole-block
-//! interiors through short-lived buffers. Allocating those on every pack
-//! or block move puts the allocator on the hot path and — under the
-//! task-parallel variants — serializes workers on the global heap lock.
+//! miniAMR's block moves stage whole-block interiors through short-lived
+//! buffers. Allocating those on every move puts the allocator on the
+//! regrid path and — under the task-parallel variants — serializes
+//! workers on the global heap lock.
 //! A [`BufferPool`] keeps returned buffers in power-of-two size-classed
 //! free lists; in steady state every `take` is a free-list pop and the
 //! communication hot path performs no heap allocation at all.

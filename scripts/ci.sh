@@ -62,6 +62,18 @@ echo "==> bench/run.sh test"
 bench/run.sh test
 echo "==> bench/run.sh --smoke"
 bench/run.sh --smoke >/dev/null
+# The traced contract pass is where every rung is checked for having been
+# measured: `--smoke` exits 0 on a rung that is "not measured", while the
+# pipeline reads `"correct"` off the last line of this run.
+for workload in coarse_compute tasks_fine regrid_churn net_overlap; do
+  echo "==> bench/run.sh --workload $workload --trace 1"
+  verdict="$(bench/run.sh --workload "$workload" --seed 1 --seconds 4 --trace 1 | tail -1)"
+  if ! grep -q '"correct": true' <<<"$verdict"; then
+    echo "traced contract run of $workload is not correct" >&2
+    echo "${verdict:0:2000}" >&2
+    exit 1
+  fi
+done
 
 # --- Observability smoke tests (PR 2) -------------------------------------
 # The root `cargo build --release` only builds the root package; the
