@@ -13,8 +13,27 @@
 //! ```
 
 use miniamr::cli::ScenarioArgs;
+use miniamr::{RunError, RunStats};
 use std::time::Duration;
 use vmpi::{FabricParams, NetworkModel};
+
+/// The one exit table: every code this process can end with. `main`
+/// decides all of them but the two monitors', which it arms explicitly:
+/// a hung process cannot return an error to anybody.
+mod exit {
+    /// A checksum validation failed, or an output file was not written.
+    pub const FAILED: i32 = 1;
+    /// Bad flags, a rejected scenario, or a meaningless machine.
+    pub const USAGE: i32 = 2;
+    /// `--watchdog_ms`: the stall watchdog's thread saw no progress.
+    pub const STALL: i32 = obs::STALL_EXIT_CODE;
+    /// The run returned a [`miniamr::RunError`] (its `exit_code`).
+    pub const RUN_ERROR: i32 = vmpi::PEER_LOST_EXIT_CODE;
+    /// `--staticcheck` found a defect before anything ran.
+    pub const STATICCHECK: i32 = dfcheck::STATIC_EXIT_CODE;
+    /// `--sanitize`: depsan stopped the process on the first violation.
+    pub const SANITIZER: i32 = depsan::SAN_EXIT_CODE;
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -120,14 +139,14 @@ fn usage() -> ! {
   --jobs N                            run N concurrent jobs of this scenario
                                       in one process (elastic soak harness);
                                       per-job checksum digests are printed",
-        obs::STALL_EXIT_CODE,
+        exit::STALL,
         obs::DEFAULT_RING_CAPACITY,
-        dfcheck::STATIC_EXIT_CODE,
-        depsan::SAN_EXIT_CODE,
-        vmpi::PEER_LOST_EXIT_CODE,
-        vmpi::PEER_LOST_EXIT_CODE
+        exit::STATICCHECK,
+        exit::SANITIZER,
+        exit::RUN_ERROR,
+        exit::RUN_ERROR
     );
-    std::process::exit(2);
+    std::process::exit(exit::USAGE);
 }
 
 fn main() {
@@ -272,7 +291,7 @@ fn main() {
 
     let mut cfg = sc.config().unwrap_or_else(|e| {
         eprintln!("{e}");
-        std::process::exit(2);
+        std::process::exit(exit::USAGE);
     });
     cfg.trace = trace;
     cfg.chaos = chaos;
@@ -292,7 +311,7 @@ fn main() {
         );
         if !report.clean() {
             println!("{}", report.to_json());
-            std::process::exit(dfcheck::STATIC_EXIT_CODE);
+            std::process::exit(exit::STATICCHECK);
         }
     }
 
@@ -312,7 +331,7 @@ fn main() {
     // of panicking later inside `Duration::from_secs_f64`.
     if let Err(e) = fab.validate() {
         eprintln!("invalid network parameters: {e}");
-        std::process::exit(2);
+        std::process::exit(exit::USAGE);
     }
     let net = NetworkModel::from_fabric(&fab).with_coll(cfg.coll);
     let net = if fabric_on {
@@ -378,7 +397,7 @@ fn main() {
         depsan::enable(depsan::Mode::Exit);
         eprintln!(
             "miniamr: depsan enabled (exit code {} on first violation)",
-            depsan::SAN_EXIT_CODE
+            exit::SANITIZER
         );
     }
     let _watchdog = (watchdog_ms > 0).then(|| {
@@ -417,38 +436,52 @@ fn main() {
     }
     let opts = miniamr::ElasticOpts { plan, on_peer_lost };
     let start = std::time::Instant::now();
-    let stats = if jobs <= 1 {
-        miniamr::elastic::run(&cfg, n_ranks, net, &opts)
-    } else {
-        // Multi-job soak: each job runs the full scenario on its own
-        // world in its own thread. The JobCtx keys the checkpoint store,
-        // recovery hook, boundary snapshots and replay-trace epoch, and
-        // offsets obs ranks so the jobs get disjoint trace lanes.
-        let handles: Vec<_> = (0..jobs)
-            .map(|j| {
-                let mut jcfg = cfg.clone();
-                jcfg.job = Some(miniamr::JobCtx::new(j as u64, (j * n_ranks) as u32));
-                if let Some(c) = jcfg.chaos.as_mut() {
-                    // Distinct fault schedules per job; digests must
-                    // still agree (fault recovery is digest-neutral).
-                    c.seed = c.seed.wrapping_add(j as u64);
+    // Each job (`--jobs 1`: the one job) runs the full scenario on its
+    // own world in its own thread. The JobCtx names the job in messages
+    // and offsets its obs ranks so the jobs get disjoint trace lanes;
+    // checkpoints and boundary snapshots belong to each run anyway.
+    let handles: Vec<_> = (0..jobs)
+        .map(|j| {
+            let mut jcfg = cfg.clone();
+            jcfg.job = Some(miniamr::JobCtx::new(j as u64, (j * n_ranks) as u32));
+            if let Some(c) = jcfg.chaos.as_mut() {
+                // Distinct fault schedules per job; digests must
+                // still agree (fault recovery is digest-neutral).
+                c.seed = c.seed.wrapping_add(j as u64);
+            }
+            let (net, opts) = (net.clone(), opts.clone());
+            std::thread::spawn(move || miniamr::elastic::run(&jcfg, n_ranks, net, &opts))
+        })
+        .collect();
+    // Every job is joined and heard before anything exits: one job's
+    // lost peer is its own.
+    let mut finished = Vec::new();
+    let mut first_failure: Option<RunError> = None;
+    for (j, handle) in handles.into_iter().enumerate() {
+        match handle.join().expect("job thread panicked") {
+            Ok(stats) => {
+                if let (true, Some(s0)) = (jobs > 1, stats.first()) {
+                    println!("job{j}_checksum_digest\t{:016x}", s0.checksum_digest());
                 }
-                let net = net.clone();
-                let opts = opts.clone();
-                std::thread::spawn(move || miniamr::elastic::run(&jcfg, n_ranks, net, &opts))
-            })
-            .collect();
-        let mut per_job: Vec<Vec<miniamr::RunStats>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("job thread panicked"))
-            .collect();
-        for (j, stats) in per_job.iter().enumerate() {
-            if let Some(s0) = stats.first() {
-                println!("job{j}_checksum_digest\t{:016x}", s0.checksum_digest());
+                finished.push(stats);
+            }
+            Err(e) => {
+                if jobs > 1 {
+                    eprintln!("miniamr: job {j} stopped early:");
+                }
+                eprintln!("{e}");
+                first_failure.get_or_insert(e);
             }
         }
-        per_job.swap_remove(0)
-    };
+    }
+    if let Some(e) = first_failure {
+        let code = e.exit_code();
+        if matches!(e, RunError::PeerLost { .. }) {
+            eprintln!("chaos: unrecoverable peer — exiting with code {code}");
+        }
+        std::process::exit(code);
+    }
+    let stats = finished.swap_remove(0);
     let wall = start.elapsed();
     if sanitize {
         // Mode::Exit terminates on the first violation, so reaching this
@@ -461,7 +494,7 @@ fn main() {
     let passed: usize = stats.iter().map(|s| s.checksums_passed).sum();
     let moved: u64 = stats.iter().map(|s| s.blocks_moved).sum();
     let msgs: u64 = stats.iter().map(|s| s.msgs_sent).sum();
-    let max = |f: fn(&miniamr::RunStats) -> Duration| -> Duration {
+    let max = |f: fn(&RunStats) -> Duration| -> Duration {
         stats.iter().map(f).max().unwrap_or_default()
     };
     println!("wall_time_s\t{:.4}", wall.as_secs_f64());
@@ -513,7 +546,7 @@ fn main() {
             stats.iter().map(|s| s.task_items).sum::<u64>()
         );
         println!("tasks_replayed\t{replayed}");
-        let sum = |f: fn(&miniamr::RunStats) -> u64| stats.iter().map(f).sum::<u64>();
+        let sum = |f: fn(&RunStats) -> u64| stats.iter().map(f).sum::<u64>();
         println!("trace_hits\t{}", sum(|s| s.trace_hits));
         println!("trace_records\t{}", sum(|s| s.trace_records));
         println!("trace_closes\t{}", sum(|s| s.trace_closes));
@@ -563,7 +596,7 @@ fn main() {
                 Ok(()) => eprintln!("miniamr: wrote {} trace events to {path}", events.len()),
                 Err(e) => {
                     eprintln!("miniamr: failed to write {path}: {e}");
-                    std::process::exit(1);
+                    std::process::exit(exit::FAILED);
                 }
             }
         }
@@ -575,13 +608,50 @@ fn main() {
                     Ok(()) => eprintln!("miniamr: wrote perf report to {path}"),
                     Err(e) => {
                         eprintln!("miniamr: failed to write {path}: {e}");
-                        std::process::exit(1);
+                        std::process::exit(exit::FAILED);
                     }
                 }
             }
         }
     }
     if failed > 0 {
-        std::process::exit(1);
+        std::process::exit(exit::FAILED);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The exit table names each code once, and every way a run can stop
+    /// early maps to its one row.
+    #[test]
+    fn exit_table_names_each_code_once() {
+        let table = [
+            exit::FAILED,
+            exit::USAGE,
+            exit::STALL,
+            exit::RUN_ERROR,
+            exit::STATICCHECK,
+            exit::SANITIZER,
+        ];
+        assert_eq!(table, [1, 2, 86, 88, 95, 97]);
+        for e in [
+            RunError::PeerLost {
+                reports: Vec::new(),
+                lines: Vec::new(),
+            },
+            RunError::CheckpointMismatch {
+                job: 0,
+                rank: 0,
+                tstep: 0,
+                stage: 0,
+                expected: 1,
+                got: 2,
+            },
+            RunError::NoBoundary { job: 0 },
+        ] {
+            assert_eq!(e.exit_code(), exit::RUN_ERROR, "{e:?}");
+        }
     }
 }

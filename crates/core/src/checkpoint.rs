@@ -3,13 +3,13 @@
 //!
 //! Every `--ckpt_freq` stages each rank snapshots its recoverable state —
 //! the replicated directory, the object positions, and the full cell data
-//! of every locally-owned block — into its job's [`CheckpointStore`]
-//! (see [`store_for`]), fingerprinted with a deterministic digest. When
-//! the reliability layer declares a peer unrecoverable (retry budget
-//! exhausted on a crashed rank), the registered recovery hook restores
-//! the reporting rank's state from its latest checkpoint, re-verifies the
-//! digest, and contributes the outcome to the structured report that
-//! accompanies the [`vmpi::PEER_LOST_EXIT_CODE`] exit.
+//! of every locally-owned block — into its run's [`CheckpointStore`],
+//! fingerprinted with a deterministic digest. When the reliability layer
+//! declares a peer unrecoverable (retry budget exhausted on a crashed
+//! rank) and the world has unwound, the driver ([`crate::elastic::run`])
+//! restores the reporting rank's state from its latest checkpoint,
+//! re-verifies the digest, and puts the outcome into the
+//! [`crate::RunError::PeerLost`] it returns.
 //!
 //! Checkpoints are pure reads of rank state: taking one cannot perturb
 //! the numerics, so the cross-variant bitwise-equivalence guarantee is
@@ -17,6 +17,7 @@
 
 use crate::config::{BalanceKind, Config};
 use crate::rank::RankState;
+use crate::RunError;
 use amr_mesh::data::BlockData;
 use amr_mesh::{partition, BlockId, MeshDirectory, Object};
 use parking_lot::Mutex;
@@ -48,7 +49,7 @@ pub struct RankCheckpoint {
 
 /// FNV-1a fold over a block set's ids and raw cell bits — the integrity
 /// fingerprint stored in (and re-checked against) a checkpoint.
-fn fold_blocks<'a>(blocks: impl Iterator<Item = (&'a BlockId, &'a [f64])>) -> u64 {
+fn fold_blocks(blocks: &[(BlockId, Vec<f64>)]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -67,27 +68,24 @@ fn fold_blocks<'a>(blocks: impl Iterator<Item = (&'a BlockId, &'a [f64])>) -> u6
     h
 }
 
-/// The digest a checkpoint of `state` would carry — used by the recovery
-/// hook to verify a restored state against its source checkpoint.
+/// Copies out the full (ghosted) cell arrays of a rank's blocks, id order.
+fn snapshot(state: &RankState) -> Vec<(BlockId, Vec<f64>)> {
+    let blocks = state.blocks.iter();
+    blocks.map(|(id, b)| (*id, b.buf.full().to_vec())).collect()
+}
+
+/// The digest a checkpoint of `state` would carry — what a restored state
+/// is verified against its source checkpoint with.
 pub fn digest_of(state: &RankState) -> u64 {
-    let snap: Vec<(BlockId, Vec<f64>)> = state
-        .blocks
-        .iter()
-        .map(|(id, b)| (*id, b.buf.full().to_vec()))
-        .collect();
-    fold_blocks(snap.iter().map(|(id, d)| (id, d.as_slice())))
+    fold_blocks(&snapshot(state))
 }
 
 impl RankCheckpoint {
     /// Snapshots a rank's recoverable state. Pure reads; the caller is
     /// responsible for quiescence (no in-flight tasks mutating blocks).
     pub fn take(state: &RankState, tstep: usize, stage: usize, mesh_epoch: u64) -> RankCheckpoint {
-        let blocks: Vec<(BlockId, Vec<f64>)> = state
-            .blocks
-            .iter()
-            .map(|(id, b)| (*id, b.buf.full().to_vec()))
-            .collect();
-        let digest = fold_blocks(blocks.iter().map(|(id, d)| (id, d.as_slice())));
+        let blocks = snapshot(state);
+        let digest = fold_blocks(&blocks);
         RankCheckpoint {
             rank: state.rank,
             n_ranks: state.n_ranks,
@@ -113,6 +111,29 @@ impl RankCheckpoint {
             .iter()
             .map(|(_, d)| (d.len() * std::mem::size_of::<f64>()) as u64)
             .sum()
+    }
+
+    /// The mismatch error unless `got` — a digest re-derived from this
+    /// snapshot's cells, stored or restored — is the recorded one.
+    /// Resuming from a corrupt snapshot silently would poison every
+    /// digest downstream.
+    pub(crate) fn check(&self, got: u64) -> Result<(), RunError> {
+        if got == self.digest {
+            return Ok(());
+        }
+        Err(RunError::CheckpointMismatch {
+            job: self.cfg.job_id(),
+            rank: self.rank,
+            tstep: self.tstep,
+            stage: self.stage,
+            expected: self.digest,
+            got,
+        })
+    }
+
+    /// Re-derives the digest from the stored cell data and checks it.
+    pub fn verify(&self) -> Result<(), RunError> {
+        self.check(fold_blocks(&self.blocks))
     }
 
     /// Rebuilds a fresh [`RankState`] from the snapshot (new buffers, new
@@ -147,13 +168,13 @@ impl RankCheckpoint {
 /// *data* is untouched — only ownership changes — so the ownership-
 /// independent checksum combination guarantees the digest is unaffected.
 /// Each snapshot's integrity digest is re-verified first; corruption is a
-/// structured failure ([`vmpi::PEER_LOST_EXIT_CODE`]), never a silent
+/// structured failure ([`RunError::CheckpointMismatch`]), never a silent
 /// resume.
 pub fn redistribute(
     ckpts: &[Arc<RankCheckpoint>],
     new_n: usize,
     balance: BalanceKind,
-) -> Vec<RankState> {
+) -> Result<Vec<RankState>, RunError> {
     assert!(
         !ckpts.is_empty(),
         "redistribute needs at least one snapshot"
@@ -161,7 +182,7 @@ pub fn redistribute(
     assert!(new_n >= 1, "cannot resize to an empty world");
     let base = &ckpts[0];
     for ck in ckpts {
-        verify_or_die(ck);
+        ck.verify()?;
         assert_eq!(
             ck.dir, base.dir,
             "coordinated checkpoints must share the replicated directory"
@@ -188,7 +209,7 @@ pub fn redistribute(
     for (id, owner) in &assignment {
         dir.set_owner(*id, *owner);
     }
-    (0..new_n)
+    let states = (0..new_n)
         .map(|rank| {
             let mut blocks = BTreeMap::new();
             for (id, data) in &all {
@@ -207,36 +228,13 @@ pub fn redistribute(
                 new_n,
             )
         })
-        .collect()
+        .collect();
+    Ok(states)
 }
 
-/// Re-derives a checkpoint's digest from its stored cell data and fails
-/// *structurally* on mismatch: a `PeerLostReport`-style JSON line on
-/// stderr, then [`vmpi::PEER_LOST_EXIT_CODE`]. Restoring from a corrupt
-/// snapshot silently would poison every digest downstream.
-fn verify_or_die(ck: &RankCheckpoint) {
-    let got = fold_blocks(ck.blocks.iter().map(|(id, d)| (id, d.as_slice())));
-    if got != ck.digest {
-        eprintln!("{}", mismatch_report_json(ck, got));
-        std::process::exit(vmpi::PEER_LOST_EXIT_CODE);
-    }
-}
-
-/// The structured checkpoint-mismatch report (stable shape, one line).
-fn mismatch_report_json(ck: &RankCheckpoint, got: u64) -> String {
-    format!(
-        "{{\"type\":\"miniamr-ckpt-mismatch\",\"job\":{},\"rank\":{},\"tstep\":{},\
-         \"stage\":{},\"expected\":\"{:016x}\",\"got\":\"{:016x}\"}}",
-        ck.cfg.job_id(),
-        ck.rank,
-        ck.tstep,
-        ck.stage,
-        ck.digest,
-        got
-    )
-}
-
-/// Per-job registry of the latest checkpoint per rank.
+/// The latest checkpoint per rank of one run; owned by the run's
+/// [`crate::elastic::RunCtx`], so concurrent runs in one process cannot
+/// restore each other's ranks.
 #[derive(Default)]
 pub struct CheckpointStore {
     slots: Mutex<HashMap<usize, Arc<RankCheckpoint>>>,
@@ -252,32 +250,14 @@ impl CheckpointStore {
     pub fn latest(&self, rank: usize) -> Option<Arc<RankCheckpoint>> {
         self.slots.lock().get(&rank).cloned()
     }
-
-    /// Drops all checkpoints (between runs sharing a process, e.g. tests).
-    pub fn clear(&self) {
-        self.slots.lock().clear();
-    }
 }
 
-/// The checkpoint store of one job. Concurrent in-process jobs get
-/// disjoint stores, so a recovery can never cross-restore another job's
-/// ranks (the former process-global store did exactly that).
-pub fn store_for(job: u64) -> Arc<CheckpointStore> {
-    static REGISTRY: OnceLock<Mutex<HashMap<u64, Arc<CheckpointStore>>>> = OnceLock::new();
-    let reg = REGISTRY.get_or_init(Default::default);
-    Arc::clone(reg.lock().entry(job).or_default())
-}
-
-/// The default (job 0) checkpoint store.
-pub fn store() -> Arc<CheckpointStore> {
-    store_for(0)
-}
-
-/// Takes and publishes a checkpoint (the caller tested
-/// [`Config::checkpoint_due`]); emits the `checkpoint_taken` obs event
-/// and counter. The caller guarantees quiescence (the loop drains the
-/// executor first).
+/// Takes a checkpoint and publishes it into the run's `store` (the caller
+/// tested [`Config::checkpoint_due`]); emits the `checkpoint_taken` obs
+/// event and counter. The caller guarantees quiescence (the loop drains
+/// the executor first).
 pub(crate) fn take_and_publish(
+    store: &CheckpointStore,
     state: &RankState,
     stats: &mut crate::stats::RunStats,
     stage_counter: usize,
@@ -297,7 +277,7 @@ pub(crate) fn take_and_publish(
             });
         }
     }
-    store_for(state.cfg.job_id()).publish(ck);
+    store.publish(ck);
     stats.checkpoints_taken += 1;
 }
 
@@ -305,59 +285,6 @@ pub(crate) fn take_and_publish(
 fn checkpoints_counter() -> &'static obs::Counter {
     static COUNTER: OnceLock<obs::Counter> = OnceLock::new();
     COUNTER.get_or_init(|| obs::metrics().counter("core.checkpoints"))
-}
-
-/// Registers the chaos recovery hook: when the reliability layer gives up
-/// on a peer, restore the reporting rank's latest checkpoint *from the
-/// reporting job's store*, verify its digest, and contribute the outcome
-/// to the structured exit report. A digest mismatch is a structured
-/// failure — a `miniamr-ckpt-mismatch` JSON line and
-/// [`vmpi::PEER_LOST_EXIT_CODE`] — never a silent resume from corrupt
-/// state. Idempotent (the underlying hook slot is write-once).
-pub fn install_recovery_hook() {
-    vmpi::set_peer_lost_hook(|report| {
-        let mut lines = Vec::new();
-        match store_for(report.job).latest(report.reporter) {
-            Some(ck) => {
-                let restored = ck.restore();
-                // Test-only fault injection: corrupt one restored cell so
-                // CI can pin the mismatch-escalation path without a way
-                // to corrupt a live store from outside the process.
-                if std::env::var_os("MINIAMR_TEST_CORRUPT_CKPT").is_some() {
-                    if let Some(b) = restored.blocks.values().next() {
-                        b.buf.full().with_write(|d| {
-                            if let Some(x) = d.first_mut() {
-                                *x += 1.0;
-                            }
-                        });
-                    }
-                }
-                let got = digest_of(&restored);
-                if got != ck.digest {
-                    eprintln!("{}", mismatch_report_json(&ck, got));
-                    std::process::exit(vmpi::PEER_LOST_EXIT_CODE);
-                }
-                lines.push(format!(
-                    "recovery: rank {} restored from checkpoint (tstep {}, stage {}, {} blocks, {} bytes)",
-                    ck.rank,
-                    ck.tstep,
-                    ck.stage,
-                    ck.num_blocks(),
-                    ck.bytes(),
-                ));
-                lines.push(format!(
-                    "recovery: checkpoint digest {:016x} verified after restore",
-                    ck.digest
-                ));
-            }
-            None => lines.push(
-                "recovery: no checkpoint available (--ckpt_freq 0?); \
-                 restart from initial conditions required"
-                    .to_string(),
-            ),
-        }
-        lines
-    });
 }
 
 #[cfg(test)]
@@ -400,7 +327,33 @@ mod tests {
         let latest = s.latest(1).expect("checkpoint published");
         assert_eq!((latest.tstep, latest.stage), (1, 8));
         assert!(s.latest(0).is_none());
-        s.clear();
-        assert!(s.latest(1).is_none());
+    }
+
+    /// One flipped cell of a taken checkpoint trips the verify step — on
+    /// the stored cells and on a state restored from them — with the
+    /// structured one-line report as the error's `Display`.
+    #[test]
+    fn flipped_cell_is_a_structured_mismatch() {
+        let cfg = Config::smoke_test();
+        let state = RankState::init(&cfg, 1, 2);
+        let mut ck = RankCheckpoint::take(&state, 2, 9, 0);
+        assert!(ck.verify().is_ok());
+        ck.blocks[0].1[0] += 1.0;
+        let err = ck.verify().expect_err("a flipped cell must not verify");
+        let restored = ck.check(digest_of(&ck.restore())).expect_err("nor restore");
+        assert_eq!(restored.to_string(), err.to_string());
+        let RunError::CheckpointMismatch { expected, got, .. } = err else {
+            panic!("expected a mismatch, got {err:?}");
+        };
+        assert_eq!(expected, ck.digest);
+        assert_ne!(got, expected);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "{{\"type\":\"miniamr-ckpt-mismatch\",\"job\":0,\"rank\":1,\"tstep\":2,\
+                 \"stage\":9,\"expected\":\"{expected:016x}\",\"got\":\"{got:016x}\"}}"
+            )
+        );
+        assert!(redistribute(&[Arc::new(ck)], 1, BalanceKind::Sfc).is_err());
     }
 }

@@ -4,13 +4,13 @@
 use amr_mesh::{MeshParams, Object};
 use std::sync::Arc;
 
-/// Identity and isolation handles of one *job* in a multi-job ("service
-/// mode") process.
+/// Identity of one *job* in a multi-job ("service mode") process.
 ///
-/// Everything that used to be process-global state — the checkpoint
-/// store, the peer-lost recovery hook, the observability rank lanes —
-/// is keyed by the job so that concurrent in-process jobs (the elastic
-/// soak harness) cannot cross-restore each other's ranks.
+/// It keys nothing: a run owns its checkpoints and boundary snapshots
+/// ([`crate::elastic::run`]), so concurrent in-process jobs (the elastic
+/// soak harness) cannot restore each other's ranks whatever their ids.
+/// The `id` names the job in messages and reports; the `rank_base` keeps
+/// the jobs' lanes apart on the one process-wide observability bus.
 #[derive(Debug)]
 pub struct JobCtx {
     /// Job id; 0 is the implicit single-job default.
@@ -108,17 +108,17 @@ pub struct Config {
     /// analysis; regrid and checkpoint restore invalidate the cache.
     pub replay: bool,
     /// Checkpoint period in stages (`--ckpt_freq`; 0 = no checkpoints).
-    /// Each rank snapshots its recoverable state into its job's store
-    /// ([`crate::checkpoint::store_for`]) so the chaos recovery hook can
-    /// restore and verify it when a peer is declared lost.
+    /// Each rank snapshots its recoverable state into its run's
+    /// [`crate::checkpoint::CheckpointStore`], which the driver restores
+    /// and verifies when a peer is declared lost.
     pub ckpt_freq: usize,
     /// Deterministic fault plan for the transport layer (`--chaos_*`
     /// flags). `None` leaves the fault-free send/receive path untouched
     /// byte for byte.
     pub chaos: Option<vmpi::ChaosConfig>,
     /// The job this run belongs to in a multi-job process (`None`: the
-    /// implicit job 0). Keys the checkpoint store and the recovery hook;
-    /// see [`JobCtx`].
+    /// implicit job 0): a name for messages and an obs-lane offset; see
+    /// [`JobCtx`].
     pub job: Option<Arc<JobCtx>>,
     /// Collective algorithm family (`--coll flat|hier`): `Hier` combines
     /// inside each node through shared-memory slots before the inter-node

@@ -19,29 +19,29 @@
 //! run is **bitwise identical** to the fixed-rank run of the same
 //! scenario. That is the invariant the elastic soak tests pin.
 //!
-//! Two entry points feed the same machinery:
-//!
-//! * **Planned resizes** — [`ResizePlan`] / `--resize_at ts:N`
-//!   (repeatable; grow or shrink).
-//! * **Shrink on failure** — [`PeerLostPolicy::Shrink`] /
-//!   `--on_peer_lost shrink`: when the reliability layer declares a peer
-//!   unrecoverable, the world is poisoned instead of exiting the process
-//!   ([`vmpi::PeerLostAction::AbortWorld`]); the driver collects the
-//!   surviving ranks, restores the latest *coordinated* boundary
-//!   snapshot common to every rank, shrinks onto the survivors, and
-//!   resumes fault-free.
+//! [`run`] drives every run — a fixed-rank run is the elastic run with
+//! no resize point — through **planned resizes** ([`ResizePlan`] /
+//! `--resize_at ts:N`, repeatable; grow or shrink), and it alone decides
+//! what a lost peer means. The reliability layer poisons the world
+//! ([`vmpi::PeerLostAction::AbortWorld`]), every rank closure unwinds,
+//! and with all ranks stopped the driver follows the [`PeerLostPolicy`]:
+//! **abort** (restore and verify the reporter's latest checkpoint, return
+//! [`RunError::PeerLost`]) or **shrink** (`--on_peer_lost shrink`:
+//! restore the latest *coordinated* boundary snapshot common to every
+//! rank, shrink onto the survivors, resume fault-free).
 
-use crate::checkpoint::{self, RankCheckpoint};
-use crate::config::Config;
+use crate::checkpoint::{self, CheckpointStore, RankCheckpoint};
+use crate::config::{BalanceKind, Config};
 use crate::rank::RankState;
 use crate::stats::RunStats;
 use crate::variant::Checkpoint;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::sync::Arc;
 use vmpi::{Comm, NetworkModel, PeerLostReport, World};
 
-/// How many boundary snapshots per rank an [`ElasticCtx`] retains;
+/// How many boundary snapshots per rank a [`RunCtx`] retains;
 /// recovery only ever needs the newest snapshot *common to all ranks*,
 /// and ranks run at most a few timesteps apart.
 const BOUNDARY_HISTORY: usize = 4;
@@ -90,13 +90,92 @@ impl ResizePlan {
 /// What to do when the reliability layer gives up on a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerLostPolicy {
-    /// Structured report, then process exit 88 (the PR-7 behavior).
+    /// Stop the run: [`run`] returns [`RunError::PeerLost`] carrying the
+    /// reports and the restore-and-verify outcome of the latest
+    /// checkpoint.
     #[default]
     Abort,
-    /// Poison the world, shrink onto the surviving ranks from the latest
-    /// coordinated boundary snapshot, and resume.
+    /// Shrink onto the surviving ranks from the latest coordinated
+    /// boundary snapshot, and resume.
     Shrink,
 }
+
+/// Why a run stopped before its last timestep. `Display` is the report,
+/// line for line as the driver's stderr reads; every variant maps to the
+/// one [`RunError::exit_code`].
+#[derive(Debug, Clone)]
+pub enum RunError {
+    /// A peer was declared unrecoverable under [`PeerLostPolicy::Abort`].
+    PeerLost {
+        /// Who gave up on whom ([`World::peer_lost_reports`]).
+        reports: Vec<PeerLostReport>,
+        /// The fault plan's position ([`World::chaos_plan_position`]),
+        /// then the restore-and-verify outcome of the first reporter's
+        /// latest checkpoint — produced after every rank had stopped.
+        lines: Vec<String>,
+    },
+    /// A checkpoint about to be resumed from no longer folds to its
+    /// recorded digest. `Display` is the structured one-line report.
+    CheckpointMismatch {
+        /// Job of the run ([`Config::job_id`]).
+        job: u64,
+        /// Rank the checkpoint belongs to.
+        rank: usize,
+        /// Timestep the checkpoint was taken in.
+        tstep: usize,
+        /// Global stage counter at checkpoint time.
+        stage: usize,
+        /// The digest recorded when the checkpoint was taken.
+        expected: u64,
+        /// The digest its cells fold to now.
+        got: u64,
+    },
+    /// [`PeerLostPolicy::Shrink`], but the peer died before every rank
+    /// had published its first boundary (e.g. during the initial
+    /// refinement): there is nowhere to resume from.
+    NoBoundary {
+        /// Job of the run ([`Config::job_id`]).
+        job: u64,
+    },
+}
+
+impl RunError {
+    /// The process exit code a CLI maps this error to.
+    pub fn exit_code(&self) -> i32 {
+        vmpi::PEER_LOST_EXIT_CODE
+    }
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::PeerLost { lines, .. } => {
+                let lines: Vec<String> = lines.iter().map(|l| format!("chaos: {l}")).collect();
+                f.write_str(&lines.join("\n"))
+            }
+            RunError::CheckpointMismatch {
+                job,
+                rank,
+                tstep,
+                stage,
+                expected,
+                got,
+            } => write!(
+                f,
+                "{{\"type\":\"miniamr-ckpt-mismatch\",\"job\":{job},\"rank\":{rank},\
+                 \"tstep\":{tstep},\"stage\":{stage},\"expected\":\"{expected:016x}\",\
+                 \"got\":\"{got:016x}\"}}"
+            ),
+            RunError::NoBoundary { job } => write!(
+                f,
+                "elastic: job {job}: no coordinated boundary snapshot \
+                 predates the failure; cannot shrink"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// Everything the elastic driver needs beyond the base [`Config`].
 #[derive(Debug, Clone, Default)]
@@ -150,26 +229,23 @@ pub struct SpanCarry {
     pub(crate) next_ts: usize,
 }
 
-/// Per-run elastic context threaded into the timestep loop. Owned by the
-/// one [`run`] call that both publishes and reads it, so concurrent runs
-/// in one process cannot see each other's recovery points.
-pub(crate) struct ElasticCtx {
+/// Per-run context threaded into the timestep loop: everything recovery
+/// needs. Owned by the one [`run`] call that both publishes and reads it,
+/// so concurrent runs in one process cannot see each other's recovery
+/// points.
+#[derive(Default)]
+pub(crate) struct RunCtx {
     /// Publish a coordinated boundary snapshot at the top of every
     /// timestep (only needed when a shrink-on-failure recovery may have
     /// to rewind; the loop drains the rank first).
     pub publish_boundaries: bool,
     /// Rank → its newest boundary snapshots, oldest first.
     boundaries: Mutex<HashMap<usize, Vec<BoundarySnap>>>,
+    /// The `--ckpt_freq` checkpoints: the latest per rank.
+    pub checkpoints: CheckpointStore,
 }
 
-impl ElasticCtx {
-    pub(crate) fn new(publish_boundaries: bool) -> ElasticCtx {
-        ElasticCtx {
-            publish_boundaries,
-            boundaries: Mutex::default(),
-        }
-    }
-
+impl RunCtx {
     /// Publishes this rank's boundary snapshot for the timestep about to
     /// run. The caller guarantees quiescence (graph drained, delayed
     /// checksum flushed).
@@ -182,19 +258,14 @@ impl ElasticCtx {
         prev_checksum: &Option<Checkpoint>,
         next_ts: usize,
     ) {
-        let ck = Arc::new(RankCheckpoint::take(
+        let snap = BoundarySnap::take(
             state,
-            next_ts,
+            stats,
             stage_counter,
             mesh_epoch,
-        ));
-        let snap = BoundarySnap {
-            ck,
-            stats: stats.clone(),
-            stage_counter,
-            prev_checksum: prev_checksum.clone(),
+            prev_checksum,
             next_ts,
-        };
+        );
         let mut reg = self.boundaries.lock();
         let snaps = reg.entry(state.rank).or_default();
         snaps.push(snap);
@@ -230,10 +301,47 @@ impl ElasticCtx {
                 .collect(),
         )
     }
+
+    /// The abort policy's verdict on a lost world, reached with every
+    /// rank stopped: the plan position, then the reporting rank's latest
+    /// checkpoint restored and its digest re-verified (the restored state
+    /// is dropped — there is no world left to resume it in).
+    fn peer_lost(&self, (reports, mut lines): LostWorld) -> RunError {
+        match self.checkpoints.latest(reports[0].reporter) {
+            Some(ck) => {
+                if let Err(mismatch) = ck.check(checkpoint::digest_of(&ck.restore())) {
+                    return mismatch;
+                }
+                lines.push(format!(
+                    "recovery: rank {} restored from checkpoint (tstep {}, stage {}, {} blocks, {} bytes)",
+                    ck.rank,
+                    ck.tstep,
+                    ck.stage,
+                    ck.num_blocks(),
+                    ck.bytes(),
+                ));
+                lines.push(format!(
+                    "recovery: checkpoint digest {:016x} verified after restore",
+                    ck.digest
+                ));
+            }
+            None => lines.push(
+                "recovery: no checkpoint available (--ckpt_freq 0?); \
+                 restart from initial conditions required"
+                    .to_string(),
+            ),
+        }
+        RunError::PeerLost { reports, lines }
+    }
 }
 
-/// A coordinated per-rank snapshot published at the top of a timestep:
-/// the recovery point a shrink-on-failure rewinds to.
+/// What is left of a world that aborted on a lost peer: its reports and
+/// its plan position.
+type LostWorld = (Vec<PeerLostReport>, Vec<String>);
+
+/// A coordinated per-rank snapshot taken at the top of a timestep: what a
+/// resized world is respawned from, and the recovery point a
+/// shrink-on-failure rewinds to.
 #[derive(Clone)]
 struct BoundarySnap {
     ck: Arc<RankCheckpoint>,
@@ -243,57 +351,99 @@ struct BoundarySnap {
     next_ts: usize,
 }
 
+impl BoundarySnap {
+    fn take(
+        state: &RankState,
+        stats: &RunStats,
+        stage_counter: usize,
+        mesh_epoch: u64,
+        prev_checksum: &Option<Checkpoint>,
+        next_ts: usize,
+    ) -> BoundarySnap {
+        BoundarySnap {
+            ck: Arc::new(RankCheckpoint::take(
+                state,
+                next_ts,
+                stage_counter,
+                mesh_epoch,
+            )),
+            stats: stats.clone(),
+            stage_counter,
+            prev_checksum: prev_checksum.clone(),
+            next_ts,
+        }
+    }
+}
+
+/// Repartition → respawn: one resume point per rank of a world of `new_n`
+/// ranks, from one coordinated snapshot per rank of the old world.
+fn respawn(
+    snaps: &[BoundarySnap],
+    new_n: usize,
+    balance: BalanceKind,
+) -> Result<Vec<Option<SpanStart>>, RunError> {
+    let ckpts: Vec<Arc<RankCheckpoint>> = snaps.iter().map(|s| Arc::clone(&s.ck)).collect();
+    let states = checkpoint::redistribute(&ckpts, new_n, balance)?;
+    let starts = states.into_iter().enumerate().map(|(r, state)| {
+        // Grown ranks inherit the replicated counters (checksums
+        // history) from the last old rank.
+        let src = &snaps[r.min(snaps.len() - 1)];
+        let mut stats = src.stats.clone();
+        stats.rank = r;
+        Some(SpanStart {
+            state,
+            stats,
+            stage_counter: src.stage_counter,
+            mesh_epoch: src.ck.mesh_epoch,
+            prev_checksum: src.prev_checksum.clone(),
+            ts_start: src.next_ts,
+        })
+    });
+    Ok(starts.collect())
+}
+
 /// Runs one world segment of `[..ts_end)` and returns per-rank
-/// `(stats, carry)`, or the peer-lost reports if the world aborted.
+/// `(stats, carry)`, or what the world left behind if it aborted on a
+/// lost peer.
 fn run_segment(
     cfg: &Config,
     n: usize,
     net: &NetworkModel,
     starts: Vec<Option<SpanStart>>,
     ts_end: usize,
-    ctx: &ElasticCtx,
-) -> Result<Vec<(RunStats, SpanCarry)>, Vec<PeerLostReport>> {
+    ctx: &RunCtx,
+) -> Result<Vec<(RunStats, SpanCarry)>, LostWorld> {
     assert_eq!(starts.len(), n, "one resume point per rank");
-    let world = match cfg.chaos.clone() {
-        Some(chaos) => {
-            checkpoint::install_recovery_hook();
-            World::with_chaos(n, net.clone(), Some(chaos))
-        }
-        None => World::new(n, net.clone()),
-    };
+    let world = World::with_chaos(n, net.clone(), cfg.chaos.clone());
     let slots = Mutex::new(starts);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         world.run(|comm| {
             let start = slots.lock()[comm.rank()].take();
-            crate::run_rank_span(cfg, comm, start, ts_end, Some(ctx))
+            crate::run_rank_span(cfg, comm, start, ts_end, ctx)
         })
     }));
-    match run {
-        Ok(results) => Ok(results),
-        Err(payload) => {
-            let reports = world.peer_lost_reports();
-            if reports.is_empty() {
-                // Not a peer-lost abort — an ordinary bug; don't mask it.
-                std::panic::resume_unwind(payload);
-            }
-            Err(reports)
+    run.map_err(|payload| {
+        let reports = world.peer_lost_reports();
+        if reports.is_empty() {
+            // Not a peer-lost abort — an ordinary bug; don't mask it.
+            std::panic::resume_unwind(payload);
         }
-    }
+        (reports, world.chaos_plan_position())
+    })
 }
 
-/// Runs the configured variant elastically: the world starts at
-/// `n_ranks` (the `npx*npy*npz` rank grid) and is resized at each
-/// [`ResizePlan`] event and/or shrunk onto the survivors of a lost peer.
-/// Returns the final world's per-rank statistics. With an empty plan and
-/// the [`PeerLostPolicy::Abort`] policy this is exactly
-/// [`crate::run_world`] (same code path, byte for byte).
-pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) -> Vec<RunStats> {
-    if opts.plan.events.is_empty()
-        && opts.on_peer_lost == PeerLostPolicy::Abort
-        && cfg.job.is_none()
-    {
-        return crate::run_world(cfg, n_ranks, net);
-    }
+/// Runs the configured variant: the world starts at `n_ranks` (the
+/// `npx*npy*npz` rank grid) and is resized at each [`ResizePlan`] event
+/// and/or shrunk onto the survivors of a lost peer. Returns the final
+/// world's per-rank statistics, or why the run stopped early. With an
+/// empty plan this is one segment over the whole run — what
+/// [`crate::run_world`] wraps.
+pub fn run(
+    cfg: &Config,
+    n_ranks: usize,
+    net: NetworkModel,
+    opts: &ElasticOpts,
+) -> Result<Vec<RunStats>, RunError> {
     assert_eq!(
         n_ranks,
         cfg.params.num_ranks(),
@@ -307,16 +457,15 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
     }
     let job = cfg.job_id();
     let shrink = opts.on_peer_lost == PeerLostPolicy::Shrink;
-    let mut ctx = ElasticCtx::new(shrink && cfg.chaos.is_some());
+    let mut ctx = RunCtx {
+        publish_boundaries: shrink && cfg.chaos.is_some(),
+        ..RunCtx::default()
+    };
     let mut seg_cfg = cfg.clone();
     if let Some(chaos) = seg_cfg.chaos.as_mut() {
-        // Recovery hooks and checkpoint stores dispatch per job.
-        chaos.job = job;
-        if shrink {
-            // A lost peer must poison the world (so the driver regains
-            // control) instead of exiting the process.
-            chaos.on_peer_lost = vmpi::PeerLostAction::AbortWorld;
-        }
+        // Whatever the plan says, a lost peer must poison the world: the
+        // ranks unwind and the policy is applied here.
+        chaos.on_peer_lost = vmpi::PeerLostAction::AbortWorld;
     }
 
     let mut n = n_ranks;
@@ -334,7 +483,7 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
         match run_segment(&seg_cfg, n, &net, starts, seg_end, &ctx) {
             Ok(results) => {
                 if seg_end >= cfg.num_tsteps {
-                    return results.into_iter().map(|(stats, _)| stats).collect();
+                    return Ok(results.into_iter().map(|(stats, _)| stats).collect());
                 }
                 // Planned resize: quiescence → checkpoint → repartition
                 // → respawn.
@@ -346,51 +495,25 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
                     .map(|&(_, m)| m)
                     .next_back()
                     .expect("segment ended at a resize point");
-                let (stats_v, carries): (Vec<RunStats>, Vec<SpanCarry>) =
-                    results.into_iter().unzip();
-                assert!(
-                    carries.iter().all(|c| c.next_ts == seg_end),
-                    "every rank must stop exactly at the resize point"
-                );
-                let ckpts: Vec<Arc<RankCheckpoint>> = carries
+                let snaps: Vec<BoundarySnap> = results
                     .iter()
-                    .map(|c| {
-                        Arc::new(RankCheckpoint::take(
+                    .map(|(stats, c)| {
+                        assert_eq!(c.next_ts, seg_end, "a rank stopped off the resize point");
+                        BoundarySnap::take(
                             &c.state,
-                            seg_end,
+                            stats,
                             c.stage_counter,
                             c.mesh_epoch,
-                        ))
+                            &c.prev_checksum,
+                            seg_end,
+                        )
                     })
                     .collect();
-                let states = checkpoint::redistribute(&ckpts, new_n, cfg.balance);
-                starts = states
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, state)| {
-                        // Grown ranks inherit the replicated counters
-                        // (checksums history) from the last old rank.
-                        let src = r.min(n - 1);
-                        let mut stats = stats_v[src].clone();
-                        stats.rank = r;
-                        Some(SpanStart {
-                            state,
-                            stats,
-                            stage_counter: carries[src].stage_counter,
-                            mesh_epoch: carries[src].mesh_epoch,
-                            prev_checksum: carries[src].prev_checksum.clone(),
-                            ts_start: seg_end,
-                        })
-                    })
-                    .collect();
-                ts = seg_end;
-                n = new_n;
+                starts = respawn(&snaps, new_n, cfg.balance)?;
+                (ts, n) = (seg_end, new_n);
             }
-            Err(reports) => {
-                assert!(
-                    shrink,
-                    "world aborted on peer loss without the shrink policy"
-                );
+            Err(lost) if !shrink => return Err(ctx.peer_lost(lost)),
+            Err((reports, _)) => {
                 let dead: BTreeSet<usize> = reports.iter().map(|r| r.peer).collect();
                 let new_n = n - dead.len();
                 assert!(new_n >= 1, "no surviving ranks to shrink onto");
@@ -400,38 +523,13 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
                 );
                 // A peer that dies before every rank published its first
                 // boundary (e.g. during initial refinement) leaves no
-                // coordinated recovery point: fall back to the abort
-                // policy's exit code rather than resuming from nowhere.
+                // coordinated recovery point: stop rather than resume
+                // from nowhere.
                 let Some(snaps) = ctx.common_boundary(n) else {
-                    eprintln!(
-                        "elastic: job {job}: no coordinated boundary snapshot \
-                         predates the failure; cannot shrink"
-                    );
-                    std::process::exit(vmpi::PEER_LOST_EXIT_CODE);
+                    return Err(RunError::NoBoundary { job });
                 };
-                let resume_ts = snaps[0].next_ts;
-                let ckpts: Vec<Arc<RankCheckpoint>> =
-                    snaps.iter().map(|s| Arc::clone(&s.ck)).collect();
-                let states = checkpoint::redistribute(&ckpts, new_n, cfg.balance);
-                starts = states
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, state)| {
-                        let src = r.min(n - 1);
-                        let mut stats = snaps[src].stats.clone();
-                        stats.rank = r;
-                        Some(SpanStart {
-                            state,
-                            stats,
-                            stage_counter: snaps[src].stage_counter,
-                            mesh_epoch: snaps[src].ck.mesh_epoch,
-                            prev_checksum: snaps[src].prev_checksum.clone(),
-                            ts_start: resume_ts,
-                        })
-                    })
-                    .collect();
-                ts = resume_ts;
-                n = new_n;
+                starts = respawn(&snaps, new_n, cfg.balance)?;
+                (ts, n) = (snaps[0].next_ts, new_n);
                 // The chaos plan fired; the survivors resume fault-free
                 // and no further rewind can be needed.
                 seg_cfg.chaos = None;
@@ -444,6 +542,13 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn publishing() -> RunCtx {
+        RunCtx {
+            publish_boundaries: true,
+            ..RunCtx::default()
+        }
+    }
 
     #[test]
     fn parse_resize_events() {
@@ -459,7 +564,7 @@ mod tests {
         let cfg = crate::Config::smoke_test();
         let s0 = crate::rank::RankState::init(&cfg, 0, 2);
         let s1 = crate::rank::RankState::init(&cfg, 1, 2);
-        let ctx = ElasticCtx::new(true);
+        let ctx = publishing();
         let stats = RunStats::default();
         // Rank 0 reaches ts 1..=3, rank 1 only ts 1..=2.
         for t in 1..=3usize {
@@ -481,7 +586,7 @@ mod tests {
     fn boundary_history_is_bounded() {
         let cfg = crate::Config::smoke_test();
         let s0 = crate::rank::RankState::init(&cfg, 0, 2);
-        let ctx = ElasticCtx::new(true);
+        let ctx = publishing();
         let stats = RunStats::default();
         for t in 1..=10usize {
             ctx.boundary(&s0, &stats, t, 0, &None, t);
@@ -505,9 +610,9 @@ mod tests {
         cfg.checksum_freq = 2;
         let fixed = crate::run_world(&cfg, 2, NetworkModel::instant());
 
-        let ctx = ElasticCtx::new(true);
+        let ctx = publishing();
         let stats = World::new(2, NetworkModel::instant())
-            .run(|comm| crate::run_rank_span(&cfg, comm, None, cfg.num_tsteps, Some(&ctx)).0);
+            .run(|comm| crate::run_rank_span(&cfg, comm, None, cfg.num_tsteps, &ctx).0);
         assert_eq!(stats[0].checksums, fixed[0].checksums);
         assert_eq!(stats[0].checksum_digest(), fixed[0].checksum_digest());
 

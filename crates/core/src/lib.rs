@@ -60,10 +60,10 @@ pub mod trace;
 pub mod variant;
 
 pub use config::{BalanceKind, Config, JobCtx, Variant};
-pub use elastic::{ElasticOpts, PeerLostPolicy, ResizePlan};
+pub use elastic::{ElasticOpts, PeerLostPolicy, ResizePlan, RunError};
 pub use stats::{PhaseTimes, RunStats};
 
-use vmpi::{Comm, NetworkModel, World};
+use vmpi::{Comm, NetworkModel};
 
 /// Task-dependency object id of a mesh block.
 ///
@@ -78,9 +78,12 @@ pub fn block_obj(uid: u64) -> taskrt::ObjId {
 }
 
 /// Runs one rank of the configured variant (call from inside
-/// [`vmpi::World::run`] or an equivalent harness).
+/// [`vmpi::World::run`] or an equivalent harness). The rank keeps its
+/// checkpoints to itself; [`run_world`] is the driver that can act on
+/// them.
 pub fn run_rank(cfg: &Config, comm: Comm) -> RunStats {
-    run_rank_span(cfg, comm, None, cfg.num_tsteps, None).0
+    let ctx = elastic::RunCtx::default();
+    run_rank_span(cfg, comm, None, cfg.num_tsteps, &ctx).0
 }
 
 /// Runs one *span* of the configured variant on one rank: from `start`
@@ -92,11 +95,11 @@ pub(crate) fn run_rank_span(
     comm: Comm,
     start: Option<elastic::SpanStart>,
     ts_end: usize,
-    ectx: Option<&elastic::ElasticCtx>,
+    ctx: &elastic::RunCtx,
 ) -> (RunStats, elastic::SpanCarry) {
     obs::set_thread_rank(cfg.obs_rank(comm.rank()));
     let exec = variant::executor(cfg, comm.rank());
-    let (mut stats, carry) = variant::run_span(&*exec, cfg, comm, start, ts_end, ectx);
+    let (mut stats, carry) = variant::run_span(&*exec, cfg, comm, start, ts_end, ctx);
     if obs::is_enabled() {
         stats.metrics = obs::metrics().snapshot();
     }
@@ -104,25 +107,14 @@ pub(crate) fn run_rank_span(
 }
 
 /// Convenience: builds a world of `n_ranks` and runs the configured
-/// variant on every rank, returning per-rank statistics.
+/// variant on every rank, returning per-rank statistics — the fixed-rank
+/// run of [`elastic::run`], the one driver.
 ///
-/// With [`Config::chaos`] set, the world runs over the fault-injecting
-/// reliability transport and the checkpoint recovery hook is registered,
-/// so an unrecoverable peer produces a structured report (including the
-/// restore-and-verify outcome of the latest checkpoint) before the
-/// process exits with [`vmpi::PEER_LOST_EXIT_CODE`].
+/// # Panics
+///
+/// With the [`RunError`]'s report if the run stops early: under a
+/// [`Config::chaos`] plan, on an unrecoverable peer. Call
+/// [`elastic::run`] to get the error instead.
 pub fn run_world(cfg: &Config, n_ranks: usize, net: NetworkModel) -> Vec<RunStats> {
-    assert_eq!(
-        n_ranks,
-        cfg.params.num_ranks(),
-        "world size must match the npx*npy*npz rank grid"
-    );
-    let world = match cfg.chaos.clone() {
-        Some(chaos) => {
-            checkpoint::install_recovery_hook();
-            World::with_chaos(n_ranks, net, Some(chaos))
-        }
-        None => World::new(n_ranks, net),
-    };
-    world.run(|comm| run_rank(cfg, comm))
+    elastic::run(cfg, n_ranks, net, &ElasticOpts::default()).unwrap_or_else(|e| panic!("{e}"))
 }

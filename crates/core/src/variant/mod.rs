@@ -24,7 +24,7 @@ pub mod mpi_only;
 use crate::comm_plan::CommPlan;
 use crate::config::{Config, Variant};
 use crate::elaborate::ElabCtx;
-use crate::elastic::{ElasticCtx, SpanCarry, SpanStart};
+use crate::elastic::{RunCtx, SpanCarry, SpanStart};
 use crate::rank::{apply_boundary, local_transfer, RankState};
 use crate::stats::{RunStats, Stopwatch};
 use crate::trace::{record, Kind, Trace};
@@ -253,7 +253,7 @@ pub(crate) fn run_span(
     comm: Comm,
     start: Option<SpanStart>,
     ts_end: usize,
-    elastic: Option<&ElasticCtx>,
+    ctx: &RunCtx,
 ) -> (RunStats, SpanCarry) {
     let comm = Arc::new(comm);
     let resumed = start.is_some();
@@ -295,12 +295,12 @@ pub(crate) fn run_span(
         // rewind; the flush merely records the delayed validation a
         // little earlier — same values, same order — so the digest is
         // unaffected.
-        if let Some(e) = elastic.filter(|e| e.publish_boundaries) {
+        if ctx.publish_boundaries {
             exec.wait(None);
             if let Some(prev) = pending.take() {
                 validate(prev, &cx, &mut stats, &mut prev_checksum);
             }
-            e.boundary(
+            ctx.boundary(
                 &cx.state,
                 &stats,
                 stage_counter,
@@ -367,6 +367,7 @@ pub(crate) fn run_span(
             if cfg.checkpoint_due(stage_counter) {
                 exec.wait(None);
                 crate::checkpoint::take_and_publish(
+                    &ctx.checkpoints,
                     &cx.state,
                     &mut stats,
                     stage_counter,
@@ -645,7 +646,7 @@ mod tests {
                 log: RefCell::default(),
                 sums_obj: ObjId::fresh(),
             };
-            let (stats, _) = run_span(&exec, cfg, comm, None, cfg.num_tsteps, None);
+            let (stats, _) = run_span(&exec, cfg, comm, None, cfg.num_tsteps, &RunCtx::default());
             (exec.log.into_inner(), stats)
         });
         per_rank.pop().expect("one rank")

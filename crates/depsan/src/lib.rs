@@ -520,6 +520,15 @@ pub fn taskwait_on_joined(rt: u64, waiter: u64) {
     }
 }
 
+/// Whether task `earlier` happens-before task `later`: it is in `later`'s
+/// ancestor closure (dependency edges, transitively, and everything a
+/// `taskwait` had joined before `later` was spawned). False when either
+/// scope is 0 — code outside any task has no recorded order.
+pub fn happens_before(earlier: u64, later: u64) -> bool {
+    let st = state();
+    st.tasks.get(&later).is_some_and(|t| t.closure.get(earlier))
+}
+
 // ---------------------------------------------------------------------------
 // Thread scope.
 

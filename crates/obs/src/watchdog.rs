@@ -105,7 +105,7 @@ pub fn diagnostics() -> &'static DiagRegistry {
 
 /// What the watchdog does when it confirms a stall.
 pub enum StallAction {
-    /// Print the dump to stderr and `std::process::exit` with the code.
+    /// Print the dump to stderr and end the process with the code.
     ExitProcess(i32),
     /// Hand the dump to a callback (tests; embedding).
     Report(Box<dyn Fn(String) + Send>),

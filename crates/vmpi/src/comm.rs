@@ -181,21 +181,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Fast-fail for a world poisoned under
-    /// [`crate::PeerLostAction::AbortWorld`]: every new operation fails
-    /// with [`VmpiError::WorldDown`] so the rank threads unwind instead
-    /// of queueing work no one will match. A single `Option` check on
-    /// the fault-free path.
-    fn poisoned_request(&self) -> Option<Request> {
-        let fault = self.shared.fault.as_ref()?;
-        if !fault.poisoned.load(Ordering::SeqCst) {
-            return None;
-        }
-        let state = RequestState::new();
-        state.fail(VmpiError::WorldDown);
-        Some(Request::from_state(state))
-    }
-
     /// The send prologue every route shares: builds the header that rides
     /// with the payload, decides eager vs rendezvous, and announces the
     /// send. `local` marks a self-send, which is always eager.
@@ -251,9 +236,6 @@ impl Comm {
     }
 
     fn isend_impl(&self, payload: Vec<u8>, dst: usize, tag: i32) -> Request {
-        if let Some(failed) = self.poisoned_request() {
-            return failed;
-        }
         let (src_world, dst_world) = (self.group[self.rank], self.group[dst]);
         let local = src_world == dst_world;
         let nbytes = payload.len();
@@ -318,9 +300,6 @@ impl Comm {
     // ---------------------------------------------------------------
 
     fn irecv_impl(&self, src: i32, tag: i32, target: RecvTarget, san: RecvSan) -> Request {
-        if let Some(failed) = self.poisoned_request() {
-            return failed;
-        }
         let state = RequestState::new();
         let obs_task = if obs::is_enabled() {
             obs::thread_task()

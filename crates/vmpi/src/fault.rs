@@ -20,13 +20,13 @@ use crate::request::RequestState;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Process exit code used when the reliability layer declares a peer
-/// unrecoverable under [`PeerLostAction::Exit`]. Distinct from the stall
-/// watchdog (86) and the depsan sanitizer (97) so CI can tell the three
-/// failure machineries apart.
+/// The exit code an embedding driver uses for a run that ended on an
+/// unrecoverable peer (this crate never exits the process). Distinct from
+/// the stall watchdog (86) and the depsan sanitizer (97) so CI can tell
+/// the three failure machineries apart.
 pub const PEER_LOST_EXIT_CODE: i32 = 88;
 
 /// Which tags a fault plan applies to.
@@ -44,23 +44,19 @@ pub enum TagClass {
 /// What to do when a peer exhausts the retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerLostAction {
-    /// Print a structured report (plus any hook-contributed recovery
-    /// lines) to stderr and exit with [`PEER_LOST_EXIT_CODE`]. This is
-    /// the CLI behaviour: a hard crash past the budget must terminate
-    /// cleanly instead of hanging.
-    #[default]
-    Exit,
-    /// Fail the send request with [`crate::VmpiError::PeerLost`] and
-    /// record the report for later inspection — the in-process test
-    /// behaviour.
-    FailRequests,
     /// Record the report and *poison the whole world*: every channel
     /// dies, every pending and future communication operation fails with
     /// [`crate::VmpiError::WorldDown`], and the rank closures unwind.
-    /// An embedding elastic driver catches the unwind, reads
-    /// [`crate::World::peer_lost_reports`], and shrinks the job onto the
-    /// surviving ranks.
+    /// The embedding driver catches the unwind, reads
+    /// [`crate::World::peer_lost_reports`], and decides: report and stop,
+    /// or shrink the job onto the surviving ranks.
+    #[default]
     AbortWorld,
+    /// Fail only the send request that exhausted its budget, with
+    /// [`crate::VmpiError::PeerLost`], and record the report; the rest of
+    /// the world keeps running. The per-request library behaviour, for
+    /// programs that handle a failed request themselves.
+    FailRequests,
 }
 
 /// Seeded fault-injection plan. All probabilities are per-frame in
@@ -108,11 +104,6 @@ pub struct ChaosConfig {
     pub rto: Duration,
     /// Behaviour when the retry budget is exhausted.
     pub on_peer_lost: PeerLostAction,
-    /// Job id stamped into [`PeerLostReport`]s from this world, so a
-    /// multi-job process can key per-job recovery (checkpoint stores,
-    /// trace epochs) off the report. 0 is the implicit single-job
-    /// default.
-    pub job: u64,
 }
 
 impl Default for ChaosConfig {
@@ -134,8 +125,7 @@ impl Default for ChaosConfig {
             window: None,
             retry_budget: 8,
             rto: Duration::from_millis(5),
-            on_peer_lost: PeerLostAction::Exit,
-            job: 0,
+            on_peer_lost: PeerLostAction::default(),
         }
     }
 }
@@ -364,15 +354,13 @@ pub(crate) struct FaultState {
     /// Set before the delivery service drains at world teardown so
     /// retransmit timers stop rescheduling.
     pub shutdown: AtomicBool,
-    /// Only the first peer-lost reporter runs the exit path.
-    pub peer_lost_fired: AtomicBool,
     /// The world was poisoned under [`PeerLostAction::AbortWorld`]:
     /// every communication op fails fast with
     /// [`crate::VmpiError::WorldDown`] from here on.
     pub poisoned: AtomicBool,
     pub counters: FaultCounters,
     pub obs_metrics: Option<ChaosObsMetrics>,
-    /// Reports collected under [`PeerLostAction::FailRequests`].
+    /// One report per peer-lost declaration, in declaration order.
     pub reports: Mutex<Vec<PeerLostReport>>,
 }
 
@@ -421,7 +409,6 @@ impl FaultState {
             frames_sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             shutdown: AtomicBool::new(false),
-            peer_lost_fired: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             counters: FaultCounters::default(),
             obs_metrics: obs::is_enabled().then(|| ChaosObsMetrics {
@@ -433,6 +420,28 @@ impl FaultState {
             }),
             reports: Mutex::new(Vec::new()),
         })
+    }
+
+    /// The fault-plan position: the seed and every monotonic counter, on
+    /// one line.
+    pub(crate) fn plan_position(&self) -> String {
+        let c = &self.counters;
+        format!(
+            "plan position: seed {} | frames {} | drops {} dups {} corrupts {} delays {} stalls {} crash-drops {} | crc-rejected {} dup-suppressed {} retransmits {} acks {} recovered {}",
+            self.cfg.seed,
+            c.frames.load(Ordering::Relaxed),
+            c.drops.load(Ordering::Relaxed),
+            c.dups.load(Ordering::Relaxed),
+            c.corrupts.load(Ordering::Relaxed),
+            c.delays.load(Ordering::Relaxed),
+            c.stalls.load(Ordering::Relaxed),
+            c.crash_drops.load(Ordering::Relaxed),
+            c.crc_rejected.load(Ordering::Relaxed),
+            c.dup_suppressed.load(Ordering::Relaxed),
+            c.retransmits.load(Ordering::Relaxed),
+            c.acks.load(Ordering::Relaxed),
+            c.recovered.load(Ordering::Relaxed),
+        )
     }
 
     /// Human-readable snapshot of the pending retransmit queue plus the
@@ -483,23 +492,9 @@ impl FaultState {
         if lines.is_empty() {
             return lines;
         }
-        let c = &self.counters;
         let mut out = format!(
-            "chaos plan position: seed {} | frames {} | drops {} dups {} corrupts {} delays {} stalls {} crash-drops {} | crc-rejected {} dup-suppressed {} retransmits {} acks {} recovered {} | {} unacked frame(s):\n",
-            self.cfg.seed,
-            c.frames.load(Ordering::Relaxed),
-            c.drops.load(Ordering::Relaxed),
-            c.dups.load(Ordering::Relaxed),
-            c.corrupts.load(Ordering::Relaxed),
-            c.delays.load(Ordering::Relaxed),
-            c.stalls.load(Ordering::Relaxed),
-            c.crash_drops.load(Ordering::Relaxed),
-            c.crc_rejected.load(Ordering::Relaxed),
-            c.dup_suppressed.load(Ordering::Relaxed),
-            c.retransmits.load(Ordering::Relaxed),
-            c.acks.load(Ordering::Relaxed),
-            c.recovered.load(Ordering::Relaxed),
-            inflight_total,
+            "chaos {} | {inflight_total} unacked frame(s):\n",
+            self.plan_position()
         );
         for (r, dead) in self.crashed.iter().enumerate() {
             if dead.load(Ordering::Relaxed) {
@@ -511,8 +506,9 @@ impl FaultState {
     }
 }
 
-/// Structured description of an unrecoverable peer, handed to the
-/// peer-lost hook and printed in the exit-88 report.
+/// Structured description of an unrecoverable peer, recorded when the
+/// peer is declared lost and read back through
+/// [`crate::World::peer_lost_reports`].
 #[derive(Debug, Clone)]
 pub struct PeerLostReport {
     /// World rank that gave up.
@@ -527,29 +523,6 @@ pub struct PeerLostReport {
     pub attempts: u32,
     /// Whether the peer had tripped the hard-crash schedule.
     pub peer_crashed: bool,
-    /// Job id of the world's fault plan ([`ChaosConfig::job`]), keying
-    /// per-job recovery in a multi-job process.
-    pub job: u64,
-}
-
-type PeerLostHook = Box<dyn Fn(&PeerLostReport) -> Vec<String> + Send + Sync>;
-
-static PEER_LOST_HOOK: OnceLock<PeerLostHook> = OnceLock::new();
-
-/// Registers a process-wide recovery hook run when a peer is declared
-/// unrecoverable under [`PeerLostAction::Exit`], before the process
-/// exits with [`PEER_LOST_EXIT_CODE`]. The hook returns extra report
-/// lines (e.g. "restored checkpoint ...") appended to the structured
-/// stderr report. Only the first registration wins.
-pub fn set_peer_lost_hook<F>(f: F)
-where
-    F: Fn(&PeerLostReport) -> Vec<String> + Send + Sync + 'static,
-{
-    let _ = PEER_LOST_HOOK.set(Box::new(f));
-}
-
-pub(crate) fn peer_lost_hook() -> Option<&'static PeerLostHook> {
-    PEER_LOST_HOOK.get()
 }
 
 #[cfg(test)]

@@ -72,9 +72,7 @@ pub use comm::{
 pub use datatype::Pod;
 pub use error::{Result, VmpiError};
 pub use fabric::FabricParams;
-pub use fault::{
-    set_peer_lost_hook, ChaosConfig, PeerLostAction, PeerLostReport, TagClass, PEER_LOST_EXIT_CODE,
-};
+pub use fault::{ChaosConfig, PeerLostAction, PeerLostReport, TagClass, PEER_LOST_EXIT_CODE};
 pub use net::{CollAlgo, NetworkModel};
 pub use request::{Request, RequestSet};
 pub use shmem::{BufSlice, SharedBuffer};

@@ -11,11 +11,12 @@
 //! *available* at the envelope's due time (see [`crate::delivery`]).
 
 use crate::comm::{Status, ANY_SOURCE, ANY_TAG};
-use crate::error::Result;
+use crate::error::{Result, VmpiError};
 use crate::request::RequestState;
 use crate::world::WorldShared;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -192,7 +193,10 @@ impl MailboxInner {
     /// matched in send order, so a size difference means the receive
     /// posting order is load-bearing — exactly the situation a WAW/WAR
     /// serialisation edge between the sending tasks is supposed to
-    /// prevent.
+    /// prevent. Where that edge exists (the earlier sender
+    /// happens-before this one: variable groups of uneven size reusing a
+    /// message's buffer slot and tag in turn) the send order is fixed and
+    /// the lint has nothing to ask for.
     fn san_check_envelope(&self, env: &Envelope, dst_rank: usize) {
         let hdr = &env.hdr;
         for m in &self.msgs {
@@ -200,6 +204,7 @@ impl MailboxInner {
                 && m.hdr.tag == hdr.tag
                 && m.hdr.comm == hdr.comm
                 && m.payload.len() != env.payload.len()
+                && !depsan::happens_before(m.hdr.san_scope, hdr.san_scope)
             {
                 depsan::report(depsan::Violation {
                     kind: depsan::ViolationKind::TagSizeMismatch,
@@ -430,10 +435,18 @@ pub(crate) fn arrive(shared: &Arc<WorldShared>, dst: usize, env: Envelope, lane:
 }
 
 /// Rank `me` (a world rank) posts a receive: pair it with the
-/// earliest-sent matching message or queue it.
+/// earliest-sent matching message or queue it. In a poisoned world the
+/// receive fails instead: `poison_world` raises the flag *before* it
+/// drains each mailbox under this lock, so a receive that reads the flag
+/// under the lock is either refused here or queued in time to be drained.
 pub(crate) fn post(shared: &Arc<WorldShared>, me: usize, recv: PendingRecv) {
     let env = {
         let mut inner = shared.mailboxes[me].inner.lock();
+        let fault = shared.fault.as_ref();
+        if fault.is_some_and(|f| f.poisoned.load(Ordering::SeqCst)) {
+            drop(inner);
+            return recv.state.fail(VmpiError::WorldDown);
+        }
         match inner.match_posted(recv.src, recv.tag, recv.comm) {
             Some(env) => env,
             None => {

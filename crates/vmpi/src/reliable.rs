@@ -22,12 +22,13 @@
 //! update on the delivering thread): the fault plan attacks the data
 //! path, which is where every recovery mechanism above is exercised.
 //!
-//! A frame whose retry budget exhausts declares the peer lost: under
-//! [`crate::PeerLostAction::Exit`] the process prints a structured
-//! report (plus recovery-hook lines) and exits with
-//! [`crate::PEER_LOST_EXIT_CODE`]; under
-//! [`crate::PeerLostAction::FailRequests`] the send request fails with
-//! [`VmpiError::PeerLost`] and the report is recorded for inspection.
+//! A frame whose retry budget exhausts declares the peer lost: the
+//! report is recorded, the frame's send request fails with
+//! [`VmpiError::PeerLost`], and — unless the plan asks for
+//! [`crate::PeerLostAction::FailRequests`] — the world is poisoned, so
+//! every other request fails with [`VmpiError::WorldDown`], the rank
+//! closures unwind and the embedding driver decides what happens next.
+//! Nothing here ends the process.
 //!
 //! Frames enter through [`send`] (the reliability route of
 //! `Comm::isend_impl`) and leave, verified and in order, through
@@ -35,7 +36,7 @@
 //! takes. Nothing here matches, queues or completes a receive.
 
 use crate::error::{Result, VmpiError};
-use crate::fault::{crc32, salt, FaultState, Frame, Inflight, PeerLostReport};
+use crate::fault::{crc32, salt, FaultState, Frame, Inflight, PeerLostAction, PeerLostReport};
 use crate::mailbox::{self, Envelope, Lane, Transit};
 use crate::request::RequestState;
 use crate::world::WorldShared;
@@ -128,29 +129,32 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
         // rank, its retry budget never fires — so model failure
         // detection on the receiving side: a heartbeat timeout with the
         // same patience a sender's full backoff sequence gets.
-        let rec = fault
-            .channels
-            .lock()
-            .get_mut(&(src, dst))
-            .and_then(|ch| ch.inflight.remove(&seq));
-        if let Some(rec) = rec {
-            let patience = cfg
-                .rto
-                .saturating_mul(1u32 << cfg.retry_budget.saturating_add(1).min(16));
-            let shared_hb = Arc::clone(shared);
-            let fault_hb = Arc::clone(fault);
-            shared.delivery.schedule(
-                Instant::now() + patience,
-                Box::new(move || {
-                    if fault_hb.shutdown.load(Ordering::SeqCst)
-                        || fault_hb.poisoned.load(Ordering::SeqCst)
-                    {
-                        return;
-                    }
+        // Until then the frame stays in `ch.inflight`, where a poison
+        // drain finds it: if somebody else declares the loss first, the
+        // dead rank's own request fails with everything else — a request
+        // bound to a task must complete or fail, never vanish.
+        let patience = cfg
+            .rto
+            .saturating_mul(1u32 << cfg.retry_budget.saturating_add(1).min(16));
+        let shared_hb = Arc::clone(shared);
+        let fault_hb = Arc::clone(fault);
+        shared.delivery.schedule(
+            Instant::now() + patience,
+            Box::new(move || {
+                if fault_hb.shutdown.load(Ordering::SeqCst)
+                    || fault_hb.poisoned.load(Ordering::SeqCst)
+                {
+                    return;
+                }
+                let mut channels = fault_hb.channels.lock();
+                let ch = channels.get_mut(&(src, dst));
+                let rec = ch.and_then(|ch| ch.inflight.remove(&seq));
+                drop(channels);
+                if let Some(rec) = rec {
                     heartbeat_detect(&shared_hb, &fault_hb, src, dst, seq, rec);
-                }),
-            );
-        }
+                }
+            }),
+        );
         return;
     }
     fault.counters.frames.fetch_add(1, Ordering::Relaxed);
@@ -454,7 +458,6 @@ fn handle_peer_lost(
         seq,
         attempts: rec.attempts,
         peer_crashed: fault.crashed[dst].load(Ordering::SeqCst),
-        job: fault.cfg.job,
     };
     let headline = format!(
         "peer lost: rank {src} gave up on rank {dst} after {} retransmission attempts (frame seq {seq} tag {tag})",
@@ -495,7 +498,6 @@ fn heartbeat_detect(
         seq,
         attempts,
         peer_crashed: true,
-        job: fault.cfg.job,
     };
     let headline = format!(
         "peer lost: rank {survivor} detected rank {dead} dead (heartbeat timeout after {attempts} retransmission intervals; frame seq {seq} tag {tag} never arrived)"
@@ -513,7 +515,7 @@ fn heartbeat_detect(
 /// driver catches the unwind and reads
 /// [`crate::World::peer_lost_reports`]. Idempotent: only the first
 /// caller drains.
-fn poison_world(shared: &Arc<WorldShared>, fault: &Arc<FaultState>) {
+pub(crate) fn poison_world(shared: &Arc<WorldShared>, fault: &Arc<FaultState>) {
     if fault.poisoned.swap(true, Ordering::SeqCst) {
         return;
     }
@@ -549,9 +551,9 @@ fn poison_world(shared: &Arc<WorldShared>, fault: &Arc<FaultState>) {
     }
 }
 
-/// Shared tail of both peer-lost paths: record-and-fail under
-/// `FailRequests`, record-and-poison under `AbortWorld`, or print the
-/// structured report and exit under `Exit`.
+/// Shared tail of both peer-lost paths: record the report, fail the
+/// frame's own send request, and — unless the plan asks for per-request
+/// failures only — poison the world.
 fn finish_peer_lost(
     shared: &Arc<WorldShared>,
     fault: &Arc<FaultState>,
@@ -559,67 +561,16 @@ fn finish_peer_lost(
     headline: String,
     send_state: Option<Arc<RequestState>>,
 ) {
-    match fault.cfg.on_peer_lost {
-        crate::fault::PeerLostAction::FailRequests => {
-            let (peer, attempts) = (report.peer, report.attempts);
-            fault.reports.lock().push(report);
-            if let Some(ss) = send_state {
-                ss.fail(VmpiError::PeerLost { peer, attempts });
-            }
-        }
-        crate::fault::PeerLostAction::AbortWorld => {
-            let (peer, attempts) = (report.peer, report.attempts);
-            // Record the report *before* poisoning: the driver that
-            // catches the rank unwinds reads it to learn who died.
-            fault.reports.lock().push(report);
-            eprintln!("chaos: {headline}");
-            if let Some(ss) = send_state {
-                ss.fail(VmpiError::PeerLost { peer, attempts });
-            }
-            poison_world(shared, fault);
-        }
-        crate::fault::PeerLostAction::Exit => {
-            // Several detectors can give up on the same dead peer around
-            // the same time; only the first runs the exit path.
-            if fault.peer_lost_fired.swap(true, Ordering::SeqCst) {
-                return;
-            }
-            let c = &fault.counters;
-            eprintln!("chaos: {headline}");
-            if report.peer_crashed {
-                let dst = report.peer;
-                eprintln!(
-                    "chaos: peer rank {dst} hard-crashed per plan (seed {}, crash_after {} frames)",
-                    fault.cfg.seed, fault.cfg.crash_after
-                );
-            }
-            eprintln!(
-                "chaos: plan position: seed {} | frames {} | drops {} dups {} corrupts {} delays {} stalls {} crash-drops {} | crc-rejected {} dup-suppressed {} retransmits {} acks {} recovered {}",
-                fault.cfg.seed,
-                c.frames.load(Ordering::Relaxed),
-                c.drops.load(Ordering::Relaxed),
-                c.dups.load(Ordering::Relaxed),
-                c.corrupts.load(Ordering::Relaxed),
-                c.delays.load(Ordering::Relaxed),
-                c.stalls.load(Ordering::Relaxed),
-                c.crash_drops.load(Ordering::Relaxed),
-                c.crc_rejected.load(Ordering::Relaxed),
-                c.dup_suppressed.load(Ordering::Relaxed),
-                c.retransmits.load(Ordering::Relaxed),
-                c.acks.load(Ordering::Relaxed),
-                c.recovered.load(Ordering::Relaxed),
-            );
-            if let Some(hook) = crate::fault::peer_lost_hook() {
-                for line in hook(&report) {
-                    eprintln!("chaos: {line}");
-                }
-            }
-            eprintln!(
-                "chaos: unrecoverable peer — exiting with code {}",
-                crate::fault::PEER_LOST_EXIT_CODE
-            );
-            std::process::exit(crate::fault::PEER_LOST_EXIT_CODE);
-        }
+    let (peer, attempts) = (report.peer, report.attempts);
+    // Record the report *before* poisoning: the driver that catches the
+    // rank unwinds reads it to learn who died.
+    fault.reports.lock().push(report);
+    if let Some(ss) = send_state {
+        ss.fail(VmpiError::PeerLost { peer, attempts });
+    }
+    if fault.cfg.on_peer_lost == PeerLostAction::AbortWorld {
+        eprintln!("chaos: {headline}");
+        poison_world(shared, fault);
     }
 }
 

@@ -178,15 +178,36 @@ impl World {
 }
 
 impl World {
-    /// Peer-lost reports collected under
-    /// [`crate::PeerLostAction::FailRequests`] (empty without chaos or
-    /// when every frame was recovered within the retry budget).
+    /// One report per peer declared lost, under either
+    /// [`crate::PeerLostAction`] (empty without chaos or when every frame
+    /// was recovered within the retry budget).
     pub fn peer_lost_reports(&self) -> Vec<crate::PeerLostReport> {
         self.shared
             .fault
             .as_ref()
             .map(|f| f.reports.lock().clone())
             .unwrap_or_default()
+    }
+
+    /// Where the fault plan stands, for the embedder's peer-lost report:
+    /// one line per rank the plan hard-crashed, then the plan-position
+    /// line (seed and counters). Empty without chaos.
+    pub fn chaos_plan_position(&self) -> Vec<String> {
+        let Some(fault) = &self.shared.fault else {
+            return Vec::new();
+        };
+        let cfg = &fault.cfg;
+        let mut lines: Vec<String> = (0..self.shared.n)
+            .filter(|&r| fault.crashed[r].load(std::sync::atomic::Ordering::SeqCst))
+            .map(|r| {
+                format!(
+                    "peer rank {r} hard-crashed per plan (seed {}, crash_after {} frames)",
+                    cfg.seed, cfg.crash_after
+                )
+            })
+            .collect();
+        lines.push(fault.plan_position());
+        lines
     }
 }
 
@@ -299,6 +320,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A receive reads the poison flag under the mailbox lock the drain
+    /// takes. Interleaved by hand: the receive's look at the flag from
+    /// outside the lock (where the check used to be) sees a healthy
+    /// world, the world is poisoned and drained, and only then does the
+    /// receive reach `post` — which must fail it, not queue it behind
+    /// the drain where nobody would ever complete it.
+    #[test]
+    fn receive_posted_across_the_poison_drain_fails() {
+        use crate::mailbox::{PendingRecv, RecvSan, RecvTarget};
+        use crate::request::RequestState;
+        use crate::{ChaosConfig, Request, VmpiError};
+        let world = World::with_chaos(2, NetworkModel::instant(), Some(ChaosConfig::default()));
+        let shared = &world.shared;
+        let fault = shared.fault.as_ref().expect("chaos world");
+        // 1: the unlocked check.
+        assert!(!fault.poisoned.load(std::sync::atomic::Ordering::SeqCst));
+        // 2: flag up, every mailbox drained.
+        crate::reliable::poison_world(shared, fault);
+        // 3: the receive is queued — or, now, refused.
+        let state = RequestState::new();
+        let recv = PendingRecv {
+            src: 1,
+            tag: 3,
+            comm: 0,
+            state: Arc::clone(&state),
+            target: RecvTarget::Owned,
+            san: RecvSan::default(),
+            obs_task: 0,
+        };
+        crate::mailbox::post(shared, 0, recv);
+        let waited = Request::from_state(state).wait_timeout(Duration::from_millis(50));
+        assert_eq!(waited, Err(VmpiError::WorldDown));
+        assert_eq!(shared.mailboxes[0].inner.lock().dump(0), "");
     }
 
     #[test]

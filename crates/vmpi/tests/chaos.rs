@@ -254,6 +254,55 @@ fn hard_crash_fails_requests_with_peer_lost() {
     assert_eq!(reports[0].attempts, 3); // retry_budget + 1
 }
 
+/// A request must complete or fail, never vanish. The crashed rank's own
+/// rendezvous send is swallowed by its dead NIC and waits for the
+/// heartbeat detector; when the *survivor* declares the loss first and
+/// poisons the world, the drain must find that record and fail it too.
+/// (It used to sit with the detector, out of the in-flight map, and the
+/// detector dropped it: a task bound to that send was never released.)
+///
+/// The survivor is first by the protocol's own arithmetic: a sender's
+/// budget runs out `rto * (2^(budget+1) - 1)` after its send, the
+/// heartbeat on a swallowed frame waits `rto * 2^(budget+1)` — one whole
+/// `rto` longer, for two sends posted back to back.
+#[test]
+fn crashed_ranks_parked_send_fails_when_the_survivor_declares_first() {
+    let cfg = ChaosConfig {
+        seed: 3,
+        crash_rank: Some(1),
+        crash_after: 0,
+        retry_budget: 2,
+        rto: Duration::from_millis(20),
+        on_peer_lost: PeerLostAction::AbortWorld,
+        ..ChaosConfig::default()
+    };
+    let net = NetworkModel::new(Duration::from_micros(10), 1.0e9).with_eager_threshold(8);
+    let world = World::with_chaos(2, net, Some(cfg));
+    let (survivor, crashed) = (world.comm_for(0), world.comm_for(1));
+    let lost = survivor.isend(&vec![1.0f64; 64], 1, 5).unwrap();
+    let parked = crashed.isend(&vec![2.0f64; 64], 0, 6).unwrap();
+    assert!(matches!(
+        lost.wait_timeout(Duration::from_secs(5)),
+        Err(VmpiError::PeerLost { peer: 1, .. })
+    ));
+    // `WorldDown` from the poison drain; `PeerLost` if a stalled delivery
+    // thread let the heartbeat declare first after all. What it must not
+    // do is time out.
+    let parked = parked.wait_timeout(Duration::from_secs(5));
+    assert!(
+        matches!(
+            parked,
+            Err(VmpiError::WorldDown | VmpiError::PeerLost { .. })
+        ),
+        "the dead rank's send was neither completed nor failed: {parked:?}"
+    );
+    let reports = world.peer_lost_reports();
+    assert_eq!((reports.len(), reports[0].reporter), (1, 0));
+    let position = world.chaos_plan_position();
+    assert!(position[0].starts_with("peer rank 1 hard-crashed per plan (seed 3,"));
+    assert!(position[1].starts_with("plan position: seed 3 | frames "));
+}
+
 /// Satellite: `Request::wait_timeout` returns `VmpiError::Timeout`
 /// instead of blocking forever on a receive whose message never comes.
 #[test]

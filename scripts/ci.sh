@@ -150,8 +150,24 @@ for variant in mpi forkjoin dataflow; do
   fi
 done
 
+# Variable groups of uneven size (5 variables in groups of 2, 2, 1): a
+# message's tag and buffer slot are reused at another size by the next
+# group, in order only because the slot's WAR edge serialises the two
+# sends. The tag-size lint used to flag exactly that (exit 97).
+for faces in "" "--send_faces"; do
+  echo "==> sanitized uneven variable groups: dataflow $faces"
+  # shellcheck disable=SC2086
+  san_out="$(timeout 120 "$MINIAMR" --variant dataflow --sanitize --comm_vars 2 \
+      --num_vars 5 --num_tsteps 2 --stages_per_ts 4 $faces 2>&1)"
+  if ! grep -q "depsan: no violations detected" <<<"$san_out"; then
+    echo "sanitized uneven-group run $faces did not report a clean bill" >&2
+    echo "$san_out" >&2
+    exit 1
+  fi
+done
+
 # Sanitizer regression: the same legacy group-offset bug the watchdog
-# only times out on must be *diagnosed* by depsan — a tag-size lint
+# only times out on must be *diagnosed* by depsan — a communication lint
 # naming the aliased same-tag traffic — and exit 97 before the watchdog
 # (5 s) can fire.
 echo "==> depsan legacy-bug regression (expect exit 97)"
@@ -166,8 +182,8 @@ if [ "$san_rc" -ne 97 ]; then
   echo "$san_out" >&2
   exit 1
 fi
-if ! grep -q "depsan: violation: tag-size-mismatch" <<<"$san_out"; then
-  echo "depsan regression: exit 97 but no tag-size-mismatch report" >&2
+if ! grep -Eq "depsan: violation: (tag-size-mismatch|ambiguous-recv|size-mismatch)" <<<"$san_out"; then
+  echo "depsan regression: exit 97 but no communication-lint report" >&2
   echo "$san_out" >&2
   exit 1
 fi
@@ -268,30 +284,51 @@ for variant in mpi forkjoin dataflow; do
 done
 
 # Unrecoverable hard-crash: rank 1 dies mid-run per plan. The survivor
-# must detect it (retry-budget exhaustion or heartbeat timeout), restore
-# its latest checkpoint, verify the digest, print the structured report,
-# and exit 88 — never hang.
-echo "==> unrecoverable-crash case (expect exit 88, structured report)"
-set +e
-crash_out="$(timeout 60 "$MINIAMR" --variant mpi "${chaos_mesh[@]}" \
-    --chaos_seed 42 --chaos_crash_rank 1 --chaos_crash_after 10 \
-    --chaos_retry 3 --chaos_rto_us 1000 --ckpt_freq 1 2>&1)"
-crash_rc=$?
-set -e
-if [ "$crash_rc" -ne 88 ]; then
-  echo "unrecoverable-crash: expected exit 88, got $crash_rc" >&2
-  echo "$crash_out" >&2
-  exit 1
-fi
-for needle in "chaos: peer lost" "hard-crashed per plan" \
-              "restored from checkpoint" "verified after restore" \
-              "exiting with code 88"; do
-  if ! grep -q "$needle" <<<"$crash_out"; then
-    echo "unrecoverable-crash: exit 88 but report lacks '$needle'" >&2
+# must detect it (retry-budget exhaustion or heartbeat timeout), the
+# ranks unwind, the driver restores the survivor's latest checkpoint and
+# verifies the digest, and miniamr prints the structured report and
+# exits 88 — never hang. One path for all three variants.
+crash_plan=(--chaos_seed 42 --chaos_crash_rank 1 --chaos_crash_after 10
+            --chaos_retry 3 --chaos_rto_us 1000 --ckpt_freq 1)
+for variant in mpi forkjoin dataflow; do
+  echo "==> unrecoverable-crash case: $variant (expect exit 88, structured report)"
+  set +e
+  crash_out="$(timeout 60 "$MINIAMR" --variant "$variant" "${chaos_mesh[@]}" \
+      "${crash_plan[@]}" 2>&1)"
+  crash_rc=$?
+  set -e
+  if [ "$crash_rc" -ne 88 ]; then
+    echo "unrecoverable-crash: $variant: expected exit 88, got $crash_rc" >&2
     echo "$crash_out" >&2
     exit 1
   fi
+  for needle in "chaos: peer lost" "hard-crashed per plan" \
+                "restored from checkpoint" "verified after restore" \
+                "exiting with code 88"; do
+    if ! grep -q "$needle" <<<"$crash_out"; then
+      echo "unrecoverable-crash: $variant: exit 88 but report lacks '$needle'" >&2
+      echo "$crash_out" >&2
+      exit 1
+    fi
+  done
 done
+
+# The same plan under --jobs 2: both jobs lose their rank 1, both are
+# joined and both report before the process exits with the first
+# failure's code — no job is cut off mid-report and nothing hangs.
+echo "==> unrecoverable-crash case: --jobs 2 (expect exit 88, two reports)"
+set +e
+crash_out="$(timeout 60 "$MINIAMR" --variant dataflow "${chaos_mesh[@]}" \
+    "${crash_plan[@]}" --jobs 2 2>&1)"
+crash_rc=$?
+set -e
+if [ "$crash_rc" -ne 88 ] ||
+   [ "$(grep -c "miniamr: job [01] stopped early" <<<"$crash_out")" -ne 2 ] ||
+   [ "$(grep -c "verified after restore" <<<"$crash_out")" -ne 2 ]; then
+  echo "unrecoverable-crash --jobs 2: expected exit 88 and both jobs' reports, got $crash_rc" >&2
+  echo "$crash_out" >&2
+  exit 1
+fi
 
 # --- Contention-aware fabric (PR 5) ----------------------------------------
 # Table II reproduction: the full-size granularity sweep must place the
@@ -657,34 +694,31 @@ if [ "$sh_digest" != "$df_fixed" ]; then
   exit 1
 fi
 
-# Checkpoint-mismatch regression: a corrupt restored checkpoint must be
-# a structured failure (miniamr-ckpt-mismatch JSON + exit 88), never a
-# silent "MISMATCH, continuing" resume. MINIAMR_TEST_CORRUPT_CKPT
-# flips one cell after the digest is recorded, so the recovery hook's
-# re-verification must trip.
-echo "==> checkpoint-mismatch regression (expect exit 88 + JSON report)"
-set +e
-mm_out="$(MINIAMR_TEST_CORRUPT_CKPT=1 timeout 60 "$MINIAMR" --variant mpi \
-    "${chaos_mesh[@]}" --chaos_seed 42 --chaos_crash_rank 1 \
-    --chaos_crash_after 10 --chaos_retry 3 --chaos_rto_us 1000 \
-    --ckpt_freq 1 2>&1)"
-mm_rc=$?
-set -e
-if [ "$mm_rc" -ne 88 ]; then
-  echo "ckpt-mismatch regression: expected exit 88, got $mm_rc" >&2
-  echo "$mm_out" >&2
-  exit 1
-fi
-if ! grep -q "miniamr-ckpt-mismatch" <<<"$mm_out"; then
-  echo "ckpt-mismatch regression: exit 88 but no structured JSON report" >&2
-  echo "$mm_out" >&2
-  exit 1
-fi
+# The early crash on two ranks: the dead rank's own rendezvous send is
+# parked with its heartbeat detector when the survivor declares the
+# loss. Left un-failed it wedged the dead rank's taskwait in one run of
+# four; every run must complete on the fault-free digest.
+echo "==> shrink-on-failure: 2-rank early crash x10 (expect fixed digest, no hang)"
+early_fixed="$(timeout 60 "$MINIAMR" --variant dataflow "${chaos_mesh[@]}" 2>/dev/null |
+    awk '$1 == "checksum_digest" { print $2 }')"
+for i in 1 2 3 4 5 6 7 8 9 10; do
+  set +e
+  sh_out="$(timeout 20 "$MINIAMR" --variant dataflow "${chaos_mesh[@]}" \
+      "${crash_plan[@]}" --on_peer_lost shrink 2>&1)"
+  sh_rc=$?
+  set -e
+  sh_digest="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$sh_out")"
+  if [ "$sh_rc" -ne 0 ] || [ -z "$early_fixed" ] || [ "$sh_digest" != "$early_fixed" ]; then
+    echo "early-crash shrink run $i: exit $sh_rc, digest '$sh_digest' != fixed '$early_fixed'" >&2
+    echo "$sh_out" >&2
+    exit 1
+  fi
+done
 
 # Sanitized multi-job soak: 4 complete scenario instances resize
-# concurrently in one process under depsan. Per-job keying of the
-# checkpoint store, boundary registry and trace epochs is what this
-# breaks without; every job's digest must equal the fixed-rank run's.
+# concurrently in one process under depsan. Each run owning its
+# checkpoints and boundary snapshots is what this breaks without; every
+# job's digest must equal the fixed-rank run's.
 echo "==> sanitized 4-job elastic soak: dataflow"
 soak_out="$(timeout 120 "$MINIAMR" --variant dataflow "${el_mesh[@]}" --sanitize \
     --jobs 4 --resize_at 2:8 --resize_at 4:3 2>&1)"
