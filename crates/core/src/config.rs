@@ -137,8 +137,10 @@ pub struct Config {
     /// driver keeps the two in sync.
     pub ranks_per_node: usize,
     /// Eager-protocol threshold in bytes used by the coalescer to decide
-    /// which aggregates are worth merging (mirrors
-    /// [`vmpi::FabricParams::eager_threshold`]).
+    /// which aggregates are worth merging, and by the data-flow stream to
+    /// decide which packs send (mirrors
+    /// [`vmpi::FabricParams::eager_threshold`]; a run clamps it to its
+    /// world's [`vmpi::NetworkModel::eager_threshold`]).
     pub eager_bytes: usize,
     /// Reproduce the seed's group-size-relative communication-buffer
     /// offsets in the data-flow variant (`--legacy_group_offsets`).
@@ -152,7 +154,9 @@ pub struct Config {
     /// out-of-order receives match wrong-size payloads — a fatal
     /// `Truncated` transfer that kills the delivery thread and deadlocks
     /// the run. Kept as an ablation so the stall watchdog has a known
-    /// in-tree deadlock to detect (see `scripts/ci.sh`).
+    /// in-tree deadlock to detect (see `scripts/ci.sh`); the stream keeps
+    /// the seed's four tasks for every message too, whose receive tasks
+    /// post up front and make the hang land the same way on every run.
     pub legacy_group_offsets: bool,
 }
 

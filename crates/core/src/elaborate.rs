@@ -27,11 +27,13 @@
 //! union of its members' accesses and runs them in emission order, so a
 //! block at or above the floor gets a batch of one and the stream of a
 //! coarse mesh is the one-task-per-item stream. The message-coupled kinds
-//! (`recv`, `pack`, `send`, `unpack`) are never fused: an unpack fused
-//! across messages would wait for the slowest of them (DESIGN.md, "Task
-//! grain").
+//! (`recv`, `pack`, `send`, `unpack`) are fused within a message, never
+//! across it — an unpack fused across messages would wait for the slowest
+//! of them. A message of one section is two tasks: the pack sends it
+//! (when the send is eager) and the unpack's on-ready gate receives it
+//! (DESIGN.md, "Task grain").
 
-use crate::comm_plan::CommPlan;
+use crate::comm_plan::{CommPlan, MsgPlan};
 use crate::config::Config;
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockLayout;
@@ -173,17 +175,18 @@ pub enum Work {
     },
 }
 
-impl Work {
-    /// Work items the task runs: the members of a batch, one otherwise —
-    /// what a one-task-per-item elaboration would have spawned.
-    pub fn items(&self) -> usize {
-        match self {
-            Work::LocalCopies { transfers: r }
-            | Work::Boundaries { fills: r }
-            | Work::Stencils { blocks: r }
-            | Work::ChecksumLocals { slots: r } => r.len(),
-            Work::Recv { .. } | Work::Pack { .. } | Work::Send { .. } | Work::Unpack { .. } => 1,
-        }
+/// Work items a task runs: the members of a batch, two for a pack or
+/// unpack that also carries its message's endpoint (it sends or receives
+/// a one-section message), one otherwise — what a one-task-per-item
+/// elaboration would have spawned.
+pub fn items(spec: &TaskSpec<Work>) -> usize {
+    match &spec.work {
+        Work::LocalCopies { transfers: r }
+        | Work::Boundaries { fills: r }
+        | Work::Stencils { blocks: r }
+        | Work::ChecksumLocals { slots: r } => r.len(),
+        Work::Pack { .. } | Work::Unpack { .. } => 1 + usize::from(spec.comm.is_some()),
+        Work::Recv { .. } | Work::Send { .. } => 1,
     }
 }
 
@@ -283,18 +286,28 @@ impl ElabCtx<'_> {
         } else {
             self.cfg.var_group(0).len()
         };
+        // A message of one section is two tasks (a pack that sends, an
+        // unpack that receives). `legacy_group_offsets` reproduces the
+        // seed's stream as a whole, four tasks a message: its receive
+        // tasks post every receive up front, which is what makes the
+        // aliasing bug hang the same way on every run.
+        let one_section = |m: &MsgPlan| m.transfers.len() == 1 && !self.cfg.legacy_group_offsets;
         for dir in Dir::ALL {
             let d = dir.index();
 
             // Receive tasks: out-dependency on the buffer section; the
             // task-aware receive binds arrival to dependency release.
-            // The four message-coupled kinds jump the ready queue
-            // (priority 1): receives posted early maximize overlap, and a
-            // pack on the way to a send or an unpack released by an
-            // arriving message must not queue behind every ready interior
-            // copy and stencil before the chain unpack → copies → stencil
-            // → pack → send of the next stage can start.
+            // The message-coupled kinds jump the ready queue (priority 1):
+            // receives posted early maximize overlap, and a pack on the
+            // way to a send or an unpack released by an arriving message
+            // must not queue behind every ready interior copy and stencil
+            // before the chain unpack → copies → stencil → pack → send of
+            // the next stage can start. A one-section message has no
+            // receive task: its unpack posts the receive (below).
             for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Inbound) {
+                if one_section(m) {
+                    continue;
+                }
                 let lo = m.recv_offset * gb;
                 let hi = lo + m.elems_per_var * g;
                 sub.submit(TaskSpec {
@@ -310,35 +323,51 @@ impl ElabCtx<'_> {
             }
 
             // Pack + send tasks. The send multi-depends on every section
-            // the packers write (§IV-A).
+            // the packers write (§IV-A). A pack that fills a whole
+            // message sends it too, when the send is eager (at most
+            // `Config::eager_bytes`, which a run clamps to its transport's
+            // threshold): one task, declaring what the two declared (the
+            // block `in`, the section `inout`). A rendezvous send
+            // completes only once the peer has posted the receive, which
+            // the peer's unpack posts when its block is free of the peer's
+            // own packs — so a pack that held its block until then would
+            // wait for a pack that waits for it.
             for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Outbound) {
+                let intent = tampi::isend_intent(m.dst_rank, m.tag, m.elems_per_var * g);
+                let bytes = intent.elems * std::mem::size_of::<f64>();
+                let sends = one_section(m) && bytes <= self.cfg.eager_bytes;
                 let mut section_accesses = AccessList::with_capacity(m.transfers.len());
                 for (ti, t) in m.transfers.iter().enumerate() {
                     let slo = m.send_offset * gb + t.offset_in_msg * g;
                     let shi = slo + t.elems_per_var * g;
                     let section = Region::new(send_obj[d], slo..shi);
-                    section_accesses.push(Access::read(section.clone()));
+                    let section = if sends {
+                        Access::read_write(section)
+                    } else {
+                        section_accesses.push(Access::read(section.clone()));
+                        Access::write(section)
+                    };
+                    let block = self.block_region(self.objs[t.src_pos], vars.clone());
                     sub.submit(TaskSpec {
                         label: "pack",
                         priority: 1,
-                        accesses: AccessList::from_iter([
-                            Access::read(self.block_region(self.objs[t.src_pos], vars.clone())),
-                            Access::write(section),
-                        ]),
-                        comm: None,
+                        accesses: AccessList::from_iter([Access::read(block), section]),
+                        comm: sends.then(|| intent.clone()),
                         work: Work::Pack {
                             msg: mi,
                             transfer: ti,
                         },
                     });
                 }
-                sub.submit(TaskSpec {
-                    label: "send",
-                    priority: 1,
-                    accesses: section_accesses,
-                    comm: Some(tampi::isend_intent(m.dst_rank, m.tag, m.elems_per_var * g)),
-                    work: Work::Send { msg: mi },
-                });
+                if !sends {
+                    sub.submit(TaskSpec {
+                        label: "send",
+                        priority: 1,
+                        accesses: section_accesses,
+                        comm: Some(intent),
+                        work: Work::Send { msg: mi },
+                    });
+                }
             }
 
             // Intra-process copies (already taskified by Rico et al.),
@@ -369,21 +398,31 @@ impl ElabCtx<'_> {
             // block) would make the packs — and through them the sends —
             // wait on data from the peer, closing a cross-rank cycle.
             // Batches keep that order: fusion stays inside one label of
-            // one direction.
+            // one direction. The unpack of a one-section message receives
+            // it as well, from its on-ready gate: the receive is posted
+            // when the unpack's last predecessor has released, and the
+            // message is one more predecessor. The section is `inout`,
+            // because the receive writes it in the unpack's name: the
+            // next message into it (the next group's or stage's) is then
+            // received only after this unpack has read it.
             for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Inbound) {
+                let receives = one_section(m);
                 for (ti, t) in m.transfers.iter().enumerate() {
                     let slo = m.recv_offset * gb + t.offset_in_msg * g;
                     let shi = slo + t.elems_per_var * g;
+                    let section = Region::new(recv_obj[d], slo..shi);
+                    let section = if receives {
+                        Access::read_write(section)
+                    } else {
+                        Access::read(section)
+                    };
+                    let block = self.block_region(self.objs[t.dst_pos], vars.clone());
                     sub.submit(TaskSpec {
                         label: "unpack",
                         priority: 1,
-                        accesses: AccessList::from_iter([
-                            Access::read(Region::new(recv_obj[d], slo..shi)),
-                            Access::read_write(
-                                self.block_region(self.objs[t.dst_pos], vars.clone()),
-                            ),
-                        ]),
-                        comm: None,
+                        accesses: AccessList::from_iter([section, Access::read_write(block)]),
+                        comm: receives
+                            .then(|| tampi::irecv_intent(m.src_rank, m.tag, m.elems_per_var * g)),
                         work: Work::Unpack {
                             msg: mi,
                             transfer: ti,
@@ -463,6 +502,7 @@ mod tests {
     use dfcheck::{Event, Recorder};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use taskrt::CommKind;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -601,7 +641,7 @@ mod tests {
                 let Event::Task(spec, _) = ev else {
                     panic!("elaboration emits no barrier");
                 };
-                assert_eq!(spec.work.items(), 1, "{} fused above the floor", spec.label);
+                assert_eq!(items(spec), 1, "{} fused above the floor", spec.label);
                 *counts.entry(spec.label).or_default() += 1;
                 labels.push(spec.label);
             }
@@ -647,5 +687,94 @@ mod tests {
             ("unpack", 32),
         ];
         assert_eq!(counts.into_iter().collect::<Vec<_>>(), pinned);
+    }
+
+    /// With `--send_faces` every message has one section: it takes two
+    /// tasks, a pack that sends (block `in`, section `inout`, the send
+    /// endpoint) and an unpack that receives (section `inout`, block
+    /// `inout`, the receive endpoint), and no `recv` or `send` task —
+    /// unless its send is a rendezvous, which keeps its own task, or the
+    /// stream is the seed's (`legacy_group_offsets`).
+    #[test]
+    fn one_section_messages_take_two_tasks() {
+        let mut cfg = Config::smoke_test();
+        cfg.send_faces = true;
+        let layout = BlockLayout::of(&cfg.params);
+        let mut dir = MeshDirectory::initial(cfg.params.clone());
+        dir.refine_to_fixpoint(&cfg.objects);
+        let plan = CommPlan::build(&cfg, &dir, 2);
+        let nv = cfg.params.num_vars;
+        let stream = |cfg: &Config| {
+            let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+            for rank in 0..2 {
+                let objs: Vec<ObjId> = dir.blocks_of(rank).iter().map(|_| ObjId::fresh()).collect();
+                let ctx = ElabCtx {
+                    cfg,
+                    layout,
+                    rank,
+                    objs: &objs,
+                };
+                let (send_obj, recv_obj) = (ObjId::fresh(), ObjId::fresh());
+                let mut rec: Recorder<Work> = Recorder::new();
+                ctx.communicate(&plan, [send_obj; 3], [recv_obj; 3], 0..nv, &mut rec);
+                for ev in &rec.stream {
+                    let Event::Task(spec, _) = ev else {
+                        panic!("elaboration emits no barrier");
+                    };
+                    *counts.entry(spec.label).or_default() += 1;
+                    let modes: Vec<_> = spec.accesses.iter().map(|a| a.mode).collect();
+                    let kind = spec.comm.as_ref().map(|c| c.kind);
+                    match (&spec.work, kind) {
+                        (Work::Pack { .. }, Some(CommKind::Send)) => {
+                            assert_eq!(modes, [AccessMode::In, AccessMode::InOut]);
+                            assert_eq!(spec.accesses[1].region.obj, send_obj);
+                            assert_eq!(items(spec), 2);
+                        }
+                        (Work::Unpack { .. }, Some(CommKind::Recv)) => {
+                            assert_eq!(modes, [AccessMode::InOut, AccessMode::InOut]);
+                            assert_eq!(spec.accesses[0].region.obj, recv_obj);
+                            assert_eq!(items(spec), 2);
+                        }
+                        (Work::Pack { .. } | Work::Unpack { .. }, None) => {
+                            assert_eq!(items(spec), 1)
+                        }
+                        (Work::Send { .. }, Some(CommKind::Send))
+                        | (Work::Recv { .. }, Some(CommKind::Recv)) => {}
+                        (_, kind) => assert_eq!(kind, None, "{}", spec.label),
+                    }
+                }
+            }
+            counts
+        };
+        let eager = stream(&cfg);
+        let msgs = plan.msgs.len();
+        assert_eq!((eager["pack"], eager["unpack"]), (msgs, msgs));
+        assert!(!eager.contains_key("recv") && !eager.contains_key("send"));
+        // Every payload over the eager limit: the send keeps its task.
+        let rendezvous = stream(&Config {
+            eager_bytes: 0,
+            ..cfg.clone()
+        });
+        assert_eq!(
+            (rendezvous["pack"], rendezvous["send"], rendezvous["unpack"]),
+            (msgs, msgs, msgs)
+        );
+        assert!(!rendezvous.contains_key("recv"));
+        // The seed's stream under its offsets: four tasks a message.
+        let legacy = stream(&Config {
+            legacy_group_offsets: true,
+            ..cfg.clone()
+        });
+        let four = ["pack", "recv", "send", "unpack"].map(|l| legacy[l]);
+        assert_eq!(four, [msgs; 4]);
+        // The refined smoke mesh of both ranks, one group: the 32 faces
+        // that the aggregated stream packs into one message each way.
+        let pinned = [
+            ("boundary", 6),
+            ("local_copy", 7),
+            ("pack", 32),
+            ("unpack", 32),
+        ];
+        assert_eq!(eager.into_iter().collect::<Vec<_>>(), pinned);
     }
 }

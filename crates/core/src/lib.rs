@@ -97,6 +97,21 @@ pub(crate) fn run_rank_span(
     ts_end: usize,
     ctx: &elastic::RunCtx,
 ) -> (RunStats, elastic::SpanCarry) {
+    // Whether a send is eager is the transport's decision. A config that
+    // promises more than the world's threshold is clamped to it: the task
+    // stream fuses a send into its pack only when the send is eager, and
+    // a pack holding its block behind a rendezvous send would wait for
+    // the peer's pack doing the same.
+    let clamped;
+    let cfg = if cfg.eager_bytes > comm.eager_threshold() {
+        clamped = Config {
+            eager_bytes: comm.eager_threshold(),
+            ..cfg.clone()
+        };
+        &clamped
+    } else {
+        cfg
+    };
     obs::set_thread_rank(cfg.obs_rank(comm.rank()));
     let exec = variant::executor(cfg, comm.rank());
     let (mut stats, carry) = variant::run_span(&*exec, cfg, comm, start, ts_end, ctx);

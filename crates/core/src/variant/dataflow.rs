@@ -13,7 +13,11 @@
 //!   on the receive section and write the ghost plane (`inout` block).
 //!   Since a receive task's dependencies only release when the payload
 //!   has arrived, unpackers start exactly when their data is ready — no
-//!   `waitany` loop exists anywhere (§IV-A).
+//!   `waitany` loop exists anywhere (§IV-A). A message of one section
+//!   (`--send_faces`) is two tasks: its pack posts the send at the end of
+//!   its body when the send is eager, and its unpack (`inout` section)
+//!   posts the receive from an on-ready gate, so the message is one more
+//!   predecessor of the unpack.
 //! * **stencil** tasks (`inout` block/vars) chain naturally behind the
 //!   unpackers and in front of the next stage's packers; stages overlap
 //!   without any barrier.
@@ -28,7 +32,7 @@
 //!   through the task-aware layer.
 
 use crate::config::Config;
-use crate::elaborate::{ElabCtx, Work};
+use crate::elaborate::{self, ElabCtx, Work};
 use crate::exchange::{run_refinement, BlockMover, RefineJob};
 use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
@@ -270,7 +274,7 @@ impl Submitter<Work> for LiveSub<'_> {
             comm, plan, bufs, ..
         } = self.cx;
         self.batched_items
-            .set(self.batched_items.get() + spec.work.items() as u64 - 1);
+            .set(self.batched_items.get() + elaborate::items(&spec) as u64 - 1);
         let builder = self.rt.task().label(spec.label).priority(spec.priority);
         let sh = Arc::clone(&self.shared);
         let task = match spec.work {
@@ -290,6 +294,9 @@ impl Submitter<Work> for LiveSub<'_> {
             Work::Pack { msg, transfer } => {
                 let r = &spec.accesses[1].region;
                 let slice = bufs.send[plan.msgs[msg].dir.index()].slice(r.start..r.end);
+                // A pack with an endpoint fills its whole message and sends
+                // it as well.
+                let send = (spec.comm.as_ref()).map(|i| (Arc::clone(comm), i.peer, i.tag));
                 builder.body_fn(move || {
                     let t = &sh.plan.msgs[msg].transfers[transfer];
                     let src = &sh.blocks[t.src_pos];
@@ -297,7 +304,12 @@ impl Submitter<Work> for LiveSub<'_> {
                         slice.with_write(|dst| {
                             pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
                         });
-                    })
+                    });
+                    if let Some((comm, dst, tag)) = &send {
+                        record(sh.trace.as_ref(), Kind::Send, || {
+                            tampi::isend_from(comm, &slice, *dst, *tag).expect("pack task")
+                        })
+                    }
                 })
             }
             Work::Send { msg } => {
@@ -323,6 +335,19 @@ impl Submitter<Work> for LiveSub<'_> {
             Work::Unpack { msg, transfer } => {
                 let r = &spec.accesses[0].region;
                 let slice = bufs.recv[plan.msgs[msg].dir.index()].slice(r.start..r.end);
+                // An unpack with an endpoint empties its whole message and
+                // receives it too, from its on-ready gate.
+                let builder = match &spec.comm {
+                    Some(intent) => {
+                        let (src, tag) = (intent.peer as i32, intent.tag);
+                        let (comm, slice) = (Arc::clone(comm), slice.clone());
+                        builder.on_ready(move |gate| {
+                            tampi::irecv_on_ready(&comm, slice.clone(), src, tag, gate)
+                                .expect("unpack gate")
+                        })
+                    }
+                    None => builder,
+                };
                 builder.body_fn(move || {
                     let t = &sh.plan.msgs[msg].transfers[transfer];
                     let dst = &sh.blocks[t.dst_pos];

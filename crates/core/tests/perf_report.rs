@@ -2,14 +2,18 @@
 //! a schema-valid perf report whose per-timestep critical paths explain
 //! wall-clock exactly, whose per-rank overlap agrees with the legacy
 //! recorder, and whose message nodes stitch sends to deliveries across
-//! ranks (the Perfetto flow arrows).
+//! ranks (the Perfetto flow arrows) — with aggregated messages, and with
+//! `--send_faces`, where every message is sent by its pack and received
+//! by its unpack's on-ready gate.
 //!
 //! Lives in its own integration-test binary: enabling the bus is
 //! process-global and sticky, so it must not leak into other tests.
 
 use miniamr::{Config, Variant};
 use obs::report::PerfReport;
-use obs::span::SpanGraph;
+use obs::span::{Category, SpanGraph};
+use obs::EventData;
+use std::collections::HashMap;
 use vmpi::NetworkModel;
 
 #[test]
@@ -17,7 +21,12 @@ fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
     // Size the rings so nothing is dropped — the parity assertions below
     // require the analyzer and the recorder to see the same intervals.
     obs::enable_with_capacity(1 << 18);
+    for send_faces in [false, true] {
+        check_run(send_faces);
+    }
+}
 
+fn check_run(send_faces: bool) {
     let mut cfg = Config::smoke_test();
     cfg.params.npx = 2;
     cfg.params.npy = 2;
@@ -25,6 +34,7 @@ fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
     cfg.variant = Variant::DataFlow;
     cfg.num_tsteps = 2;
     cfg.trace = true;
+    cfg.send_faces = send_faces;
     let n_ranks = cfg.params.num_ranks();
     assert_eq!(n_ranks, 4);
 
@@ -65,6 +75,46 @@ fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
         chrome.contains("\"ph\":\"s\""),
         "flow arrows missing from export"
     );
+
+    if send_faces {
+        // Every face message is posted by a pack (still Pack on the
+        // critical path) and delivered into an unpack, which posted the
+        // receive from its gate under its own task id. (Task ids are per
+        // rank, so a task is named by its rank and id.)
+        let labels: HashMap<(u32, u64), &str> = (drained.events.iter())
+            .filter_map(|ev| match ev.data {
+                EventData::TaskStart { id, label } => Some(((ev.rank, id), label)),
+                _ => None,
+            })
+            .collect();
+        let label = |rank: u32, id: u64| labels.get(&(rank, id)).copied().unwrap_or("");
+        // Control messages and collectives are posted by the main thread
+        // (task 0), moved blocks by `exchange_send` tasks.
+        let faces: Vec<_> = (delivered.iter())
+            .filter(|m| m.src != m.dst && m.send_task != 0)
+            .filter(|m| label(m.src, m.send_task) != "exchange_send")
+            .collect();
+        assert!(!faces.is_empty(), "no face message between ranks");
+        for m in &faces {
+            let (sender, receiver) = (label(m.src, m.send_task), label(m.dst, m.recv_task));
+            assert_eq!(sender, "pack", "match {}", m.match_id);
+            assert_eq!(Category::of_label(sender), Category::Pack);
+            assert_eq!(receiver, "unpack", "match {}", m.match_id);
+        }
+        let matched: HashMap<u64, u64> = (drained.events.iter())
+            .filter_map(|ev| match ev.data {
+                EventData::MsgMatched {
+                    match_id,
+                    recv_task,
+                    ..
+                } => Some((match_id, recv_task)),
+                _ => None,
+            })
+            .collect();
+        for m in &faces {
+            assert_eq!(matched.get(&m.match_id), Some(&m.recv_task));
+        }
+    }
 
     // --- Report schema round-trip --------------------------------------
     let report = PerfReport::from_events(&drained.events, drained.dropped);

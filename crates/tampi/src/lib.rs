@@ -19,6 +19,17 @@
 //! runs on the transport's delivery thread — the analogue of TAMPI's
 //! internal progress engine.
 //!
+//! A receive can also skip its task altogether: [`irecv_on_ready`] posts
+//! it from the *consumer's* on-ready gate ([`taskrt::GateHold`], OmpSs-2's
+//! `onready`), so the message becomes one more predecessor of the task
+//! that reads it. The gate runs when that task's last predecessor
+//! releases — never earlier, so the previous message into the same
+//! buffer section has been read by then — and again on every replay
+//! re-arm of the task. With the send issued at the end of the producing
+//! task ([`isend_from`] after the pack, in the same body), a message costs
+//! two tasks instead of four; "Integrating Blocking and Non-Blocking MPI
+//! Primitives with Task-Based Programming Models" describes both shapes.
+//!
 //! ## Example: data-flow ring exchange
 //!
 //! ```
@@ -102,30 +113,29 @@ pub fn iwait(request: &Request) {
     }
     let hold = taskrt::current_event_hold();
     let req = request.clone();
-    request.on_complete(move |status| {
-        if status.source == usize::MAX {
-            match req.error() {
-                Some(e) if world_teardown(&e) => {
-                    hold.fail(format!("tampi-bound transfer failed: {e}"));
-                    return;
-                }
-                Some(e) => panic!("tampi-bound transfer failed: {e}"),
-                None => panic!("tampi-bound transfer failed"),
-            }
-        }
-        hold.release();
+    request.on_complete(move |status| match outcome(&req, status, "transfer") {
+        Ok(()) => hold.release(),
+        Err(msg) => hold.fail(msg),
     });
 }
 
-/// Failures that mean the whole rank world is going away (elastic
-/// teardown / peer loss) rather than a per-transfer protocol error like
-/// a truncated receive. The former unwind gracefully through `taskwait`;
-/// the latter stay fatal on the delivery thread.
-fn world_teardown(e: &vmpi::VmpiError) -> bool {
-    matches!(
-        e,
-        vmpi::VmpiError::WorldDown | vmpi::VmpiError::PeerLost { .. }
-    )
+/// What a bound request's completion means for its task: `Ok` to go on,
+/// `Err` with the message to poison the task runtime with when the whole
+/// rank world is going away (elastic teardown, peer loss) — that unwinds
+/// gracefully through `taskwait`. Any other failure is a per-transfer
+/// protocol error, like a truncated receive, and stays fatal on the
+/// thread that completed the request.
+fn outcome(req: &Request, status: &vmpi::Status, what: &str) -> std::result::Result<(), String> {
+    if status.source != usize::MAX {
+        return Ok(());
+    }
+    match req.error() {
+        Some(e @ (vmpi::VmpiError::WorldDown | vmpi::VmpiError::PeerLost { .. })) => {
+            Err(format!("tampi-bound {what} failed: {e}"))
+        }
+        Some(e) => panic!("tampi-bound {what} failed: {e}"),
+        None => panic!("tampi-bound {what} failed"),
+    }
 }
 
 /// Cached handle for the `tampi.bound_requests` counter.
@@ -189,19 +199,50 @@ where
     };
     let req2 = req.clone();
     req.on_complete(move |status| {
-        if status.source == usize::MAX {
-            match req2.error() {
-                Some(e) if world_teardown(&e) => {
-                    hold.fail(format!("tampi-bound receive failed: {e}"));
-                    return;
-                }
-                Some(e) => panic!("tampi-bound receive failed: {e}"),
-                None => panic!("tampi-bound receive failed"),
-            }
+        if let Err(msg) = outcome(&req2, status, "receive") {
+            return hold.fail(msg);
         }
         let data = req2.take_data::<T>().expect("typed payload");
         depsan::with_scope(scope, || consume(data));
         hold.release();
+    });
+    Ok(())
+}
+
+/// Task-aware receive posted from an on-ready gate
+/// ([`taskrt::TaskBuilder::on_ready`], OmpSs-2's `onready`): posts the
+/// receive into `slice` and opens `gate` when the payload has been
+/// written, so the gated task — the consumer of the message — starts
+/// exactly when its data is there, and no task of its own is spent on
+/// posting the receive.
+///
+/// The gate runs once the consumer's last predecessor has released, so
+/// the receive is posted after every earlier reader of `slice` is done:
+/// a consumer that declares `slice` `inout` (it is written under the
+/// consumer's own sanitizer scope, as the receive's) orders the next
+/// message into the same buffer behind its own read. The gate runs as
+/// the task (its sanitizer scope and obs task id), so the receive and its
+/// delivery belong to the consumer in depsan's happens-before graph and
+/// in the obs message records (`recv_task`).
+///
+/// Failures complete the gate the way [`iwait`] completes an event hold:
+/// a world teardown poisons the runtime and opens the gate; a protocol
+/// error panics.
+pub fn irecv_on_ready<T: Pod>(
+    comm: &Comm,
+    slice: BufSlice<T>,
+    src: i32,
+    tag: i32,
+    gate: taskrt::GateHold,
+) -> Result<()> {
+    let req = comm.irecv_into(slice, src, tag)?;
+    if obs::is_enabled() {
+        bound_requests().inc();
+    }
+    let req2 = req.clone();
+    req.on_complete(move |status| match outcome(&req2, status, "receive") {
+        Ok(()) => gate.open(),
+        Err(msg) => gate.fail(msg),
     });
     Ok(())
 }

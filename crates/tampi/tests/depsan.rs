@@ -128,6 +128,62 @@ fn tag_size_mismatch_is_reported() {
     );
 }
 
+/// Two same-tag receives of different sizes whose posting tasks are not
+/// ordered are ambiguous even when they are never in flight together:
+/// here each message is sent just before its receive is posted, and the
+/// second is sent only once the first receive has taken its message (the
+/// main thread waits for it outside the task graph, so nothing orders the
+/// two posting tasks). The same two posts ordered by a dependency are not.
+#[test]
+fn unordered_same_tag_receives_are_ambiguous_even_one_at_a_time() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let _guard = setup();
+    for ordered in [false, true] {
+        let world = World::new(1, NetworkModel::instant());
+        world.run(|comm| {
+            let comm = Arc::new(comm);
+            let rt = Runtime::new(1);
+            let (a, b) = (ObjId::fresh(), ObjId::fresh());
+            for (n, obj) in [(2, a), (3, b)] {
+                comm.send(&vec![1.0f64; n], 0, 7).unwrap();
+                let buf = SharedBuffer::<f64>::new(n);
+                buf.bind_obj(obj.0);
+                let (c, slice) = (Arc::clone(&comm), buf.full());
+                let posted = Arc::new(AtomicBool::new(false));
+                let p = Arc::clone(&posted);
+                let mut task = rt.task().out(Region::new(obj, 0..n));
+                if ordered && obj == b {
+                    task = task.input(Region::new(a, 0..2));
+                }
+                task.body(move || {
+                    // The message is queued: the receive matches it here.
+                    tampi::irecv_into(&c, slice, 0, 7).unwrap();
+                    p.store(true, Ordering::SeqCst);
+                })
+                .spawn();
+                while !posted.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            rt.taskwait();
+        });
+        drop(world);
+        let violations = depsan::take_violations();
+        if ordered {
+            assert!(violations.is_empty(), "{violations:?}");
+        } else {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.kind == depsan::ViolationKind::AmbiguousRecv
+                        && v.detail.contains("not ordered")),
+                "{violations:?}"
+            );
+        }
+    }
+}
+
 /// A pending receive left unmatched at world teardown is a finalize
 /// leak.
 #[test]

@@ -1,4 +1,4 @@
-//! External events: deferred dependency release.
+//! External events: deferred dependency release, and deferred start.
 //!
 //! OmpSs-2 lets external agents (like a task-aware MPI library) bind a
 //! task's dependency release to events that outlive the task body. An
@@ -7,6 +7,10 @@
 //! `tampi` crate acquires one hold per in-flight communication request
 //! and drops it from the request's completion callback — exactly the
 //! `TAMPI_Iwait` contract of the paper (§II-B).
+//!
+//! A [`GateHold`] binds the other end of a task to an event: the task's
+//! on-ready gate receives one, and the task does not start before it is
+//! dropped.
 
 use crate::task::TaskShared;
 use std::sync::Arc;
@@ -85,5 +89,56 @@ impl std::fmt::Debug for EventHold {
             Some(t) => write!(f, "EventHold(task {})", t.id),
             None => write!(f, "EventHold(released)"),
         }
+    }
+}
+
+/// Keeps a gated task out of the ready queue until dropped: the other
+/// half of the external-event contract, deferring a task's *start*
+/// rather than its release.
+///
+/// OmpSs-2's `onready` clause: a task declared with an on-ready gate
+/// ([`crate::TaskBuilder::on_ready`]) runs the gate when its last
+/// predecessor releases, handing it one of these, and becomes ready when
+/// the hold opens. The `tampi` crate posts a receive there and opens the
+/// hold from the request's completion, which makes the arriving message
+/// one more predecessor of the task that consumes it. The gate runs again
+/// after every re-arm of the task, and never while a predecessor is live
+/// (inside `spawn` when none is): whatever they still read or write stays
+/// theirs until then.
+pub struct GateHold {
+    task: Option<Arc<TaskShared>>,
+}
+
+impl GateHold {
+    pub(crate) fn new(task: Arc<TaskShared>) -> GateHold {
+        GateHold { task: Some(task) }
+    }
+
+    /// Opens the gate (equivalent to dropping the hold).
+    pub fn open(mut self) {
+        self.open_inner();
+    }
+
+    /// Opens the gate while poisoning the owning runtime: the event it
+    /// waited for failed (the receive died with the world). The task still
+    /// runs and the graph keeps draining; the next `taskwait` on the
+    /// rank's main thread rethrows the failure.
+    pub fn fail(mut self, msg: String) {
+        if let Some(task) = &self.task {
+            task.rt.poison(msg);
+        }
+        self.open_inner();
+    }
+
+    fn open_inner(&mut self) {
+        if let Some(task) = self.task.take() {
+            task.dep_satisfied(false);
+        }
+    }
+}
+
+impl Drop for GateHold {
+    fn drop(&mut self) {
+        self.open_inner();
     }
 }

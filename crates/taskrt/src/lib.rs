@@ -20,6 +20,11 @@
 //!   dependencies are released only after the body finished *and* all
 //!   holds were dropped. This is the hook the `tampi` crate uses to bind
 //!   in-flight communication requests to tasks (`TAMPI_Iwait` semantics).
+//!   The other end is an **on-ready gate** ([`TaskBuilder::on_ready`],
+//!   OmpSs-2's `onready`): a re-runnable closure that runs when the
+//!   task's last predecessor releases and holds the task back until the
+//!   [`GateHold`] it is handed opens — `tampi` posts a receive there, and
+//!   the message becomes one more predecessor of the task that reads it.
 //! * **Work-stealing scheduling with an immediate-successor policy.**
 //!   Each worker owns a LIFO deque and steals when idle; when a finishing
 //!   task unblocks successors, the worker runs one of them next so data
@@ -74,7 +79,7 @@ mod submit;
 mod task;
 mod trace;
 
-pub use events::EventHold;
+pub use events::{EventHold, GateHold};
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};

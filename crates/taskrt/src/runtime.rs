@@ -1,9 +1,10 @@
 //! The runtime: spawning, task building, taskwait.
 
+use crate::events::GateHold;
 use crate::region::{Access, Region};
 use crate::registry::Registry;
 use crate::scheduler::Scheduler;
-use crate::task::{AccessList, SuccessorList, TaskBody, TaskLinks, TaskShared};
+use crate::task::{AccessList, Gate, SuccessorList, TaskBody, TaskLinks, TaskShared};
 use crate::trace::{self, Route, TraceCache};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -239,6 +240,7 @@ impl RtInner {
             // become ready while its edges are still being created.
             pending: AtomicUsize::new(1),
             events: AtomicUsize::new(1),
+            gate_posted: AtomicBool::new(false),
             state: Mutex::new(TaskLinks {
                 released: false,
                 successors: SuccessorList::new(),
@@ -300,6 +302,18 @@ impl RtInner {
         let Some(live_set) = &self.live_set else {
             return out;
         };
+        // What a task that holds up the graph on its own is waiting for: a
+        // TAMPI event (its awaited message has not arrived, or its send
+        // has not drained) or its on-ready gate (the receive it posted has
+        // not been matched).
+        let awaiting = |task: &TaskShared| -> Option<String> {
+            let holds = task.events.load(Ordering::Relaxed).saturating_sub(1);
+            if task.awaiting_gate() {
+                Some("[awaiting gate]".into())
+            } else {
+                (holds > 0).then(|| format!("[awaiting {holds} event hold(s)]"))
+            }
+        };
         for task in live_set.snapshot() {
             let pending = task.pending.load(Ordering::Relaxed);
             let events = task.events.load(Ordering::Relaxed);
@@ -310,11 +324,16 @@ impl RtInner {
             };
             let _ = write!(
                 out,
-                "task {} '{}' pending_preds={} event_holds={} accesses=[",
+                "task {} '{}' pending_preds={} event_holds={}{} accesses=[",
                 task.id,
                 label,
                 pending,
                 events.saturating_sub(1),
+                if task.awaiting_gate() {
+                    " awaiting_gate"
+                } else {
+                    ""
+                },
             );
             for (i, a) in task.accesses.iter().enumerate() {
                 let mode = match a.mode {
@@ -333,13 +352,12 @@ impl RtInner {
             out.push_str("]\n");
         }
         // Longest currently-blocked causal chain: a task still holding a
-        // TAMPI event (its awaited message has not arrived) transitively
-        // blocks every successor downstream of it. Walking successor
-        // edges from each hold-blocked task names the chain the stall
-        // propagates through; the awaited message itself shows up in the
-        // "vmpi mailboxes" diag section, whose pending receives name
-        // their posting task — together: task → awaited message →
-        // sender rank.
+        // TAMPI event, or still waiting for its gate, transitively blocks
+        // every successor downstream of it. Walking successor edges from
+        // each such task names the chain the stall propagates through;
+        // the awaited message itself shows up in the "vmpi mailboxes"
+        // diag section, whose pending receives name their posting task —
+        // together: task → awaited message → sender rank.
         fn longest_chain(
             task: &Arc<TaskShared>,
             memo: &mut HashMap<u64, Vec<(u64, &'static str)>>,
@@ -369,19 +387,17 @@ impl RtInner {
             memo.insert(task.id, chain.clone());
             chain
         }
-        let blocked: Vec<Arc<TaskShared>> = live_set
-            .snapshot()
-            .into_iter()
-            .filter(|t| t.events.load(Ordering::Relaxed) > 1)
-            .collect();
         let mut memo: HashMap<u64, Vec<(u64, &'static str)>> = HashMap::new();
         let mut best: Vec<(u64, &'static str)> = Vec::new();
-        let mut best_holds = 0usize;
-        for t in &blocked {
-            let chain = longest_chain(t, &mut memo);
+        let mut best_awaits = String::new();
+        for t in live_set.snapshot() {
+            let Some(awaits) = awaiting(&t) else {
+                continue;
+            };
+            let chain = longest_chain(&t, &mut memo);
             if chain.len() > best.len() {
                 best = chain;
-                best_holds = t.events.load(Ordering::Relaxed).saturating_sub(1);
+                best_awaits = awaits;
             }
         }
         if !best.is_empty() {
@@ -393,10 +409,7 @@ impl RtInner {
                     label
                 };
                 if i == 0 {
-                    let _ = write!(
-                        out,
-                        "task {id} '{label}' [awaiting {best_holds} event hold(s)]"
-                    );
+                    let _ = write!(out, "task {id} '{label}' {best_awaits}");
                 } else {
                     let _ = write!(out, " -> task {id} '{label}'");
                 }
@@ -550,6 +563,7 @@ impl Runtime {
             priority: 0,
             label: "",
             body: None,
+            gate: None,
         }
     }
 
@@ -790,6 +804,7 @@ pub struct TaskBuilder<'rt> {
     priority: i32,
     label: &'static str,
     body: Option<TaskBody>,
+    gate: Option<Gate>,
 }
 
 impl<'rt> TaskBuilder<'rt> {
@@ -855,7 +870,22 @@ impl<'rt> TaskBuilder<'rt> {
     /// and is called through a shared reference, so it must leave its
     /// captures in place (clone what it hands on).
     pub fn body_fn(mut self, body: impl Fn() + Send + Sync + 'static) -> Self {
-        self.body = Some(TaskBody::Many(Arc::new(body)));
+        self.body = Some(TaskBody::many(Arc::new(body)));
+        self
+    }
+
+    /// Sets an on-ready gate (OmpSs-2's `onready`): `gate` runs once the
+    /// task's last predecessor has released — inside `spawn` when it has
+    /// none left, never while one is still live — and the task becomes
+    /// ready only once the [`GateHold`] it is handed opens (dropped,
+    /// [`GateHold::open`] or [`GateHold::fail`]), from any thread, inside
+    /// the call or later. The gate runs on whichever thread released that
+    /// last predecessor (or spawned the task), under the task's sanitizer
+    /// scope and obs task id, so it must be short and must not block. It
+    /// is re-runnable: a replay re-arm ([`Runtime::replay_tasks`]) runs it
+    /// again, once the re-armed task's predecessors have released.
+    pub fn on_ready(mut self, gate: impl Fn(GateHold) + Send + Sync + 'static) -> Self {
+        self.gate = Some(Arc::new(gate));
         self
     }
 
@@ -865,7 +895,8 @@ impl<'rt> TaskBuilder<'rt> {
     ///
     /// Panics if no body was set.
     pub fn spawn(self) {
-        let body = self.body.expect("task spawned without a body");
+        let mut body = self.body.expect("task spawned without a body");
+        body.gate = self.gate;
         self.rt
             .spawn_boxed(self.accesses, self.priority, self.label, body);
     }

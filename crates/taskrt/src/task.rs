@@ -4,18 +4,27 @@
 //! released) *ready* → *running* → (body finished **and** event count
 //! zero) *released*. Release removes the task's accesses from the
 //! dependency registry, decrements successors' pending counts, and wakes
-//! `taskwait`ers.
+//! `taskwait`ers. A task with an on-ready gate
+//! ([`crate::TaskBuilder::on_ready`]) takes one more step between the
+//! first two: when its last predecessor releases, the gate runs and the
+//! task waits for it to open before it is *ready*.
 
+use crate::events::GateHold;
 use crate::region::Access;
 use crate::runtime::RtInner;
 use parking_lot::Mutex;
 use smallvec::SmallVec;
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// What a task runs.
-pub(crate) enum TaskBody {
+/// An on-ready gate: re-runnable like a [`Run::Many`] body, handed the
+/// hold that keeps the task out of the ready queue until it opens.
+pub(crate) type Gate = Arc<dyn Fn(GateHold) + Send + Sync>;
+
+/// How a task body runs.
+pub(crate) enum Run {
     /// Runs once ([`crate::TaskBuilder::body`]): taken out by the
     /// execution.
     Once(Mutex<Option<Box<dyn FnOnce() + Send>>>),
@@ -26,9 +35,44 @@ pub(crate) enum TaskBody {
     Many(Arc<dyn Fn() + Send + Sync>),
 }
 
+/// What a task runs: its body, and the on-ready gate that runs before it
+/// is ready, if it has one. The gate is re-runnable whatever the body is,
+/// so it stays with the task object through a re-arm as well.
+pub(crate) struct TaskBody {
+    pub(crate) run: Run,
+    pub(crate) gate: Option<Gate>,
+}
+
 impl TaskBody {
     pub(crate) fn once(body: impl FnOnce() + Send + 'static) -> TaskBody {
-        TaskBody::Once(Mutex::new(Some(Box::new(body))))
+        TaskBody {
+            run: Run::Once(Mutex::new(Some(Box::new(body)))),
+            gate: None,
+        }
+    }
+
+    pub(crate) fn many(body: Arc<dyn Fn() + Send + Sync>) -> TaskBody {
+        TaskBody {
+            run: Run::Many(body),
+            gate: None,
+        }
+    }
+
+    /// Whether a replay may run this body again without a new spawn.
+    pub(crate) fn rerunnable(&self) -> bool {
+        matches!(self.run, Run::Many(_))
+    }
+
+    /// A second handle on a re-runnable body and its gate (`None` for a
+    /// one-shot body).
+    pub(crate) fn share(&self) -> Option<TaskBody> {
+        match &self.run {
+            Run::Many(body) => Some(TaskBody {
+                run: Run::Many(Arc::clone(body)),
+                gate: self.gate.clone(),
+            }),
+            Run::Once(_) => None,
+        }
     }
 }
 
@@ -54,6 +98,9 @@ pub(crate) struct TaskShared {
     pub pending: AtomicUsize,
     /// Body (counted as 1) plus outstanding event holds.
     pub events: AtomicUsize,
+    /// Whether the on-ready gate has run in this run of the task (the
+    /// `pending` count that reaches zero afterwards is the gate's).
+    pub gate_posted: AtomicBool,
     pub state: Mutex<TaskLinks>,
     /// True while the task is live but absent from the claim table
     /// (its edges were installed from a replayed trace).
@@ -93,17 +140,71 @@ impl TaskShared {
         self.san_id = san_id;
         *self.pending.get_mut() = 1;
         *self.events.get_mut() = 1;
+        *self.gate_posted.get_mut() = false;
     }
 
     /// Called when a predecessor releases; enqueues the task when its last
-    /// dependency (or the registration guard) clears.
+    /// dependency (or the registration guard) clears — or, for a gated
+    /// task whose gate has not run yet, runs the gate instead.
     pub(crate) fn dep_satisfied(self: &Arc<Self>, local_hint: bool) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if let Some(bus) = obs::bus() {
-                bus.emit_for_rank(self.rt.rank(), obs::EventData::TaskReady { id: self.id });
-            }
-            self.rt.enqueue_ready(Arc::clone(self), local_hint);
+        if self.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
         }
+        if let Some(gate) = &self.body.gate {
+            if !self.gate_posted.load(Ordering::Acquire) {
+                return self.post_gate(gate, local_hint);
+            }
+        }
+        if let Some(bus) = obs::bus() {
+            bus.emit_for_rank(self.rt.rank(), obs::EventData::TaskReady { id: self.id });
+        }
+        self.rt.enqueue_ready(Arc::clone(self), local_hint);
+    }
+
+    /// Runs the on-ready gate of a task whose predecessors have all
+    /// released. The gate's hold is one more predecessor, and a guard
+    /// count is held while the gate runs (as at registration), so a gate
+    /// that opens at once, inside the call, readies the task only when
+    /// the call is over. The gate runs as the task: under its sanitizer
+    /// scope and, while observability is on, its obs rank and task id —
+    /// so a receive it posts belongs to the task, whichever thread
+    /// released the last predecessor — but not as the current task (the
+    /// body has not started; there is nothing to bind an event hold to).
+    /// A gate that panics poisons the runtime and opens: the graph keeps
+    /// draining, and the next `taskwait` rethrows.
+    fn post_gate(self: &Arc<Self>, gate: &Gate, local_hint: bool) {
+        // Nothing else touches the two fields until the hold is handed
+        // out; whichever thread opens it got it through a lock, and its
+        // `fetch_sub` in `dep_satisfied` (AcqRel) reads these stores.
+        self.pending.store(2, Ordering::Release);
+        self.gate_posted.store(true, Ordering::Release);
+        let prev_obs = obs::is_enabled().then(|| {
+            let (rank, _) = obs::thread_ctx();
+            obs::set_thread_rank(self.rt.rank());
+            (rank, obs::set_thread_task(self.id))
+        });
+        {
+            let _san = (self.san_id != 0).then(|| depsan::enter_scope(self.san_id));
+            let hold = GateHold::new(Arc::clone(self));
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| gate(hold))) {
+                self.rt.poison(format!(
+                    "on-ready gate of task '{}' (id {}) panicked: {}",
+                    self.label,
+                    self.id,
+                    panic_message(&*payload)
+                ));
+            }
+        }
+        if let Some((rank, task)) = prev_obs {
+            obs::set_thread_rank(rank);
+            obs::set_thread_task(task);
+        }
+        self.dep_satisfied(local_hint);
+    }
+
+    /// Whether the task's gate has run and not yet opened (diagnostics).
+    pub(crate) fn awaiting_gate(&self) -> bool {
+        self.gate_posted.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) > 0
     }
 
     /// Drops one event hold; the final drop (after the body finished)
@@ -170,11 +271,11 @@ impl TaskShared {
 
     /// Runs the task body on the current thread.
     pub(crate) fn execute(self: Arc<Self>) {
-        let once = match &self.body {
-            TaskBody::Once(body) => Some(body.lock().take().unwrap_or_else(|| {
+        let once = match &self.body.run {
+            Run::Once(body) => Some(body.lock().take().unwrap_or_else(|| {
                 panic!("task '{}' (id {}) executed twice", self.label, self.id)
             })),
-            TaskBody::Many(_) => None,
+            Run::Many(_) => None,
         };
         let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(&self))));
         // Publish the task id to the obs thread-task context so layers
@@ -203,22 +304,17 @@ impl TaskShared {
             // has to keep draining so taskwait wakes and can rethrow on
             // the rank's main thread (elastic shrink relies on this for a
             // clean unwind when the world is torn down mid-timestep).
-            let run = std::panic::AssertUnwindSafe(|| match (once, &self.body) {
+            let run = AssertUnwindSafe(|| match (once, &self.body.run) {
                 (Some(body), _) => body(),
-                (None, TaskBody::Many(body)) => body(),
-                (None, TaskBody::Once(_)) => unreachable!("a one-shot body is taken above"),
+                (None, Run::Many(body)) => body(),
+                (None, Run::Once(_)) => unreachable!("a one-shot body is taken above"),
             });
-            if let Err(payload) = std::panic::catch_unwind(run) {
-                let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s
-                } else {
-                    "non-string panic payload"
-                };
+            if let Err(payload) = catch_unwind(run) {
                 self.rt.poison(format!(
-                    "task '{}' (id {}) panicked: {msg}",
-                    self.label, self.id
+                    "task '{}' (id {}) panicked: {}",
+                    self.label,
+                    self.id,
+                    panic_message(&*payload)
                 ));
             }
         }
@@ -252,6 +348,16 @@ impl TaskShared {
         }
         CURRENT.with(|c| *c.borrow_mut() = prev);
         self.event_done();
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
     }
 }
 

@@ -610,9 +610,8 @@ pub(crate) fn replay_tasks(inner: &Arc<RtInner>, start: usize, n: usize) -> bool
         {
             return false;
         }
-        let rerunnable = |s: &Slot| matches!(s.task.body, TaskBody::Many(_));
         match scope.state.slots.get(start..start + n) {
-            Some(run) if run.iter().all(rerunnable) => {}
+            Some(run) if run.iter().all(|s| s.task.body.rerunnable()) => {}
             _ => return false,
         }
         // One lock for the batch: a flusher on another thread waits for
@@ -644,7 +643,9 @@ pub(crate) fn position(inner: &Arc<RtInner>) -> Option<usize> {
 /// for flushing (in `flush_list`, the cache's, locked by the caller) and
 /// launches it. `spawn` is the declaration and body of a spawn that
 /// matched the slot's fingerprint; without one the slot's own re-runnable
-/// body runs again. Returns the task's depsan id.
+/// body runs again, behind its own on-ready gate if it has one (the gate
+/// runs anew once the re-armed task's predecessors release). Returns the
+/// task's depsan id.
 fn replay_slot(
     inner: &Arc<RtInner>,
     state: &mut KeyState,
@@ -693,10 +694,8 @@ fn replay_slot(
         }
         None => {
             let (label, priority, accesses, body) = spawn.unwrap_or_else(|| {
-                let TaskBody::Many(body) = &slot.body else {
-                    unreachable!("replay_tasks re-arms re-runnable slots only");
-                };
-                let body = TaskBody::Many(Arc::clone(body));
+                let body =
+                    (slot.body.share()).expect("replay_tasks re-arms re-runnable slots only");
                 (slot.label, slot.priority, slot.accesses.clone(), body)
             });
             let fresh = inner.new_task(id, san_id, priority, label, accesses, body);
@@ -929,7 +928,9 @@ impl crate::Runtime {
     /// Re-arms the `n` tasks recorded from position `start` on, without
     /// being handed them again: each runs the re-runnable body
     /// ([`crate::TaskBuilder::body_fn`]) it was spawned with, behind the
-    /// predecessors of the frozen trace. Returns false, having done
+    /// predecessors of the frozen trace — and behind its on-ready gate
+    /// ([`crate::TaskBuilder::on_ready`]), which runs again on every hit
+    /// once those predecessors release. Returns false, having done
     /// nothing, unless the open scope is replaying and stands exactly at
     /// `start`, no untraced spawn intervened and all `n` positions hold
     /// re-runnable bodies; the caller then spawns the tasks as usual.

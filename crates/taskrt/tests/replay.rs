@@ -399,6 +399,78 @@ fn replay_tasks_refuses_what_it_cannot_rearm() {
     assert_eq!(off.stats().spawned, 2 * (RERUNNABLE as u64 + 1));
 }
 
+/// `replay_tasks` re-arms slots with on-ready gates, and every re-armed
+/// task runs its gate again: once per run, only once its predecessors
+/// have released (never at the re-arm itself), and the task only after
+/// the gate opens. Every other iteration is submitted before the previous
+/// one has drained, so its slots' occupants are still live and the replay
+/// allocates fresh task objects sharing the body and the gate; the others
+/// re-arm the released objects in place.
+#[test]
+fn rearm_resets_the_gate_and_a_hit_runs_it_again() {
+    const N: usize = 12;
+    const ITERS: usize = 8;
+    let rt = Runtime::new(2);
+    let obj = ObjId::fresh();
+    let log = Arc::new(Mutex::new(Vec::with_capacity(N * ITERS)));
+    let gates = Arc::new(AtomicUsize::new(0));
+    // Half the gates open from a thread of their own.
+    let openers = Arc::new(Mutex::new(Vec::new()));
+    let mut recorded = None;
+    for iter in 0..ITERS {
+        if iter % 2 == 0 {
+            rt.taskwait();
+        }
+        let scope = rt.trace_scope(12);
+        if let Some(start) = recorded {
+            assert!(rt.replay_tasks(start, N), "iteration {iter} not re-armed");
+        } else {
+            recorded = rt.trace_position();
+            for i in 0..N {
+                let (log, gates, seen) = (Arc::clone(&log), Arc::clone(&gates), Arc::clone(&log));
+                let openers = Arc::clone(&openers);
+                rt.task()
+                    .inout(Region::new(obj, 0..1))
+                    .on_ready(move |hold| {
+                        // Everything before this position has run; nothing
+                        // after it can have.
+                        let ran = seen.lock().len();
+                        assert_eq!(ran % N, i, "gate of {i} ran after {ran} bodies");
+                        gates.fetch_add(1, Ordering::SeqCst);
+                        if i % 2 == 1 {
+                            openers.lock().push(std::thread::spawn(move || hold.open()));
+                        }
+                    })
+                    .body_fn(move || log.lock().push(i))
+                    .spawn();
+            }
+        }
+        drop(scope);
+    }
+    rt.taskwait();
+    for opener in std::mem::take(&mut *openers.lock()) {
+        opener.join().expect("gate opener");
+    }
+    let got = log.lock().clone();
+    assert_eq!(got, (0..N * ITERS).map(|t| t % N).collect::<Vec<_>>());
+    assert_eq!(
+        gates.load(Ordering::SeqCst),
+        N * ITERS,
+        "one gate call per run"
+    );
+    let s = rt.stats();
+    assert_eq!(
+        (s.trace_hits, s.trace_divergences),
+        (ITERS as u64 - 1, 0),
+        "{s:?}"
+    );
+    assert!(s.rearmed_tasks > 0, "no slot re-armed in place: {s:?}");
+    assert!(
+        s.rearmed_tasks < s.replayed_tasks,
+        "no fresh object shared the gate: {s:?}"
+    );
+}
+
 /// An untraced spawn between scopes that conflicts with the frozen stream
 /// resets the key: the next scope records instead of replaying a trace
 /// whose predecessor structure no longer reflects the claim table.

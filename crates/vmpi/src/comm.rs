@@ -131,6 +131,14 @@ impl Comm {
         self.group.len()
     }
 
+    /// Largest payload in bytes whose send completes eagerly, at post time
+    /// (the world's [`crate::NetworkModel::eager_threshold`]); a larger one
+    /// completes once the receiver has posted its receive.
+    #[inline]
+    pub fn eager_threshold(&self) -> usize {
+        self.shared.net.eager_threshold
+    }
+
     /// World rank backing a communicator rank.
     #[inline]
     pub fn world_rank_of(&self, comm_rank: usize) -> usize {

@@ -15,7 +15,7 @@ use crate::error::{Result, VmpiError};
 use crate::request::RequestState;
 use crate::world::WorldShared;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,6 +125,9 @@ pub(crate) enum Lane {
 pub(crate) struct MailboxInner {
     msgs: VecDeque<Envelope>,
     recvs: VecDeque<PendingRecv>,
+    /// The latest receive posted from a task for each specific
+    /// `(src, tag, comm)` with a known size (sanitizer only).
+    san_last_recv: HashMap<(i32, i32, u64), RecvSan>,
 }
 
 impl MailboxInner {
@@ -222,6 +225,52 @@ impl MailboxInner {
                 return;
             }
         }
+    }
+
+    /// depsan lint, on every receive a task posts: the previous receive
+    /// for the same *specific* `(src, tag, comm)` expected a different
+    /// exact size, and the task that posted it does not happen-before the
+    /// task posting this one. Same-tag messages match in send order, so
+    /// only that order between the posting tasks makes the pairing
+    /// deterministic — whether or not this schedule put the two receives
+    /// in flight at once (a receive posted from an on-ready gate is in
+    /// flight only after its task's predecessors are done, which makes
+    /// the overlap [`Self::san_check_recv`] looks for rare). Receives
+    /// posted outside a task have no recorded order and are not compared.
+    fn san_check_recv_order(&mut self, recv: &PendingRecv, dst_rank: usize) {
+        let (Some(exp), false, false, false) = (
+            recv.san.expected_bytes,
+            recv.src == ANY_SOURCE,
+            recv.tag == ANY_TAG,
+            recv.san.scope == 0,
+        ) else {
+            return;
+        };
+        let key = (recv.src, recv.tag, recv.comm);
+        let Some(prev) = self.san_last_recv.insert(key, recv.san) else {
+            return;
+        };
+        if prev.expected_bytes == Some(exp) || depsan::happens_before(prev.scope, recv.san.scope) {
+            return;
+        }
+        let (po, ps, pe) = prev.region;
+        let (no, ns, ne) = recv.san.region;
+        depsan::report(depsan::Violation {
+            kind: depsan::ViolationKind::AmbiguousRecv,
+            rank: dst_rank as u32,
+            task: recv.san.scope,
+            label: depsan::task_label(recv.san.scope),
+            obj: no,
+            detail: format!(
+                "two receives for src {} tag {} comm {:#x} on rank {dst_rank} expect different sizes and their posting tasks are not ordered:\n  obj {po} [{ps}..{pe}) expecting {} bytes, posted earlier by {}\n  obj {no} [{ns}..{ne}) expecting {exp} bytes, posted by {}\nno dependency path orders the two posts, so which message each receive gets is schedule-dependent (aliased tag / group-offset bug)",
+                recv.src,
+                recv.tag,
+                recv.comm,
+                prev.expected_bytes.unwrap_or(0),
+                depsan::describe_task(prev.scope),
+                depsan::describe_task(recv.san.scope),
+            ),
+        });
     }
 
     /// depsan lint: the receive about to be posted collides with an
@@ -446,6 +495,9 @@ pub(crate) fn post(shared: &Arc<WorldShared>, me: usize, recv: PendingRecv) {
         if fault.is_some_and(|f| f.poisoned.load(Ordering::SeqCst)) {
             drop(inner);
             return recv.state.fail(VmpiError::WorldDown);
+        }
+        if depsan::is_enabled() {
+            inner.san_check_recv_order(&recv, me);
         }
         match inner.match_posted(recv.src, recv.tag, recv.comm) {
             Some(env) => env,

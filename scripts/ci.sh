@@ -405,7 +405,11 @@ rf_rc=0; timeout 60 "$MINIAMR" --variant mpi --refine_freq 0 >/dev/null 2>&1 || 
 # splits the 4 smoke ranks into 2 simulated nodes (both the intra-node
 # slot stage and the inter-node leader stage run); --eager_kb 0 forces
 # every inter-node group over the coalescing threshold; --send_faces
-# --comm_vars 2 give the coalescer real per-face messages to merge.
+# --comm_vars 2 give the coalescer real per-face messages to merge. The
+# intra-node per-face messages stay one section each and become
+# rendezvous sends, which keep their own send task: a pack that held its
+# block until such a send drained would wait for the peer's pack doing
+# the same (this run hung that way, DESIGN.md §3.5.1).
 coll_mesh=(--npx 2 --npy 2 --nx 6 --ny 6 --nz 6 --num_vars 4
            --num_tsteps 3 --input single_sphere --send_faces --comm_vars 2
            --ranks_per_node 2)
@@ -575,6 +579,37 @@ if ! grep -q "depsan: no violations detected" <<<"$out" || ! grep -q "checksum_d
   echo "$out" >&2
   exit 1
 fi
+
+# The tasks_fine workload's flags (bench/src/workloads.rs; the run gives
+# the seed-1 digest): every message has one section and costs two tasks,
+# a pack that sends and an unpack whose on-ready gate receives. The counts
+# are pinned (four tasks a message spawned 173276), `task_items` is the
+# workload's and does not move; the same shape passes the static check
+# and runs sanitizer-clean.
+tf_mesh=(--npx 2 --npy 1 --npz 1 --workers 1 --stencil 7 --init_x 2 --init_y 4
+         --init_z 4 --nx 4 --ny 4 --nz 4 --num_vars 4 --num_refine 2
+         --input four_spheres --num_tsteps 8 --stages_per_ts 10 --checksum_freq 5
+         --refine_freq 1000 --send_faces --separate_buffers)
+for check in "" "--staticcheck" "--sanitize"; do
+  echo "==> task grain: tasks_fine counts $check"
+  # shellcheck disable=SC2086  # $check is empty or one flag
+  out="$(timeout 120 "$MINIAMR" --variant dataflow "${tf_mesh[@]}" $check 2>&1)"
+  counts="$(awk '$1 ~ /^(checksum_digest|tasks_spawned|task_items)$/ { printf "%s %s ", $1, $2 }' <<<"$out")"
+  if [ "$counts" != "checksum_digest 1dab3b4b13377138 tasks_spawned 118236 task_items 829884 " ]; then
+    echo "task grain: tasks_fine $check counts '$counts'" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  case "$check" in
+    --staticcheck) grep -q "dfcheck: PASS" <<<"$out" ;;
+    --sanitize) grep -q "depsan: no violations detected" <<<"$out" ;;
+    *) true ;;
+  esac || {
+    echo "task grain: tasks_fine $check did not come back clean" >&2
+    echo "$out" >&2
+    exit 1
+  }
+done
 
 # --- Causal perf analyzer (PR 7) -------------------------------------------
 # The 4-rank data-flow smoke must emit a schema-valid perf report whose

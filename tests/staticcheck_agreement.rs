@@ -45,12 +45,27 @@ fn random_cfg(rng: &mut StdRng) -> Config {
     cfg
 }
 
+/// Beside the random draws, data-flow with `--send_faces` every time:
+/// one-section messages, each sent by its pack and received by its
+/// unpack's on-ready gate — once with the payloads eager, once with
+/// every send a rendezvous that keeps its own task.
+fn send_faces_cfgs(rng: &mut StdRng) -> [Config; 2] {
+    [usize::MAX, 0].map(|eager_bytes| {
+        let mut cfg = random_cfg(rng);
+        cfg.variant = Variant::DataFlow;
+        cfg.send_faces = true;
+        cfg.eager_bytes = eager_bytes;
+        cfg
+    })
+}
+
 #[test]
 fn dfcheck_clean_implies_depsan_clean() {
     let mut rng = StdRng::seed_from_u64(0x5ca1ab1e);
+    let mut cases: Vec<Config> = (0..8).map(|_| random_cfg(&mut rng)).collect();
+    cases.extend(send_faces_cfgs(&mut rng));
     let mut checked = 0;
-    for case in 0..8 {
-        let cfg = random_cfg(&mut rng);
+    for (case, cfg) in cases.into_iter().enumerate() {
         let report = miniamr::staticcheck::check(&cfg);
         assert!(
             report.clean(),
@@ -73,7 +88,7 @@ fn dfcheck_clean_implies_depsan_clean() {
         assert_eq!(stats.iter().map(|s| s.checksums_failed).sum::<usize>(), 0);
         checked += 1;
     }
-    assert_eq!(checked, 8);
+    assert_eq!(checked, 10);
 }
 
 fn legacy_cfg() -> Config {

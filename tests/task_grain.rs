@@ -50,6 +50,32 @@ fn run(cfg: &Config) -> Vec<RunStats> {
     stats
 }
 
+/// A transport that sends nothing eagerly under a config that still says
+/// 16 KiB (`run_world` takes the two separately): the run clamps the
+/// config to the transport, so every send keeps its own task, and the run
+/// finishes with MPI-only's checksums. Fused into its pack, a rendezvous
+/// send held the pack's block until the peer's unpack posted the receive,
+/// which waited for the peer's own packs doing the same.
+#[test]
+fn all_rendezvous_transport_finishes() {
+    let mut cfg = fine_cfg();
+    cfg.num_tsteps = 2;
+    let reference = run(&cfg);
+    cfg.variant = Variant::DataFlow;
+    assert!(cfg.eager_bytes > 0);
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let net = NetworkModel::instant().with_eager_threshold(0);
+        let _ = done.send(miniamr::run_world(&cfg, cfg.params.num_ranks(), net));
+    });
+    let stats = finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the all-rendezvous data-flow run hung");
+    for s in &stats {
+        assert_eq!(s.checksums, reference[0].checksums);
+    }
+}
+
 /// One test, in this order: the sanitizer is process-global and cannot be
 /// switched off again, and a sanitized run is an order of magnitude
 /// slower, so the parity matrix runs before it is enabled.
