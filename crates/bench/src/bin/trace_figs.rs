@@ -1,33 +1,97 @@
 //! Figures 1–3: execution trace analysis of MPI-only versus data-flow on
 //! two (simulated) nodes — **real execution** on the in-process runtime,
-//! with the trace recorder standing in for Extrae/Paraver.
+//! with the `obs` event bus standing in for Extrae/Paraver.
 //!
-//! Reported per variant:
-//! * per-kind busy time (the task palette of Figs. 1 and 3),
+//! Reported per variant, from one drained [`obs::span::SpanGraph`] —
+//! tasks under their labels, main-thread phase spans under their kinds:
+//! * per-kind busy time on the first rank (the palette of Figs. 1 and 3),
 //! * non-refinement wall time and the data-flow speedup over MPI-only
 //!   (the paper observes ≈1.3× on this small input),
-//! * the fraction of busy time with ≥2 different task kinds running
+//! * per rank, the fraction of busy time with ≥2 different kinds running
 //!   simultaneously (the overlap that Fig. 3 visualizes; near zero for
 //!   MPI-only, substantial for data-flow),
-//! * the largest idle gap (the paper bounds the data-flow gaps at ~3 ms).
+//! * per rank, the largest idle gap (the paper bounds the data-flow gaps
+//!   at ~3 ms),
+//! * the events collected and the events the rings dropped (0 for a
+//!   whole timeline).
 //!
 //! Paper setup scaled to this container: the four-spheres problem, 9
 //! timesteps × 20 stages, 12³-cell blocks, 20 variables, refinement every
-//! 5 timesteps, checksum every 10 stages. `--dump-tsv PREFIX` writes raw
-//! `(kind, start, end)` event tables for external plotting.
+//! 5 timesteps, checksum every 10 stages. `--trace-json PATH` writes both
+//! runs as one Chrome trace (MPI-only ranks first, then the data-flow
+//! ranks numbered after them) for Perfetto or `about:tracing`.
 //!
-//! Usage: `trace_figs [--quick] [--dump-tsv PREFIX]`
+//! Usage: `trace_figs [--quick] [--trace-json PATH]`
 
-use miniamr::{Config, Variant};
+use miniamr::{Config, RunStats, Variant};
+use obs::span::SpanGraph;
+use obs::Event;
+use std::collections::BTreeMap;
 use vmpi::NetworkModel;
+
+/// Per-stripe event-ring capacity: with the collector draining every
+/// 2 ms, a full run drops nothing.
+const OBS_RING: usize = 1 << 20;
+
+/// One run of `cfg` on `n_ranks` with the event bus collected: the
+/// ranks' stats, the events, and how many the rings dropped.
+fn observed_run(
+    cfg: &Config,
+    n_ranks: usize,
+    net: NetworkModel,
+) -> (Vec<RunStats>, Vec<Event>, u64) {
+    let bus = obs::enable_with_capacity(OBS_RING);
+    let collector = obs::report::Collector::start(bus, None, 1);
+    let stats = miniamr::run_world(cfg, n_ranks, net);
+    let (events, dropped) = collector.finish();
+    (stats, events, dropped)
+}
+
+/// Prints one variant's section; returns its non-refinement time and
+/// its largest per-rank overlap.
+fn report(name: &str, stats: &[RunStats], events: &[Event], dropped: u64) -> (f64, f64) {
+    println!("\n## {name}");
+    println!("events\t{}\tdropped_events\t{dropped}", events.len());
+    let max = |f: fn(&RunStats) -> f64| stats.iter().map(f).fold(0.0, f64::max);
+    let total = max(|s| s.times.total.as_secs_f64());
+    let refine = max(|s| s.times.refine.as_secs_f64());
+    println!(
+        "total_s\t{total:.3}\trefine_s\t{refine:.3}\tno_refine_s\t{:.3}",
+        total - refine
+    );
+    let graph = SpanGraph::build(events);
+    let busy = graph.busy_intervals();
+    if let Some(first) = busy.keys().min() {
+        let mut per_kind: BTreeMap<&str, u64> = BTreeMap::new();
+        for &(kind, start, end) in &busy[first] {
+            *per_kind.entry(kind).or_default() += end - start;
+        }
+        println!("kind\tbusy_ms (rank {first})");
+        for (kind, us) in per_kind {
+            println!("{kind}\t{:.2}", us as f64 / 1e3);
+        }
+    }
+    println!("rank\toverlap_fraction\tlargest_gap_ms");
+    let ranks = graph.rank_stats();
+    for r in &ranks {
+        println!(
+            "{}\t{:.3}\t{:.2}",
+            r.rank,
+            r.overlap_fraction,
+            r.largest_gap_us as f64 / 1e3
+        );
+    }
+    let overlap = ranks.iter().map(|r| r.overlap_fraction).fold(0.0, f64::max);
+    (total - refine, overlap)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let dump = args
+    let trace_json = args
         .iter()
-        .position(|a| a == "--dump-tsv")
-        .map(|i| args[i + 1].clone());
+        .position(|a| a == "--trace-json")
+        .map(|i| args.get(i + 1).expect("--trace-json needs a path").clone());
 
     // Two "nodes" of 4 cores each on this container; the paper used two
     // 48-core nodes.
@@ -51,8 +115,8 @@ fn main() {
     cfg.checksum_freq = 10;
     cfg.refine_freq = 5;
     cfg.variant = Variant::MpiOnly;
-    cfg.trace = true;
-    let mpi_stats = miniamr::run_world(&cfg, mpi_ranks, net().with_ranks_per_node(cores_per_node));
+    let (mpi_stats, mpi_events, mpi_dropped) =
+        observed_run(&cfg, mpi_ranks, net().with_ranks_per_node(cores_per_node));
 
     // Data-flow: one rank per node, cores-1 workers (one core drives the
     // main thread).
@@ -70,48 +134,21 @@ fn main() {
     cfg_df.separate_buffers = true;
     cfg_df.max_comm_tasks = 8;
     cfg_df.delayed_checksum = true;
-    cfg_df.trace = true;
-    let df_stats = miniamr::run_world(&cfg_df, df_ranks, net().with_ranks_per_node(1));
+    let (df_stats, mut df_events, df_dropped) =
+        observed_run(&cfg_df, df_ranks, net().with_ranks_per_node(1));
 
-    let report = |name: &str, stats: &[miniamr::RunStats]| -> (f64, f64) {
-        println!("\n## {name}");
-        if let Some(tr) = stats.first().and_then(|s| s.trace.as_ref()) {
-            println!("timeline (rank 0):\n{}", tr.render_ascii(96));
-        }
-        let total = stats
-            .iter()
-            .map(|s| s.times.total.as_secs_f64())
-            .fold(0.0, f64::max);
-        let refine = stats
-            .iter()
-            .map(|s| s.times.refine.as_secs_f64())
-            .fold(0.0, f64::max);
-        println!(
-            "total_s\t{total:.3}\trefine_s\t{refine:.3}\tno_refine_s\t{:.3}",
-            total - refine
-        );
-        let mut overlap_max: f64 = 0.0;
-        for s in stats {
-            if let Some(tr) = &s.trace {
-                let ov = tr.overlap_fraction();
-                overlap_max = overlap_max.max(ov);
-                if s.rank == 0 {
-                    println!("kind\tbusy_ms (rank 0)");
-                    for (kind, dur) in tr.totals() {
-                        println!("{kind:?}\t{:.2}", dur.as_secs_f64() * 1e3);
-                    }
-                    println!(
-                        "overlap_fraction\t{ov:.3}\tlargest_gap_ms\t{:.2}",
-                        tr.largest_gap().as_secs_f64() * 1e3
-                    );
-                }
-            }
-        }
-        (total - refine, overlap_max)
-    };
-
-    let (mpi_nr, _mpi_ov) = report("MPI-only (Figs. 1 upper, 2)", &mpi_stats);
-    let (df_nr, df_ov) = report("Data-flow (Figs. 1 lower, 3)", &df_stats);
+    let (mpi_nr, _mpi_ov) = report(
+        "MPI-only (Figs. 1 upper, 2)",
+        &mpi_stats,
+        &mpi_events,
+        mpi_dropped,
+    );
+    let (df_nr, df_ov) = report(
+        "Data-flow (Figs. 1 lower, 3)",
+        &df_stats,
+        &df_events,
+        df_dropped,
+    );
 
     println!("\n## Comparison");
     println!("non_refine_speedup_dataflow_vs_mpi\t{:.2}", mpi_nr / df_nr);
@@ -126,16 +163,18 @@ fn main() {
             && df_stats.iter().all(|s| s.checksums_failed == 0),
     );
 
-    if let Some(prefix) = dump {
-        for (name, stats) in [("mpi", &mpi_stats), ("dataflow", &df_stats)] {
-            for s in stats {
-                if let Some(tr) = &s.trace {
-                    let path = format!("{prefix}_{name}_rank{}.tsv", s.rank);
-                    std::fs::write(&path, tr.to_tsv()).expect("write trace TSV");
-                    println!("wrote {path}");
-                }
+    if let Some(path) = trace_json {
+        // One timeline: the data-flow ranks follow the MPI-only ones (the
+        // second run's events already follow the first's in sequence).
+        for ev in &mut df_events {
+            if ev.rank != obs::UNKNOWN_RANK {
+                ev.rank += mpi_ranks as u32;
             }
         }
+        let mut events = mpi_events;
+        events.append(&mut df_events);
+        std::fs::write(&path, obs::export_chrome(&events)).expect("write the Chrome trace");
+        println!("wrote {path}");
     }
     if !ok {
         std::process::exit(1);

@@ -81,7 +81,6 @@ fn usage() -> ! {
   --replay {{on|off}}                   task-graph trace & replay cache: reuse
                                       dependency edges across identical
                                       timesteps (dataflow; default on)
-  --trace                             record and summarize a phase trace
   --stencil {{7|27}}                    stencil kind (default 7)
   --trace-json PATH                   write a merged Chrome trace_event JSON
                                       (all ranks; load in Perfetto/about:tracing)
@@ -162,7 +161,6 @@ fn main() {
     let mut latency_us = fab.latency * 1e6;
     let mut bandwidth_gbps = fab.bandwidth / 1e9;
     let mut fabric_on = true;
-    let mut trace = false;
     let mut trace_json: Option<String> = None;
     let mut metrics = false;
     let mut watchdog_ms = 0u64;
@@ -212,7 +210,6 @@ fn main() {
                 fab.nic_msg_overhead =
                     next(&mut i).parse::<f64>().unwrap_or_else(|_| usage()) * 1e-6
             }
-            "--trace" => trace = true,
             "--trace-json" => trace_json = Some(next(&mut i)),
             "--metrics" => metrics = true,
             "--watchdog_ms" => watchdog_ms = parse(next(&mut i)) as u64,
@@ -293,7 +290,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(exit::USAGE);
     });
-    cfg.trace = trace;
     cfg.chaos = chaos;
 
     // Pre-flight static verification: symbolic elaboration plus the
@@ -564,21 +560,9 @@ fn main() {
             pool_hits as f64 / (pool_hits + pool_misses) as f64
         );
     }
-    if trace {
-        for s in &stats {
-            if let Some(tr) = &s.trace {
-                println!(
-                    "rank {} overlap_fraction\t{:.3}\tlargest_gap_ms\t{:.3}",
-                    s.rank,
-                    tr.overlap_fraction(),
-                    tr.largest_gap().as_secs_f64() * 1e3
-                );
-            }
-        }
-    }
     if metrics {
-        // The registry is process-wide; the last-finishing rank's snapshot
-        // (or a fresh one now that all ranks joined) is the full picture.
+        // The registry is process-wide: now that all ranks joined, one
+        // snapshot is the full picture.
         for (name, value) in obs::metrics().snapshot() {
             println!("metric:{name}\t{value}");
         }

@@ -96,8 +96,6 @@ pub struct Config {
     pub delayed_checksum: bool,
     /// Relative tolerance of checksum validation.
     pub validate_tol: f64,
-    /// Record a phase/task trace (Figures 1–3).
-    pub trace: bool,
     /// Run a finishing task's first unblocked successor next on the same
     /// worker (the locality policy credited for the IPC gain, §V-B);
     /// disable for ablation studies.
@@ -182,7 +180,6 @@ impl Config {
             variant: Variant::MpiOnly,
             delayed_checksum: false,
             validate_tol: 0.05,
-            trace: false,
             immediate_successor: true,
             replay: true,
             ckpt_freq: 0,

@@ -56,7 +56,6 @@ pub mod exchange;
 pub mod rank;
 pub mod staticcheck;
 pub mod stats;
-pub mod trace;
 pub mod variant;
 
 pub use config::{BalanceKind, Config, JobCtx, Variant};
@@ -114,11 +113,7 @@ pub(crate) fn run_rank_span(
     };
     obs::set_thread_rank(cfg.obs_rank(comm.rank()));
     let exec = variant::executor(cfg, comm.rank());
-    let (mut stats, carry) = variant::run_span(&*exec, cfg, comm, start, ts_end, ctx);
-    if obs::is_enabled() {
-        stats.metrics = obs::metrics().snapshot();
-    }
-    (stats, carry)
+    variant::run_span(&*exec, cfg, comm, start, ts_end, ctx)
 }
 
 /// Convenience: builds a world of `n_ranks` and runs the configured

@@ -79,13 +79,6 @@ pub struct RunStats {
     /// Buffer-pool reuse counters at the end of the run: one take per
     /// block this rank sent away, plus the miss that seeded the pool.
     pub pool: shmem::PoolStats,
-    /// Recorded trace, if tracing was enabled.
-    pub trace: Option<crate::trace::Trace>,
-    /// Snapshot of the global runtime metrics registry taken when this
-    /// rank finished (empty unless observability is enabled). The
-    /// registry is process-wide, so counters aggregate over *all* ranks;
-    /// the final rank's snapshot is the complete picture.
-    pub metrics: Vec<(&'static str, i64)>,
 }
 
 impl RunStats {

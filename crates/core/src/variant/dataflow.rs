@@ -36,7 +36,6 @@ use crate::elaborate::{self, ElabCtx, Work};
 use crate::exchange::{run_refinement, BlockMover, RefineJob};
 use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
-use crate::trace::{record, Kind, Trace};
 use crate::variant::{
     elab_ctx, fold_task_counts, rank_runtime, Exec, PhaseCtx, PhaseShared, SumSlots,
 };
@@ -215,14 +214,11 @@ impl Exec for DataFlow {
 
     /// Refinement taskified like every other phase (§IV-B; the colorful
     /// region at the left of Fig. 1's lower trace).
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, trace: Option<&Trace>) -> u64 {
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
         let rt = &self.rt;
-        run_refinement(
-            state,
-            comm,
-            &mut TaskMover { rt, trace },
-            &mut |state, jobs| run_jobs_tasked(rt, state, jobs, trace),
-        )
+        run_refinement(state, comm, &mut TaskMover { rt }, &mut |state, jobs| {
+            run_jobs_tasked(rt, state, jobs)
+        })
     }
 
     /// Regrid/load-balance changed block uids and buffer objects: every
@@ -286,9 +282,7 @@ impl Submitter<Work> for LiveSub<'_> {
                 let (src, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
                 builder.body_fn(move || {
-                    record(sh.trace.as_ref(), Kind::Recv, || {
-                        tampi::irecv_into(&comm, slice.clone(), src as i32, tag).expect("recv task")
-                    })
+                    tampi::irecv_into(&comm, slice.clone(), src as i32, tag).expect("recv task")
                 })
             }
             Work::Pack { msg, transfer } => {
@@ -300,15 +294,11 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder.body_fn(move || {
                     let t = &sh.plan.msgs[msg].transfers[transfer];
                     let src = &sh.blocks[t.src_pos];
-                    record(sh.trace.as_ref(), Kind::Pack, || {
-                        slice.with_write(|dst| {
-                            pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
-                        });
+                    slice.with_write(|dst| {
+                        pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
                     });
                     if let Some((comm, dst, tag)) = &send {
-                        record(sh.trace.as_ref(), Kind::Send, || {
-                            tampi::isend_from(comm, &slice, *dst, *tag).expect("pack task")
-                        })
+                        tampi::isend_from(comm, &slice, *dst, *tag).expect("pack task")
                     }
                 })
             }
@@ -322,11 +312,8 @@ impl Submitter<Work> for LiveSub<'_> {
                 let intent = spec.comm.as_ref().expect("send spec has an endpoint");
                 let (dst, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
-                builder.body_fn(move || {
-                    record(sh.trace.as_ref(), Kind::Send, || {
-                        tampi::isend_from(&comm, &slice, dst, tag).expect("send task")
-                    })
-                })
+                builder
+                    .body_fn(move || tampi::isend_from(&comm, &slice, dst, tag).expect("send task"))
             }
             Work::LocalCopies { transfers } => {
                 builder.body_fn(move || sh.local_copies(transfers.clone()))
@@ -351,11 +338,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder.body_fn(move || {
                     let t = &sh.plan.msgs[msg].transfers[transfer];
                     let dst = &sh.blocks[t.dst_pos];
-                    record(sh.trace.as_ref(), Kind::Unpack, || {
-                        slice.with_read(|payload| {
-                            unpack_transfer(&sh.layout, dst, t, sh.vars.clone(), payload)
-                        });
-                    })
+                    slice.with_read(|payload| {
+                        unpack_transfer(&sh.layout, dst, t, sh.vars.clone(), payload)
+                    });
                 })
             }
             Work::Stencils { blocks } => builder.body_fn(move || sh.stencils(blocks.clone())),
@@ -378,12 +363,7 @@ impl Submitter<Work> for LiveSub<'_> {
 }
 
 /// Split/merge data operations as dependent tasks.
-fn run_jobs_tasked(
-    rt: &Runtime,
-    state: &RankState,
-    jobs: Vec<RefineJob>,
-    trace: Option<&Trace>,
-) -> Vec<BlockData> {
+fn run_jobs_tasked(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
     let results: Arc<Mutex<Vec<BlockData>>> = Arc::new(Mutex::new(Vec::new()));
     let params = state.cfg.params.clone();
     let layout = state.layout;
@@ -398,12 +378,11 @@ fn run_jobs_tasked(
         };
         let results = Arc::clone(&results);
         let params = params.clone();
-        let tr = trace.cloned();
         rt.task()
             .label("refine_copy")
             .accesses(deps)
             .body(move || {
-                let out = record(tr.as_ref(), Kind::RefineCopy, || job.run(&params));
+                let out = job.run(&params);
                 results.lock().extend(out);
             })
             .spawn();
@@ -419,7 +398,6 @@ fn run_jobs_tasked(
 /// parallelism before the exchange function returns.
 struct TaskMover<'a> {
     rt: &'a Runtime,
-    trace: Option<&'a Trace>,
 }
 
 impl BlockMover for TaskMover<'_> {
@@ -435,19 +413,16 @@ impl BlockMover for TaskMover<'_> {
         let layout = state.layout;
         let nv = state.cfg.params.num_vars;
         let reg = block_region(&layout, &block, 0..nv);
-        let tr = self.trace.cloned();
         let pool = Arc::clone(&state.pool);
         self.rt
             .task()
             .label("exchange_send")
             .input(reg)
             .body(move || {
-                record(tr.as_ref(), Kind::RefineExchange, || {
-                    // Pooled staging buffer, recycled when the task drops it.
-                    let mut payload = pool.take(nv * layout.cells());
-                    block.pack_interior_into(&layout, 0..nv, &mut payload);
-                    tampi::isend(&comm, &payload, to, tag).expect("exchange send");
-                })
+                // Pooled staging buffer, recycled when the task drops it.
+                let mut payload = pool.take(nv * layout.cells());
+                block.pack_interior_into(&layout, 0..nv, &mut payload);
+                tampi::isend(&comm, &payload, to, tag).expect("exchange send");
             })
             .spawn();
     }
@@ -466,18 +441,15 @@ impl BlockMover for TaskMover<'_> {
         let block = BlockData::empty(id, &state.cfg.params);
         let handle = block.clone();
         let reg = block_region(&layout, &block, 0..nv);
-        let tr = self.trace.cloned();
         self.rt
             .task()
             .label("exchange_recv")
             .out(reg)
             .body(move || {
-                record(tr.as_ref(), Kind::RefineExchange, || {
-                    tampi::irecv_with::<f64, _>(&comm, from as i32, tag, move |payload| {
-                        handle.unpack_interior(&layout, 0..nv, &payload);
-                    })
-                    .expect("exchange recv");
+                tampi::irecv_with::<f64, _>(&comm, from as i32, tag, move |payload| {
+                    handle.unpack_interior(&layout, 0..nv, &payload);
                 })
+                .expect("exchange recv");
             })
             .spawn();
         block

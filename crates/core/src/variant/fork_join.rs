@@ -27,7 +27,6 @@ use crate::elaborate::{block_batches, copy_batches, fill_batches, grain_batches,
 use crate::exchange::{run_refinement, BlockingMover, RefineJob};
 use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
-use crate::trace::{record, Kind, Trace};
 use crate::variant::{
     elab_ctx, fold_task_counts, rank_runtime, Exec, PhaseCtx, PhaseShared, SumSlots,
 };
@@ -56,16 +55,21 @@ impl ForkJoin {
         }
     }
 
-    /// Spawns one chunk of a parallel loop.
+    /// Spawns one chunk of a parallel loop, labelled with the phase it
+    /// runs (the data-flow variant's task vocabulary).
     fn spawn_chunk(
         &self,
+        label: &'static str,
         chunk: &Range<usize>,
         deps: Vec<Access>,
         body: impl FnOnce() + Send + 'static,
     ) {
         self.batched_items
             .set(self.batched_items.get() + chunk.len() as u64 - 1);
-        self.rt.spawn(deps, body);
+        (self.rt.task().label(label))
+            .access_list(deps.into())
+            .body(body)
+            .spawn();
     }
 }
 
@@ -108,17 +112,15 @@ impl Exec for ForkJoin {
                 for chunk in face_chunks(m, g) {
                     let (sh, send, faces) =
                         (Arc::clone(&sh), Arc::clone(&bufs.send[d]), chunk.clone());
-                    self.spawn_chunk(&chunk, Vec::new(), move || {
+                    self.spawn_chunk("pack", &chunk, Vec::new(), move || {
                         let m = &sh.plan.msgs[mi];
-                        record(sh.trace.as_ref(), Kind::Pack, || {
-                            for t in &m.transfers[faces] {
-                                let lo = (m.send_offset + t.offset_in_msg) * g;
-                                let src = &sh.blocks[t.src_pos];
-                                send.slice(lo..lo + t.elems_per_var * g).with_write(|dst| {
-                                    pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
-                                });
-                            }
-                        })
+                        for t in &m.transfers[faces] {
+                            let lo = (m.send_offset + t.offset_in_msg) * g;
+                            let src = &sh.blocks[t.src_pos];
+                            send.slice(lo..lo + t.elems_per_var * g).with_write(|dst| {
+                                pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
+                            });
+                        }
                     });
                 }
             }
@@ -140,13 +142,15 @@ impl Exec for ForkJoin {
             for chunk in copy_batches(plan, state.rank, dir, g) {
                 let deps = elab.local_copy_accesses(plan, chunk.clone(), &vars);
                 let (sh, transfers) = (Arc::clone(&sh), chunk.clone());
-                self.spawn_chunk(&chunk, deps, move || sh.local_copies(transfers));
+                self.spawn_chunk("local_copy", &chunk, deps, move || {
+                    sh.local_copies(transfers)
+                });
             }
             // Boundary fills join the same protected loop.
             for chunk in fill_batches(plan, &state.layout, state.rank, dir, g) {
                 let deps = elab.boundary_accesses(plan, chunk.clone(), &vars);
                 let (sh, fills) = (Arc::clone(&sh), chunk.clone());
-                self.spawn_chunk(&chunk, deps, move || sh.boundaries(fills));
+                self.spawn_chunk("boundary", &chunk, deps, move || sh.boundaries(fills));
             }
             rt.taskwait();
 
@@ -155,7 +159,7 @@ impl Exec for ForkJoin {
             let mut set = RequestSet::new(reqs);
             let mut arrived = 0usize;
             while arrived < n_recvs {
-                let Some((idx, _)) = record(cx.trace.as_ref(), Kind::Wait, || set.waitany()) else {
+                let Some((idx, _)) = obs::phase_span("wait", || set.waitany()) else {
                     break;
                 };
                 if idx >= n_recvs {
@@ -177,24 +181,16 @@ impl Exec for ForkJoin {
                     let deps = union_accesses(deps);
                     let (sh, recv, faces) =
                         (Arc::clone(&sh), Arc::clone(&bufs.recv[d]), chunk.clone());
-                    self.spawn_chunk(&chunk, deps, move || {
+                    self.spawn_chunk("unpack", &chunk, deps, move || {
                         let m = &sh.plan.msgs[mi];
-                        record(sh.trace.as_ref(), Kind::Unpack, || {
-                            for t in &m.transfers[faces] {
-                                let lo = (m.recv_offset + t.offset_in_msg) * g;
-                                let dst = &sh.blocks[t.dst_pos];
-                                recv.slice(lo..lo + t.elems_per_var * g)
-                                    .with_read(|payload| {
-                                        unpack_transfer(
-                                            &sh.layout,
-                                            dst,
-                                            t,
-                                            sh.vars.clone(),
-                                            payload,
-                                        )
-                                    });
-                            }
-                        })
+                        for t in &m.transfers[faces] {
+                            let lo = (m.recv_offset + t.offset_in_msg) * g;
+                            let dst = &sh.blocks[t.dst_pos];
+                            recv.slice(lo..lo + t.elems_per_var * g)
+                                .with_read(|payload| {
+                                    unpack_transfer(&sh.layout, dst, t, sh.vars.clone(), payload)
+                                });
+                        }
                     });
                 }
             }
@@ -209,7 +205,7 @@ impl Exec for ForkJoin {
         let sh = PhaseShared::new(cx, vars);
         for chunk in block_batches(&sh.layout, sh.blocks.len(), sh.vars.len()) {
             let (sh, blocks) = (Arc::clone(&sh), chunk.clone());
-            self.spawn_chunk(&chunk, Vec::new(), move || sh.stencils(blocks));
+            self.spawn_chunk("stencil", &chunk, Vec::new(), move || sh.stencils(blocks));
         }
         self.rt.taskwait();
     }
@@ -222,18 +218,20 @@ impl Exec for ForkJoin {
         let sh = PhaseShared::new(cx, 0..nv);
         for chunk in block_batches(&sh.layout, sh.blocks.len(), nv) {
             let (sh, out, blocks) = (Arc::clone(&sh), Arc::clone(&slots), chunk.clone());
-            self.spawn_chunk(&chunk, Vec::new(), move || sh.checksum_locals(blocks, &out));
+            self.spawn_chunk("checksum_local", &chunk, Vec::new(), move || {
+                sh.checksum_locals(blocks, &out)
+            });
         }
         self.rt.taskwait();
         slots
     }
 
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, trace: Option<&Trace>) -> u64 {
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
         run_refinement(
             state,
             comm,
             &mut BlockingMover::default(),
-            &mut |state, jobs| run_jobs_parallel(&self.rt, state, jobs, trace),
+            &mut |state, jobs| run_jobs_parallel(&self.rt, state, jobs),
         )
     }
 
@@ -250,22 +248,19 @@ fn face_chunks(m: &MsgPlan, g: usize) -> impl Iterator<Item = Range<usize>> + '_
 }
 
 /// Runs split/merge data jobs as a parallel loop with a closing barrier.
-fn run_jobs_parallel(
-    rt: &Runtime,
-    state: &RankState,
-    jobs: Vec<RefineJob>,
-    trace: Option<&Trace>,
-) -> Vec<BlockData> {
+fn run_jobs_parallel(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
     let results: Arc<Mutex<Vec<BlockData>>> = Arc::new(Mutex::new(Vec::new()));
     let params = state.cfg.params.clone();
     for job in jobs {
         let results = Arc::clone(&results);
         let params = params.clone();
-        let tr = trace.cloned();
-        rt.spawn(Vec::new(), move || {
-            let out = record(tr.as_ref(), Kind::RefineCopy, || job.run(&params));
-            results.lock().extend(out);
-        });
+        rt.task()
+            .label("refine_copy")
+            .body(move || {
+                let out = job.run(&params);
+                results.lock().extend(out);
+            })
+            .spawn();
     }
     rt.taskwait();
     // Deterministic insertion order regardless of task completion order.

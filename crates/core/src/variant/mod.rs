@@ -27,7 +27,6 @@ use crate::elaborate::ElabCtx;
 use crate::elastic::{RunCtx, SpanCarry, SpanStart};
 use crate::rank::{apply_boundary, local_transfer, RankState};
 use crate::stats::{RunStats, Stopwatch};
-use crate::trace::{record, Kind, Trace};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::stencil::StencilKind;
 use amr_mesh::BlockId;
@@ -46,7 +45,6 @@ pub(crate) struct PhaseCtx {
     /// Shared with the task bodies of the hybrid executors.
     pub plan: Arc<CommPlan>,
     pub bufs: Buffers,
-    pub trace: Option<Trace>,
 }
 
 /// The communication plan and buffers of the current mesh.
@@ -71,7 +69,6 @@ pub(crate) struct PhaseShared {
     pub layout: BlockLayout,
     pub vars: Range<usize>,
     stencil: StencilKind,
-    pub trace: Option<Trace>,
 }
 
 impl PhaseShared {
@@ -82,7 +79,6 @@ impl PhaseShared {
             layout: cx.state.layout,
             vars,
             stencil: cx.state.cfg.stencil,
-            trace: cx.trace.clone(),
         })
     }
 
@@ -95,12 +91,10 @@ impl PhaseShared {
 
     /// Runs a batch of `plan.locals` in index order.
     pub(crate) fn local_copies(&self, transfers: Range<usize>) {
-        record(self.trace.as_ref(), Kind::LocalCopy, || {
-            for t in &self.plan.locals[transfers] {
-                let (src, dst) = (&self.blocks[t.src_pos], &self.blocks[t.dst_pos]);
-                local_transfer(&self.layout, src, dst, t, self.vars.clone());
-            }
-        })
+        for t in &self.plan.locals[transfers] {
+            let (src, dst) = (&self.blocks[t.src_pos], &self.blocks[t.dst_pos]);
+            local_transfer(&self.layout, src, dst, t, self.vars.clone());
+        }
     }
 
     /// Runs a batch of `plan.boundaries`.
@@ -113,26 +107,16 @@ impl PhaseShared {
 
     /// Applies the stencil to a batch of blocks.
     pub(crate) fn stencils(&self, blocks: Range<usize>) {
-        record(self.trace.as_ref(), Kind::Stencil, || {
-            for block in &self.blocks[blocks] {
-                amr_mesh::stencil::apply_stencil(
-                    block,
-                    &self.layout,
-                    self.stencil,
-                    self.vars.clone(),
-                );
-            }
-        })
+        for block in &self.blocks[blocks] {
+            amr_mesh::stencil::apply_stencil(block, &self.layout, self.stencil, self.vars.clone());
+        }
     }
 
     /// Reduces a batch of blocks into their slots (block position = slot).
     pub(crate) fn checksum_locals(&self, slots: Range<usize>, out: &SumSlots) {
-        let sums: Vec<Vec<f64>> = record(self.trace.as_ref(), Kind::ChecksumLocal, || {
-            self.blocks[slots.clone()]
-                .iter()
-                .map(|b| amr_mesh::checksum::block_sums(b, &self.layout, self.vars.clone()))
-                .collect()
-        });
+        let sums: Vec<Vec<f64>> = (self.blocks[slots.clone()].iter())
+            .map(|b| amr_mesh::checksum::block_sums(b, &self.layout, self.vars.clone()))
+            .collect();
         for (slot, sums) in out.lock()[slots].iter_mut().zip(sums) {
             *slot = sums;
         }
@@ -187,7 +171,7 @@ pub(crate) trait Exec {
 
     /// One refinement phase (split/merge, block exchange, load balance)
     /// on a quiescent rank; returns the blocks this rank moved.
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, trace: Option<&Trace>) -> u64;
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64;
 
     /// A regrid replaced blocks, plan and buffers.
     fn mesh_changed(&self) {}
@@ -265,7 +249,6 @@ pub(crate) fn run_span(
         mut prev_checksum,
         ts_start,
     } = start.unwrap_or_else(|| SpanStart::initial(cfg, &comm));
-    let trace = stats.trace.take().or_else(|| cfg.trace.then(Trace::new));
 
     let total_sw = Stopwatch::start();
     // Initial refinement phase: the mesh was refined locally during init;
@@ -274,7 +257,7 @@ pub(crate) fn run_span(
     // an already-balanced mesh.
     if !resumed {
         let sw = Stopwatch::start();
-        stats.blocks_moved += exec.refine(&mut state, &comm, trace.as_ref());
+        stats.blocks_moved += exec.refine(&mut state, &comm);
         sw.stop(&mut stats.times.refine);
     }
     let (plan, bufs) = plan_and_buffers(&state);
@@ -283,7 +266,6 @@ pub(crate) fn run_span(
         comm,
         plan,
         bufs,
-        trace,
     };
     // The delayed-validation pipeline (§IV-C): local sums of the previous
     // checksum point, possibly still being produced.
@@ -382,7 +364,7 @@ pub(crate) fn run_span(
             // Explicit barrier before refinement (Algorithm 4).
             exec.wait(None);
             cx.state.move_objects();
-            stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm, cx.trace.as_ref());
+            stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm);
             mesh_epoch += 1;
             (cx.plan, cx.bufs) = plan_and_buffers(&cx.state);
             exec.mesh_changed();
@@ -398,7 +380,6 @@ pub(crate) fn run_span(
     exec.finish(&mut stats);
     stats.final_blocks = cx.state.blocks.len();
     stats.pool = cx.state.pool.stats();
-    stats.trace = cx.trace;
     let carry = SpanCarry {
         stage_counter,
         mesh_epoch,
@@ -518,7 +499,7 @@ pub(crate) fn checksum_remote_blocks(
 fn validate(sums: LocalSums, cx: &PhaseCtx, stats: &mut RunStats, prev: &mut Option<Checkpoint>) {
     let cfg = &cx.state.cfg;
     let per_block = sums.slots.lock();
-    let total = record(cx.trace.as_ref(), Kind::ChecksumRemote, || {
+    let total = obs::phase_span("checksum_remote", || {
         checksum_remote_blocks(&cx.comm, &sums.ids, &per_block, cfg.params.num_vars)
     });
     record_validation(
@@ -615,9 +596,9 @@ mod tests {
         fn wait(&self, on: Option<ObjId>) {
             self.push(if on.is_some() { "wait_sums" } else { "wait" });
         }
-        fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, trace: Option<&Trace>) -> u64 {
+        fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
             self.push("refine");
-            mpi_only::Serial.refine(state, comm, trace)
+            mpi_only::Serial.refine(state, comm)
         }
         fn mesh_changed(&self) {
             self.push("mesh_changed");

@@ -14,7 +14,6 @@ use crate::rank::{
     apply_boundary, local_transfer, pack_transfer_into, transfer_payload_elems, unpack_transfer,
     RankState,
 };
-use crate::trace::{record, Kind, Trace};
 use crate::variant::{Exec, PhaseCtx, SumSlots};
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockData;
@@ -36,7 +35,6 @@ impl Exec for Serial {
             bufs,
             ..
         } = cx;
-        let trace = cx.trace.as_ref();
         let g = vars.len();
         // The rank's blocks in id order: what the plan's `src_pos`,
         // `dst_pos` and `pos` index (as the hybrids' `PhaseShared::blocks`).
@@ -64,7 +62,7 @@ impl Exec for Serial {
                 for t in &m.transfers {
                     let lo = (m.send_offset + t.offset_in_msg) * g;
                     let slice = bufs.send[d].slice(lo..lo + transfer_payload_elems(t, g));
-                    record(trace, Kind::Pack, || {
+                    obs::phase_span("pack", || {
                         slice.with_write(|dst| {
                             pack_transfer_into(
                                 &state.layout,
@@ -89,7 +87,7 @@ impl Exec for Serial {
             // fills while messages are in flight.
             for t in &plan.locals[plan.locals_of(state.rank, dir)] {
                 let (src, dst) = (blocks[t.src_pos], blocks[t.dst_pos]);
-                record(trace, Kind::LocalCopy, || {
+                obs::phase_span("local_copy", || {
                     local_transfer(&state.layout, src, dst, t, vars.clone())
                 });
             }
@@ -99,13 +97,13 @@ impl Exec for Serial {
 
             // Waitany loop: unpack each message as it arrives.
             let mut set = RequestSet::new(reqs);
-            while let Some((idx, _status)) = record(trace, Kind::Wait, || set.waitany()) {
+            while let Some((idx, _status)) = obs::phase_span("wait", || set.waitany()) {
                 let m = inbound[idx];
                 for t in &m.transfers {
                     let lo = (m.recv_offset + t.offset_in_msg) * g;
                     let slice = bufs.recv[d].slice(lo..lo + transfer_payload_elems(t, g));
                     let dst = blocks[t.dst_pos];
-                    record(trace, Kind::Unpack, || {
+                    obs::phase_span("unpack", || {
                         slice.with_read(|payload| {
                             unpack_transfer(&state.layout, dst, t, vars.clone(), payload)
                         })
@@ -116,16 +114,14 @@ impl Exec for Serial {
             // Wait for the sends before reusing the buffers for the next
             // direction.
             for r in send_reqs {
-                record(trace, Kind::Wait, || r.wait());
+                obs::phase_span("wait", || r.wait());
             }
         }
     }
 
     fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>) {
         for block in cx.state.blocks.values() {
-            record(cx.trace.as_ref(), Kind::Stencil, || {
-                cx.state.stencil_block(block, vars.clone())
-            });
+            obs::phase_span("stencil", || cx.state.stencil_block(block, vars.clone()));
         }
     }
 
@@ -134,7 +130,7 @@ impl Exec for Serial {
         Arc::new(Mutex::new(cx.state.block_checksums(0..nv).1))
     }
 
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>, _trace: Option<&Trace>) -> u64 {
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
         run_refinement(
             state,
             comm,

@@ -21,15 +21,14 @@ fn four_rank_dataflow_exports_merged_chrome_trace() {
     cfg.params.npz = 1;
     cfg.variant = Variant::DataFlow;
     cfg.num_tsteps = 2;
-    cfg.trace = true;
     let n_ranks = cfg.params.num_ranks();
     assert_eq!(n_ranks, 4);
 
     let stats = miniamr::run_world(&cfg, n_ranks, NetworkModel::instant());
     assert!(stats.iter().all(|s| s.checksums_failed == 0));
 
-    // Metrics registry populated and surfaced through RunStats.
-    let metrics = &stats.last().expect("4 ranks").metrics;
+    // The process-wide metrics registry is populated.
+    let metrics = obs::metrics().snapshot();
     let get = |name: &str| -> i64 {
         metrics
             .iter()
@@ -65,8 +64,9 @@ fn four_rank_dataflow_exports_merged_chrome_trace() {
         !json.contains("unattributed"),
         "events leaked without rank context"
     );
-    // Worker lanes, the delivery lane, message lifecycle, phase spans,
-    // and counter tracks all make it into the merged timeline.
+    // Worker lanes, the delivery lane, message lifecycle, task slices
+    // under their labels, and counter tracks all make it into the merged
+    // timeline.
     for needle in [
         "\"name\":\"worker 0\"",
         "\"name\":\"net\"",

@@ -1,7 +1,7 @@
 //! End-to-end causal-analyzer test: a 4-rank data-flow run must produce
 //! a schema-valid perf report whose per-timestep critical paths explain
-//! wall-clock exactly, whose per-rank overlap agrees with the legacy
-//! recorder, and whose message nodes stitch sends to deliveries across
+//! wall-clock exactly, whose per-rank overlap is a fraction, and whose
+//! message nodes stitch sends to deliveries across
 //! ranks (the Perfetto flow arrows) — with aggregated messages, and with
 //! `--send_faces`, where every message is sent by its pack and received
 //! by its unpack's on-ready gate.
@@ -18,8 +18,8 @@ use vmpi::NetworkModel;
 
 #[test]
 fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
-    // Size the rings so nothing is dropped — the parity assertions below
-    // require the analyzer and the recorder to see the same intervals.
+    // Size the rings so nothing is dropped: the analyzer must see every
+    // interval.
     obs::enable_with_capacity(1 << 18);
     for send_faces in [false, true] {
         check_run(send_faces);
@@ -33,7 +33,6 @@ fn check_run(send_faces: bool) {
     cfg.params.npz = 1;
     cfg.variant = Variant::DataFlow;
     cfg.num_tsteps = 2;
-    cfg.trace = true;
     cfg.send_faces = send_faces;
     let n_ranks = cfg.params.num_ranks();
     assert_eq!(n_ranks, 4);
@@ -144,24 +143,17 @@ fn check_run(send_faces: bool) {
         assert!(ts.nodes > 0, "timestep {} walked no nodes", ts.tstep);
     }
 
-    // --- Overlap parity with the legacy recorder ------------------------
+    // --- Per-rank overlap ----------------------------------------------
     assert_eq!(report.ranks_detail.len(), n_ranks);
     for s in &stats {
-        let recorder = s
-            .trace
-            .as_ref()
-            .expect("tracing enabled")
-            .overlap_fraction();
-        let analyzer = report
-            .ranks_detail
-            .iter()
+        let r = (report.ranks_detail.iter())
             .find(|r| r.rank == s.rank as u32)
-            .unwrap_or_else(|| panic!("rank {} missing from report", s.rank))
-            .overlap_fraction;
+            .unwrap_or_else(|| panic!("rank {} missing from report", s.rank));
         assert!(
-            (recorder - analyzer).abs() <= 0.02,
-            "rank {} overlap mismatch: recorder {recorder:.3} vs analyzer {analyzer:.3}",
-            s.rank
+            (0.0..=1.0).contains(&r.overlap_fraction),
+            "rank {} overlap {} outside [0, 1]",
+            s.rank,
+            r.overlap_fraction
         );
     }
 }

@@ -28,7 +28,7 @@
 //! exactly `window end − window start` — the report's "critical path
 //! explains wall-clock" property is structural, not approximate.
 
-use crate::span::{Category, SpanGraph};
+use crate::span::{Category, SpanGraph, TaskKey};
 use std::collections::{HashMap, HashSet};
 
 /// Critical-path time split by category, microseconds.
@@ -79,10 +79,10 @@ pub struct TimestepPath {
     pub nodes: u64,
 }
 
-/// A node reference during the walk: a task id or a message match id.
-#[derive(Debug, Clone, Copy)]
+/// A node reference during the walk: a task or a message match id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum NodeRef {
-    Task(u64),
+    Task(TaskKey),
     Msg(u64),
 }
 
@@ -126,14 +126,14 @@ impl Lanes {
     /// `start`, excluding `id` itself. Its body end is when the worker
     /// freed up (a blocked task releases the worker at body end, not at
     /// its deferred completion).
-    fn lane_pred(&self, rank: u32, worker: u32, start: u64, id: u64) -> Option<(u64, u64)> {
+    fn lane_pred(&self, rank: u32, worker: u32, start: u64, id: u64) -> Option<(TaskKey, u64)> {
         let lane = self.by_lane.get(&(rank, worker))?;
         let mut i = lane.partition_point(|&(s, ..)| s < start);
         while i > 0 {
             i -= 1;
             let (_, end, pid) = lane[i];
             if pid != id {
-                return Some((pid, end));
+                return Some(((rank, pid), end));
             }
         }
         None
@@ -141,12 +141,12 @@ impl Lanes {
 
     /// The task on `rank` with the greatest effective finish at or before
     /// `at`.
-    fn rank_pred(&self, rank: u32, at: u64) -> Option<(u64, u64)> {
+    fn rank_pred(&self, rank: u32, at: u64) -> Option<(TaskKey, u64)> {
         let tail = self.by_rank.get(&rank)?;
         let i = tail.partition_point(|&(e, _)| e <= at);
         i.checked_sub(1).map(|i| {
             let (end, id) = tail[i];
-            (id, end)
+            ((rank, id), end)
         })
     }
 }
@@ -199,7 +199,7 @@ fn walk_window(
     for t in graph.tasks.values() {
         let e = t.end_eff();
         if in_window(e) && terminal.map(|(_, best)| e > best).unwrap_or(true) {
-            terminal = Some((NodeRef::Task(t.id), e));
+            terminal = Some((NodeRef::Task(t.key()), e));
         }
     }
     for m in graph.messages.values() {
@@ -233,20 +233,16 @@ fn walk_window(
     // Each node is visited at most once (the walk follows a DAG path);
     // the set turns a malformed cyclic edge set into a clean stop with
     // the unaccounted remainder charged to `wait`.
-    let mut visited: HashSet<(bool, u64)> = HashSet::new();
+    let mut visited: HashSet<NodeRef> = HashSet::new();
     loop {
-        let key = match node {
-            NodeRef::Task(id) => (false, id),
-            NodeRef::Msg(id) => (true, id),
-        };
-        if !visited.insert(key) {
+        if !visited.insert(node) {
             bd.wait_us += cur - floor;
             break;
         }
         nodes += 1;
         let (cat, node_start) = match node {
-            NodeRef::Task(id) => {
-                let t = &graph.tasks[&id];
+            NodeRef::Task(key) => {
+                let t = &graph.tasks[&key];
                 (Category::of_label(t.label), t.start_us)
             }
             NodeRef::Msg(id) => (Category::Transit, graph.messages[&id].posted_us),
@@ -308,11 +304,11 @@ fn best_pred(graph: &SpanGraph, lanes: &Lanes, node: NodeRef, cur: u64) -> Optio
         }
     };
     match node {
-        NodeRef::Task(id) => {
-            let t = &graph.tasks[&id];
+        NodeRef::Task(key) => {
+            let t = &graph.tasks[&key];
             for &p in &t.preds {
-                if let Some(pt) = graph.tasks.get(&p) {
-                    consider(NodeRef::Task(p), pt.end_eff());
+                if let Some(pt) = graph.tasks.get(&(t.rank, p)) {
+                    consider(NodeRef::Task(pt.key()), pt.end_eff());
                 }
             }
             for &m in &t.msg_preds {
@@ -323,19 +319,19 @@ fn best_pred(graph: &SpanGraph, lanes: &Lanes, node: NodeRef, cur: u64) -> Optio
             // Resource edge: the worker ran something else right before
             // this task. Competes with the causal edges; whichever
             // released last is what actually gated the start.
-            if let Some((pid, end)) = lanes.lane_pred(t.rank, t.worker, t.start_us, id) {
-                consider(NodeRef::Task(pid), end);
+            if let Some((pred, end)) = lanes.lane_pred(t.rank, t.worker, t.start_us, t.id) {
+                consider(NodeRef::Task(pred), end);
             }
         }
         NodeRef::Msg(id) => {
             let m = &graph.messages[&id];
             let mut have_sender = false;
             if m.send_task > 0 {
-                if let Some(st) = graph.tasks.get(&m.send_task) {
+                if let Some(st) = graph.tasks.get(&(m.src, m.send_task)) {
                     // The send post gates the message, and the post
                     // happens inside the sending task's body — use the
                     // post time, not the task's (possibly later) end.
-                    consider(NodeRef::Task(m.send_task), m.posted_us.min(st.end_eff()));
+                    consider(NodeRef::Task(st.key()), m.posted_us.min(st.end_eff()));
                     have_sender = true;
                 }
             }
@@ -344,8 +340,8 @@ fn best_pred(graph: &SpanGraph, lanes: &Lanes, node: NodeRef, cur: u64) -> Optio
                 // dropped): chain to whatever the sending rank finished
                 // last before the post — main-thread exchanges follow a
                 // taskwait, so this is the releasing dependency.
-                if let Some((pid, end)) = lanes.rank_pred(m.src, m.posted_us) {
-                    consider(NodeRef::Task(pid), end);
+                if let Some((pred, end)) = lanes.rank_pred(m.src, m.posted_us) {
+                    consider(NodeRef::Task(pred), end);
                 }
             }
         }

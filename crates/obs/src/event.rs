@@ -1,8 +1,9 @@
 //! Event vocabulary of the bus.
 //!
 //! One enum covers every layer: task lifecycle (taskrt), message
-//! lifecycle (vmpi), event holds (tampi via taskrt), and coarse phase
-//! spans (the `core` trace recorder). Variants carry only `Copy` payloads
+//! lifecycle (vmpi), event holds (tampi via taskrt), and the phase spans
+//! a rank's own thread runs outside any task ([`crate::phase_span`]).
+//! Variants carry only `Copy` payloads
 //! plus `&'static str` labels so an [`Event`] is small and cheap to move
 //! through the ring buffers.
 
@@ -268,8 +269,9 @@ pub enum EventData {
         /// Tasks covered by the transition.
         tasks: u32,
     },
-    /// core: a coarse phase interval recorded by the `Trace` recorder
-    /// (stencil, pack, unpack, ... — the Fig. 1–3 palette).
+    /// core: a phase interval a rank's own thread ran outside any task
+    /// ([`crate::phase_span`]; stencil, pack, unpack, ... — the Fig. 1–3
+    /// palette, named like the tasks that do the same work).
     Span {
         /// Phase kind name.
         kind: &'static str,

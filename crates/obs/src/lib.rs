@@ -87,6 +87,26 @@ thread_local! {
     static THREAD_TASK: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Runs `f` as one phase interval of `kind` on the calling thread: while
+/// the bus is on, the interval becomes one [`EventData::Span`] on the bus
+/// clock; while it is off, this costs what [`bus`] costs. For work a
+/// rank's own thread does outside any task — a task's interval is its own
+/// `TaskStart`/`TaskEnd` pair under its label.
+#[inline]
+pub fn phase_span<R>(kind: &'static str, f: impl FnOnce() -> R) -> R {
+    let Some(bus) = bus() else {
+        return f();
+    };
+    let start_us = bus.now_us();
+    let out = f();
+    bus.emit(EventData::Span {
+        kind,
+        start_us,
+        end_us: bus.now_us(),
+    });
+    out
+}
+
 /// Declares which virtual rank the calling thread belongs to. Called by
 /// `vmpi::World::run` when a rank thread starts, and inherited by taskrt
 /// workers via [`set_thread_rank`] at runtime construction.

@@ -244,10 +244,11 @@ impl PerfReport {
         for r in &self.ranks_detail {
             let _ = writeln!(
                 out,
-                "  rank {}: busy {:.1} ms idle {:.1} ms overlap {:.3} tasks {} waits {} ({:.1} ms)",
+                "  rank {}: busy {:.1} ms idle {:.1} ms largest gap {:.2} ms overlap {:.3} tasks {} waits {} ({:.1} ms)",
                 r.rank,
                 r.busy_us as f64 / 1e3,
                 r.idle_us as f64 / 1e3,
+                r.largest_gap_us as f64 / 1e3,
                 r.overlap_fraction,
                 r.tasks,
                 r.waits,

@@ -19,11 +19,13 @@
 //! per-timestep critical paths; [`crate::report`] folds the same graph
 //! into per-rank busy/idle/overlap attribution.
 //!
-//! The module also hosts [`overlap_fraction`], the sweep-line
-//! "fraction of busy time with ≥ 2 distinct kinds active" measure. It is
-//! the single source of truth: `core`'s `Trace::overlap_fraction`
-//! delegates here, and the per-rank report numbers come from the same
-//! function over the same `Span` events.
+//! A phase interval is recorded once: as its task's interval under the
+//! task's label, or — for work a rank's own thread does outside any task
+//! — as one `Span` under a kind named like the task that would do it.
+//! [`SpanGraph::rank_stats`] folds both into one set of busy intervals
+//! per rank: busy and idle time, the largest gap, and
+//! [`overlap_fraction`], the sweep-line "fraction of busy time with ≥ 2
+//! distinct kinds active" measure of the paper's Fig. 3.
 
 use crate::event::{Event, EventData};
 use std::collections::HashMap;
@@ -83,10 +85,15 @@ impl Category {
     }
 }
 
+/// A task on the bus: its rank and its id. Every rank runs its own
+/// `taskrt` runtime, and a runtime numbers its tasks from 1, so an id
+/// alone names one task per rank.
+pub type TaskKey = (u32, u64);
+
 /// One task's lifetime as seen by the analyzer.
 #[derive(Debug, Clone, Default)]
 pub struct TaskNode {
-    /// taskrt task id.
+    /// taskrt task id (unique within the task's rank).
     pub id: u64,
     /// Task label (empty if the TaskStart event was dropped).
     pub label: &'static str,
@@ -107,13 +114,18 @@ pub struct TaskNode {
     /// `finish_us == 0` is *currently* blocked — the watchdog's
     /// blocked-chain diagnosis starts from these.
     pub blocked_us: u64,
-    /// Predecessor task ids (DepEdge).
+    /// Predecessor task ids on the same rank (DepEdge).
     pub preds: Vec<u64>,
     /// Match ids of messages delivered into this task's receives.
     pub msg_preds: Vec<u64>,
 }
 
 impl TaskNode {
+    /// The task's key in [`SpanGraph::tasks`].
+    pub fn key(&self) -> TaskKey {
+        (self.rank, self.id)
+    }
+
     /// The instant this task stopped holding up successors: body end, or
     /// the deferred release for blocked tasks.
     pub fn end_eff(&self) -> u64 {
@@ -126,9 +138,9 @@ impl TaskNode {
 pub struct MessageNode {
     /// Process-unique match id (always > 0 here).
     pub match_id: u64,
-    /// Task that posted the send (0 = outside any task).
+    /// Task on `src` that posted the send (0 = outside any task).
     pub send_task: u64,
-    /// Task whose receive it satisfied (0 = outside any task).
+    /// Task on `dst` whose receive it satisfied (0 = outside any task).
     pub recv_task: u64,
     /// Sending rank.
     pub src: u32,
@@ -164,8 +176,11 @@ pub struct RankStats {
     pub busy_us: u64,
     /// Rank wall span minus busy, microseconds.
     pub idle_us: u64,
-    /// Sweep-line overlap fraction (coarse `Span` events when present,
-    /// task intervals keyed by label otherwise).
+    /// Largest stretch inside the rank's wall span with no busy interval,
+    /// microseconds (the "blank spaces" of the paper's Fig. 3).
+    pub largest_gap_us: u64,
+    /// Sweep-line overlap fraction of the rank's task intervals and
+    /// phase spans, keyed by name ([`SpanGraph::rank_overlap`]).
     pub overlap_fraction: f64,
     /// Tasks executed on this rank.
     pub tasks: u64,
@@ -178,13 +193,13 @@ pub struct RankStats {
 /// The assembled cross-rank span graph.
 #[derive(Debug, Default)]
 pub struct SpanGraph {
-    /// Task nodes by taskrt id.
-    pub tasks: HashMap<u64, TaskNode>,
+    /// Task nodes by rank and taskrt id.
+    pub tasks: HashMap<TaskKey, TaskNode>,
     /// Message nodes by match id.
     pub messages: HashMap<u64, MessageNode>,
     /// Parked-wait intervals.
     pub waits: Vec<WaitNode>,
-    /// Coarse phase spans: `(rank, kind, start_us, end_us)`.
+    /// Phase spans: `(rank, kind, start_us, end_us)`.
     pub spans: Vec<(u32, &'static str, u64, u64)>,
     /// Rank-0 timestep marks `(tstep, t_us)`, sorted by time. These
     /// delimit the analyzer's per-timestep windows.
@@ -208,39 +223,31 @@ impl SpanGraph {
         for ev in events {
             g.min_us = g.min_us.min(ev.t_us);
             g.max_us = g.max_us.max(ev.t_us);
+            // Task events carry the task's rank.
+            let tasks = &mut g.tasks;
             match &ev.data {
                 EventData::TaskStart { id, label } => {
-                    let t = g.tasks.entry(*id).or_default();
-                    t.id = *id;
+                    let t = task_node(tasks, ev.rank, *id);
                     t.label = label;
-                    t.rank = ev.rank;
                     t.worker = ev.worker;
                     t.start_us = ev.t_us;
                 }
                 EventData::TaskEnd { id, label } => {
-                    let t = g.tasks.entry(*id).or_default();
-                    t.id = *id;
+                    let t = task_node(tasks, ev.rank, *id);
                     if t.label.is_empty() {
                         t.label = label;
-                        t.rank = ev.rank;
                         t.worker = ev.worker;
                     }
                     t.end_us = ev.t_us;
                 }
                 EventData::TaskCompleted { id } => {
-                    let t = g.tasks.entry(*id).or_default();
-                    t.id = *id;
-                    t.finish_us = ev.t_us;
+                    task_node(tasks, ev.rank, *id).finish_us = ev.t_us;
                 }
                 EventData::TaskBlocked { id, .. } => {
-                    let t = g.tasks.entry(*id).or_default();
-                    t.id = *id;
-                    t.blocked_us = ev.t_us;
+                    task_node(tasks, ev.rank, *id).blocked_us = ev.t_us;
                 }
                 EventData::DepEdge { pred, succ } => {
-                    let t = g.tasks.entry(*succ).or_default();
-                    t.id = *succ;
-                    t.preds.push(*pred);
+                    task_node(tasks, ev.rank, *succ).preds.push(*pred);
                 }
                 EventData::SendPosted {
                     dst,
@@ -277,8 +284,7 @@ impl SpanGraph {
                         m.src = *src;
                     }
                     if *recv_task > 0 {
-                        let t = g.tasks.entry(*recv_task).or_default();
-                        t.id = *recv_task;
+                        let t = task_node(tasks, ev.rank, *recv_task);
                         t.msg_preds.push(*match_id);
                     }
                 }
@@ -321,31 +327,35 @@ impl SpanGraph {
         g
     }
 
-    /// Per-rank busy/idle/overlap attribution, sorted by rank.
-    pub fn rank_stats(&self) -> Vec<RankStats> {
-        // Busy intervals per rank: task bodies plus coarse spans (the
-        // union de-duplicates the task-inside-span case).
-        let mut busy: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
-        let mut tasks_per: HashMap<u32, u64> = HashMap::new();
-        for t in self.tasks.values() {
-            if t.end_us > t.start_us {
-                busy.entry(t.rank).or_default().push((t.start_us, t.end_us));
-                *tasks_per.entry(t.rank).or_default() += 1;
+    /// Every rank's busy intervals, `(name, start_us, end_us)`: task
+    /// bodies under their labels and phase spans under their kinds
+    /// (zero-length ones left out).
+    pub fn busy_intervals(&self) -> HashMap<u32, Vec<(&'static str, u64, u64)>> {
+        let mut busy: HashMap<u32, Vec<(&'static str, u64, u64)>> = HashMap::new();
+        let tasks = (self.tasks.values()).map(|t| (t.rank, t.label, t.start_us, t.end_us));
+        for (rank, name, s, e) in tasks.chain(self.spans.iter().copied()) {
+            if e > s {
+                busy.entry(rank).or_default().push((name, s, e));
             }
         }
-        for &(rank, _, s, e) in &self.spans {
-            if e > s {
-                busy.entry(rank).or_default().push((s, e));
-            }
+        busy
+    }
+
+    /// Per-rank busy/idle/gap/overlap attribution, sorted by rank.
+    pub fn rank_stats(&self) -> Vec<RankStats> {
+        let busy = self.busy_intervals();
+        let mut tasks_per: HashMap<u32, u64> = HashMap::new();
+        for t in self.tasks.values().filter(|t| t.end_us > t.start_us) {
+            *tasks_per.entry(t.rank).or_default() += 1;
         }
         let mut ranks: Vec<u32> = busy.keys().copied().collect();
         ranks.sort_unstable();
         let mut out = Vec::with_capacity(ranks.len());
         for rank in ranks {
             let intervals = &busy[&rank];
-            let busy_us = union_len(intervals.clone());
-            let lo = intervals.iter().map(|&(s, _)| s).min().unwrap_or(0);
-            let hi = intervals.iter().map(|&(_, e)| e).max().unwrap_or(0);
+            let (busy_us, largest_gap_us) = union_and_gap(intervals);
+            let lo = intervals.iter().map(|&(_, s, _)| s).min().unwrap_or(0);
+            let hi = intervals.iter().map(|&(_, _, e)| e).max().unwrap_or(0);
             let (waits, wait_us) = self
                 .waits
                 .iter()
@@ -357,7 +367,8 @@ impl SpanGraph {
                 rank,
                 busy_us,
                 idle_us: (hi - lo).saturating_sub(busy_us),
-                overlap_fraction: self.rank_overlap(rank),
+                largest_gap_us,
+                overlap_fraction: overlap_by_name(intervals),
                 tasks: tasks_per.get(&rank).copied().unwrap_or(0),
                 waits,
                 wait_us,
@@ -366,70 +377,66 @@ impl SpanGraph {
         out
     }
 
-    /// Sweep-line overlap fraction for one rank. Prefers the coarse
-    /// `Span` events (exactly what `core::trace::Trace` records, so the
-    /// two agree); ranks traced without the recorder fall back to task
-    /// intervals keyed by label.
+    /// Sweep-line overlap fraction for one rank: its task intervals and
+    /// phase spans swept together, keyed by name (a `pack` task and a
+    /// `pack` span are one kind).
     pub fn rank_overlap(&self, rank: u32) -> f64 {
-        let mut kinds: HashMap<&'static str, u32> = HashMap::new();
-        let intern = |k: &'static str, kinds: &mut HashMap<&'static str, u32>| -> u32 {
-            let next = kinds.len() as u32;
-            *kinds.entry(k).or_insert(next)
-        };
-        let mut spans: Vec<(u32, u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|&&(r, ..)| r == rank)
-            .map(|&(_, k, s, e)| (intern(k, &mut kinds), s, e))
-            .collect();
-        if spans.is_empty() {
-            spans = self
-                .tasks
-                .values()
-                .filter(|t| t.rank == rank && t.end_us > 0)
-                .map(|t| (intern(t.label, &mut kinds), t.start_us, t.end_us))
-                .collect();
-        }
-        overlap_fraction(&spans)
-    }
-
-    /// Mean per-rank overlap fraction over ranks that recorded anything.
-    pub fn mean_overlap(&self) -> f64 {
-        let stats = self.rank_stats();
-        if stats.is_empty() {
-            return 0.0;
-        }
-        stats.iter().map(|r| r.overlap_fraction).sum::<f64>() / stats.len() as f64
+        self.busy_intervals()
+            .get(&rank)
+            .map_or(0.0, |intervals| overlap_by_name(intervals))
     }
 }
 
-/// Total length of the union of half-open intervals.
-fn union_len(mut intervals: Vec<(u64, u64)>) -> u64 {
-    intervals.sort_unstable();
-    let mut total = 0u64;
-    let mut horizon = 0u64;
-    let mut started = false;
-    for (s, e) in intervals {
-        if !started || s > horizon {
-            total += e.saturating_sub(s);
-            horizon = e;
-            started = true;
-        } else if e > horizon {
-            total += e - horizon;
-            horizon = e;
+/// The node of task `id` on `rank`, created on first sight.
+fn task_node(tasks: &mut HashMap<TaskKey, TaskNode>, rank: u32, id: u64) -> &mut TaskNode {
+    let t = tasks.entry((rank, id)).or_default();
+    (t.rank, t.id) = (rank, id);
+    t
+}
+
+/// Total length of the union of named half-open intervals, and the
+/// largest gap between two of its pieces.
+fn union_and_gap(intervals: &[(&'static str, u64, u64)]) -> (u64, u64) {
+    let mut sorted: Vec<(u64, u64)> = intervals.iter().map(|&(_, s, e)| (s, e)).collect();
+    sorted.sort_unstable();
+    let (mut total, mut gap) = (0u64, 0u64);
+    let mut horizon: Option<u64> = None;
+    for (s, e) in sorted {
+        match horizon {
+            Some(h) if s <= h => {
+                if e > h {
+                    total += e - h;
+                    horizon = Some(e);
+                }
+            }
+            _ => {
+                if let Some(h) = horizon {
+                    gap = gap.max(s - h);
+                }
+                total += e.saturating_sub(s);
+                horizon = Some(e);
+            }
         }
     }
-    total
+    (total, gap)
+}
+
+/// [`overlap_fraction`] of named intervals: one kind per name.
+fn overlap_by_name(intervals: &[(&'static str, u64, u64)]) -> f64 {
+    let mut kinds: HashMap<&'static str, u32> = HashMap::new();
+    let spans: Vec<(u32, u64, u64)> = (intervals.iter())
+        .map(|&(name, s, e)| {
+            let next = kinds.len() as u32;
+            (*kinds.entry(name).or_insert(next), s, e)
+        })
+        .collect();
+    overlap_fraction(&spans)
 }
 
 /// Fraction of busy time during which at least two spans of *different*
 /// kinds were active — the "phases overlap" measure of the paper's
 /// Fig. 3. Spans are `(kind_id, start, end)` in any consistent time
 /// unit; returns 0 for fewer than two spans or zero busy time.
-///
-/// This is the sweep-line from `core::trace::Trace::overlap_fraction`,
-/// lifted here so the analyzer and the legacy recorder share one
-/// implementation (the recorder now delegates to this).
 pub fn overlap_fraction(spans: &[(u32, u64, u64)]) -> f64 {
     if spans.len() < 2 {
         return 0.0;
@@ -501,11 +508,14 @@ pub fn blocked_chain_report(events: &[Event]) -> String {
     let graph = SpanGraph::build(events);
     // Outstanding receives per task: posted minus delivered. Wildcard
     // receives (src -1 / tag -2) match any delivery.
-    let mut pending: HashMap<u64, Vec<(i32, i32)>> = HashMap::new();
+    let mut pending: HashMap<TaskKey, Vec<(i32, i32)>> = HashMap::new();
     for ev in events {
         match &ev.data {
             EventData::RecvPosted { src, tag, task, .. } if *task > 0 => {
-                pending.entry(*task).or_default().push((*src, *tag));
+                pending
+                    .entry((ev.rank, *task))
+                    .or_default()
+                    .push((*src, *tag));
             }
             EventData::MsgDelivered {
                 src,
@@ -513,7 +523,7 @@ pub fn blocked_chain_report(events: &[Event]) -> String {
                 recv_task,
                 ..
             } if *recv_task > 0 => {
-                if let Some(v) = pending.get_mut(recv_task) {
+                if let Some(v) = pending.get_mut(&(ev.rank, *recv_task)) {
                     if let Some(pos) = v
                         .iter()
                         .position(|&(s, t)| (s < 0 || s as u32 == *src) && (t == -2 || t == *tag))
@@ -545,17 +555,17 @@ pub fn blocked_chain_report(events: &[Event]) -> String {
     // Greedy walk from every blocked task; keep the longest chain.
     // Each rank is visited at most once per walk, so revisiting one
     // means the chain closed on itself — the deadlock cycle.
-    let mut best: Vec<(u64, Option<(i32, i32)>)> = Vec::new();
+    let mut best: Vec<(&TaskNode, Option<(i32, i32)>)> = Vec::new();
     for start in &blocked {
-        let mut chain: Vec<(u64, Option<(i32, i32)>)> = Vec::new();
+        let mut chain: Vec<(&TaskNode, Option<(i32, i32)>)> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         let mut cur: &TaskNode = start;
         loop {
             if !seen.insert(cur.rank) {
                 break;
             }
-            let awaiting = pending.get(&cur.id).and_then(|v| v.first()).copied();
-            chain.push((cur.id, awaiting));
+            let awaiting = pending.get(&cur.key()).and_then(|v| v.first()).copied();
+            chain.push((cur, awaiting));
             let Some((src, _)) = awaiting else { break };
             let Some(next) = (src >= 0)
                 .then(|| oldest_by_rank.get(&(src as u32)))
@@ -577,8 +587,7 @@ pub fn blocked_chain_report(events: &[Event]) -> String {
         best.len(),
         blocked.len()
     );
-    for (i, (id, awaiting)) in best.iter().enumerate() {
-        let t = &graph.tasks[id];
+    for (i, (t, awaiting)) in best.iter().enumerate() {
         let label = if t.label.is_empty() { "?" } else { t.label };
         let arrow = if i == 0 { "  " } else { "  -> " };
         let _ = write!(
@@ -596,12 +605,7 @@ pub fn blocked_chain_report(events: &[Event]) -> String {
         }
     }
     if let Some(&(_, Some((src, _)))) = best.last() {
-        if src >= 0
-            && best.len() > 1
-            && best
-                .iter()
-                .any(|(id, _)| graph.tasks[id].rank == src as u32)
-        {
+        if src >= 0 && best.len() > 1 && best.iter().any(|(t, _)| t.rank == src as u32) {
             let _ = writeln!(out, "  (the awaited sender is itself in the chain — cycle)");
         }
     }
@@ -688,7 +692,8 @@ mod tests {
                 },
             ),
             ev(3, 21, 0, EventData::TaskCompleted { id: 1 }),
-            ev(4, 22, 0, EventData::DepEdge { pred: 1, succ: 2 }),
+            // An edge between two tasks of rank 1.
+            ev(4, 22, 1, EventData::DepEdge { pred: 1, succ: 2 }),
             ev(
                 5,
                 25,
@@ -740,10 +745,10 @@ mod tests {
         let g = SpanGraph::build(&events);
         assert_eq!(g.tasks.len(), 2);
         assert_eq!(g.messages.len(), 1);
-        let t1 = &g.tasks[&1];
+        let t1 = &g.tasks[&(0, 1)];
         assert_eq!((t1.start_us, t1.end_us, t1.finish_us), (10, 20, 21));
         assert_eq!(t1.end_eff(), 21);
-        let t2 = &g.tasks[&2];
+        let t2 = &g.tasks[&(1, 2)];
         assert_eq!(t2.preds, vec![1]);
         assert_eq!(t2.msg_preds, vec![9]);
         let m = &g.messages[&9];
@@ -802,8 +807,58 @@ mod tests {
             ev(4, 90, 0, EventData::TaskCompleted { id: 5 }),
         ];
         let g = SpanGraph::build(&events);
-        assert_eq!(g.tasks[&5].end_eff(), 90);
+        assert_eq!(g.tasks[&(0, 5)].end_eff(), 90);
         assert_eq!(g.max_us, 90);
+    }
+
+    #[test]
+    fn one_task_id_on_two_ranks_is_two_tasks() {
+        // Every rank's runtime numbers its tasks from 1.
+        let events = vec![
+            ev(
+                1,
+                0,
+                0,
+                EventData::TaskStart {
+                    id: 1,
+                    label: "pack",
+                },
+            ),
+            ev(
+                2,
+                5,
+                1,
+                EventData::TaskStart {
+                    id: 1,
+                    label: "stencil",
+                },
+            ),
+            ev(
+                3,
+                10,
+                0,
+                EventData::TaskEnd {
+                    id: 1,
+                    label: "pack",
+                },
+            ),
+            ev(
+                4,
+                30,
+                1,
+                EventData::TaskEnd {
+                    id: 1,
+                    label: "stencil",
+                },
+            ),
+        ];
+        let g = SpanGraph::build(&events);
+        assert_eq!(g.tasks.len(), 2);
+        let (a, b) = (&g.tasks[&(0, 1)], &g.tasks[&(1, 1)]);
+        assert_eq!((a.label, a.start_us, a.end_us), ("pack", 0, 10));
+        assert_eq!((b.label, b.start_us, b.end_us), ("stencil", 5, 30));
+        let busy: Vec<u64> = g.rank_stats().iter().map(|r| r.busy_us).collect();
+        assert_eq!(busy, vec![10, 25]);
     }
 
     #[test]
@@ -863,6 +918,7 @@ mod tests {
         assert_eq!(r.rank, 0);
         assert_eq!(r.busy_us, 70);
         assert_eq!(r.idle_us, 10);
+        assert_eq!(r.largest_gap_us, 10);
         assert_eq!(r.tasks, 2);
         assert_eq!((r.waits, r.wait_us), (1, 10));
         // Serial tasks of different labels: no overlap.
@@ -870,75 +926,51 @@ mod tests {
     }
 
     #[test]
-    fn rank_overlap_prefers_coarse_spans() {
-        let events = vec![
-            // Coarse spans say full overlap; tasks would say none.
+    fn rank_overlap_sweeps_tasks_and_spans_together() {
+        let task = |seq: u64, id: u64, label: &'static str, start: u64, end: u64| {
+            [
+                ev(seq, start, 0, EventData::TaskStart { id, label }),
+                ev(seq + 1, end, 0, EventData::TaskEnd { id, label }),
+            ]
+        };
+        let span = |seq: u64, kind: &'static str, start_us: u64, end_us: u64| {
             ev(
-                1,
-                100,
+                seq,
+                end_us,
                 0,
                 EventData::Span {
-                    kind: "stencil",
-                    start_us: 0,
-                    end_us: 100,
+                    kind,
+                    start_us,
+                    end_us,
                 },
-            ),
-            ev(
-                2,
-                100,
-                0,
-                EventData::Span {
-                    kind: "unpack",
-                    start_us: 0,
-                    end_us: 100,
-                },
-            ),
-            ev(
-                3,
-                0,
-                0,
-                EventData::TaskStart {
-                    id: 1,
-                    label: "stencil",
-                },
-            ),
-            ev(
-                4,
-                10,
-                0,
-                EventData::TaskEnd {
-                    id: 1,
-                    label: "stencil",
-                },
-            ),
-            ev(
-                5,
-                10,
-                0,
-                EventData::TaskStart {
-                    id: 2,
-                    label: "unpack",
-                },
-            ),
-            ev(
-                6,
-                20,
-                0,
-                EventData::TaskEnd {
-                    id: 2,
-                    label: "unpack",
-                },
-            ),
-        ];
+            )
+        };
+        let mut events = Vec::new();
+        // A stencil task under a main-thread checksum span: 50 us of two
+        // kinds. A rank whose only span is the checksum still overlaps.
+        events.extend(task(1, 1, "stencil", 0, 100));
+        events.push(span(3, "checksum_remote", 50, 150));
+        // A pack task and a pack span are one kind: busy, no overlap.
+        events.extend(task(4, 2, "pack", 200, 220));
+        events.push(span(6, "pack", 210, 230));
         let g = SpanGraph::build(&events);
-        assert!((g.rank_overlap(0) - 1.0).abs() < 1e-9);
+        let f = g.rank_overlap(0);
+        assert!((f - 50.0 / 180.0).abs() < 1e-9, "{f}");
+        let stats = g.rank_stats();
+        assert_eq!((stats[0].busy_us, stats[0].largest_gap_us), (180, 50));
+        assert_eq!(stats[0].overlap_fraction, f);
     }
 
     #[test]
-    fn union_len_merges() {
-        assert_eq!(union_len(vec![(0, 10), (5, 15), (20, 25)]), 20);
-        assert_eq!(union_len(vec![]), 0);
-        assert_eq!(union_len(vec![(3, 3)]), 0);
+    fn union_and_gap_merges() {
+        let iv = |v: &[(u64, u64)]| -> Vec<(&'static str, u64, u64)> {
+            v.iter().map(|&(s, e)| ("k", s, e)).collect()
+        };
+        assert_eq!(union_and_gap(&iv(&[(0, 10), (5, 15), (20, 25)])), (20, 5));
+        assert_eq!(union_and_gap(&iv(&[])), (0, 0));
+        assert_eq!(union_and_gap(&iv(&[(3, 3)])), (0, 0));
+        // Leading idle is no gap; a contained interval keeps the horizon.
+        assert_eq!(union_and_gap(&iv(&[(35, 36), (12, 14), (10, 30)])), (21, 5));
     }
 
     #[test]

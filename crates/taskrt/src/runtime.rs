@@ -240,6 +240,7 @@ impl RtInner {
             // become ready while its edges are still being created.
             pending: AtomicUsize::new(1),
             events: AtomicUsize::new(1),
+            body_returned: AtomicBool::new(false),
             gate_posted: AtomicBool::new(false),
             state: Mutex::new(TaskLinks {
                 released: false,
@@ -307,7 +308,7 @@ impl RtInner {
         // has not drained) or its on-ready gate (the receive it posted has
         // not been matched).
         let awaiting = |task: &TaskShared| -> Option<String> {
-            let holds = task.events.load(Ordering::Relaxed).saturating_sub(1);
+            let holds = task.event_holds();
             if task.awaiting_gate() {
                 Some("[awaiting gate]".into())
             } else {
@@ -316,7 +317,6 @@ impl RtInner {
         };
         for task in live_set.snapshot() {
             let pending = task.pending.load(Ordering::Relaxed);
-            let events = task.events.load(Ordering::Relaxed);
             let label = if task.label.is_empty() {
                 "<unlabeled>"
             } else {
@@ -328,7 +328,7 @@ impl RtInner {
                 task.id,
                 label,
                 pending,
-                events.saturating_sub(1),
+                task.event_holds(),
                 if task.awaiting_gate() {
                     " awaiting_gate"
                 } else {

@@ -96,8 +96,14 @@ pub(crate) struct TaskShared {
     pub body: TaskBody,
     /// Predecessors not yet released, plus one registration guard.
     pub pending: AtomicUsize,
-    /// Body (counted as 1) plus outstanding event holds.
+    /// Body (counted as 1 until it returns) plus outstanding event holds.
     pub events: AtomicUsize,
+    /// Whether the body has returned in this run of the task: from then
+    /// on, `events` counts holds alone. Stored (Release) before the
+    /// body's count is dropped, and loaded after `events` (Acquire) by
+    /// [`TaskShared::event_holds`], so a count without the body's share
+    /// is always read with the flag set.
+    pub body_returned: AtomicBool,
     /// Whether the on-ready gate has run in this run of the task (the
     /// `pending` count that reaches zero afterwards is the gate's).
     pub gate_posted: AtomicBool,
@@ -140,6 +146,7 @@ impl TaskShared {
         self.san_id = san_id;
         *self.pending.get_mut() = 1;
         *self.events.get_mut() = 1;
+        *self.body_returned.get_mut() = false;
         *self.gate_posted.get_mut() = false;
     }
 
@@ -200,6 +207,16 @@ impl TaskShared {
             obs::set_thread_task(task);
         }
         self.dep_satisfied(local_hint);
+    }
+
+    /// Event holds the task has outstanding (diagnostics).
+    pub(crate) fn event_holds(&self) -> usize {
+        let events = self.events.load(Ordering::Acquire);
+        if self.body_returned.load(Ordering::Acquire) {
+            events
+        } else {
+            events.saturating_sub(1)
+        }
     }
 
     /// Whether the task's gate has run and not yet opened (diagnostics).
@@ -347,6 +364,7 @@ impl TaskShared {
             obs::set_thread_task(p);
         }
         CURRENT.with(|c| *c.borrow_mut() = prev);
+        self.body_returned.store(true, Ordering::Release);
         self.event_done();
     }
 }

@@ -615,21 +615,19 @@ done
 # The 4-rank data-flow smoke must emit a schema-valid perf report whose
 # per-timestep critical-path categories telescope to the window's
 # wall-clock exactly (so the 5% acceptance bound holds by construction),
-# whose per-rank overlap fractions match the legacy recorder's stdout
-# lines within 0.02 (they share one sweep and one clock), and whose
-# Perfetto export carries balanced send->recv flow arrows.
+# whose per-rank overlap fractions are fractions, and whose Perfetto
+# export carries balanced send->recv flow arrows.
 # --obs_ring 262144 keeps every event; the report's own "dropped" field
 # is the overflow guard.
 echo "==> causal perf analyzer: 4-rank dataflow report"
 perf_json="$(mktemp /tmp/miniamr-perf-XXXXXX.json)"
 perf_trace="$(mktemp /tmp/miniamr-perftrace-XXXXXX.json)"
-perf_out="$(timeout 120 "$MINIAMR" --variant dataflow --npx 2 --npy 2 \
+timeout 120 "$MINIAMR" --variant dataflow --npx 2 --npy 2 \
     --nx 8 --ny 8 --nz 8 --num_vars 4 --num_tsteps 4 --input single_sphere \
-    --trace --obs_ring 262144 --perf_report "$perf_json" \
-    --trace-json "$perf_trace" 2>/dev/null)"
-OVERLAP_LINES="$(awk '$1 == "rank" && $3 == "overlap_fraction" { print $2, $4 }' \
-    <<<"$perf_out")" python3 - "$perf_json" "$perf_trace" <<'PY'
-import json, os, sys
+    --obs_ring 262144 --perf_report "$perf_json" \
+    --trace-json "$perf_trace" >/dev/null 2>&1
+python3 - "$perf_json" "$perf_trace" <<'PY'
+import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc.get("schema") == "miniamr-perf-report" and doc.get("version") == 1, "bad schema"
 assert doc["dropped"] == 0, f"ring overflow dropped {doc['dropped']} events"
@@ -643,15 +641,10 @@ for t in doc["timesteps"]:
     assert abs(cats - t["wall_us"]) <= 0.05 * t["wall_us"], (
         f"tstep {t['tstep']}: path {cats} vs wall {t['wall_us']}")
     assert cp["nodes"] > 0, f"tstep {t['tstep']} walked no nodes"
-recorder = {}
-for line in os.environ["OVERLAP_LINES"].splitlines():
-    rank, frac = line.split()
-    recorder[int(rank)] = float(frac)
-assert recorder, "no recorder overlap lines on stdout"
+assert len(doc["ranks_detail"]) == 4, "expected 4 ranks in the report"
 for r in doc["ranks_detail"]:
-    rec = recorder[r["rank"]]
-    assert abs(rec - r["overlap_fraction"]) <= 0.02, (
-        f"rank {r['rank']}: recorder {rec} vs analyzer {r['overlap_fraction']}")
+    assert 0.0 <= r["overlap_fraction"] <= 1.0, (
+        f"rank {r['rank']}: overlap {r['overlap_fraction']} outside [0, 1]")
 trace = open(sys.argv[2]).read()
 s, f = trace.count('"ph":"s"'), trace.count('"ph":"f"')
 assert s > 0 and s == f, f"flow arrows unbalanced: {s} starts vs {f} finishes"
@@ -663,6 +656,30 @@ PY
 python3 scripts/bench_compare.py BENCH_PR10.json BENCH_PR10.json \
     --report-old "$perf_json" --report-new "$perf_json" --quiet >/dev/null
 rm -f "$perf_json" "$perf_trace"
+
+# --- Figures 1-3 on the one event bus ---------------------------------------
+# The full trace_figs run reads every number of Figs. 1-3 from one drained
+# span graph per variant (tasks under their labels, main-thread spans under
+# their kinds). It must pass both SHAPE checks, lose no event, and write a
+# Chrome export that parses. (--quick sits too close to the overlap bound.)
+echo "==> trace_figs: Figs. 1-3 from the event bus"
+figs_trace="$(mktemp /tmp/trace-figs-XXXXXX.json)"
+figs_out="$(timeout 300 cargo run --release -q -p amr-bench --bin trace_figs -- \
+    --trace-json "$figs_trace")"
+echo "$figs_out"
+FIGS_OUT="$figs_out" python3 - "$figs_trace" <<'PY'
+import json, os, sys
+out = os.environ["FIGS_OUT"].splitlines()
+shapes = [l for l in out if l.startswith("SHAPE")]
+assert len(shapes) == 2 and all(l.startswith("SHAPE PASS") for l in shapes), shapes
+drops = [l.split("\t") for l in out if l.startswith("events\t")]
+assert len(drops) == 2, f"expected two event counts, got {drops}"
+for d in drops:
+    assert d[3] == "0", f"the rings dropped {d[3]} of {d[1]} events"
+doc = json.load(open(sys.argv[1]))
+assert doc["traceEvents"], "empty Chrome export"
+PY
+rm -f "$figs_trace"
 
 # --- Elastic service mode (PR 9) -------------------------------------------
 # Malleability must be physics-neutral: a run that grows and/or shrinks

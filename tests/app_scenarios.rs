@@ -1,7 +1,8 @@
 //! Application-level scenarios beyond the basic equivalence matrix:
 //! deeper meshes, Z-direction rank grids, the 27-point stencil, tight
-//! block budgets, multi-level refinement, trace capture, and the false
-//! dependency that `--separate_buffers` removes.
+//! block budgets, multi-level refinement, and the false dependency that
+//! `--separate_buffers` removes. (Trace capture has its own binary,
+//! `phase_spans.rs`: the event bus is process-global.)
 
 use amr_mesh::MeshParams;
 use miniamr::{Config, Variant};
@@ -127,31 +128,6 @@ fn multi_step_refinement_phase() {
     dcfg.variant = Variant::DataFlow;
     let b = run(&dcfg, NetworkModel::instant());
     assert_eq!(a[0].checksums, b[0].checksums);
-}
-
-/// Tracing captures stencil/pack/unpack events and the data-flow variant
-/// exhibits nonzero phase overlap even in a small run.
-#[test]
-fn trace_capture_works() {
-    let mut cfg = Config::smoke_test();
-    cfg.num_tsteps = 3;
-    cfg.stages_per_ts = 4;
-    cfg.trace = true;
-    cfg.workers = 3;
-    cfg.variant = Variant::DataFlow;
-    cfg.send_faces = true;
-    cfg.separate_buffers = true;
-    let stats = run(
-        &cfg,
-        NetworkModel::new(std::time::Duration::from_micros(100), 1.0e9),
-    );
-    let tr = stats[0].trace.as_ref().expect("trace enabled");
-    let totals = tr.totals();
-    let has = |k: miniamr::trace::Kind| totals.iter().any(|(kk, d)| *kk == k && !d.is_zero());
-    assert!(has(miniamr::trace::Kind::Stencil));
-    assert!(has(miniamr::trace::Kind::Pack));
-    assert!(has(miniamr::trace::Kind::Unpack));
-    assert!(!tr.to_tsv().is_empty());
 }
 
 /// Shared buffers serialize directions through a false dependency; with
