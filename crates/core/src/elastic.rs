@@ -248,7 +248,9 @@ pub(crate) struct RunCtx {
 impl RunCtx {
     /// Publishes this rank's boundary snapshot for the timestep about to
     /// run. The caller guarantees quiescence (graph drained, delayed
-    /// checksum flushed).
+    /// checksum flushed). With the ring full, the snapshot it evicts is
+    /// retaken in place; only this rank's thread touches its ring during
+    /// a run, so the eviction and the push need not share a lock.
     pub(crate) fn boundary(
         &self,
         state: &RankState,
@@ -258,7 +260,13 @@ impl RunCtx {
         prev_checksum: &Option<Checkpoint>,
         next_ts: usize,
     ) {
+        let evicted = {
+            let mut reg = self.boundaries.lock();
+            let snaps = reg.entry(state.rank).or_default();
+            (snaps.len() >= BOUNDARY_HISTORY).then(|| snaps.remove(0).ck)
+        };
         let snap = BoundarySnap::take(
+            evicted,
             state,
             stats,
             stage_counter,
@@ -266,22 +274,24 @@ impl RunCtx {
             prev_checksum,
             next_ts,
         );
-        let mut reg = self.boundaries.lock();
-        let snaps = reg.entry(state.rank).or_default();
-        snaps.push(snap);
-        if snaps.len() > BOUNDARY_HISTORY {
-            snaps.remove(0);
-        }
+        self.boundaries
+            .lock()
+            .entry(state.rank)
+            .or_default()
+            .push(snap);
     }
 
     /// The newest boundary snapshot *common to all `n` ranks*: one
-    /// snapshot per rank, all taken at the top of the same timestep.
-    /// Ranks progress at different speeds around a fault, so the newest
-    /// common timestep is the coordinated recovery point.
+    /// snapshot per rank of the `n`-rank world, all taken at the top of the
+    /// same timestep — what [`checkpoint::redistribute`] needs. Ranks
+    /// progress at different speeds around a fault, so the newest common
+    /// timestep is the coordinated recovery point. A ring may still hold
+    /// snapshots of the world before a planned resize; they do not count.
     fn common_boundary(&self, n: usize) -> Option<Vec<BoundarySnap>> {
         let reg = self.boundaries.lock();
-        let per_rank: Vec<&Vec<BoundarySnap>> =
-            (0..n).map(|r| reg.get(&r)).collect::<Option<Vec<_>>>()?;
+        let per_rank: Vec<Vec<&BoundarySnap>> = (0..n)
+            .map(|r| Some(reg.get(&r)?.iter().filter(|s| s.ck.n_ranks == n).collect()))
+            .collect::<Option<_>>()?;
         let common_ts = per_rank
             .iter()
             .map(|snaps| snaps.iter().map(|s| s.next_ts).collect::<BTreeSet<_>>())
@@ -295,8 +305,8 @@ impl RunCtx {
                     snaps
                         .iter()
                         .find(|s| s.next_ts == common_ts)
+                        .map(|&s| s.clone())
                         .expect("timestep is common to all ranks")
-                        .clone()
                 })
                 .collect(),
         )
@@ -352,7 +362,10 @@ struct BoundarySnap {
 }
 
 impl BoundarySnap {
+    /// Takes the snapshot, into `old`'s storage when that is its last
+    /// handle ([`RankCheckpoint::retake`]).
     fn take(
+        old: Option<Arc<RankCheckpoint>>,
         state: &RankState,
         stats: &RunStats,
         stage_counter: usize,
@@ -361,7 +374,8 @@ impl BoundarySnap {
         next_ts: usize,
     ) -> BoundarySnap {
         BoundarySnap {
-            ck: Arc::new(RankCheckpoint::take(
+            ck: Arc::new(RankCheckpoint::retake(
+                old,
                 state,
                 next_ts,
                 stage_counter,
@@ -449,10 +463,11 @@ pub fn run(
         cfg.params.num_ranks(),
         "the initial world size must match the npx*npy*npz rank grid"
     );
-    for &(ts, _) in &opts.plan.events {
+    for &(ts, n) in &opts.plan.events {
         assert!(
-            ts >= 1,
-            "resize points start at ts 1 (the initial world matches the rank grid)"
+            ts >= 1 && n >= 1,
+            "resize points start at ts 1 (the initial world matches the rank grid) \
+             and name at least one rank"
         );
     }
     let job = cfg.job_id();
@@ -500,6 +515,7 @@ pub fn run(
                     .map(|(stats, c)| {
                         assert_eq!(c.next_ts, seg_end, "a rank stopped off the resize point");
                         BoundarySnap::take(
+                            None,
                             &c.state,
                             stats,
                             c.stage_counter,
@@ -580,6 +596,49 @@ mod tests {
         assert_eq!(snaps[1].ck.rank, 1);
         // A third rank never published: no coordinated point.
         assert!(ctx.common_boundary(3).is_none());
+    }
+
+    /// Snapshots a rank's ring kept from the world before a resize are no
+    /// coordinated point of the world after it: blocks of a larger world's
+    /// other ranks would be missing from the set.
+    #[test]
+    fn common_boundary_ignores_an_earlier_world() {
+        let cfg = crate::Config::smoke_test();
+        let stats = RunStats::default();
+        let ctx = publishing();
+        for r in 0..2 {
+            let mut old = crate::rank::RankState::init(&cfg, r, 2);
+            old.n_ranks = 4;
+            for t in 1..=2usize {
+                ctx.boundary(&old, &stats, t * 4, 0, &None, t);
+            }
+        }
+        let s0 = crate::rank::RankState::init(&cfg, 0, 2);
+        let s1 = crate::rank::RankState::init(&cfg, 1, 2);
+        ctx.boundary(&s0, &stats, 12, 1, &None, 3);
+        assert!(ctx.common_boundary(2).is_none());
+        ctx.boundary(&s1, &stats, 12, 1, &None, 3);
+        let snaps = ctx.common_boundary(2).expect("the new world's boundary");
+        assert!(snaps.iter().all(|s| s.next_ts == 3 && s.ck.n_ranks == 2));
+    }
+
+    /// A full ring retakes the snapshot it evicts: the newest snapshot
+    /// lives in the storage of the one that fell out.
+    #[test]
+    fn boundary_ring_recycles_the_evicted_snapshot() {
+        let cfg = crate::Config::smoke_test();
+        let s0 = crate::rank::RankState::init(&cfg, 0, 2);
+        let ctx = publishing();
+        let stats = RunStats::default();
+        for t in 1..=BOUNDARY_HISTORY {
+            ctx.boundary(&s0, &stats, t, 0, &None, t);
+        }
+        let oldest = ctx.boundaries.lock()[&0][0].ck.cells_ptr();
+        ctx.boundary(&s0, &stats, 9, 0, &None, 9);
+        let reg = ctx.boundaries.lock();
+        let newest = &reg[&0].last().unwrap().ck;
+        assert_eq!((newest.tstep, newest.cells_ptr()), (9, oldest));
+        assert!(newest.verify().is_ok());
     }
 
     #[test]

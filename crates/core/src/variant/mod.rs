@@ -443,7 +443,7 @@ impl Buffers {
 
 /// Packs a block id into one sortable word (the same packing the
 /// checkpoint digest uses): the global combination order below.
-fn packed_id(id: &BlockId) -> u64 {
+pub(crate) fn packed_id(id: &BlockId) -> u64 {
     ((id.level as u64) << 48) | ((id.x as u64) << 32) | ((id.y as u64) << 16) | id.z as u64
 }
 

@@ -187,6 +187,20 @@ impl BlockData {
             "payload size mismatch"
         );
         let mut i = 0;
+        self.for_each_interior_row(layout, vars, |row| {
+            out[i..i + row.len()].copy_from_slice(row);
+            i += row.len();
+        });
+    }
+
+    /// Hands `f` the interior rows (`nx` cells each) of variables `vars`
+    /// in [`BlockData::pack_interior`]'s order, under one read claim.
+    pub fn for_each_interior_row(
+        &self,
+        layout: &BlockLayout,
+        vars: std::ops::Range<usize>,
+        mut f: impl FnMut(&[f64]),
+    ) {
         let vstart = vars.start;
         let slab = self.buf.slice(layout.var_elem_range(vars.clone()));
         slab.with_read(|data| {
@@ -194,8 +208,7 @@ impl BlockData {
                 for z in 1..=layout.nz {
                     for y in 1..=layout.ny {
                         let base = layout.idx(v, z, y, 1);
-                        out[i..i + layout.nx].copy_from_slice(&data[base..base + layout.nx]);
-                        i += layout.nx;
+                        f(&data[base..base + layout.nx]);
                     }
                 }
             }

@@ -2,11 +2,11 @@
 //!
 //! Each worker owns a LIFO `crossbeam_deque::Worker`; ready tasks from
 //! outside (the main thread, the delivery thread of the communication
-//! substrate) land in a global injector, while tasks unblocked by a
-//! completing task are pushed to the completing worker's own deque —
-//! popped next because the deque is LIFO. That is the *immediate
-//! successor* policy the paper credits for the cache-locality (IPC)
-//! improvement of the data-flow variant.
+//! substrate, another runtime's workers) land in a global injector, while
+//! tasks unblocked by a completing task are pushed to the completing
+//! worker's own deque — popped next because the deque is LIFO. That is
+//! the *immediate successor* policy the paper credits for the
+//! cache-locality (IPC) improvement of the data-flow variant.
 //!
 //! ## Parking
 //!
@@ -51,9 +51,13 @@ pub(crate) struct Scheduler {
 }
 
 thread_local! {
-    /// The local deque of the worker running on this thread (None on
-    /// non-worker threads).
-    static LOCAL: RefCell<Option<Worker<TaskRef>>> = const { RefCell::new(None) };
+    /// The local deque of the worker running on this thread, beside the
+    /// address of the scheduler that owns it (None on non-worker threads).
+    /// A task of one runtime may release a task of another (an event
+    /// hold dropped on a foreign worker), and the successor must not land
+    /// on a deque its own workers cannot reach.
+    static LOCAL: RefCell<Option<(*const Scheduler, Worker<TaskRef>)>> =
+        const { RefCell::new(None) };
 }
 
 impl Scheduler {
@@ -82,17 +86,17 @@ impl Scheduler {
     }
 
     /// Enqueues a ready task. `local_hint` marks the immediate successor
-    /// of a task that just completed on this thread.
+    /// of a task that just completed on this thread; it goes to this
+    /// thread's deque only if one of this scheduler's workers owns it.
     pub(crate) fn push(&self, task: TaskRef, local_hint: bool) {
         let use_local = local_hint && self.immediate_successor;
         if use_local {
-            let pushed = LOCAL.with(|l| {
-                if let Some(w) = l.borrow().as_ref() {
+            let pushed = LOCAL.with(|l| match l.borrow().as_ref() {
+                Some((owner, w)) if std::ptr::eq(*owner, self) => {
                     w.push(task.clone());
                     true
-                } else {
-                    false
                 }
+                _ => false,
             });
             if pushed {
                 // Other workers may be idle; give them a chance to steal
@@ -134,7 +138,7 @@ impl Scheduler {
     fn find_task(&self, index: usize) -> Option<TaskRef> {
         LOCAL.with(|l| {
             let borrow = l.borrow();
-            let local = borrow.as_ref().expect("worker deque installed");
+            let (_, local) = borrow.as_ref().expect("worker deque installed");
             self.find_in(local, index)
         })
     }
@@ -178,7 +182,7 @@ impl Scheduler {
     pub(crate) fn worker_loop(&self, local: Worker<TaskRef>, index: usize) {
         // Timeline lane for events emitted while tasks run on this thread.
         obs::set_thread_worker(index as u32);
-        LOCAL.with(|l| *l.borrow_mut() = Some(local));
+        LOCAL.with(|l| *l.borrow_mut() = Some((self as *const Scheduler, local)));
         loop {
             match self.find_task(index) {
                 Some(t) => t.execute(),
