@@ -20,9 +20,9 @@
 //! Usage: `coll_ablation [--quick]`
 
 use amr_bench::{
-    build_workload, build_workload_comm, four_spheres, shape_check, CORES_PER_NODE,
-    HYBRID_RANKS_PER_NODE,
+    build_workload, build_workload_comm, shape_check, CORES_PER_NODE, HYBRID_RANKS_PER_NODE,
 };
+use miniamr::config::four_spheres;
 use simnet::{CostModel, ExecModel};
 
 fn main() {

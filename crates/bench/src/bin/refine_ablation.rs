@@ -11,7 +11,8 @@
 //!
 //! Usage: `refine_ablation [--quick] [--real]`
 
-use amr_bench::{build_workload, four_spheres, shape_check, HYBRID_RANKS_PER_NODE};
+use amr_bench::{build_workload, shape_check, HYBRID_RANKS_PER_NODE};
+use miniamr::config::four_spheres;
 use simnet::{CostModel, ExecModel};
 
 fn main() {
@@ -116,7 +117,7 @@ fn real_mode() {
     ] {
         let mesh = amr_bench::mesh_for((4, 2, 2), 8, 8, 1, 2);
         let mut cfg = Config::new(mesh);
-        cfg.objects = amr_bench::four_spheres(8);
+        cfg.objects = four_spheres(8);
         cfg.num_tsteps = 8;
         cfg.stages_per_ts = 8;
         cfg.checksum_freq = 8;
@@ -161,7 +162,7 @@ fn replay_sweep() {
     for refine_freq in [1, 2, 4, 8, 1000] {
         let run = |replay: bool| {
             let mut cfg = Config::new(amr_bench::mesh_for((4, 4, 4), 4, 4, 2, 2));
-            cfg.objects = amr_bench::four_spheres(TSTEPS);
+            cfg.objects = four_spheres(TSTEPS);
             cfg.variant = Variant::DataFlow;
             cfg.num_tsteps = TSTEPS;
             cfg.stages_per_ts = 10;

@@ -17,7 +17,8 @@
 //!
 //! Usage: `table1 [--quick] [--real]`
 
-use amr_bench::{build_workload, fmt_s, shape_check, single_sphere, CORES_PER_NODE};
+use amr_bench::{build_workload, fmt_s, shape_check, CORES_PER_NODE};
+use miniamr::config::single_sphere;
 use simnet::{CostModel, ExecModel};
 
 fn numa_penalty(ranks_per_node: usize, cost: &CostModel) -> CostModel {
@@ -147,7 +148,7 @@ fn real_mode() {
             (Variant::DataFlow, "dataflow"),
         ] {
             let mut cfg = Config::new(mesh.clone());
-            cfg.objects = amr_bench::single_sphere(6);
+            cfg.objects = single_sphere(6);
             cfg.num_tsteps = 6;
             cfg.stages_per_ts = 6;
             cfg.checksum_freq = 6;

@@ -16,7 +16,8 @@
 //!
 //! Usage: `table2 [--quick] [--nodes N] [--real]`
 
-use amr_bench::{build_workload, four_spheres, shape_check, HYBRID_RANKS_PER_NODE};
+use amr_bench::{build_workload, shape_check, HYBRID_RANKS_PER_NODE};
+use miniamr::config::four_spheres;
 use simnet::{CostModel, ExecModel};
 
 fn main() {

@@ -109,7 +109,7 @@ fn main() {
     let mpi_ranks = nodes * cores_per_node;
     let mesh = amr_bench::mesh_for((4, 2, 2), cells, num_vars, 1, mpi_ranks);
     let mut cfg = Config::new(mesh);
-    cfg.objects = amr_bench::four_spheres(tsteps);
+    cfg.objects = miniamr::config::four_spheres(tsteps);
     cfg.num_tsteps = tsteps;
     cfg.stages_per_ts = stages;
     cfg.checksum_freq = 10;
@@ -123,7 +123,7 @@ fn main() {
     let df_ranks = nodes;
     let mesh = amr_bench::mesh_for((4, 2, 2), cells, num_vars, 1, df_ranks);
     let mut cfg_df = Config::new(mesh);
-    cfg_df.objects = amr_bench::four_spheres(tsteps);
+    cfg_df.objects = miniamr::config::four_spheres(tsteps);
     cfg_df.num_tsteps = tsteps;
     cfg_df.stages_per_ts = stages;
     cfg_df.checksum_freq = 10;

@@ -13,13 +13,15 @@
 //! | `ablation` | §V-B — why the data-flow variant wins (overlap, smoothing, locality) |
 //!
 //! At-scale experiments run on the `simnet` performance model over
-//! workloads extracted from the real mesh engine (this container has one
-//! core; see DESIGN.md §2); `trace_figs`, `refine_ablation --real` and
-//! `table1 --real` drive the actual threaded runtime.
+//! workloads extracted from the real mesh engine (a 2-vCPU host cannot
+//! run paper-scale rank counts; see DESIGN.md §2); `trace_figs`,
+//! `refine_ablation --real` and `table1 --real` drive the actual threaded
+//! runtime.
 
 #![warn(missing_docs)]
 
 use amr_mesh::{MeshParams, Object};
+use miniamr::config::four_spheres;
 use simnet::workload::WorkloadParams;
 use simnet::{rank_grid_for, CostModel, ExecModel, SimResult, Workload};
 
@@ -46,27 +48,6 @@ pub fn root_blocks_for_nodes(nodes: usize) -> (usize, usize, usize) {
         n *= 2;
     }
     (dims[0], dims[1], dims[2])
-}
-
-/// The four-spheres input of Vaughan et al. (used in Table II and
-/// Figures 4–5), sized for `num_tsteps` timesteps.
-pub fn four_spheres(num_tsteps: usize) -> Vec<Object> {
-    let travel = 0.6;
-    let rate = travel / num_tsteps.max(1) as f64;
-    let r = 0.12;
-    vec![
-        Object::sphere([0.2, 0.30, 0.35], r, [rate, 0.0, 0.0]),
-        Object::sphere([0.2, 0.70, 0.65], r, [rate, 0.0, 0.0]),
-        Object::sphere([0.8, 0.30, 0.65], r, [-rate, 0.0, 0.0]),
-        Object::sphere([0.8, 0.70, 0.35], r, [-rate, 0.0, 0.0]),
-    ]
-}
-
-/// The single-sphere input of Rico et al. (Table I): a big sphere
-/// entering the mesh from a lower corner.
-pub fn single_sphere(num_tsteps: usize) -> Vec<Object> {
-    let rate = 1.4 / num_tsteps.max(1) as f64;
-    vec![Object::sphere([-0.3, -0.3, -0.3], 0.35, [rate, rate, rate])]
 }
 
 /// A mesh layout for `ranks` ranks over the given root block grid.

@@ -216,36 +216,19 @@ impl Config {
         cfg
     }
 
-    /// The *single sphere* input (Rico et al.; §V, Table I): one big
-    /// sphere entering the mesh from a lower corner, causing early
-    /// imbalance on the ranks owning that corner.
+    /// The [`single_sphere`] input over `params`.
     pub fn single_sphere(params: MeshParams, num_tsteps: usize) -> Config {
         let mut cfg = Config::new(params);
         cfg.num_tsteps = num_tsteps;
-        // Starts outside the corner and moves diagonally in, crossing the
-        // mesh over the configured timesteps.
-        let rate = 1.4 / num_tsteps.max(1) as f64;
-        cfg.objects = vec![Object::sphere([-0.3, -0.3, -0.3], 0.35, [rate, rate, rate])];
+        cfg.objects = single_sphere(num_tsteps);
         cfg
     }
 
-    /// The *four spheres* input (Vaughan et al.; §V, Figures 4–5): two
-    /// spheres on one side moving along +X, two on the opposite side
-    /// moving along −X, placed so they pass near the center without
-    /// colliding; rates sized so they reach the opposite side without
-    /// leaving the mesh.
+    /// The [`four_spheres`] input over `params`.
     pub fn four_spheres(params: MeshParams, num_tsteps: usize) -> Config {
         let mut cfg = Config::new(params);
         cfg.num_tsteps = num_tsteps;
-        let travel = 0.6; // from x=0.2 to x=0.8 (and back side mirrored)
-        let rate = travel / num_tsteps.max(1) as f64;
-        let r = 0.12;
-        cfg.objects = vec![
-            Object::sphere([0.2, 0.30, 0.35], r, [rate, 0.0, 0.0]),
-            Object::sphere([0.2, 0.70, 0.65], r, [rate, 0.0, 0.0]),
-            Object::sphere([0.8, 0.30, 0.65], r, [-rate, 0.0, 0.0]),
-            Object::sphere([0.8, 0.70, 0.35], r, [-rate, 0.0, 0.0]),
-        ];
+        cfg.objects = four_spheres(num_tsteps);
         cfg
     }
 
@@ -304,6 +287,33 @@ impl Config {
     pub fn obs_rank(&self, rank: usize) -> u32 {
         self.job.as_ref().map_or(0, |j| j.rank_base) + rank as u32
     }
+}
+
+/// The objects of the *single sphere* input (Rico et al.; §V, Table I):
+/// one big sphere entering the mesh from a lower corner, causing early
+/// imbalance on the ranks owning that corner.
+pub fn single_sphere(num_tsteps: usize) -> Vec<Object> {
+    // Starts outside the corner and moves diagonally in, crossing the
+    // mesh over the configured timesteps.
+    let rate = 1.4 / num_tsteps.max(1) as f64;
+    vec![Object::sphere([-0.3, -0.3, -0.3], 0.35, [rate, rate, rate])]
+}
+
+/// The objects of the *four spheres* input (Vaughan et al.; §V, Table II
+/// and Figures 4–5): two spheres on one side moving along +X, two on the
+/// opposite side moving along −X, placed so they pass near the center
+/// without colliding; rates sized so they reach the opposite side
+/// without leaving the mesh.
+pub fn four_spheres(num_tsteps: usize) -> Vec<Object> {
+    let travel = 0.6; // from x=0.2 to x=0.8 (and back side mirrored)
+    let rate = travel / num_tsteps.max(1) as f64;
+    let r = 0.12;
+    vec![
+        Object::sphere([0.2, 0.30, 0.35], r, [rate, 0.0, 0.0]),
+        Object::sphere([0.2, 0.70, 0.65], r, [rate, 0.0, 0.0]),
+        Object::sphere([0.8, 0.30, 0.65], r, [-rate, 0.0, 0.0]),
+        Object::sphere([0.8, 0.70, 0.35], r, [-rate, 0.0, 0.0]),
+    ]
 }
 
 #[cfg(test)]

@@ -116,17 +116,11 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
     let mut max_move_seq = 0usize;
     let mut slot_findings: Vec<Finding> = Vec::new();
 
-    // --- Static mesh evolution, mirroring RankState::init + the initial
+    // --- Static mesh evolution: the initial refinement + the initial
     // run_refinement (directory effects only; no block data).
     let mut dir = MeshDirectory::initial(cfg.params.clone());
     let mut objects = cfg.objects.clone();
-    for _ in 0..=cfg.params.num_refine {
-        let plan = dir.plan_refinement(&objects);
-        if plan.is_empty() {
-            break;
-        }
-        dir.apply_plan(&plan);
-    }
+    dir.refine_to_fixpoint(&objects);
     evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
 
     // --- Model the timestep loop: per mesh epoch, the first stages of

@@ -83,9 +83,9 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Transfer time of `bytes` between two ranks given a node grouping.
-    pub fn net_time(&self, bytes: f64, same_node: bool) -> f64 {
+    pub fn net_time(&self, bytes: f64, intra_node: bool) -> f64 {
         let t = self.fabric.latency + bytes / self.fabric.bandwidth;
-        if same_node {
+        if intra_node {
             t * self.fabric.intra_node_factor
         } else {
             t

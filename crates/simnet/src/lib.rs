@@ -1,12 +1,13 @@
 //! # simnet — a cluster performance simulator for AMR workloads
 //!
 //! The paper's evaluation runs on up to 256 MareNostrum4 nodes (12288
-//! cores). This container has one core, so wall-clock experiments cannot
-//! reproduce the scaling *numbers*; what can be reproduced is the
+//! cores). The development host has two vCPUs, so wall-clock experiments
+//! cannot reproduce the scaling *numbers*; what can be reproduced is the
 //! *shape* — who wins, by what factor, and where the curves bend — by
 //! simulating the three execution models over the **real workload**: the
-//! actual mesh evolution (refinement plans, SFC load balancing,
-//! cross-rank face traffic) generated by the `amr-mesh` engine.
+//! actual mesh evolution (refinement plans, SFC load balancing) of the
+//! `amr-mesh` engine, and the cross-rank face traffic of the
+//! application's own communication plan (`miniamr::comm_plan`).
 //!
 //! The simulator advances per-rank clocks phase by phase:
 //!

@@ -1,18 +1,23 @@
 //! Workload extraction: the real mesh evolution, reduced to per-rank
 //! per-phase work and traffic statistics.
 //!
-//! The generator replays exactly what the application does — initial
-//! refinement, per-stage ghost exchanges, object movement, ±1-level
-//! refinement plans with 2:1 balance, merge gathering and SFC load
-//! balancing — using the same `amr-mesh` engine, but touches no cell
-//! data. Within one refinement interval the mesh is static, so one
-//! [`StageStat`] describes every stage of the interval.
+//! The generator replays what the application does — initial
+//! refinement, object movement, ±1-level refinement plans with 2:1
+//! balance, merge gathering and SFC load balancing — with the
+//! application's own planners (`amr-mesh`'s directory, `miniamr`'s
+//! [`CommPlan`] and move planners), but touches no cell data. Within one
+//! refinement interval the mesh is static, so one [`StageStat`], a
+//! reduction of that interval's communication plan, describes every
+//! stage of the interval.
 
-use amr_mesh::block_id::{Dir, Side};
+use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockLayout;
 use amr_mesh::face::face_dims;
-use amr_mesh::partition::sfc_partition;
-use amr_mesh::{MeshDirectory, MeshParams, NeighborInfo, Object};
+use amr_mesh::{MeshDirectory, MeshParams, Object};
+use miniamr::comm_plan::CommPlan;
+use miniamr::exchange::{balance_moves, merge_gather_moves, Move};
+use miniamr::Config;
+use std::collections::BTreeMap;
 
 /// Parameters of a workload generation run.
 #[derive(Debug, Clone)]
@@ -40,13 +45,29 @@ pub struct WorkloadParams {
     /// combine at the shared-memory discount, then an inter-node stage
     /// over node leaders.
     pub coll_hier: bool,
-    /// Merge an inter-node `(src, dst, direction)` group into one
-    /// message when its aggregate payload is past the eager threshold
-    /// (`--coalesce on`) — mirrors the application's plan-level
-    /// coalescer. Intra-node groups keep `msgs_per_pair_dir`.
+    /// The application's `--coalesce on`: an inter-node `(src, dst,
+    /// direction)` group past the eager threshold is one message.
     pub coalesce: bool,
     /// Eager-protocol threshold in bytes for the coalescing decision.
     pub eager_bytes: usize,
+}
+
+impl WorkloadParams {
+    /// The application configuration whose plans this workload reduces.
+    fn config(&self) -> Config {
+        let mut cfg = Config::new(self.mesh.clone());
+        cfg.checksum_freq = self.checksum_freq;
+        cfg.refine_freq = self.refine_freq;
+        cfg.send_faces = self.msgs_per_pair_dir != 0;
+        cfg.max_comm_tasks = match self.msgs_per_pair_dir {
+            usize::MAX => 0,
+            k => k,
+        };
+        cfg.coalesce = self.coalesce;
+        cfg.ranks_per_node = self.ranks_per_node;
+        cfg.eager_bytes = self.eager_bytes;
+        cfg
+    }
 }
 
 /// Per-rank statistics of one (repeated) stage.
@@ -132,15 +153,15 @@ pub struct Workload {
 impl Workload {
     /// Generates the workload by replaying the mesh evolution.
     pub fn generate(p: &WorkloadParams) -> Workload {
+        let cfg = p.config();
         let n = p.mesh.num_ranks();
-        let layout = BlockLayout::of(&p.mesh);
         let mut dir = MeshDirectory::initial(p.mesh.clone());
         let mut objects = p.objects.clone();
         dir.refine_to_fixpoint(&objects);
         // The initial refinement phase load-balances before the main loop
         // starts (visible as block exchanges in the paper's Fig. 1).
-        for (id, &owner) in sfc_partition(&dir, n).iter() {
-            dir.set_owner(*id, owner);
+        for m in balance_moves(&dir, cfg.balance, n, 0) {
+            dir.set_owner(m.block, m.to);
         }
 
         let mut intervals = Vec::new();
@@ -149,7 +170,7 @@ impl Workload {
         let flops_per_stage =
             |d: &MeshDirectory| (d.len() * p.mesh.cells_per_block() * p.mesh.num_vars) as f64 * 7.0;
 
-        let mut stage_stat = compute_stage(&dir, p, &layout);
+        let mut stage_stat = compute_stage(&cfg, &dir, n);
         peak_blocks = peak_blocks.max(stage_stat.blocks.iter().cloned().fold(0.0, f64::max));
         let mut pending_stages = 0usize;
         let mut pending_checksums = 0usize;
@@ -160,15 +181,15 @@ impl Workload {
                 stage_counter += 1;
                 pending_stages += 1;
                 total_flops += flops_per_stage(&dir);
-                if stage_counter.is_multiple_of(p.checksum_freq) {
+                if cfg.checksum_due(stage_counter) {
                     pending_checksums += 1;
                 }
             }
-            if (ts + 1) % p.refine_freq == 0 {
+            if cfg.regrid_due(ts) {
                 for o in objects.iter_mut() {
                     o.step();
                 }
-                let refine = apply_refinement(&mut dir, &objects, p, &layout);
+                let refine = apply_refinement(&cfg, &mut dir, &objects, n);
                 intervals.push(Interval {
                     stages: pending_stages,
                     checksums: pending_checksums,
@@ -177,7 +198,7 @@ impl Workload {
                 });
                 pending_stages = 0;
                 pending_checksums = 0;
-                stage_stat = compute_stage(&dir, p, &layout);
+                stage_stat = compute_stage(&cfg, &dir, n);
                 peak_blocks =
                     peak_blocks.max(stage_stat.blocks.iter().cloned().fold(0.0, f64::max));
             }
@@ -204,14 +225,11 @@ impl Workload {
     }
 }
 
-fn same_node(a: usize, b: usize, rpn: usize) -> bool {
-    rpn > 0 && a / rpn == b / rpn
-}
-
-/// Enumerates the face traffic of the current mesh (the same enumeration
-/// the application's communication plan uses).
-fn compute_stage(dir: &MeshDirectory, p: &WorkloadParams, layout: &BlockLayout) -> StageStat {
-    let n = p.mesh.num_ranks();
+/// Reduces the application's communication plan for the current mesh to
+/// per-rank stage statistics.
+fn compute_stage(cfg: &Config, dir: &MeshDirectory, n: usize) -> StageStat {
+    let plan = CommPlan::build(cfg, dir, n);
+    let layout = BlockLayout::of(&cfg.params);
     let mut s = StageStat {
         blocks: vec![0.0; n],
         pack_elems: vec![0.0; n],
@@ -225,81 +243,41 @@ fn compute_stage(dir: &MeshDirectory, p: &WorkloadParams, layout: &BlockLayout) 
         face_units: vec![0.0; n],
         node_pairs: Vec::new(),
     };
-    // faces per (src, dst, dir): (count, elems)
-    let mut pairs: std::collections::BTreeMap<(usize, usize, usize), (f64, f64)> =
-        Default::default();
-
-    for (block, &owner) in dir.iter() {
+    for (_, &owner) in dir.iter() {
         s.blocks[owner] += 1.0;
+    }
+    for rank in 0..n {
         for d in Dir::ALL {
-            let (n1, n2) = face_dims(layout, d);
-            for side in Side::BOTH {
-                let mut add = |src_rank: usize, elems: f64| {
-                    s.face_units[owner] += 1.0;
-                    if src_rank == owner {
-                        s.local_elems[owner] += elems;
-                    } else {
-                        s.pack_elems[src_rank] += elems;
-                        s.pack_elems[owner] += elems;
-                        s.face_units[src_rank] += 1.0;
-                        let e = pairs
-                            .entry((src_rank, owner, d.index()))
-                            .or_insert((0.0, 0.0));
-                        e.0 += 1.0;
-                        e.1 += elems;
-                    }
-                };
-                match dir.neighbor_info(block, d, side) {
-                    NeighborInfo::Boundary => {
-                        s.local_elems[owner] += (n1 * n2) as f64 * 0.5;
-                    }
-                    NeighborInfo::Same(nb) => {
-                        add(dir.owner(&nb).expect("active"), (n1 * n2) as f64)
-                    }
-                    NeighborInfo::Coarser(nb) => {
-                        add(dir.owner(&nb).expect("active"), (n1 * n2) as f64 / 4.0)
-                    }
-                    NeighborInfo::Finer(fine) => {
-                        for f in fine {
-                            add(dir.owner(&f).expect("active"), (n1 * n2) as f64 / 4.0);
-                        }
-                    }
-                }
-            }
+            // A domain-boundary fill costs half a face copy.
+            let (n1, n2) = face_dims(&layout, d);
+            let fills = plan.boundaries_of(rank, d).len();
+            s.local_elems[rank] += (fills * n1 * n2) as f64 * 0.5;
         }
     }
+    for t in &plan.locals {
+        s.face_units[t.dst_rank] += 1.0;
+        s.local_elems[t.dst_rank] += t.elems_per_var as f64;
+    }
 
-    let rpn = p.ranks_per_node.max(1);
-    let mut node_pairs: std::collections::BTreeMap<(usize, usize), (f64, f64)> = Default::default();
-    for ((src, dst, _d), (faces, elems)) in pairs {
-        // Coalescing mirrors the application's plan-level merge: an
-        // inter-node group whose aggregate payload is past the eager
-        // threshold collapses to one message, whatever the configured
-        // granularity.
-        let group_bytes = elems * p.mesh.num_vars as f64 * 8.0;
-        let merged = p.coalesce
-            && !same_node(src, dst, p.ranks_per_node)
-            && group_bytes > p.eager_bytes as f64;
-        let msgs = if merged {
-            1.0
-        } else {
-            match p.msgs_per_pair_dir {
-                0 => 1.0,
-                k => (k as f64).min(faces),
-            }
-        };
-        s.out_msgs[src] += msgs;
-        if same_node(src, dst, p.ranks_per_node) {
-            s.in_msgs_intra[dst] += msgs;
+    let mut node_pairs: BTreeMap<(usize, usize), (f64, f64)> = BTreeMap::new();
+    for m in &plan.msgs {
+        let (src, dst) = (m.src_rank, m.dst_rank);
+        let (faces, elems) = (m.transfers.len() as f64, m.elems_per_var as f64);
+        s.face_units[src] += faces;
+        s.face_units[dst] += faces;
+        s.pack_elems[src] += elems;
+        s.pack_elems[dst] += elems;
+        s.out_msgs[src] += 1.0;
+        let nodes = (cfg.node_of(src), cfg.node_of(dst));
+        if nodes.0 == nodes.1 {
+            s.in_msgs_intra[dst] += 1.0;
             s.in_elems_intra[dst] += elems;
         } else {
-            s.out_msgs_inter[src] += msgs;
-            s.in_msgs_inter[dst] += msgs;
+            s.out_msgs_inter[src] += 1.0;
+            s.in_msgs_inter[dst] += 1.0;
             s.in_elems_inter[dst] += elems;
-            let e = node_pairs
-                .entry((src / rpn, dst / rpn))
-                .or_insert((0.0, 0.0));
-            e.0 += msgs;
+            let e = node_pairs.entry(nodes).or_insert((0.0, 0.0));
+            e.0 += 1.0;
             e.1 += elems;
         }
     }
@@ -313,13 +291,12 @@ fn compute_stage(dir: &MeshDirectory, p: &WorkloadParams, layout: &BlockLayout) 
 /// Applies one refinement phase (plans + merge gathering + SFC balance)
 /// to the directory and records its per-rank costs.
 fn apply_refinement(
+    cfg: &Config,
     dir: &mut MeshDirectory,
     objects: &[Object],
-    p: &WorkloadParams,
-    layout: &BlockLayout,
+    n: usize,
 ) -> RefineStat {
-    let n = p.mesh.num_ranks();
-    let cells = layout.cells() as f64;
+    let cells = BlockLayout::of(&cfg.params).cells() as f64;
     let mut r = RefineStat {
         ctrl_blocks: vec![0.0; n],
         job_elems: vec![0.0; n],
@@ -327,46 +304,30 @@ fn apply_refinement(
         move_msgs: vec![0.0; n],
         plan_rounds: 0,
     };
+    let relocate = |dir: &mut MeshDirectory, moves: Vec<Move>, r: &mut RefineStat| {
+        for m in moves {
+            r.move_elems[m.from] += cells;
+            r.move_msgs[m.from] += 1.0;
+            dir.set_owner(m.block, m.to);
+        }
+    };
 
-    for _ in 0..p.mesh.block_change.max(1) {
+    for _ in 0..cfg.params.block_change.max(1) {
         let plan = dir.plan_refinement(objects);
         if plan.is_empty() {
             break;
         }
         r.plan_rounds += 1;
-        // Merge gathering: children move to the first child's owner.
-        for parent in &plan.merges {
-            let children = parent.children();
-            let target = dir.owner(&children[0]).expect("active");
-            for c in &children[1..] {
-                let from = dir.owner(c).expect("active");
-                if from != target {
-                    r.move_elems[from] += cells;
-                    r.move_msgs[from] += 1.0;
-                    dir.set_owner(*c, target);
-                }
-            }
-            // Merge restriction: 8 children read + 1 parent written.
-            r.job_elems[target] += 9.0 * cells;
-        }
-        for id in &plan.splits {
-            let owner = dir.owner(id).expect("active");
-            // Split prolongation: parent read + 8 children written.
-            r.job_elems[owner] += 9.0 * cells;
+        relocate(dir, merge_gather_moves(dir, &plan, 0), &mut r);
+        // A merge restriction reads 8 children and writes 1 parent on the
+        // gathering rank; a split prolongation reads 1 and writes 8.
+        let first_children = plan.merges.iter().map(|parent| parent.children()[0]);
+        for id in first_children.chain(plan.splits.iter().copied()) {
+            r.job_elems[dir.owner(&id).expect("active")] += 9.0 * cells;
         }
         dir.apply_plan(&plan);
     }
-
-    // SFC load balance.
-    let assignment = sfc_partition(dir, n);
-    for (id, &new_owner) in assignment.iter() {
-        let cur = dir.owner(id).expect("active");
-        if cur != new_owner {
-            r.move_elems[cur] += cells;
-            r.move_msgs[cur] += 1.0;
-            dir.set_owner(*id, new_owner);
-        }
-    }
+    relocate(dir, balance_moves(dir, cfg.balance, n, 0), &mut r);
     for (_, &o) in dir.iter() {
         r.ctrl_blocks[o] += 1.0;
     }
@@ -573,6 +534,93 @@ mod tests {
         let mut off = merged;
         off.eager_bytes = usize::MAX;
         assert_eq!(inter_msgs(&Workload::generate(&off)), inter_msgs(&ws));
+    }
+
+    #[test]
+    fn refine_freq_zero_is_one_interval_without_refinement() {
+        let mut p = params(0);
+        p.refine_freq = 0;
+        let w = Workload::generate(&p);
+        assert_eq!(w.intervals.len(), 1);
+        assert_eq!(w.intervals[0].stages, 24);
+        assert_eq!(w.intervals[0].checksums, 6);
+        assert!(w.intervals[0].refine.is_none());
+    }
+
+    /// Sums over every interval and rank, split into the counters the
+    /// message structure shapes — `out_msgs`, `out_msgs_inter`,
+    /// `in_msgs_{inter,intra}`, `in_elems_{inter,intra}` and the node-pair
+    /// flows (entries, messages, elements) — and those it leaves alone:
+    /// `blocks`, `pack_elems`, `local_elems`, `face_units` and the
+    /// refinement's `move_msgs`, `move_elems`, `job_elems`, `plan_rounds`.
+    fn totals(w: &Workload) -> ([f64; 9], [f64; 8]) {
+        let (mut msg, mut rest) = ([0.0; 9], [0.0; 8]);
+        let sum = |v: &[f64]| v.iter().sum::<f64>();
+        for i in &w.intervals {
+            let s = &i.stage;
+            let flows = &s.node_pairs;
+            let m = [
+                sum(&s.out_msgs),
+                sum(&s.out_msgs_inter),
+                sum(&s.in_msgs_inter),
+                sum(&s.in_msgs_intra),
+                sum(&s.in_elems_inter),
+                sum(&s.in_elems_intra),
+                flows.len() as f64,
+                flows.iter().map(|f| f.2).sum(),
+                flows.iter().map(|f| f.3).sum(),
+            ];
+            let r = i.refine.as_ref();
+            let o = [
+                sum(&s.blocks),
+                sum(&s.pack_elems),
+                sum(&s.local_elems),
+                sum(&s.face_units),
+                r.map_or(0.0, |r| sum(&r.move_msgs)),
+                r.map_or(0.0, |r| sum(&r.move_elems)),
+                r.map_or(0.0, |r| sum(&r.job_elems)),
+                r.map_or(0.0, |r| r.plan_rounds as f64),
+            ];
+            msg.iter_mut().zip(m).for_each(|(a, b)| *a += b);
+            rest.iter_mut().zip(o).for_each(|(a, b)| *a += b);
+        }
+        (msg, rest)
+    }
+
+    /// Exact totals over the granularity × coalescing × node-grouping
+    /// grid. They were recorded from a generator that walked the faces
+    /// itself, so they pin the plan reduction against an independent
+    /// derivation; every summand is an integer or a half, so summation
+    /// order cannot move them.
+    #[test]
+    fn reduction_totals_are_pinned() {
+        const MAX: usize = usize::MAX;
+        #[rustfmt::skip]
+        let golden: [(usize, bool, usize, [f64; 9]); 12] = [
+            (0, false, 0, [54., 54., 54., 0., 21608., 0., 30., 54., 21608.]),
+            (0, false, 2, [54., 18., 18., 36., 8544., 13064., 6., 18., 8544.]),
+            (0, true, 0, [54., 54., 54., 0., 21608., 0., 30., 54., 21608.]),
+            (0, true, 2, [54., 18., 18., 36., 8544., 13064., 6., 18., 8544.]),
+            (2, false, 0, [102., 102., 102., 0., 21608., 0., 30., 102., 21608.]),
+            (2, false, 2, [102., 34., 34., 68., 8544., 13064., 6., 34., 8544.]),
+            (2, true, 0, [54., 54., 54., 0., 21608., 0., 30., 54., 21608.]),
+            (2, true, 2, [86., 18., 18., 68., 8544., 13064., 6., 18., 8544.]),
+            (MAX, false, 0, [1526., 1526., 1526., 0., 21608., 0., 30., 1526., 21608.]),
+            (MAX, false, 2, [1526., 534., 534., 992., 8544., 13064., 6., 534., 8544.]),
+            (MAX, true, 0, [54., 54., 54., 0., 21608., 0., 30., 54., 21608.]),
+            (MAX, true, 2, [1010., 18., 18., 992., 8544., 13064., 6., 18., 8544.]),
+        ];
+        let rest = [2222., 43216., 168520., 15272., 122., 7808., 24192., 3.];
+        for (k, coalesce, rpn, msg) in golden {
+            let mut p = params(rpn);
+            p.msgs_per_pair_dir = k;
+            if coalesce {
+                p.coalesce = true;
+                p.eager_bytes = 0;
+            }
+            let case = format!("msgs_per_pair_dir {k}, coalesce {coalesce}, ranks_per_node {rpn}");
+            assert_eq!(totals(&Workload::generate(&p)), (msg, rest), "{case}");
+        }
     }
 
     #[test]

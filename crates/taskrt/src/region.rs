@@ -16,6 +16,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjId(pub u64);
 
+/// Process-global rather than per-runtime because an id is minted before,
+/// and independently of, any runtime that sees it (static elaboration,
+/// blocks migrating between ranks' runtimes, depsan's process-wide object
+/// table), and it must be unique across all of them.
 static NEXT_OBJ: AtomicU64 = AtomicU64::new(1);
 
 impl ObjId {

@@ -382,6 +382,11 @@ if ! grep -qE "^# observed optimum: (4|8|16) " <<<"$t2_out"; then
   exit 1
 fi
 
+# The only harness that drives coalesced and hierarchical plans through
+# the simulator; its shape checks exit non-zero on failure.
+echo "==> coll_ablation (hier collectives + coalescing, simulated)"
+cargo run --release -q -p amr-bench --bin coll_ablation
+
 # Fabric on/off digest parity: the contention model shifts *when*
 # messages become available, never *what* they carry — every variant's
 # checksum digest must be bitwise identical with the fabric on and off.
