@@ -378,7 +378,7 @@ fn main() {
         );
     }
     // Enable the observability layer *before* the world is built so the
-    // runtime/transport layers cache their metric handles at construction.
+    // transport caches its live metric handles at construction.
     if trace_json.is_some()
         || metrics
         || watchdog_ms > 0
@@ -561,8 +561,9 @@ fn main() {
         );
     }
     if metrics {
-        // The registry is process-wide: now that all ranks joined, one
-        // snapshot is the full picture.
+        // The registry is process-wide, and runtimes and chaos worlds add
+        // their counts when they are dropped: now that every job's world
+        // is gone, one snapshot is the full picture.
         for (name, value) in obs::metrics().snapshot() {
             println!("metric:{name}\t{value}");
         }

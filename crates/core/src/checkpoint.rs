@@ -25,7 +25,7 @@ use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::{partition, BlockId, MeshDirectory, Object};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A deep snapshot of everything a rank needs to resume computation.
 pub struct RankCheckpoint {
@@ -305,26 +305,17 @@ pub(crate) fn take_and_publish(
 ) {
     let old = store.slots.lock().remove(&state.rank);
     let ck = RankCheckpoint::retake(old, state, tstep, stage_counter, mesh_epoch);
-    if obs::is_enabled() {
-        checkpoints_counter().inc();
-        if let Some(bus) = obs::bus() {
-            bus.emit(obs::EventData::CheckpointTaken {
-                rank: state.rank as u32,
-                tstep: tstep as u32,
-                stage: stage_counter as u32,
-                blocks: ck.num_blocks() as u32,
-                bytes: ck.bytes(),
-            });
-        }
+    if let Some(bus) = obs::bus() {
+        bus.emit(obs::EventData::CheckpointTaken {
+            rank: state.rank as u32,
+            tstep: tstep as u32,
+            stage: stage_counter as u32,
+            blocks: ck.num_blocks() as u32,
+            bytes: ck.bytes(),
+        });
     }
     store.publish(ck);
     stats.checkpoints_taken += 1;
-}
-
-/// Cached handle for the `core.checkpoints` counter.
-fn checkpoints_counter() -> &'static obs::Counter {
-    static COUNTER: OnceLock<obs::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| obs::metrics().counter("core.checkpoints"))
 }
 
 #[cfg(test)]

@@ -97,15 +97,6 @@ impl RunStats {
         }
         h
     }
-
-    /// Throughput in GFLOPS over the total wall time.
-    pub fn gflops(&self) -> f64 {
-        if self.times.total.is_zero() {
-            0.0
-        } else {
-            self.flops as f64 / self.times.total.as_secs_f64() / 1e9
-        }
-    }
 }
 
 /// Simple scoped stopwatch accumulating into a `Duration`.
@@ -139,19 +130,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(t.non_refine(), Duration::from_secs(7));
-    }
-
-    #[test]
-    fn gflops_computation() {
-        let s = RunStats {
-            flops: 2_000_000_000,
-            times: PhaseTimes {
-                total: Duration::from_secs(2),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!((s.gflops() - 1.0).abs() < 1e-9);
     }
 
     #[test]

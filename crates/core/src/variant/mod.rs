@@ -182,15 +182,10 @@ pub(crate) trait Exec {
 
 /// Folds a hybrid executor's task counts into the span's statistics:
 /// `spawned` tasks, which ran `batched_items` work items more than that
-/// (the members of batches beyond each batch's first). `--metrics`
-/// carries the item count next to the runtime's `taskrt.tasks_spawned`.
+/// (the members of batches beyond each batch's first).
 fn fold_task_counts(stats: &mut RunStats, spawned: u64, batched_items: u64) {
     stats.tasks_spawned += spawned;
     stats.task_items += spawned + batched_items;
-    if obs::is_enabled() {
-        let items = obs::metrics().counter("core.task_items");
-        items.add(spawned + batched_items);
-    }
 }
 
 /// The task runtime of a hybrid executor's rank.

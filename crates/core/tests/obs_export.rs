@@ -1,7 +1,8 @@
 //! End-to-end observability test: a 4-rank data-flow run with the event
 //! bus enabled must export a merged, Perfetto-loadable Chrome trace with
 //! per-rank processes, per-worker lanes, message events, and counter
-//! tracks — and populate the metrics registry.
+//! tracks — and populate the metrics registry with the counts the run
+//! returned.
 //!
 //! Lives in its own integration-test binary: enabling the bus is
 //! process-global and sticky, so it must not leak into other tests.
@@ -39,6 +40,16 @@ fn four_rank_dataflow_exports_merged_chrome_trace() {
     assert!(get("taskrt.tasks_spawned") > 0);
     assert!(get("vmpi.sends_posted") > 0);
     assert!(get("tampi.bound_requests") > 0);
+    // The runtimes' counts arrive once, when they are dropped, and are
+    // the counts the run returned.
+    let sum = |f: fn(&miniamr::RunStats) -> u64| stats.iter().map(f).sum::<u64>() as i64;
+    assert_eq!(get("taskrt.tasks_spawned"), sum(|s| s.tasks_spawned));
+    assert_eq!(get("taskrt.replayed_tasks"), sum(|s| s.tasks_replayed));
+    assert_eq!(get("taskrt.trace_hits"), sum(|s| s.trace_hits));
+    assert!(
+        metrics.iter().all(|(name, _)| !name.starts_with("core.")),
+        "RunStats is the record of the core counts: {metrics:?}"
+    );
 
     let drained = obs::bus().expect("bus enabled").drain();
     assert_eq!(

@@ -96,7 +96,10 @@ impl BlockLayout {
 /// up as claim-table keys and depsan object ids), but the two counters
 /// are independent. Starting this one at `1 << 63` keeps the spaces
 /// disjoint — an aliased id would invent dependency edges between
-/// unrelated tasks and phantom races under the sanitizer.
+/// unrelated tasks and phantom races under the sanitizer. The counter is
+/// process-wide because depsan's object table is (one sanitizer watches
+/// every rank of every world in the process); nothing but identity reads
+/// a uid, so no result depends on the order ranks draw them.
 static NEXT_UID: AtomicU64 = AtomicU64::new((1 << 63) + 1);
 
 /// One block's cell data. The buffer is shared (`Arc`) so tasks can hold

@@ -1,10 +1,14 @@
 //! Runtime metrics: named atomic counters, gauges, and histograms.
 //!
-//! The registry is process-global and always constructible; handles are
-//! cloned `Arc`s around atomics, so the hot path is one atomic RMW (a
-//! histogram observe is three) with no lock. Layers cache their handles
-//! (a registry lookup takes the map lock) and gate increments behind
-//! [`crate::is_enabled`] so the disabled path stays a branch.
+//! Each fact has one count. An object that already counts for itself —
+//! a `taskrt` runtime, a `vmpi` world's fault plan — keeps its own
+//! counters and adds them here once, when it is dropped. The registry
+//! only holds live counts that have no other home: the `vmpi` message
+//! counters, `tampi.bound_requests` and the `vmpi.transit_us`
+//! histogram. Handles are cloned `Arc`s around atomics, so such a live
+//! count is one atomic RMW (a histogram observe is three) with no lock;
+//! its layer caches the handle (a registry lookup takes the map lock)
+//! and gates the increment behind [`crate::is_enabled`].
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -36,25 +40,13 @@ impl Counter {
     }
 }
 
-/// A signed gauge (current level of something).
+/// A signed high-water mark: the largest level any source reported.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge {
     inner: Arc<AtomicI64>,
 }
 
 impl Gauge {
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.inner.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the level by `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.inner.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Raises the level to at least `v` (high-watermark tracking).
     pub fn fetch_max(&self, v: i64) {
         self.inner.fetch_max(v, Ordering::Relaxed);
@@ -161,19 +153,6 @@ impl Histogram {
         self.inner.sum.load(Ordering::Relaxed)
     }
 
-    /// Value at percentile `p` (0.0–100.0): the upper bound of the bucket
-    /// containing the sample of rank `ceil(p/100 · count)`. Returns 0 for
-    /// an empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .inner
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        percentile_of(&counts, p)
-    }
-
     /// Consistent snapshot (counts are read once) with p50/p95/p99.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let counts: Vec<u64> = self
@@ -196,52 +175,6 @@ impl Histogram {
                 .map(|(b, &c)| (bucket_lo(b), c))
                 .collect(),
         }
-    }
-
-    /// ASCII bar chart of the non-empty buckets. Safe for empty and
-    /// one-sample histograms (bar widths are clamped, never divided by
-    /// zero).
-    pub fn render_ascii(&self) -> String {
-        use std::fmt::Write;
-        let snap = self.snapshot();
-        if snap.count == 0 {
-            return String::from("(no samples)\n");
-        }
-        let max = snap
-            .buckets
-            .iter()
-            .map(|&(_, c)| c)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        let mut out = String::new();
-        for &(lo, c) in &snap.buckets {
-            let b = bucket_of(lo);
-            // At least one mark for any non-empty bucket, at most 40.
-            let width = ((c * 40).div_ceil(max)).clamp(1, 40) as usize;
-            let _ = writeln!(
-                out,
-                "{:>20} ..= {:<20} {:>8} |{}",
-                bucket_lo(b),
-                bucket_hi(b),
-                c,
-                "#".repeat(width),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "count {} p50 {} p95 {} p99 {}",
-            snap.count, snap.p50, snap.p95, snap.p99
-        );
-        out
-    }
-
-    fn reset(&self) {
-        for b in &self.inner.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.inner.count.store(0, Ordering::Relaxed);
-        self.inner.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -357,21 +290,11 @@ impl MetricsRegistry {
             })
             .collect()
     }
-
-    /// Zeroes every registered metric (test isolation between runs in one
-    /// process).
-    pub fn reset(&self) {
-        for slot in self.slots.lock().values() {
-            match slot {
-                Slot::Counter(c) => c.inner.store(0, Ordering::Relaxed),
-                Slot::Gauge(g) => g.set(0),
-                Slot::Histogram(h) => h.reset(),
-            }
-        }
-    }
 }
 
-/// The process-global metrics registry.
+/// The process-global metrics registry. One per process by design: it
+/// sums every runtime, world and `--jobs` job the process ran, which is
+/// the total `--metrics` prints once they have all been dropped.
 pub fn metrics() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
     REGISTRY.get_or_init(MetricsRegistry::default)
@@ -392,9 +315,7 @@ mod tests {
         assert_eq!(reg.counter("test.count").get(), 5);
 
         let g = reg.gauge("test.level");
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
+        g.fetch_max(7);
         g.fetch_max(5);
         assert_eq!(g.get(), 7);
         g.fetch_max(11);
@@ -402,10 +323,6 @@ mod tests {
 
         let snap = reg.snapshot();
         assert_eq!(snap, vec![("test.count", 5), ("test.level", 11)]);
-
-        reg.reset();
-        assert_eq!(reg.counter("test.count").get(), 0);
-        assert_eq!(reg.gauge("test.level").get(), 0);
     }
 
     #[test]
@@ -439,12 +356,9 @@ mod tests {
         }
         assert_eq!(h.count(), 100);
         assert_eq!(h.sum(), 50 + 45 * 100 + 5 * 10_000);
-        // Rank 50 lands in the bucket of 1 → upper bound 1.
-        assert_eq!(h.percentile(50.0), 1);
-        // Rank 95 lands in the bucket of 100 ([64,127]) → 127.
-        assert_eq!(h.percentile(95.0), 127);
-        // Rank 99 lands in the bucket of 10000 ([8192,16383]) → 16383.
-        assert_eq!(h.percentile(99.0), 16383);
+        // Rank 50 lands in the bucket of 1 → upper bound 1; rank 95 in
+        // the bucket of 100 ([64,127]) → 127; rank 99 in the bucket of
+        // 10000 ([8192,16383]) → 16383.
         let snap = h.snapshot();
         assert_eq!((snap.p50, snap.p95, snap.p99), (1, 127, 16383));
         assert_eq!(snap.buckets, vec![(1, 50), (64, 45), (8192, 5)]);
@@ -456,29 +370,14 @@ mod tests {
         h.observe(0);
         h.observe(u64::MAX);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.percentile(50.0), 0);
-        assert_eq!(h.percentile(99.0), u64::MAX);
         let snap = h.snapshot();
+        assert_eq!((snap.p50, snap.p99), (0, u64::MAX));
         assert_eq!(snap.buckets.len(), 2);
         assert_eq!(snap.buckets[0], (0, 1));
     }
 
     #[test]
-    fn histogram_render_is_safe_for_empty_and_one_sample() {
-        let h = Histogram::default();
-        assert_eq!(h.render_ascii(), "(no samples)\n");
-        assert_eq!(h.percentile(50.0), 0, "empty percentile is 0, not a panic");
-        h.observe(7);
-        let rendered = h.render_ascii();
-        assert!(
-            rendered.contains('#'),
-            "one-sample bar must be visible: {rendered}"
-        );
-        assert!(rendered.contains("count 1 p50 7 p95 7 p99 7"), "{rendered}");
-    }
-
-    #[test]
-    fn histogram_registry_roundtrip_and_reset() {
+    fn histogram_registry_roundtrip() {
         let reg = MetricsRegistry::default();
         let h = reg.histogram("test.lat_us");
         h.observe(5);
@@ -491,11 +390,5 @@ mod tests {
         assert_eq!(hists.len(), 1);
         assert_eq!(hists[0].0, "test.lat_us");
         assert_eq!(hists[0].1.count, 2);
-        reg.reset();
-        assert_eq!(reg.histogram("test.lat_us").count(), 0);
-        assert_eq!(
-            reg.histogram("test.lat_us").snapshot(),
-            HistogramSnapshot::default()
-        );
     }
 }

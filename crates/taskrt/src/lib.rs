@@ -93,6 +93,9 @@ pub use trace::TraceScope;
 ///
 /// Panics when called outside a task body (there is nothing to bind to).
 pub fn current_event_hold() -> EventHold {
+    // Invariant: the binding calls (`tampi::iwait`, `tampi::irecv_with`)
+    // are made from task bodies, whatever the input; only a caller that
+    // breaks the documented contract gets here without a task.
     task::current_event_hold().expect("current_event_hold() called outside a task body")
 }
 

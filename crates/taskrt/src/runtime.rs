@@ -76,23 +76,40 @@ pub struct RuntimeStats {
     /// iteration in place (the rest were allocated: that object was still
     /// referenced).
     pub rearmed_tasks: u64,
+    /// Most tasks live at once (spawned and not yet released).
+    pub live_tasks_hwm: u64,
+    /// Task bodies that returned still holding event holds (their
+    /// release waited for a bound request to complete).
+    pub tasks_blocked_on_events: u64,
 }
 
-/// Cached metric handles (a registry lookup takes a lock; the handles are
-/// lock-free). Present only when observability was enabled before the
-/// runtime was built, so the disabled path carries no atomics at all.
-pub(crate) struct ObsMetrics {
-    pub(crate) spawned: obs::Counter,
-    pub(crate) edges: obs::Counter,
-    pub(crate) blocked: obs::Counter,
-    pub(crate) live_hwm: obs::Gauge,
-    pub(crate) replayed_tasks: obs::Counter,
-    pub(crate) rearmed_tasks: obs::Counter,
-    pub(crate) trace_records: obs::Counter,
-    pub(crate) trace_closes: obs::Counter,
-    pub(crate) trace_hits: obs::Counter,
-    pub(crate) trace_divergences: obs::Counter,
-    pub(crate) trace_invalidations: obs::Counter,
+impl RuntimeStats {
+    /// Adds these counts to the process-wide registry, under the
+    /// `taskrt.*` names (`live_tasks_hwm` as a high-water mark over every
+    /// runtime). [`Runtime`]'s drop calls this once, while observability
+    /// is on: the only place `taskrt` writes to the registry.
+    fn publish(&self) {
+        let registry = obs::metrics();
+        for (name, value) in [
+            ("taskrt.tasks_spawned", self.spawned),
+            ("taskrt.dep_edges", self.edges),
+            (
+                "taskrt.tasks_blocked_on_events",
+                self.tasks_blocked_on_events,
+            ),
+            ("taskrt.replayed_tasks", self.replayed_tasks),
+            ("taskrt.rearmed_tasks", self.rearmed_tasks),
+            ("taskrt.trace_records", self.trace_records),
+            ("taskrt.trace_closes", self.trace_closes),
+            ("taskrt.trace_hits", self.trace_hits),
+            ("taskrt.trace_divergences", self.trace_divergences),
+            ("taskrt.trace_invalidations", self.trace_invalidations),
+        ] {
+            registry.counter(name).add(value);
+        }
+        let hwm = i64::try_from(self.live_tasks_hwm).unwrap_or(i64::MAX);
+        registry.gauge("taskrt.live_tasks_hwm").fetch_max(hwm);
+    }
 }
 
 const LIVE_SHARDS: usize = 8;
@@ -164,10 +181,11 @@ pub(crate) struct RtInner {
     pub(crate) stat_trace_closes: AtomicU64,
     pub(crate) stat_trace_freezes: AtomicU64,
     pub(crate) stat_rearmed_tasks: AtomicU64,
+    stat_live_hwm: AtomicU64,
+    pub(crate) stat_blocked_on_events: AtomicU64,
     /// Virtual rank this runtime serves, for event attribution
     /// ([`obs::UNKNOWN_RANK`] until [`Runtime::set_obs_rank`]).
     pub(crate) obs_rank: AtomicU32,
-    pub(crate) obs_metrics: Option<ObsMetrics>,
     /// depsan runtime id (0 while the sanitizer is disabled).
     pub(crate) san_rt: u64,
     /// First task-body panic, captured by [`TaskShared::execute`] so the
@@ -251,25 +269,21 @@ impl RtInner {
         })
     }
 
-    /// Counts a new (or re-armed) task live; returns the live count.
-    pub(crate) fn task_born(&self, task: &Arc<TaskShared>) -> usize {
-        let live_now = self.live.fetch_add(1, Ordering::AcqRel) + 1;
+    /// Counts a new (or re-armed) task live.
+    pub(crate) fn task_born(&self, task: &Arc<TaskShared>) {
+        let live_now = (self.live.fetch_add(1, Ordering::AcqRel) + 1) as u64;
+        if live_now > self.stat_live_hwm.load(Ordering::Relaxed) {
+            self.stat_live_hwm.fetch_max(live_now, Ordering::Relaxed);
+        }
         if let Some(live_set) = &self.live_set {
             live_set.insert(task.id, Arc::downgrade(task));
         }
-        live_now
     }
 
     /// The end of every spawn: counters, the `TaskCreated` event, and the
     /// drop of the registration guard, which enqueues the task if none of
     /// its `edges` predecessors is still live.
-    pub(crate) fn launch(
-        &self,
-        task: &Arc<TaskShared>,
-        edges: usize,
-        replayed: bool,
-        live_now: usize,
-    ) {
+    pub(crate) fn launch(&self, task: &Arc<TaskShared>, edges: usize, replayed: bool) {
         self.stat_spawned.fetch_add(1, Ordering::Relaxed);
         self.stat_edges.fetch_add(edges as u64, Ordering::Relaxed);
         if edges == 0 {
@@ -285,11 +299,6 @@ impl RtInner {
                     replayed,
                 },
             );
-            if let Some(m) = &self.obs_metrics {
-                m.spawned.inc();
-                m.edges.add(edges as u64);
-                m.live_hwm.fetch_max(live_now as i64);
-            }
         }
         task.dep_satisfied(false);
     }
@@ -446,6 +455,11 @@ impl RtInner {
     pub(crate) fn rethrow_poison(&self) {
         let poisoned = self.poisoned.lock().clone();
         if let Some(msg) = poisoned {
+            // Not an invariant: this is how a task panic, or a hold that
+            // failed because the world went down, reaches the rank. The
+            // rank's thread unwinds, `World::run` resumes the panic on the
+            // caller's, and `elastic::run` turns a lost peer into a
+            // `RunError`; any other panic is a bug and stays one.
             panic!("taskrt: {msg}");
         }
     }
@@ -501,20 +515,9 @@ impl Runtime {
             stat_trace_closes: AtomicU64::new(0),
             stat_trace_freezes: AtomicU64::new(0),
             stat_rearmed_tasks: AtomicU64::new(0),
+            stat_live_hwm: AtomicU64::new(0),
+            stat_blocked_on_events: AtomicU64::new(0),
             obs_rank: AtomicU32::new(obs::UNKNOWN_RANK),
-            obs_metrics: obs::is_enabled().then(|| ObsMetrics {
-                spawned: obs::metrics().counter("taskrt.tasks_spawned"),
-                edges: obs::metrics().counter("taskrt.dep_edges"),
-                blocked: obs::metrics().counter("taskrt.tasks_blocked_on_events"),
-                live_hwm: obs::metrics().gauge("taskrt.live_tasks_hwm"),
-                replayed_tasks: obs::metrics().counter("taskrt.replayed_tasks"),
-                rearmed_tasks: obs::metrics().counter("taskrt.rearmed_tasks"),
-                trace_records: obs::metrics().counter("taskrt.trace_records"),
-                trace_closes: obs::metrics().counter("taskrt.trace_closes"),
-                trace_hits: obs::metrics().counter("taskrt.trace_hits"),
-                trace_divergences: obs::metrics().counter("taskrt.trace_divergences"),
-                trace_invalidations: obs::metrics().counter("taskrt.trace_invalidations"),
-            }),
             san_rt: if depsan::is_enabled() {
                 depsan::runtime_created()
             } else {
@@ -538,6 +541,10 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("taskrt-worker-{i}"))
                     .spawn(move || rt.scheduler.worker_loop(local, i))
+                    // Fails only when the OS refuses another thread (a
+                    // `--workers` past its thread limit): resource
+                    // exhaustion, like a failed allocation, not an error a
+                    // run can recover from.
                     .expect("spawn worker thread")
             })
             .collect();
@@ -604,7 +611,7 @@ impl Runtime {
         };
         let id = inner.next_task_id();
         let task = inner.new_task(id, san_id, priority, label, accesses, body);
-        let live_now = inner.task_born(&task);
+        inner.task_born(&task);
         // Fresh analysis must see any still-live replayed tasks in the
         // claim table, so flush them back in first.
         if inner.trace.enabled {
@@ -614,7 +621,7 @@ impl Runtime {
         if matches!(route, Route::Recording) {
             trace::record_spawn(inner, &task);
         }
-        inner.launch(&task, edges, false, live_now);
+        inner.launch(&task, edges, false);
         san_id
     }
 
@@ -738,6 +745,8 @@ impl Runtime {
             trace_closes: self.inner.stat_trace_closes.load(Ordering::Relaxed),
             trace_freezes: self.inner.stat_trace_freezes.load(Ordering::Relaxed),
             rearmed_tasks: self.inner.stat_rearmed_tasks.load(Ordering::Relaxed),
+            live_tasks_hwm: self.inner.stat_live_hwm.load(Ordering::Relaxed),
+            tasks_blocked_on_events: self.inner.stat_blocked_on_events.load(Ordering::Relaxed),
         }
     }
 
@@ -758,6 +767,10 @@ impl Drop for Runtime {
         // Tasks hold the runtime and the trace cache holds tasks: break
         // the cycle, or none of it is ever freed.
         self.inner.trace.clear();
+        // With the workers joined, the counts are final.
+        if obs::is_enabled() {
+            self.stats().publish();
+        }
         // Sanitizer finalize lint (all builds, when enabled): leaked
         // tasks/holds become a reported violation instead of silence.
         if self.inner.san_rt != 0 && !std::thread::panicking() {
@@ -895,6 +908,8 @@ impl<'rt> TaskBuilder<'rt> {
     ///
     /// Panics if no body was set.
     pub fn spawn(self) {
+        // Invariant: every spawn site sets a body; a builder without one
+        // is a caller bug whatever the input.
         let mut body = self.body.expect("task spawned without a body");
         body.gate = self.gate;
         self.rt

@@ -138,6 +138,8 @@ impl Scheduler {
     fn find_task(&self, index: usize) -> Option<TaskRef> {
         LOCAL.with(|l| {
             let borrow = l.borrow();
+            // Invariant: only `worker_loop` calls this, after installing
+            // its deque in `LOCAL` for the thread's lifetime.
             let (_, local) = borrow.as_ref().expect("worker deque installed");
             self.find_in(local, index)
         })

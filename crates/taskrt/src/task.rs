@@ -288,6 +288,10 @@ impl TaskShared {
 
     /// Runs the task body on the current thread.
     pub(crate) fn execute(self: Arc<Self>) {
+        // Invariant: a task is queued once per run (its `pending` count
+        // reaches zero once), and a one-shot body is never re-armed — a
+        // replay re-arms re-runnable slots only, or hands the slot the
+        // matching spawn's fresh body — so the body is still here.
         let once = match &self.body.run {
             Run::Once(body) => Some(body.lock().take().unwrap_or_else(|| {
                 panic!("task '{}' (id {}) executed twice", self.label, self.id)
@@ -324,6 +328,7 @@ impl TaskShared {
             let run = AssertUnwindSafe(|| match (once, &self.body.run) {
                 (Some(body), _) => body(),
                 (None, Run::Many(body)) => body(),
+                // Invariant: `once` is `Some` exactly for a one-shot body.
                 (None, Run::Once(_)) => unreachable!("a one-shot body is taken above"),
             });
             if let Err(payload) = catch_unwind(run) {
@@ -336,28 +341,29 @@ impl TaskShared {
             }
         }
         if let Some(bus) = obs::bus() {
-            let rank = self.rt.rank();
             bus.emit_for_rank(
-                rank,
+                self.rt.rank(),
                 obs::EventData::TaskEnd {
                     id: self.id,
                     label: self.label,
                 },
             );
-            // Holds acquired by the body (tampi-bound requests) outlive it:
-            // the task is now blocked-on-events rather than completed.
-            let holds = self.events.load(Ordering::Acquire).saturating_sub(1);
-            if holds > 0 {
+        }
+        // Holds acquired by the body (tampi-bound requests) outlive it:
+        // the task is now blocked-on-events rather than completed.
+        let holds = self.events.load(Ordering::Acquire).saturating_sub(1);
+        if holds > 0 {
+            self.rt
+                .stat_blocked_on_events
+                .fetch_add(1, Ordering::Relaxed);
+            if let Some(bus) = obs::bus() {
                 bus.emit_for_rank(
-                    rank,
+                    self.rt.rank(),
                     obs::EventData::TaskBlocked {
                         id: self.id,
                         holds: holds as u32,
                     },
                 );
-                if let Some(m) = &self.rt.obs_metrics {
-                    m.blocked.inc();
-                }
             }
         }
         if let Some(p) = prev_obs_task {

@@ -424,9 +424,6 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
         Stage::Parked => ScopeMode::Inert,
         Stage::Empty | Stage::Logged { .. } => {
             inner.stat_trace_records.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &inner.obs_metrics {
-                m.trace_records.inc();
-            }
             emit_mark(inner, "record", key, state.slots.len());
             ScopeMode::Record {
                 pos: 0,
@@ -453,9 +450,6 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
 /// not stable.
 fn close(inner: &RtInner, key: u64, state: &mut KeyState) {
     inner.stat_trace_closes.fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &inner.obs_metrics {
-        m.trace_closes.inc();
-    }
     match close_stream(state.slots.iter().map(|s| &s.task.accesses[..])) {
         Some(preds) => {
             state.preds = preds;
@@ -499,9 +493,6 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
     match scope.mode {
         ScopeMode::Replay { cursor } if cursor == scope.state.slots.len() => {
             inner.stat_trace_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &inner.obs_metrics {
-                m.trace_hits.inc();
-            }
             emit_mark(inner, "hit", scope.key, cursor);
             scope.state.unstable = 0;
             scope.state.optimistic = true;
@@ -586,6 +577,10 @@ pub(crate) fn replay_spawn(
     body: TaskBody,
 ) -> u64 {
     with_scope(inner, |scope| {
+        // Invariant (both panics): `spawn_boxed` calls this right after
+        // `route_spawn` returned `Replay` on the same thread, which it
+        // does only for this runtime's open scope in replay mode, and
+        // nothing in between closes the scope or changes its mode.
         let ScopeMode::Replay { cursor } = &mut scope.mode else {
             unreachable!("route_spawn matched a replaying scope");
         };
@@ -687,13 +682,12 @@ fn replay_slot(
                 task.body = body;
             }
             inner.stat_rearmed_tasks.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &inner.obs_metrics {
-                m.rearmed_tasks.inc();
-            }
             None
         }
         None => {
             let (label, priority, accesses, body) = spawn.unwrap_or_else(|| {
+                // Invariant: without a spawn this is `replay_tasks`, which
+                // checked that every slot it replays is re-runnable.
                 let body =
                     (slot.body.share()).expect("replay_tasks re-arms re-runnable slots only");
                 (slot.label, slot.priority, slot.accesses.clone(), body)
@@ -703,7 +697,7 @@ fn replay_slot(
         }
     };
     let task = &slots[pos].task;
-    let live_now = inner.task_born(task);
+    inner.task_born(task);
     let mut edges = 0;
     for &(_, p) in preds {
         // The slot order (`replay_ready`): lower slots hold this
@@ -739,10 +733,7 @@ fn replay_slot(
     inner.trace.bypassed_live.fetch_add(1, Ordering::AcqRel);
     flush_list.push(Arc::clone(task));
     inner.stat_replayed_tasks.fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &inner.obs_metrics {
-        m.replayed_tasks.inc();
-    }
-    inner.launch(task, edges, true, live_now);
+    inner.launch(task, edges, true);
     san_id
 }
 
@@ -807,9 +798,6 @@ fn taint_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope) {
 fn note_divergence(inner: &Arc<RtInner>, key: u64) {
     flush_bypassed(inner);
     inner.stat_trace_divergences.fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &inner.obs_metrics {
-        m.trace_divergences.inc();
-    }
     emit_mark(inner, "divergence", key, 0);
 }
 
@@ -875,9 +863,6 @@ pub(crate) fn invalidate(inner: &Arc<RtInner>) {
     inner
         .stat_trace_invalidations
         .fetch_add(1, Ordering::Relaxed);
-    if let Some(m) = &inner.obs_metrics {
-        m.trace_invalidations.inc();
-    }
     emit_mark(inner, "invalidate", 0, 0);
 }
 

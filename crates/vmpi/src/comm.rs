@@ -72,7 +72,9 @@ impl Status {
 /// Process-wide match-id counter for send→recv causal edges. Ids start
 /// at 1 so 0 can mean "unattributed"; the counter is only advanced while
 /// tracing is enabled, keeping the disabled path allocation- and
-/// RMW-free.
+/// RMW-free. Process-wide rather than per world because the trace it
+/// keys is: every world in the process (`--jobs N`, a resize's successor
+/// world) emits into the one obs bus, and two edges must not share an id.
 static MATCH_IDS: AtomicU64 = AtomicU64::new(1);
 
 fn next_match_id() -> u64 {

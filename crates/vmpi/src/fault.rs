@@ -333,16 +333,6 @@ pub(crate) struct FaultCounters {
     pub recovered: AtomicU64,
 }
 
-/// Cached obs metric handles for the chaos counters (present only when
-/// observability was enabled before the world was built).
-pub(crate) struct ChaosObsMetrics {
-    pub faults_injected: obs::Counter,
-    pub retransmits: obs::Counter,
-    pub crc_rejected: obs::Counter,
-    pub dup_suppressed: obs::Counter,
-    pub recovered: obs::Counter,
-}
-
 /// Runtime state of the chaos subsystem, shared by all ranks of a world.
 pub(crate) struct FaultState {
     pub cfg: ChaosConfig,
@@ -359,7 +349,6 @@ pub(crate) struct FaultState {
     /// [`crate::VmpiError::WorldDown`] from here on.
     pub poisoned: AtomicBool,
     pub counters: FaultCounters,
-    pub obs_metrics: Option<ChaosObsMetrics>,
     /// One report per peer-lost declaration, in declaration order.
     pub reports: Mutex<Vec<PeerLostReport>>,
 }
@@ -382,9 +371,6 @@ impl FaultState {
             return false;
         }
         if !self.crashed[r].swap(true, Ordering::SeqCst) {
-            if let Some(m) = &self.obs_metrics {
-                m.faults_injected.inc();
-            }
             if let Some(bus) = obs::bus() {
                 bus.emit_full(
                     r as u32,
@@ -411,13 +397,6 @@ impl FaultState {
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             counters: FaultCounters::default(),
-            obs_metrics: obs::is_enabled().then(|| ChaosObsMetrics {
-                faults_injected: obs::metrics().counter("vmpi.chaos.faults_injected"),
-                retransmits: obs::metrics().counter("vmpi.chaos.retransmits"),
-                crc_rejected: obs::metrics().counter("vmpi.chaos.crc_rejected"),
-                dup_suppressed: obs::metrics().counter("vmpi.chaos.dup_suppressed"),
-                recovered: obs::metrics().counter("vmpi.chaos.recovered"),
-            }),
             reports: Mutex::new(Vec::new()),
         })
     }
@@ -442,6 +421,37 @@ impl FaultState {
             c.acks.load(Ordering::Relaxed),
             c.recovered.load(Ordering::Relaxed),
         )
+    }
+
+    /// Adds the plan's outcome to the process-wide registry under the
+    /// `vmpi.chaos.*` names. [`crate::World`]'s drop calls this once, after
+    /// the delivery service drained, while observability is on: the
+    /// counters above are the only count of each fact. A fault injected is
+    /// a drop, duplicate, corruption, delay spike, stall or crash-drop of
+    /// a frame, or a rank the plan hard-crashed.
+    pub(crate) fn publish_metrics(&self) {
+        let c = &self.counters;
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let frame_faults = [
+            &c.drops,
+            &c.dups,
+            &c.corrupts,
+            &c.delays,
+            &c.stalls,
+            &c.crash_drops,
+        ];
+        let crashed = self.crashed.iter().filter(|c| c.load(Ordering::SeqCst));
+        let injected = frame_faults.map(get).iter().sum::<u64>() + crashed.count() as u64;
+        let registry = obs::metrics();
+        for (name, value) in [
+            ("vmpi.chaos.faults_injected", injected),
+            ("vmpi.chaos.retransmits", get(&c.retransmits)),
+            ("vmpi.chaos.crc_rejected", get(&c.crc_rejected)),
+            ("vmpi.chaos.dup_suppressed", get(&c.dup_suppressed)),
+            ("vmpi.chaos.recovered", get(&c.recovered)),
+        ] {
+            registry.counter(name).add(value);
+        }
     }
 
     /// Human-readable snapshot of the pending retransmit queue plus the

@@ -122,7 +122,7 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
     if fault.is_crashed(src) {
         fault.counters.crash_drops.fetch_add(1, Ordering::Relaxed);
         note_loss(dst, &frame);
-        emit_fault(fault, "crash-drop", src, dst, tag, seq);
+        emit_fault("crash-drop", src, dst, tag, seq);
         // No delivery and no retransmit timer: dead ranks do not retry.
         // But the *receiver* is now waiting for data that will never
         // come, and if it has no unacked send of its own toward the dead
@@ -169,24 +169,24 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
     if cfg.stall_every > 0 && rank_frames.is_multiple_of(cfg.stall_every) {
         delay += cfg.stall;
         fault.counters.stalls.fetch_add(1, Ordering::Relaxed);
-        emit_fault(fault, "stall", src, dst, tag, seq);
+        emit_fault("stall", src, dst, tag, seq);
     }
     if cfg.applies(src, dst, tag, seq) {
         if cfg.delay_p > 0.0 && cfg.roll(salt::DELAY, src, dst, tag, seq, attempt) < cfg.delay_p {
             delay += base.mul_f64(cfg.delay_factor).max(MIN_SPIKE);
             fault.counters.delays.fetch_add(1, Ordering::Relaxed);
-            emit_fault(fault, "delay", src, dst, tag, seq);
+            emit_fault("delay", src, dst, tag, seq);
         }
         if cfg.drop_p > 0.0 && cfg.roll(salt::DROP, src, dst, tag, seq, attempt) < cfg.drop_p {
             deliver = false;
             fault.counters.drops.fetch_add(1, Ordering::Relaxed);
-            emit_fault(fault, "drop", src, dst, tag, seq);
+            emit_fault("drop", src, dst, tag, seq);
         }
         if deliver {
             if cfg.dup_p > 0.0 && cfg.roll(salt::DUP, src, dst, tag, seq, attempt) < cfg.dup_p {
                 dup = true;
                 fault.counters.dups.fetch_add(1, Ordering::Relaxed);
-                emit_fault(fault, "dup", src, dst, tag, seq);
+                emit_fault("dup", src, dst, tag, seq);
             }
             if !frame.payload.is_empty()
                 && cfg.corrupt_p > 0.0
@@ -196,7 +196,7 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
                 let bit = (h as usize) % (frame.payload.len() * 8);
                 corrupt = Some((bit / 8, 1u8 << (bit % 8)));
                 fault.counters.corrupts.fetch_add(1, Ordering::Relaxed);
-                emit_fault(fault, "corrupt", src, dst, tag, seq);
+                emit_fault("corrupt", src, dst, tag, seq);
             }
         }
     }
@@ -267,9 +267,6 @@ fn deliver_frame(
         );
         if crc32(&damaged) != frame.crc {
             fault.counters.crc_rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &fault.obs_metrics {
-                m.crc_rejected.inc();
-            }
             return;
         }
     } else {
@@ -285,9 +282,6 @@ fn deliver_frame(
                 .counters
                 .dup_suppressed
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &fault.obs_metrics {
-                m.dup_suppressed.inc();
-            }
         } else {
             ch.reorder.insert(seq, frame);
             // Release pointer sweeps forward over every contiguously
@@ -317,9 +311,6 @@ fn deliver_frame(
         if rec.attempts > 0 {
             // The peer answered within the retry budget: recovered.
             fault.counters.recovered.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &fault.obs_metrics {
-                m.recovered.inc();
-            }
             if let Some(bus) = obs::bus() {
                 bus.emit_full(
                     src as u32,
@@ -418,9 +409,6 @@ fn on_rto(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: u
     match next {
         Next::Resend { tag, attempt } => {
             fault.counters.retransmits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &fault.obs_metrics {
-                m.retransmits.inc();
-            }
             if let Some(bus) = obs::bus() {
                 bus.emit_full(
                     src as u32,
@@ -575,12 +563,8 @@ fn finish_peer_lost(
 }
 
 /// Emits the obs `FaultInjected` event (on the source rank's network
-/// lane) and bumps the injected-faults metric. The per-kind counters are
-/// maintained by the caller.
-fn emit_fault(fault: &FaultState, kind: &'static str, src: usize, dst: usize, tag: i32, seq: u64) {
-    if let Some(m) = &fault.obs_metrics {
-        m.faults_injected.inc();
-    }
+/// lane). The per-kind counters are maintained by the caller.
+fn emit_fault(kind: &'static str, src: usize, dst: usize, tag: i32, seq: u64) {
     if let Some(bus) = obs::bus() {
         bus.emit_full(
             src as u32,

@@ -228,6 +228,10 @@ impl Drop for World {
             fabric.release_all();
         }
         self.shared.delivery.shutdown();
+        // With the delivery queue drained, the fault counts are final.
+        if let (Some(fault), true) = (&self.shared.fault, obs::is_enabled()) {
+            fault.publish_metrics();
+        }
         // Finalize lint: with the delivery queue drained, anything still
         // unmatched is a leaked request (a send with no receive, or a
         // receive whose message never came). A world poisoned under

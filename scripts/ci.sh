@@ -83,13 +83,16 @@ cargo build --release -p miniamr
 MINIAMR=target/release/miniamr
 
 # Traced smoke run: each variant must produce a merged Chrome trace that
-# parses as JSON and contains every rank's process metadata.
+# parses as JSON and contains every rank's process metadata. On data-flow,
+# `--metrics` must read the runtime's counts as the TSV does (each fact is
+# counted once, by the runtime, and published when it is dropped), and
+# print no `core.*` metric (RunStats is the record of those counts).
 for variant in mpi forkjoin dataflow; do
   echo "==> traced smoke run: $variant"
   trace="$(mktemp /tmp/miniamr-trace-XXXXXX.json)"
-  "$MINIAMR" --variant "$variant" --npx 2 --npy 2 --nx 6 --ny 6 --nz 6 \
+  out="$("$MINIAMR" --variant "$variant" --npx 2 --npy 2 --nx 6 --ny 6 --nz 6 \
       --num_vars 4 --num_tsteps 2 --input single_sphere \
-      --trace-json "$trace" --metrics >/dev/null
+      --trace-json "$trace" --metrics)"
   python3 - "$trace" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
@@ -99,6 +102,18 @@ ranks = {e["pid"] for e in events
 assert ranks == {0, 1, 2, 3}, f"expected ranks 0..3 in trace, got {sorted(ranks)}"
 PY
   rm -f "$trace"
+  if [ "$variant" = dataflow ]; then
+    python3 - "$out" <<'PY'
+import sys
+rows = dict(l.split("\t", 1) for l in sys.argv[1].splitlines() if "\t" in l)
+for metric, tsv in [("taskrt.tasks_spawned", "tasks_spawned"),
+                    ("taskrt.replayed_tasks", "tasks_replayed")]:
+    assert rows["metric:" + metric] == rows[tsv], (
+        f"metric:{metric} {rows['metric:' + metric]} != {tsv} {rows[tsv]}")
+core = [k for k in rows if k.startswith("metric:core.")]
+assert not core, f"core metrics are RunStats' to report: {core}"
+PY
+  fi
 done
 
 # Watchdog self-test: the seed's group-offset bug (kept behind
