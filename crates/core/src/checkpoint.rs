@@ -288,8 +288,8 @@ impl CheckpointStore {
     }
 }
 
-/// Takes a checkpoint and publishes it into the run's `store` (the caller
-/// tested [`Config::checkpoint_due`]); emits the `checkpoint_taken` obs
+/// Takes a checkpoint and publishes it into the run's `store` (where
+/// [`crate::skeleton::cadence`] places one); emits the `checkpoint_taken` obs
 /// event and counter. The caller guarantees quiescence (the loop drains
 /// the executor first). The rank's previous checkpoint leaves the store
 /// and is retaken in place, so one copy per rank is alive; during a run
@@ -299,17 +299,17 @@ pub(crate) fn take_and_publish(
     store: &CheckpointStore,
     state: &RankState,
     stats: &mut crate::stats::RunStats,
-    stage_counter: usize,
+    stage: usize,
     tstep: usize,
     mesh_epoch: u64,
 ) {
     let old = store.slots.lock().remove(&state.rank);
-    let ck = RankCheckpoint::retake(old, state, tstep, stage_counter, mesh_epoch);
+    let ck = RankCheckpoint::retake(old, state, tstep, stage, mesh_epoch);
     if let Some(bus) = obs::bus() {
         bus.emit(obs::EventData::CheckpointTaken {
             rank: state.rank as u32,
             tstep: tstep as u32,
-            stage: stage_counter as u32,
+            stage: stage as u32,
             blocks: ck.num_blocks() as u32,
             bytes: ck.bytes(),
         });

@@ -247,23 +247,6 @@ impl Config {
         self.params.num_vars.div_ceil(per)
     }
 
-    /// Whether a checksum validation falls on global stage `stage`
-    /// (1-based, counted across timesteps).
-    pub fn checksum_due(&self, stage: usize) -> bool {
-        stage.is_multiple_of(self.checksum_freq)
-    }
-
-    /// Whether a rank checkpoint falls on global stage `stage` (1-based);
-    /// never with `ckpt_freq == 0`.
-    pub fn checkpoint_due(&self, stage: usize) -> bool {
-        self.ckpt_freq != 0 && stage.is_multiple_of(self.ckpt_freq)
-    }
-
-    /// Whether the mesh is regridded after timestep `ts` (0-based).
-    pub fn regrid_due(&self, ts: usize) -> bool {
-        (ts + 1).is_multiple_of(self.refine_freq)
-    }
-
     /// Node index of a rank under the configured grouping (0 ranks per
     /// node = every rank its own node, as in [`vmpi::FabricParams`]).
     #[inline]

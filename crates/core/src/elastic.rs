@@ -186,47 +186,36 @@ pub struct ElasticOpts {
     pub on_peer_lost: PeerLostPolicy,
 }
 
-/// Where a rank's span resumes from (the unit the driver carries across
-/// world teardown). `None` at [`crate::run_rank`]'s entry means "initial
+/// Where a rank's span resumes from, beside the stats so far: what one
+/// span hands the next (possibly on another rank count) across world
+/// teardown. `None` at [`crate::run_rank`]'s entry means "initial
 /// conditions": build the state, run the initial refinement.
 pub struct SpanStart {
     pub(crate) state: RankState,
-    pub(crate) stats: RunStats,
-    pub(crate) stage_counter: usize,
     pub(crate) mesh_epoch: u64,
     /// The last validation baseline.
     pub(crate) prev_checksum: Option<Checkpoint>,
-    pub(crate) ts_start: usize,
+    /// The first timestep the span runs.
+    pub(crate) next_ts: usize,
 }
 
 impl SpanStart {
     /// Initial conditions: the freshly built state at timestep 0, before
-    /// the initial refinement.
-    pub(crate) fn initial(cfg: &Config, comm: &Comm) -> SpanStart {
+    /// the initial refinement, and empty stats.
+    pub(crate) fn initial(cfg: &Config, comm: &Comm) -> (RunStats, SpanStart) {
         let state = RankState::init(cfg, comm.rank(), comm.size());
         let stats = RunStats {
             rank: state.rank,
             ..Default::default()
         };
-        SpanStart {
+        let start = SpanStart {
             state,
-            stats,
-            stage_counter: 0,
             mesh_epoch: 0,
             prev_checksum: None,
-            ts_start: 0,
-        }
+            next_ts: 0,
+        };
+        (stats, start)
     }
-}
-
-/// What a span hands back at its end, alongside the stats: everything a
-/// follow-up span (possibly on a different rank count) resumes from.
-pub struct SpanCarry {
-    pub(crate) state: RankState,
-    pub(crate) stage_counter: usize,
-    pub(crate) mesh_epoch: u64,
-    pub(crate) prev_checksum: Option<Checkpoint>,
-    pub(crate) next_ts: usize,
 }
 
 /// Per-run context threaded into the timestep loop: everything recovery
@@ -255,7 +244,6 @@ impl RunCtx {
         &self,
         state: &RankState,
         stats: &RunStats,
-        stage_counter: usize,
         mesh_epoch: u64,
         prev_checksum: &Option<Checkpoint>,
         next_ts: usize,
@@ -265,15 +253,7 @@ impl RunCtx {
             let snaps = reg.entry(state.rank).or_default();
             (snaps.len() >= BOUNDARY_HISTORY).then(|| snaps.remove(0).ck)
         };
-        let snap = BoundarySnap::take(
-            evicted,
-            state,
-            stats,
-            stage_counter,
-            mesh_epoch,
-            prev_checksum,
-            next_ts,
-        );
+        let snap = BoundarySnap::take(evicted, state, stats, mesh_epoch, prev_checksum, next_ts);
         self.boundaries
             .lock()
             .entry(state.rank)
@@ -356,7 +336,6 @@ type LostWorld = (Vec<PeerLostReport>, Vec<String>);
 struct BoundarySnap {
     ck: Arc<RankCheckpoint>,
     stats: RunStats,
-    stage_counter: usize,
     prev_checksum: Option<Checkpoint>,
     next_ts: usize,
 }
@@ -368,21 +347,18 @@ impl BoundarySnap {
         old: Option<Arc<RankCheckpoint>>,
         state: &RankState,
         stats: &RunStats,
-        stage_counter: usize,
         mesh_epoch: u64,
         prev_checksum: &Option<Checkpoint>,
         next_ts: usize,
     ) -> BoundarySnap {
+        // At the top of timestep `next_ts` the run has done this many
+        // stages (the cadence numbers them from the run's start).
+        let stage = next_ts * state.cfg.stages_per_ts;
         BoundarySnap {
             ck: Arc::new(RankCheckpoint::retake(
-                old,
-                state,
-                next_ts,
-                stage_counter,
-                mesh_epoch,
+                old, state, next_ts, stage, mesh_epoch,
             )),
             stats: stats.clone(),
-            stage_counter,
             prev_checksum: prev_checksum.clone(),
             next_ts,
         }
@@ -395,7 +371,7 @@ fn respawn(
     snaps: &[BoundarySnap],
     new_n: usize,
     balance: BalanceKind,
-) -> Result<Vec<Option<SpanStart>>, RunError> {
+) -> Result<Vec<Option<(RunStats, SpanStart)>>, RunError> {
     let ckpts: Vec<Arc<RankCheckpoint>> = snaps.iter().map(|s| Arc::clone(&s.ck)).collect();
     let states = checkpoint::redistribute(&ckpts, new_n, balance)?;
     let starts = states.into_iter().enumerate().map(|(r, state)| {
@@ -404,29 +380,28 @@ fn respawn(
         let src = &snaps[r.min(snaps.len() - 1)];
         let mut stats = src.stats.clone();
         stats.rank = r;
-        Some(SpanStart {
+        let start = SpanStart {
             state,
-            stats,
-            stage_counter: src.stage_counter,
             mesh_epoch: src.ck.mesh_epoch,
             prev_checksum: src.prev_checksum.clone(),
-            ts_start: src.next_ts,
-        })
+            next_ts: src.next_ts,
+        };
+        Some((stats, start))
     });
     Ok(starts.collect())
 }
 
 /// Runs one world segment of `[..ts_end)` and returns per-rank
-/// `(stats, carry)`, or what the world left behind if it aborted on a
+/// `(stats, next start)`, or what the world left behind if it aborted on a
 /// lost peer.
 fn run_segment(
     cfg: &Config,
     n: usize,
     net: &NetworkModel,
-    starts: Vec<Option<SpanStart>>,
+    starts: Vec<Option<(RunStats, SpanStart)>>,
     ts_end: usize,
     ctx: &RunCtx,
-) -> Result<Vec<(RunStats, SpanCarry)>, LostWorld> {
+) -> Result<Vec<(RunStats, SpanStart)>, LostWorld> {
     assert_eq!(starts.len(), n, "one resume point per rank");
     let world = World::with_chaos(n, net.clone(), cfg.chaos.clone());
     let slots = Mutex::new(starts);
@@ -485,7 +460,7 @@ pub fn run(
 
     let mut n = n_ranks;
     let mut ts = 0usize;
-    let mut starts: Vec<Option<SpanStart>> = (0..n).map(|_| None).collect();
+    let mut starts: Vec<Option<(RunStats, SpanStart)>> = (0..n).map(|_| None).collect();
     loop {
         let seg_end = opts
             .plan
@@ -518,7 +493,6 @@ pub fn run(
                             None,
                             &c.state,
                             stats,
-                            c.stage_counter,
                             c.mesh_epoch,
                             &c.prev_checksum,
                             seg_end,
@@ -584,10 +558,10 @@ mod tests {
         let stats = RunStats::default();
         // Rank 0 reaches ts 1..=3, rank 1 only ts 1..=2.
         for t in 1..=3usize {
-            ctx.boundary(&s0, &stats, t * 4, 0, &None, t);
+            ctx.boundary(&s0, &stats, 0, &None, t);
         }
         for t in 1..=2usize {
-            ctx.boundary(&s1, &stats, t * 4, 0, &None, t);
+            ctx.boundary(&s1, &stats, 0, &None, t);
         }
         let snaps = ctx.common_boundary(2).expect("common timestep exists");
         assert_eq!(snaps.len(), 2);
@@ -610,14 +584,14 @@ mod tests {
             let mut old = crate::rank::RankState::init(&cfg, r, 2);
             old.n_ranks = 4;
             for t in 1..=2usize {
-                ctx.boundary(&old, &stats, t * 4, 0, &None, t);
+                ctx.boundary(&old, &stats, 0, &None, t);
             }
         }
         let s0 = crate::rank::RankState::init(&cfg, 0, 2);
         let s1 = crate::rank::RankState::init(&cfg, 1, 2);
-        ctx.boundary(&s0, &stats, 12, 1, &None, 3);
+        ctx.boundary(&s0, &stats, 1, &None, 3);
         assert!(ctx.common_boundary(2).is_none());
-        ctx.boundary(&s1, &stats, 12, 1, &None, 3);
+        ctx.boundary(&s1, &stats, 1, &None, 3);
         let snaps = ctx.common_boundary(2).expect("the new world's boundary");
         assert!(snaps.iter().all(|s| s.next_ts == 3 && s.ck.n_ranks == 2));
     }
@@ -631,10 +605,10 @@ mod tests {
         let ctx = publishing();
         let stats = RunStats::default();
         for t in 1..=BOUNDARY_HISTORY {
-            ctx.boundary(&s0, &stats, t, 0, &None, t);
+            ctx.boundary(&s0, &stats, 0, &None, t);
         }
         let oldest = ctx.boundaries.lock()[&0][0].ck.cells_ptr();
-        ctx.boundary(&s0, &stats, 9, 0, &None, 9);
+        ctx.boundary(&s0, &stats, 0, &None, 9);
         let reg = ctx.boundaries.lock();
         let newest = &reg[&0].last().unwrap().ck;
         assert_eq!((newest.tstep, newest.cells_ptr()), (9, oldest));
@@ -648,7 +622,7 @@ mod tests {
         let ctx = publishing();
         let stats = RunStats::default();
         for t in 1..=10usize {
-            ctx.boundary(&s0, &stats, t, 0, &None, t);
+            ctx.boundary(&s0, &stats, 0, &None, t);
         }
         let reg = ctx.boundaries.lock();
         let snaps = &reg[&0];

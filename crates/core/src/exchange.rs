@@ -20,10 +20,11 @@
 use crate::comm_plan::EXCHANGE_TAG_BASE;
 use crate::config::BalanceKind;
 use crate::rank::RankState;
+use crate::skeleton::{RegridHooks, Walk};
 use amr_mesh::data::{merge_children, split_block, BlockData};
 use amr_mesh::directory::{MeshDirectory, RefinePlan};
 use amr_mesh::partition;
-use amr_mesh::BlockId;
+use amr_mesh::{BlockId, Object};
 use std::sync::Arc;
 use vmpi::Comm;
 
@@ -131,6 +132,17 @@ impl BlockMover for BlockingMover {
 /// number of moves involving this rank. `state.blocks` is updated; the
 /// directory owners are **not** (callers update them from the same global
 /// list so every rank stays consistent).
+///
+/// # Panics
+///
+/// - On a failed transport call (here or in [`BlockingMover`]): the
+///   designed unwind of a poisoned or lost-peer world, which
+///   `elastic::run_segment`'s `catch_unwind` turns into a
+///   [`crate::RunError`].
+/// - If a move sends a block this rank does not hold, or a control
+///   message names another block: a directory invariant, since every
+///   rank plans from the same replicated directory.
+/// - If the rounds do not converge (a capacity livelock).
 pub fn exchange_blocks(
     state: &mut RankState,
     comm: &Arc<Comm>,
@@ -271,47 +283,25 @@ impl RefineJob {
     }
 }
 
-/// Collects this rank's split/merge jobs for a plan. Merge jobs require
-/// the gathering moves to have completed (all children local).
-pub fn local_refine_jobs(state: &RankState, plan: &RefinePlan) -> Vec<RefineJob> {
-    let mut jobs = Vec::new();
-    for parent in &plan.merges {
-        let children = parent.children();
-        if state.dir.owner(&children[0]) == Some(state.rank) {
-            let data: Vec<BlockData> = children.iter().map(|c| state.block(c).clone()).collect();
-            jobs.push(RefineJob::Merge(data));
-        }
-    }
-    for id in &plan.splits {
-        if state.dir.owner(id) == Some(state.rank) {
-            jobs.push(RefineJob::Split(state.block(id).clone()));
-        }
-    }
-    jobs
-}
+/// How a variant runs split/merge jobs: the produced blocks, in id order.
+pub type RunJobs<'a> = dyn FnMut(&RankState, Vec<RefineJob>) -> Vec<BlockData> + 'a;
 
-/// Applies job results: removes consumed blocks, inserts produced ones.
-pub fn apply_refine_results(state: &mut RankState, plan: &RefinePlan, results: Vec<BlockData>) {
-    for parent in &plan.merges {
-        if state.dir.owner(&parent.children()[0]) == Some(state.rank) {
-            for c in parent.children() {
-                state.blocks.remove(&c);
-            }
-        }
-    }
-    for id in &plan.splits {
-        if state.dir.owner(id) == Some(state.rank) {
-            state.blocks.remove(id);
-        }
-    }
-    for b in results {
-        state.blocks.insert(b.id, b);
-    }
+/// Runs split/merge jobs one after the other on the calling thread,
+/// dropping each job (and its sources) once it has run.
+pub fn run_jobs_serially(state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
+    jobs.into_iter()
+        .flat_map(|j| j.run(&state.cfg.params))
+        .collect()
 }
 
 /// The moves that gather merge octets onto the first child's owner.
-/// Directory-level and deterministic: the live refinement and the static
-/// verifier's mesh-epoch evolution (`staticcheck`) both call this.
+/// Directory-level and deterministic: [`crate::skeleton::Walk`] calls it
+/// for every caller of the regrid walk.
+///
+/// # Panics
+///
+/// If a child of a planned merge is not active. A directory invariant:
+/// `plan_refinement` only merges complete octets of active blocks.
 pub fn merge_gather_moves(dir: &MeshDirectory, plan: &RefinePlan, seq_base: usize) -> Vec<Move> {
     let mut moves = Vec::new();
     let mut seq = seq_base;
@@ -336,6 +326,11 @@ pub fn merge_gather_moves(dir: &MeshDirectory, plan: &RefinePlan, seq_base: usiz
 
 /// The moves realizing a load-balance partition. Directory-level and
 /// deterministic, like [`merge_gather_moves`].
+///
+/// # Panics
+///
+/// If the partition assigns a block that is not active. A directory
+/// invariant: the partitioners assign exactly the active blocks.
 pub fn balance_moves(
     dir: &MeshDirectory,
     balance: BalanceKind,
@@ -364,43 +359,80 @@ pub fn balance_moves(
     moves
 }
 
-/// Runs one full refinement phase: repeated ±1-level plans (up to
-/// `block_change`), merge gathering, split/merge data ops through
-/// `run_jobs`, then load balancing. Returns blocks moved by this rank.
+/// The live regrid's hooks: the block exchange at each move list, the
+/// split/merge data ops at each plan. The initial refinement runs them
+/// without a world (`exchange` is `None`): a uniform mesh only refines,
+/// so it moves no block.
+pub(crate) struct LiveRegrid<'a, 'b> {
+    pub state: &'a mut RankState,
+    pub exchange: Option<(&'a Arc<Comm>, &'a mut dyn BlockMover)>,
+    pub run_jobs: &'a mut RunJobs<'b>,
+    pub moved: u64,
+}
+
+impl RegridHooks for LiveRegrid<'_, '_> {
+    fn mesh(&mut self) -> (&mut MeshDirectory, &[Object]) {
+        (&mut self.state.dir, &self.state.objects)
+    }
+
+    fn moves(&mut self, moves: &[Move]) {
+        match &mut self.exchange {
+            Some((comm, mover)) => self.moved += exchange_blocks(self.state, comm, moves, *mover),
+            None => assert!(moves.is_empty(), "no world to move blocks in"),
+        }
+    }
+
+    /// Runs this rank's split/merge jobs through `run_jobs`. Their sources
+    /// leave `state.blocks` first, so a job frees them once it has run;
+    /// the gathering moves made every merge octet local.
+    fn plan(&mut self, plan: &RefinePlan) {
+        let state = &mut *self.state;
+        let (mut jobs, mut consumed) = (Vec::new(), Vec::new());
+        let mine = |id: &BlockId| state.dir.owner(id) == Some(state.rank);
+        for children in plan.merges.iter().map(BlockId::children) {
+            if mine(&children[0]) {
+                let data = children.iter().map(|c| state.block(c).clone()).collect();
+                jobs.push(RefineJob::Merge(data));
+                consumed.extend(children);
+            }
+        }
+        for id in plan.splits.iter().filter(|id| mine(id)) {
+            jobs.push(RefineJob::Split(state.block(id).clone()));
+            consumed.push(*id);
+        }
+        for id in &consumed {
+            state.blocks.remove(id);
+        }
+        let results = (self.run_jobs)(state, jobs);
+        state.blocks.extend(results.into_iter().map(|b| (b.id, b)));
+    }
+}
+
+/// Runs one full refinement phase: the [`Walk::regrid`] walk with the
+/// [`LiveRegrid`] hooks, `run_jobs` running the split/merge jobs.
+/// Returns blocks moved by this rank.
+///
+/// # Panics
+///
+/// As [`exchange_blocks`] does.
 pub fn run_refinement(
     state: &mut RankState,
     comm: &Arc<Comm>,
     mover: &mut dyn BlockMover,
-    run_jobs: &mut dyn FnMut(&RankState, Vec<RefineJob>) -> Vec<BlockData>,
+    run_jobs: &mut RunJobs<'_>,
 ) -> u64 {
-    let mut moved = 0u64;
-    for _ in 0..state.cfg.params.block_change.max(1) {
-        let plan = state.dir.plan_refinement(&state.objects);
-        // All ranks compute the same plan; an empty plan ends the loop on
-        // every rank simultaneously — no reduction needed.
-        if plan.is_empty() {
-            break;
-        }
-        let gathers = merge_gather_moves(&state.dir, &plan, 0);
-        moved += exchange_blocks(state, comm, &gathers, mover);
-        for m in &gathers {
-            state.dir.set_owner(m.block, m.to);
-        }
-        let jobs = local_refine_jobs(state, &plan);
-        let results = run_jobs(state, jobs);
-        apply_refine_results(state, &plan, results);
-        state.dir.apply_plan(&plan);
-    }
-
-    let moves = balance_moves(&state.dir, state.cfg.balance, state.n_ranks, 0);
-    moved += exchange_blocks(state, comm, &moves, mover);
-    for m in &moves {
-        state.dir.set_owner(m.block, m.to);
-    }
+    let walk = Walk::regrid(&state.cfg, state.n_ranks);
+    let mut live = LiveRegrid {
+        state,
+        exchange: Some((comm, mover)),
+        run_jobs,
+        moved: 0,
+    };
+    walk.run(&mut live);
     debug_assert_eq!(
-        state.dir.blocks_of(state.rank).len(),
-        state.blocks.len(),
+        live.state.dir.blocks_of(live.state.rank).len(),
+        live.state.blocks.len(),
         "directory and local data disagree after refinement"
     );
-    moved
+    live.moved
 }

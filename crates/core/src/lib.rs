@@ -54,6 +54,7 @@ pub mod elaborate;
 pub mod elastic;
 pub mod exchange;
 pub mod rank;
+pub mod skeleton;
 pub mod staticcheck;
 pub mod stats;
 pub mod variant;
@@ -92,10 +93,10 @@ pub fn run_rank(cfg: &Config, comm: Comm) -> RunStats {
 pub(crate) fn run_rank_span(
     cfg: &Config,
     comm: Comm,
-    start: Option<elastic::SpanStart>,
+    start: Option<(RunStats, elastic::SpanStart)>,
     ts_end: usize,
     ctx: &elastic::RunCtx,
-) -> (RunStats, elastic::SpanCarry) {
+) -> (RunStats, elastic::SpanStart) {
     // Whether a send is eager is the transport's decision. A config that
     // promises more than the world's threshold is clamped to it: the task
     // stream fuses a send into its pack only when the send is eager, and

@@ -7,8 +7,10 @@
 
 use crate::comm_plan::{FaceTransfer, TransferKind};
 use crate::config::Config;
+use crate::exchange::{run_jobs_serially, LiveRegrid};
+use crate::skeleton::Walk;
 use amr_mesh::block_id::{Dir, Side};
-use amr_mesh::data::{split_block, BlockData, BlockLayout};
+use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::face;
 use amr_mesh::stencil::apply_stencil;
 use amr_mesh::{checksum, BlockId, MeshDirectory};
@@ -72,34 +74,21 @@ impl RankState {
     /// refinement plan is replicated), so all ranks stay consistent.
     pub fn init(cfg: &Config, rank: usize, n_ranks: usize) -> RankState {
         assert_eq!(n_ranks, cfg.params.num_ranks());
-        let mut dir = MeshDirectory::initial(cfg.params.clone());
+        let dir = MeshDirectory::initial(cfg.params.clone());
         let mut blocks = BTreeMap::new();
         for (id, &owner) in dir.iter() {
             if owner == rank {
                 blocks.insert(*id, BlockData::initialized(*id, &cfg.params));
             }
         }
-        let objects = cfg.objects.clone();
-        // Initial refinement: repeat single-level plans, splitting local
-        // data as the structure refines. Merges cannot occur from a
-        // uniform level-0 mesh.
-        for _ in 0..=cfg.params.num_refine {
-            let plan = dir.plan_refinement(&objects);
-            if plan.is_empty() {
-                break;
-            }
-            assert!(plan.merges.is_empty(), "initial refinement cannot coarsen");
-            for parent in &plan.splits {
-                if dir.owner(parent) == Some(rank) {
-                    let pdata = blocks.remove(parent).expect("owner holds the data");
-                    for child in split_block(&pdata, &cfg.params) {
-                        blocks.insert(child.id, child);
-                    }
-                }
-            }
-            dir.apply_plan(&plan);
-        }
-        RankState::assemble(cfg, dir, objects, blocks, rank, n_ranks)
+        let mut state = RankState::assemble(cfg, dir, cfg.objects.clone(), blocks, rank, n_ranks);
+        Walk::initial(cfg).run(&mut LiveRegrid {
+            state: &mut state,
+            exchange: None,
+            run_jobs: &mut run_jobs_serially,
+            moved: 0,
+        });
+        state
     }
 
     /// The blocks this rank owns, in id order (cheap clones of handles).
@@ -112,13 +101,6 @@ impl RankState {
         self.blocks
             .get(id)
             .unwrap_or_else(|| panic!("rank {} does not own {:?}", self.rank, id))
-    }
-
-    /// Advances all objects one timestep.
-    pub fn move_objects(&mut self) {
-        for o in self.objects.iter_mut() {
-            o.step();
-        }
     }
 
     /// Applies the stencil to one block for a variable group and returns

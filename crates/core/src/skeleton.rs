@@ -1,0 +1,206 @@
+//! The run skeleton, written once: the timestep cadence (Algorithm 1,
+//! with the barriers of Algorithm 4 and the delayed validation of §IV-C)
+//! and the regrid's directory walk (§IV-B). The live loop
+//! (`variant::run_span`), the static verifier ([`crate::staticcheck`])
+//! and the simulator (`simnet`) walk them; each only says what it does
+//! at a [`Step`] or a [`RegridHooks`] point.
+
+use crate::config::{BalanceKind, Config, Variant};
+use crate::exchange::{balance_moves, merge_gather_moves, Move};
+use amr_mesh::directory::{MeshDirectory, RefinePlan};
+use amr_mesh::Object;
+
+/// One point of the run skeleton, in program order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The drained top of timestep `ts`: a boundary snapshot.
+    Boundary(usize),
+    /// Timestep `ts` begins.
+    Timestep(usize),
+    /// Per variable group, a ghost exchange then a stencil sweep; stages
+    /// are numbered across the run from 1.
+    Stage(usize),
+    /// Take the local sums of a checksum point.
+    Sums,
+    /// Block until all submitted work has completed.
+    Wait,
+    /// Block until the checksum slots are written.
+    WaitSums,
+    /// Validate the oldest checksum point not yet validated.
+    Validate,
+    /// The same, outside a checksum point (a delayed point's flush).
+    Flush,
+    /// Take a rank checkpoint at (timestep, stage).
+    Checkpoint(usize, usize),
+    /// Every stage of the timestep has been issued.
+    TimestepEnd,
+    /// Advance the objects one timestep, then [`Walk::regrid`].
+    Regrid,
+}
+
+/// The steps of timesteps `ts_start..ts_end`, then the final drain: a
+/// checksum point every `checksum_freq` stages, a checkpoint every
+/// `ckpt_freq` (none at 0), a regrid every `refine_freq` timesteps.
+/// `drain_each_ts` starts each timestep drained (boundary snapshots).
+/// Data-flow with `delayed_checksum` validates a point at the next one.
+pub fn cadence(cfg: &Config, ts_start: usize, ts_end: usize, drain_each_ts: bool) -> Vec<Step> {
+    use Step::*;
+    let delayed = cfg.variant == Variant::DataFlow && cfg.delayed_checksum;
+    let (mut pending, mut steps) = (false, Vec::new());
+    for ts in ts_start..ts_end {
+        // A boundary snapshot needs quiescent blocks and a flushed delayed
+        // checksum. The flush only records the delayed validation a little
+        // earlier — same values, same order — so the digest is unaffected.
+        if drain_each_ts {
+            steps.push(Wait);
+            if std::mem::take(&mut pending) {
+                steps.push(Flush);
+            }
+            steps.push(Boundary(ts));
+        }
+        steps.push(Timestep(ts));
+        for stage in ts * cfg.stages_per_ts + 1..=(ts + 1) * cfg.stages_per_ts {
+            steps.push(Stage(stage));
+            if stage.is_multiple_of(cfg.checksum_freq) {
+                if !delayed {
+                    steps.extend([Sums, Wait, Validate]);
+                } else {
+                    // The previous point is validated before the new one's
+                    // sums are submitted: the slots object is shared, so
+                    // the waiter must see only earlier writers.
+                    if pending {
+                        steps.extend([WaitSums, Validate]);
+                    }
+                    steps.push(Sums);
+                    pending = true;
+                }
+            }
+            if cfg.ckpt_freq != 0 && stage.is_multiple_of(cfg.ckpt_freq) {
+                steps.extend([Wait, Checkpoint(ts, stage)]);
+            }
+        }
+        steps.push(TimestepEnd);
+        if (ts + 1).is_multiple_of(cfg.refine_freq) {
+            steps.extend([Wait, Regrid]);
+        }
+    }
+    steps.push(Wait);
+    if pending {
+        steps.push(Flush);
+    }
+    steps
+}
+
+/// What a caller of the regrid's directory walk does where callers
+/// differ; the walk itself only changes the directory.
+pub trait RegridHooks {
+    /// The directory the walk evolves, and the objects it refines around.
+    fn mesh(&mut self) -> (&mut MeshDirectory, &[Object]);
+
+    /// `moves` (a plan's merge gathering, or the load balance) are about
+    /// to change owners.
+    fn moves(&mut self, _moves: &[Move]) {}
+
+    /// `plan` is about to be applied; its merge octets are gathered.
+    fn plan(&mut self, _plan: &RefinePlan) {}
+}
+
+/// One directory walk: its plan rounds, then its load balance.
+pub struct Walk {
+    rounds: usize,
+    balance: BalanceKind,
+    n_ranks: usize,
+}
+
+impl Walk {
+    /// The initial refinement: up to `num_refine + 1` plans, no balance.
+    pub fn initial(cfg: &Config) -> Walk {
+        Walk {
+            rounds: cfg.params.num_refine as usize + 1,
+            balance: BalanceKind::None,
+            n_ranks: 1,
+        }
+    }
+
+    /// A regrid on `n_ranks` ranks: up to `block_change` plans, then the
+    /// `cfg.balance` moves.
+    pub fn regrid(cfg: &Config, n_ranks: usize) -> Walk {
+        Walk {
+            rounds: cfg.params.block_change.max(1) as usize,
+            balance: cfg.balance,
+            n_ranks,
+        }
+    }
+
+    /// Each round plans (an empty plan ends the walk on every rank at
+    /// once), gathers the plan's merge octets and applies it; the load
+    /// balance comes last.
+    pub fn run(self, h: &mut impl RegridHooks) {
+        for _ in 0..self.rounds {
+            let (dir, objects) = h.mesh();
+            let plan = dir.plan_refinement(objects);
+            if plan.is_empty() {
+                break;
+            }
+            let gathers = merge_gather_moves(dir, &plan, 0);
+            relocate(h, gathers);
+            h.plan(&plan);
+            h.mesh().0.apply_plan(&plan);
+        }
+        let moves = balance_moves(h.mesh().0, self.balance, self.n_ranks, 0);
+        relocate(h, moves);
+    }
+}
+
+fn relocate(h: &mut impl RegridHooks, moves: Vec<Move>) {
+    h.moves(&moves);
+    for m in moves {
+        h.mesh().0.set_owner(m.block, m.to);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn steps(cfg: &Config, drain: bool) -> Vec<Step> {
+        cadence(cfg, 0, cfg.num_tsteps, drain)
+    }
+
+    #[test]
+    fn every_timestep_runs_its_stages_in_order() {
+        let cfg = Config::smoke_test();
+        let stages: Vec<usize> = (steps(&cfg, false).into_iter())
+            .filter_map(|s| match s {
+                Step::Stage(n) => Some(n),
+                _ => None,
+            })
+            .collect();
+        let all: Vec<usize> = (1..=cfg.num_tsteps * cfg.stages_per_ts).collect();
+        assert_eq!(stages, all);
+    }
+
+    #[test]
+    fn delayed_validation_is_data_flow_only() {
+        let mut cfg = Config::smoke_test();
+        cfg.delayed_checksum = true;
+        assert!(!steps(&cfg, false).contains(&Step::WaitSums));
+        cfg.variant = Variant::DataFlow;
+        let s = steps(&cfg, false);
+        assert!(s.contains(&Step::WaitSums));
+        assert_eq!(s[s.len() - 2..], [Step::Wait, Step::Flush]);
+    }
+
+    #[test]
+    fn a_drained_timestep_starts_with_nothing_pending() {
+        let mut cfg = Config::smoke_test();
+        cfg.variant = Variant::DataFlow;
+        cfg.delayed_checksum = true;
+        let s = steps(&cfg, true);
+        // Each boundary flushes the previous timestep's point, so no
+        // checksum point ever waits on an earlier one.
+        assert!(!s.contains(&Step::WaitSums));
+        let boundaries = s.iter().filter(|s| matches!(s, Step::Boundary(_))).count();
+        assert_eq!(boundaries, cfg.num_tsteps);
+    }
+}

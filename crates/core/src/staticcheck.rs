@@ -2,30 +2,30 @@
 //! `dfcheck` binary, and the library entry [`check`]).
 //!
 //! A scenario — mesh parameters, variant, communication configuration —
-//! is *symbolically elaborated* into a [`dfcheck::Model`]: the mesh
-//! directory is evolved through the same planning code the live run
-//! uses (`MeshDirectory::plan_refinement`, [`crate::exchange`]'s move
-//! planners, [`crate::comm_plan::CommPlan::build`]), and each rank's
-//! task stream is produced by the *same* [`crate::elaborate`] code that
-//! drives the live runtime — recorded through the [`taskrt::Submitter`]
-//! seam instead of spawned. No field data is allocated, no worker or
-//! delivery thread starts, and no message is sent.
+//! is *symbolically elaborated* into a [`dfcheck::Model`] by walking the
+//! live run's skeleton ([`crate::skeleton`]): the cadence's steps place
+//! the stages and barriers, the regrid walk evolves the mesh directory,
+//! [`crate::comm_plan::CommPlan::build`] plans each mesh epoch, and each
+//! rank's task stream is produced by the *same* [`crate::elaborate`]
+//! code that drives the live runtime — recorded through the
+//! [`taskrt::Submitter`] seam instead of spawned. No field data is
+//! allocated, no worker or delivery thread starts, and no message is
+//! sent.
 //!
-//! Model bounds (soundness caveats, see `DESIGN.md` §15): the schedule
-//! skeleton (which stages run, where barriers fall) is written here a
-//! second time, not driven by `variant::run_span` — the cadence comes
-//! from the same [`Config`] methods and a test in `variant` pins that
-//! the two place the same barriers; at most [`MAX_EPOCHS`] mesh epochs
-//! and the first few stages of each are modeled (tags and buffer regions
-//! repeat identically every stage, so ordering proofs extend
-//! inductively); the refinement block exchange is modeled as a full
-//! barrier, not as endpoints; and MPI collectives (checksum reductions)
-//! are not modeled at all.
+//! What the static visitor skips (soundness caveats, see `DESIGN.md`
+//! §15): stages past the first few of each mesh epoch (tags and buffer
+//! regions repeat identically every stage, so ordering proofs extend
+//! inductively) and epochs past [`MAX_EPOCHS`]; validations,
+//! checkpoints and boundary snapshots, which spawn no task; and for the
+//! serialized variants everything but the endpoints. The refinement
+//! block exchange is modeled as a full barrier, not as endpoints, and
+//! MPI collectives (checksum reductions) are not modeled at all.
 
 use crate::comm_plan::CommPlan;
 use crate::config::{Config, Variant};
 use crate::elaborate::{ElabCtx, Work};
-use crate::exchange::{balance_moves, data_tag, merge_gather_moves};
+use crate::exchange::{data_tag, Move};
+use crate::skeleton::{self, RegridHooks, Step, Walk};
 use amr_mesh::data::BlockLayout;
 use amr_mesh::directory::MeshDirectory;
 use amr_mesh::{BlockId, Object};
@@ -38,52 +38,16 @@ use taskrt::{Access, BarrierKind, CommIntent, ObjId, Region, Submitter, TaskSpec
 /// from the same planner and resets tags the same way.
 pub const MAX_EPOCHS: usize = 4;
 
-/// Per-rank static state that persists across epochs.
-struct StaticRank {
-    /// Block id → dependency object (the static stand-in for
-    /// [`crate::block_obj`], which needs live block uids).
-    objs: BTreeMap<BlockId, ObjId>,
-    /// The one persistent checksum-slots object (mirrors the live
-    /// executor's single `sums_obj`).
-    ck_obj: ObjId,
-    /// Whether a delayed checkpoint's slots are still in flight.
-    pending: bool,
-    /// Program-order object for the serialized variants: every endpoint
-    /// takes `inout` on it, so the chain reflects blocking main-thread
-    /// posting order.
-    prog_obj: ObjId,
-}
-
-impl StaticRank {
-    fn new() -> StaticRank {
-        StaticRank {
-            objs: BTreeMap::new(),
-            ck_obj: ObjId::fresh(),
-            pending: false,
-            prog_obj: ObjId::fresh(),
-        }
-    }
-
-    fn obj_of(&mut self, id: &BlockId) -> ObjId {
-        *self.objs.entry(*id).or_insert_with(ObjId::fresh)
-    }
-}
-
 /// Statically verifies a scenario. Returns the full report; the check
 /// passed iff [`dfcheck::Report::clean`].
 pub fn check(cfg: &Config) -> Report {
-    let Elaborated {
-        model,
-        slot_findings,
-        max_move_seq,
-    } = elaborate(cfg);
-    let mut report = dfcheck::check(&model);
-    for f in slot_findings {
-        report.push_warning(f);
-    }
+    let elaborated = elaborate(cfg);
+    let mut report = dfcheck::check(&elaborated.model);
+    report.warnings.extend(elaborated.slot_findings);
     // The exchange protocol derives its tags from move sequence numbers;
     // a scenario with enough moves would walk out of the transport's tag
     // range. (Three tags per move: ACK, control, data.)
+    let max_move_seq = elaborated.max_move_seq;
     if max_move_seq > 0 && !vmpi::valid_user_tag(data_tag(max_move_seq - 1)) {
         report.push_error(Finding {
             code: "tag-out-of-range",
@@ -107,181 +71,151 @@ pub(crate) struct Elaborated {
     max_move_seq: usize,
 }
 
-/// Symbolically elaborates a scenario into its model.
+/// Per-rank static state that persists across epochs.
+struct StaticRank {
+    /// Block id → dependency object (the static stand-in for
+    /// [`crate::block_obj`], which needs live block uids).
+    objs: BTreeMap<BlockId, ObjId>,
+    /// The one persistent checksum-slots object (mirrors the live
+    /// executor's single `sums_obj`).
+    ck_obj: ObjId,
+    /// Program-order object for the serialized variants: every endpoint
+    /// takes `inout` on it, so the chain reflects blocking main-thread
+    /// posting order.
+    prog_obj: ObjId,
+}
+
+/// The static mesh: the directory the regrids walk, and how many
+/// exchange move sequence numbers they need.
+struct StaticMesh {
+    dir: MeshDirectory,
+    objects: Vec<Object>,
+    max_move_seq: usize,
+}
+
+impl RegridHooks for StaticMesh {
+    fn mesh(&mut self) -> (&mut MeshDirectory, &[Object]) {
+        (&mut self.dir, &self.objects)
+    }
+
+    /// A move list numbers its moves from 0.
+    fn moves(&mut self, moves: &[Move]) {
+        self.max_move_seq = self.max_move_seq.max(moves.len());
+    }
+}
+
+/// Symbolically elaborates a scenario into its model by walking the run
+/// skeleton: per mesh epoch (the steps up to a regrid), the recorded
+/// task stream of every rank.
 pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
     let n_ranks = cfg.params.num_ranks();
-    let layout = BlockLayout::of(&cfg.params);
+    let (layout, nv) = (BlockLayout::of(&cfg.params), cfg.params.num_vars);
+    let dataflow = cfg.variant == Variant::DataFlow;
+    // One checksum boundary plus a stage after it, and at least two
+    // stages: tags and buffer regions repeat identically every stage, so
+    // two consecutive instances prove the induction step.
+    let stages_to_model = (cfg.checksum_freq + 1).clamp(2, 16);
     let mut model = Model::default();
-    let mut ranks: Vec<StaticRank> = (0..n_ranks).map(|_| StaticRank::new()).collect();
-    let mut max_move_seq = 0usize;
     let mut slot_findings: Vec<Finding> = Vec::new();
+    let mut ranks: Vec<StaticRank> = (0..n_ranks)
+        .map(|_| StaticRank {
+            objs: BTreeMap::new(),
+            ck_obj: ObjId::fresh(),
+            prog_obj: ObjId::fresh(),
+        })
+        .collect();
+    let mut mesh = StaticMesh {
+        dir: MeshDirectory::initial(cfg.params.clone()),
+        objects: cfg.objects.clone(),
+        max_move_seq: 0,
+    };
+    Walk::initial(cfg).run(&mut mesh);
+    Walk::regrid(cfg, n_ranks).run(&mut mesh);
 
-    // --- Static mesh evolution: the initial refinement + the initial
-    // run_refinement (directory effects only; no block data).
-    let mut dir = MeshDirectory::initial(cfg.params.clone());
-    let mut objects = cfg.objects.clone();
-    dir.refine_to_fixpoint(&objects);
-    evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
-
-    // --- Model the timestep loop: per mesh epoch, the first stages of
-    // the timesteps it spans through the shared elaboration, numbered as
-    // the live stage counter numbers them so the checksum/checkpoint
-    // cadence falls on the same stages; barriers where the live schedule
-    // has them.
-    let mut ts = 0usize;
-    for epoch in 0..MAX_EPOCHS {
-        // The epoch ends with the regrid after timestep `last`, or with
-        // the run.
-        let last = (ts..cfg.num_tsteps).find(|&t| cfg.regrid_due(t));
-        let end = last.map_or(cfg.num_tsteps, |t| t + 1);
-        let stages = stages_to_model(cfg).min((end - ts) * cfg.stages_per_ts);
-        let plan = CommPlan::build(cfg, &dir, n_ranks);
-        record_epoch(
-            cfg,
-            &layout,
-            &dir,
-            &plan,
-            &mut ranks,
-            &mut model,
-            epoch as u32,
-            ts * cfg.stages_per_ts,
-            stages,
-        );
+    let steps = skeleton::cadence(cfg, 0, cfg.num_tsteps, false);
+    let epochs = steps.split_inclusive(|s| matches!(s, Step::Regrid));
+    for (epoch, steps) in epochs.enumerate().take(MAX_EPOCHS) {
+        let plan = CommPlan::build(cfg, &mesh.dir, n_ranks);
+        // Every rank records its first `stages_to_model` stages and every
+        // barrier outside the stages it skips. The block exchange of the
+        // regrid ending the epoch is modeled as the barrier before it, not
+        // as endpoints (soundness caveat).
+        for (rank, st) in ranks.iter_mut().enumerate() {
+            // The rank's blocks in id order, as the plan's positions index
+            // them.
+            let ids = mesh.dir.blocks_of(rank);
+            let mut rec: Recorder<Work> = Recorder::new();
+            rec.ctx.epoch = epoch as u32;
+            // Fresh per-epoch buffer objects, with the sharing the live
+            // `Buffers::alloc` applies: separate buffers give each
+            // direction its own dependency object; shared ones reuse one.
+            let (send_obj, recv_obj) = if cfg.separate_buffers {
+                (
+                    [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
+                    [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
+                )
+            } else {
+                let (s, r) = (ObjId::fresh(), ObjId::fresh());
+                ([s, s, s], [r, r, r])
+            };
+            let objs: Vec<ObjId> = (ids.iter())
+                .map(|id| *st.objs.entry(*id).or_insert_with(ObjId::fresh))
+                .collect();
+            let ctx = ElabCtx {
+                cfg,
+                layout,
+                rank,
+                objs: &objs,
+            };
+            // Stages recorded so far, and whether the skeleton is inside a
+            // stage past them.
+            let (mut modeled, mut skipping) = (0, false);
+            for &step in steps {
+                match step {
+                    Step::Stage(stage) => {
+                        modeled += 1;
+                        skipping = modeled > stages_to_model;
+                        if skipping {
+                            continue;
+                        }
+                        rec.ctx.stage = stage as u32;
+                        for g in 0..cfg.num_groups() {
+                            rec.ctx.group = g as u32;
+                            let vars = cfg.var_group(g);
+                            if dataflow {
+                                ctx.communicate(&plan, send_obj, recv_obj, vars.clone(), &mut rec);
+                                ctx.stencils(vars, &mut rec);
+                            } else {
+                                record_serialized_endpoints(
+                                    &plan,
+                                    rank,
+                                    st.prog_obj,
+                                    vars.len(),
+                                    &mut rec,
+                                );
+                            }
+                        }
+                    }
+                    Step::TimestepEnd => skipping = false,
+                    // The serialized variants block on every endpoint, so
+                    // their model is the endpoints alone.
+                    _ if skipping || !dataflow => {}
+                    Step::Sums => ctx.checksum_locals(st.ck_obj, &mut rec),
+                    Step::Wait => rec.barrier(BarrierKind::Taskwait),
+                    Step::WaitSums => {
+                        rec.barrier(BarrierKind::TaskwaitOn(vec![Region::whole(st.ck_obj)]))
+                    }
+                    _ => {}
+                }
+            }
+            model.ingest(rank, rec.stream, &|w| describe(w, &plan, &ids, nv));
+        }
         lint_buffer_slots(cfg, &plan, epoch, &mut slot_findings);
         model.epochs = epoch + 1;
-        if last.is_none() {
-            break;
+        if let Some(Step::Regrid) = steps.last() {
+            mesh.objects.iter_mut().for_each(Object::step);
+            Walk::regrid(cfg, n_ranks).run(&mut mesh);
         }
-        for o in objects.iter_mut() {
-            o.step();
-        }
-        evolve_epoch(cfg, &mut dir, &objects, n_ranks, &mut max_move_seq);
-        ts = end;
-    }
-    Elaborated {
-        model,
-        slot_findings,
-        max_move_seq,
-    }
-}
-
-/// Replicates one `run_refinement` call's directory effects.
-fn evolve_epoch(
-    cfg: &Config,
-    dir: &mut MeshDirectory,
-    objects: &[Object],
-    n_ranks: usize,
-    max_move_seq: &mut usize,
-) {
-    for _ in 0..cfg.params.block_change.max(1) {
-        let plan = dir.plan_refinement(objects);
-        if plan.is_empty() {
-            break;
-        }
-        let gathers = merge_gather_moves(dir, &plan, 0);
-        for m in &gathers {
-            dir.set_owner(m.block, m.to);
-            *max_move_seq = (*max_move_seq).max(m.seq + 1);
-        }
-        dir.apply_plan(&plan);
-    }
-    let moves = balance_moves(dir, cfg.balance, n_ranks, 0);
-    for m in &moves {
-        dir.set_owner(m.block, m.to);
-        *max_move_seq = (*max_move_seq).max(m.seq + 1);
-    }
-}
-
-/// How many stages of an epoch to model (when it runs that many): enough
-/// to include one checksum boundary (the `taskwait`/`taskwait_on`
-/// cadence) plus one stage after it, and at least two stages so every
-/// cross-stage same-tag ordering chain appears. Tags and buffer regions
-/// repeat identically every stage, so two consecutive instances prove
-/// the induction step.
-fn stages_to_model(cfg: &Config) -> usize {
-    (cfg.checksum_freq + 1).clamp(2, 16)
-}
-
-/// Records one mesh epoch's modeled stages for every rank.
-#[allow(clippy::too_many_arguments)]
-fn record_epoch(
-    cfg: &Config,
-    layout: &BlockLayout,
-    dir: &MeshDirectory,
-    plan: &CommPlan,
-    ranks: &mut [StaticRank],
-    model: &mut Model,
-    epoch: u32,
-    start_stage: usize,
-    stages: usize,
-) {
-    let nv = cfg.params.num_vars;
-    for (rank, st) in ranks.iter_mut().enumerate() {
-        let mut rec: Recorder<Work> = Recorder::new();
-        rec.ctx.epoch = epoch;
-        // Fresh per-epoch buffer objects, with the same sharing the live
-        // `Buffers::alloc` applies: separate buffers give each direction
-        // its own dependency object; shared buffers reuse one.
-        let (send_obj, recv_obj) = if cfg.separate_buffers {
-            (
-                [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
-                [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
-            )
-        } else {
-            let (s, r) = (ObjId::fresh(), ObjId::fresh());
-            ([s, s, s], [r, r, r])
-        };
-        // The rank's blocks in id order, as the plan's positions index
-        // them.
-        let ids = dir.blocks_of(rank);
-        let objs: Vec<ObjId> = ids.iter().map(|id| st.obj_of(id)).collect();
-        let ctx = ElabCtx {
-            cfg,
-            layout: *layout,
-            rank,
-            objs: &objs,
-        };
-        for stage in start_stage + 1..=start_stage + stages {
-            rec.ctx.stage = stage as u32;
-            for g in 0..cfg.num_groups() {
-                rec.ctx.group = g as u32;
-                let vars = cfg.var_group(g);
-                match cfg.variant {
-                    Variant::DataFlow => {
-                        ctx.communicate(plan, send_obj, recv_obj, vars.clone(), &mut rec);
-                        ctx.stencils(vars, &mut rec);
-                    }
-                    Variant::MpiOnly | Variant::ForkJoin => {
-                        record_serialized_endpoints(plan, rank, st.prog_obj, vars.len(), &mut rec);
-                    }
-                }
-            }
-            if cfg.variant == Variant::DataFlow {
-                if cfg.checksum_due(stage) {
-                    if cfg.delayed_checksum {
-                        if st.pending {
-                            rec.barrier(BarrierKind::TaskwaitOn(vec![Region::whole(st.ck_obj)]));
-                        }
-                        ctx.checksum_locals(st.ck_obj, &mut rec);
-                        st.pending = true;
-                    } else {
-                        ctx.checksum_locals(st.ck_obj, &mut rec);
-                        rec.barrier(BarrierKind::Taskwait);
-                    }
-                }
-                if cfg.checkpoint_due(stage) {
-                    rec.barrier(BarrierKind::Taskwait);
-                }
-            }
-        }
-        if cfg.variant == Variant::DataFlow {
-            // The pre-refinement (and final) drain: the loop issues a full
-            // wait before every regrid and before exiting. The block
-            // exchange itself is modeled as this barrier, not as
-            // endpoints (soundness caveat).
-            rec.barrier(BarrierKind::Taskwait);
-        }
-        model.ingest(rank, rec.stream, &|w| describe(w, plan, &ids, nv));
     }
     // Derive comm-path footprints exactly as the live submitter derives
     // its buffer slices from the declared regions: recv/pack/unpack use
@@ -301,6 +235,11 @@ fn record_epoch(
             }
             _ => {}
         }
+    }
+    Elaborated {
+        model,
+        slot_findings,
+        max_move_seq: mesh.max_move_seq,
     }
 }
 
@@ -490,6 +429,60 @@ mod tests {
             .warnings
             .iter()
             .any(|f| f.code == "buffer-slot-overlap"));
+    }
+
+    /// The model's shape per scenario: `(nodes, edges, endpoints,
+    /// epochs)` and the count of every finding code, errors and warnings
+    /// together, in code order.
+    fn shape(cfg: &Config) -> ([usize; 4], Vec<(&'static str, usize)>) {
+        let report = check(cfg);
+        let s = &report.stats;
+        let mut codes: BTreeMap<&'static str, usize> = BTreeMap::new();
+        for f in report.errors.iter().chain(&report.warnings) {
+            *codes.entry(f.code).or_default() += 1;
+        }
+        (
+            [s.nodes, s.edges, s.endpoints, s.epochs],
+            codes.into_iter().collect(),
+        )
+    }
+
+    /// Exact model shapes, recorded from the verifier that wrote its own
+    /// copy of the timestep cadence and the regrid walk: they pin the
+    /// model's stages, barriers and epochs against that independent
+    /// derivation. The scenarios cover the legacy bug, the smoke scenario
+    /// on every variant, delayed validation with checkpoints, and a run
+    /// longer than [`MAX_EPOCHS`] epochs whose epochs are truncated to
+    /// `stages_to_model` stages.
+    #[test]
+    fn model_shape_is_pinned() {
+        let smoke = |variant| {
+            let mut cfg = Config::smoke_test();
+            cfg.variant = variant;
+            cfg
+        };
+        let mut delayed = smoke(Variant::DataFlow);
+        delayed.delayed_checksum = true;
+        delayed.checksum_freq = 2;
+        delayed.ckpt_freq = 3;
+        delayed.separate_buffers = true;
+        let mut long = smoke(Variant::DataFlow);
+        long.num_tsteps = 8;
+        long.checksum_freq = 2;
+        long.delayed_checksum = true;
+        long.send_faces = true;
+        let collisions = vec![("buffer-slot-overlap", 3), ("tag-collision", 68)];
+        let golden = [
+            (legacy_cfg(), [3930, 18398, 1560, 3], collisions),
+            (smoke(Variant::DataFlow), [794, 3730, 40, 3], vec![]),
+            (smoke(Variant::MpiOnly), [40, 38, 40, 3], vec![]),
+            (smoke(Variant::ForkJoin), [40, 38, 40, 3], vec![]),
+            (delayed, [488, 2164, 24, 3], vec![]),
+            (long, [1010, 4244, 696, 4], vec![]),
+        ];
+        for (i, (cfg, stats, codes)) in golden.into_iter().enumerate() {
+            assert_eq!(shape(&cfg), (stats, codes), "scenario {i}");
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@ use crate::exchange::{run_refinement, BlockMover, RefineJob};
 use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
 use crate::variant::{
-    elab_ctx, fold_task_counts, rank_runtime, Exec, PhaseCtx, PhaseShared, SumSlots,
+    elab_ctx, fold_task_counts, rank_runtime, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared,
+    SumSlots,
 };
 use amr_mesh::data::{BlockData, BlockLayout};
 use parking_lot::Mutex;
@@ -217,7 +218,16 @@ impl Exec for DataFlow {
     fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
         let rt = &self.rt;
         run_refinement(state, comm, &mut TaskMover { rt }, &mut |state, jobs| {
-            run_jobs_tasked(rt, state, jobs)
+            // Each job's task reads its source blocks.
+            let (layout, nv) = (state.layout, state.cfg.params.num_vars);
+            run_jobs_as_tasks(rt, state, jobs, |job| {
+                let sources = match job {
+                    RefineJob::Split(parent) => std::slice::from_ref(parent),
+                    RefineJob::Merge(children) => &children[..],
+                };
+                let read = |b| Access::read(block_region(&layout, b, 0..nv));
+                sources.iter().map(read).collect()
+            })
         })
     }
 
@@ -360,37 +370,6 @@ impl Submitter<Work> for LiveSub<'_> {
             BarrierKind::TaskwaitOn(regions) => self.rt.taskwait_on(&regions),
         }
     }
-}
-
-/// Split/merge data operations as dependent tasks.
-fn run_jobs_tasked(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
-    let results: Arc<Mutex<Vec<BlockData>>> = Arc::new(Mutex::new(Vec::new()));
-    let params = state.cfg.params.clone();
-    let layout = state.layout;
-    let nv = params.num_vars;
-    for job in jobs {
-        let deps: Vec<Access> = match &job {
-            RefineJob::Split(parent) => vec![Access::read(block_region(&layout, parent, 0..nv))],
-            RefineJob::Merge(children) => children
-                .iter()
-                .map(|c| Access::read(block_region(&layout, c, 0..nv)))
-                .collect(),
-        };
-        let results = Arc::clone(&results);
-        let params = params.clone();
-        rt.task()
-            .label("refine_copy")
-            .accesses(deps)
-            .body(move || {
-                let out = job.run(&params);
-                results.lock().extend(out);
-            })
-            .spawn();
-    }
-    rt.taskwait();
-    let mut out = std::mem::take(&mut *results.lock());
-    out.sort_by_key(|b| b.id);
-    out
 }
 
 /// The taskified block mover of §IV-B: pack/send and receive/unpack are

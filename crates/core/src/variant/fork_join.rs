@@ -24,14 +24,14 @@
 use crate::comm_plan::MsgPlan;
 use crate::config::Config;
 use crate::elaborate::{block_batches, copy_batches, fill_batches, grain_batches, union_accesses};
-use crate::exchange::{run_refinement, BlockingMover, RefineJob};
+use crate::exchange::{run_refinement, BlockingMover};
 use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
 use crate::stats::RunStats;
 use crate::variant::{
-    elab_ctx, fold_task_counts, rank_runtime, Exec, PhaseCtx, PhaseShared, SumSlots,
+    elab_ctx, fold_task_counts, rank_runtime, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared,
+    SumSlots,
 };
 use amr_mesh::block_id::Dir;
-use amr_mesh::data::BlockData;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::ops::Range;
@@ -231,7 +231,7 @@ impl Exec for ForkJoin {
             state,
             comm,
             &mut BlockingMover::default(),
-            &mut |state, jobs| run_jobs_parallel(&self.rt, state, jobs),
+            &mut |state, jobs| run_jobs_as_tasks(&self.rt, state, jobs, |_| Vec::new()),
         )
     }
 
@@ -245,26 +245,4 @@ fn face_chunks(m: &MsgPlan, g: usize) -> impl Iterator<Item = Range<usize>> + '_
     grain_batches(0..m.transfers.len(), move |i| {
         m.transfers[i].elems_per_var * g
     })
-}
-
-/// Runs split/merge data jobs as a parallel loop with a closing barrier.
-fn run_jobs_parallel(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
-    let results: Arc<Mutex<Vec<BlockData>>> = Arc::new(Mutex::new(Vec::new()));
-    let params = state.cfg.params.clone();
-    for job in jobs {
-        let results = Arc::clone(&results);
-        let params = params.clone();
-        rt.task()
-            .label("refine_copy")
-            .body(move || {
-                let out = job.run(&params);
-                results.lock().extend(out);
-            })
-            .spawn();
-    }
-    rt.taskwait();
-    // Deterministic insertion order regardless of task completion order.
-    let mut out = std::mem::take(&mut *results.lock());
-    out.sort_by_key(|b| b.id);
-    out
 }

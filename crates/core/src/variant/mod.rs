@@ -4,18 +4,17 @@
 //! The paper's three variants share one main loop — per timestep a few
 //! stages of ghost exchange + stencil, a periodic checksum, a periodic
 //! refinement — and differ only in how a phase is orchestrated.
-//! [`run_span`] is that loop, written once; everything that differs sits
-//! behind [`Exec`]:
+//! [`run_span`] is that loop: it maps the steps of
+//! [`crate::skeleton::cadence`] onto [`Exec`], which holds everything
+//! that differs:
 //!
 //! * [`mpi_only::Serial`] — Algorithm 2's `waitany` exchange and serial
 //!   sweeps on the rank's own thread.
 //! * [`fork_join::ForkJoin`] — parallel phases, each closed by a
 //!   barrier; all MPI on the master thread.
 //! * [`dataflow::DataFlow`] — Algorithm 3 through [`crate::elaborate`]:
-//!   phases only submit tasks, and the loop's [`Exec::wait`] calls are
-//!   the only barriers (before a regrid or rank checkpoint, at an eager
-//!   checksum, and — restricted to the checksum slots — at a delayed
-//!   one, §IV-C).
+//!   phases only submit tasks, and the cadence's waits are the only
+//!   barriers.
 
 pub mod dataflow;
 pub mod fork_join;
@@ -24,17 +23,19 @@ pub mod mpi_only;
 use crate::comm_plan::CommPlan;
 use crate::config::{Config, Variant};
 use crate::elaborate::ElabCtx;
-use crate::elastic::{RunCtx, SpanCarry, SpanStart};
+use crate::elastic::{RunCtx, SpanStart};
+use crate::exchange::{self, run_refinement, BlockingMover, RefineJob};
 use crate::rank::{apply_boundary, local_transfer, RankState};
+use crate::skeleton::{self, Step};
 use crate::stats::{RunStats, Stopwatch};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::stencil::StencilKind;
-use amr_mesh::BlockId;
+use amr_mesh::{BlockId, Object};
 use parking_lot::Mutex;
 use shmem::SharedBuffer;
 use std::ops::Range;
 use std::sync::Arc;
-use taskrt::{ObjId, Runtime, TraceScope};
+use taskrt::{Access, ObjId, Runtime, TraceScope};
 use vmpi::Comm;
 
 /// What a phase works on: the rank's mesh state plus the communication
@@ -153,8 +154,8 @@ pub(crate) trait Exec {
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots;
 
     /// The dependency object of the slots when `local_sums` fills them
-    /// asynchronously — what makes delayed validation possible. `None`:
-    /// slots come back complete and validation is always eager.
+    /// asynchronously: what a delayed validation waits on. `None`: slots
+    /// come back complete.
     fn sums_obj(&self) -> Option<ObjId> {
         None
     }
@@ -170,8 +171,12 @@ pub(crate) trait Exec {
     }
 
     /// One refinement phase (split/merge, block exchange, load balance)
-    /// on a quiescent rank; returns the blocks this rank moved.
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64;
+    /// on a quiescent rank; returns the blocks this rank moved. By
+    /// default, blocking moves and serial split/merge jobs.
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
+        let mover = &mut BlockingMover::default();
+        run_refinement(state, comm, mover, &mut exchange::run_jobs_serially)
+    }
 
     /// A regrid replaced blocks, plan and buffers.
     fn mesh_changed(&self) {}
@@ -186,6 +191,33 @@ pub(crate) trait Exec {
 fn fold_task_counts(stats: &mut RunStats, spawned: u64, batched_items: u64) {
     stats.tasks_spawned += spawned;
     stats.task_items += spawned + batched_items;
+}
+
+/// Runs split/merge jobs as one task each, then a barrier; returns the
+/// produced blocks in id order, whatever order the tasks finished in.
+/// `deps` declares what a job's task accesses.
+pub(crate) fn run_jobs_as_tasks(
+    rt: &Runtime,
+    state: &RankState,
+    jobs: Vec<RefineJob>,
+    deps: impl Fn(&RefineJob) -> Vec<Access>,
+) -> Vec<BlockData> {
+    let results: Arc<Mutex<Vec<BlockData>>> = Arc::default();
+    for job in jobs {
+        let (results, params) = (Arc::clone(&results), state.cfg.params.clone());
+        rt.task()
+            .label("refine_copy")
+            .accesses(deps(&job))
+            .body(move || {
+                let out = job.run(&params);
+                results.lock().extend(out);
+            })
+            .spawn();
+    }
+    rt.taskwait();
+    let mut out = std::mem::take(&mut *results.lock());
+    out.sort_by_key(|b| b.id);
+    out
 }
 
 /// The task runtime of a hybrid executor's rank.
@@ -223,27 +255,28 @@ struct LocalSums {
 
 /// Runs one *span* on one rank: from `start` (or initial conditions) up
 /// to — not including — timestep `ts_end`, returning the stats so far
-/// and the carry an elastic resume continues from. The span ends fully
-/// drained (final wait + delayed-checksum flush), so its carry is a
+/// and the start an elastic resume continues from. The span ends fully
+/// drained (final wait + delayed-checksum flush), so that start is a
 /// quiescent resize point.
 pub(crate) fn run_span(
     exec: &dyn Exec,
     cfg: &Config,
     comm: Comm,
-    start: Option<SpanStart>,
+    start: Option<(RunStats, SpanStart)>,
     ts_end: usize,
     ctx: &RunCtx,
-) -> (RunStats, SpanCarry) {
+) -> (RunStats, SpanStart) {
     let comm = Arc::new(comm);
     let resumed = start.is_some();
-    let SpanStart {
-        mut state,
+    let (
         mut stats,
-        mut stage_counter,
-        mut mesh_epoch,
-        mut prev_checksum,
-        ts_start,
-    } = start.unwrap_or_else(|| SpanStart::initial(cfg, &comm));
+        SpanStart {
+            mut state,
+            mut mesh_epoch,
+            mut prev_checksum,
+            next_ts: ts_start,
+        },
+    ) = start.unwrap_or_else(|| SpanStart::initial(cfg, &comm));
 
     let total_sw = Stopwatch::start();
     // Initial refinement phase: the mesh was refined locally during init;
@@ -262,127 +295,99 @@ pub(crate) fn run_span(
         plan,
         bufs,
     };
-    // The delayed-validation pipeline (§IV-C): local sums of the previous
-    // checksum point, possibly still being produced.
+    // Checksum points not yet validated: with delayed validation (§IV-C)
+    // the previous one, possibly still being produced.
     let mut pending: Option<LocalSums> = None;
-
-    for ts in ts_start..ts_end {
-        // A boundary snapshot needs quiescent blocks and a flushed
-        // delayed checksum. Only taken when a shrink recovery may need to
-        // rewind; the flush merely records the delayed validation a
-        // little earlier — same values, same order — so the digest is
-        // unaffected.
-        if ctx.publish_boundaries {
-            exec.wait(None);
-            if let Some(prev) = pending.take() {
-                validate(prev, &cx, &mut stats, &mut prev_checksum);
-            }
-            ctx.boundary(
-                &cx.state,
-                &stats,
-                stage_counter,
-                mesh_epoch,
-                &prev_checksum,
-                ts,
-            );
-        }
-        // Rank-0 marks delimit the perf analyzer's per-timestep windows.
-        if let Some(bus) = obs::bus() {
-            bus.emit_for_rank(
-                cx.state.rank as u32,
-                obs::EventData::TimestepMark { tstep: ts as u32 },
-            );
-        }
-        let ts_scope = exec.timestep_scope();
-        for _stage in 0..cfg.stages_per_ts {
-            stage_counter += 1;
-            for g in 0..cfg.num_groups() {
-                let vars = cfg.var_group(g);
-                let sw = Stopwatch::start();
-                exec.communicate(&cx, vars.clone());
-                for m in cx.plan.outbound(cx.state.rank) {
-                    stats.msgs_sent += 1;
-                    stats.elems_sent += (m.elems_per_var * vars.len()) as u64;
+    let mut ts_scope = None;
+    let steps = skeleton::cadence(cfg, ts_start, ts_end, ctx.publish_boundaries);
+    for (i, &step) in steps.iter().enumerate() {
+        let sw = Stopwatch::start();
+        match step {
+            // Only taken when a shrink recovery may need to rewind.
+            Step::Boundary(t) => ctx.boundary(&cx.state, &stats, mesh_epoch, &prev_checksum, t),
+            Step::Timestep(ts) => {
+                // Rank-0 marks delimit the perf analyzer's per-timestep
+                // windows.
+                if let Some(bus) = obs::bus() {
+                    bus.emit_for_rank(
+                        cx.state.rank as u32,
+                        obs::EventData::TimestepMark { tstep: ts as u32 },
+                    );
                 }
-                sw.stop(&mut stats.times.communicate);
-
-                let sw = Stopwatch::start();
-                exec.stencil(&cx, vars.clone());
-                stats.flops += (cx.state.blocks.len() * cx.state.layout.cells() * vars.len())
-                    as u64
-                    * cfg.stencil.flops_per_cell();
-                sw.stop(&mut stats.times.stencil);
+                ts_scope = exec.timestep_scope();
             }
-            if cfg.checksum_due(stage_counter) {
-                let sw = Stopwatch::start();
-                let delayed_on = exec.sums_obj().filter(|_| cfg.delayed_checksum);
-                // Delayed: validate the *previous* point, for which only
-                // its slots must be quiescent (taskwait with
-                // dependencies). This runs before the new point's local
-                // sums are submitted: the slots object is shared, so the
-                // waiter must only see the previous writers.
-                if let (Some(obj), Some(prev)) = (delayed_on, pending.take()) {
-                    exec.wait(Some(obj));
-                    validate(prev, &cx, &mut stats, &mut prev_checksum);
+            Step::Stage(_) => {
+                for g in 0..cfg.num_groups() {
+                    let vars = cfg.var_group(g);
+                    let sw = Stopwatch::start();
+                    exec.communicate(&cx, vars.clone());
+                    for m in cx.plan.outbound(cx.state.rank) {
+                        stats.msgs_sent += 1;
+                        stats.elems_sent += (m.elems_per_var * vars.len()) as u64;
+                    }
+                    sw.stop(&mut stats.times.communicate);
+
+                    let sw = Stopwatch::start();
+                    exec.stencil(&cx, vars.clone());
+                    stats.flops += (cx.state.blocks.len() * cx.state.layout.cells() * vars.len())
+                        as u64
+                        * cfg.stencil.flops_per_cell();
+                    sw.stop(&mut stats.times.stencil);
                 }
-                let fresh = LocalSums {
+            }
+            Step::Sums => {
+                pending = Some(LocalSums {
                     ids: cx.state.blocks.keys().copied().collect(),
                     slots: exec.local_sums(&cx),
-                    total_cells: (cx.state.dir.len() * cfg.params.cells_per_block()) as f64,
+                    total_cells: cx.state.dir.total_cells() as f64,
                     epoch: mesh_epoch,
-                };
-                if delayed_on.is_some() {
-                    pending = Some(fresh);
-                } else {
-                    exec.wait(None);
-                    validate(fresh, &cx, &mut stats, &mut prev_checksum);
+                });
+            }
+            Step::Wait => exec.wait(None),
+            Step::WaitSums => exec.wait(exec.sums_obj()),
+            Step::Validate | Step::Flush => {
+                if let Some(sums) = pending.take() {
+                    validate(sums, &cx, &mut stats, &mut prev_checksum);
                 }
-                sw.stop(&mut stats.times.checksum);
             }
-            // Checkpoints need quiescent block data; the graph is only
-            // drained when one is actually due (off by default).
-            if cfg.checkpoint_due(stage_counter) {
-                exec.wait(None);
-                crate::checkpoint::take_and_publish(
-                    &ctx.checkpoints,
-                    &cx.state,
-                    &mut stats,
-                    stage_counter,
-                    ts,
-                    mesh_epoch,
-                );
+            Step::Checkpoint(ts, stage) => crate::checkpoint::take_and_publish(
+                &ctx.checkpoints,
+                &cx.state,
+                &mut stats,
+                stage,
+                ts,
+                mesh_epoch,
+            ),
+            Step::TimestepEnd => drop(ts_scope.take()),
+            Step::Regrid => {
+                cx.state.objects.iter_mut().for_each(Object::step);
+                stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm);
+                mesh_epoch += 1;
+                (cx.plan, cx.bufs) = plan_and_buffers(&cx.state);
+                exec.mesh_changed();
             }
         }
-        drop(ts_scope);
-        if cfg.regrid_due(ts) {
-            let sw = Stopwatch::start();
-            // Explicit barrier before refinement (Algorithm 4).
-            exec.wait(None);
-            cx.state.move_objects();
-            stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm);
-            mesh_epoch += 1;
-            (cx.plan, cx.bufs) = plan_and_buffers(&cx.state);
-            exec.mesh_changed();
-            sw.stop(&mut stats.times.refine);
-        }
-    }
-    // Drain the graph and the delayed checksum pipeline.
-    exec.wait(None);
-    if let Some(prev) = pending.take() {
-        validate(prev, &cx, &mut stats, &mut prev_checksum);
+        // A checksum point's waits and validation count as checksum time,
+        // the drain before a regrid as refinement time.
+        let phase = match (step, steps.get(i + 1)) {
+            (Step::Sums | Step::WaitSums | Step::Validate, _)
+            | (Step::Wait, Some(Step::Validate)) => &mut stats.times.checksum,
+            (Step::Regrid, _) | (Step::Wait, Some(Step::Regrid)) => &mut stats.times.refine,
+            _ => continue,
+        };
+        sw.stop(phase);
     }
     total_sw.stop(&mut stats.times.total);
     exec.finish(&mut stats);
     stats.final_blocks = cx.state.blocks.len();
     stats.pool = cx.state.pool.stats();
-    let carry = SpanCarry {
-        stage_counter,
+    let next = SpanStart {
         mesh_epoch,
         prev_checksum,
         next_ts: ts_end,
         state: cx.state,
     };
-    (stats, carry)
+    (stats, next)
 }
 
 /// Per-direction send/receive communication buffers plus their dependency
@@ -488,25 +493,6 @@ pub(crate) fn checksum_remote_blocks(
     comm.bcast(totals.as_deref(), 0).expect("checksum bcast")
 }
 
-/// Combines a checksum point's (now quiescent) per-block slots through
-/// the ownership-independent global combination and records the
-/// validation.
-fn validate(sums: LocalSums, cx: &PhaseCtx, stats: &mut RunStats, prev: &mut Option<Checkpoint>) {
-    let cfg = &cx.state.cfg;
-    let per_block = sums.slots.lock();
-    let total = obs::phase_span("checksum_remote", || {
-        checksum_remote_blocks(&cx.comm, &sums.ids, &per_block, cfg.params.num_vars)
-    });
-    record_validation(
-        stats,
-        prev,
-        total,
-        sums.total_cells,
-        sums.epoch,
-        cfg.validate_tol,
-    );
-}
-
 /// The previous checkpoint a fresh checksum is validated against.
 #[derive(Clone)]
 pub(crate) struct Checkpoint {
@@ -516,8 +502,9 @@ pub(crate) struct Checkpoint {
     pub epoch: u64,
 }
 
-/// Validates a fresh checksum against the previous checkpoint, updating
-/// counters.
+/// Combines a checksum point's (now quiescent) per-block slots through
+/// the ownership-independent global combination, validates it against
+/// the previous checkpoint and records it.
 ///
 /// Refinement changes the cell population (splitting a block multiplies
 /// its cells by eight) and re-weights the per-cell mean, so checksums are
@@ -528,15 +515,14 @@ pub(crate) struct Checkpoint {
 /// exactly the role of miniAMR's periodic validation. The raw sums are
 /// recorded unconditionally (they are the cross-variant bitwise
 /// fingerprint).
-pub(crate) fn record_validation(
-    stats: &mut crate::stats::RunStats,
-    prev: &mut Option<Checkpoint>,
-    current: Vec<f64>,
-    total_cells: f64,
-    epoch: u64,
-    tol: f64,
-) {
-    let means: Vec<f64> = current.iter().map(|s| s / total_cells).collect();
+fn validate(sums: LocalSums, cx: &PhaseCtx, stats: &mut RunStats, prev: &mut Option<Checkpoint>) {
+    let cfg = &cx.state.cfg;
+    let per_block = sums.slots.lock();
+    let current = obs::phase_span("checksum_remote", || {
+        checksum_remote_blocks(&cx.comm, &sums.ids, &per_block, cfg.params.num_vars)
+    });
+    let (tol, epoch) = (cfg.validate_tol, sums.epoch);
+    let means: Vec<f64> = current.iter().map(|s| s / sums.total_cells).collect();
     match prev.as_ref() {
         Some(p) if p.epoch == epoch => match amr_mesh::checksum::validate(&p.means, &means, tol) {
             amr_mesh::checksum::Validation::Ok => stats.checksums_passed += 1,

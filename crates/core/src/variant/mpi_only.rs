@@ -6,13 +6,12 @@
 //! while messages fly, then a `waitany` loop unpacks faces as they
 //! arrive, and a final `waitall` drains the sends (§II-A, Algorithm 2).
 //! Every phase has completed when its call returns, so [`Exec::wait`]
-//! keeps its no-op default.
+//! keeps its no-op default, and so does [`Exec::refine`] (blocking moves,
+//! serial split/merge jobs).
 
 use crate::comm_plan::MsgPlan;
-use crate::exchange::{run_refinement, BlockingMover};
 use crate::rank::{
     apply_boundary, local_transfer, pack_transfer_into, transfer_payload_elems, unpack_transfer,
-    RankState,
 };
 use crate::variant::{Exec, PhaseCtx, SumSlots};
 use amr_mesh::block_id::Dir;
@@ -20,7 +19,7 @@ use amr_mesh::data::BlockData;
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
-use vmpi::{Comm, RequestSet};
+use vmpi::RequestSet;
 
 /// Serial execution on the rank's own thread.
 pub(crate) struct Serial;
@@ -128,14 +127,5 @@ impl Exec for Serial {
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
         Arc::new(Mutex::new(cx.state.block_checksums(0..nv).1))
-    }
-
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
-        run_refinement(
-            state,
-            comm,
-            &mut BlockingMover::default(),
-            &mut |state, jobs| jobs.iter().flat_map(|j| j.run(&state.cfg.params)).collect(),
-        )
     }
 }

@@ -1,21 +1,23 @@
 //! Workload extraction: the real mesh evolution, reduced to per-rank
 //! per-phase work and traffic statistics.
 //!
-//! The generator replays what the application does — initial
-//! refinement, object movement, ±1-level refinement plans with 2:1
-//! balance, merge gathering and SFC load balancing — with the
-//! application's own planners (`amr-mesh`'s directory, `miniamr`'s
-//! [`CommPlan`] and move planners), but touches no cell data. Within one
-//! refinement interval the mesh is static, so one [`StageStat`], a
-//! reduction of that interval's communication plan, describes every
-//! stage of the interval.
+//! The generator walks the application's run skeleton
+//! (`miniamr::skeleton`) without touching cell data: the cadence's steps
+//! count the stages and checksum points of each refinement interval, and
+//! every regrid is the application's own directory walk, priced at its
+//! hooks (block moves per move list, split/merge copies and a plan round
+//! per plan). Within one refinement interval the mesh is static, so one
+//! [`StageStat`], a reduction of that interval's communication plan
+//! ([`CommPlan`]), describes every stage of the interval.
 
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockLayout;
+use amr_mesh::directory::RefinePlan;
 use amr_mesh::face::face_dims;
 use amr_mesh::{MeshDirectory, MeshParams, Object};
 use miniamr::comm_plan::CommPlan;
-use miniamr::exchange::{balance_moves, merge_gather_moves, Move};
+use miniamr::exchange::Move;
+use miniamr::skeleton::{self, RegridHooks, Step, Walk};
 use miniamr::Config;
 use std::collections::BTreeMap;
 
@@ -56,6 +58,9 @@ impl WorkloadParams {
     /// The application configuration whose plans this workload reduces.
     fn config(&self) -> Config {
         let mut cfg = Config::new(self.mesh.clone());
+        cfg.objects = self.objects.clone();
+        cfg.num_tsteps = self.num_tsteps;
+        cfg.stages_per_ts = self.stages_per_ts;
         cfg.checksum_freq = self.checksum_freq;
         cfg.refine_freq = self.refine_freq;
         cfg.send_faces = self.msgs_per_pair_dir != 0;
@@ -151,65 +156,66 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Generates the workload by replaying the mesh evolution.
+    /// Generates the workload by walking the application's run skeleton:
+    /// its cadence, with every regrid's directory walk.
     pub fn generate(p: &WorkloadParams) -> Workload {
         let cfg = p.config();
         let n = p.mesh.num_ranks();
-        let mut dir = MeshDirectory::initial(p.mesh.clone());
-        let mut objects = p.objects.clone();
-        dir.refine_to_fixpoint(&objects);
-        // The initial refinement phase load-balances before the main loop
-        // starts (visible as block exchanges in the paper's Fig. 1).
-        for m in balance_moves(&dir, cfg.balance, n, 0) {
-            dir.set_owner(m.block, m.to);
-        }
-
-        let mut intervals = Vec::new();
+        let no_cost = || RefineStat {
+            ctrl_blocks: vec![0.0; n],
+            job_elems: vec![0.0; n],
+            move_elems: vec![0.0; n],
+            move_msgs: vec![0.0; n],
+            plan_rounds: 0,
+        };
+        let mut mesh = SimMesh {
+            dir: MeshDirectory::initial(p.mesh.clone()),
+            objects: cfg.objects.clone(),
+            cells: BlockLayout::of(&p.mesh).cells() as f64,
+            cost: no_cost(),
+        };
+        // The initial refinement and the regrid that load-balances it
+        // before the main loop (the block exchanges at the left of the
+        // paper's Fig. 1) are not priced.
+        Walk::initial(&cfg).run(&mut mesh);
+        Walk::regrid(&cfg, n).run(&mut mesh);
+        let interval = |dir: &MeshDirectory| Interval {
+            stages: 0,
+            checksums: 0,
+            stage: compute_stage(&cfg, dir, n),
+            refine: None,
+        };
+        let mut intervals = vec![interval(&mesh.dir)];
         let mut total_flops = 0.0;
-        let mut peak_blocks: f64 = 0.0;
-        let flops_per_stage =
-            |d: &MeshDirectory| (d.len() * p.mesh.cells_per_block() * p.mesh.num_vars) as f64 * 7.0;
-
-        let mut stage_stat = compute_stage(&cfg, &dir, n);
-        peak_blocks = peak_blocks.max(stage_stat.blocks.iter().cloned().fold(0.0, f64::max));
-        let mut pending_stages = 0usize;
-        let mut pending_checksums = 0usize;
-        let mut stage_counter = 0usize;
-
-        for ts in 0..p.num_tsteps {
-            for _ in 0..p.stages_per_ts {
-                stage_counter += 1;
-                pending_stages += 1;
-                total_flops += flops_per_stage(&dir);
-                if cfg.checksum_due(stage_counter) {
-                    pending_checksums += 1;
+        for step in skeleton::cadence(&cfg, 0, cfg.num_tsteps, false) {
+            let open = intervals.last_mut().expect("an interval is open");
+            match step {
+                Step::Stage(_) => {
+                    open.stages += 1;
+                    let cells = mesh.dir.len() * p.mesh.cells_per_block();
+                    total_flops += (cells * p.mesh.num_vars) as f64 * 7.0;
                 }
-            }
-            if cfg.regrid_due(ts) {
-                for o in objects.iter_mut() {
-                    o.step();
+                Step::Sums => open.checksums += 1,
+                Step::Regrid => {
+                    mesh.objects.iter_mut().for_each(Object::step);
+                    mesh.cost = no_cost();
+                    Walk::regrid(&cfg, n).run(&mut mesh);
+                    let next = interval(&mesh.dir);
+                    open.refine = Some(RefineStat {
+                        ctrl_blocks: next.stage.blocks.clone(),
+                        ..std::mem::take(&mut mesh.cost)
+                    });
+                    intervals.push(next);
                 }
-                let refine = apply_refinement(&cfg, &mut dir, &objects, n);
-                intervals.push(Interval {
-                    stages: pending_stages,
-                    checksums: pending_checksums,
-                    stage: stage_stat,
-                    refine: Some(refine),
-                });
-                pending_stages = 0;
-                pending_checksums = 0;
-                stage_stat = compute_stage(&cfg, &dir, n);
-                peak_blocks =
-                    peak_blocks.max(stage_stat.blocks.iter().cloned().fold(0.0, f64::max));
+                _ => {}
             }
         }
-        if pending_stages > 0 {
-            intervals.push(Interval {
-                stages: pending_stages,
-                checksums: pending_checksums,
-                stage: stage_stat,
-                refine: None,
-            });
+        let peak_blocks = (intervals.iter())
+            .flat_map(|i| i.stage.blocks.iter().copied())
+            .fold(0.0, f64::max);
+        // A run that ends on a regrid runs no stage on its mesh.
+        if intervals.last().is_some_and(|i| i.stages == 0) {
+            intervals.pop();
         }
 
         Workload {
@@ -221,6 +227,39 @@ impl Workload {
             intervals,
             total_flops,
             peak_blocks,
+        }
+    }
+}
+
+/// The simulated mesh: the directory the regrids walk, pricing each
+/// into `cost`.
+struct SimMesh {
+    dir: MeshDirectory,
+    objects: Vec<Object>,
+    /// Cells per block.
+    cells: f64,
+    cost: RefineStat,
+}
+
+impl RegridHooks for SimMesh {
+    fn mesh(&mut self) -> (&mut MeshDirectory, &[Object]) {
+        (&mut self.dir, &self.objects)
+    }
+
+    fn moves(&mut self, moves: &[Move]) {
+        for m in moves {
+            self.cost.move_elems[m.from] += self.cells;
+            self.cost.move_msgs[m.from] += 1.0;
+        }
+    }
+
+    /// A merge restriction reads 8 children and writes 1 parent on the
+    /// gathering rank; a split prolongation reads 1 and writes 8.
+    fn plan(&mut self, plan: &RefinePlan) {
+        self.cost.plan_rounds += 1;
+        let first_children = plan.merges.iter().map(|parent| parent.children()[0]);
+        for id in first_children.chain(plan.splits.iter().copied()) {
+            self.cost.job_elems[self.dir.owner(&id).expect("active")] += 9.0 * self.cells;
         }
     }
 }
@@ -286,52 +325,6 @@ fn compute_stage(cfg: &Config, dir: &MeshDirectory, n: usize) -> StageStat {
         .map(|((sn, dn), (m, e))| (sn, dn, m, e))
         .collect();
     s
-}
-
-/// Applies one refinement phase (plans + merge gathering + SFC balance)
-/// to the directory and records its per-rank costs.
-fn apply_refinement(
-    cfg: &Config,
-    dir: &mut MeshDirectory,
-    objects: &[Object],
-    n: usize,
-) -> RefineStat {
-    let cells = BlockLayout::of(&cfg.params).cells() as f64;
-    let mut r = RefineStat {
-        ctrl_blocks: vec![0.0; n],
-        job_elems: vec![0.0; n],
-        move_elems: vec![0.0; n],
-        move_msgs: vec![0.0; n],
-        plan_rounds: 0,
-    };
-    let relocate = |dir: &mut MeshDirectory, moves: Vec<Move>, r: &mut RefineStat| {
-        for m in moves {
-            r.move_elems[m.from] += cells;
-            r.move_msgs[m.from] += 1.0;
-            dir.set_owner(m.block, m.to);
-        }
-    };
-
-    for _ in 0..cfg.params.block_change.max(1) {
-        let plan = dir.plan_refinement(objects);
-        if plan.is_empty() {
-            break;
-        }
-        r.plan_rounds += 1;
-        relocate(dir, merge_gather_moves(dir, &plan, 0), &mut r);
-        // A merge restriction reads 8 children and writes 1 parent on the
-        // gathering rank; a split prolongation reads 1 and writes 8.
-        let first_children = plan.merges.iter().map(|parent| parent.children()[0]);
-        for id in first_children.chain(plan.splits.iter().copied()) {
-            r.job_elems[dir.owner(&id).expect("active")] += 9.0 * cells;
-        }
-        dir.apply_plan(&plan);
-    }
-    relocate(dir, balance_moves(dir, cfg.balance, n, 0), &mut r);
-    for (_, &o) in dir.iter() {
-        r.ctrl_blocks[o] += 1.0;
-    }
-    r
 }
 
 /// Factors `ranks` into an `(npx, npy, npz)` grid dividing the given root
@@ -620,6 +613,45 @@ mod tests {
             }
             let case = format!("msgs_per_pair_dir {k}, coalesce {coalesce}, ranks_per_node {rpn}");
             assert_eq!(totals(&Workload::generate(&p)), (msg, rest), "{case}");
+        }
+    }
+
+    /// The simulated run and a live MPI-only run of the same
+    /// configuration pass the same checksum points, regrid as often
+    /// (counted live by a data-flow run, whose every regrid invalidates
+    /// its replay traces once) and end on the same mesh: the last
+    /// interval's, or the one its regrid leaves when the run ends on a
+    /// regrid.
+    #[test]
+    fn workload_agrees_with_a_live_run() {
+        for num_tsteps in [6, 7] {
+            let mut p = params(0);
+            p.num_tsteps = num_tsteps;
+            let w = Workload::generate(&p);
+            let mut cfg = p.config();
+            let n = p.mesh.num_ranks();
+            let live = miniamr::run_world(&cfg, n, vmpi::NetworkModel::instant());
+            let checksums: usize = w.intervals.iter().map(|i| i.checksums).sum();
+            let last = w.intervals.last().expect("one interval at least");
+            let blocks = match &last.refine {
+                Some(r) => &r.ctrl_blocks,
+                None => &last.stage.blocks,
+            };
+            for rank in &live {
+                assert_eq!(rank.checksums.len(), checksums, "{num_tsteps} timesteps");
+                assert_eq!(
+                    rank.final_blocks as f64, blocks[rank.rank],
+                    "{num_tsteps} timesteps"
+                );
+            }
+            cfg.variant = miniamr::Variant::DataFlow;
+            let regrids = w.intervals.iter().filter(|i| i.refine.is_some()).count();
+            for rank in miniamr::run_world(&cfg, n, vmpi::NetworkModel::instant()) {
+                assert_eq!(
+                    rank.trace_invalidations, regrids as u64,
+                    "{num_tsteps} timesteps"
+                );
+            }
         }
     }
 

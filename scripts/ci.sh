@@ -402,6 +402,12 @@ fi
 echo "==> coll_ablation (hier collectives + coalescing, simulated)"
 cargo run --release -q -p amr-bench --bin coll_ablation
 
+# The simulator's regrid accounting (plan rounds, split/merge copies,
+# block moves) priced per execution model; the harness exits non-zero
+# when its shape checks fail.
+echo "==> refine_ablation --quick (refinement costs, simulated)"
+cargo run --release -q -p amr-bench --bin refine_ablation -- --quick
+
 # Fabric on/off digest parity: the contention model shifts *when*
 # messages become available, never *what* they carry — every variant's
 # checksum digest must be bitwise identical with the fabric on and off.
