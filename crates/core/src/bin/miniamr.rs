@@ -27,7 +27,8 @@ mod exit {
     pub const USAGE: i32 = 2;
     /// `--watchdog_ms`: the stall watchdog's thread saw no progress.
     pub const STALL: i32 = obs::STALL_EXIT_CODE;
-    /// The run returned a [`miniamr::RunError`] (its `exit_code`).
+    /// The run returned a [`miniamr::RunError`] (its `exit_code`; a
+    /// scenario the run rejects, over `--max_blocks`, exits [`USAGE`]).
     pub const RUN_ERROR: i32 = vmpi::PEER_LOST_EXIT_CODE;
     /// `--staticcheck` found a defect before anything ran.
     pub const STATICCHECK: i32 = dfcheck::STATIC_EXIT_CODE;
@@ -638,5 +639,11 @@ mod tests {
         ] {
             assert_eq!(e.exit_code(), exit::RUN_ERROR, "{e:?}");
         }
+        let over = RunError::OverCapacity {
+            rank: 0,
+            blocks: 2,
+            max_blocks: 1,
+        };
+        assert_eq!(over.exit_code(), exit::USAGE, "a rejected scenario");
     }
 }

@@ -238,7 +238,10 @@ impl ScenarioArgs {
         cfg.params
             .validate()
             .map_err(|e| format!("invalid mesh parameters: {e}"))?;
-        // Every variant regrids when `(ts + 1) % refine_freq == 0`.
+        // A period of zero timesteps means nothing by itself: the cadence
+        // would read it as "never regrid" (only 0 is a multiple of 0) and
+        // switch refinement off without a word. A period past
+        // `--num_tsteps` is the way to run without regrids.
         if cfg.refine_freq == 0 {
             return Err("--refine_freq: must be at least 1".to_string());
         }
@@ -294,7 +297,7 @@ mod tests {
         assert!(sc.consume(&strs(&["--nx", "abc"]), &mut i).is_err());
         let mut i = 0;
         assert!(sc.consume(&strs(&["--refine_freq", "0"]), &mut i).is_ok());
-        assert!(sc.config().is_err(), "a zero period is divided by");
+        assert!(sc.config().is_err(), "a zero period would mean never");
     }
 
     #[test]

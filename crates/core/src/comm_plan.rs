@@ -13,7 +13,8 @@
 //!
 //! Tags are drawn from three disjoint sub-spaces, one per direction, so
 //! communication tasks of different directions can fly concurrently
-//! (§IV-A).
+//! (§IV-A). Where a message and each of its sections sit in the buffers is
+//! [`BufferLayout`]'s to say.
 
 use crate::config::Config;
 use amr_mesh::block_id::{Dir, Side};
@@ -22,6 +23,7 @@ use amr_mesh::face;
 use amr_mesh::{BlockId, MeshDirectory, NeighborInfo};
 use std::collections::BTreeMap;
 use std::ops::Range;
+use taskrt::ObjId;
 
 /// Tag sub-space size per direction. User tags must stay below
 /// `vmpi::TAG_UB` (2^30); three direction spaces plus a control space fit.
@@ -306,17 +308,129 @@ impl CommPlan {
         run_of(&self.boundary_ends, rank, dir)
     }
 
-    /// Required send/recv buffer capacity (elements per variable) for a
-    /// rank and direction, considering the shared-buffer option.
-    pub fn buffer_elems(&self, rank: usize, separate: bool) -> ([usize; 3], [usize; 3]) {
-        if separate {
-            (self.send_elems[rank], self.recv_elems[rank])
-        } else {
-            let smax = *self.send_elems[rank].iter().max().unwrap_or(&0);
-            let rmax = *self.recv_elems[rank].iter().max().unwrap_or(&0);
-            ([smax; 3], [rmax; 3])
+    /// `plan.inbound`/`outbound` restricted to one direction, with each
+    /// message's index into `msgs` (what task bodies and diagnostics
+    /// name a message by).
+    pub(crate) fn in_dir(
+        &self,
+        rank: usize,
+        dir: Dir,
+        end: Endpoint,
+    ) -> impl Iterator<Item = (usize, &MsgPlan)> {
+        self.msgs.iter().enumerate().filter(move |(_, m)| {
+            m.dir == dir
+                && match end {
+                    Endpoint::Inbound => m.dst_rank == rank,
+                    Endpoint::Outbound => m.src_rank == rank,
+                }
+        })
+    }
+}
+
+/// Which end of a message a rank is at, and so which of its buffers holds
+/// it; indexes a `[receive, send]` pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Endpoint {
+    /// The destination's receive buffer.
+    Inbound = 0,
+    /// The source's send buffer.
+    Outbound = 1,
+}
+
+/// Where the ghost exchange puts each message, and each of its sections,
+/// in a rank's per-direction send and receive buffers: decided here once
+/// for the three executors, the shared elaboration and the static
+/// verifier, so a task's declared section and the slice its body touches
+/// are one range (TAMPI binds a receive to the region its task declared).
+///
+/// * **Objects.** `--separate_buffers` gives each direction its own buffer
+///   and dependency object, so communication tasks of different
+///   directions are independent. Otherwise one allocation, sized for the
+///   largest direction, and one object serve all three: the reference
+///   behaviour, whose false dependency serialises the directions (§IV-A).
+/// * **Stride.** Message `m` reserves a slot of `m.elems_per_var × stride`
+///   elements at `offset × stride`; the stride is the largest group size.
+/// * **Span.** For a group of `g` variables, `m` occupies `offset × stride
+///   .. + m.elems_per_var × g`. The base uses the stride, not `g`, so the
+///   spans of one message overlap across groups and the WAR edges between
+///   one group's unpackers and the next group's receive serialise the
+///   posting order per tag.
+/// * **Section.** Transfer `t` sits `t.offset_in_msg × g` into the span:
+///   the payload inside a message, and so every checksum, does not depend
+///   on the group split.
+/// * **Legacy stride.** `--legacy_group_offsets` bases a span at
+///   `offset × g`, as the seed did: the last, smaller group of an uneven
+///   split leaves its slot, loses its ordering edges, and `--comm_vars
+///   --send_faces` runs deadlock — the known-bad input of the watchdog,
+///   sanitizer and verifier self-tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BufferLayout {
+    stride: usize,
+    separate: bool,
+    legacy: bool,
+}
+
+impl BufferLayout {
+    /// The layout `cfg`'s communication options ask for.
+    pub(crate) fn of(cfg: &Config) -> BufferLayout {
+        BufferLayout {
+            stride: cfg.var_group(0).len(),
+            separate: cfg.separate_buffers,
+            legacy: cfg.legacy_group_offsets,
         }
     }
+
+    /// Fresh dependency objects of one end's three direction buffers: one
+    /// per direction, or one shared by all three.
+    pub(crate) fn objs(&self) -> [ObjId; 3] {
+        if self.separate {
+            [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()]
+        } else {
+            [ObjId::fresh(); 3]
+        }
+    }
+
+    /// Allocation sizes, in elements, of `rank`'s three `end` buffers
+    /// (shared buffers are all as large as the largest direction).
+    pub(crate) fn sizes(&self, plan: &CommPlan, rank: usize, end: Endpoint) -> [usize; 3] {
+        let per_var = [plan.recv_elems[rank], plan.send_elems[rank]][end as usize];
+        let max = per_var.into_iter().max().unwrap_or(0);
+        per_var.map(|elems| if self.separate { elems } else { max } * self.stride)
+    }
+
+    /// The slot `m` reserves in its `end` buffer.
+    pub(crate) fn slot(&self, m: &MsgPlan, end: Endpoint) -> Range<usize> {
+        let base = offset(m, end) * self.stride;
+        base..base + m.elems_per_var * self.stride
+    }
+
+    /// Where `m` of a group of `g` variables sits in its `end` buffer.
+    pub(crate) fn span(&self, m: &MsgPlan, end: Endpoint, g: usize) -> Range<usize> {
+        let base = self.base(m, end, g);
+        base..base + m.elems_per_var * g
+    }
+
+    /// Where transfer `transfer` of `m` sits in its `end` buffer.
+    pub(crate) fn section(
+        &self,
+        m: &MsgPlan,
+        transfer: usize,
+        end: Endpoint,
+        g: usize,
+    ) -> Range<usize> {
+        let t = &m.transfers[transfer];
+        let lo = self.base(m, end, g) + t.offset_in_msg * g;
+        lo..lo + crate::rank::transfer_payload_elems(t, g)
+    }
+
+    fn base(&self, m: &MsgPlan, end: Endpoint, g: usize) -> usize {
+        offset(m, end) * if self.legacy { g } else { self.stride }
+    }
+}
+
+/// `m`'s offset, in elements per variable, in its `end` buffer.
+fn offset(m: &MsgPlan, end: Endpoint) -> usize {
+    [m.recv_offset, m.send_offset][end as usize]
 }
 
 /// The run of (`rank`, `dir`) in a vector grouped by rank, then direction,
@@ -581,11 +695,92 @@ mod tests {
 
     #[test]
     fn shared_buffer_sizing_takes_direction_max() {
-        let cfg = two_rank_cfg();
+        let mut cfg = two_rank_cfg();
         let (_, plan) = build(&cfg);
-        let (send_sep, _) = plan.buffer_elems(0, true);
-        let (send_shared, _) = plan.buffer_elems(0, false);
-        let max = *send_sep.iter().max().unwrap();
-        assert_eq!(send_shared, [max; 3]);
+        let shared = BufferLayout::of(&cfg);
+        cfg.separate_buffers = true;
+        let separate = BufferLayout::of(&cfg);
+        for end in [Endpoint::Inbound, Endpoint::Outbound] {
+            let max = separate.sizes(&plan, 0, end).into_iter().max().unwrap();
+            assert_eq!(shared.sizes(&plan, 0, end), [max; 3]);
+        }
+        let objs = shared.objs();
+        assert!(objs.iter().all(|&o| o == objs[0]), "one shared object");
+        let objs = separate.objs();
+        assert!(objs[0] != objs[1] && objs[1] != objs[2] && objs[0] != objs[2]);
+    }
+
+    /// The layout's promises for `rank`'s `end` messages of direction `d`
+    /// in a group of `g` variables.
+    fn check_dir(
+        plan: &CommPlan,
+        layout: &BufferLayout,
+        g: usize,
+        end: Endpoint,
+        rank: usize,
+        d: Dir,
+    ) {
+        let mut spans = Vec::new();
+        for (_, m) in plan.in_dir(rank, d, end) {
+            let span = layout.span(m, end, g);
+            let mut next = span.start;
+            for t in 0..m.transfers.len() {
+                let section = layout.section(m, t, end, g);
+                assert_eq!(section.start, next, "a gap before section {t}");
+                next = section.end;
+            }
+            assert_eq!(next, span.end, "the sections do not fill the span");
+            let slot = layout.slot(m, end);
+            assert!(slot.start <= span.start && span.end <= slot.end);
+            assert!(slot.end <= layout.sizes(plan, rank, end)[d.index()]);
+            spans.push(span);
+        }
+        spans.sort_by_key(|s| s.start);
+        for w in spans.windows(2) {
+            assert!(w[0].end <= w[1].start, "spans {w:?} overlap");
+        }
+    }
+
+    /// Every group of an uneven split (8 variables in groups of 3, 3 and
+    /// 2), at both ends of every message shape, on a row of three ranks
+    /// (the middle one has two neighbours a direction): the sections tile
+    /// the span, the span lies inside the message's slot, and the spans of
+    /// one (rank, direction) are disjoint — while the legacy stride takes
+    /// the last group out of its slot.
+    #[test]
+    fn sections_tile_spans_inside_disjoint_slots() {
+        let ends = [Endpoint::Inbound, Endpoint::Outbound];
+        for (send_faces, max_comm_tasks) in [(false, 0), (true, 0), (true, 2)] {
+            let mut cfg = two_rank_cfg();
+            (cfg.params.npx, cfg.params.num_vars, cfg.comm_vars) = (3, 8, 3);
+            (cfg.send_faces, cfg.max_comm_tasks) = (send_faces, max_comm_tasks);
+            let mut dir = MeshDirectory::initial(cfg.params.clone());
+            dir.refine_to_fixpoint(&cfg.objects);
+            let plan = CommPlan::build(&cfg, &dir, 3);
+            let layout = BufferLayout::of(&cfg);
+            let groups: Vec<usize> = (0..cfg.num_groups())
+                .map(|g| cfg.var_group(g).len())
+                .collect();
+            assert_eq!(groups, [3, 3, 2]);
+            for &g in &groups {
+                for end in ends {
+                    for rank in 0..3 {
+                        for d in Dir::ALL {
+                            check_dir(&plan, &layout, g, end, rank, d);
+                        }
+                    }
+                }
+            }
+            // The seed's stride: the last group of a message past the first
+            // of its buffer leaves the message's slot.
+            cfg.legacy_group_offsets = true;
+            let legacy = BufferLayout::of(&cfg);
+            let m = (plan.msgs.iter())
+                .find(|m| m.send_offset > 0)
+                .expect("a buffer holds two messages");
+            let end = Endpoint::Outbound;
+            let (span, slot) = (legacy.span(m, end, 2), legacy.slot(m, end));
+            assert!(span.start < slot.start, "{span:?} inside {slot:?}");
+        }
     }
 }

@@ -141,7 +141,9 @@ pub struct Config {
     /// world's [`vmpi::NetworkModel::eager_threshold`]).
     pub eager_bytes: usize,
     /// Reproduce the seed's group-size-relative communication-buffer
-    /// offsets in the data-flow variant (`--legacy_group_offsets`).
+    /// offsets (`--legacy_group_offsets`): the legacy stride of
+    /// `comm_plan::BufferLayout`, which only the data-flow
+    /// variant's ordering depends on.
     ///
     /// Buffers are allocated with a stride of the *largest* group size,
     /// but the seed computed message base offsets with the *current*

@@ -33,7 +33,8 @@
 //! (when the send is eager) and the unpack's on-ready gate receives it
 //! (DESIGN.md, "Task grain").
 
-use crate::comm_plan::{CommPlan, MsgPlan};
+use crate::comm_plan::Endpoint::{Inbound, Outbound};
+use crate::comm_plan::{BufferLayout, CommPlan, MsgPlan};
 use crate::config::Config;
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockLayout;
@@ -259,9 +260,33 @@ impl ElabCtx<'_> {
         )
     }
 
+    /// What unpacking transfer `ti` of inbound message `m` declares: its
+    /// section of the receive buffer — `inout` when the unpack receives
+    /// the message too, `in` otherwise — and `inout` on the destination
+    /// block.
+    pub(crate) fn unpack_accesses(
+        &self,
+        m: &MsgPlan,
+        ti: usize,
+        recv_obj: [ObjId; 3],
+        vars: &Range<usize>,
+        receives: bool,
+    ) -> [Access; 2] {
+        let range = BufferLayout::of(self.cfg).section(m, ti, Inbound, vars.len());
+        let section = Region::new(recv_obj[m.dir.index()], range);
+        let section = if receives {
+            Access::read_write(section)
+        } else {
+            Access::read(section)
+        };
+        let block = self.block_region(self.objs[m.transfers[ti].dst_pos], vars.clone());
+        [section, Access::read_write(block)]
+    }
+
     /// Algorithm 3: the fully taskified communicate for one variable
-    /// group. Spawn order is load-bearing (see the unpack comment) and
-    /// mirrored exactly by both consumers.
+    /// group, its buffer regions where `BufferLayout` puts them. Spawn
+    /// order is load-bearing (see the unpack comment) and mirrored exactly
+    /// by both consumers.
     pub fn communicate(
         &self,
         plan: &CommPlan,
@@ -270,22 +295,7 @@ impl ElabCtx<'_> {
         vars: Range<usize>,
         sub: &mut dyn Submitter<Work>,
     ) {
-        let g = vars.len();
-        // Message base offsets use the *allocated* stride (the largest
-        // group size), not the current group's size: buffer regions of
-        // the same message must overlap across groups so the WAR edges
-        // between one group's unpackers and the next group's receive
-        // serialise posting order per tag. The seed used `g` here, which
-        // made the last uneven group's regions disjoint and deadlocked
-        // `--comm_vars --send_faces` runs (kept behind
-        // `legacy_group_offsets` for the watchdog/staticcheck CI tests).
-        // Intra-message section offsets stay in units of `g` — payload
-        // layout and therefore checksums are unchanged.
-        let gb = if self.cfg.legacy_group_offsets {
-            g
-        } else {
-            self.cfg.var_group(0).len()
-        };
+        let (g, at) = (vars.len(), BufferLayout::of(self.cfg));
         // A message of one section is two tasks (a pack that sends, an
         // unpack that receives). `legacy_group_offsets` reproduces the
         // seed's stream as a whole, four tasks a message: its receive
@@ -304,20 +314,20 @@ impl ElabCtx<'_> {
             // before the chain unpack → copies → stencil → pack → send of
             // the next stage can start. A one-section message has no
             // receive task: its unpack posts the receive (below).
-            for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Inbound) {
+            for (mi, m) in plan.in_dir(self.rank, dir, Inbound) {
                 if one_section(m) {
                     continue;
                 }
-                let lo = m.recv_offset * gb;
-                let hi = lo + m.elems_per_var * g;
+                let span = at.span(m, Inbound, g);
+                let intent = tampi::irecv_intent(m.src_rank, m.tag, span.len());
                 sub.submit(TaskSpec {
                     label: "recv",
                     priority: 1,
                     accesses: AccessList::from_iter([Access::write(Region::new(
                         recv_obj[d],
-                        lo..hi,
+                        span,
                     ))]),
-                    comm: Some(tampi::irecv_intent(m.src_rank, m.tag, m.elems_per_var * g)),
+                    comm: Some(intent),
                     work: Work::Recv { msg: mi },
                 });
             }
@@ -332,15 +342,13 @@ impl ElabCtx<'_> {
             // the peer's unpack posts when its block is free of the peer's
             // own packs — so a pack that held its block until then would
             // wait for a pack that waits for it.
-            for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Outbound) {
-                let intent = tampi::isend_intent(m.dst_rank, m.tag, m.elems_per_var * g);
+            for (mi, m) in plan.in_dir(self.rank, dir, Outbound) {
+                let intent = tampi::isend_intent(m.dst_rank, m.tag, at.span(m, Outbound, g).len());
                 let bytes = intent.elems * std::mem::size_of::<f64>();
                 let sends = one_section(m) && bytes <= self.cfg.eager_bytes;
                 let mut section_accesses = AccessList::with_capacity(m.transfers.len());
                 for (ti, t) in m.transfers.iter().enumerate() {
-                    let slo = m.send_offset * gb + t.offset_in_msg * g;
-                    let shi = slo + t.elems_per_var * g;
-                    let section = Region::new(send_obj[d], slo..shi);
+                    let section = Region::new(send_obj[d], at.section(m, ti, Outbound, g));
                     let section = if sends {
                         Access::read_write(section)
                     } else {
@@ -405,24 +413,15 @@ impl ElabCtx<'_> {
             // because the receive writes it in the unpack's name: the
             // next message into it (the next group's or stage's) is then
             // received only after this unpack has read it.
-            for (mi, m) in in_dir(plan, self.rank, dir, Endpoint::Inbound) {
-                let receives = one_section(m);
-                for (ti, t) in m.transfers.iter().enumerate() {
-                    let slo = m.recv_offset * gb + t.offset_in_msg * g;
-                    let shi = slo + t.elems_per_var * g;
-                    let section = Region::new(recv_obj[d], slo..shi);
-                    let section = if receives {
-                        Access::read_write(section)
-                    } else {
-                        Access::read(section)
-                    };
-                    let block = self.block_region(self.objs[t.dst_pos], vars.clone());
+            for (mi, m) in plan.in_dir(self.rank, dir, Inbound) {
+                let (receives, elems) = (one_section(m), at.span(m, Inbound, g).len());
+                for ti in 0..m.transfers.len() {
+                    let accesses = self.unpack_accesses(m, ti, recv_obj, &vars, receives);
                     sub.submit(TaskSpec {
                         label: "unpack",
                         priority: 1,
-                        accesses: AccessList::from_iter([section, Access::read_write(block)]),
-                        comm: receives
-                            .then(|| tampi::irecv_intent(m.src_rank, m.tag, m.elems_per_var * g)),
+                        accesses: AccessList::from_iter(accesses),
+                        comm: receives.then(|| tampi::irecv_intent(m.src_rank, m.tag, elems)),
                         work: Work::Unpack {
                             msg: mi,
                             transfer: ti,
@@ -470,29 +469,6 @@ impl ElabCtx<'_> {
             ));
         }
     }
-}
-
-enum Endpoint {
-    Inbound,
-    Outbound,
-}
-
-/// `plan.inbound`/`outbound` restricted to one direction, with indices
-/// into `plan.msgs` (the live side resolves buffers through the index,
-/// the static side uses it for diagnostics).
-fn in_dir(
-    plan: &CommPlan,
-    rank: usize,
-    dir: Dir,
-    which: Endpoint,
-) -> impl Iterator<Item = (usize, &crate::comm_plan::MsgPlan)> {
-    plan.msgs.iter().enumerate().filter(move |(_, m)| {
-        m.dir == dir
-            && match which {
-                Endpoint::Inbound => m.dst_rank == rank,
-                Endpoint::Outbound => m.src_rank == rank,
-            }
-    })
 }
 
 #[cfg(test)]

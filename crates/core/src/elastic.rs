@@ -137,12 +137,28 @@ pub enum RunError {
         /// Job of the run ([`Config::job_id`]).
         job: u64,
     },
+    /// A regrid's block moves would leave a rank holding more blocks than
+    /// `--max_blocks`, so its block exchange could never finish: a
+    /// scenario rejected mid-run. Found before the first exchange round.
+    OverCapacity {
+        /// The rank.
+        rank: usize,
+        /// The blocks the moves would leave it.
+        blocks: usize,
+        /// `--max_blocks`.
+        max_blocks: usize,
+    },
 }
 
 impl RunError {
-    /// The process exit code a CLI maps this error to.
+    /// The process exit code a CLI maps this error to: a rejected
+    /// scenario's 2 for [`RunError::OverCapacity`], else the lost-peer
+    /// class.
     pub fn exit_code(&self) -> i32 {
-        vmpi::PEER_LOST_EXIT_CODE
+        match self {
+            RunError::OverCapacity { .. } => 2,
+            _ => vmpi::PEER_LOST_EXIT_CODE,
+        }
     }
 }
 
@@ -170,6 +186,15 @@ impl fmt::Display for RunError {
                 f,
                 "elastic: job {job}: no coordinated boundary snapshot \
                  predates the failure; cannot shrink"
+            ),
+            RunError::OverCapacity {
+                rank,
+                blocks,
+                max_blocks,
+            } => write!(
+                f,
+                "miniamr: the block exchange would leave rank {rank} holding {blocks} blocks, \
+                 over --max_blocks {max_blocks}"
             ),
         }
     }
@@ -392,8 +417,8 @@ fn respawn(
 }
 
 /// Runs one world segment of `[..ts_end)` and returns per-rank
-/// `(stats, next start)`, or what the world left behind if it aborted on a
-/// lost peer.
+/// `(stats, next start)` — or what the world left behind if it aborted on
+/// a lost peer (`Ok(Err)`), or the [`RunError`] its ranks unwound with.
 fn run_segment(
     cfg: &Config,
     n: usize,
@@ -401,7 +426,7 @@ fn run_segment(
     starts: Vec<Option<(RunStats, SpanStart)>>,
     ts_end: usize,
     ctx: &RunCtx,
-) -> Result<Vec<(RunStats, SpanStart)>, LostWorld> {
+) -> Result<Result<Vec<(RunStats, SpanStart)>, LostWorld>, RunError> {
     assert_eq!(starts.len(), n, "one resume point per rank");
     let world = World::with_chaos(n, net.clone(), cfg.chaos.clone());
     let slots = Mutex::new(starts);
@@ -411,14 +436,19 @@ fn run_segment(
             crate::run_rank_span(cfg, comm, start, ts_end, ctx)
         })
     }));
-    run.map_err(|payload| {
-        let reports = world.peer_lost_reports();
-        if reports.is_empty() {
-            // Not a peer-lost abort — an ordinary bug; don't mask it.
-            std::panic::resume_unwind(payload);
-        }
-        (reports, world.chaos_plan_position())
-    })
+    let payload = match run {
+        Ok(results) => return Ok(Ok(results)),
+        Err(payload) => match payload.downcast::<RunError>() {
+            Ok(err) => return Err(*err),
+            Err(payload) => payload,
+        },
+    };
+    let reports = world.peer_lost_reports();
+    if reports.is_empty() {
+        // Not a peer-lost abort — an ordinary bug; don't mask it.
+        std::panic::resume_unwind(payload);
+    }
+    Ok(Err((reports, world.chaos_plan_position())))
 }
 
 /// Runs the configured variant: the world starts at `n_ranks` (the
@@ -470,7 +500,7 @@ pub fn run(
             .filter(|&t| t > ts && t < cfg.num_tsteps)
             .min()
             .unwrap_or(cfg.num_tsteps);
-        match run_segment(&seg_cfg, n, &net, starts, seg_end, &ctx) {
+        match run_segment(&seg_cfg, n, &net, starts, seg_end, &ctx)? {
             Ok(results) => {
                 if seg_end >= cfg.num_tsteps {
                     return Ok(results.into_iter().map(|(stats, _)| stats).collect());

@@ -21,6 +21,7 @@ use crate::comm_plan::EXCHANGE_TAG_BASE;
 use crate::config::BalanceKind;
 use crate::rank::RankState;
 use crate::skeleton::{RegridHooks, Walk};
+use crate::RunError;
 use amr_mesh::data::{merge_children, split_block, BlockData};
 use amr_mesh::directory::{MeshDirectory, RefinePlan};
 use amr_mesh::partition;
@@ -142,7 +143,10 @@ impl BlockMover for BlockingMover {
 /// - If a move sends a block this rank does not hold, or a control
 ///   message names another block: a directory invariant, since every
 ///   rank plans from the same replicated directory.
-/// - If the rounds do not converge (a capacity livelock).
+/// - If the rounds do not converge (a capacity livelock). A receiver
+///   accepts a block only while it has room, so a move list that leaves a
+///   receiving rank over `max_blocks` never converges: [`LiveRegrid`]
+///   stops a run with [`RunError::OverCapacity`] before it calls this.
 pub fn exchange_blocks(
     state: &mut RankState,
     comm: &Arc<Comm>,
@@ -375,11 +379,24 @@ impl RegridHooks for LiveRegrid<'_, '_> {
         (&mut self.state.dir, &self.state.objects)
     }
 
+    /// Exchanges the blocks of `moves`, unless they would leave a rank over
+    /// `--max_blocks`: then every rank, planning from the same directory,
+    /// moves and cap, unwinds before the first round with the
+    /// [`RunError::OverCapacity`] that `elastic::run_segment` returns.
+    ///
+    /// # Panics
+    ///
+    /// If the initial refinement (no world) is handed a move: a uniform
+    /// mesh only refines.
     fn moves(&mut self, moves: &[Move]) {
-        match &mut self.exchange {
-            Some((comm, mover)) => self.moved += exchange_blocks(self.state, comm, moves, *mover),
-            None => assert!(moves.is_empty(), "no world to move blocks in"),
+        let Some((comm, mover)) = &mut self.exchange else {
+            assert!(moves.is_empty(), "no world to move blocks in");
+            return;
+        };
+        if let Some(err) = over_capacity(self.state, moves) {
+            std::panic::resume_unwind(Box::new(err));
         }
+        self.moved += exchange_blocks(self.state, comm, moves, *mover);
     }
 
     /// Runs this rank's split/merge jobs through `run_jobs`. Their sources
@@ -408,13 +425,34 @@ impl RegridHooks for LiveRegrid<'_, '_> {
     }
 }
 
+/// The first receiver of `moves` that would end them over `max_blocks`.
+fn over_capacity(state: &RankState, moves: &[Move]) -> Option<RunError> {
+    let mut held = vec![0usize; state.n_ranks];
+    for (_, &owner) in state.dir.iter() {
+        held[owner] += 1;
+    }
+    let moved = moves.iter().filter(|m| m.from != m.to);
+    for m in moved.clone() {
+        held[m.from] -= 1;
+        held[m.to] += 1;
+    }
+    let max_blocks = state.cfg.max_blocks;
+    let rank = moved.map(|m| m.to).find(|&r| held[r] > max_blocks)?;
+    Some(RunError::OverCapacity {
+        rank,
+        blocks: held[rank],
+        max_blocks,
+    })
+}
+
 /// Runs one full refinement phase: the [`Walk::regrid`] walk with the
 /// [`LiveRegrid`] hooks, `run_jobs` running the split/merge jobs.
 /// Returns blocks moved by this rank.
 ///
 /// # Panics
 ///
-/// As [`exchange_blocks`] does.
+/// As [`exchange_blocks`] does; a move list over `--max_blocks` unwinds
+/// with a [`RunError::OverCapacity`] payload instead.
 pub fn run_refinement(
     state: &mut RankState,
     comm: &Arc<Comm>,

@@ -144,22 +144,9 @@ pub fn transfer_payload_elems(t: &FaceTransfer, nvars: usize) -> usize {
 }
 
 /// Extracts (and transforms) the payload of one face transfer from the
-/// sending block — the *pack* operation (allocating convenience wrapper
-/// around [`pack_transfer_into`]).
-pub fn pack_transfer(
-    layout: &BlockLayout,
-    src: &BlockData,
-    t: &FaceTransfer,
-    vars: Range<usize>,
-) -> Vec<f64> {
-    let mut out = vec![0.0; transfer_payload_elems(t, vars.len())];
-    pack_transfer_into(layout, src, t, vars, &mut out);
-    out
-}
-
-/// [`pack_transfer`] writing directly into a caller-supplied buffer
-/// (typically a message-buffer section), with no intermediate vector even
-/// for the restrict path: restriction is fused with the face read.
+/// sending block into a caller-supplied buffer (a message-buffer section)
+/// — the *pack* operation. No intermediate vector even for the restrict
+/// path: restriction is fused with the face read.
 pub fn pack_transfer_into(
     layout: &BlockLayout,
     src: &BlockData,
@@ -293,7 +280,8 @@ mod tests {
                 let (src, dst) = (state.block(&t.src_block), state.block(&t.dst_block));
                 let twin = BlockData::empty(t.dst_block, &cfg.params);
                 twin.buf.full().write_from(&dst.buf.full().to_vec());
-                let payload = pack_transfer(&state.layout, src, t, vars.clone());
+                let mut payload = vec![0.0; transfer_payload_elems(t, vars.len())];
+                pack_transfer_into(&state.layout, src, t, vars.clone(), &mut payload);
                 unpack_transfer(&state.layout, &twin, t, vars.clone(), &payload);
                 apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool);
                 let bits = |b: &BlockData| -> Vec<u64> {

@@ -21,7 +21,8 @@
 //! block exchange is modeled as a full barrier, not as endpoints, and
 //! MPI collectives (checksum reductions) are not modeled at all.
 
-use crate::comm_plan::CommPlan;
+use crate::comm_plan::Endpoint::{Inbound, Outbound};
+use crate::comm_plan::{BufferLayout, CommPlan};
 use crate::config::{Config, Variant};
 use crate::elaborate::{ElabCtx, Work};
 use crate::exchange::{data_tag, Move};
@@ -29,7 +30,7 @@ use crate::skeleton::{self, RegridHooks, Step, Walk};
 use amr_mesh::data::BlockLayout;
 use amr_mesh::directory::MeshDirectory;
 use amr_mesh::{BlockId, Object};
-use dfcheck::{Finding, Model, Recorder, Report};
+use dfcheck::{Finding, Model, Recorder, Report, SchedCtx};
 use std::collections::BTreeMap;
 use taskrt::{Access, BarrierKind, CommIntent, ObjId, Region, Submitter, TaskSpec};
 
@@ -110,7 +111,7 @@ impl RegridHooks for StaticMesh {
 pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
     let n_ranks = cfg.params.num_ranks();
     let (layout, nv) = (BlockLayout::of(&cfg.params), cfg.params.num_vars);
-    let dataflow = cfg.variant == Variant::DataFlow;
+    let (dataflow, bufs) = (cfg.variant == Variant::DataFlow, BufferLayout::of(cfg));
     // One checksum boundary plus a stage after it, and at least two
     // stages: tags and buffer regions repeat identically every stage, so
     // two consecutive instances prove the induction step.
@@ -146,18 +147,8 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
             let ids = mesh.dir.blocks_of(rank);
             let mut rec: Recorder<Work> = Recorder::new();
             rec.ctx.epoch = epoch as u32;
-            // Fresh per-epoch buffer objects, with the sharing the live
-            // `Buffers::alloc` applies: separate buffers give each
-            // direction its own dependency object; shared ones reuse one.
-            let (send_obj, recv_obj) = if cfg.separate_buffers {
-                (
-                    [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
-                    [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()],
-                )
-            } else {
-                let (s, r) = (ObjId::fresh(), ObjId::fresh());
-                ([s, s, s], [r, r, r])
-            };
+            // Fresh per-epoch buffer objects, as the live buffers take.
+            let (send_obj, recv_obj) = (bufs.objs(), bufs.objs());
             let objs: Vec<ObjId> = (ids.iter())
                 .map(|id| *st.objs.entry(*id).or_insert_with(ObjId::fresh))
                 .collect();
@@ -186,13 +177,7 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
                                 ctx.communicate(&plan, send_obj, recv_obj, vars.clone(), &mut rec);
                                 ctx.stencils(vars, &mut rec);
                             } else {
-                                record_serialized_endpoints(
-                                    &plan,
-                                    rank,
-                                    st.prog_obj,
-                                    vars.len(),
-                                    &mut rec,
-                                );
+                                serialized_endpoints(&ctx, &plan, st.prog_obj, g, &mut rec);
                             }
                         }
                     }
@@ -208,32 +193,19 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
                     _ => {}
                 }
             }
-            model.ingest(rank, rec.stream, &|w| describe(w, &plan, &ids, nv));
+            // What a data-flow communication body touches in the buffers:
+            // the slice the live submitter takes from the same layout.
+            let buf_objs = [recv_obj, send_obj];
+            let touches =
+                |spec: &TaskSpec<Work>, c: &SchedCtx| footprint(cfg, &plan, buf_objs, spec, c);
+            let site = |w: &Work| describe(w, &plan, &ids, nv);
+            model.ingest(rank, rec.stream, &site, &touches);
         }
         lint_buffer_slots(cfg, &plan, epoch, &mut slot_findings);
         model.epochs = epoch + 1;
         if let Some(Step::Regrid) = steps.last() {
             mesh.objects.iter_mut().for_each(Object::step);
             Walk::regrid(cfg, n_ranks).run(&mut mesh);
-        }
-    }
-    // Derive comm-path footprints exactly as the live submitter derives
-    // its buffer slices from the declared regions: recv/pack/unpack use
-    // a declared section verbatim; send reads the span of its sections.
-    // Coverage then proves the sections tile the span.
-    for node in &mut model.nodes {
-        match node.label {
-            "recv" => node.footprint = vec![node.accesses[0].clone()],
-            "pack" | "unpack" if node.accesses.len() == 2 => {
-                node.footprint = vec![node.accesses[0].clone(), node.accesses[1].clone()];
-            }
-            "send" if !node.accesses.is_empty() => {
-                let obj = node.accesses[0].region.obj;
-                let lo = node.accesses.iter().map(|a| a.region.start).min().unwrap();
-                let hi = node.accesses.iter().map(|a| a.region.end).max().unwrap();
-                node.footprint = vec![Access::read(Region::new(obj, lo..hi))];
-            }
-            _ => {}
         }
     }
     Elaborated {
@@ -243,59 +215,82 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
     }
 }
 
+/// The buffer range a data-flow communication task's body touches: its
+/// message's span (receive, send) or its section (pack, unpack), written
+/// by a receive or a pack, read by a send or an unpack — and written by
+/// an unpack's receive when it carries one. `objs` are the buffers'
+/// objects, indexed by [`crate::comm_plan::Endpoint`].
+fn footprint(
+    cfg: &Config,
+    plan: &CommPlan,
+    objs: [[ObjId; 3]; 2],
+    spec: &TaskSpec<Work>,
+    c: &SchedCtx,
+) -> Vec<Access> {
+    let (msg, transfer, end, writes) = match spec.work {
+        _ if cfg.variant != Variant::DataFlow => return Vec::new(),
+        Work::Recv { msg } => (msg, None, Inbound, true),
+        Work::Send { msg } => (msg, None, Outbound, false),
+        Work::Pack { msg, transfer } => (msg, Some(transfer), Outbound, true),
+        Work::Unpack { msg, transfer } => (msg, Some(transfer), Inbound, spec.comm.is_some()),
+        _ => return Vec::new(),
+    };
+    let (bufs, g) = (BufferLayout::of(cfg), cfg.var_group(c.group as usize).len());
+    let m = &plan.msgs[msg];
+    let range = transfer.map_or_else(|| bufs.span(m, end, g), |t| bufs.section(m, t, end, g));
+    let region = Region::new(objs[end as usize][m.dir.index()], range);
+    let access = if writes { Access::write } else { Access::read };
+    vec![access(region)]
+}
+
 /// The serialized variants (MPI-only, fork-join) post communication
 /// blocking from the main thread; every endpoint chains through the
 /// rank's program object, so the model reflects the factual total order.
-fn record_serialized_endpoints(
+/// `group` indexes the variable group.
+fn serialized_endpoints(
+    ctx: &ElabCtx,
     plan: &CommPlan,
-    rank: usize,
     prog_obj: ObjId,
-    g: usize,
+    group: usize,
     rec: &mut Recorder<Work>,
 ) {
+    let (bufs, rank) = (BufferLayout::of(ctx.cfg), ctx.rank);
+    let g = ctx.cfg.var_group(group).len();
     for dir in amr_mesh::block_id::Dir::ALL {
-        for (mi, m) in plan.msgs.iter().enumerate() {
-            if m.dir != dir {
-                continue;
-            }
+        for (mi, m) in plan.msgs.iter().enumerate().filter(|(_, m)| m.dir == dir) {
+            let endpoint = |label, comm, work| TaskSpec {
+                label,
+                priority: 0,
+                accesses: vec![Access::read_write(Region::whole(prog_obj))].into(),
+                comm: Some(comm),
+                work,
+            };
             if m.dst_rank == rank {
-                rec.submit(TaskSpec {
-                    label: "recv",
-                    priority: 0,
-                    accesses: vec![Access::read_write(Region::whole(prog_obj))].into(),
-                    comm: Some(CommIntent::recv(m.src_rank, m.tag, m.elems_per_var * g)),
-                    work: Work::Recv { msg: mi },
-                });
+                let recv = CommIntent::recv(m.src_rank, m.tag, bufs.span(m, Inbound, g).len());
+                rec.submit(endpoint("recv", recv, Work::Recv { msg: mi }));
             }
             if m.src_rank == rank {
-                rec.submit(TaskSpec {
-                    label: "send",
-                    priority: 0,
-                    accesses: vec![Access::read_write(Region::whole(prog_obj))].into(),
-                    comm: Some(CommIntent::send(m.dst_rank, m.tag, m.elems_per_var * g)),
-                    work: Work::Send { msg: mi },
-                });
+                let send = CommIntent::send(m.dst_rank, m.tag, bufs.span(m, Outbound, g).len());
+                rec.submit(endpoint("send", send, Work::Send { msg: mi }));
             }
         }
     }
 }
 
-/// Buffer-slot lint: every message owns a reserved slot of the
-/// per-direction buffer, `[offset * gmax, offset * gmax + elems * gmax)`
-/// (the allocation stride is the largest group size). A group whose
-/// base offset is computed with a *different* stride escapes its slot
-/// and aliases a neighbor's — the `--legacy_group_offsets` bug class.
-/// Reported as a warning: the hard failures it causes (lost ordering
-/// edges → tag collisions) are caught by the matching pass as errors.
+/// Buffer-slot lint: every message owns a reserved slot of its buffer
+/// ([`BufferLayout::slot`]). A group whose span the layout puts outside
+/// that slot aliases a neighbor's — the `--legacy_group_offsets` bug
+/// class. Reported as a warning: the hard failures it causes (lost
+/// ordering edges → tag collisions) are caught by the matching pass as
+/// errors.
 fn lint_buffer_slots(cfg: &Config, plan: &CommPlan, epoch: usize, out: &mut Vec<Finding>) {
-    let gmax = cfg.var_group(0).len();
+    let bufs = BufferLayout::of(cfg);
     for g in 0..cfg.num_groups() {
         let glen = cfg.var_group(g).len();
-        let gb = if cfg.legacy_group_offsets { glen } else { gmax };
         for m in &plan.msgs {
-            for (offset, side) in [(m.send_offset, "send"), (m.recv_offset, "recv")] {
-                let (lo, hi) = (offset * gb, offset * gb + m.elems_per_var * glen);
-                let (rlo, rhi) = (offset * gmax, offset * gmax + m.elems_per_var * gmax);
+            for (end, side) in [(Outbound, "send"), (Inbound, "recv")] {
+                let (span, slot) = (bufs.span(m, end, glen), bufs.slot(m, end));
+                let [lo, hi, rlo, rhi] = [span.start, span.end, slot.start, slot.end];
                 if lo < rlo || hi > rhi {
                     out.push(Finding {
                         code: "buffer-slot-overlap",

@@ -31,10 +31,11 @@
 //!   thread while pack/send/receive/unpack of block data are tasks bound
 //!   through the task-aware layer.
 
+use crate::comm_plan::Endpoint::{Inbound, Outbound};
 use crate::config::Config;
 use crate::elaborate::{self, ElabCtx, Work};
 use crate::exchange::{run_refinement, BlockMover, RefineJob};
-use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
+use crate::rank::RankState;
 use crate::stats::RunStats;
 use crate::variant::{
     elab_ctx, fold_task_counts, rank_runtime, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared,
@@ -164,8 +165,8 @@ impl DataFlow {
 
 impl Exec for DataFlow {
     /// Algorithm 3: the fully taskified communicate (see
-    /// [`crate::elaborate::ElabCtx::communicate`] for the spawn-order and
-    /// offset-stride invariants).
+    /// [`crate::elaborate::ElabCtx::communicate`] for the spawn-order
+    /// invariants, [`crate::comm_plan::BufferLayout`] for the regions).
     fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>) {
         self.submit_phase(cx, Phase::Communicate, vars.clone(), |ctx, sub| {
             ctx.communicate(&cx.plan, cx.bufs.send_obj, cx.bufs.recv_obj, vars, sub)
@@ -183,6 +184,11 @@ impl Exec for DataFlow {
     /// Spawns the per-block local reduction tasks of one checksum point;
     /// the i-th slot is the i-th local block in id order (see
     /// [`crate::elaborate::ElabCtx::checksum_locals`]).
+    ///
+    /// # Panics
+    ///
+    /// If `submit_phase` returned a `LocalSums` call no slots — it never
+    /// does: it hands every such call its slots, fresh or from the log.
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
         self.submit_phase(cx, Phase::LocalSums, 0..nv, |ctx, sub| {
@@ -261,10 +267,11 @@ fn block_region(layout: &BlockLayout, block: &BlockData, vars: Range<usize>) -> 
 /// stream with `dfcheck`'s recorder, so declared accesses, endpoints
 /// and spawn order cannot drift between execution and analysis.
 ///
-/// Buffer slices are derived from the spec's declared regions — the
-/// "slice == declaration" invariant holds by construction. Every body is
-/// re-runnable (`body_fn`): it leaves its captures in place and clones the
-/// ranges and slices it hands on, so a replay hit can run it again.
+/// Buffer slices come from the buffers' [`crate::comm_plan::BufferLayout`],
+/// which placed the spec's declared regions too: a slice is its task's
+/// declaration by construction. Every body is re-runnable (`body_fn`): it
+/// leaves its captures in place and clones the ranges and slices it hands
+/// on, so a replay hit can run it again.
 struct LiveSub<'a> {
     rt: &'a Runtime,
     cx: &'a PhaseCtx,
@@ -275,6 +282,12 @@ struct LiveSub<'a> {
 }
 
 impl Submitter<Work> for LiveSub<'_> {
+    /// # Panics
+    ///
+    /// If a message-coupled spec comes without its endpoint, or a
+    /// checksum spec outside a checksum phase: [`crate::elaborate`] emits
+    /// neither. A task body panics on a failed transport call, the
+    /// designed unwind of a poisoned or lost-peer world.
     fn submit(&mut self, spec: TaskSpec<Work>) {
         let PhaseCtx {
             comm, plan, bufs, ..
@@ -283,11 +296,10 @@ impl Submitter<Work> for LiveSub<'_> {
             .set(self.batched_items.get() + elaborate::items(&spec) as u64 - 1);
         let builder = self.rt.task().label(spec.label).priority(spec.priority);
         let sh = Arc::clone(&self.shared);
+        let g = sh.vars.len();
         let task = match spec.work {
             Work::Recv { msg } => {
-                let d = plan.msgs[msg].dir.index();
-                let r = &spec.accesses[0].region;
-                let slice = bufs.recv[d].slice(r.start..r.end);
+                let slice = bufs.span(&plan.msgs[msg], Inbound, g);
                 let intent = spec.comm.as_ref().expect("recv spec has an endpoint");
                 let (src, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
@@ -296,29 +308,21 @@ impl Submitter<Work> for LiveSub<'_> {
                 })
             }
             Work::Pack { msg, transfer } => {
-                let r = &spec.accesses[1].region;
-                let slice = bufs.send[plan.msgs[msg].dir.index()].slice(r.start..r.end);
                 // A pack with an endpoint fills its whole message and sends
                 // it as well.
-                let send = (spec.comm.as_ref()).map(|i| (Arc::clone(comm), i.peer, i.tag));
+                let send = (spec.comm.as_ref()).map(|i| {
+                    let slice = bufs.span(&plan.msgs[msg], Outbound, g);
+                    (Arc::clone(comm), slice, i.peer, i.tag)
+                });
                 builder.body_fn(move || {
-                    let t = &sh.plan.msgs[msg].transfers[transfer];
-                    let src = &sh.blocks[t.src_pos];
-                    slice.with_write(|dst| {
-                        pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
-                    });
-                    if let Some((comm, dst, tag)) = &send {
-                        tampi::isend_from(comm, &slice, *dst, *tag).expect("pack task")
+                    sh.pack(msg, transfer);
+                    if let Some((comm, slice, dst, tag)) = &send {
+                        tampi::isend_from(comm, slice, *dst, *tag).expect("pack task")
                     }
                 })
             }
             Work::Send { msg } => {
-                let d = plan.msgs[msg].dir.index();
-                // The message span is the union of its packed sections
-                // (they tile it contiguously).
-                let lo = spec.accesses.iter().map(|a| a.region.start).min().unwrap();
-                let hi = spec.accesses.iter().map(|a| a.region.end).max().unwrap();
-                let slice = bufs.send[d].slice(lo..hi);
+                let slice = bufs.span(&plan.msgs[msg], Outbound, g);
                 let intent = spec.comm.as_ref().expect("send spec has an endpoint");
                 let (dst, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
@@ -330,14 +334,13 @@ impl Submitter<Work> for LiveSub<'_> {
             }
             Work::Boundaries { fills } => builder.body_fn(move || sh.boundaries(fills.clone())),
             Work::Unpack { msg, transfer } => {
-                let r = &spec.accesses[0].region;
-                let slice = bufs.recv[plan.msgs[msg].dir.index()].slice(r.start..r.end);
                 // An unpack with an endpoint empties its whole message and
                 // receives it too, from its on-ready gate.
                 let builder = match &spec.comm {
                     Some(intent) => {
                         let (src, tag) = (intent.peer as i32, intent.tag);
-                        let (comm, slice) = (Arc::clone(comm), slice.clone());
+                        let slice = bufs.span(&plan.msgs[msg], Inbound, g);
+                        let comm = Arc::clone(comm);
                         builder.on_ready(move |gate| {
                             tampi::irecv_on_ready(&comm, slice.clone(), src, tag, gate)
                                 .expect("unpack gate")
@@ -345,13 +348,7 @@ impl Submitter<Work> for LiveSub<'_> {
                     }
                     None => builder,
                 };
-                builder.body_fn(move || {
-                    let t = &sh.plan.msgs[msg].transfers[transfer];
-                    let dst = &sh.blocks[t.dst_pos];
-                    slice.with_read(|payload| {
-                        unpack_transfer(&sh.layout, dst, t, sh.vars.clone(), payload)
-                    });
-                })
+                builder.body_fn(move || sh.unpack(msg, transfer))
             }
             Work::Stencils { blocks } => builder.body_fn(move || sh.stencils(blocks.clone())),
             Work::ChecksumLocals { slots } => {
@@ -375,6 +372,12 @@ impl Submitter<Work> for LiveSub<'_> {
 /// The taskified block mover of §IV-B: pack/send and receive/unpack are
 /// tasks bound through the task-aware layer; `finish` closes the
 /// parallelism before the exchange function returns.
+///
+/// # Panics
+///
+/// A task body panics on a failed transport call: the designed unwind of
+/// a poisoned or lost-peer world, which `elastic::run_segment` turns into
+/// a [`crate::RunError`].
 struct TaskMover<'a> {
     rt: &'a Runtime,
 }

@@ -21,11 +21,12 @@
 //! `GRAIN_ELEMS` elements of work, a protected chunk declaring the union
 //! of its members' accesses exactly as a data-flow batch does.
 
+use crate::comm_plan::Endpoint::{Inbound, Outbound};
 use crate::comm_plan::MsgPlan;
 use crate::config::Config;
 use crate::elaborate::{block_batches, copy_batches, fill_batches, grain_batches, union_accesses};
 use crate::exchange::{run_refinement, BlockingMover};
-use crate::rank::{pack_transfer_into, unpack_transfer, RankState};
+use crate::rank::RankState;
 use crate::stats::RunStats;
 use crate::variant::{
     elab_ctx, fold_task_counts, rank_runtime, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared,
@@ -36,7 +37,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
-use taskrt::{Access, Region, Runtime};
+use taskrt::{Access, Runtime};
 use vmpi::{Comm, RequestSet};
 
 /// Parallel phases on a worker pool, each closed by a barrier.
@@ -76,13 +77,18 @@ impl ForkJoin {
 impl Exec for ForkJoin {
     /// Master-thread MPI, parallel pack/copy/unpack sub-phases each
     /// closed by a barrier.
+    ///
+    /// # Panics
+    ///
+    /// On a failed transport call: the designed unwind of a poisoned or
+    /// lost-peer world, which `elastic::run_segment` turns into a
+    /// [`crate::RunError`].
     fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>) {
         let PhaseCtx {
             state,
             comm,
             plan,
             bufs,
-            ..
         } = cx;
         let rt = &self.rt;
         let g = vars.len();
@@ -90,37 +96,22 @@ impl Exec for ForkJoin {
         let objs = sh.objs();
         let elab = elab_ctx(cx, &objs);
         for dir in Dir::ALL {
-            let d = dir.index();
-            let inbound: Vec<(usize, &MsgPlan)> = (plan.msgs.iter().enumerate())
-                .filter(|(_, m)| m.dir == dir && m.dst_rank == state.rank)
-                .collect();
+            let inbound: Vec<_> = plan.in_dir(state.rank, dir, Inbound).collect();
             let mut reqs = Vec::with_capacity(inbound.len());
             for (_, m) in &inbound {
-                let lo = m.recv_offset * g;
-                let slice = bufs.recv[d].slice(lo..lo + m.elems_per_var * g);
                 reqs.push(
-                    comm.irecv_into(slice, m.src_rank as i32, m.tag)
+                    comm.irecv_into(bufs.span(m, Inbound, g), m.src_rank as i32, m.tag)
                         .expect("post recv"),
                 );
             }
 
             // Parallel pack (read-only on blocks, disjoint buffer sections).
-            let outbound: Vec<(usize, &MsgPlan)> = (plan.msgs.iter().enumerate())
-                .filter(|(_, m)| m.dir == dir && m.src_rank == state.rank)
-                .collect();
+            let outbound: Vec<_> = plan.in_dir(state.rank, dir, Outbound).collect();
             for &(mi, m) in &outbound {
                 for chunk in face_chunks(m, g) {
-                    let (sh, send, faces) =
-                        (Arc::clone(&sh), Arc::clone(&bufs.send[d]), chunk.clone());
+                    let (sh, faces) = (Arc::clone(&sh), chunk.clone());
                     self.spawn_chunk("pack", &chunk, Vec::new(), move || {
-                        let m = &sh.plan.msgs[mi];
-                        for t in &m.transfers[faces] {
-                            let lo = (m.send_offset + t.offset_in_msg) * g;
-                            let src = &sh.blocks[t.src_pos];
-                            send.slice(lo..lo + t.elems_per_var * g).with_write(|dst| {
-                                pack_transfer_into(&sh.layout, src, t, sh.vars.clone(), dst)
-                            });
-                        }
+                        faces.for_each(|ti| sh.pack(mi, ti))
                     });
                 }
             }
@@ -128,10 +119,8 @@ impl Exec for ForkJoin {
 
             // Master sends.
             for (_, m) in &outbound {
-                let lo = m.send_offset * g;
-                let slice = bufs.send[d].slice(lo..lo + m.elems_per_var * g);
                 let req = comm
-                    .isend_from(&slice, m.dst_rank, m.tag)
+                    .isend_from(&bufs.span(m, Outbound, g), m.dst_rank, m.tag)
                     .expect("send faces");
                 // Keep the request alive; completion is awaited below.
                 reqs.push(req);
@@ -168,29 +157,12 @@ impl Exec for ForkJoin {
                 arrived += 1;
                 let (mi, m) = inbound[idx];
                 for chunk in face_chunks(m, g) {
-                    let mut deps = Vec::with_capacity(2 * chunk.len());
-                    for t in &m.transfers[chunk.clone()] {
-                        let lo = (m.recv_offset + t.offset_in_msg) * g;
-                        let section = lo..lo + t.elems_per_var * g;
-                        deps.push(Access::read(Region::new(bufs.recv_obj[d], section)));
-                        deps.push(Access::read_write(Region::new(
-                            objs[t.dst_pos],
-                            state.layout.var_elem_range(vars.clone()),
-                        )));
-                    }
-                    let deps = union_accesses(deps);
-                    let (sh, recv, faces) =
-                        (Arc::clone(&sh), Arc::clone(&bufs.recv[d]), chunk.clone());
-                    self.spawn_chunk("unpack", &chunk, deps, move || {
-                        let m = &sh.plan.msgs[mi];
-                        for t in &m.transfers[faces] {
-                            let lo = (m.recv_offset + t.offset_in_msg) * g;
-                            let dst = &sh.blocks[t.dst_pos];
-                            recv.slice(lo..lo + t.elems_per_var * g)
-                                .with_read(|payload| {
-                                    unpack_transfer(&sh.layout, dst, t, sh.vars.clone(), payload)
-                                });
-                        }
+                    let deps = (chunk.clone())
+                        .flat_map(|ti| elab.unpack_accesses(m, ti, bufs.recv_obj, &vars, false))
+                        .collect();
+                    let (sh, faces) = (Arc::clone(&sh), chunk.clone());
+                    self.spawn_chunk("unpack", &chunk, union_accesses(deps), move || {
+                        faces.for_each(|ti| sh.unpack(mi, ti))
                     });
                 }
             }

@@ -20,19 +20,19 @@ pub mod dataflow;
 pub mod fork_join;
 pub mod mpi_only;
 
-use crate::comm_plan::CommPlan;
+use crate::comm_plan::{BufferLayout, CommPlan, Endpoint, MsgPlan};
 use crate::config::{Config, Variant};
 use crate::elaborate::ElabCtx;
 use crate::elastic::{RunCtx, SpanStart};
 use crate::exchange::{self, run_refinement, BlockingMover, RefineJob};
-use crate::rank::{apply_boundary, local_transfer, RankState};
+use crate::rank::{apply_boundary, local_transfer, pack_transfer_into, unpack_transfer, RankState};
 use crate::skeleton::{self, Step};
 use crate::stats::{RunStats, Stopwatch};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::stencil::StencilKind;
 use amr_mesh::{BlockId, Object};
 use parking_lot::Mutex;
-use shmem::SharedBuffer;
+use shmem::{BufSlice, SharedBuffer};
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{Access, ObjId, Runtime, TraceScope};
@@ -43,18 +43,17 @@ use vmpi::Comm;
 pub(crate) struct PhaseCtx {
     pub state: RankState,
     pub comm: Arc<Comm>,
-    /// Shared with the task bodies of the hybrid executors.
+    /// Shared with the task bodies of the hybrid executors, as are the
+    /// buffers.
     pub plan: Arc<CommPlan>,
-    pub bufs: Buffers,
+    pub bufs: Arc<Buffers>,
 }
 
 /// The communication plan and buffers of the current mesh.
-fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Buffers) {
-    let cfg = &state.cfg;
-    let plan = CommPlan::build(cfg, &state.dir, state.n_ranks);
-    let gmax = cfg.var_group(0).len();
-    let bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
-    (Arc::new(plan), bufs)
+fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Arc<Buffers>) {
+    let plan = CommPlan::build(&state.cfg, &state.dir, state.n_ranks);
+    let bufs = Buffers::alloc(&plan, state.rank, BufferLayout::of(&state.cfg));
+    (Arc::new(plan), Arc::new(bufs))
 }
 
 /// What the task bodies of one phase call of a hybrid executor run on:
@@ -64,6 +63,7 @@ fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Buffers) {
 /// clone and no allocation.
 pub(crate) struct PhaseShared {
     pub plan: Arc<CommPlan>,
+    pub bufs: Arc<Buffers>,
     /// The rank's block handles in id order (the order the plan's
     /// positions index).
     pub blocks: Vec<BlockData>,
@@ -76,6 +76,7 @@ impl PhaseShared {
     pub(crate) fn new(cx: &PhaseCtx, vars: Range<usize>) -> Arc<PhaseShared> {
         Arc::new(PhaseShared {
             plan: Arc::clone(&cx.plan),
+            bufs: Arc::clone(&cx.bufs),
             blocks: cx.state.local_blocks(),
             layout: cx.state.layout,
             vars,
@@ -88,6 +89,29 @@ impl PhaseShared {
         (self.blocks.iter())
             .map(|b| crate::block_obj(b.uid))
             .collect()
+    }
+
+    /// Packs transfer `ti` of message `mi` from its source block into its
+    /// section of the send buffer: the one pack of every executor.
+    pub(crate) fn pack(&self, mi: usize, ti: usize) {
+        let m = &self.plan.msgs[mi];
+        let t = &m.transfers[ti];
+        let section = self
+            .bufs
+            .section(m, ti, Endpoint::Outbound, self.vars.len());
+        let src = &self.blocks[t.src_pos];
+        section.with_write(|out| pack_transfer_into(&self.layout, src, t, self.vars.clone(), out));
+    }
+
+    /// Unpacks transfer `ti` of message `mi` out of its section of the
+    /// receive buffer into its destination's ghost plane.
+    pub(crate) fn unpack(&self, mi: usize, ti: usize) {
+        let m = &self.plan.msgs[mi];
+        let t = &m.transfers[ti];
+        let section = self.bufs.section(m, ti, Endpoint::Inbound, self.vars.len());
+        let dst = &self.blocks[t.dst_pos];
+        section
+            .with_read(|payload| unpack_transfer(&self.layout, dst, t, self.vars.clone(), payload));
     }
 
     /// Runs a batch of `plan.locals` in index order.
@@ -390,16 +414,12 @@ pub(crate) fn run_span(
     (stats, next)
 }
 
-/// Per-direction send/receive communication buffers plus their dependency
-/// object ids.
-///
-/// With `--separate_buffers` each direction gets its own allocation (and
-/// its own dependency object), so communication tasks of different
-/// directions are independent. Without it, one allocation (sized for the
-/// largest direction) is shared — reproducing the reference behavior
-/// where reusing the buffer space serializes the directions through a
-/// *false dependency* (§IV-A).
+/// A rank's per-direction send and receive buffers, their dependency
+/// objects, and the [`BufferLayout`] that placed and sized them: the
+/// slices every executor hands to the transport and to the pack and
+/// unpack come from here.
 pub(crate) struct Buffers {
+    pub layout: BufferLayout,
     pub send: [Arc<SharedBuffer<f64>>; 3],
     pub recv: [Arc<SharedBuffer<f64>>; 3],
     pub send_obj: [ObjId; 3],
@@ -407,37 +427,49 @@ pub(crate) struct Buffers {
 }
 
 impl Buffers {
-    /// Allocates buffers for the current plan. `gmax` is the largest
-    /// variable-group size.
-    pub fn alloc(plan: &CommPlan, rank: usize, gmax: usize, separate: bool) -> Buffers {
-        let (send_elems, recv_elems) = plan.buffer_elems(rank, separate);
-        let mk = |elems: [usize; 3]| -> ([Arc<SharedBuffer<f64>>; 3], [ObjId; 3]) {
-            if separate {
-                let bufs = [
-                    SharedBuffer::new(elems[0] * gmax),
-                    SharedBuffer::new(elems[1] * gmax),
-                    SharedBuffer::new(elems[2] * gmax),
-                ];
-                let objs = [ObjId::fresh(), ObjId::fresh(), ObjId::fresh()];
-                for (buf, obj) in bufs.iter().zip(&objs) {
-                    buf.bind_obj(obj.0);
+    /// Allocates `rank`'s buffers for `plan` as `layout` sizes them, a
+    /// direction that shares its dependency object sharing its allocation.
+    pub fn alloc(plan: &CommPlan, rank: usize, layout: BufferLayout) -> Buffers {
+        let mk = |end: Endpoint| -> ([Arc<SharedBuffer<f64>>; 3], [ObjId; 3]) {
+            let (sizes, objs) = (layout.sizes(plan, rank, end), layout.objs());
+            let new = |d: usize| {
+                let buf = SharedBuffer::new(sizes[d]);
+                buf.bind_obj(objs[d].0);
+                buf
+            };
+            let x = new(0);
+            let [y, z] = [1, 2].map(|d| {
+                if objs[d] == objs[0] {
+                    Arc::clone(&x)
+                } else {
+                    new(d)
                 }
-                (bufs, objs)
-            } else {
-                let buf = SharedBuffer::new(elems[0] * gmax);
-                let obj = ObjId::fresh();
-                buf.bind_obj(obj.0);
-                ([Arc::clone(&buf), Arc::clone(&buf), buf], [obj, obj, obj])
-            }
+            });
+            ([x, y, z], objs)
         };
-        let (send, send_obj) = mk(send_elems);
-        let (recv, recv_obj) = mk(recv_elems);
+        let (send, send_obj) = mk(Endpoint::Outbound);
+        let (recv, recv_obj) = mk(Endpoint::Inbound);
         Buffers {
+            layout,
             send,
             recv,
             send_obj,
             recv_obj,
         }
+    }
+
+    /// Where `m` of a group of `g` variables sits in `end`'s buffer.
+    pub fn span(&self, m: &MsgPlan, end: Endpoint, g: usize) -> BufSlice<f64> {
+        self.of(m, end).slice(self.layout.span(m, end, g))
+    }
+
+    /// Where transfer `ti` of `m` sits in `end`'s buffer.
+    pub fn section(&self, m: &MsgPlan, ti: usize, end: Endpoint, g: usize) -> BufSlice<f64> {
+        self.of(m, end).slice(self.layout.section(m, ti, end, g))
+    }
+
+    fn of(&self, m: &MsgPlan, end: Endpoint) -> &Arc<SharedBuffer<f64>> {
+        &[&self.recv, &self.send][end as usize][m.dir.index()]
     }
 }
 
@@ -457,6 +489,12 @@ pub(crate) fn packed_id(id: &BlockId) -> u64 {
 /// therefore [`crate::stats::RunStats::checksum_digest`]) are bitwise
 /// identical across rank counts, load balancers, and elastic resizes.
 /// That invariance is the backbone of the elastic-mode digest guarantee.
+///
+/// # Panics
+///
+/// On a failed collective: the designed unwind of a poisoned or lost-peer
+/// world. In debug builds, unless `per_block` holds one vector of `nv`
+/// sums per id (the caller's slots are per block, over all variables).
 pub(crate) fn checksum_remote_blocks(
     comm: &Comm,
     ids: &[BlockId],

@@ -9,13 +9,10 @@
 //! keeps its no-op default, and so does [`Exec::refine`] (blocking moves,
 //! serial split/merge jobs).
 
-use crate::comm_plan::MsgPlan;
-use crate::rank::{
-    apply_boundary, local_transfer, pack_transfer_into, transfer_payload_elems, unpack_transfer,
-};
-use crate::variant::{Exec, PhaseCtx, SumSlots};
+use crate::comm_plan::Endpoint::{Inbound, Outbound};
+use crate::rank::{apply_boundary, local_transfer};
+use crate::variant::{Exec, PhaseCtx, PhaseShared, SumSlots};
 use amr_mesh::block_id::Dir;
-use amr_mesh::data::BlockData;
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
@@ -26,28 +23,29 @@ pub(crate) struct Serial;
 
 impl Exec for Serial {
     /// Algorithm 2: per-direction exchange with a waitany consume loop.
+    ///
+    /// # Panics
+    ///
+    /// On a failed transport call: the designed unwind of a poisoned or
+    /// lost-peer world, which `elastic::run_segment` turns into a
+    /// [`crate::RunError`].
     fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>) {
         let PhaseCtx {
             state,
             comm,
             plan,
             bufs,
-            ..
         } = cx;
         let g = vars.len();
-        // The rank's blocks in id order: what the plan's `src_pos`,
-        // `dst_pos` and `pos` index (as the hybrids' `PhaseShared::blocks`).
-        let blocks: Vec<&BlockData> = state.blocks.values().collect();
+        // `sh.blocks` are the rank's blocks in id order: what the plan's
+        // `src_pos`, `dst_pos` and `pos` index.
+        let sh = PhaseShared::new(cx, vars.clone());
         for dir in Dir::ALL {
-            let d = dir.index();
             // Post all receives for this direction.
-            let inbound: Vec<&MsgPlan> =
-                plan.inbound(state.rank).filter(|m| m.dir == dir).collect();
+            let inbound: Vec<_> = plan.in_dir(state.rank, dir, Inbound).collect();
             let mut reqs = Vec::with_capacity(inbound.len());
-            for m in &inbound {
-                let lo = m.recv_offset * g;
-                let hi = lo + m.elems_per_var * g;
-                let slice = bufs.recv[d].slice(lo..hi);
+            for (_, m) in &inbound {
+                let slice = bufs.span(m, Inbound, g);
                 reqs.push(
                     comm.irecv_into(slice, m.src_rank as i32, m.tag)
                         .expect("post recv"),
@@ -57,27 +55,12 @@ impl Exec for Serial {
             // Pack straight into the send buffer sections and send — no
             // intermediate payload vector.
             let mut send_reqs = Vec::new();
-            for m in plan.outbound(state.rank).filter(|m| m.dir == dir) {
-                for t in &m.transfers {
-                    let lo = (m.send_offset + t.offset_in_msg) * g;
-                    let slice = bufs.send[d].slice(lo..lo + transfer_payload_elems(t, g));
-                    obs::phase_span("pack", || {
-                        slice.with_write(|dst| {
-                            pack_transfer_into(
-                                &state.layout,
-                                blocks[t.src_pos],
-                                t,
-                                vars.clone(),
-                                dst,
-                            )
-                        })
-                    });
+            for (mi, m) in plan.in_dir(state.rank, dir, Outbound) {
+                for ti in 0..m.transfers.len() {
+                    obs::phase_span("pack", || sh.pack(mi, ti));
                 }
-                let lo = m.send_offset * g;
-                let hi = lo + m.elems_per_var * g;
-                let slice = bufs.send[d].slice(lo..hi);
                 send_reqs.push(
-                    comm.isend_from(&slice, m.dst_rank, m.tag)
+                    comm.isend_from(&bufs.span(m, Outbound, g), m.dst_rank, m.tag)
                         .expect("send faces"),
                 );
             }
@@ -85,28 +68,22 @@ impl Exec for Serial {
             // Intra-process copies, block to block, and domain-boundary
             // fills while messages are in flight.
             for t in &plan.locals[plan.locals_of(state.rank, dir)] {
-                let (src, dst) = (blocks[t.src_pos], blocks[t.dst_pos]);
+                let (src, dst) = (&sh.blocks[t.src_pos], &sh.blocks[t.dst_pos]);
                 obs::phase_span("local_copy", || {
                     local_transfer(&state.layout, src, dst, t, vars.clone())
                 });
             }
             for b in &plan.boundaries[plan.boundaries_of(state.rank, dir)] {
-                apply_boundary(&state.layout, blocks[b.pos], b.dir, b.side, vars.clone());
+                let block = &sh.blocks[b.pos];
+                apply_boundary(&state.layout, block, b.dir, b.side, vars.clone());
             }
 
             // Waitany loop: unpack each message as it arrives.
             let mut set = RequestSet::new(reqs);
             while let Some((idx, _status)) = obs::phase_span("wait", || set.waitany()) {
-                let m = inbound[idx];
-                for t in &m.transfers {
-                    let lo = (m.recv_offset + t.offset_in_msg) * g;
-                    let slice = bufs.recv[d].slice(lo..lo + transfer_payload_elems(t, g));
-                    let dst = blocks[t.dst_pos];
-                    obs::phase_span("unpack", || {
-                        slice.with_read(|payload| {
-                            unpack_transfer(&state.layout, dst, t, vars.clone(), payload)
-                        })
-                    });
+                let (mi, m) = inbound[idx];
+                for ti in 0..m.transfers.len() {
+                    obs::phase_span("unpack", || sh.unpack(mi, ti));
                 }
             }
 

@@ -72,7 +72,7 @@ mod tests {
     }
 
     fn ingest(model: &mut Model, rank: usize, rec: Recorder<()>) {
-        model.ingest(rank, rec.stream, &|_| String::new());
+        model.ingest(rank, rec.stream, &|_| String::new(), &|_, _| Vec::new());
     }
 
     #[test]

@@ -132,12 +132,14 @@ pub struct Model {
 
 impl Model {
     /// Ingests one rank's recorded stream. `describe` renders the
-    /// variant-specific work payload into a human site description.
+    /// variant-specific work payload into a human site description, and
+    /// `touches` derives what a task's body touches: its footprint.
     pub fn ingest<W>(
         &mut self,
         rank: usize,
         stream: Vec<Event<W>>,
         describe: &dyn Fn(&W) -> String,
+        touches: &dyn Fn(&TaskSpec<W>, &SchedCtx) -> Vec<Access>,
     ) {
         while self.by_rank.len() <= rank {
             self.by_rank.push(Vec::new());
@@ -149,13 +151,13 @@ impl Model {
                     rank,
                     seq,
                     kind: NodeKind::Task,
+                    footprint: touches(&spec, &ctx),
+                    detail: describe(&spec.work),
                     label: spec.label,
                     priority: spec.priority,
                     accesses: spec.accesses.into_vec(),
                     comm: spec.comm,
-                    footprint: Vec::new(),
                     ctx,
-                    detail: describe(&spec.work),
                 },
                 Event::Barrier(kind, ctx) => {
                     let (kind, label, accesses) = match kind {

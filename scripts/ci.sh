@@ -168,17 +168,21 @@ done
 # Variable groups of uneven size (5 variables in groups of 2, 2, 1): a
 # message's tag and buffer slot are reused at another size by the next
 # group, in order only because the slot's WAR edge serialises the two
-# sends. The tag-size lint used to flag exactly that (exit 97).
-for faces in "" "--send_faces"; do
-  echo "==> sanitized uneven variable groups: dataflow $faces"
-  # shellcheck disable=SC2086
-  san_out="$(timeout 120 "$MINIAMR" --variant dataflow --sanitize --comm_vars 2 \
-      --num_vars 5 --num_tsteps 2 --stages_per_ts 4 $faces 2>&1)"
-  if ! grep -q "depsan: no violations detected" <<<"$san_out"; then
-    echo "sanitized uneven-group run $faces did not report a clean bill" >&2
-    echo "$san_out" >&2
-    exit 1
-  fi
+# sends. The tag-size lint used to flag exactly that (exit 97). Every
+# variant takes its spans and sections from the one buffer layout, and
+# fork-join's unpack chunks declare them, so all three are checked.
+for variant in mpi forkjoin dataflow; do
+  for faces in "" "--send_faces"; do
+    echo "==> sanitized uneven variable groups: $variant $faces"
+    # shellcheck disable=SC2086
+    san_out="$(timeout 120 "$MINIAMR" --variant "$variant" --sanitize --comm_vars 2 \
+        --num_vars 5 --num_tsteps 2 --stages_per_ts 4 $faces 2>&1)"
+    if ! grep -q "depsan: no violations detected" <<<"$san_out"; then
+      echo "sanitized uneven-group run $variant $faces did not report a clean bill" >&2
+      echo "$san_out" >&2
+      exit 1
+    fi
+  done
 done
 
 # Sanitizer regression: the same legacy group-offset bug the watchdog

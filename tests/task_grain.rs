@@ -96,7 +96,7 @@ fn batched_streams_agree_bitwise_and_check_clean() {
         blocks(&unregridded),
         "the mid-run regrid left the mesh as it was"
     );
-    let tweaks: [(&str, Tweak); 6] = [
+    let tweaks: [(&str, Tweak); 7] = [
         ("defaults", &|_| {}),
         ("replay off", &|c| c.replay = false),
         ("delayed checksum", &|c| c.delayed_checksum = true),
@@ -106,6 +106,15 @@ fn batched_streams_agree_bitwise_and_check_clean() {
             c.workers = 3;
             c.delayed_checksum = true;
             c.comm_vars = 3;
+        }),
+        // Groups of 3 and 1 variables in one aggregated message per
+        // neighbour and direction, all directions in one shared buffer:
+        // the smaller group's message sits at the same base as the
+        // larger one's.
+        ("uneven groups, aggregated, shared buffer", &|c| {
+            c.comm_vars = 3;
+            c.send_faces = false;
+            c.separate_buffers = false;
         }),
     ];
     for (name, tweak) in tweaks {

@@ -8,7 +8,7 @@
 //! divergence indicates a race, a lost/duplicated message, or a missing
 //! task dependency.
 
-use miniamr::{Config, Variant};
+use miniamr::{Config, RunError, Variant};
 use vmpi::NetworkModel;
 
 fn checksums_of(cfg: &Config, variant: Variant, net: NetworkModel) -> Vec<Vec<f64>> {
@@ -133,6 +133,30 @@ fn capacity_limited_exchange_still_converges() {
     unlimited.max_blocks = usize::MAX;
     let b = checksums_of(&unlimited, Variant::MpiOnly, NetworkModel::instant());
     assert_eq!(a, b, "capacity-limited exchange changed results");
+}
+
+/// A cap below what the load balance hands a rank stops the run with an
+/// error before the first exchange round, on every variant, instead of a
+/// thousand NACKed rounds and a panic.
+#[test]
+fn over_capacity_exchange_is_an_error() {
+    let mut cfg = base_cfg();
+    cfg.max_blocks = 4;
+    for variant in [Variant::MpiOnly, Variant::ForkJoin, Variant::DataFlow] {
+        cfg.variant = variant;
+        let n = cfg.params.num_ranks();
+        let opts = miniamr::ElasticOpts::default();
+        let err = miniamr::elastic::run(&cfg, n, NetworkModel::instant(), &opts)
+            .expect_err("a rank over --max_blocks must stop the run");
+        let RunError::OverCapacity {
+            blocks, max_blocks, ..
+        } = err
+        else {
+            panic!("{variant:?}: {err:?}");
+        };
+        assert!(blocks > max_blocks && max_blocks == 4, "{err}");
+        assert_eq!(err.exit_code(), 2, "a rejected scenario");
+    }
 }
 
 #[test]
