@@ -455,6 +455,9 @@ fn main() {
     let mut finished = Vec::new();
     let mut first_failure: Option<RunError> = None;
     for (j, handle) in handles.into_iter().enumerate() {
+        // A job's run returns every lost peer, poisoned world and bad
+        // checkpoint as its `RunError`, and re-raises only a panic that
+        // is none of these: a bug, reported as one (exit 101).
         match handle.join().expect("job thread panicked") {
             Ok(stats) => {
                 if let (true, Some(s0)) = (jobs > 1, stats.first()) {

@@ -147,6 +147,12 @@ pub struct CommPlan {
 
 impl CommPlan {
     /// Builds the plan for the current mesh.
+    ///
+    /// # Panics
+    ///
+    /// Never on any directory: the one `expect` draws a group's `n`
+    /// transfers into `n_msgs` chunks bounded at `n * c / n_msgs`, which
+    /// tile `0..n` exactly, so the transfer iterator cannot run dry.
     pub fn build(cfg: &Config, dir_map: &MeshDirectory, n_ranks: usize) -> CommPlan {
         let layout = BlockLayout::of(&cfg.params);
         let mut plan = CommPlan {

@@ -292,6 +292,11 @@ impl RunCtx {
     /// progress at different speeds around a fault, so the newest common
     /// timestep is the coordinated recovery point. A ring may still hold
     /// snapshots of the world before a planned resize; they do not count.
+    ///
+    /// # Panics
+    ///
+    /// Never: `common_ts` comes from the intersection of every rank's
+    /// snapshot timesteps, so each rank's lookup of it succeeds.
     fn common_boundary(&self, n: usize) -> Option<Vec<BoundarySnap>> {
         let reg = self.boundaries.lock();
         let per_rank: Vec<Vec<&BoundarySnap>> = (0..n)
@@ -457,6 +462,15 @@ fn run_segment(
 /// world's per-rank statistics, or why the run stopped early. With an
 /// empty plan this is one segment over the whole run — what
 /// [`crate::run_world`] wraps.
+///
+/// # Panics
+///
+/// Unless `n_ranks` is the rank grid's size and every resize event names
+/// a timestep and a rank count of at least 1: the caller's contract,
+/// which the CLI checks before it calls. Never on the lookup of a resize
+/// point's size: a segment that ends before the last timestep ends at the
+/// smallest pending event timestep, so an event at its end exists. A
+/// poisoned world or a lost peer is a [`RunError`], not a panic.
 pub fn run(
     cfg: &Config,
     n_ranks: usize,

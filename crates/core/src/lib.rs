@@ -16,12 +16,13 @@
 //! plan and timestep loop ([`variant`]'s `run_span`, Algorithm 1 written
 //! once), differing only in the executor that orchestrates each phase:
 //!
-//! * [`variant::mpi_only`] — the reference: one rank per core, serial
-//!   execution inside each rank, non-blocking sends/receives with the
-//!   `waitany` consume loop of Algorithm 2.
-//! * [`variant::fork_join`] — MPI + OpenMP-style: computation phases are
-//!   parallel loops over blocks/faces, each closed by a barrier; all
-//!   communication stays on the main thread.
+//! * [`variant::fork_join`] without a worker pool — MPI-only, the
+//!   reference: one rank per core, serial execution inside each rank,
+//!   non-blocking sends/receives with the `waitany` consume loop of
+//!   Algorithm 2.
+//! * [`variant::fork_join`] with a pool — MPI + OpenMP-style: the same
+//!   master-thread loop, its computation phases run as parallel loops
+//!   over blocks/faces, each closed by a barrier.
 //! * [`variant::dataflow`] — the paper's contribution (Algorithms 3, 4):
 //!   every phase is decomposed into tasks connected by region
 //!   dependencies; communication tasks bind in-flight transfers through
@@ -124,8 +125,12 @@ pub(crate) fn run_rank_span(
 /// # Panics
 ///
 /// With the [`RunError`]'s report if the run stops early: under a
-/// [`Config::chaos`] plan, on an unrecoverable peer. Call
-/// [`elastic::run`] to get the error instead.
+/// [`Config::chaos`] plan, on an unrecoverable peer, or when the block
+/// exchange would overfill [`Config::max_blocks`]. This is the
+/// convenience's contract, not an invariant: tests, examples and the
+/// bench run scenarios they expect to finish and fail loudly if one does
+/// not. The CLI calls [`elastic::run`], which returns the error instead,
+/// so CLI input never reaches this panic.
 pub fn run_world(cfg: &Config, n_ranks: usize, net: NetworkModel) -> Vec<RunStats> {
     elastic::run(cfg, n_ranks, net, &ElasticOpts::default()).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -12,7 +12,6 @@ use crate::skeleton::Walk;
 use amr_mesh::block_id::{Dir, Side};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::face;
-use amr_mesh::stencil::apply_stencil;
 use amr_mesh::{checksum, BlockId, MeshDirectory};
 use shmem::BufferPool;
 use std::collections::BTreeMap;
@@ -97,31 +96,17 @@ impl RankState {
     }
 
     /// Looks up a local block handle.
+    ///
+    /// # Panics
+    ///
+    /// If this rank does not own `id`. Callers ask for ids the directory
+    /// assigns to this rank, and `blocks` holds exactly those: the
+    /// initial refinement, every regrid and every checkpoint restore
+    /// change the two together.
     pub fn block(&self, id: &BlockId) -> &BlockData {
         self.blocks
             .get(id)
             .unwrap_or_else(|| panic!("rank {} does not own {:?}", self.rank, id))
-    }
-
-    /// Applies the stencil to one block for a variable group and returns
-    /// the flops executed.
-    pub fn stencil_block(&self, block: &BlockData, vars: Range<usize>) -> u64 {
-        let nvars = vars.len() as u64;
-        apply_stencil(block, &self.layout, self.cfg.stencil, vars);
-        self.layout.cells() as u64 * nvars * self.cfg.stencil.flops_per_cell()
-    }
-
-    /// Per-block checksum contributions in id order: the block ids and
-    /// their per-variable sums, the inputs of the ownership-independent
-    /// global combination (`variant::checksum_remote_blocks`).
-    pub fn block_checksums(&self, vars: Range<usize>) -> (Vec<BlockId>, Vec<Vec<f64>>) {
-        let ids: Vec<BlockId> = self.blocks.keys().copied().collect();
-        let sums: Vec<Vec<f64>> = self
-            .blocks
-            .values()
-            .map(|b| checksum::block_sums(b, &self.layout, vars.clone()))
-            .collect();
-        (ids, sums)
     }
 
     /// Local checksum contribution: per-block per-var sums in id order,
@@ -318,14 +303,5 @@ mod tests {
         }
         let after = state.local_checksum(0..cfg.params.num_vars);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn stencil_reports_flops() {
-        let cfg = Config::smoke_test();
-        let state = RankState::init(&cfg, 0, 2);
-        let b = state.blocks.values().next().unwrap().clone();
-        let flops = state.stencil_block(&b, 0..2);
-        assert_eq!(flops, (4 * 4 * 4) as u64 * 2 * 7);
     }
 }

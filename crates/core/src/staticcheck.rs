@@ -243,10 +243,14 @@ fn footprint(
     vec![access(region)]
 }
 
-/// The serialized variants (MPI-only, fork-join) post communication
-/// blocking from the main thread; every endpoint chains through the
-/// rank's program object, so the model reflects the factual total order.
-/// `group` indexes the variable group.
+/// The serialized variants (MPI-only, fork-join): a blocking stand-in
+/// for their endpoints that checks peer tag and size matching. Each
+/// message's receive or send is a blocking endpoint chained through the
+/// rank's program object in `plan.msgs` order. That is not the live
+/// order: the live loop posts non-blocking, every receive of a direction
+/// before its sends, and chained as blocking endpoints that order would
+/// deadlock (DESIGN.md §15's soundness caveats). `group` indexes the
+/// variable group.
 fn serialized_endpoints(
     ctx: &ElabCtx,
     plan: &CommPlan,

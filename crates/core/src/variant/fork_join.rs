@@ -1,36 +1,35 @@
-//! The MPI + fork-join hybrid executor.
+//! The master-thread executor: MPI-only, and the MPI + fork-join hybrid.
 //!
-//! This mirrors the experimental hybrid in the miniAMR repository that
-//! the paper evaluates (§V): computation phases — stencil, local
-//! checksum, face pack/unpack, intra-process copies, refinement
-//! split/merge copies — are parallelized across worker threads, but every
-//! phase ends in a barrier and **all MPI communication stays on the main
-//! thread**. Phases never overlap; communication is serialized. That is
-//! precisely the structural limitation the data-flow variant removes.
-//! Because each phase closes its own barrier, the rank is quiescent
-//! whenever the shared loop regains control and [`Exec::wait`] keeps its
-//! no-op default.
+//! All communication stays on the rank's own thread, Algorithm 2: per
+//! direction post the receives, pack and send, do the intra-process
+//! copies and boundary fills while messages fly, then a `waitany` loop
+//! unpacks messages as they arrive and a final wait drains the sends
+//! (§II-A). Every phase has completed when its call returns, so
+//! [`Exec::wait`] keeps its no-op default.
 //!
-//! Parallel loops whose iterations may touch the same block (local
-//! copies, unpack) run as dependency-protected tasks instead of a raw
-//! static `for` — same barrier semantics, but safe under this runtime's
-//! dynamic race checking.
+//! The two variants differ only in who runs a chunk of work. MPI-only
+//! runs it inline on the rank's thread. Fork-join mirrors the
+//! experimental hybrid of the miniAMR repository the paper evaluates
+//! (§V): it spawns the chunk on a worker pool and closes each sub-phase
+//! with a barrier, so phases never overlap and communication stays
+//! serialized, the structural limitation the data-flow variant removes.
+//! Chunks that may touch the same block (local copies, boundary fills,
+//! unpacks) declare their accesses, which keeps them safe under the
+//! runtime's dynamic race checking; MPI-only builds no access list.
 //!
-//! Every parallel loop is chunked by the grain rule of the shared
-//! elaboration ([`grain_batches`]): one task per chunk of at least
-//! `GRAIN_ELEMS` elements of work, a protected chunk declaring the union
-//! of its members' accesses exactly as a data-flow batch does.
+//! Every loop is chunked by the grain rule of the shared elaboration
+//! ([`grain_batches`]): one chunk per at least `GRAIN_ELEMS` elements of
+//! work, a protected chunk declaring the union of its members' accesses
+//! exactly as a data-flow batch does.
 
 use crate::comm_plan::Endpoint::{Inbound, Outbound};
 use crate::comm_plan::MsgPlan;
-use crate::config::Config;
 use crate::elaborate::{block_batches, copy_batches, fill_batches, grain_batches, union_accesses};
-use crate::exchange::{run_refinement, BlockingMover};
+use crate::exchange::{run_jobs_serially, run_refinement, BlockingMover};
 use crate::rank::RankState;
 use crate::stats::RunStats;
 use crate::variant::{
-    elab_ctx, fold_task_counts, rank_runtime, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared,
-    SumSlots,
+    elab_ctx, fold_task_counts, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared, SumSlots,
 };
 use amr_mesh::block_id::Dir;
 use parking_lot::Mutex;
@@ -40,43 +39,54 @@ use std::sync::Arc;
 use taskrt::{Access, Runtime};
 use vmpi::{Comm, RequestSet};
 
-/// Parallel phases on a worker pool, each closed by a barrier.
+/// Master-thread MPI with serial or fork-join compute phases.
 pub(crate) struct ForkJoin {
-    rt: Runtime,
+    /// The worker pool; `None` is MPI-only.
+    rt: Option<Runtime>,
     /// Members of chunks beyond the first (see `DataFlow::batched_items`).
     batched_items: Cell<u64>,
 }
 
 impl ForkJoin {
-    pub(crate) fn new(cfg: &Config, rank: usize) -> ForkJoin {
-        // Fork-join opens no trace scopes; keep the replay machinery inert.
+    /// Fork-join on `rt`'s workers, or MPI-only without a pool.
+    pub(crate) fn new(rt: Option<Runtime>) -> ForkJoin {
         ForkJoin {
-            rt: rank_runtime(cfg, rank, false),
+            rt,
             batched_items: Cell::new(0),
         }
     }
 
-    /// Spawns one chunk of a parallel loop, labelled with the phase it
-    /// runs (the data-flow variant's task vocabulary).
-    fn spawn_chunk(
+    /// Runs one chunk of a loop, labelled with the phase it runs (the
+    /// data-flow variant's task vocabulary): inline under a phase span
+    /// without a pool, else as a task declaring `deps`.
+    fn chunk(
         &self,
         label: &'static str,
         chunk: &Range<usize>,
-        deps: Vec<Access>,
+        deps: impl FnOnce() -> Vec<Access>,
         body: impl FnOnce() + Send + 'static,
     ) {
+        let Some(rt) = &self.rt else {
+            return obs::phase_span(label, body);
+        };
         self.batched_items
             .set(self.batched_items.get() + chunk.len() as u64 - 1);
-        (self.rt.task().label(label))
-            .access_list(deps.into())
+        (rt.task().label(label))
+            .access_list(deps().into())
             .body(body)
             .spawn();
+    }
+
+    /// Closes a loop: every chunk has run.
+    fn barrier(&self) {
+        if let Some(rt) = &self.rt {
+            rt.taskwait();
+        }
     }
 }
 
 impl Exec for ForkJoin {
-    /// Master-thread MPI, parallel pack/copy/unpack sub-phases each
-    /// closed by a barrier.
+    /// Algorithm 2: per-direction exchange with a `waitany` consume loop.
     ///
     /// # Panics
     ///
@@ -90,7 +100,6 @@ impl Exec for ForkJoin {
             plan,
             bufs,
         } = cx;
-        let rt = &self.rt;
         let g = vars.len();
         let sh = PhaseShared::new(cx, vars.clone());
         let objs = sh.objs();
@@ -105,110 +114,109 @@ impl Exec for ForkJoin {
                 );
             }
 
-            // Parallel pack (read-only on blocks, disjoint buffer sections).
+            // Pack straight into the send buffer's sections (read-only on
+            // blocks, disjoint sections). A message is sent once its packs
+            // are complete: right after them without a pool (Algorithm 2),
+            // after the pack barrier with one, so that the packs of all
+            // messages run in parallel.
             let outbound: Vec<_> = plan.in_dir(state.rank, dir, Outbound).collect();
+            let send = |m: &MsgPlan| {
+                comm.isend_from(&bufs.span(m, Outbound, g), m.dst_rank, m.tag)
+                    .expect("send faces")
+            };
+            let mut sends = Vec::with_capacity(outbound.len());
             for &(mi, m) in &outbound {
                 for chunk in face_chunks(m, g) {
                     let (sh, faces) = (Arc::clone(&sh), chunk.clone());
-                    self.spawn_chunk("pack", &chunk, Vec::new(), move || {
+                    self.chunk("pack", &chunk, Vec::new, move || {
                         faces.for_each(|ti| sh.pack(mi, ti))
                     });
                 }
+                if self.rt.is_none() {
+                    sends.push(send(m));
+                }
             }
-            rt.taskwait();
+            self.barrier();
+            sends.extend(outbound[sends.len()..].iter().map(|&(_, m)| send(m)));
 
-            // Master sends.
-            for (_, m) in &outbound {
-                let req = comm
-                    .isend_from(&bufs.span(m, Outbound, g), m.dst_rank, m.tag)
-                    .expect("send faces");
-                // Keep the request alive; completion is awaited below.
-                reqs.push(req);
-            }
-            let n_recvs = inbound.len();
-
-            // Intra-process copies: dependency-protected parallel loop.
+            // Intra-process copies, block to block, and domain-boundary
+            // fills while messages are in flight.
             for chunk in copy_batches(plan, state.rank, dir, g) {
-                let deps = elab.local_copy_accesses(plan, chunk.clone(), &vars);
+                let deps = || elab.local_copy_accesses(plan, chunk.clone(), &vars);
                 let (sh, transfers) = (Arc::clone(&sh), chunk.clone());
-                self.spawn_chunk("local_copy", &chunk, deps, move || {
+                self.chunk("local_copy", &chunk, deps, move || {
                     sh.local_copies(transfers)
                 });
             }
-            // Boundary fills join the same protected loop.
             for chunk in fill_batches(plan, &state.layout, state.rank, dir, g) {
-                let deps = elab.boundary_accesses(plan, chunk.clone(), &vars);
+                let deps = || elab.boundary_accesses(plan, chunk.clone(), &vars);
                 let (sh, fills) = (Arc::clone(&sh), chunk.clone());
-                self.spawn_chunk("boundary", &chunk, deps, move || sh.boundaries(fills));
+                self.chunk("boundary", &chunk, deps, move || sh.boundaries(fills));
             }
-            rt.taskwait();
+            self.barrier();
 
-            // Master waits for arrivals; unpack is a protected parallel loop
-            // per arrived message.
+            // Unpack each message as it arrives.
             let mut set = RequestSet::new(reqs);
-            let mut arrived = 0usize;
-            while arrived < n_recvs {
-                let Some((idx, _)) = obs::phase_span("wait", || set.waitany()) else {
-                    break;
-                };
-                if idx >= n_recvs {
-                    continue; // a send completed
-                }
-                arrived += 1;
+            while let Some((idx, _)) = obs::phase_span("wait", || set.waitany()) {
                 let (mi, m) = inbound[idx];
                 for chunk in face_chunks(m, g) {
-                    let deps = (chunk.clone())
-                        .flat_map(|ti| elab.unpack_accesses(m, ti, bufs.recv_obj, &vars, false))
-                        .collect();
+                    let deps = || {
+                        let each = |ti| elab.unpack_accesses(m, ti, bufs.recv_obj, &vars, false);
+                        union_accesses(chunk.clone().flat_map(each).collect())
+                    };
                     let (sh, faces) = (Arc::clone(&sh), chunk.clone());
-                    self.spawn_chunk("unpack", &chunk, union_accesses(deps), move || {
+                    self.chunk("unpack", &chunk, deps, move || {
                         faces.for_each(|ti| sh.unpack(mi, ti))
                     });
                 }
             }
-            rt.taskwait();
-            // Drain the remaining (send) requests before the next direction.
-            set.waitall();
+            self.barrier();
+
+            // Drain the sends before the next direction reuses the buffers.
+            for r in sends {
+                obs::phase_span("wait", || r.wait());
+            }
         }
     }
 
-    /// Parallel stencil sweep with a closing barrier.
     fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>) {
         let sh = PhaseShared::new(cx, vars);
         for chunk in block_batches(&sh.layout, sh.blocks.len(), sh.vars.len()) {
             let (sh, blocks) = (Arc::clone(&sh), chunk.clone());
-            self.spawn_chunk("stencil", &chunk, Vec::new(), move || sh.stencils(blocks));
+            self.chunk("stencil", &chunk, Vec::new, move || sh.stencils(blocks));
         }
-        self.rt.taskwait();
+        self.barrier();
     }
 
-    /// Parallel per-block reduction into per-block slots (block-id
-    /// order); the master performs the global reduction.
+    /// Per-block reductions into per-block slots (block-id order); the
+    /// master performs the global reduction.
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
         let slots: SumSlots = Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()]));
         let sh = PhaseShared::new(cx, 0..nv);
         for chunk in block_batches(&sh.layout, sh.blocks.len(), nv) {
             let (sh, out, blocks) = (Arc::clone(&sh), Arc::clone(&slots), chunk.clone());
-            self.spawn_chunk("checksum_local", &chunk, Vec::new(), move || {
+            self.chunk("checksum_local", &chunk, Vec::new, move || {
                 sh.checksum_locals(blocks, &out)
             });
         }
-        self.rt.taskwait();
+        self.barrier();
         slots
     }
 
+    /// Blocking moves; split/merge jobs serially or as one task each.
     fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
-        run_refinement(
-            state,
-            comm,
-            &mut BlockingMover::default(),
-            &mut |state, jobs| run_jobs_as_tasks(&self.rt, state, jobs, |_| Vec::new()),
-        )
+        let mover = &mut BlockingMover::default();
+        run_refinement(state, comm, mover, &mut |state, jobs| match &self.rt {
+            Some(rt) => run_jobs_as_tasks(rt, state, jobs, |_| Vec::new()),
+            None => run_jobs_serially(state, jobs),
+        })
     }
 
     fn finish(&self, stats: &mut RunStats) {
-        fold_task_counts(stats, self.rt.stats().spawned, self.batched_items.get());
+        if let Some(rt) = &self.rt {
+            fold_task_counts(stats, rt.stats().spawned, self.batched_items.get());
+        }
     }
 }
 

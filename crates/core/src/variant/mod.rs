@@ -8,23 +8,21 @@
 //! [`crate::skeleton::cadence`] onto [`Exec`], which holds everything
 //! that differs:
 //!
-//! * [`mpi_only::Serial`] — Algorithm 2's `waitany` exchange and serial
-//!   sweeps on the rank's own thread.
-//! * [`fork_join::ForkJoin`] — parallel phases, each closed by a
-//!   barrier; all MPI on the master thread.
+//! * [`fork_join`] — Algorithm 2's `waitany` exchange on the rank's own
+//!   thread, with every compute chunk run inline (MPI-only) or on a
+//!   worker pool, each loop closed by a barrier (fork-join).
 //! * [`dataflow::DataFlow`] — Algorithm 3 through [`crate::elaborate`]:
 //!   phases only submit tasks, and the cadence's waits are the only
 //!   barriers.
 
 pub mod dataflow;
 pub mod fork_join;
-pub mod mpi_only;
 
 use crate::comm_plan::{BufferLayout, CommPlan, Endpoint, MsgPlan};
 use crate::config::{Config, Variant};
 use crate::elaborate::ElabCtx;
 use crate::elastic::{RunCtx, SpanStart};
-use crate::exchange::{self, run_refinement, BlockingMover, RefineJob};
+use crate::exchange::RefineJob;
 use crate::rank::{apply_boundary, local_transfer, pack_transfer_into, unpack_transfer, RankState};
 use crate::skeleton::{self, Step};
 use crate::stats::{RunStats, Stopwatch};
@@ -56,8 +54,8 @@ fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Arc<Buffers>) {
     (Arc::new(plan), Arc::new(bufs))
 }
 
-/// What the task bodies of one phase call of a hybrid executor run on:
-/// one `Arc` of it and an index range is all a batch task captures. A
+/// What the chunks and tasks of one phase call run on: one `Arc` of it
+/// and an index range is all a batch captures. A
 /// member's block handles are indexed at run time through the plan's
 /// positions, so a member costs the spawning thread no lookup, no handle
 /// clone and no allocation.
@@ -195,12 +193,8 @@ pub(crate) trait Exec {
     }
 
     /// One refinement phase (split/merge, block exchange, load balance)
-    /// on a quiescent rank; returns the blocks this rank moved. By
-    /// default, blocking moves and serial split/merge jobs.
-    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
-        let mover = &mut BlockingMover::default();
-        run_refinement(state, comm, mover, &mut exchange::run_jobs_serially)
-    }
+    /// on a quiescent rank; returns the blocks this rank moved.
+    fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64;
 
     /// A regrid replaced blocks, plan and buffers.
     fn mesh_changed(&self) {}
@@ -258,8 +252,12 @@ fn rank_runtime(cfg: &Config, rank: usize, replay: bool) -> Runtime {
 /// The executor `cfg.variant` names.
 pub(crate) fn executor(cfg: &Config, rank: usize) -> Box<dyn Exec> {
     match cfg.variant {
-        Variant::MpiOnly => Box::new(mpi_only::Serial),
-        Variant::ForkJoin => Box::new(fork_join::ForkJoin::new(cfg, rank)),
+        Variant::MpiOnly => Box::new(fork_join::ForkJoin::new(None)),
+        Variant::ForkJoin => {
+            // Fork-join opens no trace scopes; keep the replay machinery inert.
+            let rt = rank_runtime(cfg, rank, false);
+            Box::new(fork_join::ForkJoin::new(Some(rt)))
+        }
         Variant::DataFlow => Box::new(dataflow::DataFlow::new(cfg, rank)),
     }
 }
@@ -581,11 +579,12 @@ fn validate(sums: LocalSums, cx: &PhaseCtx, stats: &mut RunStats, prev: &mut Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::{run_jobs_serially, run_refinement, BlockingMover};
     use std::cell::RefCell;
     use vmpi::{NetworkModel, World};
 
     /// Logs what the loop asks of it. Phases do nothing, local sums are
-    /// constant, refinement is [`mpi_only::Serial`]'s.
+    /// constant, refinement is MPI-only's (blocking moves, serial jobs).
     struct Logging {
         log: RefCell<Vec<&'static str>>,
         sums_obj: ObjId,
@@ -617,7 +616,8 @@ mod tests {
         }
         fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
             self.push("refine");
-            mpi_only::Serial.refine(state, comm)
+            let mover = &mut BlockingMover::default();
+            run_refinement(state, comm, mover, &mut run_jobs_serially)
         }
         fn mesh_changed(&self) {
             self.push("mesh_changed");

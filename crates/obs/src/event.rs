@@ -281,7 +281,7 @@ pub enum EventData {
         end_us: u64,
     },
     /// vmpi/taskrt: the calling thread blocked waiting for progress
-    /// (`"request_wait"`, `"waitany"`, `"taskwait"`). Unlike [`Span`]
+    /// (`"request_wait"`, `"waitany"`, `"taskwait"`). Unlike [`EventData::Span`]
     /// these are emitted only when the wait actually parked the thread.
     WaitSpan {
         /// Wait kind name.

@@ -905,7 +905,7 @@ impl crate::Runtime {
     /// without a scope, with `replay` off, and in a scope that is neither
     /// recording nor replaying. A submitter that notes the positions of a
     /// batch of spawns while they are recorded can have the same batch
-    /// re-armed by [`Runtime::replay_tasks`] in later iterations.
+    /// re-armed by [`Self::replay_tasks`] in later iterations.
     pub fn trace_position(&self) -> Option<usize> {
         position(self.inner())
     }

@@ -55,6 +55,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Every intra-doc link must resolve (links to private items only warn).
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+
 # The benchmark ladder is a workspace of its own, so nothing above builds
 # it: compile and test it against the crates, and check that a short run
 # still reproduces its pinned digests.

@@ -4,10 +4,11 @@
 //!
 //! Its own test binary: enabling the bus is process-global and sticky.
 
+use miniamr::comm_plan::EXCHANGE_TAG_BASE;
 use miniamr::{Config, Variant};
 use obs::span::SpanGraph;
 use obs::{Event, EventData};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 use vmpi::NetworkModel;
 
@@ -41,6 +42,123 @@ fn span_kinds(events: &[Event]) -> HashSet<&'static str> {
         .collect()
 }
 
+/// Whether `tag` is a ghost exchange's (not the block exchange's or a
+/// collective's).
+fn is_exchange(tag: i32) -> bool {
+    (0..EXCHANGE_TAG_BASE).contains(&tag)
+}
+
+/// The ghost-exchange pack intervals and send posts of each rank, in
+/// event order: `(true, send time)` or `(false, pack start)`.
+fn packs_and_sends(events: &[Event]) -> BTreeMap<u32, Vec<(bool, u64)>> {
+    let mut by_rank: BTreeMap<u32, Vec<(bool, u64)>> = BTreeMap::new();
+    for ev in events {
+        let entry = match ev.data {
+            EventData::Span {
+                kind: "pack",
+                start_us,
+                ..
+            } => (false, start_us),
+            EventData::SendPosted { tag, .. } if is_exchange(tag) => (true, ev.t_us),
+            _ => continue,
+        };
+        by_rank.entry(ev.rank).or_default().push(entry);
+    }
+    by_rank
+}
+
+/// MPI-only sends each message as soon as its packs are done
+/// (Algorithm 2). Under `--send_faces` a message is one face, packed in
+/// one span, so on every rank packs and sends alternate, and each send
+/// is posted before the next message's pack starts.
+fn assert_send_per_packed_message(events: &[Event]) {
+    let by_rank = packs_and_sends(events);
+    assert!(!by_rank.is_empty(), "MPI-only packed and sent nothing");
+    for (rank, seq) in by_rank {
+        for (i, pair) in seq.windows(2).enumerate() {
+            let [(a_send, a_us), (b_send, b_us)] = [pair[0], pair[1]];
+            assert_ne!(
+                a_send, b_send,
+                "rank {rank}: two packs or two sends in a row at {i}"
+            );
+            assert!(
+                !a_send || a_us <= b_us,
+                "rank {rank}: pack started before a send at {i}"
+            );
+        }
+        assert_eq!(
+            seq.first().map(|e| e.0),
+            Some(false),
+            "rank {rank}: a send before its pack"
+        );
+    }
+}
+
+/// Fork-join closes the packs of a direction with a barrier before it
+/// sends: every `pack` task of an exchange round ends before the round's
+/// first send. A round is one direction of one exchange on the rank's
+/// main thread: its receives, its pack spawns, then its sends.
+fn assert_packs_end_before_sends(events: &[Event]) {
+    // Task ids are per runtime, one runtime per rank.
+    let ends: HashMap<(u32, u64), u64> = (events.iter())
+        .filter_map(|ev| match ev.data {
+            EventData::TaskEnd { id, label: "pack" } => Some(((ev.rank, id), ev.seq)),
+            _ => None,
+        })
+        .collect();
+    /// One rank's current round.
+    #[derive(Default)]
+    struct Round {
+        packs: Vec<u64>,
+        sent: bool,
+        /// The rank's last exchange event was a receive post.
+        receiving: bool,
+    }
+    let mut rounds: HashMap<u32, Round> = HashMap::new();
+    let mut checked = 0;
+    for ev in events {
+        let round = rounds.entry(ev.rank).or_default();
+        match ev.data {
+            // The first receive after other exchange events opens a round.
+            EventData::RecvPosted { tag, .. } if is_exchange(tag) && !round.receiving => {
+                *round = Round {
+                    receiving: true,
+                    ..Round::default()
+                };
+            }
+            EventData::TaskCreated {
+                id, label: "pack", ..
+            } => {
+                // It would end after the send that is already posted.
+                assert!(
+                    !round.sent,
+                    "rank {}: pack task {id} spawned after a send",
+                    ev.rank
+                );
+                round.packs.push(id);
+                round.receiving = false;
+            }
+            EventData::SendPosted { tag, .. } if is_exchange(tag) => {
+                round.receiving = false;
+                if std::mem::replace(&mut round.sent, true) {
+                    continue;
+                }
+                for id in &round.packs {
+                    let end = ends.get(&(ev.rank, *id)).copied().unwrap_or(u64::MAX);
+                    assert!(
+                        end < ev.seq,
+                        "rank {}: pack task {id} ended after the round's first send",
+                        ev.rank
+                    );
+                    checked += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(checked > 0, "fork-join packed nothing before a send");
+}
+
 /// The label of every task that started in `events`.
 fn task_labels(events: &[Event]) -> Vec<&'static str> {
     (events.iter())
@@ -56,7 +174,9 @@ fn trace_capture_works() {
     obs::enable_with_capacity(1 << 18);
 
     // MPI-only runs every phase on the rank's own thread.
-    let kinds = span_kinds(&drained_run(Variant::MpiOnly));
+    let events = drained_run(Variant::MpiOnly);
+    assert_send_per_packed_message(&events);
+    let kinds = span_kinds(&events);
     for kind in ["stencil", "pack", "unpack"] {
         assert!(
             kinds.contains(kind),
@@ -65,7 +185,9 @@ fn trace_capture_works() {
     }
 
     // Fork-join's parallel loops are tasks named like data-flow's.
-    let labels = task_labels(&drained_run(Variant::ForkJoin));
+    let events = drained_run(Variant::ForkJoin);
+    assert_packs_end_before_sends(&events);
+    let labels = task_labels(&events);
     assert!(labels.iter().all(|l| !l.is_empty()), "an unlabelled task");
     for kind in ["stencil", "pack", "unpack"] {
         assert!(labels.contains(&kind), "fork-join has no {kind} task");

@@ -89,6 +89,13 @@ fn batched_streams_agree_bitwise_and_check_clean() {
     };
     let reference = with(Variant::MpiOnly, &|_| {});
     assert!(!reference[0].checksums.is_empty());
+    for s in &reference {
+        assert_eq!(
+            (s.tasks_spawned, s.task_items),
+            (0, 0),
+            "MPI-only spawned tasks"
+        );
+    }
     let blocks = |stats: &[RunStats]| stats.iter().map(|s| s.final_blocks).sum::<usize>();
     let unregridded = with(Variant::MpiOnly, &|c| c.refine_freq = 1000);
     assert_ne!(
