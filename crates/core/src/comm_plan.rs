@@ -52,7 +52,7 @@ pub enum TransferKind {
 }
 
 /// One block-face transfer (possibly rank-local).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaceTransfer {
     /// Owner of the sending block.
     pub src_rank: usize,
@@ -88,7 +88,7 @@ impl FaceTransfer {
 }
 
 /// One cross-rank message: an aggregated, contiguous run of transfers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MsgPlan {
     /// Sending rank.
     pub src_rank: usize,
@@ -150,9 +150,9 @@ impl CommPlan {
     ///
     /// # Panics
     ///
-    /// Never on any directory: the one `expect` draws a group's `n`
-    /// transfers into `n_msgs` chunks bounded at `n * c / n_msgs`, which
-    /// tile `0..n` exactly, so the transfer iterator cannot run dry.
+    /// Never on any directory: a neighbour is an active block, and a
+    /// group's `n` transfers are drawn into `n_msgs` chunks bounded at
+    /// `n * c / n_msgs`, which tile `0..n` exactly.
     pub fn build(cfg: &Config, dir_map: &MeshDirectory, n_ranks: usize) -> CommPlan {
         let layout = BlockLayout::of(&cfg.params);
         let mut plan = CommPlan {
@@ -162,15 +162,14 @@ impl CommPlan {
         };
 
         // Owner of every block and its position in that owner's id-ordered
-        // block list. The position is what a rank's handle and
-        // dependency-object tables are indexed by, so that running a
-        // transfer looks nothing up.
+        // block list, in directory order. The position is what a rank's
+        // handle and dependency-object tables are indexed by, so that
+        // running a transfer looks nothing up.
         let mut owned: Vec<Vec<BlockId>> = vec![Vec::new(); n_ranks];
-        let home: BTreeMap<BlockId, (usize, usize)> = dir_map
-            .iter()
+        let home: Vec<(usize, usize)> = (dir_map.iter())
             .map(|(id, &owner)| {
                 owned[owner].push(*id);
-                (*id, (owner, owned[owner].len() - 1))
+                (owner, owned[owner].len() - 1)
             })
             .collect();
 
@@ -189,7 +188,8 @@ impl CommPlan {
                 for (pos, block) in blocks.iter().enumerate() {
                     for side in Side::BOTH {
                         let mut push = |nb: BlockId, kind: TransferKind, elems_per_var: usize| {
-                            let (src_rank, src_pos) = home[&nb];
+                            let at = dir_map.position(&nb).expect("a neighbour is active");
+                            let (src_rank, src_pos) = home[at];
                             let t = FaceTransfer {
                                 src_rank,
                                 dst_rank: owner,

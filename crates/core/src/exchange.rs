@@ -364,7 +364,8 @@ pub fn balance_moves(
 }
 
 /// The live regrid's hooks: the block exchange at each move list, the
-/// split/merge data ops at each plan. The initial refinement runs them
+/// split/merge data ops at each plan (the `regrid_exchange` and
+/// `regrid_jobs` phases). The initial refinement runs them
 /// without a world (`exchange` is `None`): a uniform mesh only refines,
 /// so it moves no block.
 pub(crate) struct LiveRegrid<'a, 'b> {
@@ -396,7 +397,9 @@ impl RegridHooks for LiveRegrid<'_, '_> {
         if let Some(err) = over_capacity(self.state, moves) {
             std::panic::resume_unwind(Box::new(err));
         }
-        self.moved += exchange_blocks(self.state, comm, moves, *mover);
+        self.moved += obs::phase_span("regrid_exchange", || {
+            exchange_blocks(self.state, comm, moves, *mover)
+        });
     }
 
     /// Runs this rank's split/merge jobs through `run_jobs`. Their sources
@@ -420,7 +423,7 @@ impl RegridHooks for LiveRegrid<'_, '_> {
         for id in &consumed {
             state.blocks.remove(id);
         }
-        let results = (self.run_jobs)(state, jobs);
+        let results = obs::phase_span("regrid_jobs", || (self.run_jobs)(state, jobs));
         state.blocks.extend(results.into_iter().map(|b| (b.id, b)));
     }
 }

@@ -15,8 +15,14 @@ use amr_mesh::Object;
 pub enum Step {
     /// The drained top of timestep `ts`: a boundary snapshot.
     Boundary(usize),
-    /// Timestep `ts` begins.
-    Timestep(usize),
+    /// Timestep `ts` begins. `traced`: another timestep of its mesh epoch
+    /// is in the span, so a trace recorded in it can replay.
+    Timestep {
+        /// The timestep.
+        ts: usize,
+        /// A data-flow rank opens a trace scope over it.
+        traced: bool,
+    },
     /// Per variable group, a ghost exchange then a stencil sweep; stages
     /// are numbered across the run from 1.
     Stage(usize),
@@ -43,6 +49,7 @@ pub enum Step {
 /// `ckpt_freq` (none at 0), a regrid every `refine_freq` timesteps.
 /// `drain_each_ts` starts each timestep drained (boundary snapshots).
 /// Data-flow with `delayed_checksum` validates a point at the next one.
+/// A timestep is traced when the span holds another of its mesh epoch.
 pub fn cadence(cfg: &Config, ts_start: usize, ts_end: usize, drain_each_ts: bool) -> Vec<Step> {
     use Step::*;
     let delayed = cfg.variant == Variant::DataFlow && cfg.delayed_checksum;
@@ -58,7 +65,7 @@ pub fn cadence(cfg: &Config, ts_start: usize, ts_end: usize, drain_each_ts: bool
             }
             steps.push(Boundary(ts));
         }
-        steps.push(Timestep(ts));
+        steps.push(Timestep { ts, traced: false });
         for stage in ts * cfg.stages_per_ts + 1..=(ts + 1) * cfg.stages_per_ts {
             steps.push(Stage(stage));
             if stage.is_multiple_of(cfg.checksum_freq) {
@@ -87,6 +94,17 @@ pub fn cadence(cfg: &Config, ts_start: usize, ts_end: usize, drain_each_ts: bool
     steps.push(Wait);
     if pending {
         steps.push(Flush);
+    }
+    for epoch in steps.split_mut(|s| *s == Regrid) {
+        let n = epoch
+            .iter()
+            .filter(|s| matches!(s, Timestep { .. }))
+            .count();
+        for step in epoch {
+            if let Timestep { traced, .. } = step {
+                *traced = n > 1;
+            }
+        }
     }
     steps
 }
@@ -134,20 +152,25 @@ impl Walk {
 
     /// Each round plans (an empty plan ends the walk on every rank at
     /// once), gathers the plan's merge octets and applies it; the load
-    /// balance comes last.
+    /// balance comes last. The directory work is a `regrid_plan` phase.
     pub fn run(self, h: &mut impl RegridHooks) {
         for _ in 0..self.rounds {
             let (dir, objects) = h.mesh();
-            let plan = dir.plan_refinement(objects);
+            let (plan, gathers) = obs::phase_span("regrid_plan", || {
+                let plan = dir.plan_refinement(objects);
+                let gathers = merge_gather_moves(dir, &plan, 0);
+                (plan, gathers)
+            });
             if plan.is_empty() {
                 break;
             }
-            let gathers = merge_gather_moves(dir, &plan, 0);
             relocate(h, gathers);
             h.plan(&plan);
-            h.mesh().0.apply_plan(&plan);
+            obs::phase_span("regrid_plan", || h.mesh().0.apply_plan(&plan));
         }
-        let moves = balance_moves(h.mesh().0, self.balance, self.n_ranks, 0);
+        let moves = obs::phase_span("regrid_plan", || {
+            balance_moves(h.mesh().0, self.balance, self.n_ranks, 0)
+        });
         relocate(h, moves);
     }
 }
@@ -189,6 +212,38 @@ mod tests {
         let s = steps(&cfg, false);
         assert!(s.contains(&Step::WaitSums));
         assert_eq!(s[s.len() - 2..], [Step::Wait, Step::Flush]);
+    }
+
+    /// The timesteps of `ts_start..ts_end` that open a trace scope.
+    fn traced(refine_freq: usize, ts_start: usize, ts_end: usize) -> Vec<usize> {
+        let cfg = Config {
+            refine_freq,
+            ..Config::smoke_test()
+        };
+        (cadence(&cfg, ts_start, ts_end, false).into_iter())
+            .filter_map(|s| match s {
+                Step::Timestep { ts, traced: true } => Some(ts),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Only a timestep with another of its mesh epoch in the span can
+    /// replay, so only such a timestep is traced.
+    #[test]
+    fn a_timestep_is_traced_when_its_epoch_repeats_in_the_span() {
+        // A regrid after every timestep: no epoch repeats.
+        assert_eq!(traced(1, 0, 8), Vec::<usize>::new());
+        // Two epochs of four.
+        assert_eq!(traced(4, 0, 8), (0..8).collect::<Vec<_>>());
+        // The span ends one timestep into the second epoch.
+        assert_eq!(traced(4, 0, 5), [0, 1, 2, 3]);
+        // Resumed mid-epoch: one timestep of the first, then a full one.
+        assert_eq!(traced(4, 3, 8), [4, 5, 6, 7]);
+        assert_eq!(traced(4, 2, 8), (2..8).collect::<Vec<_>>());
+        // Without regrids the span is one epoch.
+        assert_eq!(traced(0, 0, 2), [0, 1]);
+        assert_eq!(traced(0, 0, 1), Vec::<usize>::new());
     }
 
     #[test]

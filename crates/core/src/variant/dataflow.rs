@@ -210,13 +210,15 @@ impl Exec for DataFlow {
         }
     }
 
-    /// One trace scope per timestep: the first timestep of a mesh epoch
-    /// is recorded, the later ones re-arm its tasks phase call by phase
-    /// call. (Re-arming a whole timestep at once would let stages run past
-    /// an eager checksum's `taskwait` and turn it into a delayed one.)
-    fn timestep_scope(&self) -> Option<TraceScope<'_>> {
+    /// One trace scope per traced timestep: the first timestep of a mesh
+    /// epoch is recorded, the later ones re-arm its tasks phase call by
+    /// phase call. (Re-arming a whole timestep at once would let stages
+    /// run past an eager checksum's `taskwait` and turn it into a delayed
+    /// one.) A timestep alone in its epoch has nothing to replay it, so it
+    /// records nothing.
+    fn timestep(&self, traced: bool) -> Option<TraceScope<'_>> {
         self.next_call.set(0);
-        Some(self.rt.trace_scope(0))
+        traced.then(|| self.rt.trace_scope(0))
     }
 
     /// Refinement taskified like every other phase (§IV-B; the colorful

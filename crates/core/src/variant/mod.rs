@@ -47,11 +47,14 @@ pub(crate) struct PhaseCtx {
     pub bufs: Arc<Buffers>,
 }
 
-/// The communication plan and buffers of the current mesh.
+/// The communication plan and buffers of the current mesh: the
+/// `regrid_rebuild` phase.
 fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Arc<Buffers>) {
-    let plan = CommPlan::build(&state.cfg, &state.dir, state.n_ranks);
-    let bufs = Buffers::alloc(&plan, state.rank, BufferLayout::of(&state.cfg));
-    (Arc::new(plan), Arc::new(bufs))
+    obs::phase_span("regrid_rebuild", || {
+        let plan = CommPlan::build(&state.cfg, &state.dir, state.n_ranks);
+        let bufs = Buffers::alloc(&plan, state.rank, BufferLayout::of(&state.cfg));
+        (Arc::new(plan), Arc::new(bufs))
+    })
 }
 
 /// What the chunks and tasks of one phase call run on: one `Arc` of it
@@ -187,8 +190,9 @@ pub(crate) trait Exec {
     /// they return have nothing to wait for.
     fn wait(&self, _on: Option<ObjId>) {}
 
-    /// Guard held over one timestep's submissions (the replay scope).
-    fn timestep_scope(&self) -> Option<TraceScope<'_>> {
+    /// A timestep begins; the guard held over its submissions (the replay
+    /// scope), opened only when it is `traced`.
+    fn timestep(&self, _traced: bool) -> Option<TraceScope<'_>> {
         None
     }
 
@@ -327,7 +331,7 @@ pub(crate) fn run_span(
         match step {
             // Only taken when a shrink recovery may need to rewind.
             Step::Boundary(t) => ctx.boundary(&cx.state, &stats, mesh_epoch, &prev_checksum, t),
-            Step::Timestep(ts) => {
+            Step::Timestep { ts, traced } => {
                 // Rank-0 marks delimit the perf analyzer's per-timestep
                 // windows.
                 if let Some(bus) = obs::bus() {
@@ -336,7 +340,7 @@ pub(crate) fn run_span(
                         obs::EventData::TimestepMark { tstep: ts as u32 },
                     );
                 }
-                ts_scope = exec.timestep_scope();
+                ts_scope = exec.timestep(traced);
             }
             Step::Stage(_) => {
                 for g in 0..cfg.num_groups() {

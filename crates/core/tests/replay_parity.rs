@@ -156,3 +156,20 @@ fn rearmed_fine_mesh_matches_mpi_only_under_every_option() {
         assert_eq!(df[0].checksums.len(), mpi[0].checksums.len(), "{name}");
     }
 }
+
+/// A timestep alone in its mesh epoch has nothing to replay it, so it
+/// opens no trace scope: with a regrid after every timestep nothing is
+/// recorded, every regrid still invalidates, and the run is MPI-only's.
+#[test]
+fn a_regrid_every_timestep_records_no_trace() {
+    let sum = |stats: &[RunStats], f: fn(&RunStats) -> u64| stats.iter().map(f).sum::<u64>();
+    let mut df = fine_config();
+    (df.num_tsteps, df.refine_freq) = (4, 1);
+    let mut mpi = df.clone();
+    mpi.variant = Variant::MpiOnly;
+    let (df, mpi) = (run(&df), run(&mpi));
+    assert_eq!(df[0].checksum_digest(), mpi[0].checksum_digest());
+    assert_eq!(sum(&df, |s| s.trace_records), 0);
+    assert_eq!(sum(&df, |s| s.trace_hits), 0);
+    assert_eq!(sum(&df, |s| s.trace_invalidations), 2 * 4);
+}

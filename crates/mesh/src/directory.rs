@@ -9,7 +9,8 @@
 use crate::block_id::{BlockId, Dir, Side};
 use crate::object::Object;
 use crate::params::MeshParams;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// What lies across a block face.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,11 +25,38 @@ pub enum NeighborInfo {
     Finer([BlockId; 4]),
 }
 
-/// The set of active blocks with their owning ranks.
-#[derive(Debug, Clone, PartialEq)]
+/// The set of active blocks with their owning ranks: a list in id order
+/// and a hashed index from an id to its position in that list.
+#[derive(Debug, Clone)]
 pub struct MeshDirectory {
     params: MeshParams,
-    blocks: BTreeMap<BlockId, usize>,
+    blocks: Vec<(BlockId, usize)>,
+    index: HashMap<BlockId, u32, BuildHasherDefault<IdHasher>>,
+}
+
+impl PartialEq for MeshDirectory {
+    /// The index is a function of the list.
+    fn eq(&self, other: &Self) -> bool {
+        (&self.params, &self.blocks) == (&other.params, &other.blocks)
+    }
+}
+
+/// A multiply-rotate hasher for the index: a block id is four small
+/// integers, and no key comes from outside the program.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        // Bring the well-mixed high bits down to the bucket bits.
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 /// One refinement step: which blocks split, which octets merge, and the
@@ -57,18 +85,28 @@ impl MeshDirectory {
     pub fn initial(params: MeshParams) -> MeshDirectory {
         params.validate().expect("invalid mesh parameters");
         let (bx, by, bz) = params.root_blocks();
-        let mut blocks = BTreeMap::new();
-        for z in 0..bz {
+        let mut blocks = Vec::with_capacity(bx * by * bz);
+        for x in 0..bx {
             for y in 0..by {
-                for x in 0..bx {
-                    blocks.insert(
-                        BlockId::new(0, x as u32, y as u32, z as u32),
-                        params.initial_owner(x, y, z),
-                    );
+                for z in 0..bz {
+                    let id = BlockId::new(0, x as u32, y as u32, z as u32);
+                    blocks.push((id, params.initial_owner(x, y, z)));
                 }
             }
         }
-        MeshDirectory { params, blocks }
+        MeshDirectory::with_blocks(params, blocks)
+    }
+
+    /// The directory of `blocks`, which are in id order.
+    fn with_blocks(params: MeshParams, blocks: Vec<(BlockId, usize)>) -> MeshDirectory {
+        debug_assert!(blocks.windows(2).all(|w| w[0].0 < w[1].0));
+        let positions = (blocks.iter().enumerate()).map(|(p, (id, _))| (*id, p as u32));
+        let index = positions.collect();
+        MeshDirectory {
+            params,
+            blocks,
+            index,
+        }
     }
 
     /// The mesh parameters.
@@ -87,33 +125,38 @@ impl MeshDirectory {
         self.blocks.is_empty()
     }
 
+    /// Position of an active block in [`Self::iter`]'s order.
+    pub fn position(&self, id: &BlockId) -> Option<usize> {
+        self.index.get(id).map(|&p| p as usize)
+    }
+
     /// Owner rank of a block, if active.
     pub fn owner(&self, id: &BlockId) -> Option<usize> {
-        self.blocks.get(id).copied()
+        self.position(id).map(|p| self.blocks[p].1)
     }
 
     /// True when `id` is an active block.
     pub fn contains(&self, id: &BlockId) -> bool {
-        self.blocks.contains_key(id)
+        self.index.contains_key(id)
     }
 
     /// Iterates `(block, owner)` in BlockId order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &usize)> {
-        self.blocks.iter()
+        self.blocks.iter().map(|(id, owner)| (id, owner))
     }
 
     /// The blocks owned by `rank`, in BlockId order.
     pub fn blocks_of(&self, rank: usize) -> Vec<BlockId> {
         self.blocks
             .iter()
-            .filter_map(|(id, &o)| (o == rank).then_some(*id))
+            .filter_map(|&(id, o)| (o == rank).then_some(id))
             .collect()
     }
 
     /// Per-rank block counts (`ranks` entries).
     pub fn counts_per_rank(&self, ranks: usize) -> Vec<usize> {
         let mut counts = vec![0usize; ranks];
-        for &o in self.blocks.values() {
+        for &(_, o) in &self.blocks {
             counts[o] += 1;
         }
         counts
@@ -121,11 +164,8 @@ impl MeshDirectory {
 
     /// Reassigns a block's owner (load balancing).
     pub fn set_owner(&mut self, id: BlockId, owner: usize) {
-        let slot = self
-            .blocks
-            .get_mut(&id)
-            .expect("set_owner on inactive block");
-        *slot = owner;
+        let p = self.position(&id).expect("set_owner on inactive block");
+        self.blocks[p].1 = owner;
     }
 
     /// Resolves what lies across a face, or `None` if the mesh structure
@@ -134,16 +174,16 @@ impl MeshDirectory {
         let Some(same) = id.neighbor(dir, side, &self.params) else {
             return Some(NeighborInfo::Boundary);
         };
-        if self.blocks.contains_key(&same) {
+        if self.contains(&same) {
             return Some(NeighborInfo::Same(same));
         }
         if let Some(parent) = same.parent() {
-            if self.blocks.contains_key(&parent) {
+            if self.contains(&parent) {
                 return Some(NeighborInfo::Coarser(parent));
             }
         }
         if let Some(finer) = id.finer_neighbors(dir, side, &self.params) {
-            if finer.iter().all(|f| self.blocks.contains_key(f)) {
+            if finer.iter().all(|f| self.contains(f)) {
                 return Some(NeighborInfo::Finer(finer));
             }
         }
@@ -165,7 +205,7 @@ impl MeshDirectory {
     /// Verifies the 2:1 face balance for the whole mesh. Returns the
     /// offending block on failure.
     pub fn check_balance(&self) -> Result<(), BlockId> {
-        for id in self.blocks.keys() {
+        for (id, _) in &self.blocks {
             for dir in Dir::ALL {
                 for side in Side::BOTH {
                     if self.try_neighbor_info(id, dir, side).is_none() {
@@ -180,22 +220,52 @@ impl MeshDirectory {
     /// Computes one refinement step (±1 level per block) from the current
     /// object positions: object-intersecting blocks refine, object-free
     /// octets coarsen, and the 2:1 constraint is enforced by propagation.
+    /// Blocks are named by their positions throughout.
     pub fn plan_refinement(&self, objects: &[Object]) -> RefinePlan {
+        let n = self.blocks.len();
+        let level = |p: usize| self.blocks[p].0.level;
         // Desired post-step level per block.
-        let mut desired: BTreeMap<BlockId, u8> = BTreeMap::new();
-        for id in self.blocks.keys() {
-            let wants_refine = objects
-                .iter()
-                .any(|o| o.drives_refinement(id, &self.params));
-            let level = if wants_refine {
-                (id.level + 1).min(self.params.num_refine)
-            } else if id.level > 0 {
-                id.level - 1
-            } else {
-                0
-            };
-            desired.insert(*id, level);
+        let refines = |id| (objects.iter()).any(|o| o.drives_refinement(id, &self.params));
+        let mut desired: Vec<u8> = (self.blocks.iter())
+            .map(|(id, _)| {
+                if refines(id) {
+                    (id.level + 1).min(self.params.num_refine)
+                } else {
+                    id.level.saturating_sub(1)
+                }
+            })
+            .collect();
+        // Every block's face neighbours, resolved once: block `p`'s are
+        // `nbrs[ends[p]..ends[p + 1]]`.
+        let at = |b: &BlockId| self.index[b];
+        let (mut nbrs, mut ends) = (Vec::with_capacity(6 * n), Vec::with_capacity(n + 1));
+        ends.push(0);
+        for (id, _) in &self.blocks {
+            for dir in Dir::ALL {
+                for side in Side::BOTH {
+                    match self.neighbor_info(id, dir, side) {
+                        NeighborInfo::Boundary => {}
+                        NeighborInfo::Same(b) | NeighborInfo::Coarser(b) => nbrs.push(at(&b)),
+                        NeighborInfo::Finer(bs) => nbrs.extend(bs.iter().map(at)),
+                    }
+                }
+            }
+            ends.push(nbrs.len());
         }
+        // Every block that wants to coarsen, with its octet if all eight
+        // siblings are active. Desired levels only rise, so no other block
+        // ever wants to.
+        let octet = |parent: BlockId| -> Option<[u32; 8]> {
+            let mut out = [0; 8];
+            for (o, c) in out.iter_mut().zip(parent.children()) {
+                *o = *self.index.get(&c)?;
+            }
+            Some(out)
+        };
+        let coarsening: Vec<(usize, Option<[u32; 8]>)> = (0..n)
+            .filter(|&p| desired[p] < level(p))
+            .map(|p| (p, self.blocks[p].0.parent().and_then(octet)))
+            .collect();
 
         // Fixpoint over two interacting rules, both of which only *raise*
         // desired levels (so the loop terminates):
@@ -211,105 +281,73 @@ impl MeshDirectory {
         // constraints that were satisfied against the merged level.
         loop {
             let mut changed = false;
-            for id in self.blocks.keys() {
-                let my_level = desired[id];
-                if my_level <= 1 {
+            for p in 0..n {
+                let mine = desired[p];
+                if mine <= 1 {
                     continue;
                 }
-                for dir in Dir::ALL {
-                    for side in Side::BOTH {
-                        let neighbors: Vec<BlockId> = match self.neighbor_info(id, dir, side) {
-                            NeighborInfo::Boundary => continue,
-                            NeighborInfo::Same(n) => vec![n],
-                            NeighborInfo::Coarser(n) => vec![n],
-                            NeighborInfo::Finer(ns) => ns.to_vec(),
-                        };
-                        for n in neighbors {
-                            let nd = desired.get_mut(&n).expect("neighbor is active");
-                            if my_level > *nd + 1 {
-                                *nd = my_level - 1;
-                                changed = true;
-                            }
-                        }
+                for &q in &nbrs[ends[p]..ends[p + 1]] {
+                    let nd = &mut desired[q as usize];
+                    if mine > *nd + 1 {
+                        *nd = mine - 1;
+                        changed = true;
                     }
                 }
             }
             // Merge coherence: cancel coarsening of incoherent octets.
-            let mut cancels: Vec<BlockId> = Vec::new();
-            for (id, &lvl) in desired.iter() {
-                if lvl >= id.level {
-                    continue;
-                }
-                let parent = id.parent().expect("level > 0 since it wants to coarsen");
-                let ok = parent
-                    .children()
-                    .iter()
-                    .all(|c| self.blocks.contains_key(c) && desired.get(c) == Some(&parent.level));
-                if !ok {
-                    cancels.push(*id);
-                }
+            let coherent = |o: &[u32; 8], lvl: u8| o.iter().all(|&c| desired[c as usize] == lvl);
+            let cancels: Vec<usize> = (coarsening.iter())
+                .filter(|(p, o)| {
+                    desired[*p] < level(*p) && !o.is_some_and(|o| coherent(&o, level(*p) - 1))
+                })
+                .map(|&(p, _)| p)
+                .collect();
+            for &p in &cancels {
+                desired[p] = level(p);
             }
-            for id in cancels {
-                desired.insert(id, id.level);
-                changed = true;
-            }
-            if !changed {
+            if !changed && cancels.is_empty() {
                 break;
             }
         }
 
         // Splits: desire one level above current.
-        let mut splits = Vec::new();
-        for (id, &lvl) in desired.iter() {
-            debug_assert!(
-                lvl <= id.level + 1 && lvl + 1 >= id.level,
-                "desired level moved more than one step"
-            );
-            if lvl > id.level {
-                splits.push(*id);
-            }
+        let splits = (0..n).filter(|&p| desired[p] > level(p));
+        // Merges: every octet still coarsening (so coherent, or the loop
+        // would have gone on), named once, at its first child.
+        let merges = coarsening.iter().filter_map(|&(p, o)| {
+            let first = o?.into_iter().min() == Some(p as u32);
+            let parent = self.blocks[p].0.parent();
+            parent.filter(|_| first && desired[p] < level(p))
+        });
+        RefinePlan {
+            splits: splits.map(|p| self.blocks[p].0).collect(),
+            merges: merges.collect(),
         }
-
-        // Merges: all eight children of a parent are active and desire the
-        // parent's level.
-        let mut merges = Vec::new();
-        let mut seen_parents = BTreeSet::new();
-        for (id, &lvl) in desired.iter() {
-            if lvl >= id.level {
-                continue;
-            }
-            let parent = id.parent().expect("level > 0 since it wants to coarsen");
-            if !seen_parents.insert(parent) {
-                continue;
-            }
-            let ok = parent
-                .children()
-                .iter()
-                .all(|c| self.blocks.contains_key(c) && desired.get(c) == Some(&(parent.level)));
-            if ok {
-                merges.push(parent);
-            }
-        }
-
-        RefinePlan { splits, merges }
     }
 
     /// Applies a refinement plan, producing the updated directory.
     pub fn apply_plan(&mut self, plan: &RefinePlan) {
+        let mut gone = vec![false; self.blocks.len()];
+        let mut born = Vec::with_capacity(plan.merges.len() + 8 * plan.splits.len());
+        let mut take = |id: &BlockId, what| {
+            let p = self.position(id).expect(what);
+            gone[p] = true;
+            self.blocks[p].1
+        };
         for parent in &plan.merges {
-            let children = parent.children();
-            let owner = self.blocks[&children[0]];
-            for c in &children {
-                self.blocks.remove(c).expect("merged child was active");
-            }
-            self.blocks.insert(*parent, owner);
+            let owners = parent
+                .children()
+                .map(|c| take(&c, "merged child was active"));
+            born.push((*parent, owners[0]));
         }
         for id in &plan.splits {
-            let owner = self.blocks.remove(id).expect("split block was active");
-            for c in id.children() {
-                self.blocks.insert(c, owner);
-            }
+            let owner = take(id, "split block was active");
+            born.extend(id.children().map(|c| (c, owner)));
         }
+        let kept = (self.blocks.iter().zip(&gone)).filter_map(|(b, &g)| (!g).then_some(*b));
+        let mut blocks: Vec<(BlockId, usize)> = kept.chain(born).collect();
+        blocks.sort_unstable_by_key(|&(id, _)| id);
+        *self = MeshDirectory::with_blocks(self.params.clone(), blocks);
         debug_assert!(
             self.check_balance().is_ok(),
             "plan produced an unbalanced mesh"

@@ -7,8 +7,9 @@
 //! * [`sfc_partition`] — sort active blocks along the Morton
 //!   space-filling curve and cut the list into `ranks` equal runs. This
 //!   is the primary strategy: contiguous runs keep sibling octets mostly
-//!   together and make the rank-ordered checksum combination equal the
-//!   global block-ordered sum (see `checksum`).
+//!   together, so a merge's gathering moves little data. No partition
+//!   changes a checksum: their combination is ownership-independent
+//!   (see `checksum`).
 //! * [`rcb_partition`] — recursive coordinate bisection over block
 //!   centers, the reference implementation's strategy, kept for the
 //!   ablation benchmark comparing balancers.
@@ -26,15 +27,13 @@ pub fn sfc_partition(dir: &MeshDirectory, ranks: usize) -> BTreeMap<BlockId, usi
     assert!(ranks > 0);
     let params = dir.params();
     let mut blocks: Vec<BlockId> = dir.iter().map(|(id, _)| *id).collect();
-    blocks.sort_by_key(|b| b.morton_key(params));
+    blocks.sort_by_cached_key(|b| b.morton_key(params));
     let n = blocks.len();
-    let mut out = BTreeMap::new();
-    for (i, id) in blocks.into_iter().enumerate() {
-        // Rank r owns positions [r*n/ranks, (r+1)*n/ranks).
-        let owner = (i * ranks) / n.max(1);
-        out.insert(id, owner.min(ranks - 1));
-    }
-    out
+    // Rank r owns positions [r*n/ranks, (r+1)*n/ranks).
+    let owner = |i: usize| ((i * ranks) / n.max(1)).min(ranks - 1);
+    (blocks.into_iter().enumerate())
+        .map(|(i, id)| (id, owner(i)))
+        .collect()
 }
 
 /// Assigns owners by recursive coordinate bisection of block centers.

@@ -416,6 +416,25 @@ cargo run --release -q -p amr-bench --bin coll_ablation
 echo "==> refine_ablation --quick (refinement costs, simulated)"
 cargo run --release -q -p amr-bench --bin refine_ablation -- --quick
 
+# The simulator at scale: to 64 nodes, weak_scaling --quick plans,
+# partitions and builds the comm plan of meshes of 10k+ blocks, which no
+# live test reaches. Its stdout is pinned byte for byte against the
+# golden file. At --quick scale one shape check ("data-flow advantage
+# grows with scale") fails and the harness exits 1; that line is part of
+# the golden output, and any other non-zero exit (a panic) fails here.
+echo "==> weak_scaling --quick --max-nodes 64 (stdout pinned)"
+ws_rc=0
+ws_out="$(cargo run --release -q -p amr-bench --bin weak_scaling -- --quick --max-nodes 64)" \
+    || ws_rc=$?
+if [ "$ws_rc" -gt 1 ]; then
+  echo "weak_scaling --quick --max-nodes 64 exited $ws_rc" >&2
+  exit 1
+fi
+if ! diff <(printf '%s\n' "$ws_out") scripts/golden/weak_scaling_quick_64.txt >&2; then
+  echo "weak_scaling --quick --max-nodes 64: stdout differs from the golden file" >&2
+  exit 1
+fi
+
 # Fabric on/off digest parity: the contention model shifts *when*
 # messages become available, never *what* they carry — every variant's
 # checksum digest must be bitwise identical with the fabric on and off.
