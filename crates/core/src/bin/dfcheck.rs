@@ -18,65 +18,17 @@
 //! Exit status: 0 when every checked scenario is clean, `{STATIC}` when
 //! any check fails, 2 on a usage error.
 
-use miniamr::cli::ScenarioArgs;
-use miniamr::Variant;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: dfcheck [scenario options] [--all]
-  Accepts miniamr's scenario flags (mesh geometry, --variant, schedule
-  cadence, communication configuration); run `miniamr --help` for the
-  full list. Flags that only affect live execution (network model,
-  observability, chaos) are not accepted here.
-  --all                               check all three variants, not just
-                                      the one selected by --variant
-Exit status: 0 clean, {} failed check, 2 usage error.",
-        dfcheck::STATIC_EXIT_CODE
-    );
-    std::process::exit(2);
-}
+use miniamr::cli;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sc = ScenarioArgs::default();
-    let mut all = false;
-    let mut i = 0;
-    while i < args.len() {
-        match sc.consume(&args, &mut i) {
-            Ok(true) => {
-                i += 1;
-                continue;
-            }
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                usage();
-            }
-        }
-        match args[i].as_str() {
-            "--all" => all = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown option: {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
+    let (mut sc, all) = cli::parse_args(cli::dfcheck_usage, &cli::check_rows());
 
-    let variants: Vec<Variant> = if all {
-        vec![Variant::MpiOnly, Variant::ForkJoin, Variant::DataFlow]
-    } else {
-        vec![sc.variant]
-    };
+    let selected = sc.variant;
     let mut failed = false;
     let mut jsons = Vec::new();
-    for variant in variants {
+    for &(_, variant) in cli::VARIANT.iter().filter(|(_, v)| all || *v == selected) {
         sc.variant = variant;
-        let cfg = sc.config().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage();
-        });
+        let cfg = cli::or_exit(sc.config());
         let start = std::time::Instant::now();
         let report = miniamr::staticcheck::check(&cfg);
         eprint!("{}", report.render_human());

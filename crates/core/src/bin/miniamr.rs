@@ -2,7 +2,7 @@
 //!
 //! Mirrors the reference mini-app's option surface, plus the paper's new
 //! options and a `--variant` selector. All ranks run inside this process
-//! on the in-process message-passing substrate; `--ranks-per-node` and
+//! on the in-process message-passing substrate; `--ranks_per_node` and
 //! the latency/bandwidth options configure the simulated interconnect.
 //!
 //! ```text
@@ -12,292 +12,22 @@
 //!         --send_faces --separate_buffers --max_comm_tasks 8 --workers 4
 //! ```
 
-use miniamr::cli::ScenarioArgs;
+use miniamr::cli::{self, exit};
 use miniamr::{RunError, RunStats};
 use std::time::Duration;
-use vmpi::{FabricParams, NetworkModel};
-
-/// The one exit table: every code this process can end with. `main`
-/// decides all of them but the two monitors', which it arms explicitly:
-/// a hung process cannot return an error to anybody.
-mod exit {
-    /// A checksum validation failed, or an output file was not written.
-    pub const FAILED: i32 = 1;
-    /// Bad flags, a rejected scenario, or a meaningless machine.
-    pub const USAGE: i32 = 2;
-    /// `--watchdog_ms`: the stall watchdog's thread saw no progress.
-    pub const STALL: i32 = obs::STALL_EXIT_CODE;
-    /// The run returned a [`miniamr::RunError`] (its `exit_code`; a
-    /// scenario the run rejects, over `--max_blocks`, exits [`USAGE`]).
-    pub const RUN_ERROR: i32 = vmpi::PEER_LOST_EXIT_CODE;
-    /// `--staticcheck` found a defect before anything ran.
-    pub const STATICCHECK: i32 = dfcheck::STATIC_EXIT_CODE;
-    /// `--sanitize`: depsan stopped the process on the first violation.
-    pub const SANITIZER: i32 = depsan::SAN_EXIT_CODE;
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: miniamr [options]
-  --variant {{mpi|forkjoin|dataflow}}   parallelization variant (default mpi)
-  --npx/--npy/--npz N                 rank grid (default 2/1/1)
-  --init_x/--init_y/--init_z N        initial blocks per rank per dim (default 1/2/2)
-  --nx/--ny/--nz N                    cells per block per dim (default 8)
-  --num_vars N                        variables per cell (default 8)
-  --num_refine N                      max refinement level (default 2)
-  --block_change N                    max level change per refine stage (default 1)
-  --num_tsteps N                      timesteps (default 8)
-  --stages_per_ts N                   stages per timestep (default 10)
-  --checksum_freq N                   stages between checksums (default 5)
-  --refine_freq N                     timesteps between refinements (default 4)
-  --comm_vars N                       vars per communication group (default: all)
-  --max_blocks N                      per-rank block capacity (default unlimited)
-  --input {{single_sphere|four_spheres}} input problem (default four_spheres)
-  --send_faces                        one message per face
-  --separate_buffers                  per-direction communication buffers
-  --max_comm_tasks N                  cap comm tasks per neighbor+direction
-  --delayed_checksum                  validate previous checkpoint (dataflow)
-  --lb {{sfc|rcb|none}}                 load balancer (default sfc)
-  --workers N                         worker threads per rank (default 2)
-  --latency_us F                      network latency in µs (default 1.5)
-  --bandwidth_gbps F                  network bandwidth in GB/s (default 12);
-                                      must be positive
-  --ranks_per_node N                  node grouping for the intra-node
-                                      discount and the shared per-node NIC
-  --fabric {{on|off}}                   contention-aware fabric: shared-link
-                                      fair sharing, NIC serialization and the
-                                      rendezvous handshake (default on)
-  --fabric_rtt_us F                   rendezvous handshake round trip in µs
-  --fabric_nic_us F                   per-message NIC injection overhead in µs
-  --eager_kb N                        eager/rendezvous protocol threshold
-                                      in KiB (default 16)
-  --coll {{flat|hier}}                  collective algorithm: flat binomial
-                                      trees over all ranks, or hierarchical
-                                      intra-node combine + inter-node stage
-                                      (digest-identical; default flat)
-  --coalesce {{on|off}}                 merge an inter-node neighbor's
-                                      per-face messages into one flow per
-                                      direction above the eager threshold
-                                      (default off)
-  --replay {{on|off}}                   task-graph trace & replay cache: reuse
-                                      dependency edges across identical
-                                      timesteps (dataflow; default on)
-  --stencil {{7|27}}                    stencil kind (default 7)
-  --trace-json PATH                   write a merged Chrome trace_event JSON
-                                      (all ranks; load in Perfetto/about:tracing)
-  --metrics                           print the runtime metrics registry
-  --watchdog_ms N                     stall watchdog: dump diagnostics and exit
-                                      {} if no event-bus progress for N ms
-  --perf_report PATH                  write the causal performance report
-                                      (per-timestep critical paths, per-rank
-                                      busy/idle/overlap, latency histograms)
-                                      as schema-versioned JSON
-  --metrics_jsonl PATH                stream interim perf reports to PATH as
-                                      JSONL, one line per report interval
-  --report_interval N                 timesteps between JSONL report lines
-                                      (default 1)
-  --obs_ring N                        per-stripe event-bus ring capacity
-                                      (default {}; raise it if a traced run
-                                      reports overflow drops)
-  --legacy_group_offsets              reproduce the seed's buggy group-relative
-                                      comm-buffer offsets (known deadlock)
-  --staticcheck                       pre-flight static verification: elaborate
-                                      the scenario symbolically and check for
-                                      deadlocks, tag collisions and coverage
-                                      violations before anything runs; exit {}
-                                      with a JSON report on a failed check
-  --sanitize                          dependency sanitizer: check declared
-                                      regions against actual accesses, detect
-                                      happens-before races and communication
-                                      hazards; exit {} on the first violation
-  --chaos_seed N                      enable deterministic fault injection with
-                                      this seed (any --chaos_* flag enables it)
-  --chaos_drop F                      per-frame drop probability (default 0)
-  --chaos_dup F                       per-frame duplication probability
-  --chaos_corrupt F                   per-frame single-bit corruption probability
-  --chaos_delay F                     per-frame delay-spike probability
-  --chaos_delay_factor F              delay-spike multiplier (default 8)
-  --chaos_stall_every N               stall the sender every N frames (0 = off)
-  --chaos_stall_ms N                  stall duration in ms (default 2)
-  --chaos_crash_rank N                hard-crash rank N's NIC...
-  --chaos_crash_after N               ...after it transmits N frames (default 0)
-  --chaos_retry N                     retransmission budget per frame (default 8)
-  --chaos_rto_us N                    base retransmit timeout in µs (default 5000)
-  --ckpt_freq N                       checkpoint rank state every N stages
-                                      (0 = off); an unrecoverable peer exits {}
-                                      with a structured report after restoring
-                                      and verifying the latest checkpoint
-  --resize_at TS:N                    elastic: resize the world to N ranks
-                                      before timestep TS (repeatable; grow or
-                                      shrink; the final digest is bitwise
-                                      identical to the fixed-rank run)
-  --on_peer_lost {{abort|shrink}}       unrecoverable-peer policy: abort = the
-                                      exit-{} report (default); shrink = drop
-                                      the lost ranks, restore the latest
-                                      coordinated boundary snapshot onto the
-                                      survivors and resume
-  --jobs N                            run N concurrent jobs of this scenario
-                                      in one process (elastic soak harness);
-                                      per-job checksum digests are printed",
-        exit::STALL,
-        obs::DEFAULT_RING_CAPACITY,
-        exit::STATICCHECK,
-        exit::SANITIZER,
-        exit::RUN_ERROR,
-        exit::RUN_ERROR
-    );
-    std::process::exit(exit::USAGE);
-}
+use vmpi::NetworkModel;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Scenario flags (mesh, variant, schedule, communication) parse
-    // through the shared `cli` module, so `miniamr` and `dfcheck` accept
-    // the same scenario surface; everything live-execution-only (network
-    // model, observability, chaos) is handled below.
-    let mut sc = ScenarioArgs::default();
-    // Network defaults come from the one shared machine description; the
-    // CLI flags below override individual fields of it.
-    let mut fab = FabricParams::cluster();
-    let mut latency_us = fab.latency * 1e6;
-    let mut bandwidth_gbps = fab.bandwidth / 1e9;
-    let mut fabric_on = true;
-    let mut trace_json: Option<String> = None;
-    let mut metrics = false;
-    let mut watchdog_ms = 0u64;
-    let mut perf_report: Option<String> = None;
-    let mut metrics_jsonl: Option<String> = None;
-    let mut report_interval = 1u32;
-    let mut obs_ring = obs::DEFAULT_RING_CAPACITY;
-    let mut staticcheck = false;
-    let mut sanitize = false;
-    let mut chaos: Option<vmpi::ChaosConfig> = None;
-    let mut plan = miniamr::ResizePlan::default();
-    let mut on_peer_lost = miniamr::PeerLostPolicy::Abort;
-    let mut jobs = 1usize;
+    let (sc, mut live) = cli::parse_args(cli::miniamr_usage, &cli::live_rows());
 
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        let parse = |s: String| -> usize { s.parse().unwrap_or_else(|_| usage()) };
-        match sc.consume(&args, &mut i) {
-            Ok(true) => {
-                i += 1;
-                continue;
-            }
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                usage();
-            }
-        }
-        match args[i].as_str() {
-            "--latency_us" => latency_us = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--bandwidth_gbps" => bandwidth_gbps = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--fabric" => {
-                fabric_on = match next(&mut i).as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage(),
-                }
-            }
-            "--fabric_rtt_us" => {
-                fab.rendezvous_rtt = next(&mut i).parse::<f64>().unwrap_or_else(|_| usage()) * 1e-6
-            }
-            "--fabric_nic_us" => {
-                fab.nic_msg_overhead =
-                    next(&mut i).parse::<f64>().unwrap_or_else(|_| usage()) * 1e-6
-            }
-            "--trace-json" => trace_json = Some(next(&mut i)),
-            "--metrics" => metrics = true,
-            "--watchdog_ms" => watchdog_ms = parse(next(&mut i)) as u64,
-            "--perf_report" => perf_report = Some(next(&mut i)),
-            "--metrics_jsonl" => metrics_jsonl = Some(next(&mut i)),
-            "--report_interval" => report_interval = parse(next(&mut i)) as u32,
-            "--obs_ring" => obs_ring = parse(next(&mut i)).max(1),
-            "--staticcheck" => staticcheck = true,
-            "--sanitize" => sanitize = true,
-            "--chaos_seed" => {
-                chaos.get_or_insert_with(Default::default).seed = parse(next(&mut i)) as u64
-            }
-            "--chaos_drop" => {
-                chaos.get_or_insert_with(Default::default).drop_p =
-                    next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_dup" => {
-                chaos.get_or_insert_with(Default::default).dup_p =
-                    next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_corrupt" => {
-                chaos.get_or_insert_with(Default::default).corrupt_p =
-                    next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_delay" => {
-                chaos.get_or_insert_with(Default::default).delay_p =
-                    next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_delay_factor" => {
-                chaos.get_or_insert_with(Default::default).delay_factor =
-                    next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_stall_every" => {
-                chaos.get_or_insert_with(Default::default).stall_every = parse(next(&mut i)) as u64
-            }
-            "--chaos_stall_ms" => {
-                chaos.get_or_insert_with(Default::default).stall =
-                    Duration::from_millis(parse(next(&mut i)) as u64)
-            }
-            "--chaos_crash_rank" => {
-                chaos.get_or_insert_with(Default::default).crash_rank = Some(parse(next(&mut i)))
-            }
-            "--chaos_crash_after" => {
-                chaos.get_or_insert_with(Default::default).crash_after = parse(next(&mut i)) as u64
-            }
-            "--chaos_retry" => {
-                chaos.get_or_insert_with(Default::default).retry_budget = parse(next(&mut i)) as u32
-            }
-            "--chaos_rto_us" => {
-                chaos.get_or_insert_with(Default::default).rto =
-                    Duration::from_micros(parse(next(&mut i)) as u64)
-            }
-            "--resize_at" => match miniamr::ResizePlan::parse_event(&next(&mut i)) {
-                Ok((ts, n)) => plan.events.push((ts, n)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
-            },
-            "--on_peer_lost" => {
-                on_peer_lost = match next(&mut i).as_str() {
-                    "abort" => miniamr::PeerLostPolicy::Abort,
-                    "shrink" => miniamr::PeerLostPolicy::Shrink,
-                    _ => usage(),
-                }
-            }
-            "--jobs" => jobs = parse(next(&mut i)).max(1),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown option: {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-
-    let mut cfg = sc.config().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(exit::USAGE);
-    });
-    cfg.chaos = chaos;
+    let mut cfg = cli::or_exit(sc.config());
+    cfg.chaos = live.chaos.take();
 
     // Pre-flight static verification: symbolic elaboration plus the
     // matching / deadlock / coverage passes, before any worker thread or
     // delivery thread exists. A failed check prints the JSON report to
     // stdout and exits without running a single timestep.
-    if staticcheck {
+    if live.staticcheck {
         let start = std::time::Instant::now();
         let report = miniamr::staticcheck::check(&cfg);
         eprint!("{}", report.render_human());
@@ -312,8 +42,7 @@ fn main() {
         }
     }
 
-    fab.latency = latency_us * 1e-6;
-    fab.bandwidth = bandwidth_gbps * 1e9;
+    let mut fab = live.fabric.clone();
     // Topology and eager threshold parse as *scenario* flags (they shape
     // the coalesced message structure, so dfcheck must see them too); the
     // fabric mirrors the config so both layers describe one machine.
@@ -326,12 +55,12 @@ fn main() {
     }
     // Reject meaningless machine descriptions at the CLI boundary instead
     // of panicking later inside `Duration::from_secs_f64`.
-    if let Err(e) = fab.validate() {
-        eprintln!("invalid network parameters: {e}");
-        std::process::exit(exit::USAGE);
-    }
+    cli::or_exit(
+        fab.validate()
+            .map_err(|e| format!("invalid network parameters: {e}")),
+    );
     let net = NetworkModel::from_fabric(&fab).with_coll(cfg.coll);
-    let net = if fabric_on {
+    let net = if live.fabric_on {
         net.with_fabric(fab.clone())
     } else {
         net
@@ -345,19 +74,15 @@ fn main() {
     eprintln!(
         "miniamr: fabric={} latency={:.2}us bandwidth={:.1}GB/s eager={}KiB \
          rtt={:.2}us nic={:.2}us ranks/node={} coll={} coalesce={}",
-        if fabric_on { "on" } else { "off" },
+        cli::keyword(cli::ON_OFF, live.fabric_on),
         fab.latency * 1e6,
         fab.bandwidth / 1e9,
         fab.eager_threshold / 1024,
         fab.rendezvous_rtt * 1e6,
         fab.nic_msg_overhead * 1e6,
         fab.ranks_per_node,
-        if cfg.coll == vmpi::CollAlgo::Hier {
-            "hier"
-        } else {
-            "flat"
-        },
-        if cfg.coalesce { "on" } else { "off" },
+        cli::keyword(cli::COLL, cfg.coll),
+        cli::keyword(cli::ON_OFF, cfg.coalesce),
     );
     if let Some(c) = &cfg.chaos {
         eprintln!(
@@ -380,42 +105,36 @@ fn main() {
     }
     // Enable the observability layer *before* the world is built so the
     // transport caches its live metric handles at construction.
-    if trace_json.is_some()
-        || metrics
-        || watchdog_ms > 0
-        || perf_report.is_some()
-        || metrics_jsonl.is_some()
-    {
-        obs::enable_with_capacity(obs_ring);
+    if live.collects() || live.metrics || live.watchdog_ms > 0 {
+        obs::enable_with_capacity(live.obs_ring);
     }
     // Likewise the sanitizer: runtimes and buffers register with depsan at
     // construction time, so it must be on before any of them exist.
-    if sanitize {
+    if live.sanitize {
         depsan::enable(depsan::Mode::Exit);
         eprintln!(
             "miniamr: depsan enabled (exit code {} on first violation)",
             exit::SANITIZER
         );
     }
-    let _watchdog = (watchdog_ms > 0).then(|| {
+    let _watchdog = (live.watchdog_ms > 0).then(|| {
         obs::Watchdog::start(obs::WatchdogConfig::exiting(Duration::from_millis(
-            watchdog_ms,
+            live.watchdog_ms,
         )))
     });
     // The collector drains the bus online (so long runs never overflow
     // the rings) and hands back the merged stream for both the Chrome
     // export and the perf report — one drain, two consumers.
-    let collector = obs::bus()
-        .filter(|_| trace_json.is_some() || perf_report.is_some() || metrics_jsonl.is_some())
-        .map(|bus| {
-            obs::report::Collector::start(
-                bus,
-                metrics_jsonl.as_ref().map(std::path::PathBuf::from),
-                report_interval,
-            )
-        });
-    if !plan.events.is_empty() {
-        let mut events = plan.events.clone();
+    let collector = obs::bus().filter(|_| live.collects()).map(|bus| {
+        obs::report::Collector::start(
+            bus,
+            live.metrics_jsonl.as_ref().map(std::path::PathBuf::from),
+            live.report_interval,
+        )
+    });
+    let opts = &live.elastic;
+    if !opts.plan.events.is_empty() {
+        let mut events = opts.plan.events.clone();
         events.sort();
         eprintln!(
             "miniamr: elastic plan: {} (on_peer_lost={})",
@@ -424,20 +143,15 @@ fn main() {
                 .map(|(t, n)| format!("ts{t}->{n}r"))
                 .collect::<Vec<_>>()
                 .join(", "),
-            if on_peer_lost == miniamr::PeerLostPolicy::Shrink {
-                "shrink"
-            } else {
-                "abort"
-            },
+            cli::keyword(cli::PEER_LOST, opts.on_peer_lost),
         );
     }
-    let opts = miniamr::ElasticOpts { plan, on_peer_lost };
     let start = std::time::Instant::now();
     // Each job (`--jobs 1`: the one job) runs the full scenario on its
     // own world in its own thread. The JobCtx names the job in messages
     // and offsets its obs ranks so the jobs get disjoint trace lanes;
     // checkpoints and boundary snapshots belong to each run anyway.
-    let handles: Vec<_> = (0..jobs)
+    let handles: Vec<_> = (0..live.jobs)
         .map(|j| {
             let mut jcfg = cfg.clone();
             jcfg.job = Some(miniamr::JobCtx::new(j as u64, (j * n_ranks) as u32));
@@ -460,13 +174,13 @@ fn main() {
         // is none of these: a bug, reported as one (exit 101).
         match handle.join().expect("job thread panicked") {
             Ok(stats) => {
-                if let (true, Some(s0)) = (jobs > 1, stats.first()) {
+                if let (true, Some(s0)) = (live.jobs > 1, stats.first()) {
                     println!("job{j}_checksum_digest\t{:016x}", s0.checksum_digest());
                 }
                 finished.push(stats);
             }
             Err(e) => {
-                if jobs > 1 {
+                if live.jobs > 1 {
                     eprintln!("miniamr: job {j} stopped early:");
                 }
                 eprintln!("{e}");
@@ -483,7 +197,7 @@ fn main() {
     }
     let stats = finished.swap_remove(0);
     let wall = start.elapsed();
-    if sanitize {
+    if live.sanitize {
         // Mode::Exit terminates on the first violation, so reaching this
         // point means the run was clean.
         eprintln!("miniamr: depsan: no violations detected");
@@ -564,7 +278,7 @@ fn main() {
             pool_hits as f64 / (pool_hits + pool_misses) as f64
         );
     }
-    if metrics {
+    if live.metrics {
         // The registry is process-wide, and runtimes and chaos worlds add
         // their counts when they are dropped: now that every job's world
         // is gone, one snapshot is the full picture.
@@ -579,7 +293,7 @@ fn main() {
                 "miniamr: trace ring overflow dropped {dropped} events (raise obs ring capacity or shrink the run)"
             );
         }
-        if let Some(path) = &trace_json {
+        if let Some(path) = &live.trace_json {
             let json = obs::export_chrome(&events);
             match std::fs::write(path, &json) {
                 Ok(()) => eprintln!("miniamr: wrote {} trace events to {path}", events.len()),
@@ -589,10 +303,10 @@ fn main() {
                 }
             }
         }
-        if perf_report.is_some() || metrics_jsonl.is_some() {
+        if live.perf_report.is_some() || live.metrics_jsonl.is_some() {
             let report = obs::report::PerfReport::from_events(&events, dropped);
             eprint!("{}", report.human_summary());
-            if let Some(path) = &perf_report {
+            if let Some(path) = &live.perf_report {
                 match std::fs::write(path, report.to_json()) {
                     Ok(()) => eprintln!("miniamr: wrote perf report to {path}"),
                     Err(e) => {

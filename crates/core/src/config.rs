@@ -94,8 +94,6 @@ pub struct Config {
     /// Delay checksum validation one checkpoint using
     /// taskwait-with-dependencies (§IV-C; DataFlow only).
     pub delayed_checksum: bool,
-    /// Relative tolerance of checksum validation.
-    pub validate_tol: f64,
     /// Run a finishing task's first unblocked successor next on the same
     /// worker (the locality policy credited for the IPC gain, §V-B);
     /// disable for ablation studies.
@@ -181,7 +179,6 @@ impl Config {
             workers: 2,
             variant: Variant::MpiOnly,
             delayed_checksum: false,
-            validate_tol: 0.05,
             immediate_successor: true,
             replay: true,
             ckpt_freq: 0,

@@ -68,20 +68,16 @@ impl ResizePlan {
     pub fn parse_event(s: &str) -> Result<(usize, usize), String> {
         let (ts, n) = s
             .split_once(':')
-            .ok_or_else(|| format!("--resize_at wants ts:N, got '{s}'"))?;
-        let ts: usize = ts
-            .parse()
-            .map_err(|_| format!("--resize_at: bad timestep '{ts}'"))?;
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("--resize_at: bad rank count '{n}'"))?;
+            .ok_or_else(|| format!("expected TS:N, got '{s}'"))?;
+        let ts: usize = ts.parse().map_err(|_| format!("bad timestep '{ts}'"))?;
+        let n: usize = n.parse().map_err(|_| format!("bad rank count '{n}'"))?;
         if ts == 0 {
-            return Err("--resize_at: the first resize point is ts 1 \
+            return Err("the first resize point is ts 1 \
                         (the initial world matches the rank grid)"
                 .to_string());
         }
         if n == 0 {
-            return Err("--resize_at: cannot resize to 0 ranks".to_string());
+            return Err("cannot resize to 0 ranks".to_string());
         }
         Ok((ts, n))
     }
@@ -156,8 +152,8 @@ impl RunError {
     /// class.
     pub fn exit_code(&self) -> i32 {
         match self {
-            RunError::OverCapacity { .. } => 2,
-            _ => vmpi::PEER_LOST_EXIT_CODE,
+            RunError::OverCapacity { .. } => crate::cli::exit::USAGE,
+            _ => crate::cli::exit::RUN_ERROR,
         }
     }
 }

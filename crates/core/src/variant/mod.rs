@@ -542,6 +542,9 @@ pub(crate) struct Checkpoint {
     pub epoch: u64,
 }
 
+/// Relative tolerance of checksum validation.
+const VALIDATE_TOL: f64 = 0.05;
+
 /// Combines a checksum point's (now quiescent) per-block slots through
 /// the ownership-independent global combination, validates it against
 /// the previous checkpoint and records it.
@@ -561,7 +564,7 @@ fn validate(sums: LocalSums, cx: &PhaseCtx, stats: &mut RunStats, prev: &mut Opt
     let current = obs::phase_span("checksum_remote", || {
         checksum_remote_blocks(&cx.comm, &sums.ids, &per_block, cfg.params.num_vars)
     });
-    let (tol, epoch) = (cfg.validate_tol, sums.epoch);
+    let (tol, epoch) = (VALIDATE_TOL, sums.epoch);
     let means: Vec<f64> = current.iter().map(|s| s / sums.total_cells).collect();
     match prev.as_ref() {
         Some(p) if p.epoch == epoch => match amr_mesh::checksum::validate(&p.means, &means, tol) {

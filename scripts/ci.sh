@@ -487,6 +487,40 @@ if [ "$bw_rc" -ne 2 ] || ! grep -q "invalid network parameters" <<<"$bw_out"; th
 fi
 rf_rc=0; timeout 60 "$MINIAMR" --variant mpi --refine_freq 0 >/dev/null 2>&1 || rf_rc=$?
 [ "$rf_rc" -eq 2 ] || { echo "--refine_freq 0: expected exit 2, got $rf_rc" >&2; exit 1; }
+# A zero count is refused at parse time, naming the flag, instead of being
+# raised to 1 further down.
+for flag in --workers --jobs --obs_ring --report_interval; do
+  z_rc=0; z_err="$(timeout 60 "$MINIAMR" "$flag" 0 2>&1 >/dev/null)" || z_rc=$?
+  if [ "$z_rc" -ne 2 ] || ! grep -qF -- "$flag: must be at least 1" <<<"$z_err"; then
+    echo "$flag 0: expected exit 2 naming the flag, got rc=$z_rc" >&2
+    echo "$z_err" >&2
+    exit 1
+  fi
+done
+# --help is a usage error (exit 2) on both binaries, and together they list
+# every row of the flag table in crates/core/src/cli.rs; dfcheck's scenario
+# section is miniamr's.
+m_rc=0; m_help="$("$MINIAMR" --help 2>&1)" || m_rc=$?
+d_rc=0; d_help="$("$DFCHECK" --help 2>&1)" || d_rc=$?
+if [ "$m_rc" -ne 2 ] || [ "$d_rc" -ne 2 ]; then
+  echo "--help: expected exit 2, got miniamr=$m_rc dfcheck=$d_rc" >&2
+  exit 1
+fi
+rows="$(sed '/#\[cfg(test)\]/q' crates/core/src/cli.rs | grep -o '"--[a-z_-]*"' | tr -d '"' \
+    | grep -vx -- --help)"
+[ "$(wc -l <<<"$rows")" -ge 64 ] || { echo "flag table: found only $(wc -l <<<"$rows") rows" >&2; exit 1; }
+for name in $rows; do
+  if ! grep -qE -- "^  $name( |\$)" <<<"$m_help"$'\n'"$d_help"; then
+    echo "--help: no line for $name" >&2
+    exit 1
+  fi
+done
+scenario_section() { sed -n '/^Scenario options/,/^$/p'; }
+if [ "$(scenario_section <<<"$m_help")" != "$(scenario_section <<<"$d_help")" ] \
+    || [ -z "$(scenario_section <<<"$d_help")" ]; then
+  echo "--help: dfcheck's scenario options differ from miniamr's" >&2
+  exit 1
+fi
 
 # --- Topology-aware collectives & face coalescing (PR 10) ------------------
 # `--coll hier --coalesce on` reshapes the transport only: two-level
