@@ -20,15 +20,28 @@
 
 use miniamr::cli;
 
+/// The value of `r`, or prints its error and exits with the usage code.
+fn or_exit<V>(r: Result<V, String>) -> V {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(cli::exit::USAGE)
+    })
+}
+
 fn main() {
-    let (mut sc, all) = cli::parse_args(cli::dfcheck_usage, &cli::check_rows());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut sc, all) = or_exit(cli::parse_args(
+        &args,
+        cli::dfcheck_usage,
+        &cli::check_rows(),
+    ));
 
     let selected = sc.variant;
     let mut failed = false;
     let mut jsons = Vec::new();
     for &(_, variant) in cli::VARIANT.iter().filter(|(_, v)| all || *v == selected) {
         sc.variant = variant;
-        let cfg = cli::or_exit(sc.config());
+        let cfg = or_exit(sc.config());
         let start = std::time::Instant::now();
         let report = miniamr::staticcheck::check(&cfg);
         eprint!("{}", report.render_human());

@@ -17,10 +17,24 @@ use miniamr::{RunError, RunStats};
 use std::time::Duration;
 use vmpi::NetworkModel;
 
-fn main() {
-    let (sc, mut live) = cli::parse_args(cli::miniamr_usage, &cli::live_rows());
+/// The value of `r`, or prints its error and exits [`exit::USAGE`].
+fn or_exit<V>(r: Result<V, String>) -> V {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(exit::USAGE)
+    })
+}
 
-    let mut cfg = cli::or_exit(sc.config());
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (sc, mut live) = or_exit(cli::parse_args(
+        &args,
+        cli::miniamr_usage,
+        &cli::live_rows(),
+    ));
+
+    let mut cfg = or_exit(sc.config());
+    let fabric_on = or_exit(live.fabric_on(cfg.coll));
     cfg.chaos = live.chaos.take();
 
     // Pre-flight static verification: symbolic elaboration plus the
@@ -55,12 +69,12 @@ fn main() {
     }
     // Reject meaningless machine descriptions at the CLI boundary instead
     // of panicking later inside `Duration::from_secs_f64`.
-    cli::or_exit(
+    or_exit(
         fab.validate()
             .map_err(|e| format!("invalid network parameters: {e}")),
     );
     let net = NetworkModel::from_fabric(&fab).with_coll(cfg.coll);
-    let net = if live.fabric_on {
+    let net = if fabric_on {
         net.with_fabric(fab.clone())
     } else {
         net
@@ -74,7 +88,7 @@ fn main() {
     eprintln!(
         "miniamr: fabric={} latency={:.2}us bandwidth={:.1}GB/s eager={}KiB \
          rtt={:.2}us nic={:.2}us ranks/node={} coll={} coalesce={}",
-        cli::keyword(cli::ON_OFF, live.fabric_on),
+        cli::keyword(cli::ON_OFF, fabric_on),
         fab.latency * 1e6,
         fab.bandwidth / 1e9,
         fab.eager_threshold / 1024,
@@ -180,10 +194,15 @@ fn main() {
                 finished.push(stats);
             }
             Err(e) => {
-                if live.jobs > 1 {
-                    eprintln!("miniamr: job {j} stopped early:");
-                }
-                eprintln!("{e}");
+                // One write for the whole report: another job's rank
+                // threads may still be printing their unwind, and stderr
+                // is unbuffered, so piecewise writes would interleave.
+                let head = match live.jobs {
+                    1 => String::new(),
+                    _ => format!("miniamr: job {j} stopped early:\n"),
+                };
+                let report = format!("{head}{e}\n");
+                eprint!("{report}");
                 first_failure.get_or_insert(e);
             }
         }

@@ -192,24 +192,20 @@ fn consume<T>(rows: &[Flag<T>], t: &mut T, args: &[String], i: &mut usize) -> Ta
     Ok(true)
 }
 
-/// The value of `r`, or prints its error and exits [`exit::USAGE`].
-pub fn or_exit<V>(r: Result<V, String>) -> V {
-    r.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(exit::USAGE)
-    })
-}
-
-/// Parses the process's arguments into a scenario and into the binary's
-/// own `rows`. `--help`, an unknown flag or a bad value prints what was
-/// wrong and `usage`, and exits [`exit::USAGE`].
-pub fn parse_args<U: Default>(usage: fn() -> String, rows: &[Flag<U>]) -> (ScenarioArgs, U) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses `args` (the process's, less the program name) into a scenario
+/// and into the binary's own `rows`. `--help`, an unknown flag or a bad
+/// value is an error: what was wrong, then `usage`, for the binary to
+/// print before it exits [`exit::USAGE`].
+pub fn parse_args<U: Default>(
+    args: &[String],
+    usage: fn() -> String,
+    rows: &[Flag<U>],
+) -> Result<(ScenarioArgs, U), String> {
     let (mut sc, mut own) = (ScenarioArgs::default(), U::default());
     let mut i = 0;
     while i < args.len() {
-        let taken = match sc.consume(&args, &mut i) {
-            Ok(false) => consume(rows, &mut own, &args, &mut i),
+        let taken = match sc.consume(args, &mut i) {
+            Ok(false) => consume(rows, &mut own, args, &mut i),
             taken => taken,
         };
         let msg = match taken {
@@ -221,10 +217,9 @@ pub fn parse_args<U: Default>(usage: fn() -> String, rows: &[Flag<U>]) -> (Scena
             Ok(false) if matches!(args[i].as_str(), "--help" | "-h") => String::new(),
             Ok(false) => format!("unknown option: {}\n", args[i]),
         };
-        eprint!("{msg}{}", usage());
-        std::process::exit(exit::USAGE);
+        return Err(msg + usage().trim_end());
     }
-    (sc, own)
+    Ok((sc, own))
 }
 
 /// The help of `rows` under `title`, quoting defaults from
@@ -381,8 +376,9 @@ impl ScenarioArgs {
 pub struct LiveArgs {
     /// The modelled machine, less the scenario's topology and eager size.
     pub fabric: FabricParams,
-    /// The contention-aware fabric, or the scalar per-message model.
-    pub fabric_on: bool,
+    /// The contention-aware fabric, or the scalar per-message model;
+    /// `None` leaves the choice to [`LiveArgs::fabric_on`].
+    pub fabric_on: Option<bool>,
     /// Chrome trace output.
     pub trace_json: Option<String>,
     /// Print the metrics registry.
@@ -413,7 +409,7 @@ impl Default for LiveArgs {
     fn default() -> Self {
         LiveArgs {
             fabric: FabricParams::cluster(),
-            fabric_on: true,
+            fabric_on: None,
             trace_json: None,
             metrics: false,
             watchdog_ms: 0,
@@ -434,6 +430,22 @@ impl LiveArgs {
     /// Whether the run's events are collected: traced, reported or streamed.
     pub fn collects(&self) -> bool {
         self.trace_json.is_some() || self.perf_report.is_some() || self.metrics_jsonl.is_some()
+    }
+
+    /// Whether to install the fabric: on unless a fault plan is. A fault
+    /// plan would silently switch off an explicit `--fabric on` (chaos
+    /// frames take the reliability layer, not the fabric) and `--coll
+    /// hier` (collectives stay flat under chaos), so both are refused.
+    pub fn fabric_on(&self, coll: CollAlgo) -> Result<bool, String> {
+        let chaos = self.chaos.is_some();
+        let refused = match (coll, self.fabric_on) {
+            (CollAlgo::Hier, _) if chaos => "--coll hier",
+            (_, Some(true)) if chaos => "--fabric on",
+            _ => return Ok(self.fabric_on.unwrap_or(!chaos)),
+        };
+        Err(format!(
+            "{refused} cannot be combined with --chaos_* fault injection"
+        ))
     }
 
     /// The fault plan, enabled with the defaults if no flag enabled it.
@@ -511,12 +523,14 @@ pub fn scenario_rows() -> Vec<Flag<ScenarioArgs>> {
 /// The live-execution flags: `miniamr`'s alone.
 pub fn live_rows() -> Vec<Flag<LiveArgs>> {
     type F = Flag<LiveArgs>;
+    let fabric = &[("on", Some(true)), ("off", Some(false))];
     vec![
         F::real("--latency_us", 1e-6, |a| &mut a.fabric.latency).help("network latency in us"),
         F::real("--bandwidth_gbps", 1e9, |a| &mut a.fabric.bandwidth)
             .help("network bandwidth in GB/s; must be positive"),
-        F::choice("--fabric", |a| &mut a.fabric_on, ON_OFF)
-            .help("contention-aware fabric: shared links, NIC serialization, rendezvous"),
+        F::choice("--fabric", |a| &mut a.fabric_on, fabric)
+            .help("contention-aware fabric: shared links, NIC serialization, rendezvous")
+            .shown(|_| "on; off under --chaos_*".into()),
         F::real("--fabric_rtt_us", 1e-6, |a| &mut a.fabric.rendezvous_rtt)
             .help("rendezvous handshake round trip in us"),
         F::real("--fabric_nic_us", 1e-6, |a| &mut a.fabric.nic_msg_overhead)

@@ -130,3 +130,27 @@ fn readme_flag_reference_is_generated_from_the_rows() {
          markers with:\n{expected}"
     );
 }
+
+/// The parser returns what the binaries print before they exit 2: the
+/// reason, then the usage text.
+#[test]
+fn parse_args_returns_usage_errors() {
+    let parse = |args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        cli::parse_args(&args, cli::miniamr_usage, &cli::live_rows()).map(|_| ())
+    };
+    let usage = cli::miniamr_usage();
+    assert_eq!(parse(&["--help"]), Err(usage.trim_end().to_string()));
+    for (args, reason) in [
+        (&["--bogus"][..], "unknown option: --bogus\n"),
+        (&["--nx", "abc"], "--nx: invalid value\n"),
+        (
+            &["--fabric", "maybe"],
+            "--fabric: expected on|off, got maybe\n",
+        ),
+    ] {
+        let e = parse(args).expect_err(reason);
+        assert_eq!(e, format!("{reason}{}", usage.trim_end()), "{args:?}");
+    }
+    assert_eq!(parse(&["--nx", "4", "--fabric", "off"]), Ok(()));
+}
