@@ -111,7 +111,8 @@ pub(crate) fn block_batches(
 /// The access list of a batch: the union of its members' accesses,
 /// sorted by region and de-duplicated, a region declared in two modes
 /// keeping the stronger (`inout`). A superset of what every member
-/// declares, so batching only ever adds ordering.
+/// declares, so batching only ever adds ordering. Exact-size: a batch of
+/// local copies reserves two accesses a member, and its blocks repeat.
 pub(crate) fn union_accesses(mut accesses: Vec<Access>) -> Vec<Access> {
     accesses.sort_unstable_by_key(|a| (a.region.obj, a.region.start, a.region.end));
     accesses.dedup_by(|dup, kept| {
@@ -121,6 +122,7 @@ pub(crate) fn union_accesses(mut accesses: Vec<Access>) -> Vec<Access> {
         }
         same
     });
+    accesses.shrink_to_fit();
     accesses
 }
 

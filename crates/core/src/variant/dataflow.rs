@@ -46,7 +46,10 @@ use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
-use taskrt::{Access, BarrierKind, ObjId, Region, Runtime, Submitter, TaskSpec, TraceScope};
+use taskrt::{
+    Access, Accesses, BarrierKind, Body, Gate, GateHold, ObjId, Region, Runtime, Submitter,
+    TaskSpec, TraceScope,
+};
 use vmpi::Comm;
 
 /// The three task-submitting calls of the timestep loop.
@@ -57,22 +60,43 @@ enum Phase {
     LocalSums,
 }
 
-/// One phase call as the call log remembers it: which call it was, where
-/// its tasks sit in the runtime's trace, and what it must hand back
-/// without running again. Counts, positions and slot handles — the tasks,
-/// their accesses and their edges stay in `taskrt::trace`.
-struct PhaseCall {
+/// One task of a phase-call [`Template`]: what every task object spawned
+/// from it points at instead of holding a copy.
+struct TemplateTask {
+    label: &'static str,
+    priority: i32,
+    /// Exact-size.
+    accesses: Accesses,
+    body: Body,
+    gate: Option<Gate>,
+}
+
+/// The elaboration of one `(phase, vars)` call in the current mesh epoch:
+/// every call of the pair until the mesh changes spawns its tasks from it.
+/// That rests on what `staticcheck` rests on — within a mesh epoch the
+/// stream of a phase call is a function of (phase, vars) alone.
+struct Template {
     phase: Phase,
     vars: Range<usize>,
-    /// Trace position of the call's first task …
-    start: usize,
-    /// … and how many it spawned.
-    tasks: usize,
-    /// What the call added to `DataFlow::batched_items`.
+    /// What the bodies run on: one per `vars`, whichever phase built it.
+    shared: Arc<PhaseShared>,
+    tasks: Vec<TemplateTask>,
+    /// Batch members beyond each batch's first, over the whole call.
     batched_items: u64,
-    /// The slots a `LocalSums` call's tasks fill (every one of them, so
-    /// each timestep's run of the call can hand out the same vector).
+    /// The slot vector a `LocalSums` template's bodies fill.
     slots: Option<SumSlots>,
+}
+
+impl Template {
+    /// Whether the template can serve a call of `(phase, vars)`. A
+    /// `LocalSums` template can only while no checksum point awaiting
+    /// validation holds its slots — nothing but the template and its
+    /// bodies — so two points in flight never share a slot vector, and the
+    /// calls of later timesteps reuse it.
+    fn serves(&self, phase: Phase, vars: &Range<usize>) -> bool {
+        let idle = |slots: &SumSlots| Arc::strong_count(slots) == 1 + self.tasks.len();
+        (self.phase, &self.vars) == (phase, vars) && self.slots.as_ref().is_none_or(idle)
+    }
 }
 
 /// Task streams elaborated into a runtime that orders them by their
@@ -86,16 +110,8 @@ pub(crate) struct DataFlow {
     /// Members of batches beyond the first: what the tasks spawned fall
     /// short of the work items elaborated.
     batched_items: Cell<u64>,
-    /// The phase calls of one timestep of the current mesh epoch, in call
-    /// order, each as its latest elaboration left it. While the runtime
-    /// replays, a call found here is not elaborated again: its tasks are
-    /// re-armed where they sit ([`Runtime::replay_tasks`]). That rests on
-    /// what `staticcheck` rests on — within a mesh epoch the stream of a
-    /// phase call is a function of (phase, vars) alone — and on the
-    /// runtime refusing unless its trace stands exactly at `start`.
-    calls: RefCell<Vec<PhaseCall>>,
-    /// Index into `calls` of the timestep's next phase call.
-    next_call: Cell<usize>,
+    /// The current mesh epoch's templates, one per `(phase, vars)` called.
+    templates: RefCell<Vec<Template>>,
 }
 
 impl DataFlow {
@@ -104,14 +120,13 @@ impl DataFlow {
             rt: rank_runtime(cfg, rank, cfg.replay),
             sums_obj: ObjId::fresh(),
             batched_items: Cell::new(0),
-            calls: RefCell::default(),
-            next_call: Cell::new(0),
+            templates: RefCell::default(),
         }
     }
 
-    /// Runs one phase of the shared elaboration ([`crate::elaborate`])
-    /// into its live consumer — or, on a replay hit, re-arms the tasks the
-    /// call spawned when it last ran. Returns the checksum slots of a
+    /// Spawns one phase call's tasks from the template of its `(phase,
+    /// vars)`, elaborated ([`crate::elaborate`]) by this call if it is the
+    /// pair's first in the mesh epoch. Returns the checksum slots of a
     /// `LocalSums` call.
     fn submit_phase(
         &self,
@@ -120,46 +135,49 @@ impl DataFlow {
         vars: Range<usize>,
         elaborate: impl FnOnce(&ElabCtx, &mut LiveSub),
     ) -> Option<SumSlots> {
-        let k = self.next_call.replace(self.next_call.get() + 1);
-        if let Some(call) = self.calls.borrow().get(k) {
-            if (call.phase, &call.vars) == (phase, &vars)
-                && self.rt.replay_tasks(call.start, call.tasks)
-            {
-                self.batched_items
-                    .set(self.batched_items.get() + call.batched_items);
-                return call.slots.clone();
+        let mut templates = self.templates.borrow_mut();
+        let t = match templates.iter().position(|t| t.serves(phase, &vars)) {
+            Some(t) => t,
+            None => {
+                let shared = match templates.iter().find(|t| t.vars == vars) {
+                    Some(t) => Arc::clone(&t.shared),
+                    None => PhaseShared::new(cx, vars.clone()),
+                };
+                let slots: Option<SumSlots> = (phase == Phase::LocalSums)
+                    .then(|| Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()])));
+                let objs = shared.objs();
+                let mut sub = LiveSub {
+                    cx,
+                    shared: Arc::clone(&shared),
+                    slots: slots.as_ref(),
+                    tasks: Vec::new(),
+                    batched_items: 0,
+                };
+                elaborate(&elab_ctx(cx, &objs), &mut sub);
+                let (tasks, batched_items) = (sub.tasks, sub.batched_items);
+                templates.push(Template {
+                    phase,
+                    vars,
+                    shared,
+                    tasks,
+                    batched_items,
+                    slots,
+                });
+                templates.len() - 1
+            }
+        };
+        let template = &templates[t];
+        for task in &template.tasks {
+            let spawn = (self.rt.task().label(task.label).priority(task.priority))
+                .access_list(Arc::clone(&task.accesses))
+                .body_shared(Arc::clone(&task.body));
+            match &task.gate {
+                Some(gate) => spawn.on_ready_shared(Arc::clone(gate)).spawn(),
+                None => spawn.spawn(),
             }
         }
-        // This call's entry and the ones behind it describe tasks that
-        // are about to be replaced.
-        self.calls.borrow_mut().truncate(k);
-        let start = self.rt.trace_position();
-        let items_before = self.batched_items.get();
-        let slots: Option<SumSlots> = (phase == Phase::LocalSums)
-            .then(|| Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()])));
-        let shared = PhaseShared::new(cx, vars.clone());
-        let objs = shared.objs();
-        let mut sub = LiveSub {
-            rt: &self.rt,
-            cx,
-            shared,
-            slots: slots.as_ref(),
-            batched_items: &self.batched_items,
-        };
-        elaborate(&elab_ctx(cx, &objs), &mut sub);
-        // Logged only if the scope recorded (or replayed by fingerprint)
-        // from the call's first task to its last.
-        if let (Some(start), Some(end)) = (start, self.rt.trace_position()) {
-            self.calls.borrow_mut().push(PhaseCall {
-                phase,
-                vars,
-                start,
-                tasks: end - start,
-                batched_items: self.batched_items.get() - items_before,
-                slots: slots.clone(),
-            });
-        }
-        slots
+        (self.batched_items).set(self.batched_items.get() + template.batched_items);
+        template.slots.clone()
     }
 }
 
@@ -188,7 +206,7 @@ impl Exec for DataFlow {
     /// # Panics
     ///
     /// If `submit_phase` returned a `LocalSums` call no slots — it never
-    /// does: it hands every such call its slots, fresh or from the log.
+    /// does: every `LocalSums` template owns a slot vector.
     fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
         let nv = cx.state.cfg.params.num_vars;
         self.submit_phase(cx, Phase::LocalSums, 0..nv, |ctx, sub| {
@@ -211,19 +229,19 @@ impl Exec for DataFlow {
     }
 
     /// One trace scope per traced timestep: the first timestep of a mesh
-    /// epoch is recorded, the later ones re-arm its tasks phase call by
-    /// phase call. (Re-arming a whole timestep at once would let stages
-    /// run past an eager checksum's `taskwait` and turn it into a delayed
-    /// one.) A timestep alone in its epoch has nothing to replay it, so it
-    /// records nothing.
+    /// epoch is recorded, and each spawn of a later one re-arms the task
+    /// object its position recorded. A timestep alone in its epoch has
+    /// nothing to replay it, so it records nothing.
     fn timestep(&self, traced: bool) -> Option<TraceScope<'_>> {
-        self.next_call.set(0);
         traced.then(|| self.rt.trace_scope(0))
     }
 
     /// Refinement taskified like every other phase (§IV-B; the colorful
     /// region at the left of Fig. 1's lower trace).
     fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
+        // The templates' bodies hold the blocks about to be split, merged
+        // and sent away.
+        self.templates.borrow_mut().clear();
         let rt = &self.rt;
         run_refinement(state, comm, &mut TaskMover { rt }, &mut |state, jobs| {
             // Each job's task reads its source blocks.
@@ -240,10 +258,10 @@ impl Exec for DataFlow {
     }
 
     /// Regrid/load-balance changed block uids and buffer objects: every
-    /// cached trace is structurally stale.
+    /// cached trace and template is structurally stale.
     fn mesh_changed(&self) {
         self.rt.invalidate_traces();
-        self.calls.borrow_mut().clear();
+        self.templates.borrow_mut().clear();
     }
 
     fn finish(&self, stats: &mut RunStats) {
@@ -264,23 +282,23 @@ fn block_region(layout: &BlockLayout, block: &BlockData, vars: Range<usize>) -> 
 }
 
 /// The live consumer of the shared elaboration stream
-/// ([`crate::elaborate`]): materializes each [`TaskSpec`] into a real
-/// task body and spawns it. The static verifier consumes the *same*
-/// stream with `dfcheck`'s recorder, so declared accesses, endpoints
+/// ([`crate::elaborate`]): materializes each [`TaskSpec`] into a
+/// [`TemplateTask`] with a real task body. The static verifier consumes the
+/// *same* stream with `dfcheck`'s recorder, so declared accesses, endpoints
 /// and spawn order cannot drift between execution and analysis.
 ///
 /// Buffer slices come from the buffers' [`crate::comm_plan::BufferLayout`],
 /// which placed the spec's declared regions too: a slice is its task's
-/// declaration by construction. Every body is re-runnable (`body_fn`): it
-/// leaves its captures in place and clones the ranges and slices it hands
-/// on, so a replay hit can run it again.
+/// declaration by construction. Every body is re-runnable: it leaves its
+/// captures in place and clones the ranges and slices it hands on, so any
+/// number of task objects — of one call or of many — can run it.
 struct LiveSub<'a> {
-    rt: &'a Runtime,
     cx: &'a PhaseCtx,
     shared: Arc<PhaseShared>,
     /// Checksum phase only.
     slots: Option<&'a SumSlots>,
-    batched_items: &'a Cell<u64>,
+    tasks: Vec<TemplateTask>,
+    batched_items: u64,
 }
 
 impl Submitter<Work> for LiveSub<'_> {
@@ -294,20 +312,19 @@ impl Submitter<Work> for LiveSub<'_> {
         let PhaseCtx {
             comm, plan, bufs, ..
         } = self.cx;
-        self.batched_items
-            .set(self.batched_items.get() + elaborate::items(&spec) as u64 - 1);
-        let builder = self.rt.task().label(spec.label).priority(spec.priority);
+        self.batched_items += elaborate::items(&spec) as u64 - 1;
         let sh = Arc::clone(&self.shared);
         let g = sh.vars.len();
-        let task = match spec.work {
+        let (body, gate): (Body, _) = match spec.work {
             Work::Recv { msg } => {
                 let slice = bufs.span(&plan.msgs[msg], Inbound, g);
                 let intent = spec.comm.as_ref().expect("recv spec has an endpoint");
                 let (src, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
-                builder.body_fn(move || {
+                let body = move || {
                     tampi::irecv_into(&comm, slice.clone(), src as i32, tag).expect("recv task")
-                })
+                };
+                (Arc::new(body), None)
             }
             Work::Pack { msg, transfer } => {
                 // A pack with an endpoint fills its whole message and sends
@@ -316,58 +333,67 @@ impl Submitter<Work> for LiveSub<'_> {
                     let slice = bufs.span(&plan.msgs[msg], Outbound, g);
                     (Arc::clone(comm), slice, i.peer, i.tag)
                 });
-                builder.body_fn(move || {
+                let body = move || {
                     sh.pack(msg, transfer);
                     if let Some((comm, slice, dst, tag)) = &send {
                         tampi::isend_from(comm, slice, *dst, *tag).expect("pack task")
                     }
-                })
+                };
+                (Arc::new(body), None)
             }
             Work::Send { msg } => {
                 let slice = bufs.span(&plan.msgs[msg], Outbound, g);
                 let intent = spec.comm.as_ref().expect("send spec has an endpoint");
                 let (dst, tag) = (intent.peer, intent.tag);
                 let comm = Arc::clone(comm);
-                builder
-                    .body_fn(move || tampi::isend_from(&comm, &slice, dst, tag).expect("send task"))
+                let body = move || tampi::isend_from(&comm, &slice, dst, tag).expect("send task");
+                (Arc::new(body), None)
             }
             Work::LocalCopies { transfers } => {
-                builder.body_fn(move || sh.local_copies(transfers.clone()))
+                (Arc::new(move || sh.local_copies(transfers.clone())), None)
             }
-            Work::Boundaries { fills } => builder.body_fn(move || sh.boundaries(fills.clone())),
+            Work::Boundaries { fills } => (Arc::new(move || sh.boundaries(fills.clone())), None),
             Work::Unpack { msg, transfer } => {
                 // An unpack with an endpoint empties its whole message and
                 // receives it too, from its on-ready gate.
-                let builder = match &spec.comm {
-                    Some(intent) => {
-                        let (src, tag) = (intent.peer as i32, intent.tag);
-                        let slice = bufs.span(&plan.msgs[msg], Inbound, g);
-                        let comm = Arc::clone(comm);
-                        builder.on_ready(move |gate| {
-                            tampi::irecv_on_ready(&comm, slice.clone(), src, tag, gate)
-                                .expect("unpack gate")
-                        })
-                    }
-                    None => builder,
-                };
-                builder.body_fn(move || sh.unpack(msg, transfer))
+                let gate = spec.comm.as_ref().map(|intent| -> Gate {
+                    let (src, tag) = (intent.peer as i32, intent.tag);
+                    let slice = bufs.span(&plan.msgs[msg], Inbound, g);
+                    let comm = Arc::clone(comm);
+                    Arc::new(move |hold: GateHold| {
+                        tampi::irecv_on_ready(&comm, slice.clone(), src, tag, hold)
+                            .expect("unpack gate")
+                    })
+                });
+                (Arc::new(move || sh.unpack(msg, transfer)), gate)
             }
-            Work::Stencils { blocks } => builder.body_fn(move || sh.stencils(blocks.clone())),
+            Work::Stencils { blocks } => (Arc::new(move || sh.stencils(blocks.clone())), None),
             Work::ChecksumLocals { slots } => {
                 let out = Arc::clone(self.slots.expect("checksum phase has slots"));
-                builder.body_fn(move || sh.checksum_locals(slots.clone(), &out))
+                (
+                    Arc::new(move || sh.checksum_locals(slots.clone(), &out)),
+                    None,
+                )
             }
         };
-        task.access_list(spec.accesses).spawn();
+        self.tasks.push(TemplateTask {
+            label: spec.label,
+            priority: spec.priority,
+            accesses: Arc::from(&spec.accesses[..]),
+            body,
+            gate,
+        });
     }
 
+    /// # Panics
+    ///
+    /// Always: the elaboration emits no barrier (the shared loop issues
+    /// its barriers through [`Exec::wait`]), and a template could not hold
+    /// one.
     fn barrier(&mut self, kind: BarrierKind) {
-        // The shared loop issues its barriers through `Exec::wait`;
-        // elaboration emits none. Kept for trait completeness.
-        match kind {
-            BarrierKind::Taskwait => self.rt.taskwait(),
-            BarrierKind::TaskwaitOn(regions) => self.rt.taskwait_on(&regions),
-        }
+        // Invariant: `crate::elaborate` submits tasks only, whatever the
+        // input; this consumer exists to satisfy the trait.
+        unreachable!("the shared elaboration emitted a barrier: {kind:?}")
     }
 }
 
@@ -441,5 +467,78 @@ impl BlockMover for TaskMover<'_> {
 
     fn finish(&mut self, _comm: &Arc<Comm>) {
         self.rt.taskwait();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Variant;
+    use crate::variant::plan_and_buffers;
+    use std::sync::Weak;
+    use vmpi::{NetworkModel, World};
+
+    /// Every call of one `(phase, vars)` in a mesh epoch spawns task
+    /// objects that point at its template's accesses, the phases of one
+    /// `vars` share what their bodies run on, two checksum points still
+    /// get slots of their own, and a mesh change lets go of all of it.
+    #[test]
+    fn calls_of_one_pair_share_a_template_until_the_mesh_changes() {
+        let mut cfg = Config::smoke_test();
+        cfg.params.npx = 1;
+        cfg.variant = Variant::DataFlow;
+        World::new(1, NetworkModel::instant()).run(|comm| {
+            let state = RankState::init(&cfg, 0, 1);
+            let (plan, bufs) = plan_and_buffers(&state);
+            let comm = Arc::new(comm);
+            let cx = PhaseCtx {
+                state,
+                comm,
+                plan,
+                bufs,
+            };
+            let df = DataFlow::new(&cfg, 0);
+            let vars = cfg.var_group(0);
+            // A recorded timestep: the trace keeps every task object.
+            let scope = df.timestep(true);
+            for _ in 0..2 {
+                df.communicate(&cx, vars.clone());
+                df.stencil(&cx, vars.clone());
+            }
+            // A point still awaiting validation keeps its slots to itself;
+            // once it lets go, the next point fills them again.
+            let held = df.local_sums(&cx);
+            let other = df.local_sums(&cx);
+            assert!(
+                !Arc::ptr_eq(&held, &other),
+                "two points in flight share slots"
+            );
+            df.wait(None);
+            let first = Arc::as_ptr(&held);
+            drop(held);
+            assert_eq!(Arc::as_ptr(&df.local_sums(&cx)), first);
+            drop(scope);
+            df.wait(None);
+
+            let templates = df.templates.borrow();
+            let phases: Vec<Phase> = templates.iter().map(|t| t.phase).collect();
+            use Phase::{Communicate, LocalSums, Stencil};
+            assert_eq!(phases, [Communicate, Stencil, LocalSums, LocalSums]);
+            assert!(Arc::ptr_eq(&templates[0].shared, &templates[1].shared));
+            // The template's own handle, and one per call's task object:
+            // every template was called twice but the one of the point
+            // that was left in flight.
+            let mut accesses: Vec<Weak<[Access]>> = Vec::new();
+            for (t, calls) in templates.iter().zip([2, 2, 2, 1]) {
+                for task in &t.tasks {
+                    assert_eq!(Arc::strong_count(&task.accesses), 1 + calls);
+                    accesses.push(Arc::downgrade(&task.accesses));
+                }
+            }
+            drop(templates);
+            df.mesh_changed();
+            assert!(df.templates.borrow().is_empty());
+            assert!(accesses.iter().all(|a| a.strong_count() == 0));
+        });
     }
 }

@@ -57,8 +57,9 @@ fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Arc<Buffers>) {
     })
 }
 
-/// What the chunks and tasks of one phase call run on: one `Arc` of it
-/// and an index range is all a batch captures. A
+/// What the chunks and tasks of a phase call run on — in data-flow, of
+/// every call of one `vars` in a mesh epoch (its templates share it): one
+/// `Arc` of it and an index range is all a batch captures. A
 /// member's block handles are indexed at run time through the plan's
 /// positions, so a member costs the spawning thread no lookup, no handle
 /// clone and no allocation.

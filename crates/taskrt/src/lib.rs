@@ -35,9 +35,11 @@
 //!   periodic submission phase (one AMR timestep); the first iteration
 //!   is recorded, and from the second on a matching iteration re-arms the
 //!   recorded task objects in place behind their recorded predecessors,
-//!   without touching the claim table — or, for tasks with a re-runnable
-//!   body ([`TaskBuilder::body_fn`]), without being spawned again at all
-//!   ([`Runtime::replay_tasks`]). Regrid/repartition invalidate via
+//!   without touching the claim table. A task object points at its
+//!   accesses and body rather than holding them, so the spawns of a
+//!   submitter that elaborates a repeated call once share one list and
+//!   one closure ([`TaskBuilder::access_list`],
+//!   [`TaskBuilder::body_shared`]). Regrid/repartition invalidate via
 //!   [`Runtime::invalidate_traces`].
 //!
 //! ## Example
@@ -83,7 +85,7 @@ pub use events::{EventHold, GateHold};
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};
-pub use task::{current_task_id, AccessList};
+pub use task::{current_task_id, AccessList, Accesses, Body, Gate};
 pub use trace::TraceScope;
 
 /// Acquires an [`EventHold`] on the task currently executing on this

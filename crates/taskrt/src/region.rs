@@ -121,7 +121,7 @@ impl AccessMode {
 }
 
 /// One declared access of a task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Access {
     /// The region accessed.
     pub region: Region,

@@ -4,7 +4,9 @@ use crate::events::GateHold;
 use crate::region::{Access, Region};
 use crate::registry::Registry;
 use crate::scheduler::Scheduler;
-use crate::task::{AccessList, Gate, SuccessorList, TaskBody, TaskLinks, TaskShared};
+use crate::task::{
+    AccessList, Accesses, Body, Declared, Gate, Run, SuccessorList, TaskBody, TaskLinks, TaskShared,
+};
 use crate::trace::{self, Route, TraceCache};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -244,7 +246,7 @@ impl RtInner {
         san_id: u64,
         priority: i32,
         label: &'static str,
-        accesses: AccessList,
+        accesses: Accesses,
         body: TaskBody,
     ) -> Arc<TaskShared> {
         Arc::new(TaskShared {
@@ -566,7 +568,7 @@ impl Runtime {
     pub fn task(&self) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self,
-            accesses: AccessList::new(),
+            accesses: Declared::Listed(AccessList::new()),
             priority: 0,
             label: "",
             body: None,
@@ -576,7 +578,8 @@ impl Runtime {
 
     /// Spawns a task with explicit accesses (convenience for the builder).
     pub fn spawn(&self, accesses: Vec<Access>, body: impl FnOnce() + Send + 'static) {
-        self.spawn_boxed(accesses.into(), 0, "", TaskBody::once(body));
+        let accesses = Declared::Listed(accesses.into());
+        self.spawn_boxed(accesses, 0, "", TaskBody::once(body));
     }
 
     /// Shared reference to the runtime internals (trace layer plumbing).
@@ -587,7 +590,7 @@ impl Runtime {
     /// Returns the task's depsan id (0 while the sanitizer is disabled).
     fn spawn_boxed(
         &self,
-        accesses: AccessList,
+        accesses: Declared,
         priority: i32,
         label: &'static str,
         body: TaskBody,
@@ -610,7 +613,7 @@ impl Runtime {
             0
         };
         let id = inner.next_task_id();
-        let task = inner.new_task(id, san_id, priority, label, accesses, body);
+        let task = inner.new_task(id, san_id, priority, label, accesses.into_shared(), body);
         inner.task_born(&task);
         // Fresh analysis must see any still-live replayed tasks in the
         // claim table, so flush them back in first.
@@ -670,9 +673,9 @@ impl Runtime {
     pub fn taskwait_on(&self, regions: &[Region]) {
         let done = Arc::new((Mutex::new(false), Condvar::new()));
         let signal = Arc::clone(&done);
-        let accesses: AccessList = regions.iter().cloned().map(Access::read_write).collect();
+        let accesses = regions.iter().cloned().map(Access::read_write).collect();
         let waiter_san = self.spawn_boxed(
-            accesses,
+            Declared::Listed(accesses),
             // Jump the queue: the waiter should run as soon as its inputs
             // are quiescent.
             i32::MAX,
@@ -813,7 +816,7 @@ impl Drop for Runtime {
 /// Fluent task construction: accesses, priority, label, body.
 pub struct TaskBuilder<'rt> {
     rt: &'rt Runtime,
-    accesses: AccessList,
+    accesses: Declared,
     priority: i32,
     label: &'static str,
     body: Option<TaskBody>,
@@ -822,40 +825,41 @@ pub struct TaskBuilder<'rt> {
 
 impl<'rt> TaskBuilder<'rt> {
     /// Declares a read (`in`) dependency.
-    pub fn input(mut self, region: Region) -> Self {
-        self.accesses.push(Access::read(region));
-        self
+    pub fn input(self, region: Region) -> Self {
+        self.access(Access::read(region))
     }
 
     /// Declares a write (`out`) dependency.
-    pub fn out(mut self, region: Region) -> Self {
-        self.accesses.push(Access::write(region));
-        self
+    pub fn out(self, region: Region) -> Self {
+        self.access(Access::write(region))
     }
 
     /// Declares a read-write (`inout`) dependency.
-    pub fn inout(mut self, region: Region) -> Self {
-        self.accesses.push(Access::read_write(region));
-        self
+    pub fn inout(self, region: Region) -> Self {
+        self.access(Access::read_write(region))
     }
 
     /// Adds a pre-built access (multi-dependency friendly).
-    pub fn access(mut self, access: Access) -> Self {
-        self.accesses.push(access);
-        self
+    pub fn access(self, access: Access) -> Self {
+        self.accesses(std::iter::once(access))
     }
 
     /// Adds many accesses at once (the paper's multideps).
     pub fn accesses(mut self, iter: impl IntoIterator<Item = Access>) -> Self {
-        self.accesses.extend(iter);
+        let mut list = match self.accesses {
+            Declared::Listed(list) => list,
+            Declared::Shared(shared) => shared.iter().cloned().collect(),
+        };
+        list.extend(iter);
+        self.accesses = Declared::Listed(list);
         self
     }
 
-    /// Declares a whole access list, taking it over as it is (a
-    /// [`TaskSpec`](crate::TaskSpec)'s list moves into the task without a
-    /// copy). Replaces anything declared before.
-    pub fn access_list(mut self, accesses: AccessList) -> Self {
-        self.accesses = accesses;
+    /// Declares a shared access list: the task points at it, as does every
+    /// other task spawned with it, instead of holding a copy. Replaces
+    /// anything declared before.
+    pub fn access_list(mut self, accesses: Accesses) -> Self {
+        self.accesses = Declared::Shared(accesses);
         self
     }
 
@@ -877,13 +881,16 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// Sets a re-runnable task body. Inside a trace scope the task can
-    /// then be re-armed by [`Runtime::replay_tasks`] in later iterations
-    /// without being spawned again: the body stays with the task object
-    /// and is called through a shared reference, so it must leave its
-    /// captures in place (clone what it hands on).
-    pub fn body_fn(mut self, body: impl Fn() + Send + Sync + 'static) -> Self {
-        self.body = Some(TaskBody::many(Arc::new(body)));
+    /// Sets a re-runnable task body that other tasks may hold as well: any
+    /// number of task objects, live at once or not, run the one closure
+    /// (the tasks a template spawns in every call of it). It is called
+    /// through a shared reference, so it must leave its captures in place
+    /// (clone what it hands on).
+    pub fn body_shared(mut self, body: Body) -> Self {
+        self.body = Some(TaskBody {
+            run: Run::Many(body),
+            gate: None,
+        });
         self
     }
 
@@ -895,10 +902,16 @@ impl<'rt> TaskBuilder<'rt> {
     /// the call or later. The gate runs on whichever thread released that
     /// last predecessor (or spawned the task), under the task's sanitizer
     /// scope and obs task id, so it must be short and must not block. It
-    /// is re-runnable: a replay re-arm ([`Runtime::replay_tasks`]) runs it
-    /// again, once the re-armed task's predecessors have released.
-    pub fn on_ready(mut self, gate: impl Fn(GateHold) + Send + Sync + 'static) -> Self {
-        self.gate = Some(Arc::new(gate));
+    /// runs once per run of the task object: a replay that re-arms the
+    /// object runs the gate of the matching spawn, once the re-armed
+    /// task's predecessors have released.
+    pub fn on_ready(self, gate: impl Fn(GateHold) + Send + Sync + 'static) -> Self {
+        self.on_ready_shared(Arc::new(gate))
+    }
+
+    /// [`Self::on_ready`] with a gate other tasks may hold as well.
+    pub fn on_ready_shared(mut self, gate: Gate) -> Self {
+        self.gate = Some(gate);
         self
     }
 

@@ -17,27 +17,29 @@ use smallvec::SmallVec;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-/// An on-ready gate: re-runnable like a [`Run::Many`] body, handed the
-/// hold that keeps the task out of the ready queue until it opens.
-pub(crate) type Gate = Arc<dyn Fn(GateHold) + Send + Sync>;
+/// A re-runnable task body ([`crate::TaskBuilder::body_shared`]): called
+/// through a shared reference, so any number of task objects can hold it.
+pub type Body = Arc<dyn Fn() + Send + Sync>;
+
+/// An on-ready gate ([`crate::TaskBuilder::on_ready_shared`]): re-runnable
+/// like a [`Body`], handed the hold that keeps the task out of the ready
+/// queue until it opens.
+pub type Gate = Arc<dyn Fn(GateHold) + Send + Sync>;
 
 /// How a task body runs.
 pub(crate) enum Run {
     /// Runs once ([`crate::TaskBuilder::body`]): taken out by the
     /// execution.
     Once(Mutex<Option<Box<dyn FnOnce() + Send>>>),
-    /// Re-runnable ([`crate::TaskBuilder::body_fn`]): called in place
-    /// through `&self`, so it stays with the task object when a replay
-    /// re-arms it, and is shared with the fresh object a replay allocates
-    /// while the previous one is still live.
-    Many(Arc<dyn Fn() + Send + Sync>),
+    /// Re-runnable ([`crate::TaskBuilder::body_shared`]): called in place
+    /// through `&self`, so any number of task objects can share it.
+    Many(Body),
 }
 
 /// What a task runs: its body, and the on-ready gate that runs before it
-/// is ready, if it has one. The gate is re-runnable whatever the body is,
-/// so it stays with the task object through a re-arm as well.
+/// is ready, if it has one.
 pub(crate) struct TaskBody {
     pub(crate) run: Run,
     pub(crate) gate: Option<Gate>,
@@ -50,38 +52,51 @@ impl TaskBody {
             gate: None,
         }
     }
+}
 
-    pub(crate) fn many(body: Arc<dyn Fn() + Send + Sync>) -> TaskBody {
-        TaskBody {
-            run: Run::Many(body),
-            gate: None,
-        }
-    }
+/// An access list under construction, with inline room for two:
+/// miniAMR's per-message tasks declare 1–2 and cost no allocation for the
+/// list (batches and multidep send tasks spill, and that is fine). A
+/// [`TaskSpec`](crate::TaskSpec) carries one; a task object keeps its
+/// accesses as a shared [`Accesses`] list instead.
+pub type AccessList = SmallVec<[Access; 2]>;
 
-    /// Whether a replay may run this body again without a new spawn.
-    pub(crate) fn rerunnable(&self) -> bool {
-        matches!(self.run, Run::Many(_))
-    }
+/// A task's declared accesses as its task object holds them: one
+/// exact-size list that every task spawned with it points at
+/// ([`crate::TaskBuilder::access_list`]) — the claim table, the trace's
+/// fingerprints, closes and flushes, and depsan all read this slice.
+pub type Accesses = Arc<[Access]>;
 
-    /// A second handle on a re-runnable body and its gate (`None` for a
-    /// one-shot body).
-    pub(crate) fn share(&self) -> Option<TaskBody> {
-        match &self.run {
-            Run::Many(body) => Some(TaskBody {
-                run: Run::Many(Arc::clone(body)),
-                gate: self.gate.clone(),
-            }),
-            Run::Once(_) => None,
+/// A spawn's accesses: listed through the builder, or a list shared with
+/// other tasks. A listed one becomes a shared list only when a task object
+/// needs it — not when a replay finds the same list in its slot.
+pub(crate) enum Declared {
+    Listed(AccessList),
+    Shared(Accesses),
+}
+
+impl Declared {
+    pub(crate) fn into_shared(self) -> Accesses {
+        /// What every task that declares nothing points at.
+        static NONE: LazyLock<Accesses> = LazyLock::new(|| Arc::new([]));
+        match self {
+            Declared::Shared(accesses) => accesses,
+            Declared::Listed(list) if list.is_empty() => Arc::clone(&NONE),
+            Declared::Listed(list) => Arc::from(&list[..]),
         }
     }
 }
 
-/// A task's declared accesses, with inline room for four: miniAMR's
-/// per-message tasks declare 1–2 and cost no allocation for the list
-/// (batches and multidep send tasks spill, and that is fine). Build a
-/// long list as a `Vec` and convert it: the conversion keeps the
-/// allocation.
-pub type AccessList = SmallVec<[Access; 4]>;
+impl std::ops::Deref for Declared {
+    type Target = [Access];
+    fn deref(&self) -> &[Access] {
+        match self {
+            Declared::Listed(list) => list,
+            Declared::Shared(accesses) => accesses,
+        }
+    }
+}
+
 /// Inline capacity for successor lists: spares the heap allocation that
 /// a plain `Vec` would make on the first successor push of every task.
 pub(crate) type SuccessorList = SmallVec<[Arc<TaskShared>; 4]>;
@@ -92,7 +107,7 @@ pub(crate) struct TaskShared {
     pub san_id: u64,
     pub priority: i32,
     pub label: &'static str,
-    pub accesses: AccessList,
+    pub accesses: Accesses,
     pub body: TaskBody,
     /// Predecessors not yet released, plus one registration guard.
     pub pending: AtomicUsize,
@@ -113,6 +128,11 @@ pub(crate) struct TaskShared {
     pub bypassed: AtomicBool,
     pub rt: Arc<RtInner>,
 }
+
+// A replay trace keeps one task object per task of a timestep, thousands
+// a rank: the object points at its accesses and body rather than holding
+// them (320 bytes when it held an inline access list of four).
+const _: () = assert!(std::mem::size_of::<TaskShared>() <= 192);
 
 /// Task identity (the claim table's `deps::History` key): ids are unique
 /// within a runtime, and a registry only ever holds its own runtime's
@@ -289,9 +309,8 @@ impl TaskShared {
     /// Runs the task body on the current thread.
     pub(crate) fn execute(self: Arc<Self>) {
         // Invariant: a task is queued once per run (its `pending` count
-        // reaches zero once), and a one-shot body is never re-armed — a
-        // replay re-arms re-runnable slots only, or hands the slot the
-        // matching spawn's fresh body — so the body is still here.
+        // reaches zero once), and a re-arm hands the task object the
+        // matching spawn's body, so a one-shot body is still here.
         let once = match &self.body.run {
             Run::Once(body) => Some(body.lock().take().unwrap_or_else(|| {
                 panic!("task '{}' (id {}) executed twice", self.label, self.id)

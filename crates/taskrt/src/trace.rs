@@ -4,9 +4,8 @@
 //! the same regions. This module turns the second and every later
 //! submission of such a stream into a *re-arm* of the first: the task
 //! objects of the previous iteration are reset in place and linked
-//! straight to their recorded predecessors — no claim-table analysis, no
-//! allocation and, with [`crate::Runtime::replay_tasks`], no elaboration
-//! by the submitter. One structure carries it: a per-key vector of
+//! straight to their recorded predecessors — no claim-table analysis and
+//! no allocation. One structure carries it: a per-key vector of
 //! **slots**, one per stream position, each holding the position's
 //! fingerprint and the task object of the latest iteration that reached
 //! it.
@@ -63,7 +62,7 @@
 use crate::deps::History;
 use crate::region::{Access, ObjId};
 use crate::runtime::RtInner;
-use crate::task::{AccessList, TaskBody, TaskShared};
+use crate::task::{Accesses, Declared, TaskBody, TaskShared};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -573,7 +572,7 @@ pub(crate) fn replay_spawn(
     inner: &Arc<RtInner>,
     label: &'static str,
     priority: i32,
-    accesses: AccessList,
+    accesses: Declared,
     body: TaskBody,
 ) -> u64 {
     with_scope(inner, |scope| {
@@ -584,7 +583,7 @@ pub(crate) fn replay_spawn(
         let ScopeMode::Replay { cursor } = &mut scope.mode else {
             unreachable!("route_spawn matched a replaying scope");
         };
-        let spawn = Some((label, priority, accesses, body));
+        let spawn = (label, priority, accesses, body);
         let mut flush_list = inner.trace.bypassed.lock();
         let san_id = replay_slot(inner, &mut scope.state, *cursor, spawn, &mut flush_list);
         *cursor += 1;
@@ -593,59 +592,20 @@ pub(crate) fn replay_spawn(
     .expect("route_spawn matched an open scope")
 }
 
-/// [`crate::Runtime::replay_tasks`].
-pub(crate) fn replay_tasks(inner: &Arc<RtInner>, start: usize, n: usize) -> bool {
-    let cache = &inner.trace;
-    let replayed = with_scope(inner, |scope| {
-        let ScopeMode::Replay { cursor } = &mut scope.mode else {
-            return false;
-        };
-        if *cursor != start
-            || cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start
-        {
-            return false;
-        }
-        match scope.state.slots.get(start..start + n) {
-            Some(run) if run.iter().all(|s| s.task.body.rerunnable()) => {}
-            _ => return false,
-        }
-        // One lock for the batch: a flusher on another thread waits for
-        // it and then finds every task launched here in the list.
-        let mut flush_list = cache.bypassed.lock();
-        for pos in start..start + n {
-            replay_slot(inner, &mut scope.state, pos, None, &mut flush_list);
-        }
-        *cursor += n;
-        true
-    });
-    replayed.unwrap_or(false)
-}
-
-/// [`crate::Runtime::trace_position`].
-pub(crate) fn position(inner: &Arc<RtInner>) -> Option<usize> {
-    with_scope(inner, |scope| match scope.mode {
-        ScopeMode::Record { pos, .. } => Some(pos),
-        ScopeMode::Replay { cursor } => Some(cursor),
-        ScopeMode::Inert => None,
-    })?
-}
-
 /// Replays position `pos` of a frozen key: re-arms the slot's task object
 /// — or, while its previous occupant is still referenced from anywhere,
 /// allocates a fresh one into the slot — links it behind the position's
 /// recorded predecessors (claim table bypassed, released predecessors
 /// skipped exactly as fresh registration would skip them), registers it
 /// for flushing (in `flush_list`, the cache's, locked by the caller) and
-/// launches it. `spawn` is the declaration and body of a spawn that
-/// matched the slot's fingerprint; without one the slot's own re-runnable
-/// body runs again, behind its own on-ready gate if it has one (the gate
-/// runs anew once the re-armed task's predecessors release). Returns the
-/// task's depsan id.
+/// launches it, with the declaration, body and on-ready gate of `spawn`,
+/// whose fingerprint matched the slot's (the gate runs anew once the
+/// re-armed task's predecessors release). Returns the task's depsan id.
 fn replay_slot(
     inner: &Arc<RtInner>,
     state: &mut KeyState,
     pos: usize,
-    spawn: Option<(&'static str, i32, AccessList, TaskBody)>,
+    (label, priority, accesses, body): (&'static str, i32, Declared, TaskBody),
     flush_list: &mut Vec<Arc<TaskShared>>,
 ) -> u64 {
     let KeyState { slots, preds, .. } = state;
@@ -658,12 +618,7 @@ fn replay_slot(
             .map(|&(_, p)| slots[p as usize].task.san_id)
             .filter(|&s| s != 0)
             .collect();
-        let old = &slots[pos].task;
-        let (label, accesses) = match &spawn {
-            Some((label, _, accesses, _)) => (*label, &accesses[..]),
-            None => (old.label, &old.accesses[..]),
-        };
-        inner.san_spawned(label, accesses, Some(&pred_ids))
+        inner.san_spawned(label, &accesses, Some(&pred_ids))
     } else {
         0
     };
@@ -676,22 +631,14 @@ fn replay_slot(
     let displaced = match Arc::get_mut(slot) {
         Some(task) => {
             task.rearm(id, san_id);
-            if let Some((label, priority, accesses, body)) = spawn {
-                (task.label, task.priority) = (label, priority);
-                task.accesses = accesses;
-                task.body = body;
-            }
+            (task.label, task.priority) = (label, priority);
+            task.accesses = redeclare(&task.accesses, accesses);
+            task.body = body;
             inner.stat_rearmed_tasks.fetch_add(1, Ordering::Relaxed);
             None
         }
         None => {
-            let (label, priority, accesses, body) = spawn.unwrap_or_else(|| {
-                // Invariant: without a spawn this is `replay_tasks`, which
-                // checked that every slot it replays is re-runnable.
-                let body =
-                    (slot.body.share()).expect("replay_tasks re-arms re-runnable slots only");
-                (slot.label, slot.priority, slot.accesses.clone(), body)
-            });
+            let accesses = redeclare(&slot.accesses, accesses);
             let fresh = inner.new_task(id, san_id, priority, label, accesses, body);
             Some(std::mem::replace(slot, fresh))
         }
@@ -735,6 +682,16 @@ fn replay_slot(
     inner.stat_replayed_tasks.fetch_add(1, Ordering::Relaxed);
     inner.launch(task, edges, true);
     san_id
+}
+
+/// The accesses a replayed spawn declared, as the shared list its task
+/// object keeps: the slot's own when a listed declaration repeats it (as it
+/// does whenever the fingerprints matched), so such a replay copies none.
+fn redeclare(slot: &Accesses, declared: Declared) -> Accesses {
+    match declared {
+        Declared::Listed(list) if list[..] == slot[..] => Arc::clone(slot),
+        declared => declared.into_shared(),
+    }
 }
 
 /// Logs a freshly-analyzed spawn into the open record-mode scope.
@@ -898,32 +855,6 @@ impl crate::Runtime {
     /// load-balance/repartition.
     pub fn invalidate_traces(&self) {
         invalidate(self.inner());
-    }
-
-    /// Where the trace scope this thread has open on the runtime stands:
-    /// the number of tasks it has recorded or replayed so far. `None`
-    /// without a scope, with `replay` off, and in a scope that is neither
-    /// recording nor replaying. A submitter that notes the positions of a
-    /// batch of spawns while they are recorded can have the same batch
-    /// re-armed by [`Self::replay_tasks`] in later iterations.
-    pub fn trace_position(&self) -> Option<usize> {
-        position(self.inner())
-    }
-
-    /// Re-arms the `n` tasks recorded from position `start` on, without
-    /// being handed them again: each runs the re-runnable body
-    /// ([`crate::TaskBuilder::body_fn`]) it was spawned with, behind the
-    /// predecessors of the frozen trace — and behind its on-ready gate
-    /// ([`crate::TaskBuilder::on_ready`]), which runs again on every hit
-    /// once those predecessors release. Returns false, having done
-    /// nothing, unless the open scope is replaying and stands exactly at
-    /// `start`, no untraced spawn intervened and all `n` positions hold
-    /// re-runnable bodies; the caller then spawns the tasks as usual.
-    ///
-    /// The caller vouches that the `n` spawns it skips would have had the
-    /// declarations recorded at these positions.
-    pub fn replay_tasks(&self, start: usize, n: usize) -> bool {
-        replay_tasks(self.inner(), start, n)
     }
 }
 

@@ -11,7 +11,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taskrt::{Access, ObjId, Region, Runtime, RuntimeConfig};
+use taskrt::{Access, Body, ObjId, Region, Runtime, RuntimeConfig};
 
 /// Holds a task (and whatever waits behind it) until the test opens it.
 struct Gate {
@@ -243,50 +243,49 @@ fn explicit_invalidation_forces_rerecord() {
 /// Every third iteration starts on a drained runtime — its slots re-arm
 /// the released task objects in place — and its head waits at a gate
 /// until the iteration after it has been submitted, which therefore finds
-/// every slot's occupant still live and allocates fresh ones. `driven`
-/// submits the recorded iteration with re-runnable bodies and the later
-/// ones through `replay_tasks`, without spawning anything again.
-fn cross_iteration_edges(driven: bool) {
+/// every slot's occupant still live and allocates fresh ones. `shared`
+/// spawns every iteration with the bodies built for the first (as a
+/// submitter's template does), the others with one-shot bodies of their
+/// own.
+fn cross_iteration_edges(shared: bool) {
     let rt = Runtime::new(2);
     let obj = ObjId::fresh();
     const N: usize = 20;
     const ITERS: usize = 12;
     let log = Arc::new(Mutex::new(Vec::with_capacity(N * ITERS)));
     let gate = Gate::new();
-    let mut recorded = None;
+    let bodies: Vec<Body> = (0..N)
+        .map(|i| {
+            let (log, gate) = (Arc::clone(&log), Arc::clone(&gate));
+            Arc::new(move || {
+                if i == 0 {
+                    gate.pass();
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                log.lock().push(i);
+            }) as Body
+        })
+        .collect();
     for iter in 0..ITERS {
         if iter % 3 == 1 {
             rt.taskwait();
             gate.set(false);
         }
         let scope = rt.trace_scope(5);
-        if let Some(start) = recorded.filter(|_| driven) {
-            assert!(rt.replay_tasks(start, N), "iteration {iter} not re-armed");
-        } else {
-            recorded = rt.trace_position();
-            for i in 0..N {
-                let (log, gate) = (Arc::clone(&log), Arc::clone(&gate));
-                let body = move || {
-                    if i == 0 {
-                        gate.pass();
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    log.lock().push(i);
-                };
-                // Reads in the middle of the chain make the next writer wait
-                // for several predecessors at once.
-                let region = Region::new(obj, 0..1);
-                let access = if i % 4 == 2 {
-                    Access::read(region)
-                } else {
-                    Access::read_write(region)
-                };
-                let task = rt.task().access(access);
-                if driven {
-                    task.body_fn(body).spawn();
-                } else {
-                    task.body(body).spawn();
-                }
+        for (i, body) in bodies.iter().enumerate() {
+            // Reads in the middle of the chain make the next writer wait
+            // for several predecessors at once.
+            let region = Region::new(obj, 0..1);
+            let access = if i % 4 == 2 {
+                Access::read(region)
+            } else {
+                Access::read_write(region)
+            };
+            let (task, body) = (rt.task().access(access), Arc::clone(body));
+            if shared {
+                task.body_shared(body).spawn();
+            } else {
+                task.body(move || body()).spawn();
             }
         }
         drop(scope);
@@ -318,92 +317,12 @@ fn cross_iteration_edges_rearm_without_a_barrier() {
     cross_iteration_edges(true);
 }
 
-/// `replay_tasks` re-arms exactly the run of re-runnable slots the trace
-/// stands at, and otherwise says no and spawns nothing.
-#[test]
-fn replay_tasks_refuses_what_it_cannot_rearm() {
-    const RERUNNABLE: usize = 3;
-    let obj = ObjId::fresh();
-    let ran = Arc::new(AtomicUsize::new(0));
-    // Three re-runnable tasks, then one with a one-shot body.
-    let submit = |rt: &Runtime, from: usize| {
-        for i in from..RERUNNABLE + 1 {
-            let ran = Arc::clone(&ran);
-            let body = move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            };
-            let task = rt.task().inout(Region::new(obj, 0..1));
-            if i < RERUNNABLE {
-                task.body_fn(body).spawn();
-            } else {
-                task.body(body).spawn();
-            }
-        }
-    };
-    let rt = Runtime::new(1);
-    let refused = |start: usize, n: usize| {
-        let before = rt.stats().spawned;
-        !rt.replay_tasks(start, n) && rt.stats().spawned == before
-    };
-    assert!(refused(0, RERUNNABLE), "outside a scope");
-    assert_eq!(rt.trace_position(), None);
-
-    let scope = rt.trace_scope(4);
-    assert_eq!(rt.trace_position(), Some(0));
-    assert!(refused(0, 0), "while recording");
-    submit(&rt, 0);
-    assert_eq!(rt.trace_position(), Some(RERUNNABLE + 1));
-    drop(scope);
-    rt.taskwait();
-
-    let scope = rt.trace_scope(4);
-    assert!(refused(1, 2), "at a wrong start");
-    assert!(refused(0, RERUNNABLE + 1), "over a one-shot body");
-    assert!(refused(0, RERUNNABLE + 2), "beyond the trace");
-    assert!(rt.replay_tasks(0, RERUNNABLE));
-    assert_eq!(rt.trace_position(), Some(RERUNNABLE));
-    assert!(refused(0, RERUNNABLE), "behind the cursor");
-    submit(&rt, RERUNNABLE);
-    drop(scope);
-    rt.taskwait();
-    let s = rt.stats();
-    assert_eq!((s.trace_hits, s.trace_divergences), (1, 0), "{s:?}");
-    assert_eq!(ran.load(Ordering::SeqCst), 2 * (RERUNNABLE + 1));
-
-    // A spawn from a thread without the scope is untraced: the replayed
-    // tasks are invisible to its analysis and it to theirs.
-    let scope = rt.trace_scope(4);
-    std::thread::scope(|s| {
-        s.spawn(|| rt.task().input(Region::new(obj, 0..1)).body(|| {}).spawn());
-    });
-    assert!(refused(0, RERUNNABLE), "after an untraced spawn");
-    submit(&rt, 0);
-    drop(scope);
-    rt.taskwait();
-    assert_eq!(rt.stats().trace_hits, 1);
-    assert_eq!(ran.load(Ordering::SeqCst), 3 * (RERUNNABLE + 1));
-
-    let off = Runtime::with_config(RuntimeConfig {
-        workers: 1,
-        immediate_successor: true,
-        replay: false,
-    });
-    for _ in 0..2 {
-        let scope = off.trace_scope(4);
-        assert_eq!(off.trace_position(), None);
-        assert!(!off.replay_tasks(0, 0), "with replay off");
-        submit(&off, 0);
-        drop(scope);
-        off.taskwait();
-    }
-    assert_eq!(off.stats().spawned, 2 * (RERUNNABLE as u64 + 1));
-}
-
-/// `replay_tasks` re-arms slots with on-ready gates, and every re-armed
-/// task runs its gate again: once per run, only once its predecessors
-/// have released (never at the re-arm itself), and the task only after
-/// the gate opens. Every other iteration is submitted before the previous
-/// one has drained, so its slots' occupants are still live and the replay
+/// A replay re-arms slots with on-ready gates, and every re-armed task
+/// runs its gate again: once per run, only once its predecessors have
+/// released (never at the re-arm itself), and the task only after the
+/// gate opens. Every iteration spawns with the gates and bodies built for
+/// the first. Every other iteration is submitted before the previous one
+/// has drained, so its slots' occupants are still live and the replay
 /// allocates fresh task objects sharing the body and the gate; the others
 /// re-arm the released objects in place.
 #[test]
@@ -416,34 +335,34 @@ fn rearm_resets_the_gate_and_a_hit_runs_it_again() {
     let gates = Arc::new(AtomicUsize::new(0));
     // Half the gates open from a thread of their own.
     let openers = Arc::new(Mutex::new(Vec::new()));
-    let mut recorded = None;
+    let tasks: Vec<(taskrt::Gate, Body)> = (0..N)
+        .map(|i| {
+            let (log, gates, seen) = (Arc::clone(&log), Arc::clone(&gates), Arc::clone(&log));
+            let openers = Arc::clone(&openers);
+            let gate: taskrt::Gate = Arc::new(move |hold: taskrt::GateHold| {
+                // Everything before this position has run; nothing after it
+                // can have.
+                let ran = seen.lock().len();
+                assert_eq!(ran % N, i, "gate of {i} ran after {ran} bodies");
+                gates.fetch_add(1, Ordering::SeqCst);
+                if i % 2 == 1 {
+                    openers.lock().push(std::thread::spawn(move || hold.open()));
+                }
+            });
+            (gate, Arc::new(move || log.lock().push(i)) as Body)
+        })
+        .collect();
     for iter in 0..ITERS {
         if iter % 2 == 0 {
             rt.taskwait();
         }
         let scope = rt.trace_scope(12);
-        if let Some(start) = recorded {
-            assert!(rt.replay_tasks(start, N), "iteration {iter} not re-armed");
-        } else {
-            recorded = rt.trace_position();
-            for i in 0..N {
-                let (log, gates, seen) = (Arc::clone(&log), Arc::clone(&gates), Arc::clone(&log));
-                let openers = Arc::clone(&openers);
-                rt.task()
-                    .inout(Region::new(obj, 0..1))
-                    .on_ready(move |hold| {
-                        // Everything before this position has run; nothing
-                        // after it can have.
-                        let ran = seen.lock().len();
-                        assert_eq!(ran % N, i, "gate of {i} ran after {ran} bodies");
-                        gates.fetch_add(1, Ordering::SeqCst);
-                        if i % 2 == 1 {
-                            openers.lock().push(std::thread::spawn(move || hold.open()));
-                        }
-                    })
-                    .body_fn(move || log.lock().push(i))
-                    .spawn();
-            }
+        for (gate, body) in &tasks {
+            rt.task()
+                .inout(Region::new(obj, 0..1))
+                .on_ready_shared(Arc::clone(gate))
+                .body_shared(Arc::clone(body))
+                .spawn();
         }
         drop(scope);
     }
@@ -567,10 +486,9 @@ fn conflicts(a: &[Decl], b: &[Decl]) -> bool {
 /// pair is then checked as one stream of twice the length, so the edges
 /// between the two iterations are checked with it. The *n*-th occurrence
 /// of an index in the log is the *n*-th iteration's: two runs of one
-/// position are ordered through the closing sweep between them. `driven`
-/// submits the first iteration with re-runnable bodies and re-arms it
-/// through `replay_tasks` from then on.
-fn linear_extensions(driven: bool) {
+/// position are ordered through the closing sweep between them. `shared`
+/// spawns every iteration with the bodies built for the first.
+fn linear_extensions(shared: bool) {
     const OBJECTS: usize = 4;
     const RANDOM_TASKS: usize = 56;
     const TASKS: usize = RANDOM_TASKS + 2 * OBJECTS;
@@ -613,36 +531,35 @@ fn linear_extensions(driven: bool) {
         let rt = Runtime::new(3);
         let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::with_capacity(2 * TASKS)));
         let gate = Gate::new();
-        let mut recorded = None;
+        let bodies: Vec<Body> = (0..TASKS)
+            .map(|i| {
+                let (log, gate) = (Arc::clone(&log), Arc::clone(&gate));
+                Arc::new(move || {
+                    if i < OBJECTS {
+                        gate.pass();
+                    }
+                    log.lock().push(i);
+                }) as Body
+            })
+            .collect();
         for pair in 0..PAIRS {
             gate.set(false);
             for _ in 0..2 {
                 let scope = rt.trace_scope(42);
-                if let Some(start) = recorded.filter(|_| driven) {
-                    assert!(rt.replay_tasks(start, TASKS), "seed {seed:#x} pair {pair}");
-                } else {
-                    recorded = rt.trace_position();
-                    for (i, decls) in stream.iter().enumerate() {
-                        let (log, gate) = (Arc::clone(&log), Arc::clone(&gate));
-                        let body = move || {
-                            if i < OBJECTS {
-                                gate.pass();
-                            }
-                            log.lock().push(i);
-                        };
-                        let task = rt.task().accesses(decls.iter().map(|d| {
-                            let r = Region::new(objs[d.obj], d.start..d.end);
-                            if d.write {
-                                Access::read_write(r)
-                            } else {
-                                Access::read(r)
-                            }
-                        }));
-                        if driven {
-                            task.body_fn(body).spawn();
+                for (decls, body) in stream.iter().zip(&bodies) {
+                    let task = rt.task().accesses(decls.iter().map(|d| {
+                        let r = Region::new(objs[d.obj], d.start..d.end);
+                        if d.write {
+                            Access::read_write(r)
                         } else {
-                            task.body(body).spawn();
+                            Access::read(r)
                         }
+                    }));
+                    let body = Arc::clone(body);
+                    if shared {
+                        task.body_shared(body).spawn();
+                    } else {
+                        task.body(move || body()).spawn();
                     }
                 }
                 drop(scope);

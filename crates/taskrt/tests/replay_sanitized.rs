@@ -13,12 +13,13 @@
 //! iterations that demonstrably took the replay path therefore means the
 //! replayed edge sets are (transitively) identical to what depsan
 //! observes in record mode. A re-armed iteration — task objects reset in
-//! place, by matching spawns or by `replay_tasks` with nothing spawned
-//! again — hands depsan its enforced predecessors like any other.
+//! place by matching spawns, with bodies of their own or with the bodies
+//! the first iteration built — hands depsan its enforced predecessors
+//! like any other.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use taskrt::{Access, ObjId, Region, Runtime};
+use taskrt::{Access, Body, ObjId, Region, Runtime};
 
 struct Rng(u64);
 
@@ -71,38 +72,36 @@ fn sanitized_replay_matches_record_mode_edges() {
             stream.push(vec![(obj, 0, 8, true)]);
         }
 
-        // Matching spawns first, then `replay_tasks` over re-runnable
-        // bodies.
-        for driven in [false, true] {
+        // One-shot bodies first, then bodies shared by every iteration.
+        for shared in [false, true] {
             // The sanitizer must be on *before* the runtime is built (the
             // runtime captures the depsan mode at creation).
             let rt = Runtime::new(3);
             let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-            let mut recorded = None;
+            let bodies: Vec<Body> = (0..TASKS)
+                .map(|i| {
+                    let log = Arc::clone(&log);
+                    Arc::new(move || log.lock().push(i)) as Body
+                })
+                .collect();
             for _ in 0..ITERS {
                 let scope = rt.trace_scope(11);
-                if let Some(start) = recorded.filter(|_| driven) {
-                    assert!(rt.replay_tasks(start, TASKS), "seed {seed:#x}");
-                } else {
-                    recorded = rt.trace_position();
-                    for (i, decls) in stream.iter().enumerate() {
-                        let log = Arc::clone(&log);
-                        let body = move || log.lock().push(i);
-                        let task =
-                            rt.task()
-                                .accesses(decls.iter().map(|&(obj, start, end, write)| {
-                                    let r = Region::new(objs[obj], start..end);
-                                    if write {
-                                        Access::read_write(r)
-                                    } else {
-                                        Access::read(r)
-                                    }
-                                }));
-                        if driven {
-                            task.body_fn(body).spawn();
-                        } else {
-                            task.body(body).spawn();
-                        }
+                for (decls, body) in stream.iter().zip(&bodies) {
+                    let task = rt
+                        .task()
+                        .accesses(decls.iter().map(|&(obj, start, end, write)| {
+                            let r = Region::new(objs[obj], start..end);
+                            if write {
+                                Access::read_write(r)
+                            } else {
+                                Access::read(r)
+                            }
+                        }));
+                    let body = Arc::clone(body);
+                    if shared {
+                        task.body_shared(body).spawn();
+                    } else {
+                        task.body(move || body()).spawn();
                     }
                 }
                 drop(scope);
@@ -124,7 +123,7 @@ fn sanitized_replay_matches_record_mode_edges() {
             let violations = depsan::take_violations();
             assert!(
                 violations.is_empty(),
-                "seed {seed:#x} (driven: {driven}): depsan flagged replayed edges: {violations:?}"
+                "seed {seed:#x} (shared: {shared}): depsan flagged replayed edges: {violations:?}"
             );
         }
     }
