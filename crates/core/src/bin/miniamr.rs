@@ -284,6 +284,7 @@ fn main() {
         println!("trace_records\t{}", sum(|s| s.trace_records));
         println!("trace_closes\t{}", sum(|s| s.trace_closes));
         println!("trace_freezes\t{}", sum(|s| s.trace_freezes));
+        println!("trace_divergences\t{}", sum(|s| s.trace_divergences));
         println!("tasks_rearmed\t{}", sum(|s| s.tasks_rearmed));
         println!("trace_invalidations\t{}", sum(|s| s.trace_invalidations));
     }

@@ -7,8 +7,10 @@
 //! whether it has space; on a positive ACK the sender transmits a control
 //! message carrying the block identifier (the taskification's extra
 //! control message, used to tag the data transfer) and then the block
-//! data. Moves NACKed for lack of space retry in a later round; rounds
-//! continue until a global reduction reports no pending moves.
+//! data; a global reduction closes the exchange. The regrid refuses a
+//! move list that would leave a rank over `--max_blocks` before the
+//! exchange starts, so every ACK is positive and one round moves every
+//! block.
 //!
 //! Control messages always travel on the main thread (to keep their
 //! latency low, as the paper does): receives block, sends are posted and
@@ -129,10 +131,10 @@ impl BlockMover for BlockingMover {
     }
 }
 
-/// Executes the exchange protocol for a global move list. Returns the
-/// number of moves involving this rank. `state.blocks` is updated; the
-/// directory owners are **not** (callers update them from the same global
-/// list so every rank stays consistent).
+/// Executes the exchange protocol for a global move list, in one round.
+/// Returns the number of moves involving this rank. `state.blocks` is
+/// updated; the directory owners are **not** (callers update them from the
+/// same global list so every rank stays consistent).
 ///
 /// # Panics
 ///
@@ -143,10 +145,9 @@ impl BlockMover for BlockingMover {
 /// - If a move sends a block this rank does not hold, or a control
 ///   message names another block: a directory invariant, since every
 ///   rank plans from the same replicated directory.
-/// - If the rounds do not converge (a capacity livelock). A receiver
-///   accepts a block only while it has room, so a move list that leaves a
-///   receiving rank over `max_blocks` never converges: [`LiveRegrid`]
-///   stops a run with [`RunError::OverCapacity`] before it calls this.
+/// - On a NACK, on both ends: a receiver refuses a block only when the
+///   moves leave it over `max_blocks`, and [`LiveRegrid`] stops such a
+///   run with [`RunError::OverCapacity`] before it calls this.
 pub fn exchange_blocks(
     state: &mut RankState,
     comm: &Arc<Comm>,
@@ -154,118 +155,83 @@ pub fn exchange_blocks(
     mover: &mut dyn BlockMover,
 ) -> u64 {
     // `moves` is the same deterministic list on every rank, so all ranks
-    // agree on whether the protocol (and its round reductions) runs at
-    // all. Each rank then only tracks the moves it participates in, but
-    // every rank joins every round's reduction.
+    // agree on whether the protocol (and its closing reduction) runs at
+    // all. Each rank then only handles the moves it participates in, but
+    // every rank joins the reduction.
     if moves.iter().all(|m| m.from == m.to) {
         return 0;
     }
-    let mut remaining: Vec<Move> = moves
+    let mine = moves
         .iter()
-        .copied()
-        .filter(|m| m.from != m.to && (m.from == state.rank || m.to == state.rank))
-        .collect();
+        .filter(|m| m.from != m.to && (m.from == state.rank || m.to == state.rank));
+    let incoming: Vec<&Move> = mine.clone().filter(|m| m.to == state.rank).collect();
+    let outgoing: Vec<&Move> = mine.filter(|m| m.from == state.rank).collect();
     let mut touched = 0u64;
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        assert!(
-            rounds < 1000,
-            "block exchange did not converge (capacity livelock?)"
+
+    // Phase A: receivers decide capacity and send ACKs. Blocks this rank
+    // is *sending away* count as free capacity: without that credit, two
+    // exactly-full ranks swapping blocks would refuse each other.
+    let room =
+        (state.cfg.max_blocks.saturating_add(outgoing.len())).saturating_sub(state.blocks.len());
+    let mut ctrl_sends = Vec::new();
+    for (i, m) in incoming.iter().enumerate() {
+        let ok = i < room;
+        ctrl_sends.push(
+            comm.isend(&[ok as u8], m.from, ack_tag(m.seq))
+                .expect("send ack"),
         );
-
-        // Phase A: receivers decide capacity and send ACKs. Blocks this
-        // rank is *sending away* this same round count as free capacity:
-        // without that credit, two exactly-full ranks swapping blocks
-        // NACK each other forever (each waits for the other to make
-        // room) and the round assert above fires. The credit can
-        // transiently overshoot — an outgoing move a peer NACKs doesn't
-        // actually leave — but the overshoot is bounded by the rank's
-        // outgoing moves and drains as the swap completes, which is what
-        // guarantees progress.
-        let outgoing = remaining.iter().filter(|m| m.from == state.rank).count();
-        let mut decisions: Vec<Option<bool>> = vec![None; remaining.len()];
-        let mut ctrl_sends = Vec::new();
-        let mut accepted = 0usize;
-        for (i, m) in remaining.iter().enumerate() {
-            if m.to == state.rank {
-                let ok =
-                    state.blocks.len() + accepted < state.cfg.max_blocks.saturating_add(outgoing);
-                if ok {
-                    accepted += 1;
-                }
-                decisions[i] = Some(ok);
-                ctrl_sends.push(
-                    comm.isend(&[ok as u8], m.from, ack_tag(m.seq))
-                        .expect("send ack"),
-                );
-            }
-        }
-
-        // Phase B: senders read ACKs and ship accepted blocks.
-        let mut next_remaining = Vec::new();
-        for m in remaining.iter() {
-            if m.from == state.rank {
-                let (ack, _) = comm
-                    .recv::<u8>(m.to as i32, ack_tag(m.seq))
-                    .expect("recv ack");
-                if ack[0] == 1 {
-                    // Control message: the block identifier, used by both
-                    // sides to tag the data exchange.
-                    // Posted, not blocking: when two ranks swap blocks in
-                    // one round both are here while the matching receive
-                    // is in the peer's phase C, so a blocking rendezvous
-                    // send (any eager limit under 16 bytes) deadlocks.
-                    let idmsg = [m.block.level as u32, m.block.x, m.block.y, m.block.z];
-                    ctrl_sends.push(
-                        comm.isend(&idmsg, m.to, ctrl_tag(m.seq))
-                            .expect("send ctrl"),
-                    );
-                    let block = state.blocks.remove(&m.block).unwrap_or_else(|| {
-                        panic!("rank {} sending unowned {:?}", state.rank, m.block)
-                    });
-                    mover.send_block(comm, state, block, m.to, data_tag(m.seq));
-                    touched += 1;
-                } else {
-                    next_remaining.push(*m);
-                }
-            }
-        }
-
-        // Phase C: receivers consume accepted blocks.
-        for (i, m) in remaining.iter().enumerate() {
-            if m.to == state.rank {
-                if decisions[i] == Some(true) {
-                    let (idmsg, _) = comm
-                        .recv::<u32>(m.from as i32, ctrl_tag(m.seq))
-                        .expect("recv ctrl");
-                    let id = BlockId::new(idmsg[0] as u8, idmsg[1], idmsg[2], idmsg[3]);
-                    assert_eq!(id, m.block, "control message names an unexpected block");
-                    let block = mover.recv_block(comm, state, id, m.from, data_tag(m.seq));
-                    state.blocks.insert(id, block);
-                    touched += 1;
-                } else {
-                    next_remaining.push(*m);
-                }
-            }
-        }
-
-        for s in ctrl_sends {
-            s.wait();
-        }
-        mover.finish(comm);
-
-        // Global agreement on pending moves (counted once, on the
-        // receiver side).
-        let my_pending = next_remaining.iter().filter(|m| m.to == state.rank).count() as i64;
-        let total = comm
-            .allreduce_scalar(my_pending, vmpi::ReduceOp::Sum)
-            .expect("exchange reduction");
-        remaining = next_remaining;
-        if total == 0 {
-            break;
-        }
     }
+    assert!(
+        incoming.len() <= room,
+        "rank {} cannot take {} blocks over --max_blocks {}",
+        state.rank,
+        incoming.len(),
+        state.cfg.max_blocks
+    );
+
+    // Phase B: senders read ACKs and ship the blocks.
+    for m in &outgoing {
+        let (ack, _) = comm
+            .recv::<u8>(m.to as i32, ack_tag(m.seq))
+            .expect("recv ack");
+        assert_eq!(ack[0], 1, "rank {} refused {:?}", m.to, m.block);
+        // Control message: the block identifier, used by both sides to
+        // tag the data exchange. Posted, not blocking: when two ranks swap
+        // blocks both are here while the matching receive is in the
+        // peer's phase C, so a blocking rendezvous send (any eager limit
+        // under 16 bytes) deadlocks.
+        let idmsg = [m.block.level as u32, m.block.x, m.block.y, m.block.z];
+        ctrl_sends.push(
+            comm.isend(&idmsg, m.to, ctrl_tag(m.seq))
+                .expect("send ctrl"),
+        );
+        let block = (state.blocks.remove(&m.block))
+            .unwrap_or_else(|| panic!("rank {} sending unowned {:?}", state.rank, m.block));
+        mover.send_block(comm, state, block, m.to, data_tag(m.seq));
+        touched += 1;
+    }
+
+    // Phase C: receivers consume the blocks.
+    for m in &incoming {
+        let (idmsg, _) = comm
+            .recv::<u32>(m.from as i32, ctrl_tag(m.seq))
+            .expect("recv ctrl");
+        let id = BlockId::new(idmsg[0] as u8, idmsg[1], idmsg[2], idmsg[3]);
+        assert_eq!(id, m.block, "control message names an unexpected block");
+        let block = mover.recv_block(comm, state, id, m.from, data_tag(m.seq));
+        state.blocks.insert(id, block);
+        touched += 1;
+    }
+
+    for s in ctrl_sends {
+        s.wait();
+    }
+    mover.finish(comm);
+
+    // Global agreement that no move is pending, as the protocol ends its
+    // rounds; after one round there is none.
+    comm.allreduce_scalar(0i64, vmpi::ReduceOp::Sum)
+        .expect("exchange reduction");
     touched
 }
 

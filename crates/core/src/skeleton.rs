@@ -15,8 +15,9 @@ use amr_mesh::Object;
 pub enum Step {
     /// The drained top of timestep `ts`: a boundary snapshot.
     Boundary(usize),
-    /// Timestep `ts` begins. `traced`: another timestep of its mesh epoch
-    /// is in the span, so a trace recorded in it can replay.
+    /// Timestep `ts` begins. `traced`: a neighbouring timestep of its
+    /// mesh epoch, in the span, spawns the same stream, so a trace
+    /// recorded in one of the two replays in the other.
     Timestep {
         /// The timestep.
         ts: usize,
@@ -49,7 +50,12 @@ pub enum Step {
 /// `ckpt_freq` (none at 0), a regrid every `refine_freq` timesteps.
 /// `drain_each_ts` starts each timestep drained (boundary snapshots).
 /// Data-flow with `delayed_checksum` validates a point at the next one.
-/// A timestep is traced when the span holds another of its mesh epoch.
+/// A timestep is traced when the timestep before or after it, in the
+/// span and the same mesh epoch, spawns the same stream: the same
+/// sequence of [`Step::Stage`], [`Step::Sums`] and [`Step::WaitSums`]
+/// (whose wait spawns a waiter task; no other step spawns tasks).
+/// Checksum points that fall at different stages of consecutive
+/// timesteps leave them untraced.
 pub fn cadence(cfg: &Config, ts_start: usize, ts_end: usize, drain_each_ts: bool) -> Vec<Step> {
     use Step::*;
     let delayed = cfg.variant == Variant::DataFlow && cfg.delayed_checksum;
@@ -96,14 +102,25 @@ pub fn cadence(cfg: &Config, ts_start: usize, ts_end: usize, drain_each_ts: bool
         steps.push(Flush);
     }
     for epoch in steps.split_mut(|s| *s == Regrid) {
-        let n = epoch
-            .iter()
-            .filter(|s| matches!(s, Timestep { .. }))
-            .count();
-        for step in epoch {
-            if let Timestep { traced, .. } = step {
-                *traced = n > 1;
+        // Each timestep's spawning steps, stage numbers aside.
+        let mut streams: Vec<Vec<Step>> = Vec::new();
+        for step in epoch.iter() {
+            match (step, streams.last_mut()) {
+                (Timestep { .. }, _) => streams.push(Vec::new()),
+                (Stage(_), Some(stream)) => stream.push(Stage(0)),
+                (Sums | WaitSums, Some(stream)) => stream.push(*step),
+                _ => {}
             }
+        }
+        let repeats = |i: usize| {
+            (i > 0 && streams[i - 1] == streams[i]) || streams.get(i + 1) == Some(&streams[i])
+        };
+        let timesteps = epoch.iter_mut().filter_map(|s| match s {
+            Timestep { traced, .. } => Some(traced),
+            _ => None,
+        });
+        for (i, traced) in timesteps.enumerate() {
+            *traced = repeats(i);
         }
     }
     steps
@@ -220,7 +237,11 @@ mod tests {
             refine_freq,
             ..Config::smoke_test()
         };
-        (cadence(&cfg, ts_start, ts_end, false).into_iter())
+        traced_in(&cfg, ts_start, ts_end)
+    }
+
+    fn traced_in(cfg: &Config, ts_start: usize, ts_end: usize) -> Vec<usize> {
+        (cadence(cfg, ts_start, ts_end, false).into_iter())
             .filter_map(|s| match s {
                 Step::Timestep { ts, traced: true } => Some(ts),
                 _ => None,
@@ -244,6 +265,41 @@ mod tests {
         // Without regrids the span is one epoch.
         assert_eq!(traced(0, 0, 2), [0, 1]);
         assert_eq!(traced(0, 0, 1), Vec::<usize>::new());
+    }
+
+    /// A timestep is traced only when a neighbour of its epoch takes its
+    /// checksum points at the same stages: with S stages a timestep and a
+    /// point every C stages, the points drift through the timesteps
+    /// unless C divides S.
+    #[test]
+    fn a_timestep_is_traced_when_a_neighbour_spawns_the_same_stream() {
+        let traced = |stages_per_ts, checksum_freq| {
+            let cfg = Config {
+                stages_per_ts,
+                checksum_freq,
+                refine_freq: 1000,
+                ..Config::smoke_test()
+            };
+            traced_in(&cfg, 0, 12)
+        };
+        // S=4, C=3: no two consecutive timesteps take their points at the
+        // same stages.
+        assert_eq!(traced(4, 3), Vec::<usize>::new());
+        // S=4, C=12: every third timestep ends on a point; the two before
+        // it repeat each other.
+        assert_eq!(traced(4, 12), [0, 1, 3, 4, 6, 7, 9, 10]);
+        // S=10, C=5: two points in every timestep.
+        assert_eq!(traced(10, 5), (0..12).collect::<Vec<_>>());
+        // Delayed, the run's first point waits on no earlier one.
+        let cfg = Config {
+            variant: Variant::DataFlow,
+            delayed_checksum: true,
+            stages_per_ts: 10,
+            checksum_freq: 5,
+            refine_freq: 1000,
+            ..Config::smoke_test()
+        };
+        assert_eq!(traced_in(&cfg, 0, 12), (1..12).collect::<Vec<_>>());
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub struct RunStats {
     pub trace_closes: u64,
     /// … and the closes that froze a trace instead of parking it.
     pub trace_freezes: u64,
+    /// Traced timesteps that left the frozen trace (or saw an untraced
+    /// spawn) and fell back to fresh analysis.
+    pub trace_divergences: u64,
     /// Trace invalidations (regrid / repartition / restore).
     pub trace_invalidations: u64,
     /// Buffer-pool reuse counters at the end of the run: one take per

@@ -228,10 +228,11 @@ impl Exec for DataFlow {
         }
     }
 
-    /// One trace scope per traced timestep: the first timestep of a mesh
-    /// epoch is recorded, and each spawn of a later one re-arms the task
-    /// object its position recorded. A timestep alone in its epoch has
-    /// nothing to replay it, so it records nothing.
+    /// One trace scope per traced timestep: the first of a run of traced
+    /// timesteps is recorded, and each spawn of a later one re-arms the
+    /// task object its position recorded. A timestep whose neighbours
+    /// spawn other streams, or that is alone in its epoch, has nothing to
+    /// replay it, so it records nothing.
     fn timestep(&self, traced: bool) -> Option<TraceScope<'_>> {
         traced.then(|| self.rt.trace_scope(0))
     }
@@ -273,6 +274,7 @@ impl Exec for DataFlow {
         stats.trace_records += rts.trace_records;
         stats.trace_closes += rts.trace_closes;
         stats.trace_freezes += rts.trace_freezes;
+        stats.trace_divergences += rts.trace_divergences;
         stats.trace_invalidations += rts.trace_invalidations;
     }
 }

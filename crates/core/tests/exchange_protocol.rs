@@ -1,6 +1,6 @@
 //! Focused tests of the §IV-B block-exchange protocol: move planning,
-//! capacity NACK/retry rounds, and the directory/data consistency
-//! contract.
+//! the capacity credit of outgoing blocks, and the directory/data
+//! consistency contract.
 
 use amr_mesh::MeshParams;
 use miniamr::exchange::{balance_moves, exchange_blocks, merge_gather_moves, BlockingMover, Move};
@@ -96,12 +96,11 @@ fn full_migration_preserves_data() {
     });
 }
 
-/// A tight capacity forces NACK/retry rounds: each rank can accept only
-/// one block beyond its current count, but capacity frees up as its own
-/// outgoing blocks leave, so a 3-for-3 swap converges over several
-/// rounds.
+/// A tight capacity: each rank has room for one block beyond its current
+/// count, and its own outgoing blocks free the rest, so a 3-for-3 swap
+/// completes in the one round.
 #[test]
-fn tight_capacity_swap_converges_over_rounds() {
+fn tight_capacity_swap_completes_in_one_round() {
     let cfg = two_rank_cfg();
     let world = World::new(2, NetworkModel::instant());
     world.run(|comm| {
@@ -142,9 +141,8 @@ fn tight_capacity_swap_converges_over_rounds() {
 /// Regression: two *exactly full* ranks swapping blocks must converge.
 /// With zero headroom (`max_blocks == blocks.len()`) the old phase-A
 /// check `blocks.len() + accepted < max_blocks` ignored blocks leaving
-/// the rank the same round, so both sides NACKed each other forever and
-/// the 1000-round assert killed the run. Crediting this round's outgoing
-/// moves lets the swap complete in one round.
+/// the rank the same round, so both sides NACKed each other forever.
+/// Crediting the outgoing moves lets the swap complete in one round.
 ///
 /// The second network makes every message a rendezvous (`--eager_kb 0`):
 /// both ranks are senders and receivers in the same round, so a blocking

@@ -312,6 +312,11 @@ const TF_MESH: &str = "--npx 2 --npy 1 --npz 1 --workers 1 --stencil 7 --init_x 
     --init_z 4 --nx 4 --ny 4 --nz 4 --num_vars 4 --num_refine 2 --input four_spheres \
     --num_tsteps 8 --stages_per_ts 10 --checksum_freq 5 --refine_freq 1000 --send_faces \
     --separate_buffers";
+/// Checksum points at different stages of consecutive timesteps: no
+/// timestep repeats its neighbour's stream, so none is traced.
+const APERIODIC: &str = "--variant dataflow --npx 2 --init_x 2 --init_y 2 --init_z 2 --nx 4 \
+    --ny 4 --nz 4 --num_vars 4 --num_refine 2 --num_tsteps 8 --stages_per_ts 4 \
+    --checksum_freq 3 --refine_freq 3 --workers 2";
 const EL_MESH: &str = "--npx 2 --npy 2 --npz 1 --nx 6 --ny 6 --nz 6 --num_vars 4 \
     --num_tsteps 6 --stages_per_ts 4 --checksum_freq 2 --refine_freq 2 --num_refine 2";
 /// The matrix's plain run, and the features it combines.
@@ -440,6 +445,10 @@ fn ported() -> Vec<Row> {
             |r| r.num("tasks_spawned") == Some(118236) && r.num("task_items") == Some(829884),
         ));
     }
+    t.push(miniamr(APERIODIC).wants(Digest("aperiodic", Some("246a54477696eff4")))
+        .holds("trace_records == 0, trace_divergences == 0", |r| {
+            r.num("trace_records") == Some(0) && r.num("trace_divergences") == Some(0)
+        }));
     // Elastic: grow, grow then shrink, shrink; shrink on failure; the early
     // crash every time; four sanitized jobs resizing at once.
     for v in VARIANTS {
@@ -471,11 +480,16 @@ fn matrix() -> Vec<Row> {
     for v in VARIANTS {
         for set in &sets {
             let r = miniamr(format!("--variant {v} {MATRIX} {}", set.join(" ")));
-            t.push(match (set.contains(&CHAOS), set.contains(&"--coll hier"), set.contains(&"--sanitize")) {
+            let r = match (set.contains(&CHAOS), set.contains(&"--coll hier"), set.contains(&"--sanitize")) {
                 (true, true, _) => r.wants(Exit(2)).has("--coll hier").has("--chaos_"),
                 (true, _, _) if set.len() == 1 => r.wants(Digest("matrix", Some(MATRIX_DIGEST))).has("fabric=off"),
                 (_, _, true) => r.wants(Digest("matrix", Some(MATRIX_DIGEST))).has(CLEAN),
                 _ => r.wants(Digest("matrix", Some(MATRIX_DIGEST))),
+            };
+            // Every traced timestep of the matrix repeats its neighbour.
+            t.push(match r.expect {
+                Digest(..) if v == "dataflow" => r.holds("trace_divergences == 0", |r| r.num("trace_divergences") == Some(0)),
+                _ => r,
             });
         }
     }
@@ -505,7 +519,7 @@ fn every_row_holds() {
 #[test]
 fn the_table_size_is_pinned() {
     let runs = |rows: &[Row]| (rows.len(), rows.iter().map(|r| r.repeat).sum::<usize>());
-    assert_eq!(runs(&ported()), (96, 105));
+    assert_eq!(runs(&ported()), (97, 106));
     assert_eq!(runs(&matrix()), (166, 166));
 }
 

@@ -10,8 +10,8 @@
 //! quantities the paper reads off its Extrae/Paraver timelines.
 
 use crate::event::{Event, EventData, LANE_MAIN, LANE_NET, UNKNOWN_RANK};
+use crate::json::escape;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write;
 
 /// `tid` used for the delivery/"network" lane.
 const TID_NET: u32 = 999;
@@ -24,24 +24,6 @@ fn tid_of(worker: u32) -> u32 {
         LANE_NET => TID_NET,
         w => w.saturating_add(1).min(TID_OTHER - 1),
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Emitter {
@@ -69,29 +51,29 @@ impl Emitter {
         let tid_field = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
         self.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":{pid}{tid_field},\"args\":{{\"name\":\"{}\"}}}}",
-            esc(name),
-            esc(value)
+            escape(name),
+            escape(value)
         ));
     }
 
     fn slice(&mut self, name: &str, pid: u32, tid: u32, ts: u64, dur: u64, args: &str) {
         self.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{{args}}}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
     fn instant(&mut self, name: &str, pid: u32, tid: u32, ts: u64, args: &str) {
         self.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{{{args}}}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
     fn counter(&mut self, name: &str, pid: u32, ts: u64, series: &str) {
         self.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"args\":{{{series}}}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -185,7 +167,7 @@ pub fn export_chrome(events: &[Event]) -> String {
                     ts,
                     &format!(
                         "\"id\":{id},\"label\":\"{}\",\"preds\":{preds},\"replayed\":{replayed}",
-                        esc(label)
+                        escape(label)
                     ),
                 );
             }
@@ -372,8 +354,8 @@ pub fn export_chrome(events: &[Event]) -> String {
                     ts,
                     &format!(
                         "\"kind\":\"{}\",\"task\":{task},\"obj\":{obj},\"detail\":\"{}\"",
-                        esc(kind),
-                        esc(detail)
+                        escape(kind),
+                        escape(detail)
                     ),
                 );
             }
@@ -391,7 +373,7 @@ pub fn export_chrome(events: &[Event]) -> String {
                     ts,
                     &format!(
                         "\"kind\":\"{}\",\"src\":{src},\"dst\":{dst},\"tag\":{tag},\"seq\":{seq}",
-                        esc(kind)
+                        escape(kind)
                     ),
                 );
             }

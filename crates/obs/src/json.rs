@@ -1,9 +1,32 @@
-//! Minimal JSON syntax validator.
+//! Minimal JSON support: a string escaper and a syntax validator.
 //!
-//! The exporter builds its JSON by hand (no serde in this offline
+//! The exporters build their JSON by hand (no serde in this offline
 //! workspace), so tests and the CI smoke run need an independent check
-//! that the output actually parses. This is a strict recursive-descent
-//! recognizer — it validates syntax only and builds no tree.
+//! that the output actually parses. The validator is a strict
+//! recursive-descent recognizer — it validates syntax only and builds no
+//! tree.
+
+use std::fmt::Write as _;
+
+/// `s` as the contents of a JSON string: quotes, backslashes and control
+/// characters escaped, so no label or name can corrupt the document.
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Validates that `input` is one complete JSON value. Returns the byte
 /// offset and a message on the first syntax error.
@@ -212,6 +235,13 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_handles_quotes_and_controls() {
+        assert_eq!(escape("a\"b\\c\u{1}"), "a\\\"b\\\\c\\u0001");
+        assert_eq!(escape("x\ny"), "x\\ny");
+        validate(&format!("\"{}\"", escape("q\"\\\t\u{7}"))).unwrap();
+    }
 
     #[test]
     fn accepts_valid_documents() {

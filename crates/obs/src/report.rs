@@ -20,6 +20,7 @@
 
 use crate::critpath::{self, TimestepPath};
 use crate::event::Event;
+use crate::json::escape;
 use crate::metrics::HistogramSnapshot;
 use crate::span::{RankStats, SpanGraph};
 use std::fmt::Write as _;
@@ -175,7 +176,7 @@ impl PerfReport {
             let _ = write!(
                 out,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                esc(name),
+                escape(name),
                 h.count,
                 h.sum,
                 h.p50,
@@ -276,23 +277,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         String::from("0")
     }
-}
-
-/// Minimal string escape for JSON keys (metric names are identifiers,
-/// but quoting/control bytes must never corrupt the document).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Online event collector: drains the bus periodically on a background
@@ -556,11 +540,6 @@ mod tests {
     fn fmt_f64_rejects_non_finite() {
         assert_eq!(fmt_f64(f64::NAN), "0");
         assert_eq!(fmt_f64(0.5), "0.500000");
-    }
-
-    #[test]
-    fn esc_handles_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\u{1}"), "a\\\"b\\\\c\\u0001");
     }
 
     #[test]

@@ -31,11 +31,14 @@
 //!   still hot in cache is reused — the locality heuristic the paper
 //!   credits for the IPC improvement of the data-flow variant (§V-B,
 //!   §VI). The policy can be disabled for ablation studies.
-//! * **Task-graph trace & replay.** A [`Runtime::trace_scope`] brackets a
-//!   periodic submission phase (one AMR timestep); the first iteration
-//!   is recorded, and from the second on a matching iteration re-arms the
-//!   recorded task objects in place behind their recorded predecessors,
-//!   without touching the claim table. A task object points at its
+//! * **Task-graph trace & replay.** A [`Runtime::trace_scope`] brackets
+//!   one iteration of a submission phase the caller knows repeats (one
+//!   AMR timestep). A runtime caches one stream: the first scope records
+//!   it, the second closes it and from then on a matching iteration
+//!   re-arms the recorded task objects in place behind their recorded
+//!   predecessors, without touching the claim table. A divergence falls
+//!   back to fresh analysis for the rest of the scope, and the next
+//!   scope records. A task object points at its
 //!   accesses and body rather than holding them, so the spawns of a
 //!   submitter that elaborates a repeated call once share one list and
 //!   one closure ([`TaskBuilder::access_list`],

@@ -1,42 +1,48 @@
 //! Task-graph trace & replay cache.
 //!
 //! Between regrids, an AMR timestep re-submits the *same* task DAG over
-//! the same regions. This module turns the second and every later
-//! submission of such a stream into a *re-arm* of the first: the task
-//! objects of the previous iteration are reset in place and linked
-//! straight to their recorded predecessors — no claim-table analysis and
-//! no allocation. One structure carries it: a per-key vector of
-//! **slots**, one per stream position, each holding the position's
-//! fingerprint and the task object of the latest iteration that reached
-//! it.
+//! the same regions. The caller knows which submissions repeat and opens
+//! a [`TraceScope`] only around those (in `miniamr` the run skeleton
+//! marks a timestep traced when a neighbouring timestep of its mesh epoch
+//! spawns the same stream). This module turns the second and every later
+//! scope into a *re-arm* of the first: the task objects of the previous
+//! iteration are reset in place and linked straight to their recorded
+//! predecessors — no claim-table analysis and no allocation. A runtime
+//! caches **one stream**: a vector of **slots**, one per stream position,
+//! each holding the position's fingerprint and the task object of the
+//! latest iteration that reached it, under the key of the scopes that
+//! recorded it.
 //!
-//! * **Log.** A [`TraceScope`] (opened by the driver around one
-//!   iteration's submissions) that finds no frozen trace *records*: every
-//!   spawn takes the claim-table analysis as outside a scope and is logged
-//!   into its slot — `hash(label, priority, accesses)` and the task.
-//! * **Close.** When the key's next scope begins and nothing invalidated
-//!   in between, the logged stream is closed symbolically: three passes of
-//!   the structural analysis ([`History`] tables keyed by stream position
-//!   that nothing is ever retired from, so unlike the claim table's its
-//!   edges do not depend on which predecessors happened to be live) over
-//!   the logged access lists — a cold pass and two warm ones, the
-//!   recordings of three iterations without running them. If the warm
-//!   passes agree and [`replay_ready`] holds, the trace **freezes**;
-//!   otherwise the key is parked until the next invalidation. Closing
-//!   after one recording bets that the stream repeats; a key that lost
-//!   the bet ([`KeyState::optimistic`]) needs two recordings with equal
-//!   fingerprints before its next close.
-//! * **Re-arm.** A frozen key **replays**: position *i* takes slot *i*'s
-//!   task object, resets it under `Arc::get_mut` (or allocates a fresh one
-//!   into the slot while the previous occupant is still live), and links
-//!   it behind the slots its predecessor list names — lower positions
-//!   already hold this iteration's tasks, positions at or above *i* still
-//!   the previous iteration's — with edges to already-released
+//! * **Record.** A scope that finds no trace records: every spawn takes
+//!   the claim-table analysis as outside a scope and is logged into its
+//!   slot — `hash(label, priority, accesses)` and the task.
+//! * **Close.** The next scope closes the recording, if nothing
+//!   invalidated in between: three passes of the structural analysis
+//!   ([`History`] tables keyed by stream position that nothing is ever
+//!   retired from, so unlike the claim table's its edges do not depend on
+//!   which predecessors happened to be live) over the logged access lists
+//!   — a cold pass and two warm ones, the recordings of three iterations
+//!   without running them. If the warm passes agree and [`replay_ready`]
+//!   holds, the trace **freezes** and that scope already replays;
+//!   otherwise the stream is **parked**: its scopes run inert until the
+//!   next invalidation.
+//! * **Re-arm.** A frozen stream **replays**: position *i* takes slot
+//!   *i*'s task object, resets it under `Arc::get_mut` (or allocates a
+//!   fresh one into the slot while the previous occupant is still live),
+//!   and links it behind the slots its predecessor list names — lower
+//!   positions already hold this iteration's tasks, positions at or above
+//!   *i* still the previous iteration's — with edges to already-released
 //!   predecessors skipped, exactly as fresh registration would.
-//! * Any divergence — a fingerprint mismatch, a longer or shorter stream,
-//!   a concurrent untraced spawn — **falls back** transparently: live
-//!   replayed tasks are flushed into the claim table (so fresh analysis
-//!   sees them) and the rest of the scope is logged as a recording.
+//! * **Fall back.** A divergence — a fingerprint mismatch, a longer or
+//!   shorter stream, an untraced spawn while the scope is open — flushes
+//!   the replayed tasks into the claim table (so fresh analysis sees
+//!   them), forgets the trace and runs the rest of the scope inert. The
+//!   next scope records.
+//!
+//! A scope whose key is not the cached stream's forgets the stream and
+//! records. Two keys never replay side by side: each would link its
+//! tasks to its own previous iteration only, past the other key's
+//! writes to the same regions.
 //!
 //! ## Invalidation
 //!
@@ -68,12 +74,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// After this many consecutive scopes that diverged or failed to repeat
-/// the recording before them, the key is parked (no more recording) until
-/// the next invalidation: a non-periodic stream would otherwise be logged
-/// and compared forever without ever replaying.
-const MAX_UNSTABLE: u32 = 16;
 
 // ---------------------------------------------------------------------------
 // Fingerprints.
@@ -141,7 +141,7 @@ impl Preds {
                 .or_default()
                 .record((pass, pos), a, |&(i, p)| self.flat.push((pass - i, p)));
         }
-        self.flat[from..].sort_unstable();
+        self.flat[from..].sort();
         let mut kept = from;
         for i in from..self.flat.len() {
             if i == from || self.flat[i] != self.flat[kept - 1] {
@@ -203,60 +203,42 @@ fn replay_ready(preds: &Preds) -> bool {
     })
 }
 
-/// One stream position of a key.
+/// One stream position.
 struct Slot {
     fp: u64,
     /// The task of the latest iteration that reached this position.
     task: Arc<TaskShared>,
 }
 
-/// How far a key has come since its last invalidation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// How far the stream has come since its last invalidation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum Stage {
     /// Nothing usable: the next scope records.
+    #[default]
     Empty,
-    /// The slots hold one whole recording; `repeated` if it matched the
-    /// recording before it fingerprint by fingerprint.
-    Logged { repeated: bool },
+    /// The slots hold one whole recording: the next scope closes it.
+    Logged,
     /// Closed: `preds` is the trace, scopes replay.
     Frozen,
-    /// No recording until the next invalidation: the close failed, or the
-    /// stream kept changing.
+    /// The close failed: scopes run inert until the next invalidation.
     Parked,
 }
 
-/// Per-key cache state (checked out into the active scope's thread
-/// local while a scope is open, so spawns touch no locks).
+/// The runtime's one cached stream (checked out into the active scope's
+/// thread local while a scope is open, so spawns touch no locks).
+#[derive(Default)]
 struct KeyState {
+    /// The key of the scopes that recorded the stream.
+    key: u64,
     slots: Vec<Slot>,
     /// The frozen trace: every position's structural predecessors.
     preds: Preds,
     stage: Stage,
-    /// Whether one recording is enough to close. Cleared when a replay
-    /// diverges (the stream did not repeat after all), set again by the
-    /// next full hit; survives invalidation, because a stream that
-    /// alternates shapes does so in every mesh epoch.
-    optimistic: bool,
-    /// Consecutive scopes that diverged or did not repeat.
-    unstable: u32,
-    /// Untraced-spawn counter at the end of the key's last scope. A
-    /// change by the next scope means out-of-band tasks were spawned in
-    /// between; they may still be live yet are in no slot, so the key's
-    /// history cannot be trusted any more.
+    /// Untraced-spawn counter at the end of the last scope. A change by
+    /// the next scope means out-of-band tasks were spawned in between;
+    /// they may still be live yet are in no slot, so the stream cannot be
+    /// built on any more.
     untraced_seen: u64,
-}
-
-impl Default for KeyState {
-    fn default() -> KeyState {
-        KeyState {
-            slots: Vec::new(),
-            preds: Preds::default(),
-            stage: Stage::Empty,
-            optimistic: true,
-            unstable: 0,
-            untraced_seen: 0,
-        }
-    }
 }
 
 impl KeyState {
@@ -266,16 +248,6 @@ impl KeyState {
         self.preds = Preds::default();
         self.stage = stage;
     }
-
-    /// Counts one scope that did not repeat; parks the key at the limit.
-    /// Returns whether it is parked now.
-    fn strike(&mut self) -> bool {
-        self.unstable += 1;
-        if self.unstable >= MAX_UNSTABLE {
-            self.forget(Stage::Parked);
-        }
-        self.stage == Stage::Parked
-    }
 }
 
 /// Per-runtime trace cache, embedded in `RtInner`.
@@ -283,7 +255,7 @@ pub(crate) struct TraceCache {
     /// Replay enabled ([`crate::RuntimeConfig::replay`]); when false the
     /// whole machinery is inert and scopes are no-ops.
     pub(crate) enabled: bool,
-    keys: Mutex<HashMap<u64, KeyState>>,
+    stream: Mutex<KeyState>,
     generation: AtomicU64,
     /// Replayed tasks since the last scope began: every live task absent
     /// from the claim table is in here (see the module docs).
@@ -298,7 +270,7 @@ impl TraceCache {
     pub(crate) fn new(enabled: bool) -> TraceCache {
         TraceCache {
             enabled,
-            keys: Mutex::new(HashMap::new()),
+            stream: Mutex::default(),
             generation: AtomicU64::new(0),
             bypassed: Mutex::new(Vec::new()),
             bypassed_live: AtomicUsize::new(0),
@@ -311,7 +283,7 @@ impl TraceCache {
     /// runtime: left alone, the cycle keeps the runtime and everything it
     /// ever traced alive.
     pub(crate) fn clear(&self) {
-        self.keys.lock().clear();
+        *self.stream.lock() = KeyState::default();
         self.bypassed.lock().clear();
     }
 }
@@ -320,19 +292,18 @@ impl TraceCache {
 // The active scope (thread-local: all scope-path work is lock-free).
 
 enum ScopeMode {
-    /// Logging: `pos` tasks so far, which `same` says all matched the
-    /// fingerprints of the recording already in the slots.
-    Record { pos: usize, same: bool },
+    /// Logging every spawn into the next slot.
+    Record,
     /// Re-arming the frozen trace from slot `cursor` on.
     Replay { cursor: usize },
-    /// Parked key or tainted scope: spawns take the fresh path unlogged.
+    /// Parked stream or fallen-back scope: spawns take the fresh path
+    /// unlogged.
     Inert,
 }
 
 struct ActiveScope {
     /// Identity of the runtime the scope belongs to (`Arc::as_ptr`).
     rt: *const RtInner,
-    key: u64,
     generation: u64,
     untraced_at_start: u64,
     mode: ScopeMode,
@@ -389,20 +360,14 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
     if !cache.enabled {
         return;
     }
-    let mut state = {
-        let mut keys = cache.keys.lock();
-        keys.remove(&key).unwrap_or_default()
-    };
-    // Out-of-band spawns since the key's last scope: neither a frozen
-    // trace nor the recording covers them, so start the key over (counts
-    // toward parking, like a divergence).
+    let mut state = std::mem::take(&mut *cache.stream.lock());
+    // Another key's stream, or out-of-band spawns since the last scope
+    // (neither a frozen trace nor a recording covers them): start over.
+    // A parked stream stays parked until the next invalidation.
     let untraced_now = cache.untraced_spawns.load(Ordering::Acquire);
-    if untraced_now != state.untraced_seen {
-        if matches!(state.stage, Stage::Logged { .. } | Stage::Frozen) {
-            state.forget(Stage::Empty);
-            state.strike();
-        }
-        state.untraced_seen = untraced_now;
+    if state.key != key || (untraced_now != state.untraced_seen && state.stage != Stage::Parked) {
+        state.forget(Stage::Empty);
+        state.key = key;
     }
     // Released tasks need no flush any more, and a reference kept here
     // would stop their slot from re-arming them.
@@ -410,29 +375,21 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
         .bypassed
         .lock()
         .retain(|t| t.bypassed.load(Ordering::Acquire));
-    // Close here rather than where the recording ended: a stream that is
-    // invalidated before its next scope (a regrid every timestep) never
-    // pays for a close.
-    if let Stage::Logged { repeated } = state.stage {
-        if state.optimistic || repeated {
-            close(inner, key, &mut state);
-        }
-    }
     let mode = match state.stage {
+        // Close here rather than where the recording ended: a stream that
+        // is invalidated before its next scope (a regrid every timestep)
+        // never pays for a close.
+        Stage::Logged => close(inner, &mut state),
         Stage::Frozen => ScopeMode::Replay { cursor: 0 },
         Stage::Parked => ScopeMode::Inert,
-        Stage::Empty | Stage::Logged { .. } => {
+        Stage::Empty => {
             inner.stat_trace_records.fetch_add(1, Ordering::Relaxed);
-            emit_mark(inner, "record", key, state.slots.len());
-            ScopeMode::Record {
-                pos: 0,
-                same: matches!(state.stage, Stage::Logged { .. }),
-            }
+            emit_mark(inner, "record", key, 0);
+            ScopeMode::Record
         }
     };
     let scope = ActiveScope {
         rt: Arc::as_ptr(inner),
-        key,
         generation: cache.generation.load(Ordering::Acquire),
         untraced_at_start: untraced_now,
         mode,
@@ -445,20 +402,25 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
     });
 }
 
-/// Freezes the key's logged stream, or parks the key if the stream is
-/// not stable.
-fn close(inner: &RtInner, key: u64, state: &mut KeyState) {
+/// Freezes the logged stream, or parks it if it is not stable. Returns
+/// how the scope that closed it goes on: replaying, or inert.
+fn close(inner: &RtInner, state: &mut KeyState) -> ScopeMode {
     inner.stat_trace_closes.fetch_add(1, Ordering::Relaxed);
-    match close_stream(state.slots.iter().map(|s| &s.task.accesses[..])) {
+    let mode = match close_stream(state.slots.iter().map(|s| &s.task.accesses[..])) {
         Some(preds) => {
             state.preds = preds;
             state.stage = Stage::Frozen;
             inner.stat_trace_freezes.fetch_add(1, Ordering::Relaxed);
+            ScopeMode::Replay { cursor: 0 }
         }
-        None => state.forget(Stage::Parked),
-    }
-    // A close that parked the key froze no task.
-    emit_mark(inner, "close", key, state.slots.len());
+        None => {
+            state.forget(Stage::Parked);
+            ScopeMode::Inert
+        }
+    };
+    // A close that parked the stream froze no task.
+    emit_mark(inner, "close", state.key, state.slots.len());
+    mode
 }
 
 pub(crate) fn scope_end(inner: &Arc<RtInner>) {
@@ -486,42 +448,19 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
     // live) tasks are in no slot: a recording is unusable, a replayed
     // iteration (whose own edges are fine) no base for the next.
     let tainted = cache.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start;
-    if tainted && !matches!(scope.mode, ScopeMode::Inert) {
-        taint_scope(inner, &mut scope);
-    }
     match scope.mode {
+        ScopeMode::Inert => {}
+        _ if tainted => diverge_scope(inner, &mut scope),
         ScopeMode::Replay { cursor } if cursor == scope.state.slots.len() => {
             inner.stat_trace_hits.fetch_add(1, Ordering::Relaxed);
-            emit_mark(inner, "hit", scope.key, cursor);
-            scope.state.unstable = 0;
-            scope.state.optimistic = true;
+            emit_mark(inner, "hit", scope.state.key, cursor);
         }
-        ScopeMode::Replay { cursor } => {
-            // Fewer submissions than the trace promised: the shorter
-            // stream is what was recorded.
-            if !diverge_scope(inner, &mut scope, cursor) {
-                end_recording(&mut scope.state, cursor, false);
-            }
-        }
-        ScopeMode::Record { pos, same } => end_recording(&mut scope.state, pos, same),
-        // Parked pass-through or tainted scope: nothing recorded.
-        ScopeMode::Inert => {}
+        // Fewer submissions than the trace promised.
+        ScopeMode::Replay { .. } => diverge_scope(inner, &mut scope),
+        ScopeMode::Record => scope.state.stage = Stage::Logged,
     }
     scope.state.untraced_seen = cache.untraced_spawns.load(Ordering::Acquire);
-    let mut keys = cache.keys.lock();
-    keys.insert(scope.key, scope.state);
-}
-
-/// The scope logged `pos` tasks, which `same` says matched the recording
-/// that was in the slots: they are the key's recording now.
-fn end_recording(state: &mut KeyState, pos: usize, same: bool) {
-    let repeated = same && pos == state.slots.len();
-    state.slots.truncate(pos);
-    let followed_one = matches!(state.stage, Stage::Logged { .. });
-    state.stage = Stage::Logged { repeated };
-    if followed_one && !repeated {
-        state.strike();
-    }
+    *cache.stream.lock() = scope.state;
 }
 
 // ---------------------------------------------------------------------------
@@ -538,24 +477,20 @@ pub(crate) fn route_spawn(
 ) -> Route {
     let route = with_scope(inner, |scope| match scope.mode {
         ScopeMode::Inert => Route::Inert,
-        ScopeMode::Record { .. } => Route::Recording,
+        ScopeMode::Record => Route::Recording,
         ScopeMode::Replay { cursor } => {
             // A concurrent untraced spawn may conflict with replayed
-            // tasks the claim table cannot see; fall back for the rest
-            // of the scope.
-            if inner.trace.untraced_spawns.load(Ordering::Acquire) != scope.untraced_at_start {
-                taint_scope(inner, scope);
-                return Route::Inert;
-            }
+            // tasks the claim table cannot see; so may an extra spawn or
+            // a fingerprint mismatch with what the slots run next.
+            let untraced = inner.trace.untraced_spawns.load(Ordering::Acquire);
             let expected = scope.state.slots.get(cursor).map(|slot| slot.fp);
-            if expected == Some(fingerprint(label, priority, accesses)) {
+            if untraced == scope.untraced_at_start
+                && expected == Some(fingerprint(label, priority, accesses))
+            {
                 Route::Replay
-            } else if diverge_scope(inner, scope, cursor) {
-                Route::Inert
             } else {
-                // Extra submission or fingerprint mismatch: this one and
-                // the rest of the scope are recorded.
-                Route::Recording
+                diverge_scope(inner, scope);
+                Route::Inert
             }
         }
     });
@@ -592,15 +527,16 @@ pub(crate) fn replay_spawn(
     .expect("route_spawn matched an open scope")
 }
 
-/// Replays position `pos` of a frozen key: re-arms the slot's task object
-/// — or, while its previous occupant is still referenced from anywhere,
-/// allocates a fresh one into the slot — links it behind the position's
-/// recorded predecessors (claim table bypassed, released predecessors
-/// skipped exactly as fresh registration would skip them), registers it
-/// for flushing (in `flush_list`, the cache's, locked by the caller) and
-/// launches it, with the declaration, body and on-ready gate of `spawn`,
-/// whose fingerprint matched the slot's (the gate runs anew once the
-/// re-armed task's predecessors release). Returns the task's depsan id.
+/// Replays position `pos` of the frozen stream: re-arms the slot's task
+/// object — or, while its previous occupant is still referenced from
+/// anywhere, allocates a fresh one into the slot — links it behind the
+/// position's recorded predecessors (claim table bypassed, released
+/// predecessors skipped exactly as fresh registration would skip them),
+/// registers it for flushing (in `flush_list`, the cache's, locked by the
+/// caller) and launches it, with the declaration, body and on-ready gate
+/// of `spawn`, whose fingerprint matched the slot's (the gate runs anew
+/// once the re-armed task's predecessors release). Returns the task's
+/// depsan id.
 fn replay_slot(
     inner: &Arc<RtInner>,
     state: &mut KeyState,
@@ -697,65 +633,26 @@ fn redeclare(slot: &Accesses, declared: Declared) -> Accesses {
 /// Logs a freshly-analyzed spawn into the open record-mode scope.
 pub(crate) fn record_spawn(inner: &Arc<RtInner>, task: &Arc<TaskShared>) {
     with_scope(inner, |scope| {
-        let ScopeMode::Record { pos, same } = &mut scope.mode else {
-            return;
-        };
-        let slot = Slot {
-            fp: fingerprint(task.label, task.priority, &task.accesses),
-            task: Arc::clone(task),
-        };
-        match scope.state.slots.get_mut(*pos) {
-            Some(old) => {
-                *same &= old.fp == slot.fp;
-                *old = slot;
-            }
-            None => {
-                *same = false;
-                scope.state.slots.push(slot);
-            }
+        if let ScopeMode::Record = scope.mode {
+            scope.state.slots.push(Slot {
+                fp: fingerprint(task.label, task.priority, &task.accesses),
+                task: Arc::clone(task),
+            });
         }
-        *pos += 1;
     });
 }
 
-/// The replaying scope's stream left the frozen trace at slot `cursor`:
-/// the tasks replayed so far stay as the head of a recording that the
-/// rest of the scope continues (fresh analysis sees them: every fresh
-/// spawn flushes first). Returns true if that parked the key instead.
-fn diverge_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope, cursor: usize) -> bool {
-    let state = &mut scope.state;
-    state.preds = Preds::default();
-    state.stage = Stage::Empty;
-    state.optimistic = false;
-    // Divergences count toward parking: a stream that freezes and then
-    // keeps diverging must not thrash record/replay forever.
-    let parked = state.strike();
-    scope.mode = if parked {
-        ScopeMode::Inert
-    } else {
-        ScopeMode::Record {
-            pos: cursor,
-            same: false,
-        }
-    };
-    note_divergence(inner, scope.key);
-    parked
-}
-
-/// An untraced spawn landed while the scope was open: whatever the scope
-/// replayed or logged cannot be built on. The key starts over and the
-/// rest of the scope takes the fresh path unlogged.
-fn taint_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope) {
+/// The scope's stream left the frozen trace, or an untraced spawn landed
+/// while it was open: whatever the scope replayed or logged cannot be
+/// built on. The replayed tasks are flushed into the claim table, the
+/// trace is forgotten and the rest of the scope takes the fresh path
+/// unlogged; the next scope records.
+fn diverge_scope(inner: &Arc<RtInner>, scope: &mut ActiveScope) {
     scope.mode = ScopeMode::Inert;
     scope.state.forget(Stage::Empty);
-    scope.state.strike();
-    note_divergence(inner, scope.key);
-}
-
-fn note_divergence(inner: &Arc<RtInner>, key: u64) {
     flush_bypassed(inner);
     inner.stat_trace_divergences.fetch_add(1, Ordering::Relaxed);
-    emit_mark(inner, "divergence", key, 0);
+    emit_mark(inner, "divergence", scope.state.key, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -810,12 +707,7 @@ pub(crate) fn invalidate(inner: &Arc<RtInner>) {
         return;
     }
     cache.generation.fetch_add(1, Ordering::AcqRel);
-    for state in cache.keys.lock().values_mut() {
-        *state = KeyState {
-            optimistic: state.optimistic,
-            ..KeyState::default()
-        };
-    }
+    *cache.stream.lock() = KeyState::default();
     drain_bypassed(inner);
     inner
         .stat_trace_invalidations
@@ -838,8 +730,9 @@ fn emit_mark(inner: &RtInner, kind: &'static str, key: u64, tasks: usize) {
 
 impl crate::Runtime {
     /// Opens a trace scope for one iteration of a periodic submission
-    /// stream (one AMR timestep). The first iteration after an
-    /// invalidation records; from the second on, matching iterations
+    /// stream (one AMR timestep) under `key`. The first scope after an
+    /// invalidation, a divergence or a scope of another key records; the
+    /// next closes that recording, and from then on matching iterations
     /// re-arm the recorded tasks without touching the claim table,
     /// falling back to fresh analysis on any divergence.
     ///
@@ -931,10 +824,10 @@ mod tests {
 
     /// A read that no write of the stream covers is seen from one
     /// iteration further back by every pass: the warm passes differ, the
-    /// one close parks the key and nothing is closed or recorded again
+    /// one close parks the stream and nothing is closed or recorded again
     /// until an invalidation.
     #[test]
-    fn unstable_stream_parks_the_key_after_one_close() {
+    fn a_stream_that_never_settles_parks_after_one_close() {
         let stream = [accesses(&[(7, 0, 2, false)]), accesses(&[(7, 0, 1, true)])];
         let rt = Runtime::new(1);
         for _ in 0..5 {
@@ -950,33 +843,29 @@ mod tests {
         assert_eq!((s.trace_closes, s.trace_records), (2, 2), "{s:?}");
     }
 
-    /// A stream that alternates between two shapes loses the bet of its
-    /// first close and is not closed again while it alternates; once it
-    /// repeats it closes after two recordings, and the hit restores the
-    /// close after one.
+    /// A divergence forgets the trace and runs the rest of its scope
+    /// inert; the next scope records the new stream, and the scope after
+    /// it closes that recording and replays it.
     #[test]
-    fn alternating_stream_stops_closing_until_a_hit() {
+    fn a_divergence_records_at_the_next_scope() {
         let a = [accesses(&[(8, 0, 4, true)]), accesses(&[(8, 0, 2, true)])];
         let b = [accesses(&[(8, 0, 4, true)]), accesses(&[(8, 2, 2, true)])];
         let rt = Runtime::new(1);
-        for _ in 0..3 {
-            iterate(&rt, &a);
-            iterate(&rt, &b);
-        }
-        let s = rt.stats();
-        assert_eq!((s.trace_closes, s.trace_divergences), (1, 1), "{s:?}");
-        assert_eq!(s.trace_hits, 0, "{s:?}");
-        // Repeats now: one recording that differs from `b`, one that
-        // repeats it, then the close and the hit.
-        for _ in 0..3 {
-            iterate(&rt, &a);
-        }
-        let s = rt.stats();
-        assert_eq!((s.trace_closes, s.trace_hits), (2, 1), "{s:?}");
-        rt.invalidate_traces();
+        let counts = |rt: &Runtime| {
+            let s = rt.stats();
+            let counts = [s.trace_records, s.trace_closes, s.trace_hits];
+            (counts, s.trace_divergences, s.replayed_tasks)
+        };
         iterate(&rt, &a);
         iterate(&rt, &a);
-        let s = rt.stats();
-        assert_eq!((s.trace_closes, s.trace_hits), (3, 2), "{s:?}");
+        assert_eq!(counts(&rt), ([1, 1, 1], 0, 2));
+        // `b` leaves the trace at its second task.
+        iterate(&rt, &b);
+        assert_eq!(counts(&rt), ([1, 1, 1], 1, 3));
+        iterate(&rt, &b);
+        assert_eq!(counts(&rt), ([2, 1, 1], 1, 3));
+        iterate(&rt, &b);
+        assert_eq!(counts(&rt), ([2, 2, 2], 1, 5));
+        assert_eq!(rt.stats().trace_freezes, 2);
     }
 }

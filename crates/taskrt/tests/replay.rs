@@ -66,7 +66,7 @@ fn assert_in_submission_order(log: &Arc<Mutex<Vec<usize>>>, n: usize, ctx: &str)
     );
 }
 
-/// The cache bets that a stream repeats: the first scope after an
+/// A recording closes at the next scope: the first scope after an
 /// invalidation records, the second closes that recording and is a hit
 /// already.
 #[test]
@@ -194,6 +194,44 @@ fn divergent_submission_falls_back() {
     assert!(
         s.trace_hits > hits_after_divergence,
         "stream B never re-froze: {s:?}"
+    );
+}
+
+/// Two keys interleaved on one runtime, each scope one `inout` task on
+/// the same region: the runtime caches one stream, so every scope of the
+/// other key records afresh and the tasks run in submission order. A
+/// cache per key would replay each key's chain behind its own previous
+/// task only, and key 1's tasks would overtake key 2's slow ones.
+#[test]
+fn interleaved_keys_keep_submission_order() {
+    let rt = Runtime::new(2);
+    let obj = ObjId::fresh();
+    const ROUNDS: usize = 6;
+    let log = Arc::new(Mutex::new(Vec::with_capacity(2 * ROUNDS)));
+    for round in 0..ROUNDS {
+        for key in [1u64, 2] {
+            let log = Arc::clone(&log);
+            let scope = rt.trace_scope(key);
+            rt.task()
+                .inout(Region::new(obj, 0..1))
+                .body(move || {
+                    if key == 2 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    log.lock().push((round, key));
+                })
+                .spawn();
+            drop(scope);
+        }
+    }
+    rt.taskwait();
+    let want: Vec<(usize, u64)> = (0..ROUNDS).flat_map(|r| [(r, 1), (r, 2)]).collect();
+    assert_eq!(*log.lock(), want, "interleaved keys ran out of order");
+    let s = rt.stats();
+    assert_eq!(
+        (s.trace_records, s.trace_hits),
+        (2 * ROUNDS as u64, 0),
+        "{s:?}"
     );
 }
 

@@ -29,18 +29,6 @@ use std::time::Duration;
 /// the three failure machineries apart.
 pub const PEER_LOST_EXIT_CODE: i32 = 88;
 
-/// Which tags a fault plan applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TagClass {
-    /// All traffic (user point-to-point and internal collectives).
-    #[default]
-    All,
-    /// Only user tags (`tag < TAG_UB`).
-    User,
-    /// Only internal collective tags (`tag >= TAG_UB`).
-    Collective,
-}
-
 /// What to do when a peer exhausts the retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerLostAction {
@@ -60,9 +48,9 @@ pub enum PeerLostAction {
 }
 
 /// Seeded fault-injection plan. All probabilities are per-frame in
-/// `[0, 1]`; filters restrict the plan to a `(src, dst, tag-class,
-/// frame window)` slice of the traffic. `Default` is an all-zero plan:
-/// the reliability framing is active but no faults fire.
+/// `[0, 1]` and apply to all traffic, user point-to-point and internal
+/// collectives alike. `Default` is an all-zero plan: the reliability
+/// framing is active but no faults fire.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Seed of every fault decision.
@@ -88,16 +76,6 @@ pub struct ChaosConfig {
     /// NIC is dead: nothing it sends leaves, nothing sent to it is
     /// accepted or acknowledged.
     pub crash_after: u64,
-    /// Restrict faults to frames from this world rank.
-    pub only_src: Option<usize>,
-    /// Restrict faults to frames to this world rank.
-    pub only_dst: Option<usize>,
-    /// Restrict faults to a tag class.
-    pub tag_class: TagClass,
-    /// Restrict faults to the `[start, end)` window of each channel's
-    /// sequence numbers (an iteration-window proxy: per-channel traffic
-    /// is posted in iteration order).
-    pub window: Option<(u64, u64)>,
     /// Retransmissions attempted before a peer is declared lost.
     pub retry_budget: u32,
     /// Base retransmit timeout; attempt `k` waits `rto << k`.
@@ -119,10 +97,6 @@ impl Default for ChaosConfig {
             stall: Duration::from_millis(2),
             crash_rank: None,
             crash_after: 0,
-            only_src: None,
-            only_dst: None,
-            tag_class: TagClass::All,
-            window: None,
             retry_budget: 8,
             rto: Duration::from_millis(5),
             on_peer_lost: PeerLostAction::default(),
@@ -180,36 +154,6 @@ impl ChaosConfig {
         h = mix64(h ^ tag as u32 as u64);
         h = mix64(h ^ seq);
         mix64(h ^ attempt as u64)
-    }
-
-    /// Whether the plan's `(src, dst, tag-class, window)` filters select
-    /// this frame for fault injection.
-    pub(crate) fn applies(&self, src: usize, dst: usize, tag: i32, seq: u64) -> bool {
-        if self.only_src.is_some_and(|s| s != src) {
-            return false;
-        }
-        if self.only_dst.is_some_and(|d| d != dst) {
-            return false;
-        }
-        match self.tag_class {
-            TagClass::All => {}
-            TagClass::User => {
-                if tag >= crate::comm::TAG_UB {
-                    return false;
-                }
-            }
-            TagClass::Collective => {
-                if tag < crate::comm::TAG_UB {
-                    return false;
-                }
-            }
-        }
-        if let Some((start, end)) = self.window {
-            if seq < start || seq >= end {
-                return false;
-            }
-        }
-        true
     }
 
     /// True when any fault can actually fire (used to pretty-print).
@@ -598,22 +542,5 @@ mod tests {
             .count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "drop rate {rate} far from 0.25");
-    }
-
-    #[test]
-    fn filters_select_traffic_slice() {
-        let cfg = ChaosConfig {
-            only_src: Some(1),
-            only_dst: Some(2),
-            tag_class: TagClass::User,
-            window: Some((10, 20)),
-            ..ChaosConfig::default()
-        };
-        assert!(cfg.applies(1, 2, 5, 15));
-        assert!(!cfg.applies(0, 2, 5, 15), "src filter");
-        assert!(!cfg.applies(1, 3, 5, 15), "dst filter");
-        assert!(!cfg.applies(1, 2, crate::comm::TAG_UB, 15), "tag class");
-        assert!(!cfg.applies(1, 2, 5, 9), "window start");
-        assert!(!cfg.applies(1, 2, 5, 20), "window end");
     }
 }

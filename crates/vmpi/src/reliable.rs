@@ -171,33 +171,31 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
         fault.counters.stalls.fetch_add(1, Ordering::Relaxed);
         emit_fault("stall", src, dst, tag, seq);
     }
-    if cfg.applies(src, dst, tag, seq) {
-        if cfg.delay_p > 0.0 && cfg.roll(salt::DELAY, src, dst, tag, seq, attempt) < cfg.delay_p {
-            delay += base.mul_f64(cfg.delay_factor).max(MIN_SPIKE);
-            fault.counters.delays.fetch_add(1, Ordering::Relaxed);
-            emit_fault("delay", src, dst, tag, seq);
+    if cfg.delay_p > 0.0 && cfg.roll(salt::DELAY, src, dst, tag, seq, attempt) < cfg.delay_p {
+        delay += base.mul_f64(cfg.delay_factor).max(MIN_SPIKE);
+        fault.counters.delays.fetch_add(1, Ordering::Relaxed);
+        emit_fault("delay", src, dst, tag, seq);
+    }
+    if cfg.drop_p > 0.0 && cfg.roll(salt::DROP, src, dst, tag, seq, attempt) < cfg.drop_p {
+        deliver = false;
+        fault.counters.drops.fetch_add(1, Ordering::Relaxed);
+        emit_fault("drop", src, dst, tag, seq);
+    }
+    if deliver {
+        if cfg.dup_p > 0.0 && cfg.roll(salt::DUP, src, dst, tag, seq, attempt) < cfg.dup_p {
+            dup = true;
+            fault.counters.dups.fetch_add(1, Ordering::Relaxed);
+            emit_fault("dup", src, dst, tag, seq);
         }
-        if cfg.drop_p > 0.0 && cfg.roll(salt::DROP, src, dst, tag, seq, attempt) < cfg.drop_p {
-            deliver = false;
-            fault.counters.drops.fetch_add(1, Ordering::Relaxed);
-            emit_fault("drop", src, dst, tag, seq);
-        }
-        if deliver {
-            if cfg.dup_p > 0.0 && cfg.roll(salt::DUP, src, dst, tag, seq, attempt) < cfg.dup_p {
-                dup = true;
-                fault.counters.dups.fetch_add(1, Ordering::Relaxed);
-                emit_fault("dup", src, dst, tag, seq);
-            }
-            if !frame.payload.is_empty()
-                && cfg.corrupt_p > 0.0
-                && cfg.roll(salt::CORRUPT, src, dst, tag, seq, attempt) < cfg.corrupt_p
-            {
-                let h = cfg.hash(salt::BITPOS, src, dst, tag, seq, attempt);
-                let bit = (h as usize) % (frame.payload.len() * 8);
-                corrupt = Some((bit / 8, 1u8 << (bit % 8)));
-                fault.counters.corrupts.fetch_add(1, Ordering::Relaxed);
-                emit_fault("corrupt", src, dst, tag, seq);
-            }
+        if !frame.payload.is_empty()
+            && cfg.corrupt_p > 0.0
+            && cfg.roll(salt::CORRUPT, src, dst, tag, seq, attempt) < cfg.corrupt_p
+        {
+            let h = cfg.hash(salt::BITPOS, src, dst, tag, seq, attempt);
+            let bit = (h as usize) % (frame.payload.len() * 8);
+            corrupt = Some((bit / 8, 1u8 << (bit % 8)));
+            fault.counters.corrupts.fetch_add(1, Ordering::Relaxed);
+            emit_fault("corrupt", src, dst, tag, seq);
         }
     }
 

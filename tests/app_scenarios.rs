@@ -97,8 +97,9 @@ fn twenty_seven_point_stencil() {
     assert!(a[0].flops > 0);
 }
 
-/// An extremely tight block budget forces multi-round NACK/retry in the
-/// exchange protocol — and must still converge to the same answer.
+/// An extremely tight block budget leaves the exchange protocol little
+/// room beyond its outgoing-block credit — and must still give the same
+/// answer.
 #[test]
 fn tight_block_budget_exchange() {
     let mut cfg = Config::smoke_test();
@@ -106,8 +107,8 @@ fn tight_block_budget_exchange() {
     cfg.refine_freq = 1;
     cfg.workers = 2;
     let reference = run(&cfg, NetworkModel::instant());
-    // The mesh peaks around 15-40 blocks per rank in this config; a
-    // budget just above the steady-state forces NACK rounds.
+    // The mesh peaks around 15-40 blocks per rank in this config; the
+    // budget sits just above the steady state.
     let mut tight = cfg.clone();
     tight.max_blocks = 40;
     let constrained = run(&tight, NetworkModel::instant());

@@ -124,10 +124,10 @@ fn rcb_balancer_matches_sfc_results() {
 
 #[test]
 fn capacity_limited_exchange_still_converges() {
-    // A tight per-rank block budget forces NACK/retry rounds in the
-    // exchange protocol.
+    // A tight per-rank block budget: the exchange must still move every
+    // block, crediting each rank's outgoing blocks as free capacity.
     let mut cfg = base_cfg();
-    cfg.max_blocks = 64; // enough to hold the mesh, tight enough to NACK
+    cfg.max_blocks = 64; // enough to hold the mesh, and little more
     let a = checksums_of(&cfg, Variant::MpiOnly, NetworkModel::instant());
     let mut unlimited = base_cfg();
     unlimited.max_blocks = usize::MAX;
@@ -136,8 +136,8 @@ fn capacity_limited_exchange_still_converges() {
 }
 
 /// A cap below what the load balance hands a rank stops the run with an
-/// error before the first exchange round, on every variant, instead of a
-/// thousand NACKed rounds and a panic.
+/// error before the exchange starts, on every variant, instead of a
+/// NACK and a panic.
 #[test]
 fn over_capacity_exchange_is_an_error() {
     let mut cfg = base_cfg();
