@@ -6,10 +6,10 @@
 //!
 //! * Hierarchical collectives shave the checksum/refinement reduction
 //!   rounds (intra-node hops at the shared-memory discount), a small but
-//!   strictly positive gain at every node count — the large win is on
-//!   the *real* runtime's wall clock (`cargo bench -p amr-bench`,
-//!   `allreduce_8ranks`), where the inter-node stage runs over node
-//!   leaders only.
+//!   strictly positive gain at every node count. On the *real* runtime,
+//!   where the inter-node stage runs over node leaders only, the
+//!   `allreduce_8ranks` speed gate (`tests/gates.rs`) holds hier within
+//!   1.15× of flat.
 //! * Face coalescing merges each inter-node neighbor group into ONE
 //!   rendezvous flow. For the data-flow variant that *undoes* the tuned
 //!   `--max_comm_tasks 8` granularity and re-raises the coarse-message

@@ -30,9 +30,9 @@ use crate::skeleton::{self, RegridHooks, Step, Walk};
 use amr_mesh::data::BlockLayout;
 use amr_mesh::directory::MeshDirectory;
 use amr_mesh::{BlockId, Object};
-use dfcheck::{Finding, Model, Recorder, Report, SchedCtx};
+use dfcheck::{BarrierKind, Finding, Model, Recorder, Report, SchedCtx};
 use std::collections::BTreeMap;
-use taskrt::{Access, BarrierKind, CommIntent, ObjId, Region, Submitter, TaskSpec};
+use taskrt::{Access, CommIntent, ObjId, Region, Submitter, TaskSpec};
 
 /// Mesh epochs modeled (initial mesh + up to three regrids). Beyond
 /// this the stream repeats structurally: every epoch rebuilds the plan

@@ -47,8 +47,7 @@ use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{
-    Access, Accesses, BarrierKind, Body, Gate, GateHold, ObjId, Region, Runtime, Submitter,
-    TaskSpec, TraceScope,
+    Access, Accesses, Body, Gate, GateHold, ObjId, Region, Runtime, Submitter, TaskSpec, TraceScope,
 };
 use vmpi::Comm;
 
@@ -385,17 +384,6 @@ impl Submitter<Work> for LiveSub<'_> {
             body,
             gate,
         });
-    }
-
-    /// # Panics
-    ///
-    /// Always: the elaboration emits no barrier (the shared loop issues
-    /// its barriers through [`Exec::wait`]), and a template could not hold
-    /// one.
-    fn barrier(&mut self, kind: BarrierKind) {
-        // Invariant: `crate::elaborate` submits tasks only, whatever the
-        // input; this consumer exists to satisfy the trait.
-        unreachable!("the shared elaboration emitted a barrier: {kind:?}")
     }
 }
 

@@ -37,7 +37,7 @@ pub mod model;
 pub mod passes;
 pub mod report;
 
-pub use model::{Event, Model, ModelStats, NodeKind, Recorder, SchedCtx, TaskNode};
+pub use model::{BarrierKind, Event, Model, ModelStats, NodeKind, Recorder, SchedCtx, TaskNode};
 pub use report::{Finding, Report, Site};
 
 /// Process exit code of a failed static check (`miniamr --staticcheck`
@@ -59,7 +59,7 @@ pub fn check(model: &Model) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskrt::{Access, BarrierKind, CommIntent, ObjId, Region, Submitter, TaskSpec};
+    use taskrt::{Access, CommIntent, ObjId, Region, Submitter, TaskSpec};
 
     fn task(label: &'static str, accesses: Vec<Access>, comm: Option<CommIntent>) -> TaskSpec<()> {
         TaskSpec {

@@ -1,7 +1,8 @@
 //! The static model: task nodes, endpoints, barriers — and the
-//! [`Recorder`] that captures them through the [`Submitter`] seam.
+//! [`Recorder`] that captures the tasks through the [`Submitter`] seam
+//! and the barriers from the loop that drives it.
 
-use taskrt::{Access, BarrierKind, CommIntent, Submitter, TaskSpec};
+use taskrt::{Access, CommIntent, Region, Submitter, TaskSpec};
 
 /// Where in the modeled schedule an event was recorded. Purely
 /// diagnostic — the passes derive ordering from the graph, not from
@@ -14,6 +15,19 @@ pub struct SchedCtx {
     pub stage: u32,
     /// Variable group within the stage.
     pub group: u32,
+}
+
+/// A blocking point in a rank's recorded stream, issued by the loop that
+/// drives the elaboration.
+#[derive(Debug, Clone)]
+pub enum BarrierKind {
+    /// `taskwait`: the submitting thread blocks until every previously
+    /// submitted task has released its dependencies.
+    Taskwait,
+    /// `taskwait_on`: blocks only until the listed regions are quiescent
+    /// (implemented by the runtime as a max-priority `inout` waiter
+    /// task, so statically it behaves like one).
+    TaskwaitOn(Vec<Region>),
 }
 
 /// One recorded event of a rank's submission stream.
@@ -50,15 +64,16 @@ impl<W> Recorder<W> {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Records a barrier issued by the submitting thread.
+    pub fn barrier(&mut self, kind: BarrierKind) {
+        self.stream.push(Event::Barrier(kind, self.ctx));
+    }
 }
 
 impl<W> Submitter<W> for Recorder<W> {
     fn submit(&mut self, spec: TaskSpec<W>) {
         self.stream.push(Event::Task(spec, self.ctx));
-    }
-
-    fn barrier(&mut self, kind: BarrierKind) {
-        self.stream.push(Event::Barrier(kind, self.ctx));
     }
 }
 

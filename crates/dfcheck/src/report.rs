@@ -1,6 +1,7 @@
 //! Findings, sites and the machine/human report formats.
 
 use crate::model::{ModelStats, TaskNode};
+use obs::json::escape;
 
 /// A source location in the modeled schedule — enough for a human to
 /// find the offending spawn without a debugger.
@@ -193,9 +194,9 @@ impl Report {
 fn finding_json(f: &Finding) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
-        "\"code\":{},\"message\":{},\"sites\":[",
-        json_str(f.code),
-        json_str(&f.message)
+        "\"code\":\"{}\",\"message\":\"{}\",\"sites\":[",
+        escape(f.code),
+        escape(&f.message)
     ));
     for (i, s) in f.sites.iter().enumerate() {
         if i > 0 {
@@ -208,7 +209,7 @@ fn finding_json(f: &Finding) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_str(step));
+        out.push_str(&format!("\"{}\"", escape(step)));
     }
     out.push_str("]}");
     out
@@ -216,11 +217,11 @@ fn finding_json(f: &Finding) -> String {
 
 fn site_json(s: &Site) -> String {
     let mut out = format!(
-        "{{\"rank\":{},\"seq\":{},\"label\":{},\"detail\":{},\"epoch\":{},\"stage\":{},\"group\":{}",
+        "{{\"rank\":{},\"seq\":{},\"label\":\"{}\",\"detail\":\"{}\",\"epoch\":{},\"stage\":{},\"group\":{}",
         s.rank,
         s.seq,
-        json_str(s.label),
-        json_str(&s.detail),
+        escape(s.label),
+        escape(&s.detail),
         s.epoch,
         s.stage,
         s.group
@@ -234,25 +235,6 @@ fn site_json(s: &Site) -> String {
         ));
     }
     out.push('}');
-    out
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -274,6 +256,7 @@ mod tests {
         assert!(j.contains("\"schema\":\"miniamr-dfcheck-report\""));
         assert!(j.contains("\\\"quoted\\\"\\nmessage"));
         assert!(j.contains("\"clean\":false"));
+        obs::json::validate(&j).unwrap();
         assert!(!r.clean());
     }
 }

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 /// `s` as the contents of a JSON string: quotes, backslashes and control
 /// characters escaped, so no label or name can corrupt the document.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -354,12 +354,6 @@ impl<T: Pod> BufSlice<T> {
         self.with_write(|dst| dst.copy_from_slice(src));
     }
 
-    /// Copies the region into `dst` (must match the region length).
-    pub fn read_into(&self, dst: &mut [T]) {
-        assert_eq!(dst.len(), self.len, "read_into length mismatch");
-        self.with_read(|src| dst.copy_from_slice(src));
-    }
-
     /// Copies the region into a fresh vector.
     pub fn to_vec(&self) -> Vec<T> {
         self.with_read(|src| src.to_vec())
@@ -565,8 +559,6 @@ mod tests {
         let s = buf.full();
         let data: Vec<f64> = (0..8).map(|i| i as f64 * 1.5).collect();
         s.write_from(&data);
-        let mut out = vec![0.0; 8];
-        s.read_into(&mut out);
-        assert_eq!(out, data);
+        assert_eq!(s.to_vec(), data);
     }
 }

@@ -87,7 +87,7 @@ mod trace;
 pub use events::{EventHold, GateHold};
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
-pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};
+pub use submit::{CommIntent, CommKind, Submitter, TaskSpec};
 pub use task::{current_task_id, AccessList, Accesses, Body, Gate};
 pub use trace::TraceScope;
 

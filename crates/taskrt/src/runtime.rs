@@ -64,7 +64,8 @@ pub struct RuntimeStats {
     /// Replay iterations abandoned mid-scope (submission stream diverged
     /// from the frozen trace; fell back to fresh analysis).
     pub trace_divergences: u64,
-    /// Explicit trace invalidations (regrid, repartition, restore).
+    /// Explicit trace invalidations (regrid, repartition). A resize or a
+    /// checkpoint restore builds a fresh runtime instead.
     pub trace_invalidations: u64,
     /// Tasks whose dependency edges were installed from a replayed trace
     /// (claim table bypassed).

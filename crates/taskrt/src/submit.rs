@@ -3,8 +3,8 @@
 //! The data-flow variant of the application describes each timestep as a
 //! stream of *task specifications* — label, priority, declared
 //! [`Access`] list, an optional communication endpoint, and a
-//! variant-specific work descriptor — punctuated by barriers. The
-//! [`Submitter`] trait abstracts who consumes that stream:
+//! variant-specific work descriptor. The [`Submitter`] trait abstracts
+//! who consumes that stream:
 //!
 //! * the **live runtime** materializes each spec into a real task body
 //!   and spawns it on [`crate::Runtime`] (see `miniamr`'s data-flow
@@ -12,12 +12,16 @@
 //! * the **static recorder** (the `dfcheck` crate) captures the specs
 //!   verbatim into a model and never executes anything.
 //!
+//! The stream holds tasks only. The barriers between them are issued by
+//! the loop that drives the elaboration: the live side calls
+//! `taskwait`/`taskwait_on` itself, and the static side records them
+//! on the recorder directly.
+//!
 //! Because both sides consume the *same* elaboration code, the static
 //! model cannot drift from what the runtime would actually see: any
 //! change to task structure, declared accesses, tags or sizes flows into
 //! both by construction.
 
-use crate::region::Region;
 use crate::task::AccessList;
 
 /// Direction of a task-bound message endpoint.
@@ -84,27 +88,12 @@ pub struct TaskSpec<W> {
     pub work: W,
 }
 
-/// A blocking point in the submission stream.
-#[derive(Debug, Clone)]
-pub enum BarrierKind {
-    /// `taskwait`: the submitting thread blocks until every previously
-    /// submitted task has released its dependencies.
-    Taskwait,
-    /// `taskwait_on`: blocks only until the listed regions are quiescent
-    /// (implemented by the runtime as a max-priority `inout` waiter
-    /// task, so statically it behaves like one).
-    TaskwaitOn(Vec<Region>),
-}
-
 /// Consumer of a task-submission stream. Implemented by the live
 /// runtime adapter (spawning real tasks) and by `dfcheck`'s recorder
 /// (building the static model).
 pub trait Submitter<W> {
     /// Consume one task specification, in program (spawn) order.
     fn submit(&mut self, spec: TaskSpec<W>);
-
-    /// Consume a barrier issued by the submitting thread.
-    fn barrier(&mut self, kind: BarrierKind);
 }
 
 #[cfg(test)]
