@@ -1,22 +1,21 @@
-//! Shared elaboration of the data-flow variant's task stream.
+//! Shared elaboration of every variant's task program.
 //!
-//! The data-flow variant (Algorithm 3/4) and the static verifier
-//! (`dfcheck`, `--staticcheck`) must agree *exactly* on the task
-//! structure of a timestep: labels, priorities, declared accesses,
-//! message endpoints and spawn order. Instead of keeping two copies of
-//! that logic in sync, this module elaborates the stream once, feeding
-//! any [`taskrt::Submitter`]:
+//! The three variants run the same phases, and the static verifier
+//! (`dfcheck`, `--staticcheck`) must agree *exactly* with what they run:
+//! labels, priorities, declared accesses, message endpoints and spawn
+//! order. Instead of keeping copies of that logic in sync, this module
+//! elaborates the stream once, feeding any [`taskrt::Submitter`]:
 //!
-//! * `variant::dataflow::DataFlow` passes a live submitter that
-//!   materializes each [`TaskSpec`] into a real task body and spawns
-//!   it, and
+//! * `variant::template` materializes each [`TaskSpec`] into a task of a
+//!   phase call's template, which each variant's schedule runs: inline
+//!   (MPI-only), as pool tasks closed by barriers (fork-join), or through
+//!   the dependency graph (data-flow), and
 //! * `staticcheck` passes `dfcheck`'s recorder, which captures the
 //!   stream into a model with no workers, field data, or transport.
 //!
-//! [`Work`] is the variant-specific payload of a spec: indices into the
-//! [`CommPlan`] (or positions in the rank's block list) that the live
-//! side resolves to buffers and block data, and the static side uses for
-//! diagnostics.
+//! [`Work`] is the payload of a spec: indices into the [`CommPlan`] (or
+//! positions in the rank's block list) that the live side resolves to
+//! buffers and block data, and the static side uses for diagnostics.
 //!
 //! ## Task grain
 //!
@@ -49,8 +48,7 @@ pub const GRAIN_ELEMS: usize = 1024;
 
 /// Splits `items` into consecutive batches, closing each as soon as its
 /// members' `weight`s add up to [`GRAIN_ELEMS`]. Only the last batch can
-/// stay below the floor. The one grain rule of the repo: the shared
-/// elaboration and the fork-join executor both chunk with it, through
+/// stay below the floor. The one grain rule of the repo, through
 /// [`copy_batches`], [`fill_batches`] and [`block_batches`], which hold
 /// the weights.
 pub fn grain_batches(
@@ -126,7 +124,7 @@ pub(crate) fn union_accesses(mut accesses: Vec<Access>) -> Vec<Access> {
     accesses
 }
 
-/// What a task in the data-flow stream actually does. Plan-indexed
+/// What a task of the stream actually does. Plan-indexed
 /// variants reference `CommPlan::msgs` / `locals` / `boundaries`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Work {
@@ -178,6 +176,28 @@ pub enum Work {
     },
 }
 
+impl Work {
+    /// The message a task of the exchange names, if any.
+    pub fn msg(&self) -> Option<usize> {
+        match self {
+            Work::Recv { msg } | Work::Send { msg } => Some(*msg),
+            Work::Pack { msg, .. } | Work::Unpack { msg, .. } => Some(*msg),
+            _ => None,
+        }
+    }
+
+    /// The exchange direction a task of `plan` belongs to (`None`: a
+    /// stencil or checksum task).
+    pub fn dir(&self, plan: &CommPlan) -> Option<Dir> {
+        match self {
+            Work::LocalCopies { transfers } => Some(plan.locals[transfers.start].dir),
+            Work::Boundaries { fills } => Some(plan.boundaries[fills.start].dir),
+            Work::Stencils { .. } | Work::ChecksumLocals { .. } => None,
+            _ => self.msg().map(|m| plan.msgs[m].dir),
+        }
+    }
+}
+
 /// Work items a task runs: the members of a batch, two for a pack or
 /// unpack that also carries its message's endpoint (it sends or receives
 /// a one-section message), one otherwise — what a one-task-per-item
@@ -213,6 +233,11 @@ impl ElabCtx<'_> {
         Region::new(obj, self.layout.var_elem_range(vars))
     }
 
+    /// The `vars` of the block at position `pos`.
+    fn block(&self, pos: usize, vars: &Range<usize>) -> Region {
+        self.block_region(self.objs[pos], vars.clone())
+    }
+
     /// One batch of an intra-rank kind.
     fn batch(label: &'static str, accesses: Vec<Access>, work: Work) -> TaskSpec<Work> {
         TaskSpec {
@@ -222,67 +247,6 @@ impl ElabCtx<'_> {
             comm: None,
             work,
         }
-    }
-
-    /// What a batch of `plan.locals` declares: `in` on every source
-    /// block, `inout` on every destination (the ghost plane is part of
-    /// the block; whole-block granularity, §IV-D).
-    pub(crate) fn local_copy_accesses(
-        &self,
-        plan: &CommPlan,
-        transfers: Range<usize>,
-        vars: &Range<usize>,
-    ) -> Vec<Access> {
-        let transfers = &plan.locals[transfers];
-        let mut accesses = Vec::with_capacity(2 * transfers.len());
-        for t in transfers {
-            accesses.push(Access::read(
-                self.block_region(self.objs[t.src_pos], vars.clone()),
-            ));
-            accesses.push(Access::read_write(
-                self.block_region(self.objs[t.dst_pos], vars.clone()),
-            ));
-        }
-        union_accesses(accesses)
-    }
-
-    /// What a batch of `plan.boundaries` declares: `inout` on every
-    /// filled block.
-    pub(crate) fn boundary_accesses(
-        &self,
-        plan: &CommPlan,
-        fills: Range<usize>,
-        vars: &Range<usize>,
-    ) -> Vec<Access> {
-        let fills = plan.boundaries[fills].iter();
-        union_accesses(
-            fills
-                .map(|b| Access::read_write(self.block_region(self.objs[b.pos], vars.clone())))
-                .collect(),
-        )
-    }
-
-    /// What unpacking transfer `ti` of inbound message `m` declares: its
-    /// section of the receive buffer — `inout` when the unpack receives
-    /// the message too, `in` otherwise — and `inout` on the destination
-    /// block.
-    pub(crate) fn unpack_accesses(
-        &self,
-        m: &MsgPlan,
-        ti: usize,
-        recv_obj: [ObjId; 3],
-        vars: &Range<usize>,
-        receives: bool,
-    ) -> [Access; 2] {
-        let range = BufferLayout::of(self.cfg).section(m, ti, Inbound, vars.len());
-        let section = Region::new(recv_obj[m.dir.index()], range);
-        let section = if receives {
-            Access::read_write(section)
-        } else {
-            Access::read(section)
-        };
-        let block = self.block_region(self.objs[m.transfers[ti].dst_pos], vars.clone());
-        [section, Access::read_write(block)]
     }
 
     /// Algorithm 3: the fully taskified communicate for one variable
@@ -357,7 +321,7 @@ impl ElabCtx<'_> {
                         section_accesses.push(Access::read(section.clone()));
                         Access::write(section)
                     };
-                    let block = self.block_region(self.objs[t.src_pos], vars.clone());
+                    let block = self.block(t.src_pos, &vars);
                     sub.submit(TaskSpec {
                         label: "pack",
                         priority: 1,
@@ -384,20 +348,28 @@ impl ElabCtx<'_> {
             // batched to the grain floor. Order inside a direction carries
             // no data dependence: every ghost plane has one writer per
             // direction and packers read interior cells only.
+            // A copy declares `in` on its source block and `inout` on its
+            // destination (the ghost plane is part of the block;
+            // whole-block granularity, §IV-D).
             for transfers in copy_batches(plan, self.rank, dir, g) {
-                sub.submit(Self::batch(
-                    "local_copy",
-                    self.local_copy_accesses(plan, transfers.clone(), &vars),
-                    Work::LocalCopies { transfers },
-                ));
+                let mut accesses = Vec::with_capacity(2 * transfers.len());
+                for t in &plan.locals[transfers.clone()] {
+                    let [src, dst] = [t.src_pos, t.dst_pos].map(|p| self.block(p, &vars));
+                    accesses.extend([Access::read(src), Access::read_write(dst)]);
+                }
+                let work = Work::LocalCopies { transfers };
+                sub.submit(Self::batch("local_copy", union_accesses(accesses), work));
             }
 
-            // Domain-boundary ghost fills.
+            // Domain-boundary ghost fills: `inout` on every filled block.
             for fills in fill_batches(plan, &self.layout, self.rank, dir, g) {
+                let filled = plan.boundaries[fills.clone()].iter();
+                let accesses = filled.map(|b| Access::read_write(self.block(b.pos, &vars)));
+                let work = Work::Boundaries { fills };
                 sub.submit(Self::batch(
                     "boundary",
-                    self.boundary_accesses(plan, fills.clone(), &vars),
-                    Work::Boundaries { fills },
+                    union_accesses(accesses.collect()),
+                    work,
                 ));
             }
 
@@ -417,12 +389,17 @@ impl ElabCtx<'_> {
             // received only after this unpack has read it.
             for (mi, m) in plan.in_dir(self.rank, dir, Inbound) {
                 let (receives, elems) = (one_section(m), at.span(m, Inbound, g).len());
-                for ti in 0..m.transfers.len() {
-                    let accesses = self.unpack_accesses(m, ti, recv_obj, &vars, receives);
+                for (ti, t) in m.transfers.iter().enumerate() {
+                    let section = Region::new(recv_obj[d], at.section(m, ti, Inbound, g));
+                    let section = match receives {
+                        true => Access::read_write(section),
+                        false => Access::read(section),
+                    };
+                    let block = Access::read_write(self.block(t.dst_pos, &vars));
                     sub.submit(TaskSpec {
                         label: "unpack",
                         priority: 1,
-                        accesses: AccessList::from_iter(accesses),
+                        accesses: AccessList::from_iter([section, block]),
                         comm: receives.then(|| tampi::irecv_intent(m.src_rank, m.tag, elems)),
                         work: Work::Unpack {
                             msg: mi,
@@ -453,13 +430,19 @@ impl ElabCtx<'_> {
 
     /// Per-block local checksum reductions of one checkpoint, the block
     /// at position `i` writing slot `i` of the checkpoint's slots object
-    /// (Algorithm 4).
+    /// (Algorithm 4). A block is read once per variable group: each
+    /// group's stencil writes exactly one of the reads, which is what
+    /// lets a traced timestep of several groups close (its last writer of
+    /// each region is known).
     pub fn checksum_locals(&self, obj: ObjId, sub: &mut dyn Submitter<Work>) {
-        let nv = self.cfg.params.num_vars;
+        let (nv, groups) = (self.cfg.params.num_vars, self.cfg.num_groups());
         for slots in block_batches(&self.layout, self.objs.len(), nv) {
-            let mut accesses = Vec::with_capacity(slots.len() + 1);
+            let mut accesses = Vec::with_capacity(slots.len() * groups + 1);
             for &block in &self.objs[slots.clone()] {
-                accesses.push(Access::read(self.block_region(block, 0..nv)));
+                for g in 0..groups {
+                    let vars = self.cfg.var_group(g);
+                    accesses.push(Access::read(self.block_region(block, vars)));
+                }
             }
             // The members' slots `i..i + 1` are contiguous: their union is
             // one region.

@@ -12,27 +12,35 @@
 //! allocated, no worker or delivery thread starts, and no message is
 //! sent.
 //!
+//! Every variant runs the same task program, so every variant's model is
+//! its template stream; what differs is where the rank's thread blocks on
+//! work it did not run. Data-flow blocks at the cadence's waits; MPI-only
+//! and fork-join only at the end of each exchange direction, where they
+//! drain its sends ([`crate::variant::directions`]; their barriers on
+//! their own pool wait on local work alone and are not modeled).
+//!
 //! What the static visitor skips (soundness caveats, see `DESIGN.md`
 //! §15): stages past the first few of each mesh epoch (tags and buffer
 //! regions repeat identically every stage, so ordering proofs extend
 //! inductively) and epochs past [`MAX_EPOCHS`]; validations,
-//! checkpoints and boundary snapshots, which spawn no task; and for the
-//! serialized variants everything but the endpoints. The refinement
-//! block exchange is modeled as a full barrier, not as endpoints, and
-//! MPI collectives (checksum reductions) are not modeled at all.
+//! checkpoints and boundary snapshots, which spawn no task. The
+//! refinement block exchange is modeled as a full barrier, not as
+//! endpoints, and MPI collectives (checksum reductions) are not modeled
+//! at all.
 
 use crate::comm_plan::Endpoint::{Inbound, Outbound};
 use crate::comm_plan::{BufferLayout, CommPlan};
-use crate::config::{Config, Variant};
+use crate::config::Config;
 use crate::elaborate::{ElabCtx, Work};
 use crate::exchange::{data_tag, Move};
 use crate::skeleton::{self, RegridHooks, Step, Walk};
+use crate::variant::{directions, template::tasks_post_endpoints};
 use amr_mesh::data::BlockLayout;
 use amr_mesh::directory::MeshDirectory;
 use amr_mesh::{BlockId, Object};
-use dfcheck::{BarrierKind, Finding, Model, Recorder, Report, SchedCtx};
+use dfcheck::{BarrierKind, Event, Finding, Model, Recorder, Report, SchedCtx};
 use std::collections::BTreeMap;
-use taskrt::{Access, CommIntent, ObjId, Region, Submitter, TaskSpec};
+use taskrt::{Access, ObjId, Region, TaskSpec};
 
 /// Mesh epochs modeled (initial mesh + up to three regrids). Beyond
 /// this the stream repeats structurally: every epoch rebuilds the plan
@@ -78,12 +86,8 @@ struct StaticRank {
     /// [`crate::block_obj`], which needs live block uids).
     objs: BTreeMap<BlockId, ObjId>,
     /// The one persistent checksum-slots object (mirrors the live
-    /// executor's single `sums_obj`).
+    /// templates' single `sums_obj`).
     ck_obj: ObjId,
-    /// Program-order object for the serialized variants: every endpoint
-    /// takes `inout` on it, so the chain reflects blocking main-thread
-    /// posting order.
-    prog_obj: ObjId,
 }
 
 /// The static mesh: the directory the regrids walk, and how many
@@ -111,7 +115,7 @@ impl RegridHooks for StaticMesh {
 pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
     let n_ranks = cfg.params.num_ranks();
     let (layout, nv) = (BlockLayout::of(&cfg.params), cfg.params.num_vars);
-    let (dataflow, bufs) = (cfg.variant == Variant::DataFlow, BufferLayout::of(cfg));
+    let (submits, bufs) = (tasks_post_endpoints(cfg.variant), BufferLayout::of(cfg));
     // One checksum boundary plus a stage after it, and at least two
     // stages: tags and buffer regions repeat identically every stage, so
     // two consecutive instances prove the induction step.
@@ -122,7 +126,6 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
         .map(|_| StaticRank {
             objs: BTreeMap::new(),
             ck_obj: ObjId::fresh(),
-            prog_obj: ObjId::fresh(),
         })
         .collect();
     let mut mesh = StaticMesh {
@@ -173,21 +176,27 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
                         for g in 0..cfg.num_groups() {
                             rec.ctx.group = g as u32;
                             let vars = cfg.var_group(g);
-                            if dataflow {
-                                ctx.communicate(&plan, send_obj, recv_obj, vars.clone(), &mut rec);
-                                ctx.stencils(vars, &mut rec);
-                            } else {
-                                serialized_endpoints(&ctx, &plan, st.prog_obj, g, &mut rec);
+                            let mut call = Recorder {
+                                ctx: rec.ctx,
+                                stream: Vec::new(),
+                            };
+                            ctx.communicate(&plan, send_obj, recv_obj, vars.clone(), &mut call);
+                            for dir in directions(&call.stream, &plan, event_work) {
+                                rec.stream.extend_from_slice(dir);
+                                if !submits {
+                                    rec.barrier(BarrierKind::Taskwait);
+                                }
                             }
+                            ctx.stencils(vars, &mut rec);
                         }
                     }
                     Step::TimestepEnd => skipping = false,
-                    // The serialized variants block on every endpoint, so
-                    // their model is the endpoints alone.
-                    _ if skipping || !dataflow => {}
+                    _ if skipping => {}
                     Step::Sums => ctx.checksum_locals(st.ck_obj, &mut rec),
-                    Step::Wait => rec.barrier(BarrierKind::Taskwait),
-                    Step::WaitSums => {
+                    // A serial schedule's phase calls have run when they
+                    // return: its cadence waits wait for nothing.
+                    Step::Wait if submits => rec.barrier(BarrierKind::Taskwait),
+                    Step::WaitSums if submits => {
                         rec.barrier(BarrierKind::TaskwaitOn(vec![Region::whole(st.ck_obj)]))
                     }
                     _ => {}
@@ -215,7 +224,8 @@ pub(crate) fn elaborate(cfg: &Config) -> Elaborated {
     }
 }
 
-/// The buffer range a data-flow communication task's body touches: its
+/// The buffer range a communication task touches (its body, or the
+/// endpoint the rank's thread posts for it): its
 /// message's span (receive, send) or its section (pack, unpack), written
 /// by a receive or a pack, read by a send or an unpack — and written by
 /// an unpack's receive when it carries one. `objs` are the buffers'
@@ -228,7 +238,6 @@ fn footprint(
     c: &SchedCtx,
 ) -> Vec<Access> {
     let (msg, transfer, end, writes) = match spec.work {
-        _ if cfg.variant != Variant::DataFlow => return Vec::new(),
         Work::Recv { msg } => (msg, None, Inbound, true),
         Work::Send { msg } => (msg, None, Outbound, false),
         Work::Pack { msg, transfer } => (msg, Some(transfer), Outbound, true),
@@ -243,41 +252,11 @@ fn footprint(
     vec![access(region)]
 }
 
-/// The serialized variants (MPI-only, fork-join): a blocking stand-in
-/// for their endpoints that checks peer tag and size matching. Each
-/// message's receive or send is a blocking endpoint chained through the
-/// rank's program object in `plan.msgs` order. That is not the live
-/// order: the live loop posts non-blocking, every receive of a direction
-/// before its sends, and chained as blocking endpoints that order would
-/// deadlock (DESIGN.md §15's soundness caveats). `group` indexes the
-/// variable group.
-fn serialized_endpoints(
-    ctx: &ElabCtx,
-    plan: &CommPlan,
-    prog_obj: ObjId,
-    group: usize,
-    rec: &mut Recorder<Work>,
-) {
-    let (bufs, rank) = (BufferLayout::of(ctx.cfg), ctx.rank);
-    let g = ctx.cfg.var_group(group).len();
-    for dir in amr_mesh::block_id::Dir::ALL {
-        for (mi, m) in plan.msgs.iter().enumerate().filter(|(_, m)| m.dir == dir) {
-            let endpoint = |label, comm, work| TaskSpec {
-                label,
-                priority: 0,
-                accesses: vec![Access::read_write(Region::whole(prog_obj))].into(),
-                comm: Some(comm),
-                work,
-            };
-            if m.dst_rank == rank {
-                let recv = CommIntent::recv(m.src_rank, m.tag, bufs.span(m, Inbound, g).len());
-                rec.submit(endpoint("recv", recv, Work::Recv { msg: mi }));
-            }
-            if m.src_rank == rank {
-                let send = CommIntent::send(m.dst_rank, m.tag, bufs.span(m, Outbound, g).len());
-                rec.submit(endpoint("send", send, Work::Send { msg: mi }));
-            }
-        }
+/// The work of a recorded task (a communicate call records no barrier).
+fn event_work(ev: &Event<Work>) -> &Work {
+    match ev {
+        Event::Task(spec, _) => &spec.work,
+        Event::Barrier(..) => unreachable!("a communicate call records tasks only"),
     }
 }
 
@@ -377,6 +356,7 @@ fn describe(w: &Work, plan: &CommPlan, ids: &[BlockId], nv: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Variant;
 
     fn legacy_cfg() -> Config {
         let mut cfg = Config::smoke_test();
@@ -474,8 +454,8 @@ mod tests {
         let golden = [
             (legacy_cfg(), [3930, 18398, 1560, 3], collisions),
             (smoke(Variant::DataFlow), [794, 3730, 40, 3], vec![]),
-            (smoke(Variant::MpiOnly), [40, 38, 40, 3], vec![]),
-            (smoke(Variant::ForkJoin), [40, 38, 40, 3], vec![]),
+            (smoke(Variant::MpiOnly), [844, 2862, 40, 3], vec![]),
+            (smoke(Variant::ForkJoin), [844, 2862, 40, 3], vec![]),
             (delayed, [488, 2164, 24, 3], vec![]),
             (long, [1010, 4244, 696, 4], vec![]),
         ];

@@ -1,49 +1,37 @@
-//! The master-thread executor: MPI-only, and the MPI + fork-join hybrid.
+//! The serial schedules: MPI-only, and the MPI + fork-join hybrid.
 //!
-//! All communication stays on the rank's own thread, Algorithm 2: per
-//! direction post the receives, pack and send, do the intra-process
-//! copies and boundary fills while messages fly, then a `waitany` loop
-//! unpacks messages as they arrive and a final wait drains the sends
-//! (§II-A). Every phase has completed when its call returns, so
+//! Both run a phase call's template with all communication on the rank's
+//! own thread, Algorithm 2: per direction ([`directions`]) post the
+//! receives of the template's endpoints, run the packs and send, run the
+//! intra-process copies and boundary fills while messages fly, then a
+//! `waitany` loop runs each arrived message's unpacks, and a final wait
+//! drains the sends (§II-A). Every call has run when it returns, so
 //! [`Exec::wait`] keeps its no-op default.
 //!
-//! The two variants differ only in who runs a chunk of work. MPI-only
+//! The two variants differ only in who runs a template task. MPI-only
 //! runs it inline on the rank's thread. Fork-join mirrors the
 //! experimental hybrid of the miniAMR repository the paper evaluates
-//! (§V): it spawns the chunk on a worker pool and closes each sub-phase
-//! with a barrier, so phases never overlap and communication stays
-//! serialized, the structural limitation the data-flow variant removes.
-//! Chunks that may touch the same block (local copies, boundary fills,
-//! unpacks) declare their accesses, which keeps them safe under the
-//! runtime's dynamic race checking; MPI-only builds no access list.
-//!
-//! Every loop is chunked by the grain rule of the shared elaboration
-//! ([`grain_batches`]): one chunk per at least `GRAIN_ELEMS` elements of
-//! work, a protected chunk declaring the union of its members' accesses
-//! exactly as a data-flow batch does.
+//! (§V): it spawns the task on a worker pool with the template's access
+//! list and closes each loop with a barrier, so phases never overlap and
+//! communication stays serialized, the structural limitation the
+//! data-flow variant removes.
 
-use crate::comm_plan::Endpoint::{Inbound, Outbound};
-use crate::comm_plan::MsgPlan;
-use crate::elaborate::{block_batches, copy_batches, fill_batches, grain_batches, union_accesses};
+use crate::elaborate::Work;
 use crate::exchange::{run_jobs_serially, run_refinement, BlockingMover};
 use crate::rank::RankState;
 use crate::stats::RunStats;
-use crate::variant::{
-    elab_ctx, fold_task_counts, run_jobs_as_tasks, Exec, PhaseCtx, PhaseShared, SumSlots,
-};
-use amr_mesh::block_id::Dir;
-use parking_lot::Mutex;
+use crate::variant::template::{Endpoint, Phase, Template, TemplateTask};
+use crate::variant::{directions, fold_task_counts, run_jobs_as_tasks, Exec, PhaseCtx};
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::Arc;
-use taskrt::{Access, Runtime};
+use taskrt::Runtime;
 use vmpi::{Comm, RequestSet};
 
 /// Master-thread MPI with serial or fork-join compute phases.
 pub(crate) struct ForkJoin {
     /// The worker pool; `None` is MPI-only.
     rt: Option<Runtime>,
-    /// Members of chunks beyond the first (see `DataFlow::batched_items`).
+    /// Members of batches beyond the first (see `DataFlow::batched_items`).
     batched_items: Cell<u64>,
 }
 
@@ -56,152 +44,118 @@ impl ForkJoin {
         }
     }
 
-    /// Runs one chunk of a loop, labelled with the phase it runs (the
-    /// data-flow variant's task vocabulary): inline under a phase span
-    /// without a pool, else as a task declaring `deps`.
-    fn chunk(
-        &self,
-        label: &'static str,
-        chunk: &Range<usize>,
-        deps: impl FnOnce() -> Vec<Access>,
-        body: impl FnOnce() + Send + 'static,
-    ) {
-        let Some(rt) = &self.rt else {
-            return obs::phase_span(label, body);
-        };
-        self.batched_items
-            .set(self.batched_items.get() + chunk.len() as u64 - 1);
-        (rt.task().label(label))
-            .access_list(deps().into())
-            .body(body)
-            .spawn();
+    /// Runs one template task's body: inline under a phase span of its
+    /// label without a pool, else as a task declaring its accesses.
+    fn task(&self, t: &TemplateTask) {
+        let Some(body) = &t.body else { return };
+        match &self.rt {
+            None => obs::phase_span(t.label, || body()),
+            Some(rt) => (rt.task().label(t.label))
+                .access_list(Arc::clone(&t.accesses))
+                .body_shared(Arc::clone(body))
+                .spawn(),
+        }
     }
 
-    /// Closes a loop: every chunk has run.
+    /// Closes a loop: every task has run.
     fn barrier(&self) {
         if let Some(rt) = &self.rt {
             rt.taskwait();
         }
     }
-}
 
-impl Exec for ForkJoin {
-    /// Algorithm 2: per-direction exchange with a `waitany` consume loop.
+    /// Algorithm 2 over one direction of a communicate template.
     ///
     /// # Panics
     ///
     /// On a failed transport call: the designed unwind of a poisoned or
     /// lost-peer world, which `elastic::run_segment` turns into a
     /// [`crate::RunError`].
-    fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        let PhaseCtx {
-            state,
-            comm,
-            plan,
-            bufs,
-        } = cx;
-        let g = vars.len();
-        let sh = PhaseShared::new(cx, vars.clone());
-        let objs = sh.objs();
-        let elab = elab_ctx(cx, &objs);
-        for dir in Dir::ALL {
-            let inbound: Vec<_> = plan.in_dir(state.rank, dir, Inbound).collect();
-            let mut reqs = Vec::with_capacity(inbound.len());
-            for (_, m) in &inbound {
-                reqs.push(
-                    comm.irecv_into(bufs.span(m, Inbound, g), m.src_rank as i32, m.tag)
-                        .expect("post recv"),
-                );
-            }
+    fn exchange(&self, comm: &Comm, dir: &[TemplateTask]) {
+        // The elaboration's order within a direction: receives, packs and
+        // sends, copies and fills, unpacks.
+        let stage = |t: &TemplateTask| match t.work {
+            Work::Recv { .. } => 0,
+            Work::Pack { .. } | Work::Send { .. } => 1,
+            Work::Unpack { .. } => 3,
+            _ => 2,
+        };
+        debug_assert!(dir.is_sorted_by_key(stage));
+        let at = |s| dir.partition_point(|t| stage(t) < s);
+        let (recvs, packs) = (&dir[..at(1)], &dir[at(1)..at(2)]);
+        let (copies, unpacks) = (&dir[at(2)..at(3)], &dir[at(3)..]);
 
-            // Pack straight into the send buffer's sections (read-only on
-            // blocks, disjoint sections). A message is sent once its packs
-            // are complete: right after them without a pool (Algorithm 2),
-            // after the pack barrier with one, so that the packs of all
-            // messages run in parallel.
-            let outbound: Vec<_> = plan.in_dir(state.rank, dir, Outbound).collect();
-            let send = |m: &MsgPlan| {
-                comm.isend_from(&bufs.span(m, Outbound, g), m.dst_rank, m.tag)
-                    .expect("send faces")
+        // Every receive before the first send: a message's receive is its
+        // `recv` task's endpoint, or its one unpack's (in the same order).
+        let mut recv_tasks = recvs.iter();
+        let n = unpacks.len();
+        let (mut arrivals, mut reqs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for msg in unpacks.chunk_by(|a, b| a.work.msg() == b.work.msg()) {
+            let owner = match msg[0].endpoint {
+                Some(_) => &msg[0],
+                None => recv_tasks.next().expect("a recv task per message"),
             };
-            let mut sends = Vec::with_capacity(outbound.len());
-            for &(mi, m) in &outbound {
-                for chunk in face_chunks(m, g) {
-                    let (sh, faces) = (Arc::clone(&sh), chunk.clone());
-                    self.chunk("pack", &chunk, Vec::new, move || {
-                        faces.for_each(|ti| sh.pack(mi, ti))
-                    });
-                }
-                if self.rt.is_none() {
-                    sends.push(send(m));
-                }
-            }
-            self.barrier();
-            sends.extend(outbound[sends.len()..].iter().map(|&(_, m)| send(m)));
-
-            // Intra-process copies, block to block, and domain-boundary
-            // fills while messages are in flight.
-            for chunk in copy_batches(plan, state.rank, dir, g) {
-                let deps = || elab.local_copy_accesses(plan, chunk.clone(), &vars);
-                let (sh, transfers) = (Arc::clone(&sh), chunk.clone());
-                self.chunk("local_copy", &chunk, deps, move || {
-                    sh.local_copies(transfers)
-                });
-            }
-            for chunk in fill_batches(plan, &state.layout, state.rank, dir, g) {
-                let deps = || elab.boundary_accesses(plan, chunk.clone(), &vars);
-                let (sh, fills) = (Arc::clone(&sh), chunk.clone());
-                self.chunk("boundary", &chunk, deps, move || sh.boundaries(fills));
-            }
-            self.barrier();
-
-            // Unpack each message as it arrives.
-            let mut set = RequestSet::new(reqs);
-            while let Some((idx, _)) = obs::phase_span("wait", || set.waitany()) {
-                let (mi, m) = inbound[idx];
-                for chunk in face_chunks(m, g) {
-                    let deps = || {
-                        let each = |ti| elab.unpack_accesses(m, ti, bufs.recv_obj, &vars, false);
-                        union_accesses(chunk.clone().flat_map(each).collect())
-                    };
-                    let (sh, faces) = (Arc::clone(&sh), chunk.clone());
-                    self.chunk("unpack", &chunk, deps, move || {
-                        faces.for_each(|ti| sh.unpack(mi, ti))
-                    });
-                }
-            }
-            self.barrier();
-
-            // Drain the sends before the next direction reuses the buffers.
-            for r in sends {
-                obs::phase_span("wait", || r.wait());
-            }
+            debug_assert_eq!(owner.work.msg(), msg[0].work.msg());
+            let e = owner.endpoint.as_ref().expect("a receive endpoint");
+            let req = comm.irecv_into(e.slice.clone(), e.peer as i32, e.tag);
+            reqs.push(req.expect("post recv"));
+            arrivals.push(msg);
         }
-    }
 
-    fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>) {
-        let sh = PhaseShared::new(cx, vars);
-        for chunk in block_batches(&sh.layout, sh.blocks.len(), sh.vars.len()) {
-            let (sh, blocks) = (Arc::clone(&sh), chunk.clone());
-            self.chunk("stencil", &chunk, Vec::new, move || sh.stencils(blocks));
+        // A message is sent once its packs are complete: right after them
+        // without a pool (its `send` task or its last pack carries the
+        // endpoint), after the pack barrier with one, so that the packs of
+        // all messages run in parallel.
+        let send = |e: &Endpoint| {
+            comm.isend_from(&e.slice, e.peer, e.tag)
+                .expect("send faces")
+        };
+        let mut sends = Vec::with_capacity(packs.len());
+        for t in packs {
+            self.task(t);
+            if self.rt.is_none() {
+                sends.extend(t.endpoint.as_ref().map(send));
+            }
         }
         self.barrier();
-    }
+        let rest = packs.iter().filter_map(|t| t.endpoint.as_ref());
+        sends.extend(rest.skip(sends.len()).map(send));
 
-    /// Per-block reductions into per-block slots (block-id order); the
-    /// master performs the global reduction.
-    fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
-        let nv = cx.state.cfg.params.num_vars;
-        let slots: SumSlots = Arc::new(Mutex::new(vec![Vec::new(); cx.state.blocks.len()]));
-        let sh = PhaseShared::new(cx, 0..nv);
-        for chunk in block_batches(&sh.layout, sh.blocks.len(), nv) {
-            let (sh, out, blocks) = (Arc::clone(&sh), Arc::clone(&slots), chunk.clone());
-            self.chunk("checksum_local", &chunk, Vec::new, move || {
-                sh.checksum_locals(blocks, &out)
-            });
+        // Intra-process copies, block to block, and domain-boundary fills
+        // while messages are in flight.
+        copies.iter().for_each(|t| self.task(t));
+        self.barrier();
+
+        // Unpack each message as it arrives.
+        let mut set = RequestSet::new(reqs);
+        while let Some((idx, _)) = obs::phase_span("wait", || set.waitany()) {
+            arrivals[idx].iter().for_each(|t| self.task(t));
         }
         self.barrier();
-        slots
+
+        // Drain the sends before the next direction reuses the buffers.
+        for r in sends {
+            obs::phase_span("wait", || r.wait());
+        }
+    }
+}
+
+impl Exec for ForkJoin {
+    fn run(&self, cx: &PhaseCtx, call: &Template) {
+        match call.phase {
+            Phase::Communicate => {
+                for dir in directions(&call.tasks, &cx.plan, |t| &t.work) {
+                    self.exchange(&cx.comm, dir);
+                }
+            }
+            Phase::Stencil | Phase::LocalSums => {
+                call.tasks.iter().for_each(|t| self.task(t));
+                self.barrier();
+            }
+        }
+        if self.rt.is_some() {
+            (self.batched_items).set(self.batched_items.get() + call.batched_items);
+        }
     }
 
     /// Blocking moves; split/merge jobs serially or as one task each.
@@ -218,11 +172,4 @@ impl Exec for ForkJoin {
             fold_task_counts(stats, rt.stats().spawned, self.batched_items.get());
         }
     }
-}
-
-/// Chunks of one message's faces (they tile its buffer section).
-fn face_chunks(m: &MsgPlan, g: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-    grain_batches(0..m.transfers.len(), move |i| {
-        m.transfers[i].elems_per_var * g
-    })
 }

@@ -1,26 +1,29 @@
 //! The timestep loop (Algorithm 1, with the barriers Algorithm 4 keeps)
-//! and the three executors that run its phases.
+//! and the three schedules that run its phases.
 //!
 //! The paper's three variants share one main loop — per timestep a few
 //! stages of ghost exchange + stencil, a periodic checksum, a periodic
-//! refinement — and differ only in how a phase is orchestrated.
-//! [`run_span`] is that loop: it maps the steps of
-//! [`crate::skeleton::cadence`] onto [`Exec`], which holds everything
-//! that differs:
+//! refinement — and one task program: every phase call runs the tasks of
+//! its [`template`], elaborated once per mesh epoch by
+//! [`crate::elaborate`]. [`run_span`] is that loop: it maps the steps of
+//! [`crate::skeleton::cadence`] onto phase calls and waits, and hands
+//! each call's template to [`Exec`], which holds everything that
+//! differs:
 //!
-//! * [`fork_join`] — Algorithm 2's `waitany` exchange on the rank's own
-//!   thread, with every compute chunk run inline (MPI-only) or on a
+//! * [`fork_join`] — Algorithm 2 on the rank's own thread, which posts the
+//!   template's endpoints and runs its tasks inline (MPI-only) or on a
 //!   worker pool, each loop closed by a barrier (fork-join).
-//! * [`dataflow::DataFlow`] — Algorithm 3 through [`crate::elaborate`]:
-//!   phases only submit tasks, and the cadence's waits are the only
+//! * [`dataflow::DataFlow`] — Algorithm 3: a call only spawns its tasks,
+//!   which post their own endpoints, and the cadence's waits are the only
 //!   barriers.
 
 pub mod dataflow;
 pub mod fork_join;
+pub mod template;
 
 use crate::comm_plan::{BufferLayout, CommPlan, Endpoint, MsgPlan};
 use crate::config::{Config, Variant};
-use crate::elaborate::ElabCtx;
+use crate::elaborate::Work;
 use crate::elastic::{RunCtx, SpanStart};
 use crate::exchange::RefineJob;
 use crate::rank::{apply_boundary, local_transfer, pack_transfer_into, unpack_transfer, RankState};
@@ -34,6 +37,7 @@ use shmem::{BufSlice, SharedBuffer};
 use std::ops::Range;
 use std::sync::Arc;
 use taskrt::{Access, ObjId, Runtime, TraceScope};
+use template::{Phase, Template, Templates};
 use vmpi::Comm;
 
 /// What a phase works on: the rank's mesh state plus the communication
@@ -57,12 +61,11 @@ fn plan_and_buffers(state: &RankState) -> (Arc<CommPlan>, Arc<Buffers>) {
     })
 }
 
-/// What the chunks and tasks of a phase call run on — in data-flow, of
-/// every call of one `vars` in a mesh epoch (its templates share it): one
-/// `Arc` of it and an index range is all a batch captures. A
-/// member's block handles are indexed at run time through the plan's
-/// positions, so a member costs the spawning thread no lookup, no handle
-/// clone and no allocation.
+/// What the tasks of a phase call run on — of every call of one `vars`
+/// in a mesh epoch (its templates share it): one `Arc` of it and an index
+/// range is all a body captures. A member's block handles are indexed at
+/// run time through the plan's positions, so a member costs the running
+/// thread no lookup, no handle clone and no allocation.
 pub(crate) struct PhaseShared {
     pub plan: Arc<CommPlan>,
     pub bufs: Arc<Buffers>,
@@ -94,7 +97,7 @@ impl PhaseShared {
     }
 
     /// Packs transfer `ti` of message `mi` from its source block into its
-    /// section of the send buffer: the one pack of every executor.
+    /// section of the send buffer.
     pub(crate) fn pack(&self, mi: usize, ti: usize) {
         let m = &self.plan.msgs[mi];
         let t = &m.transfers[ti];
@@ -150,41 +153,18 @@ impl PhaseShared {
     }
 }
 
-/// The shared elaboration's view of a live rank (`objs` from
-/// [`PhaseShared::objs`]).
-pub(crate) fn elab_ctx<'a>(cx: &'a PhaseCtx, objs: &'a [ObjId]) -> ElabCtx<'a> {
-    ElabCtx {
-        cfg: &cx.state.cfg,
-        layout: cx.state.layout,
-        rank: cx.state.rank,
-        objs,
-    }
-}
-
 /// Per-block local sums of one checksum point, in block-id order.
 pub(crate) type SumSlots = Arc<Mutex<Vec<Vec<f64>>>>;
 
-/// How the phases of the shared loop are orchestrated: the part of a
-/// variant that is not Algorithm 1. Methods take `&self` because the
-/// data-flow replay scope borrows the executor for a whole timestep.
+/// How the phase calls of the shared loop are scheduled: the part of a
+/// variant that is not Algorithm 1 or the task program. Methods take
+/// `&self` because the data-flow replay scope borrows the executor for a
+/// whole timestep.
 pub(crate) trait Exec {
-    /// One ghost exchange of the variable group `vars`.
-    fn communicate(&self, cx: &PhaseCtx, vars: Range<usize>);
-
-    /// One stencil sweep of `vars` over the local blocks.
-    fn stencil(&self, cx: &PhaseCtx, vars: Range<usize>);
-
-    /// The per-block local checksum reductions of one checksum point.
-    /// The slots are complete once a [`wait`](Exec::wait) issued after
-    /// this call returns.
-    fn local_sums(&self, cx: &PhaseCtx) -> SumSlots;
-
-    /// The dependency object of the slots when `local_sums` fills them
-    /// asynchronously: what a delayed validation waits on. `None`: slots
-    /// come back complete.
-    fn sums_obj(&self) -> Option<ObjId> {
-        None
-    }
+    /// Runs one phase call from its template. A `LocalSums` call's slots
+    /// are complete once a [`wait`](Exec::wait) issued after this call
+    /// returns.
+    fn run(&self, cx: &PhaseCtx, call: &Template);
 
     /// Blocks until all submitted work (`None`), or the work writing one
     /// object, has completed. Executors whose phases complete before
@@ -201,7 +181,7 @@ pub(crate) trait Exec {
     /// on a quiescent rank; returns the blocks this rank moved.
     fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64;
 
-    /// A regrid replaced blocks, plan and buffers.
+    /// A regrid replaced blocks, plan and buffers (and the templates).
     fn mesh_changed(&self) {}
 
     /// Folds the executor's counters into the span's statistics.
@@ -214,6 +194,18 @@ pub(crate) trait Exec {
 fn fold_task_counts(stats: &mut RunStats, spawned: u64, batched_items: u64) {
     stats.tasks_spawned += spawned;
     stats.task_items += spawned + batched_items;
+}
+
+/// A communicate call's stream cut into its exchange directions, in
+/// order: Algorithm 2 exchanges one direction at a time, and the serial
+/// schedules drain a direction's sends at its end — their one wait on
+/// other ranks, and the one barrier the static model gives them.
+pub(crate) fn directions<'a, T>(
+    stream: &'a [T],
+    plan: &'a CommPlan,
+    work: impl Fn(&T) -> &Work + 'a,
+) -> impl Iterator<Item = &'a [T]> {
+    stream.chunk_by(move |a, b| work(a).dir(plan) == work(b).dir(plan))
 }
 
 /// Runs split/merge jobs as one task each, then a barrier; returns the
@@ -316,6 +308,7 @@ pub(crate) fn run_span(
         sw.stop(&mut stats.times.refine);
     }
     let (plan, bufs) = plan_and_buffers(&state);
+    let mut templates = Templates::new(cfg.variant);
     let mut cx = PhaseCtx {
         state,
         comm,
@@ -347,7 +340,7 @@ pub(crate) fn run_span(
                 for g in 0..cfg.num_groups() {
                     let vars = cfg.var_group(g);
                     let sw = Stopwatch::start();
-                    exec.communicate(&cx, vars.clone());
+                    exec.run(&cx, templates.get(&cx, Phase::Communicate, vars.clone()));
                     for m in cx.plan.outbound(cx.state.rank) {
                         stats.msgs_sent += 1;
                         stats.elems_sent += (m.elems_per_var * vars.len()) as u64;
@@ -355,7 +348,7 @@ pub(crate) fn run_span(
                     sw.stop(&mut stats.times.communicate);
 
                     let sw = Stopwatch::start();
-                    exec.stencil(&cx, vars.clone());
+                    exec.run(&cx, templates.get(&cx, Phase::Stencil, vars.clone()));
                     stats.flops += (cx.state.blocks.len() * cx.state.layout.cells() * vars.len())
                         as u64
                         * cfg.stencil.flops_per_cell();
@@ -363,15 +356,17 @@ pub(crate) fn run_span(
                 }
             }
             Step::Sums => {
+                let call = templates.get(&cx, Phase::LocalSums, 0..cfg.params.num_vars);
+                exec.run(&cx, call);
                 pending = Some(LocalSums {
                     ids: cx.state.blocks.keys().copied().collect(),
-                    slots: exec.local_sums(&cx),
+                    slots: Arc::clone(call.slots.as_ref().expect("a LocalSums call has slots")),
                     total_cells: cx.state.dir.total_cells() as f64,
                     epoch: mesh_epoch,
                 });
             }
             Step::Wait => exec.wait(None),
-            Step::WaitSums => exec.wait(exec.sums_obj()),
+            Step::WaitSums => exec.wait(Some(templates.sums_obj)),
             Step::Validate | Step::Flush => {
                 if let Some(sums) = pending.take() {
                     validate(sums, &cx, &mut stats, &mut prev_checksum);
@@ -388,6 +383,9 @@ pub(crate) fn run_span(
             Step::TimestepEnd => drop(ts_scope.take()),
             Step::Regrid => {
                 cx.state.objects.iter_mut().for_each(Object::step);
+                // The templates' bodies hold the blocks about to be split,
+                // merged and sent away.
+                templates.clear();
                 stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm);
                 mesh_epoch += 1;
                 (cx.plan, cx.bufs) = plan_and_buffers(&cx.state);
@@ -589,13 +587,18 @@ mod tests {
     use super::*;
     use crate::exchange::{run_jobs_serially, run_refinement, BlockingMover};
     use std::cell::RefCell;
+    use template::tasks_post_endpoints;
     use vmpi::{NetworkModel, World};
 
-    /// Logs what the loop asks of it. Phases do nothing, local sums are
-    /// constant, refinement is MPI-only's (blocking moves, serial jobs).
+    /// Logs what the loop asks of it: each phase call, and each wait of
+    /// the schedule of `cfg.variant` on work it did not run — the loop's
+    /// waits when the tasks post their own endpoints, else the drain at
+    /// the end of each exchange direction. Tasks do not run, local sums
+    /// are constant, refinement is MPI-only's (blocking moves, serial
+    /// jobs).
     struct Logging {
         log: RefCell<Vec<&'static str>>,
-        sums_obj: ObjId,
+        submits: bool,
     }
 
     impl Logging {
@@ -605,22 +608,25 @@ mod tests {
     }
 
     impl Exec for Logging {
-        fn communicate(&self, _cx: &PhaseCtx, _vars: Range<usize>) {
-            self.push("comm");
-        }
-        fn stencil(&self, _cx: &PhaseCtx, _vars: Range<usize>) {
-            self.push("stencil");
-        }
-        fn local_sums(&self, cx: &PhaseCtx) -> SumSlots {
-            self.push("sums");
-            let nv = cx.state.cfg.params.num_vars;
-            Arc::new(Mutex::new(vec![vec![1.0; nv]; cx.state.blocks.len()]))
-        }
-        fn sums_obj(&self) -> Option<ObjId> {
-            Some(self.sums_obj)
+        fn run(&self, cx: &PhaseCtx, call: &Template) {
+            self.push(match call.phase {
+                Phase::Communicate => "comm",
+                Phase::Stencil => "stencil",
+                Phase::LocalSums => "sums",
+            });
+            if let Some(slots) = &call.slots {
+                slots.lock().fill(vec![1.0; cx.state.cfg.params.num_vars]);
+            }
+            if call.phase == Phase::Communicate && !self.submits {
+                for _ in directions(&call.tasks, &cx.plan, |t| &t.work) {
+                    self.push("drain");
+                }
+            }
         }
         fn wait(&self, on: Option<ObjId>) {
-            self.push(if on.is_some() { "wait_sums" } else { "wait" });
+            if self.submits {
+                self.push(if on.is_some() { "wait_sums" } else { "wait" });
+            }
         }
         fn refine(&self, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
             self.push("refine");
@@ -652,7 +658,7 @@ mod tests {
         let mut per_rank = World::new(1, NetworkModel::instant()).run(|comm| {
             let exec = Logging {
                 log: RefCell::default(),
-                sums_obj: ObjId::fresh(),
+                submits: tasks_post_endpoints(cfg.variant),
             };
             let (stats, _) = run_span(&exec, cfg, comm, None, cfg.num_tsteps, &RunCtx::default());
             (exec.log.into_inner(), stats)
@@ -701,32 +707,44 @@ mod tests {
         assert_eq!(stats.checkpoints_taken, 1);
     }
 
-    /// `staticcheck` writes the schedule skeleton a second time; for a
-    /// scenario whose epochs it models in full, a data-flow rank's
-    /// barriers and local-sum submissions must fall exactly where the
-    /// loop puts them.
+    /// `staticcheck` walks the schedule skeleton a second time; for a
+    /// scenario whose epochs it models in full, a rank's barriers and
+    /// local-sum submissions must fall exactly where the loop puts them,
+    /// under every schedule: data-flow's at the loop's waits, the serial
+    /// schedules' at the end of each exchange direction.
     #[test]
     fn static_model_places_barriers_where_the_loop_does() {
-        for delayed in [false, true] {
-            let cfg = skeleton_cfg(delayed);
-            let live: Vec<&str> = skeleton(&cfg)
-                .0
-                .into_iter()
-                .filter(|c| ["sums", "wait", "wait_sums"].contains(c))
-                .collect();
-            let model = crate::staticcheck::elaborate(&cfg).model;
-            let mut modeled: Vec<&str> = model.by_rank[0]
-                .iter()
-                .filter_map(|&n| match model.nodes[n].label {
-                    "checksum_local" => Some("sums"),
-                    "taskwait" => Some("wait"),
-                    "taskwait_on" => Some("wait_sums"),
-                    _ => None,
-                })
-                .collect();
-            // The `checksum_local` batches of one point are one `local_sums` call.
-            modeled.dedup_by(|a, b| *a == "sums" && *b == "sums");
-            assert_eq!(modeled, live, "delayed_checksum = {delayed}");
+        for variant in [Variant::DataFlow, Variant::MpiOnly, Variant::ForkJoin] {
+            for delayed in [false, true] {
+                let cfg = Config {
+                    variant,
+                    ..skeleton_cfg(delayed)
+                };
+                let live: Vec<&str> = skeleton(&cfg)
+                    .0
+                    .into_iter()
+                    .filter(|c| ["sums", "wait", "wait_sums", "drain"].contains(c))
+                    .collect();
+                let model = crate::staticcheck::elaborate(&cfg).model;
+                let taskwait = if tasks_post_endpoints(variant) {
+                    "wait"
+                } else {
+                    "drain"
+                };
+                let mut modeled: Vec<&str> = model.by_rank[0]
+                    .iter()
+                    .filter_map(|&n| match model.nodes[n].label {
+                        "checksum_local" => Some("sums"),
+                        "taskwait" => Some(taskwait),
+                        "taskwait_on" => Some("wait_sums"),
+                        _ => None,
+                    })
+                    .collect();
+                // The `checksum_local` batches of one point are one call.
+                modeled.dedup_by(|a, b| *a == "sums" && *b == "sums");
+                assert!(live.contains(&taskwait), "{variant:?}: no {taskwait}");
+                assert_eq!(modeled, live, "{variant:?}, delayed_checksum = {delayed}");
+            }
         }
     }
 }

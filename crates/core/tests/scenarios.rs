@@ -429,15 +429,15 @@ fn ported() -> Vec<Row> {
     t.extend(["mpi", "forkjoin", "dataflow --delayed_checksum"].map(fine));
     t.push(fine("dataflow").holds("trace_hits == 6", |r| r.num("trace_hits") == Some(6)));
     t.push(fine("dataflow --sanitize").has(CLEAN));
-    t.push(fine("dataflow --staticcheck").has("staticcheck: clean"));
+    t.extend(VARIANTS.map(|v| fine(&format!("{v} --staticcheck")).has("staticcheck: clean")));
     // Task grain: batching is invisible in the digest, visible in the counts.
     let grain = |run: &str| miniamr(format!("--variant {run} {GRAIN_MESH}")).wants(Digest("grain", None));
     t.extend(["mpi", "forkjoin"].map(grain));
     t.push(grain("dataflow").holds("tasks_spawned * 4 < task_items", |r| {
         matches!((r.num("tasks_spawned"), r.num("task_items")), (Some(s), Some(i)) if s * 4 < i)
     }));
-    t.push(grain("dataflow --staticcheck").has("dfcheck: PASS"));
-    t.push(grain("dataflow --sanitize").has(CLEAN));
+    t.extend(VARIANTS.map(|v| grain(&format!("{v} --staticcheck")).has("dfcheck: PASS")));
+    t.extend(["forkjoin", "dataflow"].map(|v| grain(&format!("{v} --sanitize")).has(CLEAN)));
     for (check, says) in [("", "checksum_digest"), ("--staticcheck", "dfcheck: PASS"), ("--sanitize", CLEAN)] {
         let tf = miniamr(format!("--variant dataflow {TF_MESH} {check}")).timeout(120);
         t.push(tf.wants(Digest("tasks_fine", Some("1dab3b4b13377138"))).has(says).holds(
@@ -445,6 +445,11 @@ fn ported() -> Vec<Row> {
             |r| r.num("tasks_spawned") == Some(118236) && r.num("task_items") == Some(829884),
         ));
     }
+    // A block's checksum read per variable group: a run of several groups replays.
+    t.push(miniamr("--variant dataflow --npx 2 --comm_vars 1").wants(Digest("groups", Some("bfb9a55e5337a7f8")))
+        .holds("tasks_replayed > 0, trace_divergences == 0", |r| {
+            r.num("tasks_replayed") > Some(0) && r.num("trace_divergences") == Some(0)
+        }));
     t.push(miniamr(APERIODIC).wants(Digest("aperiodic", Some("246a54477696eff4")))
         .holds("trace_records == 0, trace_divergences == 0", |r| {
             r.num("trace_records") == Some(0) && r.num("trace_divergences") == Some(0)
@@ -519,7 +524,7 @@ fn every_row_holds() {
 #[test]
 fn the_table_size_is_pinned() {
     let runs = |rows: &[Row]| (rows.len(), rows.iter().map(|r| r.repeat).sum::<usize>());
-    assert_eq!(runs(&ported()), (97, 106));
+    assert_eq!(runs(&ported()), (103, 112));
     assert_eq!(runs(&matrix()), (166, 166));
 }
 

@@ -10,7 +10,7 @@ use miniamr::comm_plan::CommPlan;
 use miniamr::rank::{
     apply_local_transfer, pack_transfer_into, transfer_payload_elems, unpack_transfer, RankState,
 };
-use miniamr::Config;
+use miniamr::{Config, Variant};
 use shmem::SharedBuffer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -172,15 +172,15 @@ fn face_message_allocations_do_not_grow() {
     );
 }
 
-/// One data-flow run of a mesh whose intra-rank items are all far below
-/// `elaborate::GRAIN_ELEMS`: allocator calls on the two *spawning*
+/// One run of `variant` on a mesh whose intra-rank items are all far
+/// below `elaborate::GRAIN_ELEMS`: allocator calls on the two *spawning*
 /// threads (a rank's own thread is the one that elaborates and spawns),
 /// work items and tasks, summed over the ranks.
-fn fine_dataflow_run(num_tsteps: usize) -> [u64; 3] {
+fn fine_run(variant: Variant, num_tsteps: usize) -> [u64; 3] {
     let mut params = Config::smoke_test().params;
     (params.init_x, params.num_vars, params.num_refine) = (2, 4, 2);
     let mut cfg = Config::four_spheres(params, 4);
-    cfg.variant = miniamr::Variant::DataFlow;
+    cfg.variant = variant;
     cfg.num_tsteps = num_tsteps;
     cfg.stages_per_ts = 4;
     cfg.checksum_freq = 4;
@@ -199,15 +199,33 @@ fn fine_dataflow_run(num_tsteps: usize) -> [u64; 3] {
         .fold([0; 3], |sum, rank| [0, 1, 2].map(|i| sum[i] + rank[i]))
 }
 
-/// What `hits` replay-hit timesteps of that run cost, taken as the
+/// What `steps` timesteps of that run cost past its third, taken as the
 /// difference between two runs that many timesteps apart: set-up, the
-/// recorded first timestep and teardown cancel — up to the thousand or so
-/// allocator calls by which two identical runs differ (how many edges the
-/// recorded timestep links, and so how many successor lists outgrow their
-/// inline room, depends on what the worker has finished by then).
-fn hit_timesteps(hits: usize) -> [u64; 3] {
-    let (cold, warm) = (fine_dataflow_run(3), fine_dataflow_run(3 + hits));
+/// first timesteps and teardown cancel. For data-flow they are replay
+/// hits — up to the thousand or so allocator calls by which two
+/// identical runs differ (how many edges the recorded timestep links, and
+/// so how many successor lists outgrow their inline room, depends on what
+/// the worker has finished by then).
+fn steady_timesteps(variant: Variant, steps: usize) -> [u64; 3] {
+    let (cold, warm) = (fine_run(variant, 3), fine_run(variant, 3 + steps));
     [0, 1, 2].map(|i| warm[i].saturating_sub(cold[i]))
+}
+
+/// `steady_timesteps` with each run's allocator calls taken at their
+/// least over `reps` runs: how many claim-table entries and successor
+/// lists a run re-creates depends on what the worker has finished when
+/// the next task spawns, and that only ever adds calls.
+fn steady_floor(variant: Variant, steps: usize, reps: usize) -> [u64; 3] {
+    let least = |tsteps| {
+        let runs = (0..reps).map(|_| fine_run(variant, tsteps));
+        runs.min_by_key(|run| run[0]).expect("at least one run")
+    };
+    let (cold, warm) = (least(3), least(3 + steps));
+    [0, 1, 2].map(|i| warm[i].saturating_sub(cold[i]))
+}
+
+fn hit_timesteps(hits: usize) -> [u64; 3] {
+    steady_timesteps(Variant::DataFlow, hits)
 }
 
 /// Ratchet for the task grain: allocator calls on the spawning thread per
@@ -239,5 +257,27 @@ fn hit_dataflow_timestep_allocates_next_to_nothing_per_task() {
         allocs * 20 <= tasks,
         "{allocs} allocator calls on the spawning threads for {tasks} re-armed tasks = {:.3} per task (bound 0.05)",
         allocs as f64 / tasks as f64
+    );
+}
+
+/// Ratchet for the serial schedules' task program: allocator calls on the
+/// spawning threads per work item of a steady fork-join timestep. The
+/// tasks run the templates of the mesh epoch, so what a call still
+/// allocates is its task objects, their dependency bookkeeping, and a
+/// few lists of the exchange loop: 0.72–0.76 per item. When every call
+/// rebuilt what its tasks run on (a clone of every block handle) and
+/// every chunk's access list and body, the same loop measured 0.85–0.94.
+#[test]
+fn steady_forkjoin_timestep_allocates_less_than_once_per_item() {
+    let [allocs, items, tasks] = steady_floor(Variant::ForkJoin, 6, 3);
+    let per_item = allocs as f64 / items as f64;
+    eprintln!(
+        "fork-join: {allocs} allocator calls for {items} items ({tasks} tasks) = {per_item:.3} per item \
+         (bound 0.8; 0.85-0.94 when every call rebuilt its handles and access lists)"
+    );
+    assert!(items > 10_000, "only {items} items in six timesteps");
+    assert!(
+        allocs * 5 <= items * 4,
+        "{allocs} allocator calls on the spawning threads for {items} work items = {per_item:.2} per item (bound 0.8)"
     );
 }
