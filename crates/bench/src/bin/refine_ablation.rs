@@ -51,7 +51,7 @@ fn main() {
     let df = simnet::simulate(&w, &ExecModel::dataflow(workers), &cost);
 
     // The replicated-directory decision scan is common to every variant
-    // of this implementation (DESIGN.md §2) and outside the scope of the
+    // of this implementation (DESIGN.md §2.1) and outside the scope of the
     // paper's "80% removed" claim, which concerns the split/coarsen
     // copies (~25%) and the block exchange (~70%). Isolate the
     // taskifiable portion by zeroing the control cost.

@@ -14,7 +14,7 @@
 //!
 //! At-scale experiments run on the `simnet` performance model over
 //! workloads extracted from the real mesh engine (a 2-vCPU host cannot
-//! run paper-scale rank counts; see DESIGN.md §2); `trace_figs`,
+//! run paper-scale rank counts; see DESIGN.md §1.2); `trace_figs`,
 //! `refine_ablation --real` and `table1 --real` drive the actual threaded
 //! runtime.
 

@@ -13,7 +13,7 @@
 //! ```
 
 use miniamr::cli::{self, exit};
-use miniamr::{RunError, RunStats};
+use miniamr::{RunError, Summary};
 use std::time::Duration;
 use vmpi::NetworkModel;
 
@@ -222,81 +222,12 @@ fn main() {
         eprintln!("miniamr: depsan: no violations detected");
     }
 
-    let total_flops: u64 = stats.iter().map(|s| s.flops).sum();
-    let failed: usize = stats.iter().map(|s| s.checksums_failed).sum();
-    let passed: usize = stats.iter().map(|s| s.checksums_passed).sum();
-    let moved: u64 = stats.iter().map(|s| s.blocks_moved).sum();
-    let msgs: u64 = stats.iter().map(|s| s.msgs_sent).sum();
-    let max = |f: fn(&RunStats) -> Duration| -> Duration {
-        stats.iter().map(f).max().unwrap_or_default()
+    let summary = Summary {
+        ranks: &stats,
+        wall,
     };
-    println!("wall_time_s\t{:.4}", wall.as_secs_f64());
-    println!(
-        "gflops\t{:.4}",
-        total_flops as f64 / wall.as_secs_f64() / 1e9
-    );
-    println!("time_total_s\t{:.4}", max(|s| s.times.total).as_secs_f64());
-    println!(
-        "time_refine_s\t{:.4}",
-        max(|s| s.times.refine).as_secs_f64()
-    );
-    println!(
-        "time_no_refine_s\t{:.4}",
-        max(|s| s.times.non_refine()).as_secs_f64()
-    );
-    println!(
-        "time_comm_s\t{:.4}",
-        max(|s| s.times.communicate).as_secs_f64()
-    );
-    println!(
-        "time_stencil_s\t{:.4}",
-        max(|s| s.times.stencil).as_secs_f64()
-    );
-    println!("checksums_passed\t{passed}");
-    println!("checksums_failed\t{failed}");
-    // All ranks record the same broadcast checksum history, so rank 0's
-    // digest is the run's fingerprint (compared across chaos seeds and
-    // against the fault-free baseline in CI).
-    if let Some(s0) = stats.first() {
-        println!("checksum_digest\t{:016x}", s0.checksum_digest());
-    }
-    let ckpts: usize = stats.iter().map(|s| s.checkpoints_taken).sum();
-    if ckpts > 0 {
-        println!("checkpoints_taken\t{ckpts}");
-    }
-    println!(
-        "final_blocks\t{}",
-        stats.iter().map(|s| s.final_blocks).sum::<usize>()
-    );
-    println!("blocks_moved\t{moved}");
-    println!("msgs_sent\t{msgs}");
-    let spawned: u64 = stats.iter().map(|s| s.tasks_spawned).sum();
-    let replayed: u64 = stats.iter().map(|s| s.tasks_replayed).sum();
-    if spawned > 0 {
-        println!("tasks_spawned\t{spawned}");
-        println!(
-            "task_items\t{}",
-            stats.iter().map(|s| s.task_items).sum::<u64>()
-        );
-        println!("tasks_replayed\t{replayed}");
-        let sum = |f: fn(&RunStats) -> u64| stats.iter().map(f).sum::<u64>();
-        println!("trace_hits\t{}", sum(|s| s.trace_hits));
-        println!("trace_records\t{}", sum(|s| s.trace_records));
-        println!("trace_closes\t{}", sum(|s| s.trace_closes));
-        println!("trace_freezes\t{}", sum(|s| s.trace_freezes));
-        println!("trace_divergences\t{}", sum(|s| s.trace_divergences));
-        println!("tasks_rearmed\t{}", sum(|s| s.tasks_rearmed));
-        println!("trace_invalidations\t{}", sum(|s| s.trace_invalidations));
-    }
-    let pool_hits: u64 = stats.iter().map(|s| s.pool.hits).sum();
-    let pool_misses: u64 = stats.iter().map(|s| s.pool.misses).sum();
-    println!("pool_hits\t{pool_hits}");
-    println!("pool_misses\t{pool_misses}");
-    if pool_hits + pool_misses > 0 {
-        println!(
-            "pool_hit_rate\t{:.4}",
-            pool_hits as f64 / (pool_hits + pool_misses) as f64
-        );
+    for line in summary.lines() {
+        println!("{line}");
     }
     if live.metrics {
         // The registry is process-wide, and runtimes and chaos worlds add
@@ -337,7 +268,7 @@ fn main() {
             }
         }
     }
-    if failed > 0 {
+    if stats.iter().any(|s| s.checksums_failed > 0) {
         std::process::exit(exit::FAILED);
     }
 }
@@ -346,19 +277,12 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The exit table names each code once, and every way a run can stop
-    /// early maps to its one row.
+    /// The exit table names each code once, in ascending order, and
+    /// every way a run can stop early maps to its one row.
     #[test]
     fn exit_table_names_each_code_once() {
-        let table = [
-            exit::FAILED,
-            exit::USAGE,
-            exit::STALL,
-            exit::RUN_ERROR,
-            exit::STATICCHECK,
-            exit::SANITIZER,
-        ];
-        assert_eq!(table, [1, 2, 86, 88, 95, 97]);
+        let codes: Vec<i32> = exit::ROWS.iter().map(|r| r.code).collect();
+        assert_eq!(codes, [1, 2, 86, 88, 95, 97]);
         for e in [
             RunError::PeerLost {
                 reports: Vec::new(),

@@ -16,6 +16,34 @@
 //! Checkpoints are pure reads of rank state: taking one cannot perturb
 //! the numerics, so the cross-variant bitwise-equivalence guarantee is
 //! unaffected by any `--ckpt_freq` setting.
+//!
+//! A checkpoint is one copy, taken in one pass:
+//!
+//! - *Interior cells only.* Each stage's exchange rewrites every face
+//!   ghost plane (neighbour transfers, or the zero-gradient fill at the
+//!   domain boundary) before the stencil reads it, and the 27-point
+//!   stencil refills its edge and corner ghosts itself. The block
+//!   exchange's wire format ([`BlockData::pack_interior`]) rests on the
+//!   same rule.
+//! - *Contiguous.* [`RankCheckpoint`] holds the block ids and one
+//!   `Vec<f64>` of `num_vars × cells` slots in `pack_interior`'s layout;
+//!   `restore` and [`redistribute`] write each slot back with
+//!   [`BlockData::unpack_interior`].
+//! - *Recycled.* `take_and_publish` removes the rank's previous snapshot
+//!   from the store and, when `Arc::try_unwrap` gets it back, retakes
+//!   into its storage (the cell array never shrinks); the boundary ring
+//!   does the same with the snapshot it evicts. During a run only the
+//!   rank's own thread touches its slot and the driver reads the store
+//!   only after every rank has stopped, so a handle someone holds
+//!   (`latest`) is the only reason to take a fresh copy. `take` is
+//!   `retake` into empty storage: there is one snapshot path.
+//! - *Lane digest.* Four FNV-1a chains take the raw cell bits
+//!   round-robin, so neighbouring cells' multiplies do not wait on each
+//!   other, and one chain folds the block ids and the four lanes at the
+//!   end. Each slot is folded right after it is copied, while it is in
+//!   cache; the lane position carries across slices, so the digests of
+//!   the whole array, of block slots and of `digest_of`'s rows (read
+//!   straight from the block buffers) agree.
 
 use crate::config::{BalanceKind, Config};
 use crate::rank::RankState;

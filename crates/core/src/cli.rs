@@ -18,9 +18,11 @@ use vmpi::{ChaosConfig, CollAlgo, FabricParams};
 use PeerLostPolicy::{Abort, Shrink};
 use Variant::{DataFlow, ForkJoin, MpiOnly};
 
-/// The one exit table: every code a `miniamr` process can end with. Its
-/// `main` decides all of them but the two monitors', which it arms
-/// explicitly: a hung process cannot return an error to anybody.
+/// The one exit table: every code a `miniamr` process can end with, as
+/// constants for the code that exits and as [`exit::ROWS`] for the texts
+/// that explain them (`--help` and README's table). Its `main` decides all
+/// of them but the two monitors', which it arms explicitly: a hung process
+/// cannot return an error to anybody.
 pub mod exit {
     /// A checksum validation failed, or an output file was not written.
     pub const FAILED: i32 = 1;
@@ -35,6 +37,90 @@ pub mod exit {
     pub const STATICCHECK: i32 = dfcheck::STATIC_EXIT_CODE;
     /// `--sanitize`: depsan stopped the process on the first violation.
     pub const SANITIZER: i32 = depsan::SAN_EXIT_CODE;
+
+    /// One exit code and what it means.
+    pub struct Row {
+        /// The code.
+        pub code: i32,
+        /// Its name in `--help`'s exit-status line.
+        pub short: &'static str,
+        /// When a process ends with it.
+        pub when: &'static str,
+        /// Who ends the process with it.
+        pub decided_by: &'static str,
+    }
+
+    /// Every code, in ascending order.
+    pub const ROWS: [Row; 6] = [
+        Row {
+            code: FAILED,
+            short: "failed checksum or output file",
+            when: "a checksum validation failed, or `--trace-json` / `--perf_report` \
+                   could not be written",
+            decided_by: "`miniamr`'s `main`",
+        },
+        Row {
+            code: USAGE,
+            short: "usage",
+            when: "a bad flag or value, a refused flag combination, a meaningless \
+                   machine description, or a scenario the run refuses \
+                   (`RunError::OverCapacity`: a regrid would leave a rank over \
+                   `--max_blocks`)",
+            decided_by: "`miniamr`'s and `dfcheck`'s `main`; \
+                         `RunError::exit_code` for the refusal",
+        },
+        Row {
+            code: STALL,
+            short: "stall",
+            when: "`--watchdog_ms`: no event-bus progress for the window while \
+                   work is pending",
+            decided_by: "the `obs` watchdog thread (`StallAction::ExitProcess`)",
+        },
+        Row {
+            code: RUN_ERROR,
+            short: "lost peer",
+            when: "the run returned any other `RunError`: a lost peer (after the \
+                   checkpoint restore and verify), a corrupt checkpoint, no \
+                   boundary to shrink onto",
+            decided_by: "`miniamr`'s `main`, from `RunError::exit_code`",
+        },
+        Row {
+            code: STATICCHECK,
+            short: "failed static check",
+            when: "`--staticcheck` or `dfcheck` found a defect before anything ran",
+            decided_by: "`miniamr`'s and `dfcheck`'s `main`",
+        },
+        Row {
+            code: SANITIZER,
+            short: "sanitizer violation",
+            when: "`--sanitize`: the first depsan violation",
+            decided_by: "`depsan`, on the violating thread (`Mode::Exit`)",
+        },
+    ];
+
+    /// README's exit-code table.
+    pub fn reference() -> String {
+        let mut table = String::from("| code | when | decided by |\n|---|---|---|\n");
+        for r in &ROWS {
+            table += &format!("| {} | {} | {} |\n", r.code, r.when, r.decided_by);
+        }
+        table
+    }
+
+    /// The exit-status lines of `miniamr --help`: success and the first
+    /// three codes, then the rest.
+    pub(crate) fn status_lines() -> String {
+        let codes: Vec<String> = ROWS
+            .iter()
+            .map(|r| format!("{} {}", r.code, r.short))
+            .collect();
+        let (first, rest) = codes.split_at(3);
+        format!(
+            "Exit status: 0 ok, {},\n{}.\n",
+            first.join(", "),
+            rest.join(", ")
+        )
+    }
 }
 
 type Keys<E> = &'static [(&'static str, E)];
@@ -259,14 +345,9 @@ pub fn reference() -> String {
 
 /// `miniamr --help`.
 pub fn miniamr_usage() -> String {
-    use exit::*;
     let [scenario, live, _] = sections();
-    format!(
-        "usage: miniamr [options]\n\n{scenario}\n{live}\n\
-         Exit status: 0 ok, {FAILED} failed checksum or output file, {USAGE} usage, \
-         {STALL} stall,\n{RUN_ERROR} lost peer, {STATICCHECK} failed static check, \
-         {SANITIZER} sanitizer violation.\n"
-    )
+    let status = exit::status_lines();
+    format!("usage: miniamr [options]\n\n{scenario}\n{live}\n{status}")
 }
 
 /// `dfcheck --help`.

@@ -30,7 +30,30 @@
 //! across it — an unpack fused across messages would wait for the slowest
 //! of them. A message of one section is two tasks: the pack sends it
 //! (when the send is eager) and the unpack's on-ready gate receives it
-//! (DESIGN.md, "Task grain").
+//! (DESIGN.md §7.4).
+//!
+//! Batching is safe by construction, not by an argument about a mesh:
+//!
+//! * members run in emission order inside the batch, on one thread, so
+//!   whatever order the one-task-per-item stream imposed between two
+//!   members still holds;
+//! * a batch declares a superset of what each member declared, so tasks
+//!   become more ordered, never less (depsan checks every member's actual
+//!   accesses against the union, and dfcheck analyses this very stream);
+//! * order inside one label of one direction carries no data dependence:
+//!   every ghost plane has exactly one writer per direction (one local
+//!   copy, boundary fill or unpack), and packers and copy sources read
+//!   interior cells only, which no task of a communicate phase writes;
+//! * the cross-rank order is untouched: within a (stage, direction)
+//!   layer the stream is still recv → pack → send → local/boundary →
+//!   unpack (a one-section message's `recv` and `send` folded into its
+//!   unpack and pack), the order that keeps an `inout` unpack from being
+//!   spawned ahead of the `in` packs of its block and closing a cycle
+//!   through the peer;
+//! * the declared graph was already coarser than the data: dependencies
+//!   are on a block's variable range, not on the face cells a task
+//!   touches, so a batch widens a claim from two blocks to a few tens and
+//!   adds no new kind of false dependency.
 
 use crate::comm_plan::Endpoint::{Inbound, Outbound};
 use crate::comm_plan::{BufferLayout, CommPlan, MsgPlan};
@@ -43,7 +66,7 @@ use taskrt::{Access, AccessList, AccessMode, ObjId, Region, Submitter, TaskSpec}
 /// The task-grain floor, in elements of work: a batch of intra-rank items
 /// closes as soon as it holds this much. About 8 µs of copying, against
 /// the 1.2–3.6 µs the runtime spends to spawn and schedule a task
-/// (DESIGN.md, "Task grain", has the derivation and the sweep).
+/// (DESIGN.md §7.4 has the derivation, EXPERIMENTS.md the sweep).
 pub const GRAIN_ELEMS: usize = 1024;
 
 /// Splits `items` into consecutive batches, closing each as soon as its

@@ -6,7 +6,7 @@
 //! there), so the world can be torn down, the block directory
 //! re-partitioned onto a different rank count with the regular
 //! partitioners, and a fresh world respawned that resumes exactly where
-//! the old one stopped — the resize protocol of DESIGN.md §16:
+//! the old one stopped — the resize protocol of DESIGN.md §7.8:
 //!
 //! ```text
 //! quiescence → checkpoint → repartition → respawn

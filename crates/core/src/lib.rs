@@ -62,7 +62,7 @@ pub mod variant;
 
 pub use config::{BalanceKind, Config, JobCtx, Variant};
 pub use elastic::{ElasticOpts, PeerLostPolicy, ResizePlan, RunError};
-pub use stats::{PhaseTimes, RunStats};
+pub use stats::{PhaseTimes, RunStats, Summary};
 
 use vmpi::{Comm, NetworkModel};
 

@@ -180,6 +180,17 @@ pub fn unpack_transfer(
 /// the source's boundary plane and writes the destination's ghost plane
 /// directly, bit for bit what [`pack_transfer_into`] → [`unpack_transfer`]
 /// leave there, with no payload in between.
+///
+/// The operator holds the source slab's read claim and the destination
+/// slab's write claim at once, where the staged path held them one after
+/// the other. That stays inside the declared accesses: a local-copy task
+/// declares exactly that pair (`in` on the source block's variable range,
+/// `inout` on the destination's) for its whole body, so the runtime
+/// already orders it against every task that writes the source or touches
+/// the destination; the intervals claimed, their order (source first) and
+/// the accesses depsan records are the staged path's. Source and
+/// destination are always different blocks (a block is never its own face
+/// neighbour), so the two claims never meet in one claim table.
 pub fn local_transfer(
     layout: &BlockLayout,
     src: &BlockData,

@@ -20,7 +20,7 @@
 //! their own pool wait on local work alone and are not modeled).
 //!
 //! What the static visitor skips (soundness caveats, see `DESIGN.md`
-//! §15): stages past the first few of each mesh epoch (tags and buffer
+//! §8.1): stages past the first few of each mesh epoch (tags and buffer
 //! regions repeat identically every stage, so ordering proofs extend
 //! inductively) and epochs past [`MAX_EPOCHS`]; validations,
 //! checkpoints and boundary snapshots, which spawn no task. The

@@ -42,12 +42,12 @@
 //!
 //! Scoping rules (what keeps default-config runs violation-free):
 //!
-//! * Accesses outside any task scope (main-thread init, the fork/join and
-//!   MPI-only variants' pack/unpack loops, control messages) are exempt —
-//!   the always-on `shmem` claim table still catches true temporal
-//!   overlaps there. depsan verifies the *declared task graph*.
-//! * Tasks that declare **no** accesses (fork/join-style children,
-//!   `parallel_for` chunks) are exempt from the declared check but still
+//! * Accesses outside any task scope (main-thread init, the template
+//!   tasks MPI-only runs inline on its rank thread, control messages)
+//!   are exempt — the always-on `shmem` claim table still catches true
+//!   temporal overlaps there. depsan verifies the *declared task graph*.
+//! * Tasks that declare **no** accesses (`parallel_for` chunks, plain
+//!   spawned closures) are exempt from the declared check but still
 //!   race-checked.
 //! * Objects bound while the accessing task itself was executing
 //!   (blocks created inside split/merge tasks) are exempt for that task:

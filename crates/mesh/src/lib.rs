@@ -31,7 +31,7 @@
 //! deterministic refinement decision everywhere. The resulting mesh
 //! evolution, communication pattern (which faces cross which rank
 //! boundary) and data movement (block exchange at load balancing) are the
-//! same; only the metadata bookkeeping differs. See DESIGN.md §2.
+//! same; only the metadata bookkeeping differs. See DESIGN.md §2.1.
 
 #![warn(missing_docs)]
 

@@ -81,6 +81,8 @@ const INLINE_SLOTS: usize = 4;
 /// claimants the one that published second scans after the first one's
 /// publication and sees it (or sees the slot released, in which case the
 /// claims did not overlap in time): at least one of the pair panics.
+/// Check-then-publish, the order a lock makes safe, would not do: two
+/// claimants could each scan an empty table and then both publish.
 ///
 /// Claims that find no free slot (more than `INLINE_SLOTS` at once), and
 /// intervals too long to pack, go to the locked `overflow` list instead:
@@ -96,14 +98,14 @@ struct ClaimTable {
     /// Ids of overflow claims; starts past the slot indices so a token
     /// names either a slot or a list entry.
     next_id: AtomicU64,
-    /// Dependency-object id this buffer is bound to (0 = unbound). Both
-    /// taskrt's `ObjId` counter and the mesh block-uid counter start at 1,
-    /// so 0 is a safe sentinel. Used by the `depsan` sanitizer to turn
-    /// claims into checked-view access records. Lives inside the claim
-    /// table so the sanitizer hook rides the existing opaque `acquire`
-    /// call: an extra call (or an inlined atomic load) at the generic
-    /// `with_read`/`with_write` sites was observed to defeat dead-copy
-    /// elimination in downstream crates' optimized builds.
+    /// Dependency-object id this buffer is bound to (0 = unbound).
+    /// taskrt's `ObjId` counter starts at 1 and the mesh block-uid
+    /// counter at 2^63 + 1, so 0 is a safe sentinel. Used by the `depsan`
+    /// sanitizer to turn claims into checked-view access records. Lives
+    /// inside the claim table so the sanitizer hook rides the existing
+    /// opaque `acquire` call: an extra call (or an inlined atomic load) at
+    /// the generic `with_read`/`with_write` sites was observed to defeat
+    /// dead-copy elimination in downstream crates' optimized builds.
     san_obj: AtomicU64,
 }
 

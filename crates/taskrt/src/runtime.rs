@@ -606,7 +606,7 @@ impl Runtime {
             Route::Untraced
         };
         if matches!(route, Route::Replay) {
-            return trace::replay_spawn(inner, label, priority, accesses, body);
+            return trace::replay_spawn(inner, accesses, body);
         }
         let san_id = if inner.san_rt != 0 {
             inner.san_spawned(label, &accesses, None)

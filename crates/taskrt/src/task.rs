@@ -64,7 +64,7 @@ pub type AccessList = SmallVec<[Access; 2]>;
 /// A task's declared accesses as its task object holds them: one
 /// exact-size list that every task spawned with it points at
 /// ([`crate::TaskBuilder::access_list`]) — the claim table, the trace's
-/// fingerprints, closes and flushes, and depsan all read this slice.
+/// replay matches, closes and flushes, and depsan all read this slice.
 pub type Accesses = Arc<[Access]>;
 
 /// A spawn's accesses: listed through the builder, or a list shared with

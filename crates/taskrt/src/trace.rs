@@ -9,13 +9,13 @@
 //! iteration are reset in place and linked straight to their recorded
 //! predecessors — no claim-table analysis and no allocation. A runtime
 //! caches **one stream**: a vector of **slots**, one per stream position,
-//! each holding the position's fingerprint and the task object of the
-//! latest iteration that reached it, under the key of the scopes that
-//! recorded it.
+//! each the task object of the latest iteration that reached it, under
+//! the key of the scopes that recorded it. The object's label, priority
+//! and accesses are what a later spawn at that position must repeat.
 //!
 //! * **Record.** A scope that finds no trace records: every spawn takes
-//!   the claim-table analysis as outside a scope and is logged into its
-//!   slot — `hash(label, priority, accesses)` and the task.
+//!   the claim-table analysis as outside a scope and its task is logged
+//!   into its slot.
 //! * **Close.** The next scope closes the recording, if nothing
 //!   invalidated in between: three passes of the structural analysis
 //!   ([`History`] tables keyed by stream position that nothing is ever
@@ -33,11 +33,11 @@
 //!   positions already hold this iteration's tasks, positions at or above
 //!   *i* still the previous iteration's — with edges to already-released
 //!   predecessors skipped, exactly as fresh registration would.
-//! * **Fall back.** A divergence — a fingerprint mismatch, a longer or
-//!   shorter stream, an untraced spawn while the scope is open — flushes
-//!   the replayed tasks into the claim table (so fresh analysis sees
-//!   them), forgets the trace and runs the rest of the scope inert. The
-//!   next scope records.
+//! * **Fall back.** A divergence — a spawn whose label, priority or
+//!   accesses differ from its slot's, a longer or shorter stream, an
+//!   untraced spawn while the scope is open — flushes the replayed tasks
+//!   into the claim table (so fresh analysis sees them), forgets the
+//!   trace and runs the rest of the scope inert. The next scope records.
 //!
 //! A scope whose key is not the cached stream's forgets the stream and
 //! records. Two keys never replay side by side: each would link its
@@ -74,38 +74,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Fingerprints.
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
-/// Structural fingerprint of one submission. Labels are hashed by value
-/// (not pointer) so identical streams from different call sites match.
-fn fingerprint(label: &str, priority: i32, accesses: &[Access]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in label.as_bytes() {
-        h = mix(h, u64::from(b));
-    }
-    h = mix(h, priority as u32 as u64);
-    for a in accesses {
-        h = mix(
-            h,
-            a.mode.is_write() as u64
-                | ((matches!(a.mode, crate::region::AccessMode::Out) as u64) << 1),
-        );
-        h = mix(h, a.region.obj.0);
-        h = mix(h, a.region.start as u64);
-        h = mix(h, a.region.end as u64);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Trace data.
@@ -203,13 +171,6 @@ fn replay_ready(preds: &Preds) -> bool {
     })
 }
 
-/// One stream position.
-struct Slot {
-    fp: u64,
-    /// The task of the latest iteration that reached this position.
-    task: Arc<TaskShared>,
-}
-
 /// How far the stream has come since its last invalidation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum Stage {
@@ -230,7 +191,9 @@ enum Stage {
 struct KeyState {
     /// The key of the scopes that recorded the stream.
     key: u64,
-    slots: Vec<Slot>,
+    /// Per stream position, the task of the latest iteration that
+    /// reached it.
+    slots: Vec<Arc<TaskShared>>,
     /// The frozen trace: every position's structural predecessors.
     preds: Preds,
     stage: Stage,
@@ -406,7 +369,7 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
 /// how the scope that closed it goes on: replaying, or inert.
 fn close(inner: &RtInner, state: &mut KeyState) -> ScopeMode {
     inner.stat_trace_closes.fetch_add(1, Ordering::Relaxed);
-    let mode = match close_stream(state.slots.iter().map(|s| &s.task.accesses[..])) {
+    let mode = match close_stream(state.slots.iter().map(|t| &t.accesses[..])) {
         Some(preds) => {
             state.preds = preds;
             state.stage = Stage::Frozen;
@@ -473,7 +436,7 @@ pub(crate) fn route_spawn(
     inner: &Arc<RtInner>,
     label: &str,
     priority: i32,
-    accesses: &[Access],
+    accesses: &Declared,
 ) -> Route {
     let route = with_scope(inner, |scope| match scope.mode {
         ScopeMode::Inert => Route::Inert,
@@ -481,11 +444,18 @@ pub(crate) fn route_spawn(
         ScopeMode::Replay { cursor } => {
             // A concurrent untraced spawn may conflict with replayed
             // tasks the claim table cannot see; so may an extra spawn or
-            // a fingerprint mismatch with what the slots run next.
+            // one that is not what the slot runs next.
             let untraced = inner.trace.untraced_spawns.load(Ordering::Acquire);
-            let expected = scope.state.slots.get(cursor).map(|slot| slot.fp);
+            let repeats = |slot: &Arc<TaskShared>| {
+                slot.label == label
+                    && slot.priority == priority
+                    && match accesses {
+                        Declared::Shared(list) if Arc::ptr_eq(list, &slot.accesses) => true,
+                        declared => declared[..] == slot.accesses[..],
+                    }
+            };
             if untraced == scope.untraced_at_start
-                && expected == Some(fingerprint(label, priority, accesses))
+                && scope.state.slots.get(cursor).is_some_and(repeats)
             {
                 Route::Replay
             } else {
@@ -501,15 +471,8 @@ pub(crate) fn route_spawn(
 }
 
 /// Replays the slot at the cursor for a spawn [`route_spawn`] matched to
-/// it, with the spawn's own declaration and body. Returns the task's
-/// depsan id.
-pub(crate) fn replay_spawn(
-    inner: &Arc<RtInner>,
-    label: &'static str,
-    priority: i32,
-    accesses: Declared,
-    body: TaskBody,
-) -> u64 {
+/// it, with the spawn's own body. Returns the task's depsan id.
+pub(crate) fn replay_spawn(inner: &Arc<RtInner>, accesses: Declared, body: TaskBody) -> u64 {
     with_scope(inner, |scope| {
         // Invariant (both panics): `spawn_boxed` calls this right after
         // `route_spawn` returned `Replay` on the same thread, which it
@@ -518,8 +481,8 @@ pub(crate) fn replay_spawn(
         let ScopeMode::Replay { cursor } = &mut scope.mode else {
             unreachable!("route_spawn matched a replaying scope");
         };
-        let spawn = (label, priority, accesses, body);
         let mut flush_list = inner.trace.bypassed.lock();
+        let spawn = (accesses, body);
         let san_id = replay_slot(inner, &mut scope.state, *cursor, spawn, &mut flush_list);
         *cursor += 1;
         san_id
@@ -533,25 +496,26 @@ pub(crate) fn replay_spawn(
 /// position's recorded predecessors (claim table bypassed, released
 /// predecessors skipped exactly as fresh registration would skip them),
 /// registers it for flushing (in `flush_list`, the cache's, locked by the
-/// caller) and launches it, with the declaration, body and on-ready gate
-/// of `spawn`, whose fingerprint matched the slot's (the gate runs anew
+/// caller) and launches it, with the body and on-ready gate of `spawn`,
+/// whose label, priority and accesses are the slot's (the gate runs anew
 /// once the re-armed task's predecessors release). Returns the task's
 /// depsan id.
 fn replay_slot(
     inner: &Arc<RtInner>,
     state: &mut KeyState,
     pos: usize,
-    (label, priority, accesses, body): (&'static str, i32, Declared, TaskBody),
+    (accesses, body): (Declared, TaskBody),
     flush_list: &mut Vec<Arc<TaskShared>>,
 ) -> u64 {
     let KeyState { slots, preds, .. } = state;
     let preds = preds.of(pos);
+    let (label, priority) = (slots[pos].label, slots[pos].priority);
     // The sanitizer re-checks the predecessor set about to be enforced
     // against the declared accesses; the ids are read before the slot's
     // own previous occupant (a possible predecessor) is reset.
     let san_id = if inner.san_rt != 0 {
         let pred_ids: Vec<u64> = (preds.iter())
-            .map(|&(_, p)| slots[p as usize].task.san_id)
+            .map(|&(_, p)| slots[p as usize].san_id)
             .filter(|&s| s != 0)
             .collect();
         inner.san_spawned(label, &accesses, Some(&pred_ids))
@@ -559,7 +523,7 @@ fn replay_slot(
         0
     };
     let id = inner.next_task_id();
-    let slot = &mut slots[pos].task;
+    let slot = &mut slots[pos];
     // `get_mut` succeeds iff no other strong or weak reference exists:
     // the previous occupant has released and been forgotten by the
     // scheduler, by every successor list, by its event holds and by the
@@ -567,7 +531,6 @@ fn replay_slot(
     let displaced = match Arc::get_mut(slot) {
         Some(task) => {
             task.rearm(id, san_id);
-            (task.label, task.priority) = (label, priority);
             task.accesses = redeclare(&task.accesses, accesses);
             task.body = body;
             inner.stat_rearmed_tasks.fetch_add(1, Ordering::Relaxed);
@@ -579,7 +542,7 @@ fn replay_slot(
             Some(std::mem::replace(slot, fresh))
         }
     };
-    let task = &slots[pos].task;
+    let task = &slots[pos];
     inner.task_born(task);
     let mut edges = 0;
     for &(_, p) in preds {
@@ -589,7 +552,7 @@ fn replay_slot(
         // stream position conflicts with itself across iterations — is
         // either displaced or, re-armed in place, long released.
         let pred = match (p as usize == pos, &displaced) {
-            (false, _) => &slots[p as usize].task,
+            (false, _) => &slots[p as usize],
             (true, Some(old)) => old,
             (true, None) => continue,
         };
@@ -621,12 +584,12 @@ fn replay_slot(
 }
 
 /// The accesses a replayed spawn declared, as the shared list its task
-/// object keeps: the slot's own when a listed declaration repeats it (as it
-/// does whenever the fingerprints matched), so such a replay copies none.
+/// object keeps: a shared declaration's own list, else the slot's, which a
+/// matched spawn repeats, so a listed replay copies none.
 fn redeclare(slot: &Accesses, declared: Declared) -> Accesses {
     match declared {
-        Declared::Listed(list) if list[..] == slot[..] => Arc::clone(slot),
-        declared => declared.into_shared(),
+        Declared::Shared(list) => list,
+        Declared::Listed(_) => Arc::clone(slot),
     }
 }
 
@@ -634,10 +597,7 @@ fn redeclare(slot: &Accesses, declared: Declared) -> Accesses {
 pub(crate) fn record_spawn(inner: &Arc<RtInner>, task: &Arc<TaskShared>) {
     with_scope(inner, |scope| {
         if let ScopeMode::Record = scope.mode {
-            scope.state.slots.push(Slot {
-                fp: fingerprint(task.label, task.priority, &task.accesses),
-                task: Arc::clone(task),
-            });
+            scope.state.slots.push(Arc::clone(task));
         }
     });
 }

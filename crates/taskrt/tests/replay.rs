@@ -11,7 +11,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taskrt::{Access, Body, ObjId, Region, Runtime, RuntimeConfig};
+use taskrt::{Access, Body, ObjId, Region, Runtime, RuntimeConfig, TaskBuilder};
 
 /// Holds a task (and whatever waits behind it) until the test opens it.
 struct Gate {
@@ -151,7 +151,7 @@ fn divergent_submission_falls_back() {
     assert!(before.trace_hits > 0, "stream A never froze: {before:?}");
 
     // Stream B: identical prefix, then a task with a different access
-    // range — the fingerprint mismatches and the scope diverges with
+    // range — it does not match its slot and the scope diverges with
     // half the chain already installed from the trace.
     let log = Arc::new(Mutex::new(Vec::new()));
     let scope = rt.trace_scope(7);
@@ -195,6 +195,49 @@ fn divergent_submission_falls_back() {
         s.trace_hits > hits_after_divergence,
         "stream B never re-froze: {s:?}"
     );
+}
+
+/// A spawn that repeats its slot's range but not its label, its priority
+/// or its access mode (`in` where the trace has `inout`) is not the
+/// recorded task: each diverges, and the chain still runs in order.
+#[test]
+fn a_spawn_differing_only_in_label_priority_or_mode_diverges() {
+    const N: usize = 40;
+    type Tweak = fn(TaskBuilder<'_>, Region) -> TaskBuilder<'_>;
+    let tweaks: [(&str, Tweak); 3] = [
+        ("label", |b, r| b.inout(r).label("other")),
+        ("priority", |b, r| b.inout(r).priority(1)),
+        ("mode", |b, r| b.input(r)),
+    ];
+    for (what, tweak) in tweaks {
+        let rt = Runtime::new(2);
+        let obj = ObjId::fresh();
+        for _ in 0..5 {
+            chained_iteration(&rt, 7, obj, N);
+        }
+        let before = rt.stats();
+        assert!(before.trace_hits > 0, "{what}: never froze: {before:?}");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let scope = rt.trace_scope(7);
+        for i in 0..N {
+            let log = Arc::clone(&log);
+            let region = Region::new(obj, 0..1);
+            let b = match i == N / 2 {
+                true => tweak(rt.task(), region),
+                false => rt.task().inout(region),
+            };
+            b.body(move || log.lock().push(i)).spawn();
+        }
+        drop(scope);
+        rt.taskwait();
+        assert_in_submission_order(&log, N, what);
+        let after = rt.stats();
+        assert_eq!(
+            after.trace_divergences,
+            before.trace_divergences + 1,
+            "{what}: {after:?}"
+        );
+    }
 }
 
 /// Two keys interleaved on one runtime, each scope one `inout` task on

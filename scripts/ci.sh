@@ -65,7 +65,7 @@ for workload in coarse_compute tasks_fine regrid_churn net_overlap; do
   fi
 done
 
-# --- Observability smoke tests (PR 2) -------------------------------------
+# --- Traced smoke runs and the watchdog self-test ---------------------------
 # The root `cargo build --release` only builds the root package; the
 # miniamr CLI binary needs an explicit -p.
 echo "==> cargo build --release -p miniamr"
@@ -224,7 +224,7 @@ if ! diff <(printf '%s\n' "$ws_out") scripts/golden/weak_scaling_quick_64.txt >&
   exit 1
 fi
 
-# --- Causal perf analyzer (PR 7) -------------------------------------------
+# --- Perf report: schema, telescoping, overlap, flow arrows -----------------
 # The 4-rank data-flow smoke must emit a schema-valid perf report whose
 # per-timestep critical-path categories telescope to the window's
 # wall-clock exactly (so the 5% acceptance bound holds by construction),

@@ -1,6 +1,7 @@
 //! The command-line surface of `miniamr` and `dfcheck`: the defaults a
 //! bare invocation runs with, that every scenario flag reaches the run's
-//! configuration, and README's flag reference.
+//! configuration, and README's three tables rendered from the code that
+//! decides them (flags, exit codes, run-summary keys).
 
 use amr_mesh::stencil::StencilKind;
 use miniamr::cli::{self, ScenarioArgs};
@@ -114,20 +115,50 @@ fn every_scenario_flag_reaches_the_config() {
     }
 }
 
+/// Checks that README.md holds `expected` between `begin` and `end`; a
+/// failure names the stale block and prints what it should read.
+fn readme_block(what: &str, begin: &str, end: &str, expected: &str) {
+    let readme = include_str!("../README.md");
+    let start = readme.find(begin).expect("README has the begin marker") + begin.len();
+    let stop = readme.find(end).expect("README has the end marker");
+    assert!(
+        readme[start..stop] == *expected,
+        "README.md's {what} is stale; replace the block between the \
+         markers with:\n{expected}"
+    );
+}
+
 /// README.md's "Flag reference" block is the rows' rendering, byte for
 /// byte.
 #[test]
 fn readme_flag_reference_is_generated_from_the_rows() {
-    let readme = include_str!("../README.md");
-    let begin = "<!-- flag-reference:begin -->\n```text\n";
-    let end = "```\n<!-- flag-reference:end -->";
-    let start = readme.find(begin).expect("README has the begin marker") + begin.len();
-    let stop = readme.find(end).expect("README has the end marker");
-    let expected = cli::reference();
-    assert!(
-        readme[start..stop] == expected,
-        "README.md's flag reference is stale; replace the block between the \
-         markers with:\n{expected}"
+    readme_block(
+        "flag reference",
+        "<!-- flag-reference:begin -->\n```text\n",
+        "```\n<!-- flag-reference:end -->",
+        &cli::reference(),
+    );
+}
+
+/// README.md's exit-code table is `cli::exit::ROWS`' rendering.
+#[test]
+fn readme_exit_codes_are_generated_from_the_rows() {
+    readme_block(
+        "exit-code table",
+        "<!-- exit-codes:begin -->\n",
+        "<!-- exit-codes:end -->",
+        &cli::exit::reference(),
+    );
+}
+
+/// README.md's run-summary table is `stats::SUMMARY`'s rendering.
+#[test]
+fn readme_summary_keys_are_generated_from_the_rows() {
+    readme_block(
+        "run-summary table",
+        "<!-- summary-keys:begin -->\n",
+        "<!-- summary-keys:end -->",
+        &miniamr::stats::summary_reference(),
     );
 }
 
