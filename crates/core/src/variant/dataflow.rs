@@ -199,6 +199,9 @@ impl BlockMover for TaskMover<'_> {
         let comm = Arc::clone(comm);
         let layout = state.layout;
         let nv = state.cfg.params.num_vars;
+        // Allocating at the post costs no resident memory: a block-sized
+        // array is a page mapping whose zero pages appear when the unpack
+        // first writes them (DESIGN.md §3.3).
         let block = BlockData::empty(id, &state.cfg.params);
         let handle = block.clone();
         let reg = block_region(&layout, &block, 0..nv);

@@ -11,8 +11,9 @@
 
 use crate::pod::Pod;
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
+use std::alloc::Layout;
 use std::ops::Range;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -199,17 +200,184 @@ impl ClaimTable {
     }
 }
 
+/// Arrays of at least this many bytes get their own anonymous page
+/// mapping (on Linux); smaller ones are boxed slices from the global
+/// allocator. 128 KiB is glibc's default mmap threshold, the size from
+/// which glibc itself maps a chunk until a free raises its threshold.
+const MAPPED_BYTES: usize = 128 << 10;
+
+/// The elements of a [`SharedBuffer`], allocated zeroed.
+///
+/// An array of at least [`MAPPED_BYTES`] on Linux is an anonymous private
+/// page mapping of its own: the kernel fills a page with zeros when it is
+/// first touched, so an array that is allocated early and written late
+/// (a block whose receive is posted before its data arrives) holds no
+/// resident memory until it is written, and `munmap` on drop returns its
+/// pages to the kernel. Through the global allocator, glibc would serve it
+/// from an arena that keeps the pages after the free as soon as one freed
+/// mapped chunk had raised its dynamic mmap threshold past the array's
+/// size, and it would write the zeros at once. A smaller array, and every
+/// array on other targets, is a boxed slice.
+///
+/// A mapped array starts as all-zero bytes, and all-zero bytes are
+/// `T::default()` for every [`Pod`] implementor (the primitive integers
+/// and floats, whose default is 0). Which of the two allocations an array
+/// has is a function of its byte length alone, so the drop needs no tag.
+struct Storage<T: Pod> {
+    ptr: NonNull<T>,
+    len: usize,
+}
+
+impl<T: Pod + Default> Storage<T> {
+    fn new(len: usize) -> Storage<T> {
+        if Self::mapped(len) {
+            return Storage {
+                ptr: pages::map(Self::layout(len)).cast(),
+                len,
+            };
+        }
+        // `Drop` rebuilds the box from this pointer and `len`.
+        let boxed = Box::leak(vec![T::default(); len].into_boxed_slice());
+        Storage {
+            ptr: NonNull::from(boxed).cast(),
+            len,
+        }
+    }
+}
+
+impl<T: Pod> Storage<T> {
+    fn layout(len: usize) -> Layout {
+        Layout::array::<T>(len).expect("capacity overflow")
+    }
+
+    /// True when an array of `len` elements is a page mapping.
+    fn mapped(len: usize) -> bool {
+        pages::ENABLED && Self::layout(len).size() >= MAPPED_BYTES
+    }
+
+    /// The elements `start..start + len`, as a raw slice.
+    ///
+    /// # Safety
+    ///
+    /// `start + len` must not exceed the array's length.
+    unsafe fn region(&self, start: usize, len: usize) -> *mut [T] {
+        // SAFETY: the caller keeps the range inside the allocation.
+        std::ptr::slice_from_raw_parts_mut(unsafe { self.ptr.as_ptr().add(start) }, len)
+    }
+}
+
+impl<T: Pod> Drop for Storage<T> {
+    fn drop(&mut self) {
+        if Self::mapped(self.len) {
+            // SAFETY: `new` mapped exactly this layout at `ptr`, and the
+            // storage is dropped once.
+            unsafe { pages::unmap(self.ptr.cast(), Self::layout(self.len)) };
+        } else {
+            // SAFETY: `new` made `ptr` and `len` from a leaked boxed
+            // slice, and the storage is dropped once.
+            drop(unsafe { Box::from_raw(self.region(0, self.len)) });
+        }
+    }
+}
+
+/// Anonymous page mappings, through the C library std already links.
+#[cfg(target_os = "linux")]
+mod pages {
+    use std::alloc::{handle_alloc_error, Layout};
+    use std::ffi::{c_int, c_long, c_void};
+    use std::ptr::NonNull;
+
+    pub const ENABLED: bool = true;
+
+    // <sys/mman.h>; MIPS numbers MAP_ANONYMOUS apart from the others.
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    #[cfg(not(any(target_arch = "mips", target_arch = "mips64")))]
+    const MAP_ANONYMOUS: c_int = 0x20;
+    #[cfg(any(target_arch = "mips", target_arch = "mips64"))]
+    const MAP_ANONYMOUS: c_int = 0x800;
+    const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+
+    extern "C" {
+        // `off_t` is a C `long` on Linux.
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// Maps `layout.size()` bytes of fresh zero pages (page-aligned, so
+    /// aligned for any element type). A failed mapping is an allocation
+    /// failure, reported as `vec!` reports one.
+    pub fn map(layout: Layout) -> NonNull<u8> {
+        // SAFETY: an anonymous private mapping at an address of the
+        // kernel's choice touches no existing memory.
+        let addr = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                layout.size(),
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        match NonNull::new(addr.cast()) {
+            Some(ptr) if addr != MAP_FAILED => ptr,
+            _ => handle_alloc_error(layout),
+        }
+    }
+
+    /// Returns the pages of a [`map`]ping to the kernel.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` and `layout` must be those of one earlier `map` call, and no
+    /// reference into the mapping may outlive this call.
+    pub unsafe fn unmap(ptr: NonNull<u8>, layout: Layout) {
+        // SAFETY: the caller passes a live mapping of this length. Its
+        // only failure, a range that is not a mapping, cannot happen then;
+        // a drop must not panic, so the result is not checked.
+        unsafe { munmap(ptr.as_ptr().cast(), layout.size()) };
+    }
+}
+
+/// Without page mappings every array is a boxed slice.
+#[cfg(not(target_os = "linux"))]
+mod pages {
+    use std::alloc::Layout;
+    use std::ptr::NonNull;
+
+    pub const ENABLED: bool = false;
+
+    pub fn map(_: Layout) -> NonNull<u8> {
+        unreachable!("no page mappings on this target")
+    }
+
+    pub unsafe fn unmap(_: NonNull<u8>, _: Layout) {
+        unreachable!("no page mappings on this target")
+    }
+}
+
 /// A fixed-size buffer of `Pod` elements shared between threads, with
 /// access mediated through [`BufSlice`] regions.
 pub struct SharedBuffer<T: Pod> {
-    data: UnsafeCell<Box<[T]>>,
-    len: usize,
+    data: Storage<T>,
     claims: ClaimTable,
 }
 
-// SAFETY: all access to `data` goes through the claim table, which panics
-// on overlapping read/write or write/write access; disjoint regions are
-// distinct memory.
+// SAFETY: `data` owns its array (a boxed slice or a page mapping, neither
+// tied to the thread that made it) of `Pod`, hence `Send`, elements, so
+// the buffer may be dropped on any thread. Every access to the elements
+// goes through `claims`, itself thread-safe (atomics and a mutex), which
+// panics on overlapping read/write or write/write access; disjoint
+// regions are distinct memory.
 unsafe impl<T: Pod> Sync for SharedBuffer<T> {}
 unsafe impl<T: Pod> Send for SharedBuffer<T> {}
 
@@ -217,8 +385,7 @@ impl<T: Pod + Default> SharedBuffer<T> {
     /// Allocates a zero-initialised shared buffer of `len` elements.
     pub fn new(len: usize) -> Arc<Self> {
         Arc::new(SharedBuffer {
-            data: UnsafeCell::new(vec![T::default(); len].into_boxed_slice()),
-            len,
+            data: Storage::new(len),
             claims: ClaimTable::new(),
         })
     }
@@ -227,12 +394,12 @@ impl<T: Pod + Default> SharedBuffer<T> {
 impl<T: Pod> SharedBuffer<T> {
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.data.len
     }
 
     /// Returns true for a zero-length buffer.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.data.len == 0
     }
 
     /// A [`BufSlice`] covering `range`.
@@ -242,7 +409,7 @@ impl<T: Pod> SharedBuffer<T> {
     /// Panics if the range exceeds the buffer bounds.
     pub fn slice(self: &Arc<Self>, range: Range<usize>) -> BufSlice<T> {
         assert!(
-            range.start <= range.end && range.end <= self.len,
+            range.start <= range.end && range.end <= self.len(),
             "slice out of bounds"
         );
         BufSlice {
@@ -254,7 +421,7 @@ impl<T: Pod> SharedBuffer<T> {
 
     /// A [`BufSlice`] covering the whole buffer.
     pub fn full(self: &Arc<Self>) -> BufSlice<T> {
-        self.slice(0..self.len)
+        self.slice(0..self.len())
     }
 
     /// Binds the buffer to a dependency-object id so the `depsan`
@@ -324,12 +491,10 @@ impl<T: Pod> BufSlice<T> {
             .buf
             .claims
             .acquire(self.start, self.start + self.len, false);
-        // SAFETY: the claim table guarantees no concurrent writer overlaps
+        // SAFETY: `slice`/`subslice` keep the region inside the buffer,
+        // and the claim table guarantees no concurrent writer overlaps
         // this interval for the duration of the claim.
-        let result = {
-            let data = unsafe { &*self.buf.data.get() };
-            f(&data[self.start..self.start + self.len])
-        };
+        let result = f(unsafe { &*self.buf.data.region(self.start, self.len) });
         self.buf.claims.release(claim);
         result
     }
@@ -340,12 +505,10 @@ impl<T: Pod> BufSlice<T> {
             .buf
             .claims
             .acquire(self.start, self.start + self.len, true);
-        // SAFETY: the claim table guarantees exclusive access to this
+        // SAFETY: `slice`/`subslice` keep the region inside the buffer,
+        // and the claim table guarantees exclusive access to this
         // interval for the duration of the claim.
-        let result = {
-            let data = unsafe { &mut *self.buf.data.get() };
-            f(&mut data[self.start..self.start + self.len])
-        };
+        let result = f(unsafe { &mut *self.buf.data.region(self.start, self.len) });
         self.buf.claims.release(claim);
         result
     }
@@ -553,6 +716,80 @@ mod tests {
         sub.write_from(&[7; 10]);
         assert_eq!(buf.slice(15..25).to_vec(), vec![7; 10]);
         assert_eq!(buf.slice(10..15).to_vec(), vec![0; 5]);
+    }
+
+    /// The element count of the smallest mapped array of `T`.
+    fn threshold<T: Pod>() -> usize {
+        MAPPED_BYTES / std::mem::size_of::<T>()
+    }
+
+    fn reads_default_around_the_threshold<T>()
+    where
+        T: Pod + Default + PartialEq + std::fmt::Debug,
+    {
+        let at = threshold::<T>();
+        for len in [at - 1, at, at + 1] {
+            assert_eq!(Storage::<T>::mapped(len), pages::ENABLED && len >= at);
+            let buf = SharedBuffer::<T>::new(len);
+            assert_eq!(buf.len(), len);
+            buf.full().with_read(|all| {
+                assert_eq!(all.len(), len);
+                assert!(all.iter().all(|v| *v == T::default()), "len {len}");
+            });
+        }
+    }
+
+    /// Mapped arrays start as zero bytes, boxed ones as `T::default()`:
+    /// the same values, for every `Pod` type.
+    #[test]
+    fn every_pod_type_reads_default_around_the_threshold() {
+        reads_default_around_the_threshold::<u8>();
+        reads_default_around_the_threshold::<i8>();
+        reads_default_around_the_threshold::<u16>();
+        reads_default_around_the_threshold::<i16>();
+        reads_default_around_the_threshold::<u32>();
+        reads_default_around_the_threshold::<i32>();
+        reads_default_around_the_threshold::<u64>();
+        reads_default_around_the_threshold::<i64>();
+        reads_default_around_the_threshold::<usize>();
+        reads_default_around_the_threshold::<isize>();
+        reads_default_around_the_threshold::<f32>();
+        reads_default_around_the_threshold::<f64>();
+    }
+
+    /// Slicing, disjoint parallel writes, claim conflicts and the last
+    /// element behave alike in a boxed and in a mapped array.
+    #[test]
+    fn slices_and_claims_agree_on_both_sides_of_the_threshold() {
+        let at = threshold::<f64>();
+        for len in [at - 1, at + 1] {
+            let buf = SharedBuffer::<f64>::new(len);
+            let quarter = len / 4;
+            std::thread::scope(|s| {
+                for i in 0..4 {
+                    let end = if i == 3 { len } else { (i + 1) * quarter };
+                    let slice = buf.slice(i * quarter..end);
+                    s.spawn(move || slice.with_write(|w| w.fill(i as f64)));
+                }
+            });
+            let all = buf.full().to_vec();
+            for (idx, v) in all.iter().enumerate() {
+                assert_eq!(*v, (idx / quarter).min(3) as f64, "len {len} idx {idx}");
+            }
+            let tail = buf.slice(len - 10..len).subslice(8..10);
+            assert_eq!(tail.offset(), len - 2);
+            tail.write_from(&[7.0, 8.0]);
+            assert_eq!(buf.slice(len - 3..len).to_vec(), vec![3.0, 7.0, 8.0]);
+            let (a, b) = (buf.slice(0..len / 2 + 1), buf.slice(len / 2..len));
+            a.with_read(|_| b.with_read(|_| {}));
+            // Last: the refused inner claim unwinds past the outer one's
+            // release, which stays held.
+            assert!(panics(|| a.with_write(|_| b.with_read(|_| {}))));
+            // The buffer is `Send`: the last handle may drop anywhere.
+            std::thread::spawn(move || drop((buf, a, b, tail)))
+                .join()
+                .unwrap();
+        }
     }
 
     #[test]

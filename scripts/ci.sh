@@ -26,6 +26,12 @@ cargo test --release -q -p amr-bench --test gates -- --ignored --test-threads 1 
 echo "==> cargo test -q (tier-1, root package)"
 cargo test -q
 
+# shmem maps its large arrays with mmap/munmap through FFI: its tests run
+# optimised as well, where undefined behaviour in unsafe code tends to
+# show that a debug build hides.
+echo "==> cargo test --release -q -p shmem"
+cargo test --release -q -p shmem
+
 # This includes the scenario table (crates/core/tests/scenarios.rs): each
 # run-and-compare check of the miniamr and dfcheck binaries is a row of it
 # (digest parity, exit codes, output, static-check findings), as is the
