@@ -136,7 +136,7 @@ pub struct Config {
     /// which aggregates are worth merging, and by the data-flow stream to
     /// decide which packs send (mirrors
     /// [`vmpi::FabricParams::eager_threshold`]; a run clamps it to its
-    /// world's [`vmpi::NetworkModel::eager_threshold`]).
+    /// world's [`vmpi::Comm::eager_threshold`]).
     pub eager_bytes: usize,
     /// Reproduce the seed's group-size-relative communication-buffer
     /// offsets (`--legacy_group_offsets`): the legacy stride of

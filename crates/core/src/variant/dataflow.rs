@@ -49,6 +49,8 @@ use vmpi::Comm;
 /// declared accesses; only [`Exec::wait`] ever blocks the main thread.
 pub(crate) struct DataFlow {
     rt: Runtime,
+    /// `--replay`: whether traced timesteps open a trace scope.
+    replay: bool,
     /// Members of batches beyond the first: what the tasks spawned fall
     /// short of the work items elaborated.
     batched_items: Cell<u64>,
@@ -57,7 +59,8 @@ pub(crate) struct DataFlow {
 impl DataFlow {
     pub(crate) fn new(cfg: &Config, rank: usize) -> DataFlow {
         DataFlow {
-            rt: rank_runtime(cfg, rank, cfg.replay),
+            rt: rank_runtime(cfg, rank),
+            replay: cfg.replay,
             batched_items: Cell::new(0),
         }
     }
@@ -101,9 +104,10 @@ impl Exec for DataFlow {
     /// timesteps is recorded, and each spawn of a later one re-arms the
     /// task object its position recorded. A timestep whose neighbours
     /// spawn other streams, or that is alone in its epoch, has nothing to
-    /// replay it, so it records nothing.
+    /// replay it, so it records nothing. Under `--replay off` no timestep
+    /// opens a scope, and the runtime's trace cache stays unarmed.
     fn timestep(&self, traced: bool) -> Option<TraceScope<'_>> {
-        traced.then(|| self.rt.trace_scope(0))
+        (traced && self.replay).then(|| self.rt.trace_scope(0))
     }
 
     /// Refinement taskified like every other phase (§IV-B; the colorful
@@ -127,7 +131,9 @@ impl Exec for DataFlow {
     /// Regrid/load-balance changed block uids and buffer objects: every
     /// cached trace is structurally stale.
     fn mesh_changed(&self) {
-        self.rt.invalidate_traces();
+        if self.replay {
+            self.rt.invalidate_traces();
+        }
     }
 
     fn finish(&self, stats: &mut RunStats) {

@@ -236,11 +236,10 @@ pub(crate) fn run_jobs_as_tasks(
 }
 
 /// The task runtime of a hybrid executor's rank.
-fn rank_runtime(cfg: &Config, rank: usize, replay: bool) -> Runtime {
+fn rank_runtime(cfg: &Config, rank: usize) -> Runtime {
     let rt = Runtime::with_config(taskrt::RuntimeConfig {
         workers: cfg.workers.max(1),
         immediate_successor: cfg.immediate_successor,
-        replay,
     });
     rt.set_obs_rank(cfg.obs_rank(rank));
     rt
@@ -250,11 +249,7 @@ fn rank_runtime(cfg: &Config, rank: usize, replay: bool) -> Runtime {
 pub(crate) fn executor(cfg: &Config, rank: usize) -> Box<dyn Exec> {
     match cfg.variant {
         Variant::MpiOnly => Box::new(fork_join::ForkJoin::new(None)),
-        Variant::ForkJoin => {
-            // Fork-join opens no trace scopes; keep the replay machinery inert.
-            let rt = rank_runtime(cfg, rank, false);
-            Box::new(fork_join::ForkJoin::new(Some(rt)))
-        }
+        Variant::ForkJoin => Box::new(fork_join::ForkJoin::new(Some(rank_runtime(cfg, rank)))),
         Variant::DataFlow => Box::new(dataflow::DataFlow::new(cfg, rank)),
     }
 }

@@ -61,9 +61,11 @@ fn replay_on_off_digests_match() {
     assert!(hits > 0, "no full-iteration trace hit");
     assert!(invalidations > 0, "regrids did not invalidate the trace");
 
-    // And the replay-off run must not have.
+    // And the replay-off run must not have: it opens no trace scope, so
+    // its runtimes' caches never arm and record nothing.
     assert_eq!(stats_off.iter().map(|s| s.tasks_replayed).sum::<u64>(), 0);
     assert_eq!(stats_off.iter().map(|s| s.trace_hits).sum::<u64>(), 0);
+    assert_eq!(stats_off.iter().map(|s| s.trace_records).sum::<u64>(), 0);
 }
 
 /// Cross-variant anchor: the data-flow variant with replay matches the

@@ -184,6 +184,14 @@ impl ClaimTable {
         Ok(())
     }
 
+    /// [`ClaimTable::acquire`] with the claim held by the returned guard.
+    fn hold(&self, start: usize, end: usize, write: bool) -> Held<'_> {
+        Held {
+            table: self,
+            token: self.acquire(start, end, write),
+        }
+    }
+
     fn release(&self, token: u64) {
         if let Some(slot) = self.slots.get(token as usize) {
             // Release pairs with the acquire of the scan (or the
@@ -198,6 +206,31 @@ impl ClaimTable {
             self.overflowed.fetch_sub(1, Ordering::SeqCst);
         }
     }
+}
+
+/// A published claim, withdrawn when dropped: when the access returns,
+/// and when a panic unwinds out of it, so a caught panic leaves no region
+/// claimed for good.
+struct Held<'a> {
+    table: &'a ClaimTable,
+    token: u64,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.table.release(self.token);
+    }
+}
+
+/// Calls `f` in a function of its own. Inlined into `with_read` or
+/// `with_write`, every call in the closure that may unwind would become
+/// an invoke with the claim guard's cleanup, which slowed the stencil and
+/// copy loops: MPI-only's wall time on the `regrid_churn` flags read
+/// ≈ 12 % higher on a 2-vCPU VM, and as low as before with the closure
+/// out of line.
+#[inline(never)]
+fn outlined<A, R>(f: impl FnOnce(A) -> R, a: A) -> R {
+    f(a)
 }
 
 /// Arrays of at least this many bytes get their own anonymous page
@@ -487,30 +520,22 @@ impl<T: Pod> BufSlice<T> {
 
     /// Runs `f` with shared read access to the region.
     pub fn with_read<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
-        let claim = self
-            .buf
-            .claims
-            .acquire(self.start, self.start + self.len, false);
+        let _claim = (self.buf.claims).hold(self.start, self.start + self.len, false);
         // SAFETY: `slice`/`subslice` keep the region inside the buffer,
         // and the claim table guarantees no concurrent writer overlaps
         // this interval for the duration of the claim.
-        let result = f(unsafe { &*self.buf.data.region(self.start, self.len) });
-        self.buf.claims.release(claim);
-        result
+        let data = unsafe { &*self.buf.data.region(self.start, self.len) };
+        outlined(f, data)
     }
 
     /// Runs `f` with exclusive write access to the region.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [T]) -> R) -> R {
-        let claim = self
-            .buf
-            .claims
-            .acquire(self.start, self.start + self.len, true);
+        let _claim = (self.buf.claims).hold(self.start, self.start + self.len, true);
         // SAFETY: `slice`/`subslice` keep the region inside the buffer,
         // and the claim table guarantees exclusive access to this
         // interval for the duration of the claim.
-        let result = f(unsafe { &mut *self.buf.data.region(self.start, self.len) });
-        self.buf.claims.release(claim);
-        result
+        let data = unsafe { &mut *self.buf.data.region(self.start, self.len) };
+        outlined(f, data)
     }
 
     /// Copies `src` into the region (must match the region length).
@@ -548,6 +573,19 @@ mod tests {
         for (idx, v) in all.iter().enumerate() {
             assert_eq!(*v, (idx / 250) as f64);
         }
+    }
+
+    #[test]
+    fn a_caught_panic_releases_its_claim() {
+        let buf = SharedBuffer::<f64>::new(16);
+        let slice = buf.slice(0..16);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slice.with_write(|_| panic!("task body failed mid-write"))
+        }));
+        assert!(panicked.is_err());
+        // Both would report a race with the abandoned write claim.
+        slice.with_write(|w| w[0] = 1.0);
+        assert_eq!(slice.with_read(|r| r[0]), 1.0);
     }
 
     #[test]

@@ -82,16 +82,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Transfer time of `bytes` between two ranks given a node grouping.
-    pub fn net_time(&self, bytes: f64, intra_node: bool) -> f64 {
-        let t = self.fabric.latency + bytes / self.fabric.bandwidth;
-        if intra_node {
-            t * self.fabric.intra_node_factor
-        } else {
-            t
-        }
-    }
-
     /// Cost of one `log2(ranks)`-depth collective (reduce, bcast,
     /// barrier) over a flat binomial tree.
     pub fn collective(&self, ranks: usize) -> f64 {
@@ -149,13 +139,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn net_time_monotone_in_size() {
-        let c = CostModel::default();
-        assert!(c.net_time(1e6, false) > c.net_time(1e3, false));
-        assert!(c.net_time(1e6, true) < c.net_time(1e6, false));
-    }
 
     #[test]
     fn collective_grows_logarithmically() {

@@ -197,10 +197,8 @@ fn stage_costs(w: &Workload, s: &StageStat, c: &CostModel) -> StageCosts {
         out.work[r] = stencil + pack + local;
         let inter_bytes = s.in_elems_inter[r] * nv * BYTES;
         let intra_bytes = s.in_elems_intra[r] * nv * BYTES;
-        out.net[r] = s.in_msgs_inter[r] * fab.latency
-            + inter_bytes / fab.bandwidth
-            + (s.in_msgs_intra[r] * fab.latency + intra_bytes / fab.bandwidth)
-                * fab.intra_node_factor;
+        out.net[r] = fab.wire_time(s.in_msgs_inter[r], inter_bytes, false)
+            + fab.wire_time(s.in_msgs_intra[r], intra_bytes, true);
         let msgs = (s.in_msgs_inter[r] + s.in_msgs_intra[r]).max(1.0);
         let total_bytes = inter_bytes + intra_bytes;
         // Typical incoming inter-node message; decides eager vs

@@ -144,14 +144,6 @@ fn bound_requests() -> &'static obs::Counter {
     COUNTER.get_or_init(|| obs::metrics().counter("tampi.bound_requests"))
 }
 
-/// Binds every request in the slice to the calling task
-/// (`TAMPI_Iwaitall`).
-pub fn iwaitall(requests: &[Request]) {
-    for r in requests {
-        iwait(r);
-    }
-}
-
 /// Non-blocking task-aware send (`TAMPI_Isend`): performs the send and
 /// binds its completion to the calling task. The payload is copied at
 /// call time, so `data` may be dropped as soon as the call returns.

@@ -103,8 +103,3 @@ pub fn current_event_hold() -> EventHold {
     // breaks the documented contract gets here without a task.
     task::current_event_hold().expect("current_event_hold() called outside a task body")
 }
-
-/// Returns true when the calling thread is currently executing a task.
-pub fn in_task() -> bool {
-    task::current_task_id().is_some()
-}

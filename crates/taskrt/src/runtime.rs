@@ -23,10 +23,6 @@ pub struct RuntimeConfig {
     /// next on the same worker (cache-locality policy). Disable for
     /// ablation studies.
     pub immediate_successor: bool,
-    /// Whether the task-graph trace & replay cache is armed (see
-    /// [`Runtime::trace_scope`]). When false, trace scopes are inert and
-    /// every spawn takes fresh claim-table analysis.
-    pub replay: bool,
 }
 
 impl RuntimeConfig {
@@ -35,7 +31,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             workers,
             immediate_successor: true,
-            replay: true,
         }
     }
 }
@@ -499,7 +494,7 @@ impl Runtime {
         let inner = Arc::new(RtInner {
             registry: Registry::new(),
             scheduler,
-            trace: TraceCache::new(config.replay),
+            trace: TraceCache::new(),
             next_id: AtomicU64::new(1),
             live: AtomicUsize::new(0),
             live_set: track_live.then(LiveSet::new),
@@ -600,7 +595,7 @@ impl Runtime {
         // Consult the trace cache first: inside a replaying scope the
         // spawn re-arms the task recorded at its position and the claim
         // table is bypassed entirely.
-        let route = if inner.trace.enabled {
+        let route = if inner.trace.armed() {
             trace::route_spawn(inner, label, priority, &accesses)
         } else {
             Route::Untraced
@@ -618,7 +613,7 @@ impl Runtime {
         inner.task_born(&task);
         // Fresh analysis must see any still-live replayed tasks in the
         // claim table, so flush them back in first.
-        if inner.trace.enabled {
+        if inner.trace.armed() {
             trace::flush_bypassed(inner);
         }
         let edges = inner.registry.register(&task);

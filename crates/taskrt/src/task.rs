@@ -276,7 +276,7 @@ impl TaskShared {
         //   what is there; the flush's shard locks order it after that
         //   removal, so its own look at `released` afterwards sees the
         //   flag and removes the rest (removal is idempotent).
-        if !(rt.trace.enabled && crate::trace::released_bypassed(rt, &self)) {
+        if !(rt.trace.armed() && crate::trace::released_bypassed(rt, &self)) {
             rt.registry.remove_task(&self);
         }
         if let Some(bus) = obs::bus() {

@@ -72,7 +72,7 @@ use crate::task::{Accesses, Declared, TaskBody, TaskShared};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -215,9 +215,14 @@ impl KeyState {
 
 /// Per-runtime trace cache, embedded in `RtInner`.
 pub(crate) struct TraceCache {
-    /// Replay enabled ([`crate::RuntimeConfig::replay`]); when false the
-    /// whole machinery is inert and scopes are no-ops.
-    pub(crate) enabled: bool,
+    /// Set by the runtime's first [`crate::Runtime::trace_scope`] and
+    /// never cleared. Until then spawns and releases skip the cache: a
+    /// runtime that traces nothing pays nothing for it. The `SeqCst`
+    /// store pairs with the `Acquire` loads of [`TraceCache::armed`]: a
+    /// spawn that reads `false` is ordered before the first scope began,
+    /// like one made before it, and a release of a replayed task reads
+    /// `true` (its replay happened after the store).
+    armed: AtomicBool,
     stream: Mutex<KeyState>,
     generation: AtomicU64,
     /// Replayed tasks since the last scope began: every live task absent
@@ -230,15 +235,21 @@ pub(crate) struct TraceCache {
 }
 
 impl TraceCache {
-    pub(crate) fn new(enabled: bool) -> TraceCache {
+    pub(crate) fn new() -> TraceCache {
         TraceCache {
-            enabled,
+            armed: AtomicBool::new(false),
             stream: Mutex::default(),
             generation: AtomicU64::new(0),
             bypassed: Mutex::new(Vec::new()),
             bypassed_live: AtomicUsize::new(0),
             untraced_spawns: AtomicU64::new(0),
         }
+    }
+
+    /// Whether a trace scope was ever opened on this runtime.
+    #[inline]
+    pub(crate) fn armed(&self) -> bool {
+        self.armed.load(Ordering::Acquire)
     }
 
     /// Drops every task reference the cache holds. The slots and the
@@ -320,9 +331,9 @@ pub(crate) enum Route {
 
 pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
     let cache = &inner.trace;
-    if !cache.enabled {
-        return;
-    }
+    // From here on every spawn routes through the cache: one outside the
+    // scope counts as untraced, one after a replay flushes first.
+    cache.armed.store(true, Ordering::SeqCst);
     let mut state = std::mem::take(&mut *cache.stream.lock());
     // Another key's stream, or out-of-band spawns since the last scope
     // (neither a frozen trace nor a recording covers them): start over.
@@ -387,9 +398,6 @@ fn close(inner: &RtInner, state: &mut KeyState) -> ScopeMode {
 }
 
 pub(crate) fn scope_end(inner: &Arc<RtInner>) {
-    if !inner.trace.enabled {
-        return;
-    }
     let Some(mut scope) = ACTIVE.with(|a| a.borrow_mut().take()) else {
         return;
     };
@@ -663,9 +671,6 @@ pub(crate) fn released_bypassed(inner: &RtInner, task: &TaskShared) -> bool {
 /// Drops every cached trace of this runtime and flushes bypassed tasks.
 pub(crate) fn invalidate(inner: &Arc<RtInner>) {
     let cache = &inner.trace;
-    if !cache.enabled {
-        return;
-    }
     cache.generation.fetch_add(1, Ordering::AcqRel);
     *cache.stream.lock() = KeyState::default();
     drain_bypassed(inner);

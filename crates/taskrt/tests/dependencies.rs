@@ -342,7 +342,6 @@ fn immediate_successor_can_be_disabled() {
     let rt = Runtime::with_config(RuntimeConfig {
         workers: 2,
         immediate_successor: false,
-        replay: true,
     });
     let obj = ObjId::fresh();
     let sum = Arc::new(AtomicUsize::new(0));

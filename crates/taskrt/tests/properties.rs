@@ -132,7 +132,6 @@ proptest! {
         let rt = Runtime::with_config(RuntimeConfig {
             workers,
             immediate_successor: immediate,
-            replay: true,
         });
         let objs: Vec<ObjId> = (0..4).map(|_| ObjId::fresh()).collect();
         let n = specs.len();

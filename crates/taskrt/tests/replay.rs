@@ -11,7 +11,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taskrt::{Access, Body, ObjId, Region, Runtime, RuntimeConfig, TaskBuilder};
+use taskrt::{Access, Body, ObjId, Region, Runtime, TaskBuilder};
 
 /// Holds a task (and whatever waits behind it) until the test opens it.
 struct Gate {
@@ -110,26 +110,6 @@ fn replayed_chain_preserves_order() {
         s.trace_divergences, 0,
         "stable stream should never diverge: {s:?}"
     );
-}
-
-/// With `replay: false` the cache is inert: scopes are free, nothing is
-/// recorded, nothing replays.
-#[test]
-fn replay_disabled_is_inert() {
-    let rt = Runtime::with_config(RuntimeConfig {
-        workers: 2,
-        immediate_successor: true,
-        replay: false,
-    });
-    let obj = ObjId::fresh();
-    for iter in 0..6 {
-        let log = chained_iteration(&rt, 1, obj, 50);
-        assert_in_submission_order(&log, 50, &format!("iteration {iter}"));
-    }
-    let s = rt.stats();
-    assert_eq!(s.trace_hits, 0);
-    assert_eq!(s.replayed_tasks, 0);
-    assert_eq!(s.trace_records, 0);
 }
 
 /// Submitting a stream that differs from the frozen trace mid-scope must

@@ -130,13 +130,13 @@ impl Comm {
     /// chaos every collective stays on the (fault-transparent) flat path.
     fn hier_enabled(&self) -> bool {
         self.shared.net.coll == CollAlgo::Hier
-            && self.shared.net.ranks_per_node > 1
+            && self.shared.net.params.ranks_per_node > 1
             && self.shared.fault.is_none()
             && self.size() > 1
     }
 
     fn node_topo(&self) -> NodeTopo {
-        let rpn = self.shared.net.ranks_per_node;
+        let rpn = self.shared.net.params.ranks_per_node;
         let node_of = |r: usize| {
             let w = self.world_rank_of(r);
             w.checked_div(rpn).unwrap_or(w)
@@ -561,37 +561,6 @@ impl Comm {
                 Err(e)
             }
         }
-    }
-
-    /// Personalized all-to-all exchange (`MPI_Alltoallv`): `parts[i]` goes
-    /// to rank `i`; returns what each rank sent to this one.
-    pub fn alltoall<T: Pod>(&self, parts: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
-        let p = self.size();
-        assert_eq!(parts.len(), p, "alltoall needs one part per rank");
-        let (_, ch) = self.coll_begin();
-        let tag = COLL_TAG_BASE;
-        let mut sends = Vec::with_capacity(p);
-        for (dst, part) in parts.iter().enumerate() {
-            if dst != self.rank() {
-                sends.push(ch.isend_coll_bytes(
-                    crate::datatype::as_bytes(part.as_slice()).to_vec(),
-                    dst,
-                    tag,
-                ));
-            }
-        }
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(p);
-        for (src, part) in parts.iter().enumerate() {
-            if src == self.rank() {
-                out.push(part.clone());
-            } else {
-                out.push(ch.recv_coll::<T>(src, tag)?);
-            }
-        }
-        for s in sends {
-            s.wait_checked()?;
-        }
-        Ok(out)
     }
 }
 

@@ -4,7 +4,7 @@
 //! → the route `match` in `isend_impl` (self / reliability frame / fabric
 //! / scalar delay) → [`crate::mailbox::arrive`]. A receive is
 //! [`crate::mailbox::post`]. Matching, queueing, transit and completion
-//! live in [`crate::mailbox`]; only the probes look into a mailbox here.
+//! live in [`crate::mailbox`].
 
 use crate::datatype::{self, Pod};
 use crate::error::{Result, VmpiError};
@@ -51,7 +51,7 @@ pub fn in_collective_tag_space(tag: i32) -> bool {
     tag >= COLL_TAG_BASE
 }
 
-/// Completion information of a receive (or probe), like `MPI_Status`.
+/// Completion information of a receive, like `MPI_Status`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status {
     /// Rank (within the communicator) of the sender.
@@ -134,11 +134,11 @@ impl Comm {
     }
 
     /// Largest payload in bytes whose send completes eagerly, at post time
-    /// (the world's [`crate::NetworkModel::eager_threshold`]); a larger one
+    /// (the world's [`crate::FabricParams::eager_threshold`]); a larger one
     /// completes once the receiver has posted its receive.
     #[inline]
     pub fn eager_threshold(&self) -> usize {
-        self.shared.net.eager_threshold
+        self.shared.net.params.eager_threshold
     }
 
     /// World rank backing a communicator rank.
@@ -440,46 +440,6 @@ impl Comm {
     pub(crate) fn irecv_coll(&self, src: usize, tag: i32) -> Request {
         debug_assert!(tag >= COLL_TAG_BASE);
         self.irecv_impl(src as i32, tag, RecvTarget::Owned, RecvSan::default())
-    }
-
-    // ---------------------------------------------------------------
-    // probes
-    // ---------------------------------------------------------------
-
-    /// Non-blocking probe: returns the status of a matching *available*
-    /// message without consuming it.
-    pub fn iprobe(&self, src: i32, tag: i32) -> Result<Option<Status>> {
-        self.validate_recv(src, tag)?;
-        let my_world = self.group[self.rank];
-        let inner = self.shared.mailboxes[my_world].inner.lock();
-        Ok(inner.peek_available(src, tag, self.comm_id, Instant::now()))
-    }
-
-    /// Blocking probe: waits until a matching message is available.
-    pub fn probe(&self, src: i32, tag: i32) -> Result<Status> {
-        self.validate_recv(src, tag)?;
-        let my_world = self.group[self.rank];
-        let mailbox = &self.shared.mailboxes[my_world];
-        let mut inner = mailbox.inner.lock();
-        loop {
-            if let Some(fault) = &self.shared.fault {
-                if fault.poisoned.load(Ordering::SeqCst) {
-                    return Err(VmpiError::WorldDown);
-                }
-            }
-            let now = Instant::now();
-            if let Some(st) = inner.peek_available(src, tag, self.comm_id, now) {
-                return Ok(st);
-            }
-            match inner.earliest_match(src, tag, self.comm_id) {
-                Some(due) => {
-                    mailbox.arrived.wait_until(&mut inner, due);
-                }
-                None => {
-                    mailbox.arrived.wait(&mut inner);
-                }
-            }
-        }
     }
 
     // ---------------------------------------------------------------

@@ -1,10 +1,8 @@
 //! Contention-aware network fabric: node → NIC → switch topology.
 //!
-//! Both the real execution (vmpi's delivery engine) and the at-scale
-//! simulation (`simnet`) used to charge each message an independent
-//! `latency + bytes/bandwidth` cost, which misses the three machine
-//! effects the paper credits for penalizing large communication
-//! aggregates (§V-B, Table II):
+//! An independent `latency + bytes/bandwidth` cost per message misses the
+//! three machine effects the paper credits for penalizing large
+//! communication aggregates (§V-B, Table II):
 //!
 //! 1. **Rendezvous handshake** — messages above the eager threshold pay a
 //!    request-to-send/clear-to-send round trip (plus the progress-engine
@@ -16,20 +14,26 @@
 //!    node's uplink/downlink bandwidth, so availability times come from a
 //!    small event-driven drain loop, not a per-message formula.
 //!
-//! This module is the *single source* for all interconnect constants
-//! ([`FabricParams`]) — `vmpi::NetworkModel`, `simnet::CostModel` and the
-//! miniamr CLI defaults all consume it, so the real execution (Table I,
-//! Figures 1–3) and the simulated cluster (Table II, Figures 4–5)
-//! describe the same machine.
+//! [`FabricParams`] is the one description of the modelled machine:
+//! `vmpi::NetworkModel` holds one, `simnet::CostModel` embeds one, and
+//! the miniamr CLI builds one, so the real execution (Table I, Figures
+//! 1–3) and the simulated cluster (Table II, Figures 4–5) describe the
+//! same machine. Each of its cost rules is written once: the scalar wire
+//! time in [`FabricParams::wire_time`], the fair-share drain in one
+//! private engine that both consumers run:
 //!
-//! Two consumers, one topology:
+//! * [`drain`] — the engine run to completion over aggregated [`Flow`]s,
+//!   used by `simnet` once per simulated stage (the fluid limit of the
+//!   per-packet fabric in flow-level simulators like htsim). A
+//!   rendezvous flow *starts* a handshake late.
+//! * [`Fabric`] — the live variant used by the real execution: sends
+//!   inject flows as they happen (behind their node's NIC), delivery jobs
+//!   *poll* their flow and reschedule if concurrent arrivals slowed it
+//!   down. The handshake is an *offset* added after the drain.
 //!
-//! * [`drain`] — a batch drain loop over aggregated [`Flow`]s, used by
-//!   `simnet` once per simulated stage (the fluid limit of the per-packet
-//!   fabric in flow-level simulators like htsim).
-//! * [`Fabric`] — the online variant used by the real execution: sends
-//!   inject flows as they happen, delivery jobs *poll* their flow and
-//!   reschedule if concurrent arrivals slowed it down.
+//! The two treat the handshake differently on purpose: moving either
+//! onto the other's rule would move `simnet`'s output or the live
+//! delivery times.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -132,6 +136,21 @@ impl FabricParams {
         bytes <= self.eager_threshold
     }
 
+    /// The scalar wire time of `msgs` messages carrying `bytes` in all:
+    /// `(msgs × latency + bytes / bandwidth)`, times `intra_node_factor`
+    /// when the traffic stays on one node. Infinite bandwidth drops the
+    /// size term. No contention: this is the cost of a message outside
+    /// the fabric, and `simnet`'s per-rank transfer sum.
+    #[inline]
+    pub fn wire_time(&self, msgs: f64, bytes: f64, same_node: bool) -> f64 {
+        let t = msgs * self.latency + bytes / self.bandwidth;
+        if same_node {
+            t * self.intra_node_factor
+        } else {
+            t
+        }
+    }
+
     /// Number of nodes covering `ranks` ranks.
     #[inline]
     pub fn nodes_for(&self, ranks: usize) -> usize {
@@ -150,7 +169,7 @@ impl Default for FabricParams {
 }
 
 // ---------------------------------------------------------------------
-// Batch drain loop (the simulator's per-stage fluid model)
+// Batch drain (the simulator's per-stage fluid model)
 // ---------------------------------------------------------------------
 
 /// One aggregated flow for [`drain`]: `msgs` messages totalling `bytes`
@@ -178,15 +197,12 @@ pub struct Flow {
 /// ranks) from going quadratic.
 const DRAIN_EVENT_CAP: usize = 16_384;
 
-/// Runs the event-driven drain loop over `flows` and returns, per node,
-/// how long its NIC/links stay busy: the completion time of the last
-/// flow touching the node plus the node's serialized injection overhead.
-///
-/// Fair sharing: an active flow's rate is `bandwidth / max(active flows
-/// on its source uplink, active flows on its destination downlink)`; the
-/// loop advances from completion to completion, re-dividing bandwidth as
-/// flows finish. Flows with rendezvous messages join at
-/// `rendezvous_rtt`; the rest at time zero.
+/// Runs the fair-share engine over `flows` to completion and returns,
+/// per node, how long its NIC/links stay busy: the completion time of the
+/// last flow touching the node plus the node's serialized injection
+/// overhead. Eager flows join at time zero, flows with rendezvous
+/// messages at `rendezvous_rtt`; a completion at exactly that time
+/// retires before they start.
 pub fn drain(p: &FabricParams, n_nodes: usize, flows: &[Flow]) -> Vec<f64> {
     let mut busy = vec![0.0f64; n_nodes];
     if flows.is_empty() {
@@ -228,96 +244,26 @@ pub fn drain(p: &FabricParams, n_nodes: usize, flows: &[Flow]) -> Vec<f64> {
         return busy;
     }
 
-    struct Active {
-        src: usize,
-        dst: usize,
-        remaining: f64,
-        /// Simulation time `remaining` was last reduced at.
-        last: f64,
-    }
-    let mut active: Vec<Active> = Vec::with_capacity(flows.len());
-    let mut pending: Vec<&Flow> = Vec::new(); // rendezvous flows, start at rtt
-    let mut up = vec![0u32; n_nodes];
-    let mut dn = vec![0u32; n_nodes];
-    for f in flows {
+    let mut links = Links::new(p.bandwidth, n_nodes);
+    let mut late = Vec::new();
+    for (id, f) in flows.iter().enumerate() {
         if f.rdv_msgs > 0.0 && p.rendezvous_rtt > 0.0 {
-            pending.push(f);
+            late.push((id, f));
         } else {
-            up[f.src] += 1;
-            dn[f.dst] += 1;
-            active.push(Active {
-                src: f.src,
-                dst: f.dst,
-                remaining: f.bytes.max(0.0),
-                last: 0.0,
-            });
+            links.add(id as u64, f.src, f.dst, f.bytes);
         }
     }
-
-    let mut start_at = p.rendezvous_rtt; // single pending-start event
-    let rate = |up: &[u32], dn: &[u32], a: &Active| -> f64 {
-        p.bandwidth / f64::from(up[a.src].max(dn[a.dst]).max(1))
+    let mut retired = |f: &Active, t: f64| {
+        busy[f.src] = busy[f.src].max(t);
+        busy[f.dst] = busy[f.dst].max(t);
     };
-    loop {
-        // Earliest completion among active flows at current rates.
-        let mut next_done: Option<(usize, f64)> = None;
-        for (i, a) in active.iter().enumerate() {
-            let t = a.last + a.remaining / rate(&up, &dn, a);
-            if next_done.is_none_or(|(_, best)| t < best) {
-                next_done = Some((i, t));
-            }
-        }
-        // The pending-start event may come first.
-        let start_next = !pending.is_empty() && next_done.is_none_or(|(_, t)| start_at < t);
-        let event_t = if start_next {
-            start_at
-        } else {
-            match next_done {
-                Some((_, t)) => t,
-                None => break,
-            }
-        };
-        // Advance every active flow to the event time at its current rate.
-        for a in active.iter_mut() {
-            a.remaining = (a.remaining - (event_t - a.last) * rate(&up, &dn, a)).max(0.0);
-            a.last = event_t;
-        }
-        // The flow defining the event completes *by construction*; the
-        // subtraction above can leave an epsilon that would stall the
-        // loop, so zero it explicitly.
-        if let Some((i, _)) = next_done {
-            if !start_next {
-                active[i].remaining = 0.0;
-            }
-        }
-        if start_next {
-            for f in pending.drain(..) {
-                up[f.src] += 1;
-                dn[f.dst] += 1;
-                active.push(Active {
-                    src: f.src,
-                    dst: f.dst,
-                    remaining: f.bytes.max(0.0),
-                    last: event_t,
-                });
-            }
-            start_at = f64::INFINITY;
-            continue;
-        }
-        // Retire every flow that drained at this event (at least one).
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].remaining <= 0.0 {
-                let a = active.swap_remove(i);
-                up[a.src] -= 1;
-                dn[a.dst] -= 1;
-                busy[a.src] = busy[a.src].max(event_t);
-                busy[a.dst] = busy[a.dst].max(event_t);
-            } else {
-                i += 1;
-            }
+    if !late.is_empty() {
+        links.run(p.rendezvous_rtt, &mut retired);
+        for (id, f) in late {
+            links.add(id as u64, f.src, f.dst, f.bytes);
         }
     }
+    links.run(f64::INFINITY, &mut retired);
     for m in 0..n_nodes {
         if busy[m] > 0.0 || inject[m] > 0.0 {
             busy[m] += inject[m] + p.latency;
@@ -327,32 +273,148 @@ pub fn drain(p: &FabricParams, n_nodes: usize, flows: &[Flow]) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------
+// The fair-share engine (both consumers)
+// ---------------------------------------------------------------------
+
+/// A flow on the links: `remaining` payload bytes from node `src` to node
+/// `dst`.
+struct Active {
+    id: u64,
+    src: usize,
+    dst: usize,
+    remaining: f64,
+}
+
+/// Per-node uplinks and downlinks fair-shared by the active flows. A
+/// flow's rate is `bandwidth / max(active flows on its source uplink,
+/// active flows on its destination downlink)`; the engine advances from
+/// completion to completion and re-divides the bandwidth as flows retire.
+/// Rates only change when a flow is added, retired or removed, so the
+/// drain is exact between those events.
+struct Links {
+    bandwidth: f64,
+    /// Engine time: every flow's `remaining` is as of this instant.
+    now: f64,
+    flows: Vec<Active>,
+    up: Vec<u32>,
+    dn: Vec<u32>,
+}
+
+impl Links {
+    fn new(bandwidth: f64, n_nodes: usize) -> Links {
+        Links {
+            bandwidth,
+            now: 0.0,
+            flows: Vec::new(),
+            up: vec![0; n_nodes],
+            dn: vec![0; n_nodes],
+        }
+    }
+
+    fn rate(bandwidth: f64, up: &[u32], dn: &[u32], f: &Active) -> f64 {
+        bandwidth / f64::from(up[f.src].max(dn[f.dst]).max(1))
+    }
+
+    /// When `f` completes at the current rates.
+    fn finish(&self, f: &Active) -> f64 {
+        self.now + f.remaining / Self::rate(self.bandwidth, &self.up, &self.dn, f)
+    }
+
+    /// Starts a flow of `bytes` at the engine's current time.
+    fn add(&mut self, id: u64, src: usize, dst: usize, bytes: f64) {
+        self.up[src] += 1;
+        self.dn[dst] += 1;
+        self.flows.push(Active {
+            id,
+            src,
+            dst,
+            remaining: bytes.max(0.0),
+        });
+    }
+
+    /// Takes flow `id` off the links, drained or not.
+    fn remove(&mut self, id: u64) {
+        if let Some(i) = self.flows.iter().position(|f| f.id == id) {
+            let f = self.flows.swap_remove(i);
+            self.up[f.src] -= 1;
+            self.dn[f.dst] -= 1;
+        }
+    }
+
+    /// Drains the links up to time `stop`: every flow that completes by
+    /// then retires, in completion order (the first of equal minima
+    /// defines an event), and `retired` sees it with its completion time.
+    /// The engine then stands at `stop`, if that is later and finite.
+    fn run(&mut self, stop: f64, retired: &mut impl FnMut(&Active, f64)) {
+        loop {
+            let mut first: Option<(usize, f64)> = None;
+            for (i, f) in self.flows.iter().enumerate() {
+                let t = self.finish(f);
+                if first.is_none_or(|(_, best)| t < best) {
+                    first = Some((i, t));
+                }
+            }
+            let Some((i, t)) = first.filter(|&(_, t)| t <= stop) else {
+                if self.now < stop && stop.is_finite() {
+                    self.advance(stop);
+                }
+                return;
+            };
+            self.advance(t);
+            // The flow defining the event completes *by construction*;
+            // the subtraction in `advance` can leave an epsilon that
+            // would stall the loop, so zero it explicitly.
+            self.flows[i].remaining = 0.0;
+            let mut j = 0;
+            while j < self.flows.len() {
+                if self.flows[j].remaining <= 0.0 {
+                    let f = self.flows.swap_remove(j);
+                    self.up[f.src] -= 1;
+                    self.dn[f.dst] -= 1;
+                    retired(&f, t);
+                } else {
+                    j += 1;
+                }
+            }
+        }
+    }
+
+    /// Moves every flow's bytes at its current rate up to time `t`.
+    fn advance(&mut self, t: f64) {
+        let dt = t - self.now;
+        let Links {
+            bandwidth,
+            flows,
+            up,
+            dn,
+            ..
+        } = self;
+        for f in flows.iter_mut() {
+            f.remaining = (f.remaining - dt * Self::rate(*bandwidth, up, dn, f)).max(0.0);
+        }
+        self.now = t;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Online fabric (the real execution's delivery-time model)
 // ---------------------------------------------------------------------
 
+/// What the live fabric keeps of an injected message besides its bytes on
+/// the [`Links`]; a flow no longer on them has drained.
 struct OnlineFlow {
     src_node: usize,
     dst_node: usize,
-    /// Payload bytes not yet drained through the links.
-    remaining: f64,
     /// Fixed completion offset: NIC queueing + injection overhead +
     /// handshake + wire latency, applied on top of the drain finish.
     extra: f64,
-    /// Set once the flow drained (awaiting its delivery job's poll).
-    drained: bool,
 }
 
 struct OnlineState {
-    /// Fabric clock, seconds since `Fabric::origin`. Advanced to the
-    /// wall clock on every mutation, so fair-share rates are piecewise
-    /// constant between mutations.
-    now: f64,
+    /// The fair-share engine; its clock is seconds since
+    /// `Fabric::origin`, advanced to the wall clock on every mutation.
+    links: Links,
     flows: HashMap<u64, OnlineFlow>,
-    /// Active (un-drained) flow counts per node uplink/downlink.
-    up: Vec<u32>,
-    dn: Vec<u32>,
-    /// Remaining bytes per node uplink (for the observability track).
-    up_bytes: Vec<f64>,
     /// Next free NIC injection slot per node.
     nic_free: Vec<f64>,
     next_id: u64,
@@ -363,10 +425,9 @@ struct OnlineState {
 /// Sends [`Fabric::inject`] a flow and schedule their delivery at the
 /// predicted completion; the delivery job [`Fabric::poll`]s — if later
 /// arrivals shrank the flow's bandwidth share, the poll returns a new
-/// estimate and the job reschedules. Rates only change when flows are
-/// injected, drained, or polled, and every mutation first advances all
-/// remaining byte counts to the wall clock, so the fair-share drain is
-/// exact between mutations.
+/// estimate and the job reschedules. Every mutation first runs the
+/// fair-share engine to the wall clock, so the drain is exact between
+/// mutations.
 pub(crate) struct Fabric {
     p: FabricParams,
     origin: Instant,
@@ -380,18 +441,15 @@ impl Fabric {
     pub(crate) fn new(p: FabricParams, n_ranks: usize) -> Self {
         let n_nodes = p.nodes_for(n_ranks);
         Fabric {
-            p,
             origin: Instant::now(),
             state: Mutex::new(OnlineState {
-                now: 0.0,
+                links: Links::new(p.bandwidth, n_nodes),
                 flows: HashMap::new(),
-                up: vec![0; n_nodes],
-                dn: vec![0; n_nodes],
-                up_bytes: vec![0.0; n_nodes],
                 nic_free: vec![0.0; n_nodes],
                 next_id: 0,
             }),
             force_complete: AtomicBool::new(false),
+            p,
         }
     }
 
@@ -411,78 +469,12 @@ impl Fabric {
         self.force_complete.store(true, Ordering::SeqCst);
     }
 
-    fn rate(&self, up: &[u32], dn: &[u32], f: &OnlineFlow) -> f64 {
-        self.p.bandwidth / f64::from(up[f.src_node].max(dn[f.dst_node]).max(1))
-    }
-
-    /// Advances all active flows to wall time `t`, retiring the ones that
-    /// drain along the way (processing retirements in completion order so
-    /// the freed bandwidth is re-shared mid-window).
-    fn advance(&self, s: &mut OnlineState, t: f64) {
-        while s.now < t {
-            // Earliest in-window completion at current rates.
-            let mut first: Option<(u64, f64)> = None;
-            for (&id, f) in s.flows.iter() {
-                if f.drained {
-                    continue;
-                }
-                let done = s.now + f.remaining / self.rate(&s.up, &s.dn, f);
-                if first.is_none_or(|(_, best)| done < best) {
-                    first = Some((id, done));
-                }
-            }
-            let until = match first {
-                Some((_, done)) if done < t => done,
-                _ => t,
-            };
-            let dt = until - s.now;
-            if dt > 0.0 {
-                let rates: Vec<(u64, f64)> = s
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| !f.drained)
-                    .map(|(&id, f)| (id, self.rate(&s.up, &s.dn, f)))
-                    .collect();
-                for (id, r) in rates {
-                    let f = s.flows.get_mut(&id).expect("flow exists");
-                    let moved = (r * dt).min(f.remaining);
-                    f.remaining -= moved;
-                    s.up_bytes[f.src_node] = (s.up_bytes[f.src_node] - moved).max(0.0);
-                }
-            }
-            s.now = until;
-            // The flow defining the boundary completes *by construction*;
-            // the subtraction above can leave an epsilon that would stall
-            // this loop, so zero it explicitly.
-            if let Some((id, done)) = first {
-                if done <= until {
-                    let f = s.flows.get_mut(&id).expect("flow exists");
-                    s.up_bytes[f.src_node] = (s.up_bytes[f.src_node] - f.remaining).max(0.0);
-                    f.remaining = 0.0;
-                }
-            }
-            // Retire everything that hit zero at this boundary.
-            let done_ids: Vec<u64> = s
-                .flows
-                .iter()
-                .filter(|(_, f)| !f.drained && f.remaining <= 0.0)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in done_ids {
-                let f = s.flows.get_mut(&id).expect("flow exists");
-                f.drained = true;
-                s.up[f.src_node] -= 1;
-                s.dn[f.dst_node] -= 1;
-            }
-        }
-    }
-
-    fn predict(&self, s: &OnlineState, f: &OnlineFlow) -> f64 {
-        if f.drained {
-            s.now + f.extra
-        } else {
-            s.now + f.remaining / self.rate(&s.up, &s.dn, f) + f.extra
-        }
+    /// Locks the state with the engine run to the wall clock.
+    fn state_now(&self) -> (f64, parking_lot::MutexGuard<'_, OnlineState>) {
+        let t = self.origin.elapsed().as_secs_f64();
+        let mut s = self.state.lock();
+        s.links.run(t, &mut |_, _| {});
+        (t, s)
     }
 
     fn to_instant(&self, secs: f64) -> Instant {
@@ -494,11 +486,9 @@ impl Fabric {
     /// availability time. The prediction is optimistic: later arrivals
     /// can only push it out, which the delivery job discovers by polling.
     pub(crate) fn inject(&self, src: usize, dst: usize, bytes: usize) -> (u64, Instant) {
-        let t = self.origin.elapsed().as_secs_f64();
         let sn = self.p.node_of(src);
         let dnode = self.p.node_of(dst);
-        let mut s = self.state.lock();
-        self.advance(&mut s, t);
+        let (t, mut s) = self.state_now();
         // NIC injection: serialize behind the node's previous messages.
         let start = s.nic_free[sn].max(t) + self.p.nic_msg_overhead;
         s.nic_free[sn] = start;
@@ -510,32 +500,25 @@ impl Fabric {
         let extra = (start - t) + handshake + self.p.latency;
         let id = s.next_id;
         s.next_id += 1;
-        let flow = OnlineFlow {
-            src_node: sn,
-            dst_node: dnode,
-            remaining: bytes as f64,
-            extra,
-            drained: false,
-        };
-        let eta = if self.p.bandwidth.is_finite() && bytes > 0 {
-            s.up[sn] += 1;
-            s.dn[dnode] += 1;
-            s.up_bytes[sn] += bytes as f64;
-            let eta = self.predict(&s, &flow);
-            s.flows.insert(id, flow);
-            eta
+        // Infinite bandwidth or an empty payload: only the fixed costs
+        // apply; no link contention to track.
+        let drain_end = if self.p.bandwidth.is_finite() && bytes > 0 {
+            s.links.add(id, sn, dnode, bytes as f64);
+            let f = s.links.flows.last().expect("just added");
+            s.links.finish(f)
         } else {
-            // Infinite bandwidth: only the fixed costs apply; no link
-            // contention to track.
-            let mut flow = flow;
-            flow.remaining = 0.0;
-            flow.drained = true;
-            let eta = t + extra;
-            s.flows.insert(id, flow);
-            eta
+            t
         };
+        s.flows.insert(
+            id,
+            OnlineFlow {
+                src_node: sn,
+                dst_node: dnode,
+                extra,
+            },
+        );
         self.emit_depth(&s, sn, dnode);
-        (id, self.to_instant(eta))
+        (id, self.to_instant(drain_end + extra))
     }
 
     /// Checks whether a flow has drained. Returns `None` when the payload
@@ -544,28 +527,19 @@ impl Fabric {
     pub(crate) fn poll(&self, id: u64) -> Option<Instant> {
         if self.force_complete.load(Ordering::SeqCst) {
             let mut s = self.state.lock();
-            if let Some(f) = s.flows.remove(&id) {
-                if !f.drained {
-                    s.up[f.src_node] -= 1;
-                    s.dn[f.dst_node] -= 1;
-                    s.up_bytes[f.src_node] = (s.up_bytes[f.src_node] - f.remaining).max(0.0);
-                }
-            }
+            s.flows.remove(&id);
+            s.links.remove(id);
             return None;
         }
-        let t = self.origin.elapsed().as_secs_f64();
-        let mut s = self.state.lock();
-        self.advance(&mut s, t);
-        let Some(f) = s.flows.get(&id) else {
-            return None; // already force-completed
-        };
-        if f.drained {
-            let f = s.flows.remove(&id).expect("checked above");
-            self.emit_depth(&s, f.src_node, f.dst_node);
-            None
-        } else {
-            let eta = self.predict(&s, f);
-            Some(self.to_instant(eta))
+        let (_, mut s) = self.state_now();
+        let f = s.flows.get(&id)?; // None: already force-completed
+        match s.links.flows.iter().find(|a| a.id == id) {
+            Some(a) => Some(self.to_instant(s.links.finish(a) + f.extra)),
+            None => {
+                let f = s.flows.remove(&id).expect("checked above");
+                self.emit_depth(&s, f.src_node, f.dst_node);
+                None
+            }
         }
     }
 
@@ -574,11 +548,15 @@ impl Fabric {
     fn emit_depth(&self, s: &OnlineState, src_node: usize, dst_node: usize) {
         let Some(bus) = obs::bus() else { return };
         for &node in &[src_node, dst_node] {
+            let queued: f64 = (s.links.flows.iter())
+                .filter(|f| f.src == node)
+                .map(|f| f.remaining)
+                .sum();
             bus.emit(obs::EventData::FabricDepth {
                 node: node as u32,
-                up_flows: s.up[node],
-                down_flows: s.dn[node],
-                queued_bytes: s.up_bytes[node] as u64,
+                up_flows: s.links.up[node],
+                down_flows: s.links.dn[node],
+                queued_bytes: queued as u64,
             });
             if src_node == dst_node {
                 break;
@@ -795,5 +773,85 @@ mod tests {
         assert!(fab.poll(id).is_some(), "flow cannot have drained yet");
         fab.release_all();
         assert!(fab.poll(id).is_none(), "release_all must complete the flow");
+    }
+
+    /// A contended set on four nodes: eager and rendezvous flows, node 0's
+    /// uplink shared by three flows, and an eager flow (1 → 3) that
+    /// completes exactly at `rendezvous_rtt`, so it retires before the
+    /// rendezvous flows start.
+    fn contended_flows() -> Vec<Flow> {
+        let flow = |src, dst, bytes, msgs, rdv_msgs| Flow {
+            src,
+            dst,
+            bytes,
+            msgs,
+            rdv_msgs,
+        };
+        vec![
+            flow(0, 1, 3.0e5, 3.0, 0.0),
+            flow(0, 2, 1.2e5, 1.0, 0.0),
+            flow(3, 2, 7.5e4, 4.0, 0.0),
+            flow(1, 3, 1000.0, 1.0, 0.0),
+            flow(2, 3, 2000.0, 2.0, 0.0),
+            flow(0, 3, 8.0e5, 2.0, 2.0),
+            flow(1, 2, 5.0e5, 1.0, 1.0),
+            flow(2, 0, 2.5e5, 1.0, 1.0),
+        ]
+    }
+
+    /// One flow past [`DRAIN_EVENT_CAP`] among four nodes: the closed-form
+    /// path, with rendezvous traffic on some node pairs only.
+    fn capped_flows() -> Vec<Flow> {
+        (0..=DRAIN_EVENT_CAP)
+            .map(|i| Flow {
+                src: i % 4,
+                dst: (i + 1 + i / 4 % 3) % 4,
+                bytes: 1000.0 + (i % 7) as f64 * 37.5,
+                msgs: 1.0 + (i % 3) as f64,
+                rdv_msgs: if i % 5 == 0 && i % 4 != 3 { 1.0 } else { 0.0 },
+            })
+            .collect()
+    }
+
+    /// `drain` bit for bit: the golden files of the paper harnesses round
+    /// to three significant digits and cannot see a change in the order
+    /// of the engine's operations, so both paths are pinned to captured
+    /// bits.
+    #[test]
+    fn drain_is_pinned_bit_for_bit() {
+        let bits = |busy: Vec<f64>| busy.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(drain(&params(), 4, &contended_flows())),
+            [
+                0x3f5403c3031f6f32,
+                0x3f479979b92981da,
+                0x3f478dbb3f05cf4d,
+                0x3f5402ec438a994c
+            ]
+        );
+        assert_eq!(
+            bits(drain(&params(), 4, &capped_flows())),
+            [
+                0x3f76097ba9c489d7,
+                0x3f7608362f66f5a8,
+                0x3f760985babf83df,
+                0x3f76082f796a4ef8
+            ]
+        );
+    }
+
+    #[test]
+    fn wire_time_grows_with_size_and_is_discounted_on_a_node() {
+        let p = params();
+        assert!(p.wire_time(1.0, 1e6, false) > p.wire_time(1.0, 1e3, false));
+        assert_eq!(
+            p.wire_time(2.0, 1e6, true),
+            p.wire_time(2.0, 1e6, false) * p.intra_node_factor
+        );
+        let infinite = FabricParams {
+            bandwidth: f64::INFINITY,
+            ..params()
+        };
+        assert_eq!(infinite.wire_time(3.0, 1e9, false), 3.0 * p.latency);
     }
 }

@@ -155,16 +155,6 @@ impl ChaosConfig {
         h = mix64(h ^ seq);
         mix64(h ^ attempt as u64)
     }
-
-    /// True when any fault can actually fire (used to pretty-print).
-    pub fn any_faults(&self) -> bool {
-        self.drop_p > 0.0
-            || self.dup_p > 0.0
-            || self.corrupt_p > 0.0
-            || self.delay_p > 0.0
-            || self.stall_every > 0
-            || self.crash_rank.is_some()
-    }
 }
 
 /// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time so

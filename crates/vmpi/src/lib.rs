@@ -19,13 +19,14 @@
 //!   posted receives in send order.
 //! * **Completion** is decoupled from matching through a configurable
 //!   [`NetworkModel`]: a message becomes *available* `latency +
-//!   bytes/bandwidth` after it was sent, which is what makes
+//!   bytes/bandwidth` after it was sent (or, on the contention-aware
+//!   fabric, when its flow drains), which is what makes
 //!   communication/computation overlap measurable on this substrate.
 //! * **Requests** ([`Request`]) expose `wait`, `test`, completion
 //!   callbacks (used by the `tampi` crate to bind requests to tasks), and
 //!   the `waitany`/`waitall` combinators of the reference miniAMR code.
 //! * **Collectives** (barrier, broadcast, reduce, allreduce, gather,
-//!   allgather, alltoall) are implemented on top of the point-to-point
+//!   allgather) are implemented on top of the point-to-point
 //!   layer with binomial-tree / ring algorithms in a reserved tag space.
 //!
 //! ## Example
@@ -95,17 +96,6 @@ impl ReduceOp {
     /// Applies the operator to a pair of `f64` values.
     #[inline]
     pub fn apply_f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Prod => a * b,
-        }
-    }
-
-    /// Applies the operator to a pair of `i64` values.
-    #[inline]
-    pub fn apply_i64(self, a: i64, b: i64) -> i64 {
         match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Min => a.min(b),

@@ -149,31 +149,6 @@ impl MailboxInner {
         self.msgs.remove(idx)
     }
 
-    /// Looks (without consuming) for a matching message whose payload is
-    /// already available; used by `probe`/`iprobe`.
-    pub(crate) fn peek_available(
-        &self,
-        src: i32,
-        tag: i32,
-        comm: u64,
-        now: Instant,
-    ) -> Option<Status> {
-        self.msgs
-            .iter()
-            .find(|m| m.hdr.accepted_by(src, tag, comm) && m.transit.due <= now)
-            .map(|m| m.hdr.status(m.payload.len()))
-    }
-
-    /// Earliest availability time of any matching message (for blocking
-    /// probes that need to sleep until a payload drains).
-    pub(crate) fn earliest_match(&self, src: i32, tag: i32, comm: u64) -> Option<Instant> {
-        self.msgs
-            .iter()
-            .filter(|m| m.hdr.accepted_by(src, tag, comm))
-            .map(|m| m.transit.due)
-            .min()
-    }
-
     /// Emits the queue-depth counter sample after a queue mutation
     /// (unmatched messages, posted receives, queued payload bytes).
     fn emit_depth(&self, rank: usize, lane: Lane) {

@@ -6,16 +6,21 @@
 //! gap between the two is governed by a [`NetworkModel`], which is how
 //! this in-process substrate reproduces the communication costs that make
 //! the paper's computation/communication overlap worth having.
+//!
+//! A `NetworkModel` is one [`FabricParams`] (the machine), the collective
+//! family and a switch for the contention-aware fabric; every cost rule
+//! it applies is the machine's own (`wire_time`, `is_eager`,
+//! `same_node`, `validate`).
 
 use crate::fabric::FabricParams;
 use std::time::Duration;
 
 /// Which algorithm family the collectives use.
 ///
-/// `Flat` is the PR-1 shape: binomial trees and dissemination rounds over
-/// the whole communicator, ignoring node placement. `Hier` is
+/// `Flat` is the single-level shape: binomial trees and dissemination
+/// rounds over the whole communicator, ignoring node placement. `Hier` is
 /// topology-aware: ranks sharing a simulated node (per
-/// [`NetworkModel::ranks_per_node`]) combine through an in-process shared
+/// [`FabricParams::ranks_per_node`]) combine through an in-process shared
 /// slot first, then one *leader* per node runs the inter-node stage over
 /// a binomial tree, and the result fans back out node-locally. Both
 /// families use a fixed, deterministic combination order, so results are
@@ -33,10 +38,13 @@ pub enum CollAlgo {
     Hier,
 }
 
-/// A linear latency/bandwidth cost model for message transfers.
+/// The network a [`crate::World`] runs on: the machine, the collective
+/// algorithm family, and whether inter-node messages go through the
+/// contention-aware fabric.
 ///
-/// The availability delay of a message of `n` bytes between ranks `a` and
-/// `b` is:
+/// Without the fabric, the availability delay of a message of `n` bytes
+/// between ranks `a` and `b` is [`FabricParams::wire_time`] of one
+/// message:
 ///
 /// ```text
 /// delay(n) = (latency + n / bandwidth) * factor(a, b)
@@ -49,119 +57,87 @@ pub enum CollAlgo {
 /// larger sends complete when the transfer drains (rendezvous-like).
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
-    /// Base per-message latency.
-    pub latency: Duration,
-    /// Transfer bandwidth in bytes per second. `f64::INFINITY` disables
-    /// the size-dependent term.
-    pub bandwidth: f64,
-    /// Messages up to this many bytes use the eager protocol.
-    pub eager_threshold: usize,
-    /// Multiplier applied to transfers between ranks on the same node.
-    pub intra_node_factor: f64,
-    /// Number of consecutive ranks grouped into one simulated node
-    /// (`0` means every rank is its own node).
-    pub ranks_per_node: usize,
+    /// The modelled machine. Its NIC overhead and rendezvous round trip
+    /// only apply on the contention-aware fabric.
+    pub params: FabricParams,
     /// Collective algorithm family (see [`CollAlgo`]).
     pub coll: CollAlgo,
     /// When set, inter-node transfers go through the contention-aware
     /// [`crate::fabric::Fabric`] (NIC serialization, shared-link fair
-    /// sharing, rendezvous handshake) instead of the scalar formula
-    /// above. Intra-node and self transfers always use the scalar path.
-    pub(crate) fabric: Option<FabricParams>,
+    /// sharing, rendezvous handshake) instead of the scalar delay.
+    /// Intra-node and self transfers always take the scalar delay.
+    contention: bool,
 }
 
 impl NetworkModel {
     /// A model with zero latency and infinite bandwidth: messages are
     /// available as soon as they are sent. Use this for correctness tests.
     pub fn instant() -> Self {
-        NetworkModel {
-            latency: Duration::ZERO,
-            bandwidth: f64::INFINITY,
-            eager_threshold: usize::MAX,
-            intra_node_factor: 1.0,
-            ranks_per_node: 0,
-            coll: CollAlgo::Flat,
-            fabric: None,
-        }
+        NetworkModel::new(Duration::ZERO, f64::INFINITY).with_eager_threshold(usize::MAX)
     }
 
-    /// A model resembling a commodity HPC interconnect, derived from the
-    /// canonical [`FabricParams::cluster`] calibration so the real
-    /// execution and the `simnet` simulator describe the same machine.
-    /// The intra-node discount requires a node grouping; the canonical
-    /// parameters provide one (`ranks_per_node > 0`), which this
-    /// constructor asserts.
+    /// A model resembling a commodity HPC interconnect: the canonical
+    /// [`FabricParams::cluster`] calibration, so the real execution and
+    /// the `simnet` simulator describe the same machine.
     pub fn cluster() -> Self {
-        let m = NetworkModel::from_fabric(&FabricParams::cluster());
-        debug_assert!(
-            m.ranks_per_node > 0 || m.intra_node_factor == 1.0,
-            "an intra-node discount without a node grouping can never apply"
-        );
-        m
+        NetworkModel::from_fabric(&FabricParams::cluster())
     }
 
-    /// Builds the scalar model from shared fabric constants (without
-    /// enabling the contention-aware fabric path — see
-    /// [`NetworkModel::with_fabric`] for that).
+    /// The scalar model of the machine `p` (without enabling the
+    /// contention-aware fabric — see [`NetworkModel::with_fabric`] for
+    /// that).
     pub fn from_fabric(p: &FabricParams) -> Self {
         NetworkModel {
-            latency: Duration::from_secs_f64(p.latency.max(0.0)),
-            bandwidth: p.bandwidth,
-            eager_threshold: p.eager_threshold,
-            intra_node_factor: p.intra_node_factor,
-            ranks_per_node: p.ranks_per_node,
+            params: p.clone(),
             coll: CollAlgo::Flat,
-            fabric: None,
+            contention: false,
         }
     }
 
-    /// Creates a model with the given latency and bandwidth and default
-    /// eager threshold.
+    /// Creates a model with the given latency and bandwidth, a 16 KiB
+    /// eager threshold and no node grouping.
     pub fn new(latency: Duration, bandwidth: f64) -> Self {
-        NetworkModel {
-            latency,
+        NetworkModel::from_fabric(&FabricParams {
+            latency: latency.as_secs_f64(),
             bandwidth,
             eager_threshold: 16 * 1024,
             intra_node_factor: 1.0,
             ranks_per_node: 0,
-            coll: CollAlgo::Flat,
-            fabric: None,
-        }
+            nic_msg_overhead: 0.0,
+            rendezvous_rtt: 0.0,
+        })
     }
 
-    /// Routes inter-node transfers through the contention-aware fabric
-    /// (NIC serialization, shared-link fair sharing, rendezvous
-    /// handshake). The scalar fields keep governing intra-node and self
-    /// transfers; `eager_threshold`/`ranks_per_node` are taken from `p`
-    /// so the two paths agree on protocol and topology.
+    /// Makes `p` the model's machine and routes inter-node transfers
+    /// through the contention-aware fabric (NIC serialization,
+    /// shared-link fair sharing, rendezvous handshake). Intra-node and
+    /// self transfers keep the scalar delay of the same machine.
     pub fn with_fabric(mut self, p: FabricParams) -> Self {
-        self.eager_threshold = p.eager_threshold;
-        self.ranks_per_node = p.ranks_per_node;
-        self.intra_node_factor = p.intra_node_factor;
-        self.fabric = Some(p);
+        self.params = p;
+        self.contention = true;
         self
     }
 
     /// The fabric parameters, when the contention-aware path is enabled.
     pub fn fabric_params(&self) -> Option<&FabricParams> {
-        self.fabric.as_ref()
+        self.contention.then_some(&self.params)
     }
 
     /// Sets the node grouping used for the intra-node discount.
     pub fn with_ranks_per_node(mut self, ranks_per_node: usize) -> Self {
-        self.ranks_per_node = ranks_per_node;
+        self.params.ranks_per_node = ranks_per_node;
         self
     }
 
     /// Sets the intra-node transfer cost multiplier.
     pub fn with_intra_node_factor(mut self, factor: f64) -> Self {
-        self.intra_node_factor = factor;
+        self.params.intra_node_factor = factor;
         self
     }
 
     /// Sets the eager-protocol threshold in bytes.
     pub fn with_eager_threshold(mut self, bytes: usize) -> Self {
-        self.eager_threshold = bytes;
+        self.params.eager_threshold = bytes;
         self
     }
 
@@ -174,33 +150,18 @@ impl NetworkModel {
     /// Returns whether two ranks share a simulated node.
     #[inline]
     pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.ranks_per_node > 0 && a / self.ranks_per_node == b / self.ranks_per_node
+        self.params.same_node(a, b)
     }
 
-    /// Validates the model's parameters, returning a human-readable error
-    /// for values that make the cost formula meaningless (zero/negative/
-    /// NaN bandwidth, non-finite factors). Call this at configuration
-    /// time; [`NetworkModel::delay`] only saturates defensively.
+    /// Validates the machine ([`FabricParams::validate`]). Call this at
+    /// configuration time; [`NetworkModel::delay`] only saturates
+    /// defensively.
     pub fn validate(&self) -> Result<(), String> {
-        if self.bandwidth.is_nan() || self.bandwidth <= 0.0 {
-            return Err(format!(
-                "bandwidth must be positive (got {}); use f64::INFINITY to disable the size term",
-                self.bandwidth
-            ));
-        }
-        if !self.intra_node_factor.is_finite() || self.intra_node_factor < 0.0 {
-            return Err(format!(
-                "intra_node_factor must be finite and non-negative (got {})",
-                self.intra_node_factor
-            ));
-        }
-        if let Some(p) = &self.fabric {
-            p.validate()?;
-        }
-        Ok(())
+        self.params.validate()
     }
 
-    /// Computes the availability delay for `bytes` between `src` and `dst`.
+    /// Computes the scalar availability delay for `bytes` between `src`
+    /// and `dst`.
     ///
     /// Defensive against mis-configured models that slipped past
     /// [`NetworkModel::validate`]: a non-finite or negative result
@@ -210,24 +171,11 @@ impl NetworkModel {
         if src == dst {
             return Duration::ZERO;
         }
-        let base = self.latency.as_secs_f64()
-            + if self.bandwidth.is_finite() {
-                bytes as f64 / self.bandwidth
-            } else {
-                0.0
-            };
-        let factor = if self.same_node(src, dst) {
-            self.intra_node_factor
-        } else {
-            1.0
-        };
-        let secs = base * factor;
+        let secs = (self.params).wire_time(1.0, bytes as f64, self.same_node(src, dst));
         debug_assert!(
             secs.is_finite() && secs >= 0.0,
-            "network delay computed as {secs} s (latency {:?}, bandwidth {}, factor {factor}); \
-             validate() the model at configuration time",
-            self.latency,
-            self.bandwidth,
+            "network delay computed as {secs} s ({:?}); validate() the model at configuration time",
+            self.params,
         );
         Duration::try_from_secs_f64(secs).unwrap_or(Duration::ZERO)
     }
@@ -235,12 +183,12 @@ impl NetworkModel {
     /// Returns whether a message of `bytes` completes its send eagerly.
     #[inline]
     pub fn is_eager(&self, bytes: usize) -> bool {
-        bytes <= self.eager_threshold
+        self.params.is_eager(bytes)
     }
 
     /// Returns true when the model never delays messages.
     pub fn is_instant(&self) -> bool {
-        self.latency == Duration::ZERO && !self.bandwidth.is_finite()
+        !self.contention && self.params.latency == 0.0 && !self.params.bandwidth.is_finite()
     }
 }
 
@@ -303,33 +251,43 @@ mod tests {
         // Regression: cluster() used to pair an intra-node discount with
         // ranks_per_node = 0, so the discount could never apply.
         let m = NetworkModel::cluster();
-        assert!(m.ranks_per_node > 0, "cluster model needs a node grouping");
-        assert!(m.same_node(0, m.ranks_per_node - 1));
-        assert!(m.delay(0, 0, 1) < m.delay(0, 0, m.ranks_per_node));
+        let rpn = m.params.ranks_per_node;
+        assert!(rpn > 0, "cluster model needs a node grouping");
+        assert!(m.same_node(0, rpn - 1));
+        assert!(m.delay(0, 0, 1) < m.delay(0, 0, rpn));
     }
 
     #[test]
     fn cluster_matches_fabric_constants() {
-        let m = NetworkModel::cluster();
-        let p = FabricParams::cluster();
-        assert_eq!(m.latency.as_secs_f64(), p.latency);
-        assert_eq!(m.bandwidth, p.bandwidth);
-        assert_eq!(m.eager_threshold, p.eager_threshold);
-        assert_eq!(m.intra_node_factor, p.intra_node_factor);
-        assert_eq!(m.ranks_per_node, p.ranks_per_node);
+        assert_eq!(NetworkModel::cluster().params, FabricParams::cluster());
+    }
+
+    #[test]
+    fn with_fabric_makes_its_params_the_only_machine() {
+        let p = FabricParams {
+            latency: 4.0e-6,
+            bandwidth: 2.0e9,
+            ..FabricParams::cluster()
+        };
+        let m = NetworkModel::new(Duration::from_micros(50), 1.0e6).with_fabric(p.clone());
+        assert_eq!(m.fabric_params(), Some(&p));
+        // Intra-node messages take the scalar delay of the same machine.
+        let intra = (4.0e-6 + 1000.0 / 2.0e9) * p.intra_node_factor;
+        assert_eq!(m.delay(1000, 0, 1), Duration::from_secs_f64(intra));
+        assert!(!m.is_instant());
     }
 
     #[test]
     fn validate_rejects_nonpositive_bandwidth() {
         let mut m = NetworkModel::new(Duration::from_micros(1), 0.0);
         assert!(m.validate().is_err());
-        m.bandwidth = -3.0;
+        m.params.bandwidth = -3.0;
         assert!(m.validate().is_err());
-        m.bandwidth = f64::NAN;
+        m.params.bandwidth = f64::NAN;
         assert!(m.validate().is_err());
-        m.bandwidth = 1.0e9;
+        m.params.bandwidth = 1.0e9;
         assert!(m.validate().is_ok());
-        m.intra_node_factor = f64::NAN;
+        m.params.intra_node_factor = f64::NAN;
         assert!(m.validate().is_err());
     }
 

@@ -216,20 +216,6 @@ impl Request {
             None => Ok(Vec::new()),
         }
     }
-
-    /// Blocks until completion and copies the payload into `dst`,
-    /// returning the number of elements written.
-    pub fn wait_into<T: Pod>(&self, dst: &mut [T]) -> Result<usize> {
-        self.wait_checked()?;
-        let inner = self.state.inner.lock();
-        match &inner.payload {
-            Some(bytes) => datatype::copy_to_slice(bytes, dst).ok_or(VmpiError::Truncated {
-                expected: dst.len(),
-                got: bytes.len() / std::mem::size_of::<T>().max(1),
-            }),
-            None => Ok(0),
-        }
-    }
 }
 
 /// A set of requests supporting `waitall`/`waitany`, mirroring the
@@ -248,11 +234,6 @@ impl RequestSet {
             requests: requests.into_iter().map(Some).collect(),
             remaining,
         }
-    }
-
-    /// Number of not-yet-waited requests in the set.
-    pub fn remaining(&self) -> usize {
-        self.remaining
     }
 
     /// Waits until all remaining requests complete.

@@ -451,27 +451,6 @@ mod tests {
             for (i, v) in all.iter().enumerate() {
                 assert_eq!(v[0], i as i64);
             }
-            // alltoall
-            let parts: Vec<Vec<i64>> = (0..6).map(|d| vec![(r * 10 + d) as i64]).collect();
-            let got = comm.alltoall(&parts).unwrap();
-            for (src, v) in got.iter().enumerate() {
-                assert_eq!(v[0], (src * 10 + r) as i64);
-            }
-        });
-    }
-
-    #[test]
-    fn probe_reports_size_without_consuming() {
-        let world = World::new(2, NetworkModel::instant());
-        world.run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(&[1.0f64, 2.0, 3.0], 1, 5).unwrap();
-            } else {
-                let st = comm.probe(0, 5).unwrap();
-                assert_eq!(st.count::<f64>(), 3);
-                let (data, _) = comm.recv::<f64>(0, 5).unwrap();
-                assert_eq!(data, vec![1.0, 2.0, 3.0]);
-            }
         });
     }
 

@@ -192,11 +192,17 @@ PY
 # one-message-per-face worst. The binary's own shape_checks (including
 # the optimum-band check, which only runs at full size) exit non-zero on
 # failure; the grep below is a belt-and-braces guard on the headline.
-echo "==> table2 granularity sweep (shared fabric cost model)"
+# Its 64-node sweep drives the fabric's fair-share drain harder than any
+# other harness, so its stdout is also pinned byte for byte.
+echo "==> table2 granularity sweep (shared fabric cost model, stdout pinned)"
 t2_out="$(cargo run --release -q -p amr-bench --bin table2)"
 echo "$t2_out"
 if ! grep -qE "^# observed optimum: (4|8|16) " <<<"$t2_out"; then
   echo "table2: observed optimum outside the paper's 4..16 band" >&2
+  exit 1
+fi
+if ! diff <(printf '%s\n' "$t2_out") scripts/golden/table2.txt >&2; then
+  echo "table2: stdout differs from the golden file" >&2
   exit 1
 fi
 
