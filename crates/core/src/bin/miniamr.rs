@@ -34,7 +34,6 @@ fn main() {
     ));
 
     let mut cfg = or_exit(sc.config());
-    let fabric_on = or_exit(live.fabric_on(cfg.coll));
     cfg.chaos = live.chaos.take();
 
     // Pre-flight static verification: symbolic elaboration plus the
@@ -74,7 +73,7 @@ fn main() {
             .map_err(|e| format!("invalid network parameters: {e}")),
     );
     let net = NetworkModel::from_fabric(&fab).with_coll(cfg.coll);
-    let net = if fabric_on {
+    let net = if live.fabric_on {
         net.with_fabric(fab.clone())
     } else {
         net
@@ -88,7 +87,7 @@ fn main() {
     eprintln!(
         "miniamr: fabric={} latency={:.2}us bandwidth={:.1}GB/s eager={}KiB \
          rtt={:.2}us nic={:.2}us ranks/node={} coll={} coalesce={}",
-        cli::keyword(cli::ON_OFF, fabric_on),
+        cli::keyword(cli::ON_OFF, live.fabric_on),
         fab.latency * 1e6,
         fab.bandwidth / 1e9,
         fab.eager_threshold / 1024,

@@ -457,9 +457,8 @@ impl ScenarioArgs {
 pub struct LiveArgs {
     /// The modelled machine, less the scenario's topology and eager size.
     pub fabric: FabricParams,
-    /// The contention-aware fabric, or the scalar per-message model;
-    /// `None` leaves the choice to [`LiveArgs::fabric_on`].
-    pub fabric_on: Option<bool>,
+    /// The contention-aware fabric, or the scalar per-message model.
+    pub fabric_on: bool,
     /// Chrome trace output.
     pub trace_json: Option<String>,
     /// Print the metrics registry.
@@ -490,7 +489,7 @@ impl Default for LiveArgs {
     fn default() -> Self {
         LiveArgs {
             fabric: FabricParams::cluster(),
-            fabric_on: None,
+            fabric_on: true,
             trace_json: None,
             metrics: false,
             watchdog_ms: 0,
@@ -511,22 +510,6 @@ impl LiveArgs {
     /// Whether the run's events are collected: traced, reported or streamed.
     pub fn collects(&self) -> bool {
         self.trace_json.is_some() || self.perf_report.is_some() || self.metrics_jsonl.is_some()
-    }
-
-    /// Whether to install the fabric: on unless a fault plan is. A fault
-    /// plan would silently switch off an explicit `--fabric on` (chaos
-    /// frames take the reliability layer, not the fabric) and `--coll
-    /// hier` (collectives stay flat under chaos), so both are refused.
-    pub fn fabric_on(&self, coll: CollAlgo) -> Result<bool, String> {
-        let chaos = self.chaos.is_some();
-        let refused = match (coll, self.fabric_on) {
-            (CollAlgo::Hier, _) if chaos => "--coll hier",
-            (_, Some(true)) if chaos => "--fabric on",
-            _ => return Ok(self.fabric_on.unwrap_or(!chaos)),
-        };
-        Err(format!(
-            "{refused} cannot be combined with --chaos_* fault injection"
-        ))
     }
 
     /// The fault plan, enabled with the defaults if no flag enabled it.
@@ -604,14 +587,12 @@ pub fn scenario_rows() -> Vec<Flag<ScenarioArgs>> {
 /// The live-execution flags: `miniamr`'s alone.
 pub fn live_rows() -> Vec<Flag<LiveArgs>> {
     type F = Flag<LiveArgs>;
-    let fabric = &[("on", Some(true)), ("off", Some(false))];
     vec![
         F::real("--latency_us", 1e-6, |a| &mut a.fabric.latency).help("network latency in us"),
         F::real("--bandwidth_gbps", 1e9, |a| &mut a.fabric.bandwidth)
             .help("network bandwidth in GB/s; must be positive"),
-        F::choice("--fabric", |a| &mut a.fabric_on, fabric)
-            .help("contention-aware fabric: shared links, NIC serialization, rendezvous")
-            .shown(|_| "on; off under --chaos_*".into()),
+        F::choice("--fabric", |a| &mut a.fabric_on, ON_OFF)
+            .help("contention-aware fabric: shared links, NIC serialization, rendezvous"),
         F::real("--fabric_rtt_us", 1e-6, |a| &mut a.fabric.rendezvous_rtt)
             .help("rendezvous handshake round trip in us"),
         F::real("--fabric_nic_us", 1e-6, |a| &mut a.fabric.nic_msg_overhead)

@@ -7,10 +7,11 @@
 //! whether it has space; on a positive ACK the sender transmits a control
 //! message carrying the block identifier (the taskification's extra
 //! control message, used to tag the data transfer) and then the block
-//! data; a global reduction closes the exchange. The regrid refuses a
-//! move list that would leave a rank over `--max_blocks` before the
-//! exchange starts, so every ACK is positive and one round moves every
-//! block.
+//! data. The regrid refuses a move list that would leave a rank over
+//! `--max_blocks` before the exchange starts, so every ACK is positive
+//! and one round moves every block: the global reduction that closes
+//! each round of the reference code, asking whether a move is still
+//! pending, has an answer every rank knows, and is not run.
 //!
 //! Control messages always travel on the main thread (to keep their
 //! latency low, as the paper does): receives block, sends are posted and
@@ -154,10 +155,8 @@ pub fn exchange_blocks(
     moves: &[Move],
     mover: &mut dyn BlockMover,
 ) -> u64 {
-    // `moves` is the same deterministic list on every rank, so all ranks
-    // agree on whether the protocol (and its closing reduction) runs at
-    // all. Each rank then only handles the moves it participates in, but
-    // every rank joins the reduction.
+    // `moves` is the same deterministic list on every rank; each rank
+    // handles only the moves it takes part in.
     if moves.iter().all(|m| m.from == m.to) {
         return 0;
     }
@@ -227,11 +226,6 @@ pub fn exchange_blocks(
         s.wait();
     }
     mover.finish(comm);
-
-    // Global agreement that no move is pending, as the protocol ends its
-    // rounds; after one round there is none.
-    comm.allreduce_scalar(0i64, vmpi::ReduceOp::Sum)
-        .expect("exchange reduction");
     touched
 }
 

@@ -312,6 +312,16 @@ const TF_MESH: &str = "--npx 2 --npy 1 --npz 1 --workers 1 --stencil 7 --init_x 
     --init_z 4 --nx 4 --ny 4 --nz 4 --num_vars 4 --num_refine 2 --input four_spheres \
     --num_tsteps 8 --stages_per_ts 10 --checksum_freq 5 --refine_freq 1000 --send_faces \
     --separate_buffers";
+/// The `net_overlap` workload's flags (bench/src/workloads.rs): the
+/// benchmark's one run on the modelled fabric.
+const NET_OVERLAP: &str = "--npx 2 --npy 1 --npz 1 --workers 1 --stencil 7 --init_x 2 \
+    --init_y 2 --init_z 2 --nx 12 --ny 12 --nz 12 --num_vars 20 --num_refine 1 \
+    --input four_spheres --num_tsteps 4 --stages_per_ts 10 --checksum_freq 10 \
+    --refine_freq 1000 --send_faces --separate_buffers --max_comm_tasks 8 --ranks_per_node 1 \
+    --fabric on --bandwidth_gbps 0.01 --latency_us 20";
+/// A fault plan of every frame fault but corruption, on top of the fabric.
+const WIRE_CHAOS: &str = "--chaos_drop 0.05 --chaos_delay 0.1 --chaos_delay_factor 2 \
+    --chaos_stall_every 50 --chaos_stall_ms 1";
 /// Checksum points at different stages of consecutive timesteps: no
 /// timestep repeats its neighbour's stream, so none is traced.
 const APERIODIC: &str = "--variant dataflow --npx 2 --init_x 2 --init_y 2 --init_z 2 --nx 4 \
@@ -376,6 +386,16 @@ fn ported() -> Vec<Row> {
     }
     t.push(crash("dataflow --jobs 2").lines("miniamr: job 0 stopped early", 1)
         .lines("miniamr: job 1 stopped early", 1).lines("verified after restore", 2));
+    // Chaos on the fabric: frames are flows. With `--coll hier` the checksum gather
+    // runs through the node slots (the matrix's chaos x `--coll hier` pairs, on two
+    // nodes, send its leader stage as frames).
+    let overlap = |run: &str| miniamr(format!("--variant {run} {NET_OVERLAP} --fabric_nic_us 2 --fabric_rtt_us 10"))
+        .wants(Digest("net_overlap", Some("3bc6f940386b1a22"))).timeout(120);
+    for v in VARIANTS {
+        t.push(overlap(v));
+        t.push(overlap(&format!("{v} {WIRE_CHAOS}")).has("fabric=on"));
+    }
+    t.push(overlap(&format!("dataflow {WIRE_CHAOS} --coll hier --ranks_per_node 2")).has("coll=hier"));
     // Fabric on/off; all-rendezvous (--eager_kb 0) against the default eager limit.
     for v in VARIANTS {
         for fabric in ["on", "off"] {
@@ -473,8 +493,7 @@ fn ported() -> Vec<Row> {
 }
 
 /// Each variant with every feature and every pair of features: the plain
-/// run's digest, or exit 2 naming both flags where a fault plan would
-/// silently switch the other feature off.
+/// run's digest.
 #[rustfmt::skip]
 fn matrix() -> Vec<Row> {
     let mut sets: Vec<Vec<&str>> = FEATURES.iter().map(|f| vec![*f]).collect();
@@ -485,20 +504,20 @@ fn matrix() -> Vec<Row> {
     for v in VARIANTS {
         for set in &sets {
             let r = miniamr(format!("--variant {v} {MATRIX} {}", set.join(" ")));
-            let r = match (set.contains(&CHAOS), set.contains(&"--coll hier"), set.contains(&"--sanitize")) {
-                (true, true, _) => r.wants(Exit(2)).has("--coll hier").has("--chaos_"),
-                (true, _, _) if set.len() == 1 => r.wants(Digest("matrix", Some(MATRIX_DIGEST))).has("fabric=off"),
-                (_, _, true) => r.wants(Digest("matrix", Some(MATRIX_DIGEST))).has(CLEAN),
-                _ => r.wants(Digest("matrix", Some(MATRIX_DIGEST))),
+            let r = r.wants(Digest("matrix", Some(MATRIX_DIGEST)));
+            let r = match (set[..] == [CHAOS], set.contains(&"--sanitize")) {
+                (true, _) => r.has("fabric=on"),
+                (_, true) => r.has(CLEAN),
+                _ => r,
             };
             // Every traced timestep of the matrix repeats its neighbour.
-            t.push(match r.expect {
-                Digest(..) if v == "dataflow" => r.holds("trace_divergences == 0", |r| r.num("trace_divergences") == Some(0)),
+            t.push(match v {
+                "dataflow" => r.holds("trace_divergences == 0", |r| r.num("trace_divergences") == Some(0)),
                 _ => r,
             });
         }
     }
-    t.push(miniamr(format!("--variant dataflow {MATRIX} {CHAOS} --fabric on")).wants(Exit(2)).has("--fabric on").has("--chaos_"));
+    t.push(miniamr(format!("--variant dataflow {MATRIX} {CHAOS} --fabric on")).wants(Digest("matrix", Some(MATRIX_DIGEST))));
     t
 }
 
@@ -524,7 +543,7 @@ fn every_row_holds() {
 #[test]
 fn the_table_size_is_pinned() {
     let runs = |rows: &[Row]| (rows.len(), rows.iter().map(|r| r.repeat).sum::<usize>());
-    assert_eq!(runs(&ported()), (103, 112));
+    assert_eq!(runs(&ported()), (110, 119));
     assert_eq!(runs(&matrix()), (166, 166));
 }
 

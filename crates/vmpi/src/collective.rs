@@ -35,6 +35,7 @@ use crate::net::CollAlgo;
 use crate::ReduceOp;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Element types that support [`ReduceOp`] combination in `reduce` /
 /// `allreduce`.
@@ -86,6 +87,20 @@ fn bytes_to_vec<T: Pod>(bytes: &[u8]) -> Result<Vec<T>> {
     })
 }
 
+/// `bytes` as exactly `n` elements (a reduction operand or result);
+/// anything else is a hard [`VmpiError::Truncated`] on every build
+/// profile.
+fn exact_vec<T: Pod>(bytes: &[u8], n: usize) -> Result<Vec<T>> {
+    let v = bytes_to_vec::<T>(bytes)?;
+    if v.len() != n {
+        return Err(VmpiError::Truncated {
+            expected: n,
+            got: v.len(),
+        });
+    }
+    Ok(v)
+}
+
 /// Node grouping of a communicator, derived from the network model's
 /// `ranks_per_node` over *world* ranks (so sub-communicators see the same
 /// physical placement as the world).
@@ -124,14 +139,16 @@ impl Comm {
     }
 
     /// Whether collectives on this communicator take the hierarchical
-    /// path. Requires an actual node grouping (`ranks_per_node > 1`) and
-    /// no chaos fault-injection: faults live in the message layer, which
-    /// the intra-node shared-slot stage deliberately bypasses, so under
-    /// chaos every collective stays on the (fault-transparent) flat path.
+    /// path: they are asked to and there is a node grouping
+    /// (`ranks_per_node > 1`). A fault plan changes nothing: the
+    /// inter-node stage sends reliability frames like any message, and
+    /// the intra-node slots fail their waits once the world is poisoned.
+    /// A hard crash is a dead NIC, so only the inter-node stage sees it:
+    /// a crashed node member still deposits into and takes from its
+    /// node's slots, where on the flat path its frames are lost.
     fn hier_enabled(&self) -> bool {
         self.shared.net.coll == CollAlgo::Hier
             && self.shared.net.params.ranks_per_node > 1
-            && self.shared.fault.is_none()
             && self.size() > 1
     }
 
@@ -172,18 +189,30 @@ impl Comm {
         req.take_data::<T>()
     }
 
-    /// Receives a collective payload that must carry exactly `expected`
-    /// elements (reduction operands); anything else is a hard
-    /// [`VmpiError::Truncated`] on every build profile.
-    fn recv_coll_exact<T: Pod>(&self, src: usize, tag: i32, expected: usize) -> Result<Vec<T>> {
-        let incoming = self.recv_coll::<T>(src, tag)?;
-        if incoming.len() != expected {
-            return Err(VmpiError::Truncated {
-                expected,
-                got: incoming.len(),
-            });
+    /// The node-local frame of a hierarchical collective. A member
+    /// deposits `mine` and takes what its leader publishes. The leader
+    /// collects its members' deposits (ascending rank), runs `stage` over
+    /// them and the inter-node leaders, and publishes its result, or the
+    /// error, so no member waits on a collective its leader aborted.
+    fn node_stage(
+        &self,
+        seq: u64,
+        ch: &Comm,
+        mine: &[u8],
+        stage: impl FnOnce(&NodeTopo, Vec<(usize, Vec<u8>)>) -> Result<Vec<u8>>,
+    ) -> Result<Arc<Vec<u8>>> {
+        let topo = self.node_topo();
+        let key = (ch.comm_id, seq, topo.node);
+        let slots = &self.shared.coll_slots;
+        let takers = topo.members.len() - 1;
+        if self.rank() != topo.leader() {
+            slots.deposit(key, self.rank(), mine.to_vec());
+            return slots.take(key, takers);
         }
-        Ok(incoming)
+        let result = (slots.collect(key, takers)).and_then(|deposits| stage(&topo, deposits));
+        let result = result.map(Arc::new);
+        slots.publish(key, takers, result.clone());
+        result
     }
 
     // ---------------------------------------------------------------
@@ -232,7 +261,8 @@ impl Comm {
             if idx & mask == 0 {
                 let src_idx = idx | mask;
                 if src_idx < q {
-                    let incoming = self.recv_coll_exact::<T>(ranks[src_idx], tag, acc.len())?;
+                    let incoming = self.recv_coll::<u8>(ranks[src_idx], tag)?;
+                    let incoming = exact_vec::<T>(&incoming, acc.len())?;
                     for (a, b) in acc.iter_mut().zip(incoming.iter()) {
                         *a = T::combine(op, *a, *b);
                     }
@@ -296,35 +326,25 @@ impl Comm {
         }
         let (seq, ch) = self.coll_begin();
         if self.hier_enabled() {
-            return self.barrier_hier(seq, &ch);
+            // A member's deposit and take, and the leader's collect, only
+            // complete once every rank has arrived: the barrier property.
+            let release = self.node_stage(seq, &ch, &[], |topo, _| {
+                ch.barrier_over(&topo.leaders, topo.leader_idx(), COLL_TAG_BASE)?;
+                Ok(Vec::new())
+            });
+            return release.map(drop);
         }
         let all: Vec<usize> = (0..p).collect();
         ch.barrier_over(&all, self.rank(), COLL_TAG_BASE)
     }
 
-    fn barrier_hier(&self, seq: u64, ch: &Comm) -> Result<()> {
-        let topo = self.node_topo();
-        let key = (ch.comm_id, seq, topo.node);
-        let slots = &self.shared.coll_slots;
-        let takers = topo.members.len() - 1;
-        if self.rank() != topo.leader() {
-            // Arrival: deposit, then wait for the leader's release. Both
-            // only complete once every rank has arrived, which is the
-            // barrier property.
-            slots.deposit(key, self.rank(), Vec::new());
-            slots.take(key, takers)?;
-            return Ok(());
-        }
-        let waited = slots.collect(key, takers);
-        debug_assert_eq!(waited.len(), takers);
-        let result = ch.barrier_over(&topo.leaders, topo.leader_idx(), COLL_TAG_BASE);
-        slots.publish(key, takers, result.clone().map(|()| Vec::new()));
-        result
-    }
-
     /// Broadcasts `data` from `root` to every rank (binomial tree,
     /// `MPI_Bcast`). Non-root ranks receive the payload into the returned
     /// vector; the root gets its input back.
+    ///
+    /// # Panics
+    ///
+    /// If the root passes `None`: a caller bug, not a transport failure.
     pub fn bcast<T: Pod>(&self, data: Option<&[T]>, root: usize) -> Result<Vec<T>> {
         let p = self.size();
         let (_, ch) = self.coll_begin();
@@ -374,73 +394,24 @@ impl Comm {
     pub fn allreduce<T: Reducible>(&self, data: &[T], op: ReduceOp) -> Result<Vec<T>> {
         if self.hier_enabled() {
             let (seq, ch) = self.coll_begin();
-            return self.allreduce_hier(seq, &ch, data, op);
+            let out = self.node_stage(seq, &ch, datatype::as_bytes(data), |topo, deposits| {
+                // Intra-node fold, ascending member rank order.
+                let mut acc = data.to_vec();
+                for (_, bytes) in deposits {
+                    for (a, b) in acc.iter_mut().zip(exact_vec::<T>(&bytes, data.len())?) {
+                        *a = T::combine(op, *a, b);
+                    }
+                }
+                // Inter-node stage among node leaders.
+                let li = topo.leader_idx();
+                let rooted = ch.reduce_fold_over(&topo.leaders, li, COLL_TAG_BASE, op, &mut acc)?;
+                let root = rooted.then(|| datatype::as_bytes(&acc).to_vec());
+                ch.bcast_bytes_over(&topo.leaders, li, COLL_TAG_BASE + 1, root)
+            })?;
+            return exact_vec(&out, data.len());
         }
         let reduced = self.reduce(data, op, 0)?;
         self.bcast(reduced.as_deref(), 0)
-    }
-
-    fn allreduce_hier<T: Reducible>(
-        &self,
-        seq: u64,
-        ch: &Comm,
-        data: &[T],
-        op: ReduceOp,
-    ) -> Result<Vec<T>> {
-        let topo = self.node_topo();
-        let key = (ch.comm_id, seq, topo.node);
-        let slots = &self.shared.coll_slots;
-        let takers = topo.members.len() - 1;
-        if self.rank() != topo.leader() {
-            slots.deposit(key, self.rank(), datatype::as_bytes(data).to_vec());
-            let bytes = slots.take(key, takers)?;
-            let out = bytes_to_vec::<T>(&bytes)?;
-            if out.len() != data.len() {
-                return Err(VmpiError::Truncated {
-                    expected: data.len(),
-                    got: out.len(),
-                });
-            }
-            return Ok(out);
-        }
-        let result = (|| -> Result<Vec<T>> {
-            // Intra-node fold, ascending member rank order.
-            let mut acc = data.to_vec();
-            for (_, bytes) in slots.collect(key, takers) {
-                let incoming = bytes_to_vec::<T>(&bytes)?;
-                if incoming.len() != acc.len() {
-                    return Err(VmpiError::Truncated {
-                        expected: acc.len(),
-                        got: incoming.len(),
-                    });
-                }
-                for (a, b) in acc.iter_mut().zip(incoming.iter()) {
-                    *a = T::combine(op, *a, *b);
-                }
-            }
-            // Inter-node stage among node leaders.
-            let li = topo.leader_idx();
-            let rooted = ch.reduce_fold_over(&topo.leaders, li, COLL_TAG_BASE, op, &mut acc)?;
-            let bytes = ch.bcast_bytes_over(
-                &topo.leaders,
-                li,
-                COLL_TAG_BASE + 1,
-                rooted.then(|| datatype::as_bytes(&acc).to_vec()),
-            )?;
-            bytes_to_vec::<T>(&bytes)
-        })();
-        // Publish the result — or the error, so members never hang on a
-        // collective their leader aborted.
-        match result {
-            Ok(out) => {
-                slots.publish(key, takers, Ok(datatype::as_bytes(&out).to_vec()));
-                Ok(out)
-            }
-            Err(e) => {
-                slots.publish(key, takers, Err(e.clone()));
-                Err(e)
-            }
-        }
     }
 
     /// Scalar convenience wrapper over [`Comm::allreduce`].
@@ -450,7 +421,16 @@ impl Comm {
 
     /// Gathers every rank's (possibly differently sized) contribution on
     /// `root` (`MPI_Gatherv`). Returns `Some(per-rank vectors)` on root.
+    ///
+    /// Hierarchical: the hierarchical [`Comm::allgather`], whose result
+    /// only the root keeps: one leader broadcast more than a rooted
+    /// gather needs, and no special case for a root that does not lead
+    /// its node.
     pub fn gather<T: Pod>(&self, data: &[T], root: usize) -> Result<Option<Vec<Vec<T>>>> {
+        if self.hier_enabled() {
+            let all = self.allgather(data)?;
+            return Ok((self.rank() == root).then_some(all));
+        }
         let p = self.size();
         let (_, ch) = self.coll_begin();
         let tag = COLL_TAG_BASE;
@@ -482,7 +462,30 @@ impl Comm {
     pub fn allgather<T: Pod>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
         if self.hier_enabled() {
             let (seq, ch) = self.coll_begin();
-            return self.allgather_hier(seq, &ch, data);
+            let mine = datatype::as_bytes(data);
+            let blob = self.node_stage(seq, &ch, mine, |topo, deposits| {
+                // Frame this node's contributions: (rank, byte length,
+                // bytes) per member, leader first then ascending member
+                // order.
+                let mut blob = Vec::new();
+                frame_entry(&mut blob, self.rank(), mine);
+                for (r, bytes) in deposits {
+                    frame_entry(&mut blob, r, &bytes);
+                }
+                let li = topo.leader_idx();
+                let combined = if li == 0 {
+                    for &l in &topo.leaders[1..] {
+                        blob.extend_from_slice(&ch.recv_coll::<u8>(l, COLL_TAG_BASE)?);
+                    }
+                    blob
+                } else {
+                    ch.send_coll(&blob, topo.leaders[0], COLL_TAG_BASE)?;
+                    Vec::new()
+                };
+                let root = (li == 0).then_some(combined);
+                ch.bcast_bytes_over(&topo.leaders, li, COLL_TAG_BASE + 1, root)
+            })?;
+            return unframe_allgather::<T>(&blob, self.size());
         }
         let p = self.size();
         let gathered = self.gather(data, 0)?;
@@ -511,56 +514,6 @@ impl Comm {
             off += c;
         }
         Ok(out)
-    }
-
-    fn allgather_hier<T: Pod>(&self, seq: u64, ch: &Comm, data: &[T]) -> Result<Vec<Vec<T>>> {
-        let topo = self.node_topo();
-        let key = (ch.comm_id, seq, topo.node);
-        let slots = &self.shared.coll_slots;
-        let takers = topo.members.len() - 1;
-        if self.rank() != topo.leader() {
-            slots.deposit(key, self.rank(), datatype::as_bytes(data).to_vec());
-            let blob = slots.take(key, takers)?;
-            return unframe_allgather::<T>(&blob, self.size());
-        }
-        let result = (|| -> Result<Vec<u8>> {
-            // Frame this node's contributions: (rank, byte length, bytes)
-            // per member, leader first then ascending member order.
-            let mut blob = Vec::new();
-            frame_entry(&mut blob, self.rank(), datatype::as_bytes(data));
-            for (r, bytes) in slots.collect(key, takers) {
-                frame_entry(&mut blob, r, &bytes);
-            }
-            let li = topo.leader_idx();
-            let combined = if li == 0 {
-                let mut combined = blob;
-                for &l in &topo.leaders[1..] {
-                    let part = ch.recv_coll::<u8>(l, COLL_TAG_BASE)?;
-                    combined.extend_from_slice(&part);
-                }
-                combined
-            } else {
-                ch.send_coll(&blob, topo.leaders[0], COLL_TAG_BASE)?;
-                Vec::new()
-            };
-            ch.bcast_bytes_over(
-                &topo.leaders,
-                li,
-                COLL_TAG_BASE + 1,
-                (li == 0).then_some(combined),
-            )
-        })();
-        match result {
-            Ok(blob) => {
-                let out = unframe_allgather::<T>(&blob, self.size());
-                slots.publish(key, takers, Ok(blob));
-                out
-            }
-            Err(e) => {
-                slots.publish(key, takers, Err(e.clone()));
-                Err(e)
-            }
-        }
     }
 }
 

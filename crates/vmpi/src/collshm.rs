@@ -19,8 +19,9 @@
 //! registry empty between collectives.
 
 use crate::error::{Result, VmpiError};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Key of one node-local slot of one collective invocation.
@@ -32,7 +33,7 @@ struct Slot {
     /// rank (ordered, so the leader folds in ascending rank order).
     deposits: BTreeMap<usize, Vec<u8>>,
     /// The leader's published result (or error), once available.
-    result: Option<std::result::Result<Arc<Vec<u8>>, VmpiError>>,
+    result: Option<Result<Arc<Vec<u8>>>>,
     /// How many members have taken the result so far.
     taken: usize,
 }
@@ -42,6 +43,10 @@ struct Slot {
 pub(crate) struct CollSlots {
     inner: Mutex<HashMap<SlotKey, Slot>>,
     changed: Condvar,
+    /// The world was poisoned: a wait that cannot be served returns
+    /// [`VmpiError::WorldDown`] instead of waiting for a peer that
+    /// unwound. Written under `inner`'s lock, so no waiter misses it.
+    down: AtomicBool,
 }
 
 impl CollSlots {
@@ -56,40 +61,46 @@ impl CollSlots {
 
     /// Leader side: waits until all `expected` member deposits are in and
     /// returns them in ascending communicator-rank order.
-    pub fn collect(&self, key: SlotKey, expected: usize) -> Vec<(usize, Vec<u8>)> {
+    pub fn collect(&self, key: SlotKey, expected: usize) -> Result<Vec<(usize, Vec<u8>)>> {
         let mut inner = self.inner.lock();
         loop {
-            if inner
-                .get(&key)
-                .is_some_and(|s| s.deposits.len() >= expected)
-            {
-                let slot = inner.get_mut(&key).expect("slot checked above");
+            if let Some(slot) = inner.get_mut(&key).filter(|s| s.deposits.len() >= expected) {
                 debug_assert_eq!(slot.deposits.len(), expected, "more deposits than members");
-                return std::mem::take(&mut slot.deposits).into_iter().collect();
+                return Ok(std::mem::take(&mut slot.deposits).into_iter().collect());
             }
             if expected == 0 {
-                return Vec::new();
+                return Ok(Vec::new());
             }
-            self.changed.wait(&mut inner);
+            self.wait(&mut inner)?;
         }
+    }
+
+    /// Wakes every waiter for good: the world was poisoned.
+    pub fn poison(&self) {
+        let _inner = self.inner.lock();
+        self.down.store(true, Ordering::Relaxed);
+        self.changed.notify_all();
+    }
+
+    fn wait(&self, inner: &mut MutexGuard<'_, HashMap<SlotKey, Slot>>) -> Result<()> {
+        if self.down.load(Ordering::Relaxed) {
+            return Err(VmpiError::WorldDown);
+        }
+        self.changed.wait(inner);
+        Ok(())
     }
 
     /// Leader side: publishes the collective's result (or the error that
     /// aborted it) for `takers` members to pick up. With zero takers the
     /// slot is removed immediately.
-    pub fn publish(
-        &self,
-        key: SlotKey,
-        takers: usize,
-        result: std::result::Result<Vec<u8>, VmpiError>,
-    ) {
+    pub fn publish(&self, key: SlotKey, takers: usize, result: Result<Arc<Vec<u8>>>) {
         let mut inner = self.inner.lock();
         if takers == 0 {
             inner.remove(&key);
             return;
         }
         let slot = inner.entry(key).or_default();
-        slot.result = Some(result.map(Arc::new));
+        slot.result = Some(result);
         self.changed.notify_all();
     }
 
@@ -98,15 +109,16 @@ impl CollSlots {
     pub fn take(&self, key: SlotKey, takers: usize) -> Result<Arc<Vec<u8>>> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(result) = inner.get(&key).and_then(|s| s.result.clone()) {
-                let slot = inner.get_mut(&key).expect("slot checked above");
-                slot.taken += 1;
-                if slot.taken >= takers {
-                    inner.remove(&key);
+            if let Some(slot) = inner.get_mut(&key) {
+                if let Some(result) = slot.result.clone() {
+                    slot.taken += 1;
+                    if slot.taken >= takers {
+                        inner.remove(&key);
+                    }
+                    return result;
                 }
-                return result;
             }
-            self.changed.wait(&mut inner);
+            self.wait(&mut inner)?;
         }
     }
 }
@@ -124,9 +136,9 @@ mod tests {
             s2.deposit(key, 1, vec![1, 2]);
             s2.take(key, 1).unwrap()
         });
-        let deposits = slots.collect(key, 1);
+        let deposits = slots.collect(key, 1).unwrap();
         assert_eq!(deposits, vec![(1, vec![1, 2])]);
-        slots.publish(key, 1, Ok(vec![9]));
+        slots.publish(key, 1, Ok(Arc::new(vec![9])));
         assert_eq!(*member.join().unwrap(), vec![9]);
         // Last taker removed the slot.
         assert!(slots.inner.lock().is_empty());
@@ -155,9 +167,21 @@ mod tests {
     }
 
     #[test]
+    fn poison_wakes_a_parked_leader_and_member() {
+        let slots = Arc::new(CollSlots::default());
+        let (leader, member) = (Arc::clone(&slots), Arc::clone(&slots));
+        let leader = std::thread::spawn(move || leader.collect((2, 0, 0), 1));
+        let member = std::thread::spawn(move || member.take((2, 0, 1), 1));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        slots.poison();
+        assert_eq!(leader.join().unwrap(), Err(VmpiError::WorldDown));
+        assert_eq!(member.join().unwrap(), Err(VmpiError::WorldDown));
+    }
+
+    #[test]
     fn zero_takers_removes_slot_immediately() {
         let slots = CollSlots::default();
-        slots.publish((0, 0, 0), 0, Ok(vec![]));
+        slots.publish((0, 0, 0), 0, Ok(Arc::new(vec![])));
         assert!(slots.inner.lock().is_empty());
     }
 }

@@ -1,22 +1,21 @@
 //! Communicators and point-to-point operations.
 //!
-//! A send is one pipeline: `post_send` (header, eager test, `SendPosted`)
-//! → the route `match` in `isend_impl` (self / reliability frame / fabric
-//! / scalar delay) → [`crate::mailbox::arrive`]. A receive is
-//! [`crate::mailbox::post`]. Matching, queueing, transit and completion
-//! live in [`crate::mailbox`].
+//! A send goes down four layers: `post_send` (header, eager test, the
+//! depsan and obs hooks); [`crate::reliable`] framing, present only under
+//! a fault plan; [`crate::wire`], which prices each transmission; and
+//! [`crate::mailbox::arrive`]. A receive is [`crate::mailbox::post`].
+//! Matching, queueing and completion live in [`crate::mailbox`].
 
 use crate::datatype::{self, Pod};
 use crate::error::{Result, VmpiError};
 use crate::fault::Inflight;
-use crate::mailbox::{self, Envelope, Lane, MsgHeader, PendingRecv, RecvSan, RecvTarget, Transit};
-use crate::reliable;
+use crate::mailbox::{self, Envelope, Lane, MsgHeader, PendingRecv, RecvSan, RecvTarget};
 use crate::request::{Request, RequestState};
 use crate::world::WorldShared;
+use crate::{reliable, wire};
 use shmem::BufSlice;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: i32 = -1;
@@ -191,7 +190,7 @@ impl Comm {
         Ok(())
     }
 
-    /// The send prologue every route shares: builds the header that rides
+    /// The send path's first layer: builds the header that rides
     /// with the payload, decides eager vs rendezvous, and announces the
     /// send. `local` marks a self-send, which is always eager.
     fn post_send(
@@ -245,62 +244,42 @@ impl Comm {
         (hdr, eager)
     }
 
+    /// The send path below `post_send`: under a fault plan a cross-rank
+    /// send is a reliability frame whose every transmission takes the
+    /// wire; otherwise the message takes the wire once, straight into
+    /// the destination mailbox.
     fn isend_impl(&self, payload: Vec<u8>, dst: usize, tag: i32) -> Request {
         let (src_world, dst_world) = (self.group[self.rank], self.group[dst]);
-        let local = src_world == dst_world;
         let nbytes = payload.len();
-        let (hdr, eager) = self.post_send(nbytes, local, dst_world, tag);
+        let (hdr, eager) = self.post_send(nbytes, src_world == dst_world, dst_world, tag);
         let send_state = RequestState::new();
         // Eager sends complete at the end of this call; a rendezvous send
         // travels with its message and completes when the payload drains
         // (or, as a reliability frame, on its first ack).
         let rendezvous = (!eager).then(|| Arc::clone(&send_state));
-        let fabric = self
+        // A self-send is local: never faulted.
+        let fault = self
             .shared
-            .fabric
-            .as_deref()
-            .filter(|fab| !fab.params().same_node(src_world, dst_world));
-        // The route: which stage models this message's time on the wire.
-        let (due, flow) = match (local, &self.shared.fault, fabric) {
-            // A self-send is local: never faulted, never modelled.
-            (true, _, _) => (Instant::now(), None),
-            // Under a fault plan every other send is a reliability frame
-            // (CRC, ack/retransmit, in-order release) that serves its own
-            // network time, so chaos bypasses the fabric.
-            (false, Some(fault), _) => {
-                let frame = Inflight::new(hdr, payload, rendezvous);
-                match reliable::send(&self.shared, fault, src_world, dst_world, frame) {
-                    Ok(()) if eager => send_state.complete(hdr.status(nbytes), None),
-                    Ok(()) => {}
-                    Err(e) => send_state.fail(e),
-                }
-                return Request::from_state(send_state);
-            }
-            // Inter-node transfers go through the contention-aware fabric
-            // when one is installed (NIC serialization, shared links,
-            // rendezvous handshake).
-            (false, None, Some(fab)) => {
-                let (id, eta) = fab.inject(src_world, dst_world, nbytes);
-                (eta, Some(id))
-            }
-            // Everything else takes the scalar delay.
-            (false, None, None) => (
-                Instant::now() + self.shared.net.delay(nbytes, src_world, dst_world),
-                None,
-            ),
-        };
-        let env = Envelope {
-            hdr,
-            payload,
-            transit: Transit {
-                due,
-                flow,
+            .fault
+            .as_ref()
+            .filter(|_| src_world != dst_world);
+        let sent = if let Some(fault) = fault {
+            let frame = Inflight::new(hdr, payload, rendezvous);
+            reliable::send(&self.shared, fault, src_world, dst_world, frame)
+        } else {
+            let env = Envelope {
+                hdr,
+                payload,
+                transit: wire::send(&self.shared, src_world, dst_world, nbytes),
                 send_state: rendezvous,
-            },
+            };
+            mailbox::arrive(&self.shared, dst_world, env, Lane::Caller);
+            Ok(())
         };
-        mailbox::arrive(&self.shared, dst_world, env, Lane::Caller);
-        if eager {
-            send_state.complete(hdr.status(nbytes), None);
+        match sent {
+            Ok(()) if eager => send_state.complete(hdr.status(nbytes), None),
+            Ok(()) => {}
+            Err(e) => send_state.fail(e),
         }
         Request::from_state(send_state)
     }
@@ -481,11 +460,12 @@ impl Comm {
 
     /// Splits the communicator by color (`MPI_Comm_split`); ranks with the
     /// same `color` land in the same sub-communicator, ordered by
-    /// `(key, parent rank)`. Collective over the parent communicator.
-    pub fn split(&self, color: i64, key: i64) -> Comm {
+    /// `(key, parent rank)`. Collective over the parent communicator, and
+    /// fails as its `allgather` does (a poisoned world: `WorldDown`).
+    pub fn split(&self, color: i64, key: i64) -> Result<Comm> {
         let seq = self.derive_seq.fetch_add(1, Ordering::Relaxed);
         let mine = [color, key, self.rank as i64];
-        let all = self.allgather(&mine).expect("split allgather");
+        let all = self.allgather(&mine)?;
         let mut members: Vec<(i64, i64)> = all
             .iter()
             .filter(|v| v[0] == color)
@@ -510,7 +490,12 @@ impl Comm {
                 ^ (color as u64).wrapping_mul(0x9e3779b97f4a7c15)
                 ^ 0x5350_4c49_545f_4944,
         );
-        Comm::new(Arc::clone(&self.shared), id, new_rank, Arc::new(group))
+        Ok(Comm::new(
+            Arc::clone(&self.shared),
+            id,
+            new_rank,
+            Arc::new(group),
+        ))
     }
 }
 
@@ -536,7 +521,7 @@ mod tests {
         // share its matching context.
         let world = crate::World::new(2, crate::NetworkModel::instant());
         world.run(|comm| {
-            let sub = comm.split(0, comm.rank() as i64);
+            let sub = comm.split(0, comm.rank() as i64).unwrap();
             assert_ne!(sub.comm_id, comm.comm_id);
         });
     }

@@ -99,8 +99,9 @@ impl DeliveryService {
                 let mut inner = self.inner.lock();
                 loop {
                     if let Some(top) = inner.queue.peek() {
-                        let now = Instant::now();
-                        if top.due <= now {
+                        // At shutdown every job is due: nothing waits any
+                        // more for the time it models.
+                        if inner.shutdown || top.due <= Instant::now() {
                             break inner.queue.pop().map(|j| j.run);
                         }
                         let due = top.due;
@@ -118,19 +119,12 @@ impl DeliveryService {
         }
     }
 
-    /// Signals shutdown and drains remaining jobs (running them
-    /// immediately so any outstanding requests complete), then joins the
-    /// thread.
+    /// Signals shutdown and joins the thread, which first runs every
+    /// remaining job at once, the jobs those jobs schedule included, so
+    /// any outstanding request completes.
     pub(crate) fn shutdown(&self) {
-        let drained: Vec<Job> = {
-            let mut inner = self.inner.lock();
-            inner.shutdown = true;
-            inner.queue.drain().map(|j| j.run).collect()
-        };
+        self.inner.lock().shutdown = true;
         self.cond.notify_all();
-        for job in drained {
-            job();
-        }
         let handle = self.handle.lock().take();
         if let Some(h) = handle {
             let _ = h.join();

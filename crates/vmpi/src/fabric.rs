@@ -463,6 +463,13 @@ impl Fabric {
         self.state.lock().next_id
     }
 
+    /// Flows not yet retired by a poll, drained or not.
+    #[cfg(test)]
+    pub(crate) fn flows_in_flight(&self) -> usize {
+        let s = self.state.lock();
+        s.flows.len().max(s.links.flows.len())
+    }
+
     /// Stops contention modelling: every subsequent poll reports its flow
     /// complete. Called before the delivery queue drains at shutdown.
     pub(crate) fn release_all(&self) {

@@ -378,6 +378,7 @@ impl FaultState {
         let injected = frame_faults.map(get).iter().sum::<u64>() + crashed.count() as u64;
         let registry = obs::metrics();
         for (name, value) in [
+            ("vmpi.chaos.frames", get(&c.frames)),
             ("vmpi.chaos.faults_injected", injected),
             ("vmpi.chaos.retransmits", get(&c.retransmits)),
             ("vmpi.chaos.crc_rejected", get(&c.crc_rejected)),

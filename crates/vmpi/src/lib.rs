@@ -63,6 +63,7 @@ mod mailbox;
 mod net;
 mod reliable;
 mod request;
+mod wire;
 mod world;
 
 pub use collective::Reducible;

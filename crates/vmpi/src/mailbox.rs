@@ -6,19 +6,19 @@
 //! receive goes through [`post`]. Both match-or-queue under the
 //! destination rank's mailbox lock, which makes matching order identical
 //! to operation order and therefore preserves MPI's non-overtaking
-//! guarantee, and both end in the same `matched` → `deliver` →
-//! `complete` tail, run outside the lock. The payload only becomes
-//! *available* at the envelope's due time (see [`crate::delivery`]).
+//! guarantee, and both end in the same `matched` → `complete` tail, run
+//! outside the lock once the envelope's [`crate::wire`] transit has
+//! drained.
 
 use crate::comm::{Status, ANY_SOURCE, ANY_TAG};
 use crate::error::{Result, VmpiError};
 use crate::request::RequestState;
+use crate::wire::{self, Transit};
 use crate::world::WorldShared;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A closure that copies an arrived payload into user-provided storage.
 pub(crate) type PayloadWriter = Box<dyn FnOnce(&[u8]) -> Result<()> + Send>;
@@ -65,22 +65,14 @@ impl MsgHeader {
     }
 }
 
-/// When a payload becomes available and what completes with it.
-pub(crate) struct Transit {
-    pub due: Instant,
-    /// Flow id in the contention-aware fabric, when the transfer went
-    /// through it (`due` is then only the initial estimate; the delivery
-    /// job polls the fabric for the real drain time).
-    pub flow: Option<u64>,
-    /// Present for rendezvous sends: completed when the payload drains.
-    pub send_state: Option<Arc<RequestState>>,
-}
-
 /// A message handed to a mailbox; queued there while unmatched.
 pub(crate) struct Envelope {
     pub hdr: MsgHeader,
     pub payload: Vec<u8>,
+    /// When the payload becomes available.
     pub transit: Transit,
+    /// Present for rendezvous sends: completed when the payload drains.
+    pub send_state: Option<Arc<RequestState>>,
 }
 
 /// Sanitizer metadata of a receive: what it expects and who posted it.
@@ -370,11 +362,7 @@ impl MailboxInner {
     /// unrun.
     pub(crate) fn drain_for_poison(&mut self) -> (Vec<Arc<RequestState>>, Vec<Arc<RequestState>>) {
         let recvs = self.recvs.drain(..).map(|r| r.state).collect();
-        let sends = self
-            .msgs
-            .drain(..)
-            .filter_map(|m| m.transit.send_state)
-            .collect();
+        let sends = self.msgs.drain(..).filter_map(|m| m.send_state).collect();
         (recvs, sends)
     }
 
@@ -391,7 +379,7 @@ impl MailboxInner {
                 m.hdr.tag,
                 m.hdr.comm,
                 m.payload.len(),
-                if m.transit.send_state.is_some() {
+                if m.send_state.is_some() {
                     "rendezvous"
                 } else {
                     "eager"
@@ -529,30 +517,10 @@ fn matched(
             }
         }
     }
-    deliver(Arc::clone(shared), dst, env, recv);
-}
-
-/// Schedules the completion of a matched pair at the envelope's due
-/// time. Scalar-model transfers (`flow == None`) complete unconditionally
-/// when the job fires, inline when the time has already passed. Fabric
-/// transfers *poll* their flow instead: if concurrent arrivals shrank
-/// the flow's bandwidth share since `due` was predicted, the poll returns
-/// the new estimate and the job reschedules — the completion time tracks
-/// the fair-share drain, not the first guess.
-fn deliver(shared: Arc<WorldShared>, dst: usize, mut env: Envelope, recv: PendingRecv) {
-    let delivery = Arc::clone(&shared.delivery);
-    delivery.schedule(
-        env.transit.due,
-        Box::new(move || {
-            if let Some(id) = env.transit.flow {
-                if let Some(next) = shared.fabric.as_ref().and_then(|f| f.poll(id)) {
-                    env.transit.due = next;
-                    return deliver(shared, dst, env, recv);
-                }
-            }
-            complete(dst, env, recv);
-        }),
-    );
+    let transit = env.transit;
+    wire::when_drained(Arc::clone(shared), transit, move || {
+        complete(dst, env, recv)
+    });
 }
 
 /// Copies the payload to the receive's target and completes the receive
@@ -561,7 +529,8 @@ fn complete(dst: usize, env: Envelope, recv: PendingRecv) {
     let Envelope {
         hdr,
         payload,
-        transit,
+        send_state,
+        ..
     } = env;
     let status = hdr.status(payload.len());
     if let Some(bus) = obs::bus() {
@@ -600,7 +569,7 @@ fn complete(dst: usize, env: Envelope, recv: PendingRecv) {
             Err(e) => recv.state.fail(e),
         },
     }
-    if let Some(send) = transit.send_state {
+    if let Some(send) = send_state {
         send.complete(status, None);
     }
 }
@@ -650,11 +619,8 @@ mod tests {
                 posted_us: 0,
             },
             payload: vec![0u8; 8],
-            transit: Transit {
-                due: Instant::now(),
-                flow: None,
-                send_state: None,
-            },
+            transit: Transit::now(),
+            send_state: None,
         }
     }
 

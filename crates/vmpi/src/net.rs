@@ -32,9 +32,7 @@ pub enum CollAlgo {
     Flat,
     /// Two-level node-aware algorithms (intra-node shared-memory stage,
     /// inter-node binomial stage). Falls back to `Flat` when the world
-    /// has no node grouping (`ranks_per_node <= 1`) or when chaos
-    /// fault-injection is active (faults target the message layer, which
-    /// the intra-node stage bypasses).
+    /// has no node grouping (`ranks_per_node <= 1`).
     Hier,
 }
 

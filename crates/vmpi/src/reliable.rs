@@ -30,25 +30,29 @@
 //! closures unwind and the embedding driver decides what happens next.
 //! Nothing here ends the process.
 //!
-//! Frames enter through [`send`] (the reliability route of
-//! `Comm::isend_impl`) and leave, verified and in order, through
-//! [`crate::mailbox::arrive`] — the same match-or-queue step a plain send
+//! Frames enter through [`send`] (the reliability layer of
+//! `Comm::isend_impl`), take [`crate::wire`] once per transmission —
+//! each transmission, retransmission and duplicate is its own flow on an
+//! installed fabric — and leave, verified and in order, through
+//! [`crate::mailbox::arrive`], the same match-or-queue step a plain send
 //! takes. Nothing here matches, queues or completes a receive.
 
 use crate::error::{Result, VmpiError};
 use crate::fault::{crc32, salt, FaultState, Frame, Inflight, PeerLostAction, PeerLostReport};
-use crate::mailbox::{self, Envelope, Lane, Transit};
+use crate::mailbox::{self, Envelope, Lane};
 use crate::request::RequestState;
+use crate::wire::{self, Transit};
 use crate::world::WorldShared;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Floor for an injected delay spike so that near-instant network models
-/// still produce real reordering.
+/// Floor for an injected delay spike so that near-instant wires still
+/// produce real reordering.
 const MIN_SPIKE: Duration = Duration::from_micros(200);
 
-/// The reliability route of `Comm::isend_impl`: registers `rec` as the
+/// The reliability layer of `Comm::isend_impl`: registers `rec` as the
 /// next in-flight frame of the `(src, dst)` channel (world ranks) and
 /// transmits it through the fault plan. Only called for cross-rank
 /// traffic (self-sends complete locally and cannot be faulted). An `Err`
@@ -100,8 +104,9 @@ fn note_loss(dst: usize, frame: &Frame) {
 }
 
 /// One transmission attempt of an in-flight frame: runs the fault plan's
-/// decisions for this `(frame, attempt)` pair, schedules the delivery
-/// job(s), and arms the retransmit timer.
+/// decisions for this `(frame, attempt)` pair, puts the frame (and any
+/// duplicate) on the wire, and, once it has left the wire, schedules its
+/// arrival and arms the retransmit timer.
 fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: usize, seq: u64) {
     // Snapshot the frame; it may have been acked by a racing delivery.
     let (frame, attempt) = {
@@ -160,19 +165,22 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
     fault.counters.frames.fetch_add(1, Ordering::Relaxed);
     let rank_frames = fault.frames_sent[src].fetch_add(1, Ordering::Relaxed) + 1;
 
-    let base = shared.net.delay(frame.payload.len(), src, dst);
-    let mut delay = base;
+    // What the plan does to this transmission. A stall holds the frame a
+    // fixed time, a delay spike a multiple of its own wire time; both
+    // start when it leaves the wire.
+    let mut stall = Duration::ZERO;
+    let mut spike = false;
     let mut deliver = true;
     let mut dup = false;
     let mut corrupt: Option<(usize, u8)> = None;
 
     if cfg.stall_every > 0 && rank_frames.is_multiple_of(cfg.stall_every) {
-        delay += cfg.stall;
+        stall = cfg.stall;
         fault.counters.stalls.fetch_add(1, Ordering::Relaxed);
         emit_fault("stall", src, dst, tag, seq);
     }
     if cfg.delay_p > 0.0 && cfg.roll(salt::DELAY, src, dst, tag, seq, attempt) < cfg.delay_p {
-        delay += base.mul_f64(cfg.delay_factor).max(MIN_SPIKE);
+        spike = true;
         fault.counters.delays.fetch_add(1, Ordering::Relaxed);
         emit_fault("delay", src, dst, tag, seq);
     }
@@ -199,33 +207,39 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
         }
     }
 
-    let now = Instant::now();
-    if deliver {
-        let copies = if dup { 2 } else { 1 };
-        for i in 0..copies {
-            // The duplicate trails the original by one base delay so the
-            // receiver sees it as a genuinely separate arrival.
-            let at = now + delay + base.max(Duration::from_micros(50)) * i;
-            let shared_job = Arc::clone(shared);
-            let fault_job = Arc::clone(fault);
-            let frame_job = frame.clone();
-            shared.delivery.schedule(
-                at,
-                Box::new(move || {
-                    deliver_frame(&shared_job, &fault_job, src, dst, seq, frame_job, corrupt);
-                }),
-            );
-        }
+    // Every transmission is its own flow on the wire: the original, which
+    // drains even when the plan drops it, and a duplicate. The retransmit
+    // timer starts when the original leaves the wire, so contention alone
+    // never retransmits.
+    let sent = Instant::now();
+    for copy in 0..1 + dup as usize {
+        let transit = wire::send(shared, src, dst, frame.payload.len());
+        let (shared, fault, frame) = (Arc::clone(shared), Arc::clone(fault), frame.clone());
+        wire::when_drained(Arc::clone(&shared), transit, move || {
+            let cfg = &fault.cfg;
+            let mut hold = stall;
+            if spike {
+                hold += sent.elapsed().mul_f64(cfg.delay_factor).max(MIN_SPIKE);
+            }
+            let arrival = Instant::now() + hold;
+            // Exponential backoff: attempt k waits rto << k before resending.
+            let rto = cfg.rto.saturating_mul(1u32 << attempt.min(16));
+            let delivery = Arc::clone(&shared.delivery);
+            let (shared_rto, fault_rto) = (Arc::clone(&shared), Arc::clone(&fault));
+            if deliver {
+                delivery.schedule(
+                    arrival,
+                    Box::new(move || deliver_frame(&shared, &fault, src, dst, seq, frame, corrupt)),
+                );
+            }
+            if copy == 0 {
+                delivery.schedule(
+                    arrival + rto,
+                    Box::new(move || on_rto(&shared_rto, &fault_rto, src, dst, seq)),
+                );
+            }
+        });
     }
-
-    // Exponential backoff: attempt k waits rto << k before resending.
-    let rto = cfg.rto.saturating_mul(1u32 << attempt.min(16));
-    let shared_rto = Arc::clone(shared);
-    let fault_rto = Arc::clone(fault);
-    shared.delivery.schedule(
-        now + delay + rto,
-        Box::new(move || on_rto(&shared_rto, &fault_rto, src, dst, seq)),
-    );
 }
 
 /// Frame arrival at the receiver: crash gate, CRC verification,
@@ -353,15 +367,12 @@ fn flush_ready(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, d
             let env = Envelope {
                 hdr,
                 payload: Arc::try_unwrap(payload).unwrap_or_else(|arc| (*arc).clone()),
-                // The frame has already "arrived": its network time was
-                // served in the delivery schedule (never in the fabric),
-                // so a match completes inline, and its send request
-                // completed at post time or on the ack.
-                transit: Transit {
-                    due: Instant::now(),
-                    flow: None,
-                    send_state: None,
-                },
+                // The frame has already arrived: its network time was
+                // served on the wire before `deliver_frame`, so a match
+                // completes inline, and its send request completed at
+                // post time or on the ack.
+                transit: Transit::now(),
+                send_state: None,
             };
             mailbox::arrive(shared, dst, env, Lane::Net);
         }
@@ -371,8 +382,8 @@ fn flush_ready(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, d
 /// Retransmit timer fired: if the frame is still unacked, either resend
 /// it (budget remaining) or declare the peer lost.
 fn on_rto(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: usize, seq: u64) {
-    // At world teardown the delivery queue drains inline; rearming
-    // timers there would loop forever. A crashed rank does not retry,
+    // At world teardown the delivery queue runs every job at once;
+    // rearming timers there would loop forever. A crashed rank does not retry,
     // and a poisoned world already failed every in-flight frame.
     if fault.shutdown.load(Ordering::SeqCst)
         || fault.poisoned.load(Ordering::SeqCst)
@@ -389,18 +400,17 @@ fn on_rto(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst: u
         let Some(ch) = channels.get_mut(&(src, dst)) else {
             return;
         };
-        let Some(rec) = ch.inflight.get_mut(&seq) else {
+        let Entry::Occupied(mut rec) = ch.inflight.entry(seq) else {
             return;
         };
-        rec.attempts += 1;
-        if rec.attempts > fault.cfg.retry_budget {
-            let rec = ch.inflight.remove(&seq).expect("record present above");
+        rec.get_mut().attempts += 1;
+        if rec.get().attempts > fault.cfg.retry_budget {
             ch.dead = true;
-            Next::Lost(Box::new(rec))
+            Next::Lost(Box::new(rec.remove()))
         } else {
             Next::Resend {
-                tag: rec.frame.hdr.tag,
-                attempt: rec.attempts,
+                tag: rec.get().frame.hdr.tag,
+                attempt: rec.get().attempts,
             }
         }
     };
@@ -496,7 +506,8 @@ fn heartbeat_detect(
 /// Poisons the whole world under [`crate::PeerLostAction::AbortWorld`]:
 /// marks every channel dead, fails every in-flight send, every queued
 /// rendezvous send and every posted receive with
-/// [`VmpiError::WorldDown`], and wakes blocked probes. Rank threads
+/// [`VmpiError::WorldDown`], and wakes blocked probes and the waits of
+/// hierarchical collectives' intra-node slots. Rank threads
 /// parked in waits observe the failures and unwind; the embedding
 /// driver catches the unwind and reads
 /// [`crate::World::peer_lost_reports`]. Idempotent: only the first
@@ -535,6 +546,7 @@ pub(crate) fn poison_world(shared: &Arc<WorldShared>, fault: &Arc<FaultState>) {
         }
         mb.arrived.notify_all();
     }
+    shared.coll_slots.poison();
 }
 
 /// Shared tail of both peer-lost paths: record the report, fail the

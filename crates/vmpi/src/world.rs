@@ -214,16 +214,16 @@ impl World {
 impl Drop for World {
     fn drop(&mut self) {
         // Stop the chaos retransmit timers *before* the delivery queue
-        // drains inline: a drained retransmit job that re-armed itself
-        // would resend (and possibly re-drop) forever.
+        // drains, running every job at once: a drained retransmit job
+        // that re-armed itself would resend (and possibly re-drop) forever.
         if let Some(fault) = &self.shared.fault {
             fault
                 .shutdown
                 .store(true, std::sync::atomic::Ordering::SeqCst);
         }
-        // Release the fabric *before* the delivery queue drains inline: a
-        // drained poll job whose flow still shows contention would
-        // reschedule into a dead queue forever.
+        // Release the fabric *before* the delivery queue drains: a drained
+        // poll job whose flow still shows contention would reschedule
+        // itself forever.
         if let Some(fabric) = &self.shared.fabric {
             fabric.release_all();
         }
@@ -272,11 +272,11 @@ mod tests {
         assert_eq!(sums, vec![4, 0, 1, 2, 3]);
     }
 
-    /// The route rules of `Comm::isend_impl` as a table: which stage
-    /// takes a message, by where it goes and what the world has installed.
-    /// A self-send is local; under a fault plan every other send is a
-    /// reliability frame and the fabric sees nothing; otherwise only
-    /// inter-node sends enter an installed fabric.
+    /// The layers of `Comm::isend_impl` as a table: which ones a message
+    /// passes, by where it goes and what the world has installed. A
+    /// self-send is local; under a fault plan every other send is a
+    /// reliability frame; framed or not, only inter-node transmissions
+    /// enter an installed fabric, one flow each.
     #[test]
     fn send_route_composition_table() {
         use crate::{ChaosConfig, FabricParams};
@@ -311,10 +311,9 @@ mod tests {
                 let (data, _) = world.comm_for(dst).recv::<u8>(0, 3).unwrap();
                 send.wait();
                 assert_eq!(data, [7]);
-                let chaos = shared.fault.is_some();
-                let on_fabric = shared.fabric.is_some() && !chaos && dst == 2;
+                let on_fabric = shared.fabric.is_some() && dst == 2;
                 assert_eq!(flows() - flows0, on_fabric as u64, "{name}/{place}: flows");
-                let framed = chaos && dst != 0;
+                let framed = shared.fault.is_some() && dst != 0;
                 assert_eq!(frames() - frames0, framed as u64, "{name}/{place}: frames");
             }
             if let Some(fault) = &shared.fault {
@@ -324,6 +323,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every frame transmission on the fabric is one flow, dropped ones,
+    /// retransmissions and duplicates included, and a poll retires each:
+    /// a lossy world on the fabric leaves no flow behind.
+    #[test]
+    fn a_lossy_world_on_the_fabric_leaves_no_flow_behind() {
+        use crate::{ChaosConfig, FabricParams};
+        use std::sync::atomic::Ordering::Relaxed;
+        let topo = FabricParams {
+            ranks_per_node: 1,
+            ..FabricParams::cluster()
+        };
+        let net = NetworkModel::from_fabric(&topo).with_fabric(topo);
+        let plan = ChaosConfig {
+            seed: 3,
+            drop_p: 0.3,
+            dup_p: 0.3,
+            retry_budget: 20,
+            rto: Duration::from_millis(1),
+            ..ChaosConfig::default()
+        };
+        let world = World::with_chaos(3, net, Some(plan));
+        let fabric = Arc::clone(world.shared.fabric.as_ref().expect("fabric world"));
+        let fault = Arc::clone(world.shared.fault.as_ref().expect("chaos world"));
+        world.run(|comm| {
+            let (next, prev) = ((comm.rank() + 1) % 3, (comm.rank() + 2) % 3);
+            for i in 0..40i32 {
+                let send = comm.isend(&[i; 64], next, i).unwrap();
+                let (data, _) = comm.recv::<i32>(prev as i32, i).unwrap();
+                assert_eq!(data, [i; 64]);
+                send.wait_checked().unwrap();
+            }
+            comm.barrier().unwrap();
+        });
+        drop(world);
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Relaxed);
+        let c = &fault.counters;
+        assert!(count(&c.drops) > 0 && count(&c.dups) > 0 && count(&c.retransmits) > 0);
+        assert_eq!(fabric.flows_injected(), count(&c.frames) + count(&c.dups));
+        assert_eq!(fabric.flows_in_flight(), 0, "a flow outlived its world");
+    }
+
+    /// Hierarchical collectives under a crash plan fail instead of
+    /// hanging. Rank 2, node 1's leader, is dead from the start, and
+    /// rank 1 waits for a message from it, so node 0's leader waits in
+    /// its slot for a deposit that never comes. The heartbeat poisons the
+    /// world, and every rank, that leader included, gets an error.
+    #[test]
+    fn hier_collectives_under_a_crash_fail_on_every_rank() {
+        use crate::{ChaosConfig, CollAlgo, ReduceOp};
+        let net = (NetworkModel::instant().with_ranks_per_node(2)).with_coll(CollAlgo::Hier);
+        let plan = ChaosConfig {
+            crash_rank: Some(2),
+            retry_budget: 2,
+            rto: Duration::from_millis(1),
+            ..ChaosConfig::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let world = World::with_chaos(4, net, Some(plan));
+            let _ = tx.send(world.run(|comm| {
+                let run = || -> crate::Result<()> {
+                    match comm.rank() {
+                        2 => comm.send(&[1u8], 1, 0)?,
+                        1 => drop(comm.recv::<u8>(2, 0)?),
+                        _ => {}
+                    }
+                    for i in 0..1000i64 {
+                        comm.allreduce_scalar(i, ReduceOp::Sum)?;
+                        comm.barrier()?;
+                    }
+                    Ok(())
+                };
+                run().err()
+            }));
+        });
+        let errors = (rx.recv_timeout(Duration::from_secs(30))).expect("a rank hung");
+        assert!(errors.iter().all(Option::is_some), "{errors:?}");
     }
 
     /// A receive reads the poison flag under the mailbox lock the drain
@@ -459,7 +537,7 @@ mod tests {
         let world = World::new(6, NetworkModel::instant());
         world.run(|comm| {
             let color = (comm.rank() % 2) as i64;
-            let sub = comm.split(color, comm.rank() as i64);
+            let sub = comm.split(color, comm.rank() as i64).unwrap();
             assert_eq!(sub.size(), 3);
             let sum = sub
                 .allreduce_scalar(comm.rank() as i64, ReduceOp::Sum)

@@ -89,6 +89,7 @@ fn dropped_world_publishes_the_plan_position() {
         "the plan dropped nothing: {line}"
     );
     for (name, value) in [
+        ("vmpi.chaos.frames", field(&line, "frames")),
         ("vmpi.chaos.faults_injected", injected),
         ("vmpi.chaos.retransmits", field(&line, "retransmits")),
         ("vmpi.chaos.crc_rejected", field(&line, "crc-rejected")),

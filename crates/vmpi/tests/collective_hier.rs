@@ -10,7 +10,13 @@
 //!   trees must agree exactly;
 //! * allreduce over f64 Min/Max and over small exactly-representable
 //!   sums: identical because no rounding can occur;
-//! * allgather / barrier: pure data movement, identical by construction.
+//! * allgather / gather / barrier: pure data movement, identical by
+//!   construction.
+//!
+//! Each case also runs on a lossy wire, the scalar one or the fabric,
+//! under a fault plan the retry budget survives: the inter-node stage's
+//! frames are dropped, duplicated and delayed, and the answers must not
+//! move.
 //!
 //! This is the reproducibility contract the digest pipeline relies on:
 //! everything digest-critical folds integers or routes through
@@ -18,16 +24,53 @@
 //! collective routing.
 
 use proptest::prelude::*;
-use vmpi::{CollAlgo, NetworkModel, ReduceOp, World};
+use std::time::Duration;
+use vmpi::{ChaosConfig, CollAlgo, FabricParams, NetworkModel, PeerLostAction, ReduceOp, World};
 
-fn worlds(p: usize, rpn: usize) -> (World, World) {
-    let flat = World::new(p, NetworkModel::instant().with_ranks_per_node(rpn));
-    let hier = World::new(
-        p,
-        NetworkModel::instant()
-            .with_ranks_per_node(rpn)
-            .with_coll(CollAlgo::Hier),
-    );
+/// The transport a case runs on.
+#[derive(Clone, Copy, Debug)]
+enum Wire {
+    Instant,
+    /// The scalar wire under a survivable fault plan.
+    Lossy,
+    /// The fabric under the same plan: each frame transmission is a flow.
+    LossyFabric,
+}
+
+fn wire() -> impl Strategy<Value = Wire> {
+    prop_oneof![
+        Just(Wire::Instant),
+        Just(Wire::Lossy),
+        Just(Wire::LossyFabric)
+    ]
+}
+
+/// A flat and a hierarchical world of `p` ranks, `rpn` to a node.
+fn worlds(p: usize, rpn: usize, wire: Wire) -> (World, World) {
+    let net = match wire {
+        Wire::Instant => NetworkModel::instant().with_ranks_per_node(rpn),
+        Wire::Lossy => NetworkModel::new(Duration::from_micros(20), 1.0e9).with_ranks_per_node(rpn),
+        Wire::LossyFabric => {
+            let fab = FabricParams {
+                ranks_per_node: rpn,
+                ..FabricParams::cluster()
+            };
+            NetworkModel::from_fabric(&fab).with_fabric(fab)
+        }
+    };
+    let plan = (!matches!(wire, Wire::Instant)).then(|| ChaosConfig {
+        seed: (p * 10 + rpn) as u64,
+        drop_p: 0.05,
+        dup_p: 0.05,
+        delay_p: 0.1,
+        retry_budget: 20,
+        rto: Duration::from_millis(2),
+        // An exhausted budget fails the case instead of the process.
+        on_peer_lost: PeerLostAction::FailRequests,
+        ..ChaosConfig::default()
+    });
+    let flat = World::with_chaos(p, net.clone(), plan.clone());
+    let hier = World::with_chaos(p, net.with_coll(CollAlgo::Hier), plan);
     (flat, hier)
 }
 
@@ -45,8 +88,9 @@ proptest! {
             Just(ReduceOp::Max),
             Just(ReduceOp::Prod),
         ],
+        wire in wire(),
     ) {
-        let (flat, hier) = worlds(p, rpn);
+        let (flat, hier) = worlds(p, rpn, wire);
         let run = |world: &World| {
             world.run(|comm| {
                 let r = comm.rank() as u64;
@@ -70,18 +114,20 @@ proptest! {
     }
 
     #[test]
-    fn allgather_hier_matches_flat(
+    fn allgather_and_gather_hier_match_flat(
         p in 1usize..9,
         rpn in prop_oneof![Just(0usize), Just(1), Just(2), Just(3), Just(5)],
         seed in 0u64..1_000_000,
+        wire in wire(),
     ) {
-        let (flat, hier) = worlds(p, rpn);
+        let (flat, hier) = worlds(p, rpn, wire);
+        let root = seed as usize % p;
         let run = |world: &World| {
             world.run(|comm| {
                 // Variable per-rank sizes exercise the framed node blobs.
                 let r = comm.rank() as u64;
                 let mine: Vec<u64> = (0..=comm.rank()).map(|i| seed + r * 100 + i as u64).collect();
-                comm.allgather(&mine).unwrap()
+                (comm.allgather(&mine).unwrap(), comm.gather(&mine, root).unwrap())
             })
         };
         prop_assert_eq!(run(&flat), run(&hier));
@@ -93,13 +139,11 @@ proptest! {
 #[test]
 fn hier_barrier_synchronizes() {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    for (p, rpn) in [(4, 2), (6, 4), (8, 3), (5, 5), (7, 0), (3, 1)] {
-        let world = World::new(
-            p,
-            NetworkModel::instant()
-                .with_ranks_per_node(rpn)
-                .with_coll(CollAlgo::Hier),
-        );
+    let cases = [(4, 2), (6, 4), (8, 3), (5, 5), (7, 0), (3, 1)];
+    let wires = [Wire::Instant, Wire::Lossy, Wire::LossyFabric];
+    let mut retransmits = 0;
+    for ((p, rpn), wire) in cases.into_iter().flat_map(|c| wires.map(|w| (c, w))) {
+        let (_, world) = worlds(p, rpn, wire);
         let arrived = AtomicUsize::new(0);
         world.run(|comm| {
             for _ in 0..10 {
@@ -111,7 +155,15 @@ fn hier_barrier_synchronizes() {
             }
         });
         assert_eq!(arrived.load(Ordering::SeqCst), 10 * p);
+        for line in world.chaos_plan_position() {
+            let mut words = line.split_whitespace().skip_while(|w| *w != "retransmits");
+            retransmits += words.nth(1).map_or(0, |n| n.parse::<u64>().unwrap());
+        }
     }
+    assert!(
+        retransmits > 0,
+        "the lossy wires lost no frame of a leader stage"
+    );
 }
 
 /// Hierarchical collectives work on derived sub-communicators, whose
@@ -127,7 +179,9 @@ fn hier_collectives_on_split_comms() {
     );
     world.run(|comm| {
         // Odd/even split: each sub-communicator's members straddle nodes.
-        let sub = comm.split((comm.rank() % 2) as i64, comm.rank() as i64);
+        let sub = comm
+            .split((comm.rank() % 2) as i64, comm.rank() as i64)
+            .unwrap();
         let sum = sub
             .allreduce_scalar(comm.rank() as i64, ReduceOp::Sum)
             .unwrap();

@@ -18,7 +18,9 @@ const AT_RECV: i32 = 12;
 fn matched_src_is_communicator_local_on_both_sides() {
     let bus = obs::enable();
     World::new(3, NetworkModel::instant()).run(|comm| {
-        let sub = comm.split((comm.rank() > 0) as i64, comm.rank() as i64);
+        let sub = comm
+            .split((comm.rank() > 0) as i64, comm.rank() as i64)
+            .unwrap();
         if comm.rank() == 0 {
             return;
         }

@@ -9,7 +9,7 @@
 
 use miniamr::{Config, Variant};
 use std::time::Duration;
-use vmpi::{ChaosConfig, NetworkModel, PeerLostAction};
+use vmpi::{ChaosConfig, FabricParams, NetworkModel, PeerLostAction};
 
 fn soak_cfg() -> Config {
     let mut cfg = Config::smoke_test();
@@ -40,10 +40,24 @@ fn survivable_plan(seed: u64) -> ChaosConfig {
     }
 }
 
-fn digest_of(cfg: &Config, variant: Variant) -> u64 {
+/// The scalar wire.
+fn scalar() -> NetworkModel {
+    NetworkModel::new(Duration::from_micros(50), 1.0e9)
+}
+
+/// The contention-aware fabric, every rank on its own node: each frame
+/// transmission is a flow.
+fn fabric() -> NetworkModel {
+    let p = FabricParams {
+        ranks_per_node: 0,
+        ..FabricParams::cluster()
+    };
+    NetworkModel::from_fabric(&p).with_fabric(p)
+}
+
+fn digest_of(cfg: &Config, variant: Variant, net: NetworkModel) -> u64 {
     let mut cfg = cfg.clone();
     cfg.variant = variant;
-    let net = NetworkModel::new(Duration::from_micros(50), 1.0e9);
     let stats = miniamr::run_world(&cfg, cfg.params.num_ranks(), net);
     for s in &stats {
         assert_eq!(
@@ -72,16 +86,18 @@ fn digest_of(cfg: &Config, variant: Variant) -> u64 {
 fn chaos_digests_match_fault_free_across_variants_and_seeds() {
     let base = soak_cfg();
     for variant in [Variant::MpiOnly, Variant::ForkJoin, Variant::DataFlow] {
-        let reference = digest_of(&base, variant);
-        for seed in [11, 42, 1337] {
-            let mut cfg = base.clone();
-            cfg.chaos = Some(survivable_plan(seed));
-            cfg.ckpt_freq = 4;
-            let got = digest_of(&cfg, variant);
-            assert_eq!(
-                got, reference,
-                "variant {variant:?} seed {seed}: chaos run diverged from fault-free digest"
-            );
+        let reference = digest_of(&base, variant, scalar());
+        for (wire, net) in [("scalar", scalar as fn() -> _), ("fabric", fabric)] {
+            for seed in [11, 42, 1337] {
+                let mut cfg = base.clone();
+                cfg.chaos = Some(survivable_plan(seed));
+                cfg.ckpt_freq = 4;
+                let got = digest_of(&cfg, variant, net());
+                assert_eq!(
+                    got, reference,
+                    "variant {variant:?} seed {seed} on the {wire} wire: chaos run diverged from fault-free digest"
+                );
+            }
         }
     }
 }
@@ -91,12 +107,12 @@ fn checkpoint_cadence_is_invisible_to_results() {
     // Checkpoints are pure reads; any frequency must leave the digest
     // untouched even without faults.
     let base = soak_cfg();
-    let reference = digest_of(&base, Variant::DataFlow);
+    let reference = digest_of(&base, Variant::DataFlow, scalar());
     for freq in [1, 5] {
         let mut cfg = base.clone();
         cfg.ckpt_freq = freq;
         assert_eq!(
-            digest_of(&cfg, Variant::DataFlow),
+            digest_of(&cfg, Variant::DataFlow, scalar()),
             reference,
             "ckpt_freq {freq} changed results"
         );
