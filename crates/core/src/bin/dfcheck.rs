@@ -15,8 +15,8 @@
 //! ```
 //!
 //! The human-readable report goes to stderr, the JSON report to stdout.
-//! Exit status: 0 when every checked scenario is clean, `{STATIC}` when
-//! any check fails, 2 on a usage error.
+//! Exit status: 0 when every checked scenario is clean, 95 when any check
+//! fails, 2 on a usage error (`cli::exit`).
 
 use miniamr::cli;
 
@@ -59,6 +59,6 @@ fn main() {
         println!("{j}");
     }
     if failed {
-        std::process::exit(dfcheck::STATIC_EXIT_CODE);
+        std::process::exit(cli::exit::STATICCHECK);
     }
 }

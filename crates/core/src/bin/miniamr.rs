@@ -123,17 +123,27 @@ fn main() {
     }
     // Likewise the sanitizer: runtimes and buffers register with depsan at
     // construction time, so it must be on before any of them exist.
+    // Both monitors end the process from their own thread: a violation
+    // leaves the run's next step undefined, and a stalled run has nobody
+    // left to return an error to.
     if live.sanitize {
-        depsan::enable(depsan::Mode::Exit);
+        depsan::enable();
+        depsan::on_first_violation(|v| {
+            eprint!("{v}");
+            eprintln!("depsan: exiting with code {}", exit::SANITIZER);
+            std::process::exit(exit::SANITIZER)
+        });
         eprintln!(
             "miniamr: depsan enabled (exit code {} on first violation)",
             exit::SANITIZER
         );
     }
     let _watchdog = (live.watchdog_ms > 0).then(|| {
-        obs::Watchdog::start(obs::WatchdogConfig::exiting(Duration::from_millis(
-            live.watchdog_ms,
-        )))
+        obs::Watchdog::start(Duration::from_millis(live.watchdog_ms), |dump| {
+            eprint!("{dump}");
+            eprintln!("obs-watchdog: exiting with code {}", exit::STALL);
+            std::process::exit(exit::STALL)
+        })
     });
     // The collector drains the bus online (so long runs never overflow
     // the rings) and hands back the merged stream for both the Chrome
@@ -216,8 +226,8 @@ fn main() {
     let stats = finished.swap_remove(0);
     let wall = start.elapsed();
     if live.sanitize {
-        // Mode::Exit terminates on the first violation, so reaching this
-        // point means the run was clean.
+        // The first violation ends the process, so reaching this point
+        // means the run was clean.
         eprintln!("miniamr: depsan: no violations detected");
     }
 

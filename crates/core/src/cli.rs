@@ -20,23 +20,24 @@ use Variant::{DataFlow, ForkJoin, MpiOnly};
 
 /// The one exit table: every code a `miniamr` process can end with, as
 /// constants for the code that exits and as [`exit::ROWS`] for the texts
-/// that explain them (`--help` and README's table). Its `main` decides all
-/// of them but the two monitors', which it arms explicitly: a hung process
-/// cannot return an error to anybody.
+/// that explain them (`--help` and README's table). Only the binaries'
+/// `main` ends a process: the libraries return errors, and the two
+/// monitors, which have no caller left to return to (a hung process, a
+/// run whose next step is undefined), call the handlers `main` installed.
 pub mod exit {
     /// A checksum validation failed, or an output file was not written.
     pub const FAILED: i32 = 1;
     /// Bad flags, a rejected scenario, or a meaningless machine.
     pub const USAGE: i32 = 2;
-    /// `--watchdog_ms`: the stall watchdog's thread saw no progress.
-    pub const STALL: i32 = obs::STALL_EXIT_CODE;
+    /// `--watchdog_ms`: the stall watchdog saw no progress.
+    pub const STALL: i32 = 86;
     /// The run returned a [`crate::RunError`] (its `exit_code`; a
     /// scenario the run rejects, over `--max_blocks`, exits [`USAGE`]).
-    pub const RUN_ERROR: i32 = vmpi::PEER_LOST_EXIT_CODE;
-    /// `--staticcheck` found a defect before anything ran.
-    pub const STATICCHECK: i32 = dfcheck::STATIC_EXIT_CODE;
-    /// `--sanitize`: depsan stopped the process on the first violation.
-    pub const SANITIZER: i32 = depsan::SAN_EXIT_CODE;
+    pub const RUN_ERROR: i32 = 88;
+    /// `--staticcheck` or `dfcheck` found a defect before anything ran.
+    pub const STATICCHECK: i32 = 95;
+    /// `--sanitize`: depsan found a violation.
+    pub const SANITIZER: i32 = 97;
 
     /// One exit code and what it means.
     pub struct Row {
@@ -74,7 +75,8 @@ pub mod exit {
             short: "stall",
             when: "`--watchdog_ms`: no event-bus progress for the window while \
                    work is pending",
-            decided_by: "the `obs` watchdog thread (`StallAction::ExitProcess`)",
+            decided_by: "`miniamr`'s `main`, in the stall handler it gives \
+                         `obs::Watchdog::start` (on the watchdog thread)",
         },
         Row {
             code: RUN_ERROR,
@@ -94,7 +96,8 @@ pub mod exit {
             code: SANITIZER,
             short: "sanitizer violation",
             when: "`--sanitize`: the first depsan violation",
-            decided_by: "`depsan`, on the violating thread (`Mode::Exit`)",
+            decided_by: "`miniamr`'s `main`, in the handler it gives \
+                         `depsan::on_first_violation` (on the violating thread)",
         },
     ];
 

@@ -177,7 +177,7 @@ fn verdict(row: &Row, run: &Run, classes: &mut HashMap<&str, String>) -> Result<
     };
     let want = match row.expect {
         Exit(want) => want,
-        Findings(codes) if !codes.is_empty() => dfcheck::STATIC_EXIT_CODE,
+        Findings(codes) if !codes.is_empty() => cli::exit::STATICCHECK,
         _ => 0,
     };
     if code != want {

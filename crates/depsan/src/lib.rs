@@ -64,47 +64,36 @@ use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Exit code used by [`Mode::Exit`] when a violation is reported
-/// (distinct from the stall watchdog's 86).
-pub const SAN_EXIT_CODE: i32 = 97;
+// Process-wide because the hooks sit where no run context reaches (the
+// claim table inside `shmem`, every spawn, every match) and the ids they
+// see are process-wide; the disabled path is one relaxed load.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// What to do when a violation is detected.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Mode {
-    /// Accumulate violations for [`take_violations`] (tests).
-    Record,
-    /// Print a structured report to stderr and exit with
-    /// [`SAN_EXIT_CODE`] immediately (the `--sanitize` CLI flag). Exiting
-    /// on the first violation matters: the bugs depsan exists to catch
-    /// (missing edges, aliased tags) usually deadlock the run before an
-    /// end-of-run report could be printed.
-    Exit,
+/// Turns the sanitizer on (idempotent). Every violation is recorded for
+/// [`take_violations`]; the first also goes to the handler installed by
+/// [`on_first_violation`], if any.
+pub fn enable() {
+    ENABLED.store(true, Ordering::Release);
 }
 
-const MODE_OFF: u8 = 0;
-const MODE_RECORD: u8 = 1;
-const MODE_EXIT: u8 = 2;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_OFF);
-
-/// Turns the sanitizer on in the given mode (idempotent; the mode of the
-/// last call wins).
-pub fn enable(mode: Mode) {
-    let m = match mode {
-        Mode::Record => MODE_RECORD,
-        Mode::Exit => MODE_EXIT,
-    };
-    MODE.store(m, Ordering::Release);
+/// Installs the handler the next violation is handed to, on the
+/// violating thread, once it is recorded. `miniamr --sanitize` prints it
+/// and ends the process there: the bugs depsan exists to catch (missing
+/// edges, aliased tags) usually deadlock the run before an end-of-run
+/// report could be printed. The handler runs with depsan's state locked,
+/// so it must not call back into depsan.
+pub fn on_first_violation(handler: impl FnOnce(&Violation) + Send + 'static) {
+    state().on_first = Some(Box::new(handler));
 }
 
 /// True once [`enable`] has been called. Cheap enough to gate every
 /// instrumentation site with.
 #[inline]
 pub fn is_enabled() -> bool {
-    MODE.load(Ordering::Relaxed) != MODE_OFF
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// A declared access, as seen by depsan. Raw ids keep this crate at the
@@ -276,6 +265,8 @@ struct ObjState {
     actual: Vec<ActEntry>,
 }
 
+type Handler = Box<dyn FnOnce(&Violation) + Send>;
+
 #[derive(Default)]
 struct State {
     next_san: u64,
@@ -286,10 +277,13 @@ struct State {
     violations: Vec<Violation>,
     reported_undeclared: HashSet<(u64, u64, bool)>,
     reported_races: HashSet<(u64, u64)>,
-    chaos_losses: Vec<ChaosLoss>,
+    /// Called with the next violation ([`on_first_violation`]).
+    on_first: Option<Handler>,
 }
 
 fn state() -> MutexGuard<'static, State> {
+    // Process-wide for the same reason as `ENABLED`: task and object ids
+    // are global across runtimes, so closures and histories are too.
     static STATE: OnceLock<Mutex<State>> = OnceLock::new();
     STATE.get_or_init(|| Mutex::new(State::default())).lock()
 }
@@ -314,13 +308,10 @@ fn report_locked(st: &mut State, v: Violation) {
             detail: Box::leak(v.detail.clone().into_boxed_str()),
         });
     }
-    match MODE.load(Ordering::Relaxed) {
-        MODE_EXIT => {
-            eprint!("{v}");
-            eprintln!("depsan: exiting with code {SAN_EXIT_CODE}");
-            std::process::exit(SAN_EXIT_CODE);
-        }
-        _ => st.violations.push(v),
+    let first = st.on_first.take();
+    st.violations.push(v);
+    if let (Some(handler), Some(v)) = (first, st.violations.last()) {
+        handler(v);
     }
 }
 
@@ -711,61 +702,9 @@ pub fn record_access(obj: u64, start: usize, end: usize, write: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos-loss registry (fault-injection integration).
-
-/// A message the fault plan permanently removed from the network — a
-/// hard-crashed sender's frame or a frame whose retry budget exhausted.
-/// The finalize-leak lint excuses one matching pending receive per
-/// recorded loss: the receive leaked because chaos *intentionally*
-/// destroyed its message, not because the program forgot a send.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChaosLoss {
-    /// World rank whose mailbox will be missing the message.
-    pub dst_rank: u32,
-    /// Communicator-local source rank of the lost message.
-    pub src: usize,
-    /// Tag of the lost message.
-    pub tag: i32,
-    /// Communicator id of the lost message.
-    pub comm: u64,
-}
-
-/// Records a message the fault plan destroyed for good (called by the
-/// vmpi reliability layer on `FaultInjected { kind: crash-drop }` and on
-/// peer-lost). No-op while the sanitizer is disabled.
-pub fn note_chaos_loss(dst_rank: u32, src: usize, tag: i32, comm: u64) {
-    if !is_enabled() {
-        return;
-    }
-    state().chaos_losses.push(ChaosLoss {
-        dst_rank,
-        src,
-        tag,
-        comm,
-    });
-}
-
-/// Takes (consumes) the recorded losses destined for `dst_rank` — the
-/// finalize scan of that rank's mailbox matches them against pending
-/// receives exactly once.
-pub fn take_chaos_losses_for(dst_rank: u32) -> Vec<ChaosLoss> {
-    let mut st = state();
-    let mut taken = Vec::new();
-    st.chaos_losses.retain(|l| {
-        if l.dst_rank == dst_rank {
-            taken.push(*l);
-            false
-        } else {
-            true
-        }
-    });
-    taken
-}
-
-// ---------------------------------------------------------------------------
 // Test / report plumbing.
 
-/// Drains accumulated violations (Record mode).
+/// Drains the recorded violations.
 pub fn take_violations() -> Vec<Violation> {
     std::mem::take(&mut state().violations)
 }
@@ -791,7 +730,7 @@ mod tests {
 
     fn setup() -> parking_lot::MutexGuard<'static, ()> {
         let g = TEST_LOCK.lock();
-        enable(Mode::Record);
+        enable();
         reset_for_testing();
         g
     }
@@ -951,6 +890,31 @@ mod tests {
         let v = take_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, ViolationKind::UndeclaredWrite);
+    }
+
+    #[test]
+    fn first_violation_reaches_the_handler_once_and_all_are_recorded() {
+        let _g = setup();
+        let (tx, rx) = std::sync::mpsc::channel();
+        on_first_violation(move |v| tx.send(v.kind).unwrap());
+        let rt = runtime_created();
+        let t = task_spawned(rt, "bad", 0, &[decl(5, 0, 10, true)], None);
+        with_scope(t, || {
+            record_access(5, 10, 20, true);
+            record_access(5, 10, 20, false);
+        });
+        assert_eq!(
+            rx.try_iter().collect::<Vec<_>>(),
+            [ViolationKind::UndeclaredWrite]
+        );
+        let kinds: Vec<_> = take_violations().iter().map(|v| v.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                ViolationKind::UndeclaredWrite,
+                ViolationKind::UndeclaredRead
+            ]
+        );
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! The model is recorded through the [`taskrt::Submitter`] seam: the
 //! *same* elaboration code that drives the live runtime feeds the
 //! [`Recorder`], so the model cannot drift from what would execute.
-//!
-//! Process exit code [`STATIC_EXIT_CODE`] (95) signals a failed check.
 
 #![warn(missing_docs)]
 
@@ -39,11 +37,6 @@ pub mod report;
 
 pub use model::{BarrierKind, Event, Model, ModelStats, NodeKind, Recorder, SchedCtx, TaskNode};
 pub use report::{Finding, Report, Site};
-
-/// Process exit code of a failed static check (`miniamr --staticcheck`
-/// and the `dfcheck` binary): distinct from usage errors (2), the stall
-/// watchdog (86), peer loss (88) and the dynamic sanitizer (97).
-pub const STATIC_EXIT_CODE: i32 = 95;
 
 /// Runs the full pass pipeline over a model and returns the report.
 pub fn check(model: &Model) -> Report {

@@ -13,7 +13,7 @@
 //! * a **metrics registry** ([`metrics`]) of named atomic counters and
 //!   gauges surfaced in the CLI summary;
 //! * a **stall watchdog** ([`Watchdog`]) that turns silent dataflow
-//!   deadlocks into a diagnostic dump and a nonzero exit.
+//!   deadlocks into a diagnostic dump, handed to its owner.
 //!
 //! Everything is off by default. The *only* cost on the disabled path is
 //! a relaxed atomic load and a branch (`bus()` returning `None`), so the
@@ -35,14 +35,15 @@ pub use bus::{Drained, EventBus, DEFAULT_RING_CAPACITY};
 pub use chrome::export_chrome;
 pub use event::{Event, EventData, LANE_MAIN, LANE_NET, UNKNOWN_RANK};
 pub use metrics::{metrics, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
-pub use watchdog::{
-    diagnostics, DiagGuard, DiagRegistry, StallAction, Watchdog, WatchdogConfig, STALL_EXIT_CODE,
-};
+pub use watchdog::{diagnostics, DiagGuard, DiagRegistry, Watchdog};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
+// Process-wide because one trace spans the process: every world, runtime
+// and job (`--jobs N`) emits into the one bus that `--trace-json` exports,
+// and the disabled path must stay one relaxed load with no handle to pass.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static BUS: OnceLock<EventBus> = OnceLock::new();
 

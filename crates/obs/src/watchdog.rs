@@ -9,8 +9,10 @@
 //! requests, unmatched mailbox messages) plus the longest
 //! currently-blocked causal chain reconstructed from the event rings
 //! ([`crate::span::blocked_chain_report`] — the same machinery as the
-//! perf analyzer), and terminates the process with a distinctive exit
-//! code instead of hanging forever.
+//! perf analyzer), and hands that dump to the stall handler its owner
+//! installed: `miniamr`'s prints it and exits, so a hang becomes a
+//! diagnosis instead of a silent wait. The watchdog itself never ends
+//! the process.
 //!
 //! Layers register dump callbacks in the [`DiagRegistry`] rather than
 //! being called directly, so `obs` depends on nothing and every runtime
@@ -21,9 +23,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Exit code used when the watchdog terminates a stalled process.
-pub const STALL_EXIT_CODE: i32 = 86;
 
 type DiagFn = Box<dyn Fn() -> String + Send + Sync>;
 
@@ -99,38 +98,10 @@ impl Drop for DiagGuard {
 
 /// The process-global diagnostics registry.
 pub fn diagnostics() -> &'static DiagRegistry {
+    // Process-wide because a stall is: one watchdog watches every world
+    // and runtime in the process (`--jobs N`, a resize's successor world).
     static REGISTRY: OnceLock<DiagRegistry> = OnceLock::new();
     REGISTRY.get_or_init(DiagRegistry::default)
-}
-
-/// What the watchdog does when it confirms a stall.
-pub enum StallAction {
-    /// Print the dump to stderr and end the process with the code.
-    ExitProcess(i32),
-    /// Hand the dump to a callback (tests; embedding).
-    Report(Box<dyn Fn(String) + Send>),
-}
-
-/// Watchdog tuning.
-pub struct WatchdogConfig {
-    /// How long the bus sequence may sit still before the process is
-    /// considered stalled.
-    pub stall: Duration,
-    /// Sampling period (defaults to a quarter of `stall`).
-    pub poll: Duration,
-    /// Action on a confirmed stall.
-    pub action: StallAction,
-}
-
-impl WatchdogConfig {
-    /// Exit-the-process configuration with the given stall period.
-    pub fn exiting(stall: Duration) -> WatchdogConfig {
-        WatchdogConfig {
-            stall,
-            poll: (stall / 4).max(Duration::from_millis(10)),
-            action: StallAction::ExitProcess(STALL_EXIT_CODE),
-        }
-    }
 }
 
 struct Stop {
@@ -146,9 +117,14 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Starts the monitor. Enables the event bus if it is not already
-    /// enabled — without bus traffic there is no progress signal.
-    pub fn start(config: WatchdogConfig) -> Watchdog {
+    /// Starts the monitor. Once the bus sequence sat still for `stall`
+    /// while some layer reports pending work, `on_stall` receives the
+    /// dump on the watchdog's thread; the watchdog then waits another
+    /// `stall` before it reports again. Enables the event bus if it is
+    /// not already enabled — without bus traffic there is no progress
+    /// signal.
+    pub fn start(stall: Duration, on_stall: impl Fn(String) + Send + 'static) -> Watchdog {
+        let poll = (stall / 4).max(Duration::from_millis(10));
         let bus = crate::enable();
         let stop = Arc::new(Stop {
             flag: AtomicBool::new(false),
@@ -167,7 +143,7 @@ impl Watchdog {
                         if stop2.flag.load(Ordering::Acquire) {
                             return;
                         }
-                        stop2.cond.wait_for(&mut guard, config.poll);
+                        stop2.cond.wait_for(&mut guard, poll);
                         if stop2.flag.load(Ordering::Acquire) {
                             return;
                         }
@@ -178,7 +154,7 @@ impl Watchdog {
                         last_change = Instant::now();
                         continue;
                     }
-                    if last_change.elapsed() < config.stall {
+                    if last_change.elapsed() < stall {
                         continue;
                     }
                     let mut dump = diagnostics().dump();
@@ -206,17 +182,8 @@ impl Watchdog {
                          pending work detected — dumping diagnostics\n",
                         last_change.elapsed().as_secs_f64()
                     );
-                    match &config.action {
-                        StallAction::ExitProcess(code) => {
-                            eprint!("{header}{dump}");
-                            eprintln!("obs-watchdog: exiting with code {code}");
-                            std::process::exit(*code);
-                        }
-                        StallAction::Report(f) => {
-                            f(format!("{header}{dump}"));
-                            last_change = Instant::now();
-                        }
-                    }
+                    on_stall(format!("{header}{dump}"));
+                    last_change = Instant::now();
                 }
             })
             .expect("spawn watchdog thread");
@@ -268,12 +235,8 @@ mod tests {
         let bus = crate::enable();
         let _guard = diagnostics().register("test-pending", || "1 blocked thing".to_string());
         let (tx, rx) = mpsc::channel::<String>();
-        let wd = Watchdog::start(WatchdogConfig {
-            stall: Duration::from_millis(80),
-            poll: Duration::from_millis(10),
-            action: StallAction::Report(Box::new(move |dump| {
-                let _ = tx.send(dump);
-            })),
+        let wd = Watchdog::start(Duration::from_millis(80), move |dump| {
+            let _ = tx.send(dump);
         });
         // Progress phase: keep the bus moving; the watchdog must stay
         // quiet.

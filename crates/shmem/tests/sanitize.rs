@@ -21,7 +21,7 @@ fn nest(buf: &Arc<SharedBuffer<f64>>, writers: &[u64]) {
 
 #[test]
 fn every_claim_records_one_access() {
-    depsan::enable(depsan::Mode::Record);
+    depsan::enable();
     depsan::reset_for_testing();
     let rt = depsan::runtime_created();
     let task = |label: &str| depsan::task_spawned(rt, label, 0, &[], None);

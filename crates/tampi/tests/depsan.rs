@@ -13,7 +13,7 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn setup() -> parking_lot::MutexGuard<'static, ()> {
     let guard = TEST_LOCK.lock();
-    depsan::enable(depsan::Mode::Record);
+    depsan::enable();
     depsan::reset_for_testing();
     guard
 }

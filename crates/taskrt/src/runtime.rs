@@ -486,7 +486,7 @@ impl Runtime {
     /// Creates a runtime from an explicit configuration.
     pub fn with_config(config: RuntimeConfig) -> Runtime {
         assert!(config.workers >= 1, "runtime needs at least one worker");
-        let (scheduler, locals) = Scheduler::new(config.workers, config.immediate_successor);
+        let scheduler = Scheduler::new(config.workers, config.immediate_successor);
         // The live-task map exists for diagnostics only (watchdog dumps);
         // in release builds without observability it is skipped entirely
         // so spawning pays no global lock for it.
@@ -531,14 +531,12 @@ impl Runtime {
                     .unwrap_or_default()
             })
         });
-        let workers = locals
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        let workers = (0..config.workers)
+            .map(|i| {
                 let rt = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("taskrt-worker-{i}"))
-                    .spawn(move || rt.scheduler.worker_loop(local, i))
+                    .spawn(move || rt.scheduler.worker_loop(i))
                     // Fails only when the OS refuses another thread (a
                     // `--workers` past its thread limit): resource
                     // exhaustion, like a failed allocation, not an error a

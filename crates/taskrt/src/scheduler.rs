@@ -1,12 +1,14 @@
 //! Work-stealing scheduler.
 //!
-//! Each worker owns a LIFO `crossbeam_deque::Worker`; ready tasks from
-//! outside (the main thread, the delivery thread of the communication
-//! substrate, another runtime's workers) land in a global injector, while
-//! tasks unblocked by a completing task are pushed to the completing
-//! worker's own deque — popped next because the deque is LIFO. That is
-//! the *immediate successor* policy the paper credits for the
-//! cache-locality (IPC) improvement of the data-flow variant.
+//! Each worker owns a queue it pushes to and pops from at the back
+//! (LIFO); ready tasks from outside (the main thread, the delivery thread
+//! of the communication substrate, another runtime's workers) land in a
+//! global injector, while tasks unblocked by a completing task are pushed
+//! to the completing worker's own queue — popped next because the owner's
+//! end is LIFO. That is the *immediate successor* policy the paper
+//! credits for the cache-locality (IPC) improvement of the data-flow
+//! variant. A thief takes from the front of a sibling's queue. Every
+//! queue is a `Mutex<VecDeque>`.
 //!
 //! ## Parking
 //!
@@ -20,9 +22,9 @@
 //! missed costs one tick, not a hang.
 
 use crate::task::TaskShared;
-use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,10 +40,18 @@ struct ParkState {
     pending_wakes: usize,
 }
 
+/// A worker's queue, on cache lines of its own: its owner locks it for
+/// every push and pop, and must not contend with a neighbour's queue.
+#[repr(align(128))]
+struct Queue(Mutex<VecDeque<TaskRef>>);
+
 pub(crate) struct Scheduler {
-    injector: Injector<TaskRef>,
-    hi_injector: Injector<TaskRef>,
-    stealers: Vec<Stealer<TaskRef>>,
+    /// One queue per worker, by worker index.
+    queues: Box<[Queue]>,
+    /// Ready tasks from outside the workers, FIFO; the high-priority
+    /// injector is looked at first.
+    injector: Mutex<VecDeque<TaskRef>>,
+    hi_injector: Mutex<VecDeque<TaskRef>>,
     /// Workers that announced they are about to park (or are parked).
     sleepers: AtomicUsize,
     park_lock: Mutex<ParkState>,
@@ -51,65 +61,49 @@ pub(crate) struct Scheduler {
 }
 
 thread_local! {
-    /// The local deque of the worker running on this thread, beside the
-    /// address of the scheduler that owns it (None on non-worker threads).
-    /// A task of one runtime may release a task of another (an event
-    /// hold dropped on a foreign worker), and the successor must not land
-    /// on a deque its own workers cannot reach.
-    static LOCAL: RefCell<Option<(*const Scheduler, Worker<TaskRef>)>> =
-        const { RefCell::new(None) };
+    /// The scheduler whose worker runs on this thread and that worker's
+    /// index (a null scheduler on non-worker threads). A task of one
+    /// runtime may release a task of another (an event hold dropped on a
+    /// foreign worker), and the successor must not land on a queue its
+    /// own workers do not pop.
+    static LOCAL: Cell<(*const Scheduler, usize)> = const { Cell::new((std::ptr::null(), 0)) };
 }
 
 impl Scheduler {
-    /// Creates the scheduler and the per-worker deques; returns the
-    /// scheduler plus the workers' local deques (handed to the worker
-    /// threads).
-    pub(crate) fn new(
-        n_workers: usize,
-        immediate_successor: bool,
-    ) -> (Scheduler, Vec<Worker<TaskRef>>) {
-        let locals: Vec<Worker<TaskRef>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
-        let stealers = locals.iter().map(|w| w.stealer()).collect();
-        (
-            Scheduler {
-                injector: Injector::new(),
-                hi_injector: Injector::new(),
-                stealers,
-                sleepers: AtomicUsize::new(0),
-                park_lock: Mutex::new(ParkState { pending_wakes: 0 }),
-                park_cond: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                immediate_successor,
-            },
-            locals,
-        )
+    /// Creates the scheduler with one queue per worker.
+    pub(crate) fn new(n_workers: usize, immediate_successor: bool) -> Scheduler {
+        Scheduler {
+            queues: (0..n_workers).map(|_| Queue(Mutex::default())).collect(),
+            injector: Mutex::default(),
+            hi_injector: Mutex::default(),
+            sleepers: AtomicUsize::new(0),
+            park_lock: Mutex::new(ParkState { pending_wakes: 0 }),
+            park_cond: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            immediate_successor,
+        }
     }
 
     /// Enqueues a ready task. `local_hint` marks the immediate successor
     /// of a task that just completed on this thread; it goes to this
-    /// thread's deque only if one of this scheduler's workers owns it.
+    /// thread's queue only if one of this scheduler's workers owns it.
     pub(crate) fn push(&self, task: TaskRef, local_hint: bool) {
-        let use_local = local_hint && self.immediate_successor;
-        if use_local {
-            let pushed = LOCAL.with(|l| match l.borrow().as_ref() {
-                Some((owner, w)) if std::ptr::eq(*owner, self) => {
-                    w.push(task.clone());
-                    true
-                }
-                _ => false,
-            });
-            if pushed {
+        if local_hint && self.immediate_successor {
+            let (owner, index) = LOCAL.get();
+            if std::ptr::eq(owner, self) {
+                self.queues[index].0.lock().push_back(task);
                 // Other workers may be idle; give them a chance to steal
                 // the rest of this worker's backlog.
                 self.notify();
                 return;
             }
         }
-        if task.priority > 0 {
-            self.hi_injector.push(task);
+        let injector = if task.priority > 0 {
+            &self.hi_injector
         } else {
-            self.injector.push(task);
-        }
+            &self.injector
+        };
+        injector.lock().push_back(task);
         self.notify();
     }
 
@@ -133,58 +127,39 @@ impl Scheduler {
         self.park_cond.notify_all();
     }
 
-    /// Worker `index`'s next task: its own deque, then the injectors,
+    /// Worker `index`'s next task: its own queue, then the injectors,
     /// then its siblings.
     fn find_task(&self, index: usize) -> Option<TaskRef> {
-        LOCAL.with(|l| {
-            let borrow = l.borrow();
-            // Invariant: only `worker_loop` calls this, after installing
-            // its deque in `LOCAL` for the thread's lifetime.
-            let (_, local) = borrow.as_ref().expect("worker deque installed");
-            self.find_in(local, index)
-        })
-    }
-
-    fn find_in(&self, local: &Worker<TaskRef>, index: usize) -> Option<TaskRef> {
-        if let Some(t) = local.pop() {
+        let local = &self.queues[index].0;
+        if let Some(t) = local.lock().pop_back() {
             return Some(t);
         }
-        loop {
-            match self.hi_injector.steal() {
-                crossbeam_deque::Steal::Success(t) => return Some(t),
-                crossbeam_deque::Steal::Retry => continue,
-                crossbeam_deque::Steal::Empty => break,
-            }
+        if let Some(t) = self.hi_injector.lock().pop_front() {
+            return Some(t);
         }
-        loop {
-            match self.injector.steal_batch_and_pop(local) {
-                crossbeam_deque::Steal::Success(t) => return Some(t),
-                crossbeam_deque::Steal::Retry => continue,
-                crossbeam_deque::Steal::Empty => break,
+        {
+            let mut injector = self.injector.lock();
+            if let Some(t) = injector.pop_front() {
+                // Take half of the rest along, so the next few tasks cost
+                // this worker no trip to the shared queue.
+                let batch = injector.len() / 2;
+                if batch > 0 {
+                    local.lock().extend(injector.drain(..batch));
+                }
+                return Some(t);
             }
         }
         // Steal from siblings, starting after our own index to spread
         // contention.
-        let n = self.stealers.len();
-        for k in 1..n {
-            let victim = (index + k) % n;
-            loop {
-                match self.stealers[victim].steal() {
-                    crossbeam_deque::Steal::Success(t) => return Some(t),
-                    crossbeam_deque::Steal::Retry => continue,
-                    crossbeam_deque::Steal::Empty => break,
-                }
-            }
-        }
-        None
+        let n = self.queues.len();
+        (1..n).find_map(|k| self.queues[(index + k) % n].0.lock().pop_front())
     }
 
-    /// The worker main loop. `index` is the worker's position in the
-    /// stealer array.
-    pub(crate) fn worker_loop(&self, local: Worker<TaskRef>, index: usize) {
+    /// The worker main loop. `index` is the worker's queue.
+    pub(crate) fn worker_loop(&self, index: usize) {
         // Timeline lane for events emitted while tasks run on this thread.
         obs::set_thread_worker(index as u32);
-        LOCAL.with(|l| *l.borrow_mut() = Some((self as *const Scheduler, local)));
+        LOCAL.set((self as *const Scheduler, index));
         loop {
             match self.find_task(index) {
                 Some(t) => t.execute(),
@@ -196,7 +171,7 @@ impl Scheduler {
                 }
             }
         }
-        LOCAL.with(|l| *l.borrow_mut() = None);
+        LOCAL.set((std::ptr::null(), 0));
     }
 
     /// Announce, look again, park (see the module docs). Returns to the

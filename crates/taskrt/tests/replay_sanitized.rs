@@ -41,7 +41,7 @@ impl Rng {
 #[test]
 fn sanitized_replay_matches_record_mode_edges() {
     depsan::reset_for_testing();
-    depsan::enable(depsan::Mode::Record);
+    depsan::enable();
 
     const OBJECTS: usize = 4;
     const RANDOM_TASKS: usize = 46;

@@ -72,6 +72,8 @@ impl DeliveryService {
                 obs::set_thread_worker(obs::LANE_NET);
                 worker.run_loop()
             })
+            // Fails only when the OS refuses another thread: resource
+            // exhaustion, stated under `World::with_chaos`'s `# Panics`.
             .expect("spawn vmpi delivery thread");
         *service.handle.lock() = Some(handle);
         service

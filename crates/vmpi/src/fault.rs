@@ -23,12 +23,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The exit code an embedding driver uses for a run that ended on an
-/// unrecoverable peer (this crate never exits the process). Distinct from
-/// the stall watchdog (86) and the depsan sanitizer (97) so CI can tell
-/// the three failure machineries apart.
-pub const PEER_LOST_EXIT_CODE: i32 = 88;
-
 /// What to do when a peer exhausts the retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PeerLostAction {
@@ -285,6 +279,12 @@ pub(crate) struct FaultState {
     pub counters: FaultCounters,
     /// One report per peer-lost declaration, in declaration order.
     pub reports: Mutex<Vec<PeerLostReport>>,
+    /// The frames the plan destroyed for good, each with its destination
+    /// world rank: a hard-crashed sender's frame, a frame whose retry
+    /// budget ran out, a send onto a dead channel. The finalize scan
+    /// excuses one matching pending receive per entry. Kept only while
+    /// depsan is on, the scan being its one reader.
+    pub lost: Mutex<Vec<(usize, MsgHeader)>>,
 }
 
 impl FaultState {
@@ -332,6 +332,7 @@ impl FaultState {
             poisoned: AtomicBool::new(false),
             counters: FaultCounters::default(),
             reports: Mutex::new(Vec::new()),
+            lost: Mutex::new(Vec::new()),
         })
     }
 

@@ -74,7 +74,7 @@ pub use comm::{
 pub use datatype::Pod;
 pub use error::{Result, VmpiError};
 pub use fabric::FabricParams;
-pub use fault::{ChaosConfig, PeerLostAction, PeerLostReport, PEER_LOST_EXIT_CODE};
+pub use fault::{ChaosConfig, PeerLostAction, PeerLostReport};
 pub use net::{CollAlgo, NetworkModel};
 pub use request::{Request, RequestSet};
 pub use shmem::{BufSlice, SharedBuffer};

@@ -283,28 +283,28 @@ impl MailboxInner {
 
     /// depsan finalize scan: anything still unmatched when the world is
     /// torn down is a leaked request — *except* receives whose messages
-    /// the fault plan destroyed for good (a crashed sender or an
-    /// exhausted retry budget). Each recorded loss excuses at most one
-    /// matching pending receive; leaks beyond the recorded losses are
-    /// still violations.
-    pub(crate) fn san_check_finalize(&self, rank: usize) {
+    /// the fault plan destroyed for good. `lost` is the world's ledger of
+    /// such frames ([`crate::fault::FaultState::lost`]); each entry bound
+    /// for `rank` excuses at most one matching pending receive and is
+    /// used up by it. Leaks beyond the ledger are still violations.
+    pub(crate) fn san_check_finalize(&self, rank: usize, lost: &mut Vec<(usize, MsgHeader)>) {
         if self.msgs.is_empty() && self.recvs.is_empty() {
             return;
         }
-        let mut losses = depsan::take_chaos_losses_for(rank as u32);
         let mut excused = 0usize;
         let leaked_recvs: Vec<&PendingRecv> = self
             .recvs
             .iter()
             .filter(|r| {
-                let hit = losses.iter().position(|l| {
-                    l.comm == r.comm
+                let hit = lost.iter().position(|&(dst, l)| {
+                    dst == rank
+                        && l.comm == r.comm
                         && (r.src == ANY_SOURCE || r.src as usize == l.src)
                         && (r.tag == ANY_TAG || r.tag == l.tag)
                 });
                 match hit {
                     Some(i) => {
-                        losses.swap_remove(i);
+                        lost.swap_remove(i);
                         excused += 1;
                         false
                     }

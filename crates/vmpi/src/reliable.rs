@@ -75,7 +75,7 @@ pub(crate) fn send(
         let ch = channels.entry((src, dst)).or_default();
         if ch.dead || poisoned {
             drop(channels);
-            note_loss(dst, &rec.frame);
+            note_loss(fault, dst, &rec.frame);
             return Err(if poisoned {
                 VmpiError::WorldDown
             } else {
@@ -94,12 +94,12 @@ pub(crate) fn send(
     Ok(())
 }
 
-/// depsan: the fault plan destroyed this frame for good, which excuses
-/// one matching pending receive on `dst` at finalize.
-fn note_loss(dst: usize, frame: &Frame) {
+/// The fault plan destroyed this frame for good: into the world's ledger
+/// of lost frames, which excuses one matching pending receive on `dst`
+/// at finalize.
+fn note_loss(fault: &FaultState, dst: usize, frame: &Frame) {
     if depsan::is_enabled() {
-        let hdr = &frame.hdr;
-        depsan::note_chaos_loss(dst as u32, hdr.src, hdr.tag, hdr.comm);
+        fault.lost.lock().push((dst, frame.hdr));
     }
 }
 
@@ -126,7 +126,7 @@ fn transmit(shared: &Arc<WorldShared>, fault: &Arc<FaultState>, src: usize, dst:
     // in `deliver_frame` through the same `is_crashed` check).
     if fault.is_crashed(src) {
         fault.counters.crash_drops.fetch_add(1, Ordering::Relaxed);
-        note_loss(dst, &frame);
+        note_loss(fault, dst, &frame);
         emit_fault("crash-drop", src, dst, tag, seq);
         // No delivery and no retransmit timer: dead ranks do not retry.
         // But the *receiver* is now waiting for data that will never
@@ -445,7 +445,7 @@ fn handle_peer_lost(
     seq: u64,
     rec: Inflight,
 ) {
-    note_loss(dst, &rec.frame);
+    note_loss(fault, dst, &rec.frame);
     let tag = rec.frame.hdr.tag;
     let report = PeerLostReport {
         reporter: src,

@@ -9,14 +9,29 @@ use std::time::{Duration, Instant};
 
 type Callback = Box<dyn FnOnce(&Status) + Send>;
 
+/// The status completion callbacks of a failed operation receive.
+const FAILED: Status = Status {
+    source: usize::MAX,
+    tag: -1,
+    bytes: 0,
+};
+
 pub(crate) struct RequestInner {
-    done: bool,
-    status: Option<Status>,
-    error: Option<VmpiError>,
+    /// `None` while in flight, then the operation's status or error.
+    outcome: Option<Result<Status>>,
     /// Payload kept for receives that own their data (taken by the user
     /// after completion).
     payload: Option<Vec<u8>>,
     callbacks: Vec<Callback>,
+}
+
+impl RequestInner {
+    /// The status callbacks receive: `None` while in flight, [`FAILED`]
+    /// for a failed operation.
+    fn status(&self) -> Option<Status> {
+        let outcome = self.outcome.as_ref()?;
+        Some(*outcome.as_ref().unwrap_or(&FAILED))
+    }
 }
 
 /// Shared completion state between the issuing rank and the delivery
@@ -30,9 +45,7 @@ impl RequestState {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(RequestState {
             inner: Mutex::new(RequestInner {
-                done: false,
-                status: None,
-                error: None,
+                outcome: None,
                 payload: None,
                 callbacks: Vec::new(),
             }),
@@ -45,9 +58,9 @@ impl RequestState {
     pub(crate) fn complete(&self, status: Status, payload: Option<Vec<u8>>) {
         let callbacks = {
             let mut inner = self.inner.lock();
-            debug_assert!(!inner.done, "request completed twice");
-            inner.done = true;
-            inner.status = Some(status);
+            debug_assert!(inner.outcome.is_none(), "request completed twice");
+            // Past the assertion (release builds), a failure stands.
+            inner.outcome.get_or_insert(Ok(status));
             inner.payload = payload;
             std::mem::take(&mut inner.callbacks)
         };
@@ -59,21 +72,14 @@ impl RequestState {
 
     /// Marks the request complete with an error.
     pub(crate) fn fail(&self, error: VmpiError) {
-        let status = Status {
-            source: usize::MAX,
-            tag: -1,
-            bytes: 0,
-        };
         let callbacks = {
             let mut inner = self.inner.lock();
-            inner.done = true;
-            inner.error = Some(error);
-            inner.status = Some(status);
+            inner.outcome = Some(Err(error));
             std::mem::take(&mut inner.callbacks)
         };
         self.cond.notify_all();
         for cb in callbacks {
-            cb(&status);
+            cb(&FAILED);
         }
     }
 }
@@ -97,9 +103,12 @@ impl Request {
     /// # Panics
     ///
     /// Panics if the operation completed with a transfer error (e.g. a
-    /// truncated receive). This mirrors MPI's default
-    /// `MPI_ERRORS_ARE_FATAL` handler; use [`Request::wait_checked`] to
-    /// handle errors programmatically.
+    /// truncated receive, or [`VmpiError::WorldDown`] once a lost peer
+    /// poisoned the world). This mirrors MPI's default
+    /// `MPI_ERRORS_ARE_FATAL` handler, and it is the designed unwind of a
+    /// rank whose world went down: the embedding driver catches it and
+    /// reads the world's reports. Use [`Request::wait_checked`] to handle
+    /// errors programmatically.
     pub fn wait(&self) -> Status {
         match self.wait_checked() {
             Ok(s) => s,
@@ -113,14 +122,16 @@ impl Request {
         let mut inner = self.state.inner.lock();
         // Only waits that actually park the thread become wait spans;
         // already-complete requests stay free of bus traffic.
-        let wait_from = if inner.done {
-            None
-        } else {
-            obs::bus().map(|b| b.now_us())
+        let wait_from = match inner.outcome {
+            Some(_) => None,
+            None => obs::bus().map(|b| b.now_us()),
         };
-        while !inner.done {
+        let outcome = loop {
+            if let Some(outcome) = &inner.outcome {
+                break outcome.clone();
+            }
             self.state.cond.wait(&mut inner);
-        }
+        };
         if let (Some(start_us), Some(bus)) = (wait_from, obs::bus()) {
             bus.emit(obs::EventData::WaitSpan {
                 kind: "request_wait",
@@ -128,10 +139,7 @@ impl Request {
                 end_us: bus.now_us(),
             });
         }
-        match &inner.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(inner.status.expect("completed request has a status")),
-        }
+        outcome
     }
 
     /// Blocks until the operation completes or `timeout` elapses. On
@@ -143,33 +151,35 @@ impl Request {
     pub fn wait_timeout(&self, timeout: Duration) -> Result<Status> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.state.inner.lock();
-        while !inner.done {
-            if self.state.cond.wait_until(&mut inner, deadline).timed_out() && !inner.done {
+        loop {
+            if let Some(outcome) = &inner.outcome {
+                return outcome.clone();
+            }
+            if self.state.cond.wait_until(&mut inner, deadline).timed_out()
+                && inner.outcome.is_none()
+            {
                 return Err(VmpiError::Timeout { waited: timeout });
             }
-        }
-        match &inner.error {
-            Some(e) => Err(e.clone()),
-            None => Ok(inner.status.expect("completed request has a status")),
         }
     }
 
     /// Non-blocking completion test. Returns the status if complete.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Request::wait`], if the operation completed with an error;
+    /// [`Request::error`] reads it without panicking.
     pub fn test(&self) -> Option<Status> {
-        let inner = self.state.inner.lock();
-        if inner.done {
-            if let Some(e) = &inner.error {
-                panic!("vmpi request failed: {e}");
-            }
-            inner.status
-        } else {
-            None
+        match &self.state.inner.lock().outcome {
+            None => None,
+            Some(Ok(status)) => Some(*status),
+            Some(Err(e)) => panic!("vmpi request failed: {e}"),
         }
     }
 
     /// Returns true once the operation has completed.
     pub fn is_complete(&self) -> bool {
-        self.state.inner.lock().done
+        self.state.inner.lock().outcome.is_some()
     }
 
     /// The error of an operation that completed unsuccessfully, without
@@ -179,7 +189,10 @@ impl Request {
     /// e.g. to tell a fatal [`VmpiError::Truncated`] from the
     /// [`VmpiError::WorldDown`] of an elastic world teardown.
     pub fn error(&self) -> Option<VmpiError> {
-        self.state.inner.lock().error.clone()
+        match &self.state.inner.lock().outcome {
+            Some(Err(e)) => Some(e.clone()),
+            _ => None,
+        }
     }
 
     /// Registers a callback invoked exactly once when the operation
@@ -191,14 +204,15 @@ impl Request {
     pub fn on_complete<F: FnOnce(&Status) + Send + 'static>(&self, f: F) {
         let status = {
             let mut inner = self.state.inner.lock();
-            if inner.done {
-                inner.status
-            } else {
-                inner.callbacks.push(Box::new(f));
-                return;
+            match inner.status() {
+                Some(status) => status,
+                None => {
+                    inner.callbacks.push(Box::new(f));
+                    return;
+                }
             }
         };
-        f(&status.expect("done request has status"));
+        f(&status);
     }
 
     /// Takes the received payload as a typed vector.
@@ -237,6 +251,10 @@ impl RequestSet {
     }
 
     /// Waits until all remaining requests complete.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Request::wait`], if a request completed with an error.
     pub fn waitall(&mut self) -> Vec<Status> {
         let mut out = Vec::with_capacity(self.remaining);
         for slot in self.requests.iter_mut() {
@@ -255,21 +273,22 @@ impl RequestSet {
     /// The implementation registers a one-shot waker on every pending
     /// request rather than polling, so a `waitany` loop costs O(n) per
     /// completion like a real MPI progress engine, not O(n²) spinning.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Request::wait`], if the completed request failed.
     pub fn waitany(&mut self) -> Option<(usize, Status)> {
         if self.remaining == 0 {
             return None;
         }
         // Fast path: something already finished.
         for (i, slot) in self.requests.iter_mut().enumerate() {
-            if let Some(req) = slot {
-                if req.is_complete() {
-                    let req = slot.take().expect("checked above");
-                    self.remaining -= 1;
-                    if let Some(bus) = obs::bus() {
-                        bus.emit(obs::EventData::WaitanyWake { index: i as u32 });
-                    }
-                    return Some((i, req.wait()));
+            if let Some(req) = slot.take_if(|r| r.is_complete()) {
+                self.remaining -= 1;
+                if let Some(bus) = obs::bus() {
+                    bus.emit(obs::EventData::WaitanyWake { index: i as u32 });
                 }
+                return Some((i, req.wait()));
             }
         }
         // Slow path: park until a callback fires.
@@ -285,22 +304,19 @@ impl RequestSet {
         }
         loop {
             for (i, slot) in self.requests.iter_mut().enumerate() {
-                if let Some(req) = slot {
-                    if req.is_complete() {
-                        let req = slot.take().expect("checked above");
-                        self.remaining -= 1;
-                        if let Some(bus) = obs::bus() {
-                            bus.emit(obs::EventData::WaitanyWake { index: i as u32 });
-                            if let Some(start_us) = wait_from {
-                                bus.emit(obs::EventData::WaitSpan {
-                                    kind: "waitany",
-                                    start_us,
-                                    end_us: bus.now_us(),
-                                });
-                            }
+                if let Some(req) = slot.take_if(|r| r.is_complete()) {
+                    self.remaining -= 1;
+                    if let Some(bus) = obs::bus() {
+                        bus.emit(obs::EventData::WaitanyWake { index: i as u32 });
+                        if let Some(start_us) = wait_from {
+                            bus.emit(obs::EventData::WaitSpan {
+                                kind: "waitany",
+                                start_us,
+                                end_us: bus.now_us(),
+                            });
                         }
-                        return Some((i, req.wait()));
                     }
+                    return Some((i, req.wait()));
                 }
             }
             let (lock, cond) = &*waker;

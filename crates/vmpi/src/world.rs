@@ -54,6 +54,7 @@ pub struct World {
 
 impl World {
     /// Creates a world of `n` ranks with the given network model.
+    /// Panics as [`World::with_chaos`] does.
     pub fn new(n: usize, net: NetworkModel) -> Self {
         Self::with_chaos(n, net, None)
     }
@@ -62,6 +63,11 @@ impl World {
     /// With `Some(chaos)`, every cross-rank message travels through the
     /// CRC/ack/retransmit reliability layer and the plan's faults; with
     /// `None` this is exactly [`World::new`].
+    ///
+    /// # Panics
+    ///
+    /// If `n` is 0, or if the OS refuses the delivery thread (resource
+    /// exhaustion).
     pub fn with_chaos(n: usize, net: NetworkModel, chaos: Option<crate::ChaosConfig>) -> Self {
         assert!(n > 0, "world needs at least one rank");
         let mailboxes = (0..n).map(|_| Mailbox::new()).collect();
@@ -123,6 +129,10 @@ impl World {
 
     /// Builds the world communicator handle for one rank. Prefer
     /// [`World::run`]; this is for tests driving ranks manually.
+    ///
+    /// # Panics
+    ///
+    /// If `rank` is not below the world's size.
     pub fn comm_for(&self, rank: usize) -> Comm {
         assert!(rank < self.shared.n, "rank {rank} out of range");
         let group: Arc<Vec<usize>> = Arc::new((0..self.shared.n).collect());
@@ -134,46 +144,47 @@ impl World {
     ///
     /// # Panics
     ///
-    /// If any rank's closure panics, the panic is propagated after all
-    /// threads have been joined.
+    /// If any rank's closure panics, the first panic is propagated after
+    /// all threads have been joined: the designed unwind of a world a
+    /// lost peer poisoned, which the embedding driver catches. Also if
+    /// the OS refuses a rank thread (resource exhaustion, like a failed
+    /// allocation).
     pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
         F: Fn(Comm) -> R + Send + Sync,
         R: Send,
     {
-        let n = self.shared.n;
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, slot) in results.iter_mut().enumerate() {
-                let comm = self.comm_for(rank);
-                let f = &f;
-                handles.push(
+            let handles: Vec<_> = (0..self.shared.n)
+                .map(|rank| {
+                    let comm = self.comm_for(rank);
+                    let f = &f;
                     std::thread::Builder::new()
                         .name(format!("vmpi-rank-{rank}"))
                         .spawn_scoped(s, move || {
                             // Attribute events from this thread to its rank's
                             // main timeline lane.
                             obs::set_thread_rank(rank as u32);
-                            *slot = Some(f(comm));
+                            f(comm)
                         })
-                        .expect("spawn rank thread"),
-                );
-            }
+                        .expect("spawn rank thread")
+                })
+                .collect();
+            let mut results = Vec::with_capacity(handles.len());
             let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
             for h in handles {
-                if let Err(e) = h.join() {
-                    panic.get_or_insert(e);
+                match h.join() {
+                    Ok(r) => results.push(r),
+                    Err(e) => {
+                        panic.get_or_insert(e);
+                    }
                 }
             }
             if let Some(p) = panic {
                 std::panic::resume_unwind(p);
             }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every rank produced a result"))
-            .collect()
+            results
+        })
     }
 }
 
@@ -237,14 +248,14 @@ impl Drop for World {
         // receive whose message never came). A world poisoned under
         // `PeerLostAction::AbortWorld` is exempt — its ranks unwound
         // mid-protocol by design, so leaks are expected, not bugs.
-        let poisoned = self
-            .shared
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.poisoned.load(std::sync::atomic::Ordering::SeqCst));
+        let fault = self.shared.fault.as_ref();
+        let poisoned = fault.is_some_and(|f| f.poisoned.load(std::sync::atomic::Ordering::SeqCst));
         if depsan::is_enabled() && !poisoned {
+            let mut lost = fault
+                .map(|f| std::mem::take(&mut *f.lost.lock()))
+                .unwrap_or_default();
             for (rank, mb) in self.shared.mailboxes.iter().enumerate() {
-                mb.inner.lock().san_check_finalize(rank);
+                mb.inner.lock().san_check_finalize(rank, &mut lost);
             }
         }
     }

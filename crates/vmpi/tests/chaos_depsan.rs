@@ -4,6 +4,9 @@
 //! exactly one matching pending receive per recorded loss — and still
 //! flags receives that leaked for ordinary reasons.
 //!
+//! The record of lost frames belongs to the world that lost them, so it
+//! excuses nothing in the next world of the process.
+//!
 //! Sanitizer state is process-global, so the tests serialize on a lock
 //! and reset state between runs (same idiom as tampi's depsan tests).
 
@@ -15,7 +18,7 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn setup() -> parking_lot::MutexGuard<'static, ()> {
     let guard = TEST_LOCK.lock();
-    depsan::enable(depsan::Mode::Record);
+    depsan::enable();
     depsan::reset_for_testing();
     guard
 }
@@ -96,4 +99,47 @@ fn unrelated_pending_recv_is_still_a_leak() {
         "detail should note the excused receive: {}",
         violations[0].detail
     );
+}
+
+/// A loss no receive matched stays with its world: it does not excuse a
+/// genuinely leaked receive in the next world of the process (an elastic
+/// respawn, another `--jobs` job), where every communicator id is the
+/// world's 0 again.
+#[test]
+fn unmatched_loss_does_not_excuse_a_leak_in_the_next_world() {
+    let _guard = setup();
+    let cfg = ChaosConfig {
+        seed: 23,
+        crash_rank: Some(1),
+        crash_after: 0,
+        retry_budget: 1,
+        rto: Duration::from_millis(1),
+        on_peer_lost: PeerLostAction::FailRequests,
+        ..ChaosConfig::default()
+    };
+    let net = NetworkModel::new(Duration::from_micros(10), 1.0e9).with_eager_threshold(8);
+    let lossy = World::with_chaos(2, net, Some(cfg));
+    lossy.run(|comm| {
+        if comm.rank() == 0 {
+            // Lost to the crashed peer, which posts nothing for it.
+            let req = comm.isend(&vec![4.0f64; 32], 1, 6).unwrap();
+            assert!(req.wait_checked().is_err());
+        }
+    });
+    drop(lossy);
+    assert!(depsan::take_violations().is_empty());
+
+    let clean = World::new(2, NetworkModel::instant());
+    clean.run(|comm| {
+        if comm.rank() == 1 {
+            // Nothing sends this: a leak, whatever the last world lost.
+            let _leaked = comm.irecv(0, 6).unwrap();
+        }
+    });
+    drop(clean);
+    let violations = depsan::take_violations();
+    let leaks = violations
+        .iter()
+        .filter(|v| v.kind == depsan::ViolationKind::FinalizeLeak);
+    assert_eq!(leaks.count(), 1, "{violations:?}");
 }

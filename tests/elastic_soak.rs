@@ -285,7 +285,7 @@ fn lost_peer_under_abort_is_an_error_the_caller_survives() {
             cfg.ckpt_freq = ckpt_freq;
             let err = run_to_outcome(&cfg, &ElasticOpts::default())
                 .expect_err("rank 1 dies early; the abort policy stops the run");
-            assert_eq!(err.exit_code(), vmpi::PEER_LOST_EXIT_CODE);
+            assert_eq!(err.exit_code(), miniamr::cli::exit::RUN_ERROR);
             let report = err.to_string();
             let RunError::PeerLost { reports, .. } = err else {
                 panic!("{variant:?}: expected PeerLost, got {err:?}");

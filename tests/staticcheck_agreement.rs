@@ -74,7 +74,7 @@ fn dfcheck_clean_implies_depsan_clean() {
             report.render_human()
         );
         // Dynamic side: the same scenario must run without a violation.
-        depsan::enable(depsan::Mode::Record);
+        depsan::enable();
         let _ = depsan::take_violations();
         let stats = miniamr::run_world(&cfg, cfg.params.num_ranks(), NetworkModel::instant());
         let violations = depsan::take_violations();

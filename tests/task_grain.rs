@@ -149,7 +149,7 @@ fn batched_streams_agree_bitwise_and_check_clean() {
     let report = miniamr::staticcheck::check(&cfg);
     assert!(report.clean(), "{}", report.render_human());
 
-    depsan::enable(depsan::Mode::Record);
+    depsan::enable();
     let _ = depsan::take_violations();
     // Beside the scenario itself, variable groups of uneven size (5
     // variables in groups of 2, 2 and 1): a message's buffer slot and tag
