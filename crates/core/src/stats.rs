@@ -70,7 +70,8 @@ pub struct RunStats {
     pub trace_hits: u64,
     /// Trace-scope iterations that recorded.
     pub trace_records: u64,
-    /// Recorded timesteps the cache closed (analyzed for replay) …
+    /// Compiled or recorded timesteps the cache closed (analyzed for
+    /// replay) …
     pub trace_closes: u64,
     /// … and the closes that froze a trace instead of parking it.
     pub trace_freezes: u64,
@@ -274,21 +275,21 @@ pub const SUMMARY: &[SummaryKey] = &[
     },
     SummaryKey {
         key: "trace_records",
-        meaning: "timesteps that recorded (an epoch's first traced one, and the one after \
-                  a divergence)",
+        meaning: "timesteps that recorded (an epoch's first traced one when it could not be \
+                  compiled, and the one after a divergence)",
         shown: Shown::Tasks,
         value: |r| Value::Count(r.sum(|s| s.trace_records)),
     },
     SummaryKey {
         key: "trace_closes",
-        meaning: "recorded streams analysed for replay",
+        meaning: "compiled or recorded streams analysed for replay",
         shown: Shown::Tasks,
         value: |r| Value::Count(r.sum(|s| s.trace_closes)),
     },
     SummaryKey {
         key: "trace_freezes",
-        meaning: "closes that froze a trace (the others park the stream until the next \
-                  regrid)",
+        meaning: "closes, of compiled or recorded streams, that froze a trace (the others \
+                  park the stream until the next regrid)",
         shown: Shown::Tasks,
         value: |r| Value::Count(r.sum(|s| s.trace_freezes)),
     },

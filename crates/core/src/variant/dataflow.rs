@@ -75,18 +75,12 @@ impl Exec for DataFlow {
     ///
     /// # Panics
     ///
-    /// If a task has no body: every task of a data-flow template posts
-    /// its own endpoint, so every one has.
+    /// If a task has no description: every task of a data-flow template
+    /// posts its own endpoint, so every one has a body.
     fn run(&self, _cx: &PhaseCtx, call: &Template) {
         for task in &call.tasks {
-            let body = task.body.as_ref().expect("a data-flow task has a body");
-            let spawn = (self.rt.task().label(task.label).priority(task.priority))
-                .access_list(Arc::clone(&task.accesses))
-                .body_shared(Arc::clone(body));
-            match &task.gate {
-                Some(gate) => spawn.on_ready_shared(Arc::clone(gate)).spawn(),
-                None => spawn.spawn(),
-            }
+            let desc = task.desc.as_ref().expect("a data-flow task has a body");
+            self.rt.spawn_desc(desc);
         }
         (self.batched_items).set(self.batched_items.get() + call.batched_items);
     }
@@ -100,12 +94,23 @@ impl Exec for DataFlow {
         }
     }
 
-    /// One trace scope per traced timestep: the first of a run of traced
-    /// timesteps is recorded, and each spawn of a later one re-arms the
-    /// task object its position recorded. A timestep whose neighbours
-    /// spawn other streams, or that is alone in its epoch, has nothing to
-    /// replay it, so it records nothing. Under `--replay off` no timestep
-    /// opens a scope, and the runtime's trace cache stays unarmed.
+    /// The epoch's first traced timestep is compiled from its templates,
+    /// unless a task is still live (the runtime refuses; that timestep is
+    /// recorded instead).
+    fn compile(&self, calls: &[&Template]) {
+        if self.replay {
+            let tasks = calls.iter().flat_map(|call| &call.tasks);
+            let descs = tasks.map(|t| t.desc.as_ref().expect("a data-flow task has a body"));
+            self.rt.compile_trace(0, descs);
+        }
+    }
+
+    /// One trace scope per traced timestep, and each spawn of a traced
+    /// timestep re-arms the task object at its position of the compiled
+    /// (or recorded) trace. A timestep whose neighbours spawn other
+    /// streams, or that is alone in its epoch, has nothing to replay it,
+    /// so it opens no scope. Under `--replay off` no timestep opens a
+    /// scope, and the runtime's trace cache stays unarmed.
     fn timestep(&self, traced: bool) -> Option<TraceScope<'_>> {
         (traced && self.replay).then(|| self.rt.trace_scope(0))
     }

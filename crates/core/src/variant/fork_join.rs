@@ -45,15 +45,12 @@ impl ForkJoin {
     }
 
     /// Runs one template task's body: inline under a phase span of its
-    /// label without a pool, else as a task declaring its accesses.
+    /// label without a pool, else as a spawn of its description.
     fn task(&self, t: &TemplateTask) {
-        let Some(body) = &t.body else { return };
+        let Some(desc) = &t.desc else { return };
         match &self.rt {
-            None => obs::phase_span(t.label, || body()),
-            Some(rt) => (rt.task().label(t.label))
-                .access_list(Arc::clone(&t.accesses))
-                .body_shared(Arc::clone(body))
-                .spawn(),
+            None => obs::phase_span(desc.label(), || desc.run_inline()),
+            Some(rt) => rt.spawn_desc(desc),
         }
     }
 

@@ -171,6 +171,11 @@ pub(crate) trait Exec {
     /// they return have nothing to wait for.
     fn wait(&self, _on: Option<ObjId>) {}
 
+    /// The first traced timestep of a mesh epoch is about to begin, and
+    /// `calls` are the templates it runs, in call order: a schedule that
+    /// replays can compile its trace from them.
+    fn compile(&self, _calls: &[&Template]) {}
+
     /// A timestep begins; the guard held over its submissions (the replay
     /// scope), opened only when it is `traced`.
     fn timestep(&self, _traced: bool) -> Option<TraceScope<'_>> {
@@ -186,6 +191,24 @@ pub(crate) trait Exec {
 
     /// Folds the executor's counters into the span's statistics.
     fn finish(&self, _stats: &mut RunStats) {}
+}
+
+/// The phase calls a step of the cadence makes, in order: per variable
+/// group a communicate then a stencil at a stage, the local sums at a
+/// checksum point, none at any other step. The live loop makes them, and
+/// the compile of a traced timestep describes them ahead of it.
+fn phase_calls(cfg: &Config, step: Step) -> impl Iterator<Item = (Phase, Range<usize>)> + '_ {
+    let groups = if let Step::Stage(_) = step {
+        0..cfg.num_groups()
+    } else {
+        0..0
+    };
+    let stage = groups.flat_map(|g| {
+        let vars = cfg.var_group(g);
+        [(Phase::Communicate, vars.clone()), (Phase::Stencil, vars)]
+    });
+    let sums = (step == Step::Sums).then_some((Phase::LocalSums, 0..cfg.params.num_vars));
+    stage.chain(sums)
 }
 
 /// Folds a hybrid executor's task counts into the span's statistics:
@@ -314,6 +337,8 @@ pub(crate) fn run_span(
     // the previous one, possibly still being produced.
     let mut pending: Option<LocalSums> = None;
     let mut ts_scope = None;
+    // Whether the mesh epoch's first traced timestep has begun.
+    let mut compiled = false;
     let steps = skeleton::cadence(cfg, ts_start, ts_end, ctx.publish_boundaries);
     for (i, &step) in steps.iter().enumerate() {
         let sw = Stopwatch::start();
@@ -329,36 +354,52 @@ pub(crate) fn run_span(
                         obs::EventData::TimestepMark { tstep: ts as u32 },
                     );
                 }
+                if traced && !std::mem::replace(&mut compiled, true) {
+                    // The timestep's calls, up to its end. A delayed
+                    // checksum's wait spawns a waiter task no template
+                    // describes: such a timestep is recorded instead.
+                    let rest = steps[i + 1..]
+                        .iter()
+                        .take_while(|&&s| s != Step::TimestepEnd);
+                    if !rest.clone().any(|&s| s == Step::WaitSums) {
+                        let calls = rest.flat_map(|&s| phase_calls(cfg, s));
+                        exec.compile(&templates.of_calls(&cx, calls));
+                    }
+                }
                 ts_scope = exec.timestep(traced);
             }
-            Step::Stage(_) => {
-                for g in 0..cfg.num_groups() {
-                    let vars = cfg.var_group(g);
+            Step::Stage(_) | Step::Sums => {
+                for (phase, vars) in phase_calls(cfg, step) {
                     let sw = Stopwatch::start();
-                    exec.run(&cx, templates.get(&cx, Phase::Communicate, vars.clone()));
-                    for m in cx.plan.outbound(cx.state.rank) {
-                        stats.msgs_sent += 1;
-                        stats.elems_sent += (m.elems_per_var * vars.len()) as u64;
+                    let call = templates.get(&cx, phase, vars.clone());
+                    exec.run(&cx, call);
+                    match phase {
+                        Phase::Communicate => {
+                            for m in cx.plan.outbound(cx.state.rank) {
+                                stats.msgs_sent += 1;
+                                stats.elems_sent += (m.elems_per_var * vars.len()) as u64;
+                            }
+                            sw.stop(&mut stats.times.communicate);
+                        }
+                        Phase::Stencil => {
+                            let cells = cx.state.blocks.len() * cx.state.layout.cells();
+                            stats.flops +=
+                                (cells * vars.len()) as u64 * cfg.stencil.flops_per_cell();
+                            sw.stop(&mut stats.times.stencil);
+                        }
+                        // The checksum point's time is its step's.
+                        Phase::LocalSums => {
+                            pending = Some(LocalSums {
+                                ids: cx.state.blocks.keys().copied().collect(),
+                                slots: Arc::clone(
+                                    call.slots.as_ref().expect("a LocalSums call has slots"),
+                                ),
+                                total_cells: cx.state.dir.total_cells() as f64,
+                                epoch: mesh_epoch,
+                            })
+                        }
                     }
-                    sw.stop(&mut stats.times.communicate);
-
-                    let sw = Stopwatch::start();
-                    exec.run(&cx, templates.get(&cx, Phase::Stencil, vars.clone()));
-                    stats.flops += (cx.state.blocks.len() * cx.state.layout.cells() * vars.len())
-                        as u64
-                        * cfg.stencil.flops_per_cell();
-                    sw.stop(&mut stats.times.stencil);
                 }
-            }
-            Step::Sums => {
-                let call = templates.get(&cx, Phase::LocalSums, 0..cfg.params.num_vars);
-                exec.run(&cx, call);
-                pending = Some(LocalSums {
-                    ids: cx.state.blocks.keys().copied().collect(),
-                    slots: Arc::clone(call.slots.as_ref().expect("a LocalSums call has slots")),
-                    total_cells: cx.state.dir.total_cells() as f64,
-                    epoch: mesh_epoch,
-                });
             }
             Step::Wait => exec.wait(None),
             Step::WaitSums => exec.wait(Some(templates.sums_obj)),
@@ -381,6 +422,7 @@ pub(crate) fn run_span(
                 // The templates' bodies hold the blocks about to be split,
                 // merged and sent away.
                 templates.clear();
+                compiled = false;
                 stats.blocks_moved += exec.refine(&mut cx.state, &cx.comm);
                 mesh_epoch += 1;
                 (cx.plan, cx.bufs) = plan_and_buffers(&cx.state);

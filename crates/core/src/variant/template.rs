@@ -3,8 +3,9 @@
 //! run by each variant's schedule (`Exec::run`) as often as the loop
 //! calls the pair.
 //!
-//! A template holds the tasks of the call with their exact-size access
-//! lists and re-runnable bodies. What the schedules do not share is who
+//! A template holds the tasks of the call, each one shared
+//! [`taskrt::TaskDesc`] (label, priority, exact-size access list,
+//! re-runnable body, on-ready gate). What the schedules do not share is who
 //! posts a message endpoint: data-flow's tasks post their own through
 //! the task-aware layer (a `recv` or `send` task, a pack that sends, an
 //! unpack whose on-ready gate receives), while MPI-only and fork-join post
@@ -19,7 +20,7 @@ use parking_lot::Mutex;
 use shmem::BufSlice;
 use std::ops::Range;
 use std::sync::Arc;
-use taskrt::{Accesses, Body, CommKind, Gate, GateHold, ObjId, Submitter, TaskSpec};
+use taskrt::{Body, CommKind, Gate, GateHold, ObjId, Submitter, TaskDesc, TaskSpec};
 
 /// The three task-submitting calls of the timestep loop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,17 +38,13 @@ pub(crate) struct Endpoint {
     pub slice: BufSlice<f64>,
 }
 
-/// One task of a [`Template`]: what every task object spawned from it
-/// points at instead of holding a copy.
+/// One task of a [`Template`].
 pub(crate) struct TemplateTask {
-    pub label: &'static str,
-    pub priority: i32,
-    /// Exact-size.
-    pub accesses: Accesses,
-    /// `None`: a `recv` or `send` task whose endpoint the rank's thread
-    /// posts, with nothing to compute.
-    pub body: Option<Body>,
-    pub gate: Option<Gate>,
+    /// What every task object spawned from it points at instead of
+    /// holding a copy, and what a compiled trace is closed from. `None`:
+    /// a `recv` or `send` task whose endpoint the rank's thread posts,
+    /// with nothing to compute.
+    pub desc: Option<Arc<TaskDesc>>,
     /// The endpoint the rank's thread posts for the task; always `None`
     /// when the tasks post their own.
     pub endpoint: Option<Endpoint>,
@@ -107,8 +104,27 @@ impl Templates {
     /// ([`crate::elaborate`]) by this call if it is the pair's first in
     /// the mesh epoch.
     pub(crate) fn get(&mut self, cx: &PhaseCtx, phase: Phase, vars: Range<usize>) -> &Template {
+        let t = self.index(cx, phase, vars);
+        &self.list[t]
+    }
+
+    /// The templates of `calls`, in call order: what those calls will
+    /// run, if no checksum point takes its slots in between.
+    pub(crate) fn of_calls(
+        &mut self,
+        cx: &PhaseCtx,
+        calls: impl IntoIterator<Item = (Phase, Range<usize>)>,
+    ) -> Vec<&Template> {
+        let at: Vec<usize> = (calls.into_iter())
+            .map(|(phase, vars)| self.index(cx, phase, vars))
+            .collect();
+        at.into_iter().map(|t| &self.list[t]).collect()
+    }
+
+    /// Where in `list` [`Self::get`]'s template is.
+    fn index(&mut self, cx: &PhaseCtx, phase: Phase, vars: Range<usize>) -> usize {
         if let Some(t) = self.list.iter().position(|t| t.serves(phase, &vars)) {
-            return &self.list[t];
+            return t;
         }
         let shared = match self.list.iter().find(|t| t.vars == vars) {
             Some(t) => Arc::clone(&t.shared),
@@ -148,7 +164,7 @@ impl Templates {
             batched_items,
             slots,
         });
-        self.list.last().expect("just pushed")
+        self.list.len() - 1
     }
 
     /// A regrid replaces blocks, plan and buffers: let go of every
@@ -280,12 +296,15 @@ impl Submitter<Work> for LiveSub<'_> {
         // An endpoint the rank's thread posts is no item of the task's.
         let items = elaborate::items(&spec) - usize::from(body.is_some() && endpoint.is_some());
         self.batched_items += items as u64 - 1;
+        let desc = body.map(|body| {
+            let desc = TaskDesc::new(spec.label, spec.priority, spec.accesses, body);
+            Arc::new(match gate {
+                Some(gate) => desc.on_ready(gate),
+                None => desc,
+            })
+        });
         self.tasks.push(TemplateTask {
-            label: spec.label,
-            priority: spec.priority,
-            accesses: Arc::from(&spec.accesses[..]),
-            body,
-            gate,
+            desc,
             endpoint,
             work: spec.work,
         });
@@ -299,7 +318,6 @@ mod tests {
     use crate::rank::RankState;
     use crate::variant::{executor, plan_and_buffers};
     use std::sync::Weak;
-    use taskrt::Access;
     use vmpi::{NetworkModel, World};
 
     /// Under every schedule, every call of one `(phase, vars)` in a mesh
@@ -358,17 +376,17 @@ mod tests {
                 // template was called twice but the one of the point that
                 // was left in flight. A serial schedule keeps none.
                 let kept = |calls| calls * usize::from(variant == Variant::DataFlow);
-                let mut accesses: Vec<Weak<[Access]>> = Vec::new();
+                let mut descs: Vec<Weak<TaskDesc>> = Vec::new();
                 for (t, calls) in list.iter().zip([2, 2, 2, 1]) {
-                    for task in &t.tasks {
-                        let count = Arc::strong_count(&task.accesses);
-                        assert_eq!(count, 1 + kept(calls), "{variant:?} {}", task.label);
-                        accesses.push(Arc::downgrade(&task.accesses));
+                    for desc in t.tasks.iter().filter_map(|task| task.desc.as_ref()) {
+                        let count = Arc::strong_count(desc);
+                        assert_eq!(count, 1 + kept(calls), "{variant:?} {}", desc.label());
+                        descs.push(Arc::downgrade(desc));
                     }
                 }
                 templates.clear();
                 exec.mesh_changed();
-                assert!(accesses.iter().all(|a| a.strong_count() == 0));
+                assert!(descs.iter().all(|d| d.strong_count() == 0));
             });
         }
     }

@@ -124,12 +124,13 @@ fn rearmed_fine_mesh_matches_mpi_only_under_every_option() {
         reference[0].checksum_digest()
     );
     assert_eq!(blocks(&defaults), blocks(&reference));
-    // Two ranks, two epochs of four timesteps: every timestep but an
-    // epoch's first is a hit, and with eager checksums draining the graph
-    // every replayed task reuses its predecessor's object.
+    // Two ranks, two epochs of four timesteps: each epoch's trace is
+    // compiled from its templates, so every timestep is a hit and none
+    // records, and with eager checksums draining the graph every replayed
+    // task reuses its predecessor's object (the first, its placeholder).
     assert_eq!(sum(&defaults, |s| s.trace_invalidations), 2 * 2);
-    assert_eq!(sum(&defaults, |s| s.trace_hits), 2 * 2 * (4 - 1));
-    assert_eq!(sum(&defaults, |s| s.trace_records), 2 * 2);
+    assert_eq!(sum(&defaults, |s| s.trace_hits), 2 * 2 * 4);
+    assert_eq!(sum(&defaults, |s| s.trace_records), 0);
     assert_eq!(sum(&defaults, |s| s.trace_freezes), 2 * 2);
     let replayed = sum(&defaults, |s| s.tasks_replayed);
     assert!(replayed > 0);

@@ -134,7 +134,7 @@ fn peak_of(cfg: &Config) -> (usize, Vec<usize>, usize) {
     assert!(stats.iter().all(|s| s.checksums_failed == 0));
     let replayed: u64 = stats.iter().map(|s| s.tasks_replayed).sum();
     let hits: u64 = stats.iter().map(|s| s.trace_hits).sum();
-    assert_eq!(hits, 2 * 3, "every timestep after the recorded one replays");
+    assert_eq!(hits, 2 * 4, "every timestep replays its compiled trace");
     (peak, classes, (replayed / hits * 2) as usize)
 }
 
@@ -142,12 +142,12 @@ fn peak_of(cfg: &Config) -> (usize, Vec<usize>, usize) {
 /// run grows by when its timesteps take twice the stages, over the task
 /// objects its trace keeps in addition. The set-up and the templates (one
 /// per `(phase, vars)`, whatever the stage count) cancel; each task's
-/// object, its trace slot and its share of the close's tables remain.
-/// When the test was written that read 330–400 bytes: a task object is
-/// 192 bytes plus its reference counts (the 208-byte class), and
-/// allocations of 64–128 KiB (the trace's own vectors and tables) add
-/// about 130 more. When each task object held its own accesses and body,
-/// and each phase call its own block list, it read about 1 150.
+/// object, its trace slot and its predecessor entries remain. It reads
+/// about 225 bytes: a task object is 120 bytes plus its reference counts
+/// (the 144-byte class), and allocations of 8–64 KiB (the trace's own
+/// vectors) add about 90 more. It read 330–400 while a task object held
+/// its label, priority, accesses, body and gate, and about 1 150 while it
+/// held its own accesses and body and each phase call its block list.
 #[test]
 fn a_replayed_task_keeps_little_more_than_its_task_object() {
     const BYTES_PER_TASK: usize = 500;
@@ -166,10 +166,11 @@ fn a_replayed_task_keeps_little_more_than_its_task_object() {
     let owners: Vec<String> = (owners.iter().take(8))
         .map(|&(c, grew)| format!("  {}: {:+.1} kB", class_name(c), grew as f64 / 1e3))
         .collect();
-    assert!(
-        per_task <= BYTES_PER_TASK,
+    let report = format!(
         "{per_task} live heap bytes per task kept (bound {BYTES_PER_TASK}): peak {long} B \
          against {short} B at half the stages, {kept} task objects more; largest owners:\n{}",
         owners.join("\n")
     );
+    println!("{report}");
+    assert!(per_task <= BYTES_PER_TASK, "{report}");
 }

@@ -432,13 +432,14 @@ fn ported() -> Vec<Row> {
     }
     t.push(miniamr(format!("--variant dataflow --sanitize {coll} {hier}")).has(CLEAN));
     t.push(dfcheck(format!("--all {coll} {hier}")).wants(Findings(&[])).timeout(120));
-    // Replay on/off; data-flow replays (4 ranks x 2 epochs x 4 hits); sanitized replay.
+    // Replay on/off; data-flow replays (4 ranks x 2 epochs x 5 hits, each epoch's
+    // trace compiled); sanitized replay.
     for v in VARIANTS {
         t.push(miniamr(format!("--variant {v} {REPLAY_MESH} --replay off")).wants(Digest("replay", None)));
         let on = miniamr(format!("--variant {v} {REPLAY_MESH} --replay on")).wants(Digest("replay", None));
         t.push(match v {
-            "dataflow" => on.holds("tasks_replayed > 0, trace_hits == 32, tasks_rearmed > 0", |r| {
-                r.num("tasks_replayed") > Some(0) && r.num("trace_hits") == Some(32) && r.num("tasks_rearmed") > Some(0)
+            "dataflow" => on.holds("tasks_replayed > 0, trace_hits == 40, tasks_rearmed > 0", |r| {
+                r.num("tasks_replayed") > Some(0) && r.num("trace_hits") == Some(40) && r.num("tasks_rearmed") > Some(0)
             }),
             _ => on,
         });
@@ -447,7 +448,7 @@ fn ported() -> Vec<Row> {
     // Re-armed tasks_fine shape: one digest, delayed validation, sanitizer, static check.
     let fine = |run: &str| miniamr(format!("--variant {run} {FINE_MESH}")).wants(Digest("fine", None));
     t.extend(["mpi", "forkjoin", "dataflow --delayed_checksum"].map(fine));
-    t.push(fine("dataflow").holds("trace_hits == 6", |r| r.num("trace_hits") == Some(6)));
+    t.push(fine("dataflow").holds("trace_hits == 8", |r| r.num("trace_hits") == Some(8)));
     t.push(fine("dataflow --sanitize").has(CLEAN));
     t.extend(VARIANTS.map(|v| fine(&format!("{v} --staticcheck")).has("staticcheck: clean")));
     // Task grain: batching is invisible in the digest, visible in the counts.

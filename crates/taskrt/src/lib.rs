@@ -33,17 +33,17 @@
 //!   §VI). The policy can be disabled for ablation studies.
 //! * **Task-graph trace & replay.** A [`Runtime::trace_scope`] brackets
 //!   one iteration of a submission phase the caller knows repeats (one
-//!   AMR timestep). A runtime caches one stream: the first scope records
-//!   it, the second closes it and from then on a matching iteration
-//!   re-arms the recorded task objects in place behind their recorded
-//!   predecessors, without touching the claim table. A divergence falls
-//!   back to fresh analysis for the rest of the scope, and the next
-//!   scope records. A task object points at its
-//!   accesses and body rather than holding them, so the spawns of a
-//!   submitter that elaborates a repeated call once share one list and
-//!   one closure ([`TaskBuilder::access_list`],
-//!   [`TaskBuilder::body_shared`]). Regrid/repartition invalidate via
-//!   [`Runtime::invalidate_traces`].
+//!   AMR timestep). A runtime caches one stream. A caller that can
+//!   describe the stream compiles it ([`Runtime::compile_trace`]), and its
+//!   first scope already replays; otherwise the first scope records it and
+//!   the second closes it. A replaying iteration re-arms the trace's task
+//!   objects in place behind their predecessors, without touching the
+//!   claim table. A divergence falls back to fresh analysis for the rest
+//!   of the scope, and the next scope records. A task object points at
+//!   its [`TaskDesc`] (label, priority, accesses, body, gate) rather than
+//!   holding it, so the spawns of a submitter that describes a repeated
+//!   call once share one description ([`Runtime::spawn_desc`]).
+//!   Regrid/repartition invalidate via [`Runtime::invalidate_traces`].
 //!
 //! ## Example
 //!
@@ -88,7 +88,7 @@ pub use events::{EventHold, GateHold};
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{CommIntent, CommKind, Submitter, TaskSpec};
-pub use task::{current_task_id, AccessList, Accesses, Body, Gate};
+pub use task::{current_task_id, AccessList, Body, Gate, TaskDesc};
 pub use trace::TraceScope;
 
 /// Acquires an [`EventHold`] on the task currently executing on this

@@ -50,7 +50,7 @@ impl Registry {
     /// (for stats).
     pub(crate) fn register(&self, task: &Arc<TaskShared>) -> usize {
         let mut edges = 0;
-        for access in task.accesses.iter() {
+        for access in task.desc.accesses.iter() {
             let mut shard = self.shard_of(access.region.obj).lock();
             let live = shard.entry(access.region.obj).or_default();
             live.record(Arc::clone(task), access, |pred| {
@@ -84,7 +84,7 @@ impl Registry {
     /// behind it. The caller handles the race against release (see
     /// `trace::flush_bypassed`).
     pub(crate) fn insert_entries(&self, task: &Arc<TaskShared>) {
-        for access in task.accesses.iter() {
+        for access in task.desc.accesses.iter() {
             let mut shard = self.shard_of(access.region.obj).lock();
             shard
                 .entry(access.region.obj)
@@ -95,7 +95,7 @@ impl Registry {
 
     /// Removes all registry entries of a released task.
     pub(crate) fn remove_task(&self, task: &Arc<TaskShared>) {
-        for access in task.accesses.iter() {
+        for access in task.desc.accesses.iter() {
             let mut shard = self.shard_of(access.region.obj).lock();
             if let Some(live) = shard.get_mut(&access.region.obj) {
                 live.retire(task);

@@ -5,7 +5,7 @@ use crate::region::{Access, Region};
 use crate::registry::Registry;
 use crate::scheduler::Scheduler;
 use crate::task::{
-    AccessList, Accesses, Body, Declared, Gate, Run, SuccessorList, TaskBody, TaskLinks, TaskShared,
+    AccessList, Body, Gate, Run, Spawn, SuccessorList, TaskDesc, TaskLinks, TaskShared,
 };
 use crate::trace::{self, Route, TraceCache};
 use parking_lot::{Condvar, Mutex};
@@ -240,18 +240,12 @@ impl RtInner {
         self: &Arc<Self>,
         id: u64,
         san_id: u64,
-        priority: i32,
-        label: &'static str,
-        accesses: Accesses,
-        body: TaskBody,
+        desc: Arc<TaskDesc>,
     ) -> Arc<TaskShared> {
         Arc::new(TaskShared {
             id,
             san_id,
-            priority,
-            label,
-            accesses,
-            body,
+            desc,
             // One guard count held through registration so the task cannot
             // become ready while its edges are still being created.
             pending: AtomicUsize::new(1),
@@ -265,6 +259,22 @@ impl RtInner {
             bypassed: AtomicBool::new(false),
             rt: Arc::clone(self),
         })
+    }
+
+    /// A task object that has run and released, as a compiled trace's
+    /// slot holds it until the first replay re-arms it: never born, never
+    /// registered, no predecessor of anything.
+    pub(crate) fn placeholder(self: &Arc<Self>, desc: Arc<TaskDesc>) -> Arc<TaskShared> {
+        let mut task = self.new_task(0, 0, desc);
+        let fresh = Arc::get_mut(&mut task).expect("a task object just built");
+        fresh.state.get_mut().released = true;
+        (*fresh.pending.get_mut(), *fresh.events.get_mut()) = (0, 0);
+        task
+    }
+
+    /// Whether no task is live (spawned and not yet released).
+    pub(crate) fn quiescent(&self) -> bool {
+        self.live.load(Ordering::Acquire) == 0
     }
 
     /// Counts a new (or re-armed) task live.
@@ -292,7 +302,7 @@ impl RtInner {
                 self.rank(),
                 obs::EventData::TaskCreated {
                     id: task.id,
-                    label: task.label,
+                    label: task.desc.label,
                     preds: edges as u32,
                     replayed,
                 },
@@ -324,10 +334,10 @@ impl RtInner {
         };
         for task in live_set.snapshot() {
             let pending = task.pending.load(Ordering::Relaxed);
-            let label = if task.label.is_empty() {
+            let label = if task.desc.label.is_empty() {
                 "<unlabeled>"
             } else {
-                task.label
+                task.desc.label
             };
             let _ = write!(
                 out,
@@ -342,7 +352,7 @@ impl RtInner {
                     ""
                 },
             );
-            for (i, a) in task.accesses.iter().enumerate() {
+            for (i, a) in task.desc.accesses.iter().enumerate() {
                 let mode = match a.mode {
                     crate::region::AccessMode::In => "in",
                     crate::region::AccessMode::Out => "out",
@@ -389,7 +399,7 @@ impl RtInner {
                     best = c;
                 }
             }
-            let mut chain = vec![(task.id, task.label)];
+            let mut chain = vec![(task.id, task.desc.label)];
             chain.append(&mut best);
             memo.insert(task.id, chain.clone());
             chain
@@ -562,7 +572,7 @@ impl Runtime {
     pub fn task(&self) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self,
-            accesses: Declared::Listed(AccessList::new()),
+            accesses: AccessList::new(),
             priority: 0,
             label: "",
             body: None,
@@ -572,8 +582,19 @@ impl Runtime {
 
     /// Spawns a task with explicit accesses (convenience for the builder).
     pub fn spawn(&self, accesses: Vec<Access>, body: impl FnOnce() + Send + 'static) {
-        let accesses = Declared::Listed(accesses.into());
-        self.spawn_boxed(accesses, 0, "", TaskBody::once(body));
+        self.spawn_boxed(Spawn::Own(TaskDesc {
+            label: "",
+            priority: 0,
+            accesses: accesses.into(),
+            run: Run::once(body),
+            gate: None,
+        }));
+    }
+
+    /// Spawns a task of `desc`: the task object points at the description
+    /// every other spawn of it shares (see [`TaskDesc`]).
+    pub fn spawn_desc(&self, desc: &Arc<TaskDesc>) {
+        self.spawn_boxed(Spawn::Shared(Arc::clone(desc)));
     }
 
     /// Shared reference to the runtime internals (trace layer plumbing).
@@ -582,32 +603,27 @@ impl Runtime {
     }
 
     /// Returns the task's depsan id (0 while the sanitizer is disabled).
-    fn spawn_boxed(
-        &self,
-        accesses: Declared,
-        priority: i32,
-        label: &'static str,
-        body: TaskBody,
-    ) -> u64 {
+    fn spawn_boxed(&self, spawn: Spawn) -> u64 {
         let inner = &self.inner;
         // Consult the trace cache first: inside a replaying scope the
         // spawn re-arms the task recorded at its position and the claim
         // table is bypassed entirely.
         let route = if inner.trace.armed() {
-            trace::route_spawn(inner, label, priority, &accesses)
+            trace::route_spawn(inner, &spawn)
         } else {
             Route::Untraced
         };
         if matches!(route, Route::Replay) {
-            return trace::replay_spawn(inner, accesses, body);
+            return trace::replay_spawn(inner, spawn);
         }
+        let desc = spawn.into_shared();
         let san_id = if inner.san_rt != 0 {
-            inner.san_spawned(label, &accesses, None)
+            inner.san_spawned(desc.label, &desc.accesses, None)
         } else {
             0
         };
         let id = inner.next_task_id();
-        let task = inner.new_task(id, san_id, priority, label, accesses.into_shared(), body);
+        let task = inner.new_task(id, san_id, desc);
         inner.task_born(&task);
         // Fresh analysis must see any still-live replayed tasks in the
         // claim table, so flush them back in first.
@@ -667,19 +683,19 @@ impl Runtime {
     pub fn taskwait_on(&self, regions: &[Region]) {
         let done = Arc::new((Mutex::new(false), Condvar::new()));
         let signal = Arc::clone(&done);
-        let accesses = regions.iter().cloned().map(Access::read_write).collect();
-        let waiter_san = self.spawn_boxed(
-            Declared::Listed(accesses),
+        let waiter_san = self.spawn_boxed(Spawn::Own(TaskDesc {
+            label: "taskwait_on",
             // Jump the queue: the waiter should run as soon as its inputs
             // are quiescent.
-            i32::MAX,
-            "taskwait_on",
-            TaskBody::once(move || {
+            priority: i32::MAX,
+            accesses: regions.iter().cloned().map(Access::read_write).collect(),
+            run: Run::once(move || {
                 let (lock, cond) = &*signal;
                 *lock.lock() = true;
                 cond.notify_all();
             }),
-        );
+            gate: None,
+        }));
         let (lock, cond) = &*done;
         let mut flag = lock.lock();
         while !*flag {
@@ -697,7 +713,9 @@ impl Runtime {
     /// Fork-join helper: runs `f` over `range` split into `chunks`
     /// contiguous pieces (static schedule, like an OpenMP `for`), then
     /// waits for completion. Spawned chunks carry no data dependencies;
-    /// note that the final wait is a full [`Runtime::taskwait`].
+    /// note that the final wait is a full [`Runtime::taskwait`]. The
+    /// chunks are spawns of one description, each run of which takes the
+    /// next piece.
     pub fn parallel_for<F>(&self, range: std::ops::Range<usize>, chunks: usize, f: F)
     where
         F: Fn(std::ops::Range<usize>) + Send + Sync + 'static,
@@ -707,13 +725,14 @@ impl Runtime {
             return;
         }
         let chunks = chunks.max(1).min(n);
-        let f = Arc::new(f);
-        let base = range.start;
-        for c in 0..chunks {
-            let lo = base + n * c / chunks;
-            let hi = base + n * (c + 1) / chunks;
-            let f = Arc::clone(&f);
-            self.spawn(Vec::new(), move || f(lo..hi));
+        let (base, next) = (range.start, AtomicUsize::new(0));
+        let body: Body = Arc::new(move || {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            f(base + n * c / chunks..base + n * (c + 1) / chunks)
+        });
+        let desc = Arc::new(TaskDesc::new("", 0, [], body));
+        for _ in 0..chunks {
+            self.spawn_desc(&desc);
         }
         self.taskwait();
     }
@@ -807,13 +826,15 @@ impl Drop for Runtime {
     }
 }
 
-/// Fluent task construction: accesses, priority, label, body.
+/// Fluent task construction: accesses, priority, label, body. The task
+/// gets a description of its own; a task spawned many times is better
+/// described once ([`TaskDesc`], [`Runtime::spawn_desc`]).
 pub struct TaskBuilder<'rt> {
     rt: &'rt Runtime,
-    accesses: Declared,
+    accesses: AccessList,
     priority: i32,
     label: &'static str,
-    body: Option<TaskBody>,
+    body: Option<Run>,
     gate: Option<Gate>,
 }
 
@@ -840,20 +861,7 @@ impl<'rt> TaskBuilder<'rt> {
 
     /// Adds many accesses at once (the paper's multideps).
     pub fn accesses(mut self, iter: impl IntoIterator<Item = Access>) -> Self {
-        let mut list = match self.accesses {
-            Declared::Listed(list) => list,
-            Declared::Shared(shared) => shared.iter().cloned().collect(),
-        };
-        list.extend(iter);
-        self.accesses = Declared::Listed(list);
-        self
-    }
-
-    /// Declares a shared access list: the task points at it, as does every
-    /// other task spawned with it, instead of holding a copy. Replaces
-    /// anything declared before.
-    pub fn access_list(mut self, accesses: Accesses) -> Self {
-        self.accesses = Declared::Shared(accesses);
+        self.accesses.extend(iter);
         self
     }
 
@@ -871,20 +879,7 @@ impl<'rt> TaskBuilder<'rt> {
 
     /// Sets the task body.
     pub fn body(mut self, body: impl FnOnce() + Send + 'static) -> Self {
-        self.body = Some(TaskBody::once(body));
-        self
-    }
-
-    /// Sets a re-runnable task body that other tasks may hold as well: any
-    /// number of task objects, live at once or not, run the one closure
-    /// (the tasks a template spawns in every call of it). It is called
-    /// through a shared reference, so it must leave its captures in place
-    /// (clone what it hands on).
-    pub fn body_shared(mut self, body: Body) -> Self {
-        self.body = Some(TaskBody {
-            run: Run::Many(body),
-            gate: None,
-        });
+        self.body = Some(Run::once(body));
         self
     }
 
@@ -899,13 +894,8 @@ impl<'rt> TaskBuilder<'rt> {
     /// runs once per run of the task object: a replay that re-arms the
     /// object runs the gate of the matching spawn, once the re-armed
     /// task's predecessors have released.
-    pub fn on_ready(self, gate: impl Fn(GateHold) + Send + Sync + 'static) -> Self {
-        self.on_ready_shared(Arc::new(gate))
-    }
-
-    /// [`Self::on_ready`] with a gate other tasks may hold as well.
-    pub fn on_ready_shared(mut self, gate: Gate) -> Self {
-        self.gate = Some(gate);
+    pub fn on_ready(mut self, gate: impl Fn(GateHold) + Send + Sync + 'static) -> Self {
+        self.gate = Some(Arc::new(gate));
         self
     }
 
@@ -917,9 +907,13 @@ impl<'rt> TaskBuilder<'rt> {
     pub fn spawn(self) {
         // Invariant: every spawn site sets a body; a builder without one
         // is a caller bug whatever the input.
-        let mut body = self.body.expect("task spawned without a body");
-        body.gate = self.gate;
-        self.rt
-            .spawn_boxed(self.accesses, self.priority, self.label, body);
+        let run = self.body.expect("task spawned without a body");
+        self.rt.spawn_boxed(Spawn::Own(TaskDesc {
+            label: self.label,
+            priority: self.priority,
+            accesses: self.accesses,
+            run,
+            gate: self.gate,
+        }));
     }
 }

@@ -98,7 +98,7 @@ impl Scheduler {
                 return;
             }
         }
-        let injector = if task.priority > 0 {
+        let injector = if task.desc.priority > 0 {
             &self.hi_injector
         } else {
             &self.injector

@@ -17,15 +17,15 @@ use smallvec::SmallVec;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
-/// A re-runnable task body ([`crate::TaskBuilder::body_shared`]): called
-/// through a shared reference, so any number of task objects can hold it.
+/// A re-runnable task body ([`TaskDesc::new`]): called through a shared
+/// reference, so any number of task objects can run it.
 pub type Body = Arc<dyn Fn() + Send + Sync>;
 
-/// An on-ready gate ([`crate::TaskBuilder::on_ready_shared`]): re-runnable
-/// like a [`Body`], handed the hold that keeps the task out of the ready
-/// queue until it opens.
+/// An on-ready gate ([`TaskDesc::on_ready`]): re-runnable like a
+/// [`Body`], handed the hold that keeps the task out of the ready queue
+/// until it opens.
 pub type Gate = Arc<dyn Fn(GateHold) + Send + Sync>;
 
 /// How a task body runs.
@@ -33,66 +33,115 @@ pub(crate) enum Run {
     /// Runs once ([`crate::TaskBuilder::body`]): taken out by the
     /// execution.
     Once(Mutex<Option<Box<dyn FnOnce() + Send>>>),
-    /// Re-runnable ([`crate::TaskBuilder::body_shared`]): called in place
-    /// through `&self`, so any number of task objects can share it.
+    /// Re-runnable ([`TaskDesc::new`]): called in place through `&self`,
+    /// so any number of task objects can share it.
     Many(Body),
 }
 
-/// What a task runs: its body, and the on-ready gate that runs before it
-/// is ready, if it has one.
-pub(crate) struct TaskBody {
-    pub(crate) run: Run,
-    pub(crate) gate: Option<Gate>,
-}
-
-impl TaskBody {
-    pub(crate) fn once(body: impl FnOnce() + Send + 'static) -> TaskBody {
-        TaskBody {
-            run: Run::Once(Mutex::new(Some(Box::new(body)))),
-            gate: None,
-        }
+impl Run {
+    pub(crate) fn once(body: impl FnOnce() + Send + 'static) -> Run {
+        Run::Once(Mutex::new(Some(Box::new(body))))
     }
 }
 
 /// An access list under construction, with inline room for two:
 /// miniAMR's per-message tasks declare 1–2 and cost no allocation for the
 /// list (batches and multidep send tasks spill, and that is fine). A
-/// [`TaskSpec`](crate::TaskSpec) carries one; a task object keeps its
-/// accesses as a shared [`Accesses`] list instead.
+/// [`TaskSpec`](crate::TaskSpec) and a [`TaskDesc`] carry one.
 pub type AccessList = SmallVec<[Access; 2]>;
 
-/// A task's declared accesses as its task object holds them: one
-/// exact-size list that every task spawned with it points at
-/// ([`crate::TaskBuilder::access_list`]) — the claim table, the trace's
-/// replay matches, closes and flushes, and depsan all read this slice.
-pub type Accesses = Arc<[Access]>;
-
-/// A spawn's accesses: listed through the builder, or a list shared with
-/// other tasks. A listed one becomes a shared list only when a task object
-/// needs it — not when a replay finds the same list in its slot.
-pub(crate) enum Declared {
-    Listed(AccessList),
-    Shared(Accesses),
+/// What a task declares and runs: its label, priority, accesses, body and
+/// on-ready gate. A task object points at its description instead of
+/// holding these, so a submitter that spawns one task many times (the
+/// task of a template, in every call of it) builds the description once
+/// and every spawn of it ([`crate::Runtime::spawn_desc`]) shares it: one
+/// reference count, and a trace replay that matches its slot by pointer.
+/// A [`crate::TaskBuilder`] spawn builds a description of its own.
+pub struct TaskDesc {
+    pub(crate) label: &'static str,
+    pub(crate) priority: i32,
+    pub(crate) accesses: AccessList,
+    pub(crate) run: Run,
+    pub(crate) gate: Option<Gate>,
 }
 
-impl Declared {
-    pub(crate) fn into_shared(self) -> Accesses {
-        /// What every task that declares nothing points at.
-        static NONE: LazyLock<Accesses> = LazyLock::new(|| Arc::new([]));
-        match self {
-            Declared::Shared(accesses) => accesses,
-            Declared::Listed(list) if list.is_empty() => Arc::clone(&NONE),
-            Declared::Listed(list) => Arc::from(&list[..]),
+impl TaskDesc {
+    /// A re-runnable task: `body` runs once per spawn of the description,
+    /// through a shared reference, so it must leave its captures in place
+    /// (clone what it hands on). The access list is kept exact-size.
+    pub fn new(
+        label: &'static str,
+        priority: i32,
+        accesses: impl IntoIterator<Item = Access>,
+        body: Body,
+    ) -> TaskDesc {
+        let mut accesses: AccessList = accesses.into_iter().collect();
+        if accesses.spilled() {
+            let mut exact = accesses.into_vec();
+            exact.shrink_to_fit();
+            accesses = exact.into();
         }
+        TaskDesc {
+            label,
+            priority,
+            accesses,
+            run: Run::Many(body),
+            gate: None,
+        }
+    }
+
+    /// Adds an on-ready gate ([`crate::TaskBuilder::on_ready`]), which
+    /// runs once per spawn of the description.
+    pub fn on_ready(mut self, gate: Gate) -> TaskDesc {
+        self.gate = Some(gate);
+        self
+    }
+
+    /// Debug label shown in panics and traces.
+    pub fn label(&self) -> &'static str {
+        self.label
+    }
+
+    /// Runs the body on the calling thread, outside any runtime: what a
+    /// serial schedule does with a task it does not spawn.
+    pub fn run_inline(&self) {
+        // Invariant: a one-shot body's description is the builder's own,
+        // which never leaves the crate.
+        let Run::Many(body) = &self.run else {
+            unreachable!("a shared description has a re-runnable body")
+        };
+        body()
+    }
+
+    /// Whether a spawn of `self` repeats a task of `other`: the same
+    /// label, priority and accesses (what a trace slot must see again).
+    pub(crate) fn repeats(&self, other: &TaskDesc) -> bool {
+        self.label == other.label
+            && self.priority == other.priority
+            && self.accesses[..] == other.accesses[..]
     }
 }
 
-impl std::ops::Deref for Declared {
-    type Target = [Access];
-    fn deref(&self) -> &[Access] {
+/// What a spawn hands the runtime: a description shared with other spawns,
+/// or one of the spawn's own (the builder's), allocated only when a task
+/// object needs it — not when a replay re-arms its slot's object in place.
+pub(crate) enum Spawn {
+    Shared(Arc<TaskDesc>),
+    Own(TaskDesc),
+}
+
+impl Spawn {
+    pub(crate) fn desc(&self) -> &TaskDesc {
         match self {
-            Declared::Listed(list) => list,
-            Declared::Shared(accesses) => accesses,
+            Spawn::Shared(desc) => desc,
+            Spawn::Own(desc) => desc,
+        }
+    }
+
+    pub(crate) fn into_shared(self) -> Arc<TaskDesc> {
+        match self {
+            Spawn::Shared(desc) => desc,
+            Spawn::Own(desc) => Arc::new(desc),
         }
     }
 }
@@ -105,10 +154,8 @@ pub(crate) struct TaskShared {
     pub id: u64,
     /// depsan task id (0 while the sanitizer is disabled).
     pub san_id: u64,
-    pub priority: i32,
-    pub label: &'static str,
-    pub accesses: Accesses,
-    pub body: TaskBody,
+    /// Label, priority, accesses, body and gate.
+    pub desc: Arc<TaskDesc>,
     /// Predecessors not yet released, plus one registration guard.
     pub pending: AtomicUsize,
     /// Body (counted as 1 until it returns) plus outstanding event holds.
@@ -130,9 +177,9 @@ pub(crate) struct TaskShared {
 }
 
 // A replay trace keeps one task object per task of a timestep, thousands
-// a rank: the object points at its accesses and body rather than holding
-// them (320 bytes when it held an inline access list of four).
-const _: () = assert!(std::mem::size_of::<TaskShared>() <= 192);
+// a rank: the object points at its description rather than holding it, so
+// that with its reference counts it fits glibc's 144-byte chunk.
+const _: () = assert!(std::mem::size_of::<TaskShared>() <= 120);
 
 /// Task identity (the claim table's `deps::History` key): ids are unique
 /// within a runtime, and a registry only ever holds its own runtime's
@@ -149,18 +196,26 @@ pub(crate) struct TaskLinks {
 }
 
 impl TaskShared {
-    /// Resets a released task object for its next run: what
-    /// `RtInner::new_task` sets on a fresh one, without the allocation.
-    /// The exclusive borrow is the proof that nothing else — scheduler,
-    /// successor list, event hold, flush list — still refers to it.
-    pub(crate) fn rearm(&mut self, id: u64, san_id: u64) {
+    /// Resets a released task object for its next run, with the
+    /// description of `spawn`: what `RtInner::new_task` sets on a fresh
+    /// one, without the allocation (a description of the spawn's own
+    /// takes the place of the object's in place when nothing else holds
+    /// that). The exclusive borrow is the proof that nothing else —
+    /// scheduler, successor list, event hold, flush list — still refers
+    /// to it.
+    pub(crate) fn rearm(&mut self, id: u64, san_id: u64, spawn: Spawn) {
         let links = self.state.get_mut();
         debug_assert!(
             links.released && links.successors.is_empty(),
             "task '{}' (id {}) re-armed before its release",
-            self.label,
+            self.desc.label,
             self.id
         );
+        match (spawn, Arc::get_mut(&mut self.desc)) {
+            (Spawn::Shared(desc), _) => self.desc = desc,
+            (Spawn::Own(desc), Some(own)) => *own = desc,
+            (Spawn::Own(desc), None) => self.desc = Arc::new(desc),
+        }
         links.released = false;
         self.id = id;
         self.san_id = san_id;
@@ -177,7 +232,7 @@ impl TaskShared {
         if self.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
-        if let Some(gate) = &self.body.gate {
+        if let Some(gate) = &self.desc.gate {
             if !self.gate_posted.load(Ordering::Acquire) {
                 return self.post_gate(gate, local_hint);
             }
@@ -216,7 +271,7 @@ impl TaskShared {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| gate(hold))) {
                 self.rt.poison(format!(
                     "on-ready gate of task '{}' (id {}) panicked: {}",
-                    self.label,
+                    self.desc.label,
                     self.id,
                     panic_message(&*payload)
                 ));
@@ -311,9 +366,9 @@ impl TaskShared {
         // Invariant: a task is queued once per run (its `pending` count
         // reaches zero once), and a re-arm hands the task object the
         // matching spawn's body, so a one-shot body is still here.
-        let once = match &self.body.run {
+        let once = match &self.desc.run {
             Run::Once(body) => Some(body.lock().take().unwrap_or_else(|| {
-                panic!("task '{}' (id {}) executed twice", self.label, self.id)
+                panic!("task '{}' (id {}) executed twice", self.desc.label, self.id)
             })),
             Run::Many(_) => None,
         };
@@ -331,7 +386,7 @@ impl TaskShared {
                 self.rt.rank(),
                 obs::EventData::TaskStart {
                     id: self.id,
-                    label: self.label,
+                    label: self.desc.label,
                 },
             );
         }
@@ -344,7 +399,7 @@ impl TaskShared {
             // has to keep draining so taskwait wakes and can rethrow on
             // the rank's main thread (elastic shrink relies on this for a
             // clean unwind when the world is torn down mid-timestep).
-            let run = AssertUnwindSafe(|| match (once, &self.body.run) {
+            let run = AssertUnwindSafe(|| match (once, &self.desc.run) {
                 (Some(body), _) => body(),
                 (None, Run::Many(body)) => body(),
                 // Invariant: `once` is `Some` exactly for a one-shot body.
@@ -353,7 +408,7 @@ impl TaskShared {
             if let Err(payload) = catch_unwind(run) {
                 self.rt.poison(format!(
                     "task '{}' (id {}) panicked: {}",
-                    self.label,
+                    self.desc.label,
                     self.id,
                     panic_message(&*payload)
                 ));
@@ -364,7 +419,7 @@ impl TaskShared {
                 self.rt.rank(),
                 obs::EventData::TaskEnd {
                     id: self.id,
-                    label: self.label,
+                    label: self.desc.label,
                 },
             );
         }

@@ -10,14 +10,25 @@
 //! predecessors — no claim-table analysis and no allocation. A runtime
 //! caches **one stream**: a vector of **slots**, one per stream position,
 //! each the task object of the latest iteration that reached it, under
-//! the key of the scopes that recorded it. The object's label, priority
-//! and accesses are what a later spawn at that position must repeat.
+//! the key of the scopes that built it. The object's description (label,
+//! priority, accesses) is what a later spawn at that position must repeat:
+//! a spawn of the same shared [`TaskDesc`] matches by pointer, any other
+//! spawn by value.
 //!
+//! * **Compile.** A caller that can describe the stream before it spawns
+//!   it ([`crate::Runtime::compile_trace`]) has it closed from the
+//!   descriptions: the trace freezes behind one released *placeholder*
+//!   task object per position, and the next scope already replays, its
+//!   spawns re-arming the placeholders. The compile is refused while any
+//!   task is live (the **quiescence rule**: the placeholders stand in for
+//!   a previous iteration that has finished, so a live task would be a
+//!   predecessor no slot knows) and then the stream is recorded instead.
 //! * **Record.** A scope that finds no trace records: every spawn takes
 //!   the claim-table analysis as outside a scope and its task is logged
 //!   into its slot.
 //! * **Close.** The next scope closes the recording, if nothing
-//!   invalidated in between: three passes of the structural analysis
+//!   invalidated in between (a compile closes its descriptions at once):
+//!   three passes of the structural analysis
 //!   ([`History`] tables keyed by stream position that nothing is ever
 //!   retired from, so unlike the claim table's its edges do not depend on
 //!   which predecessors happened to be live) over the logged access lists
@@ -68,7 +79,7 @@
 use crate::deps::History;
 use crate::region::{Access, ObjId};
 use crate::runtime::RtInner;
-use crate::task::{Accesses, Declared, TaskBody, TaskShared};
+use crate::task::{Spawn, TaskDesc, TaskShared};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -122,10 +133,11 @@ impl Preds {
     }
 }
 
-/// Closes a logged stream symbolically: a cold pass and two warm passes
-/// of the structural analysis over its access lists — what recording
-/// three iterations of it would have produced. `Some` iff the warm passes
-/// agree (the stream is stable) and the result can be replayed.
+/// Closes a logged or described stream symbolically: a cold pass and two
+/// warm passes of the structural analysis over its access lists — what
+/// recording three iterations of it would have produced. `Some` iff the
+/// warm passes agree (the stream is stable) and the result can be
+/// replayed; kept for as long as the trace, it holds no spare capacity.
 fn close_stream<'a>(stream: impl Iterator<Item = &'a [Access]> + Clone) -> Option<Preds> {
     let mut shadow = ShadowTable::default();
     let mut pass = |n: u32| {
@@ -137,8 +149,13 @@ fn close_stream<'a>(stream: impl Iterator<Item = &'a [Access]> + Clone) -> Optio
     };
     pass(1);
     let warm = pass(2);
-    let again = pass(3);
-    (warm == again && replay_ready(&again)).then_some(again)
+    let mut again = pass(3);
+    if warm != again || !replay_ready(&again) {
+        return None;
+    }
+    again.flat.shrink_to_fit();
+    again.ends.shrink_to_fit();
+    Some(again)
 }
 
 /// A frozen trace is only usable if every reference resolves in the slot
@@ -353,7 +370,14 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
         // Close here rather than where the recording ended: a stream that
         // is invalidated before its next scope (a regrid every timestep)
         // never pays for a close.
-        Stage::Logged => close(inner, &mut state),
+        Stage::Logged => {
+            let preds = close_stream(state.slots.iter().map(|t| &t.desc.accesses[..]));
+            if settle(inner, &mut state, preds) {
+                ScopeMode::Replay { cursor: 0 }
+            } else {
+                ScopeMode::Inert
+            }
+        }
         Stage::Frozen => ScopeMode::Replay { cursor: 0 },
         Stage::Parked => ScopeMode::Inert,
         Stage::Empty => {
@@ -376,25 +400,63 @@ pub(crate) fn scope_begin(inner: &Arc<RtInner>, key: u64) {
     });
 }
 
-/// Freezes the logged stream, or parks it if it is not stable. Returns
-/// how the scope that closed it goes on: replaying, or inert.
-fn close(inner: &RtInner, state: &mut KeyState) -> ScopeMode {
+/// Freezes the stream in the slots (logged or compiled) behind `preds`,
+/// its close, or parks it if the close found it unstable. Returns whether
+/// it froze: whether the scope that closed it replays, or runs inert.
+fn settle(inner: &RtInner, state: &mut KeyState, preds: Option<Preds>) -> bool {
     inner.stat_trace_closes.fetch_add(1, Ordering::Relaxed);
-    let mode = match close_stream(state.slots.iter().map(|t| &t.accesses[..])) {
+    let frozen = match preds {
         Some(preds) => {
             state.preds = preds;
             state.stage = Stage::Frozen;
             inner.stat_trace_freezes.fetch_add(1, Ordering::Relaxed);
-            ScopeMode::Replay { cursor: 0 }
+            true
         }
         None => {
             state.forget(Stage::Parked);
-            ScopeMode::Inert
+            false
         }
     };
     // A close that parked the stream froze no task.
     emit_mark(inner, "close", state.key, state.slots.len());
-    mode
+    frozen
+}
+
+/// Installs the stream of `key` closed from its descriptions, each slot a
+/// released placeholder, unless a scope is open on this thread or a task
+/// is live (see [`crate::Runtime::compile_trace`]). Returns whether it
+/// froze.
+fn compile<'a>(
+    inner: &Arc<RtInner>,
+    key: u64,
+    stream: impl IntoIterator<Item = &'a Arc<TaskDesc>>,
+) -> bool {
+    if with_scope(inner, |_| ()).is_some() {
+        return false;
+    }
+    let cache = &inner.trace;
+    // Armed before the quiescence check, so that any spawn after it counts
+    // as untraced and forgets the compiled stream at the next scope.
+    cache.armed.store(true, Ordering::SeqCst);
+    let untraced_seen = cache.untraced_spawns.load(Ordering::Acquire);
+    if !inner.quiescent() {
+        return false;
+    }
+    let descs: Vec<&Arc<TaskDesc>> = stream.into_iter().collect();
+    // Closed before the placeholders are allocated, so the analysis's
+    // tables are gone by then.
+    let preds = close_stream(descs.iter().map(|desc| &desc.accesses[..]));
+    let mut state = KeyState {
+        key,
+        slots: (descs.into_iter())
+            .map(|desc| inner.placeholder(Arc::clone(desc)))
+            .collect(),
+        untraced_seen,
+        ..KeyState::default()
+    };
+    let frozen = settle(inner, &mut state, preds);
+    *cache.stream.lock() = state;
+    frozen
 }
 
 pub(crate) fn scope_end(inner: &Arc<RtInner>) {
@@ -440,12 +502,7 @@ pub(crate) fn scope_end(inner: &Arc<RtInner>) {
 /// Classifies a spawn before the task object exists. Replay matching and
 /// divergence detection happen here; the returned route tells the
 /// runtime whether to register with the claim table.
-pub(crate) fn route_spawn(
-    inner: &Arc<RtInner>,
-    label: &str,
-    priority: i32,
-    accesses: &Declared,
-) -> Route {
+pub(crate) fn route_spawn(inner: &Arc<RtInner>, spawn: &Spawn) -> Route {
     let route = with_scope(inner, |scope| match scope.mode {
         ScopeMode::Inert => Route::Inert,
         ScopeMode::Record => Route::Recording,
@@ -454,13 +511,10 @@ pub(crate) fn route_spawn(
             // tasks the claim table cannot see; so may an extra spawn or
             // one that is not what the slot runs next.
             let untraced = inner.trace.untraced_spawns.load(Ordering::Acquire);
-            let repeats = |slot: &Arc<TaskShared>| {
-                slot.label == label
-                    && slot.priority == priority
-                    && match accesses {
-                        Declared::Shared(list) if Arc::ptr_eq(list, &slot.accesses) => true,
-                        declared => declared[..] == slot.accesses[..],
-                    }
+            // A shared description matches by pointer; any other by value.
+            let repeats = |slot: &Arc<TaskShared>| match spawn {
+                Spawn::Shared(desc) if Arc::ptr_eq(desc, &slot.desc) => true,
+                spawn => spawn.desc().repeats(&slot.desc),
             };
             if untraced == scope.untraced_at_start
                 && scope.state.slots.get(cursor).is_some_and(repeats)
@@ -479,8 +533,8 @@ pub(crate) fn route_spawn(
 }
 
 /// Replays the slot at the cursor for a spawn [`route_spawn`] matched to
-/// it, with the spawn's own body. Returns the task's depsan id.
-pub(crate) fn replay_spawn(inner: &Arc<RtInner>, accesses: Declared, body: TaskBody) -> u64 {
+/// it, with the spawn's own description. Returns the task's depsan id.
+pub(crate) fn replay_spawn(inner: &Arc<RtInner>, spawn: Spawn) -> u64 {
     with_scope(inner, |scope| {
         // Invariant (both panics): `spawn_boxed` calls this right after
         // `route_spawn` returned `Replay` on the same thread, which it
@@ -490,7 +544,6 @@ pub(crate) fn replay_spawn(inner: &Arc<RtInner>, accesses: Declared, body: TaskB
             unreachable!("route_spawn matched a replaying scope");
         };
         let mut flush_list = inner.trace.bypassed.lock();
-        let spawn = (accesses, body);
         let san_id = replay_slot(inner, &mut scope.state, *cursor, spawn, &mut flush_list);
         *cursor += 1;
         san_id
@@ -504,20 +557,18 @@ pub(crate) fn replay_spawn(inner: &Arc<RtInner>, accesses: Declared, body: TaskB
 /// position's recorded predecessors (claim table bypassed, released
 /// predecessors skipped exactly as fresh registration would skip them),
 /// registers it for flushing (in `flush_list`, the cache's, locked by the
-/// caller) and launches it, with the body and on-ready gate of `spawn`,
-/// whose label, priority and accesses are the slot's (the gate runs anew
-/// once the re-armed task's predecessors release). Returns the task's
-/// depsan id.
+/// caller) and launches it, with the description of `spawn`, whose label,
+/// priority and accesses are the slot's (the gate runs anew once the
+/// re-armed task's predecessors release). Returns the task's depsan id.
 fn replay_slot(
     inner: &Arc<RtInner>,
     state: &mut KeyState,
     pos: usize,
-    (accesses, body): (Declared, TaskBody),
+    spawn: Spawn,
     flush_list: &mut Vec<Arc<TaskShared>>,
 ) -> u64 {
     let KeyState { slots, preds, .. } = state;
     let preds = preds.of(pos);
-    let (label, priority) = (slots[pos].label, slots[pos].priority);
     // The sanitizer re-checks the predecessor set about to be enforced
     // against the declared accesses; the ids are read before the slot's
     // own previous occupant (a possible predecessor) is reset.
@@ -526,7 +577,8 @@ fn replay_slot(
             .map(|&(_, p)| slots[p as usize].san_id)
             .filter(|&s| s != 0)
             .collect();
-        inner.san_spawned(label, &accesses, Some(&pred_ids))
+        let desc = spawn.desc();
+        inner.san_spawned(desc.label, &desc.accesses, Some(&pred_ids))
     } else {
         0
     };
@@ -538,15 +590,12 @@ fn replay_slot(
     // flush list.
     let displaced = match Arc::get_mut(slot) {
         Some(task) => {
-            task.rearm(id, san_id);
-            task.accesses = redeclare(&task.accesses, accesses);
-            task.body = body;
+            task.rearm(id, san_id, spawn);
             inner.stat_rearmed_tasks.fetch_add(1, Ordering::Relaxed);
             None
         }
         None => {
-            let accesses = redeclare(&slot.accesses, accesses);
-            let fresh = inner.new_task(id, san_id, priority, label, accesses, body);
+            let fresh = inner.new_task(id, san_id, spawn.into_shared());
             Some(std::mem::replace(slot, fresh))
         }
     };
@@ -589,16 +638,6 @@ fn replay_slot(
     inner.stat_replayed_tasks.fetch_add(1, Ordering::Relaxed);
     inner.launch(task, edges, true);
     san_id
-}
-
-/// The accesses a replayed spawn declared, as the shared list its task
-/// object keeps: a shared declaration's own list, else the slot's, which a
-/// matched spawn repeats, so a listed replay copies none.
-fn redeclare(slot: &Accesses, declared: Declared) -> Accesses {
-    match declared {
-        Declared::Shared(list) => list,
-        Declared::Listed(_) => Arc::clone(slot),
-    }
 }
 
 /// Logs a freshly-analyzed spawn into the open record-mode scope.
@@ -695,17 +734,41 @@ fn emit_mark(inner: &RtInner, kind: &'static str, key: u64, tasks: usize) {
 
 impl crate::Runtime {
     /// Opens a trace scope for one iteration of a periodic submission
-    /// stream (one AMR timestep) under `key`. The first scope after an
-    /// invalidation, a divergence or a scope of another key records; the
-    /// next closes that recording, and from then on matching iterations
-    /// re-arm the recorded tasks without touching the claim table,
-    /// falling back to fresh analysis on any divergence.
+    /// stream (one AMR timestep) under `key`. A scope that finds a frozen
+    /// trace of `key` (compiled by [`Self::compile_trace`], or closed from
+    /// a recording) replays it: matching spawns re-arm the trace's task
+    /// objects without touching the claim table, and any divergence falls
+    /// back to fresh analysis. The first scope after an invalidation, a
+    /// divergence or a scope of another key records, and the next closes
+    /// that recording.
     ///
     /// Drop the returned guard when the iteration's submissions are
     /// done. Scopes must not nest on one thread.
     pub fn trace_scope(&self, key: u64) -> TraceScope<'_> {
         scope_begin(self.inner(), key);
         TraceScope { rt: self }
+    }
+
+    /// Compiles the stream the next scope of `key` will spawn, `stream`
+    /// in spawn order, instead of recording it: the close runs on the
+    /// descriptions' access lists, and the trace it freezes holds one
+    /// released placeholder task object per position, so the next scope
+    /// already replays (its spawns re-arm the placeholders, a spawn of
+    /// the same description matched by pointer). A stream whose warm
+    /// passes disagree is parked, as a failed close parks a recording.
+    ///
+    /// Refused, the cached stream left as it was, while a task is live (the
+    /// placeholders stand in for a previous iteration that has finished)
+    /// or while this thread has a scope open; the scope then records as
+    /// before. Like a recording, a compiled stream is forgotten by a spawn
+    /// outside a scope before its scope opens. Returns whether the trace
+    /// froze.
+    pub fn compile_trace<'a>(
+        &self,
+        key: u64,
+        stream: impl IntoIterator<Item = &'a Arc<TaskDesc>>,
+    ) -> bool {
+        compile(self.inner(), key, stream)
     }
 
     /// Invalidates every cached trace of this runtime. Call whenever the

@@ -1,6 +1,6 @@
 //! Trace & replay cache: correctness under replay, divergence fallback,
-//! explicit invalidation, cross-iteration edges, and interleaved untraced
-//! spawns.
+//! explicit invalidation, cross-iteration edges, interleaved untraced
+//! spawns, and compiled traces.
 //!
 //! Every test submits tasks whose bodies log their execution into a
 //! shared vector; correctness is judged *after* `taskwait` by checking
@@ -11,7 +11,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use taskrt::{Access, Body, ObjId, Region, Runtime, TaskBuilder};
+use taskrt::{Access, Body, ObjId, Region, Runtime, TaskBuilder, TaskDesc};
 
 /// Holds a task (and whatever waits behind it) until the test opens it.
 struct Gate {
@@ -327,26 +327,31 @@ fn cross_iteration_edges(shared: bool) {
             }) as Body
         })
         .collect();
+    // Reads in the middle of the chain make the next writer wait for
+    // several predecessors at once.
+    let access = |i: usize| {
+        let region = Region::new(obj, 0..1);
+        if i % 4 == 2 {
+            Access::read(region)
+        } else {
+            Access::read_write(region)
+        }
+    };
+    let descs: Vec<Arc<TaskDesc>> = (bodies.iter().enumerate())
+        .map(|(i, body)| Arc::new(TaskDesc::new("", 0, [access(i)], Arc::clone(body))))
+        .collect();
     for iter in 0..ITERS {
         if iter % 3 == 1 {
             rt.taskwait();
             gate.set(false);
         }
         let scope = rt.trace_scope(5);
-        for (i, body) in bodies.iter().enumerate() {
-            // Reads in the middle of the chain make the next writer wait
-            // for several predecessors at once.
-            let region = Region::new(obj, 0..1);
-            let access = if i % 4 == 2 {
-                Access::read(region)
-            } else {
-                Access::read_write(region)
-            };
-            let (task, body) = (rt.task().access(access), Arc::clone(body));
+        for (i, (body, desc)) in bodies.iter().zip(&descs).enumerate() {
             if shared {
-                task.body_shared(body).spawn();
+                rt.spawn_desc(desc);
             } else {
-                task.body(move || body()).spawn();
+                let body = Arc::clone(body);
+                rt.task().access(access(i)).body(move || body()).spawn();
             }
         }
         drop(scope);
@@ -396,7 +401,7 @@ fn rearm_resets_the_gate_and_a_hit_runs_it_again() {
     let gates = Arc::new(AtomicUsize::new(0));
     // Half the gates open from a thread of their own.
     let openers = Arc::new(Mutex::new(Vec::new()));
-    let tasks: Vec<(taskrt::Gate, Body)> = (0..N)
+    let tasks: Vec<Arc<TaskDesc>> = (0..N)
         .map(|i| {
             let (log, gates, seen) = (Arc::clone(&log), Arc::clone(&gates), Arc::clone(&log));
             let openers = Arc::clone(&openers);
@@ -410,7 +415,9 @@ fn rearm_resets_the_gate_and_a_hit_runs_it_again() {
                     openers.lock().push(std::thread::spawn(move || hold.open()));
                 }
             });
-            (gate, Arc::new(move || log.lock().push(i)) as Body)
+            let body: Body = Arc::new(move || log.lock().push(i));
+            let desc = TaskDesc::new("", 0, [Access::read_write(Region::new(obj, 0..1))], body);
+            Arc::new(desc.on_ready(gate))
         })
         .collect();
     for iter in 0..ITERS {
@@ -418,12 +425,8 @@ fn rearm_resets_the_gate_and_a_hit_runs_it_again() {
             rt.taskwait();
         }
         let scope = rt.trace_scope(12);
-        for (gate, body) in &tasks {
-            rt.task()
-                .inout(Region::new(obj, 0..1))
-                .on_ready_shared(Arc::clone(gate))
-                .body_shared(Arc::clone(body))
-                .spawn();
+        for desc in &tasks {
+            rt.spawn_desc(desc);
         }
         drop(scope);
     }
@@ -485,6 +488,143 @@ fn untraced_spawn_between_scopes_resets_key() {
     assert!(
         s.trace_hits > before.trace_hits,
         "replay never resumed after key reset: {s:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Compiled traces.
+
+/// The descriptions of a chain of `n` writes to `obj` (what
+/// [`chained_iteration`] spawns), each run logging its position.
+fn chain_descs(obj: ObjId, n: usize, log: &Arc<Mutex<Vec<usize>>>) -> Vec<Arc<TaskDesc>> {
+    (0..n)
+        .map(|i| {
+            let log = Arc::clone(log);
+            let body: Body = Arc::new(move || log.lock().push(i));
+            let write = Access::read_write(Region::new(obj, 0..1));
+            Arc::new(TaskDesc::new("", 0, [write], body))
+        })
+        .collect()
+}
+
+/// One scope of `key` spawning `descs`, not drained.
+fn described_iteration(rt: &Runtime, key: u64, descs: &[Arc<TaskDesc>]) {
+    let scope = rt.trace_scope(key);
+    descs.iter().for_each(|desc| rt.spawn_desc(desc));
+    drop(scope);
+}
+
+/// A compiled stream records nothing: its first scope already replays,
+/// re-arming the placeholders, and so do the next two, submitted without
+/// a drain in between, whose chain still runs in stream order.
+#[test]
+fn a_compiled_stream_replays_from_its_first_scope() {
+    const N: usize = 40;
+    let rt = Runtime::new(2);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let descs = chain_descs(ObjId::fresh(), N, &log);
+    assert!(rt.compile_trace(4, &descs), "a chain freezes");
+    for _ in 0..3 {
+        described_iteration(&rt, 4, &descs);
+    }
+    rt.taskwait();
+    let s = rt.stats();
+    let counts = (s.trace_records, s.trace_hits, s.trace_divergences);
+    assert_eq!(counts, (0, 3, 0), "{s:?}");
+    assert_eq!((s.trace_closes, s.trace_freezes), (1, 1), "{s:?}");
+    assert_eq!(s.replayed_tasks, 3 * N as u64, "{s:?}");
+    let want: Vec<usize> = (0..3 * N).map(|t| t % N).collect();
+    assert_eq!(*log.lock(), want, "the chain ran out of stream order");
+}
+
+/// A compile while a task is live is refused (no placeholder could stand
+/// for that task): the scope records behind it, and the next one closes
+/// the recording and replays.
+#[test]
+fn a_compile_while_a_task_is_live_is_refused() {
+    const N: usize = 20;
+    let rt = Runtime::new(2);
+    let obj = ObjId::fresh();
+    let gate = Gate::new();
+    gate.set(false);
+    let held = Arc::clone(&gate);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let head = Arc::clone(&log);
+    rt.task()
+        .inout(Region::new(obj, 0..1))
+        .body(move || {
+            held.pass();
+            head.lock().push(N);
+        })
+        .spawn();
+    let descs = chain_descs(obj, N, &log);
+    assert!(!rt.compile_trace(4, &descs), "compiled over a live task");
+    assert_eq!(rt.stats().trace_closes, 0);
+    described_iteration(&rt, 4, &descs);
+    gate.set(true);
+    rt.taskwait();
+    described_iteration(&rt, 4, &descs);
+    rt.taskwait();
+    let s = rt.stats();
+    let counts = (s.trace_records, s.trace_closes, s.trace_hits);
+    assert_eq!(counts, (1, 1, 1), "{s:?}");
+    let want: Vec<usize> = [N].into_iter().chain((0..2 * N).map(|t| t % N)).collect();
+    assert_eq!(*log.lock(), want, "the chain ran out of submission order");
+}
+
+/// A compiled stream whose first spawn is not the compiled one diverges
+/// at once: nothing replays, the rest of the scope runs inert, and the
+/// next scope records.
+#[test]
+fn a_compiled_stream_whose_first_spawn_differs_diverges() {
+    const N: usize = 20;
+    let rt = Runtime::new(2);
+    let obj = ObjId::fresh();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let descs = chain_descs(obj, N, &log);
+    assert!(rt.compile_trace(6, &descs));
+    let scope = rt.trace_scope(6);
+    rt.task().inout(Region::new(obj, 0..2)).body(|| {}).spawn();
+    descs.iter().for_each(|desc| rt.spawn_desc(desc));
+    drop(scope);
+    rt.taskwait();
+    let s = rt.stats();
+    let counts = (s.trace_divergences, s.trace_hits, s.replayed_tasks);
+    assert_eq!(counts, (1, 0, 0), "{s:?}");
+    assert_eq!(s.trace_records, 0, "{s:?}");
+    described_iteration(&rt, 6, &descs);
+    rt.taskwait();
+    assert_eq!(rt.stats().trace_records, 1);
+    let want: Vec<usize> = (0..2 * N).map(|t| t % N).collect();
+    assert_eq!(*log.lock(), want, "the chain ran out of submission order");
+}
+
+/// A stream whose warm passes disagree (a read that no write of it
+/// covers) is parked by its compile, as a failed close parks a recording:
+/// its scopes run inert and nothing is closed or recorded again.
+#[test]
+fn a_compile_that_does_not_settle_parks_the_stream() {
+    let rt = Runtime::new(1);
+    let obj = ObjId::fresh();
+    let body: Body = Arc::new(|| {});
+    let accesses = [
+        Access::read(Region::new(obj, 0..2)),
+        Access::read_write(Region::new(obj, 0..1)),
+    ];
+    let descs: Vec<Arc<TaskDesc>> = (accesses.into_iter())
+        .map(|a| Arc::new(TaskDesc::new("", 0, [a], Arc::clone(&body))))
+        .collect();
+    assert!(!rt.compile_trace(8, &descs), "an unsettled stream froze");
+    for _ in 0..4 {
+        described_iteration(&rt, 8, &descs);
+        rt.taskwait();
+    }
+    let s = rt.stats();
+    assert_eq!((s.trace_closes, s.trace_freezes), (1, 0), "{s:?}");
+    assert_eq!(
+        (s.trace_records, s.trace_hits, s.replayed_tasks),
+        (0, 0, 0),
+        "{s:?}"
     );
 }
 
@@ -603,24 +743,34 @@ fn linear_extensions(shared: bool) {
                 }) as Body
             })
             .collect();
+        let accesses = |decls: &[Decl]| -> Vec<Access> {
+            (decls.iter())
+                .map(|d| {
+                    let r = Region::new(objs[d.obj], d.start..d.end);
+                    if d.write {
+                        Access::read_write(r)
+                    } else {
+                        Access::read(r)
+                    }
+                })
+                .collect()
+        };
+        let descs: Vec<Arc<TaskDesc>> = (stream.iter().zip(&bodies))
+            .map(|(decls, body)| Arc::new(TaskDesc::new("", 0, accesses(decls), Arc::clone(body))))
+            .collect();
         for pair in 0..PAIRS {
             gate.set(false);
             for _ in 0..2 {
                 let scope = rt.trace_scope(42);
-                for (decls, body) in stream.iter().zip(&bodies) {
-                    let task = rt.task().accesses(decls.iter().map(|d| {
-                        let r = Region::new(objs[d.obj], d.start..d.end);
-                        if d.write {
-                            Access::read_write(r)
-                        } else {
-                            Access::read(r)
-                        }
-                    }));
-                    let body = Arc::clone(body);
+                for ((decls, body), desc) in stream.iter().zip(&bodies).zip(&descs) {
                     if shared {
-                        task.body_shared(body).spawn();
+                        rt.spawn_desc(desc);
                     } else {
-                        task.body(move || body()).spawn();
+                        let body = Arc::clone(body);
+                        rt.task()
+                            .accesses(accesses(decls))
+                            .body(move || body())
+                            .spawn();
                     }
                 }
                 drop(scope);

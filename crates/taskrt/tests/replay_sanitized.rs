@@ -13,13 +13,14 @@
 //! iterations that demonstrably took the replay path therefore means the
 //! replayed edge sets are (transitively) identical to what depsan
 //! observes in record mode. A re-armed iteration — task objects reset in
-//! place by matching spawns, with bodies of their own or with the bodies
-//! the first iteration built — hands depsan its enforced predecessors
-//! like any other.
+//! place by matching spawns, with bodies of their own or with the
+//! descriptions the first iteration spawned — hands depsan its enforced
+//! predecessors like any other, and so does the first iteration of a
+//! compiled trace, whose task objects re-arm placeholders.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use taskrt::{Access, Body, ObjId, Region, Runtime};
+use taskrt::{Access, Body, ObjId, Region, Runtime, TaskDesc};
 
 struct Rng(u64);
 
@@ -72,8 +73,21 @@ fn sanitized_replay_matches_record_mode_edges() {
             stream.push(vec![(obj, 0, 8, true)]);
         }
 
-        // One-shot bodies first, then bodies shared by every iteration.
-        for shared in [false, true] {
+        let accesses = |decls: &[(usize, usize, usize, bool)]| -> Vec<Access> {
+            (decls.iter())
+                .map(|&(obj, start, end, write)| {
+                    let r = Region::new(objs[obj], start..end);
+                    if write {
+                        Access::read_write(r)
+                    } else {
+                        Access::read(r)
+                    }
+                })
+                .collect()
+        };
+        // One-shot bodies first, then descriptions shared by every
+        // iteration, recorded and then compiled.
+        for (shared, compiled) in [(false, false), (true, false), (true, true)] {
             // The sanitizer must be on *before* the runtime is built (the
             // runtime captures the depsan mode at creation).
             let rt = Runtime::new(3);
@@ -84,24 +98,25 @@ fn sanitized_replay_matches_record_mode_edges() {
                     Arc::new(move || log.lock().push(i)) as Body
                 })
                 .collect();
+            let descs: Vec<Arc<TaskDesc>> = (stream.iter().zip(&bodies))
+                .map(|(decls, body)| {
+                    Arc::new(TaskDesc::new("", 0, accesses(decls), Arc::clone(body)))
+                })
+                .collect();
+            if compiled {
+                assert!(rt.compile_trace(11, &descs), "seed {seed:#x}: not frozen");
+            }
             for _ in 0..ITERS {
                 let scope = rt.trace_scope(11);
-                for (decls, body) in stream.iter().zip(&bodies) {
-                    let task = rt
-                        .task()
-                        .accesses(decls.iter().map(|&(obj, start, end, write)| {
-                            let r = Region::new(objs[obj], start..end);
-                            if write {
-                                Access::read_write(r)
-                            } else {
-                                Access::read(r)
-                            }
-                        }));
-                    let body = Arc::clone(body);
+                for ((decls, body), desc) in stream.iter().zip(&bodies).zip(&descs) {
                     if shared {
-                        task.body_shared(body).spawn();
+                        rt.spawn_desc(desc);
                     } else {
-                        task.body(move || body()).spawn();
+                        let body = Arc::clone(body);
+                        rt.task()
+                            .accesses(accesses(decls))
+                            .body(move || body())
+                            .spawn();
                     }
                 }
                 drop(scope);
@@ -109,10 +124,12 @@ fn sanitized_replay_matches_record_mode_edges() {
             }
 
             let s = rt.stats();
+            let (hits, records) = if compiled { (ITERS, 0) } else { (ITERS - 1, 1) };
             assert_eq!(
-                s.trace_hits,
-                ITERS as u64 - 1,
-                "seed {seed:#x}: stream did not replay from its second iteration: {s:?}"
+                (s.trace_hits, s.trace_records),
+                (hits as u64, records),
+                "seed {seed:#x}: stream did not replay from its {} iteration: {s:?}",
+                if compiled { "first" } else { "second" }
             );
             assert!(
                 s.rearmed_tasks > 0 && s.rearmed_tasks <= s.replayed_tasks,
@@ -123,7 +140,8 @@ fn sanitized_replay_matches_record_mode_edges() {
             let violations = depsan::take_violations();
             assert!(
                 violations.is_empty(),
-                "seed {seed:#x} (shared: {shared}): depsan flagged replayed edges: {violations:?}"
+                "seed {seed:#x} (shared: {shared}, compiled: {compiled}): depsan flagged \
+                 replayed edges: {violations:?}"
             );
         }
     }

@@ -1,4 +1,5 @@
-//! A runtime that traced and replayed must free its tasks when dropped.
+//! A runtime that traced and replayed, or compiled a trace it never
+//! replayed, must free its tasks when dropped.
 //!
 //! The replay cache keeps `Arc`s to the latest iteration's tasks, and
 //! every task keeps an `Arc` to its runtime: unless the cache lets go
@@ -8,7 +9,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
-use taskrt::{ObjId, Region, Runtime};
+use std::sync::Arc;
+use taskrt::{Access, Body, ObjId, Region, Runtime, TaskDesc};
 
 /// Wraps the system allocator, tracking the bytes currently allocated
 /// process-wide (tasks are allocated on the submitting thread and freed
@@ -60,20 +62,41 @@ fn traced_run(obj: ObjId) {
     drop(rt);
 }
 
+/// Builds a runtime, compiles a trace of `TASKS` descriptions on it and
+/// drops it without opening a scope: every slot still holds its
+/// placeholder, and every placeholder holds the runtime.
+fn compiled_run(obj: ObjId) {
+    let rt = Runtime::new(2);
+    let body: Body = Arc::new(|| {});
+    let descs: Vec<Arc<TaskDesc>> = (0..TASKS)
+        .map(|i| {
+            let write = Access::read_write(Region::new(obj, i % 4..i % 4 + 1));
+            Arc::new(TaskDesc::new("", 0, [write], Arc::clone(&body)))
+        })
+        .collect();
+    assert!(rt.compile_trace(1, &descs), "the stream froze");
+    drop(rt);
+}
+
+/// One test function: the two runs must not overlap on the counter.
 #[test]
 fn dropped_runtime_frees_its_traced_tasks() {
     let obj = ObjId::fresh();
-    // Warm-up: whatever the process allocates once and keeps (thread
-    // bookkeeping, lazily built tables) is allocated here.
-    traced_run(obj);
-    let baseline = LIVE.load(Ordering::Relaxed);
-    traced_run(obj);
-    let retained = LIVE.load(Ordering::Relaxed) - baseline;
-    // One leaked task is some 300 bytes, a leaked run over a megabyte.
-    assert!(
-        retained < 1024,
-        "{retained} bytes still allocated after the runtime was dropped \
-         ({} tasks spawned)",
-        TASKS * ITERS
-    );
+    for (what, run) in [
+        ("replayed", traced_run as fn(ObjId)),
+        ("compiled", compiled_run),
+    ] {
+        // Warm-up: whatever the process allocates once and keeps (thread
+        // bookkeeping, lazily built tables) is allocated here.
+        run(obj);
+        let baseline = LIVE.load(Ordering::Relaxed);
+        run(obj);
+        let retained = LIVE.load(Ordering::Relaxed) - baseline;
+        // One leaked task is some 200 bytes, a leaked run over 100 kB.
+        assert!(
+            retained < 1024,
+            "{retained} bytes still allocated after the runtime of a {what} trace was \
+             dropped ({TASKS} tasks a stream)"
+        );
+    }
 }

@@ -103,7 +103,10 @@ PY
 import sys
 rows = dict(l.split("\t", 1) for l in sys.argv[1].splitlines() if "\t" in l)
 for metric, tsv in [("taskrt.tasks_spawned", "tasks_spawned"),
-                    ("taskrt.replayed_tasks", "tasks_replayed")]:
+                    ("taskrt.replayed_tasks", "tasks_replayed"),
+                    ("taskrt.trace_records", "trace_records"),
+                    ("taskrt.trace_hits", "trace_hits"),
+                    ("taskrt.trace_closes", "trace_closes")]:
     assert rows["metric:" + metric] == rows[tsv], (
         f"metric:{metric} {rows['metric:' + metric]} != {tsv} {rows[tsv]}")
 core = [k for k in rows if k.startswith("metric:core.")]

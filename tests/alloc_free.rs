@@ -236,11 +236,12 @@ fn hit_timesteps(hits: usize) -> [u64; 3] {
 #[test]
 fn warm_dataflow_timestep_allocates_less_than_once_per_item() {
     let [allocs, items, _] = hit_timesteps(3);
+    let per_item = allocs as f64 / items as f64;
+    eprintln!("data-flow, warm: {allocs} allocator calls for {items} items = {per_item:.3} per item (bound 1)");
     assert!(items > 10_000, "only {items} items in three timesteps");
     assert!(
         allocs <= items,
-        "{allocs} allocator calls on the spawning threads for {items} work items = {:.2} per item",
-        allocs as f64 / items as f64
+        "{allocs} allocator calls on the spawning threads for {items} work items = {per_item:.2} per item"
     );
 }
 
@@ -252,11 +253,12 @@ fn warm_dataflow_timestep_allocates_less_than_once_per_item() {
 #[test]
 fn hit_dataflow_timestep_allocates_next_to_nothing_per_task() {
     let [allocs, _, tasks] = hit_timesteps(70);
+    let per_task = allocs as f64 / tasks as f64;
+    eprintln!("data-flow, hit: {allocs} allocator calls for {tasks} re-armed tasks = {per_task:.4} per task (bound 0.05)");
     assert!(tasks > 100_000, "only {tasks} tasks in seventy timesteps");
     assert!(
         allocs * 20 <= tasks,
-        "{allocs} allocator calls on the spawning threads for {tasks} re-armed tasks = {:.3} per task (bound 0.05)",
-        allocs as f64 / tasks as f64
+        "{allocs} allocator calls on the spawning threads for {tasks} re-armed tasks = {per_task:.3} per task (bound 0.05)"
     );
 }
 
